@@ -37,8 +37,9 @@ vet:
 # multi-ready select on simulation paths, no wall clock or global rand
 # outside supervision, no goroutines outside the supervised pools, every
 # snapshot-covered struct field encoded or tagged snap:"derived", plus
-# shadow/copylocks/nilness. Any unsuppressed finding fails the gate;
-# every suppression carries a reason (`mlint -suppressions` audits them).
+# shadow/nilness (copylocks is the vet leg's). Any unsuppressed finding
+# fails the gate; every suppression carries a reason (`mlint
+# -suppressions` audits them).
 lint:
 	$(GO) run ./cmd/mlint
 
@@ -52,8 +53,12 @@ test:
 shuffle:
 	$(GO) test -shuffle=on -short -count=1 ./...
 
+# The short pass covers every package; the supervision layers — where the
+# goroutines, locks and watchdogs live — also run their full suites under
+# the race detector (serve and guard here, dist in the dist leg).
 race:
 	$(GO) test -race -short ./...
+	$(GO) test -race -count=1 ./internal/serve ./internal/guard
 
 # Parallel-engine speedup tripwire, in its own invocation so the wall-clock
 # measurement never contends with other package test binaries (it skips on

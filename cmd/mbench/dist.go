@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/guard"
 )
 
 // distSoakScenarios are the workloads exercised by the soak; they cover
@@ -31,9 +32,8 @@ func runDistSoak(w io.Writer) error {
 	fmt.Fprintf(w, "distributed-engine soak: %d scenario(s)\n\n", len(distSoakScenarios))
 
 	type ref struct {
-		sc     *core.Scenario
-		res    *core.ScenarioResult
-		digest string
+		sc  *core.Scenario
+		res *core.ScenarioResult
 	}
 	refs := map[string]ref{}
 	for _, name := range distSoakScenarios {
@@ -41,15 +41,11 @@ func runDistSoak(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		res, s, err := sc.RunSim(core.Options{})
+		res, err := sc.Run(core.Options{})
 		if err != nil {
 			return fmt.Errorf("%s: in-process reference: %v", name, err)
 		}
-		digest, err := dist.Digest(s.M)
-		if err != nil {
-			return err
-		}
-		refs[name] = ref{sc: sc, res: res, digest: digest}
+		refs[name] = ref{sc: sc, res: res}
 	}
 
 	check := func(name, leg string, r *dist.RunResult, err error) error {
@@ -57,10 +53,10 @@ func runDistSoak(w io.Writer) error {
 			return fmt.Errorf("%s [%s]: %v", name, leg, err)
 		}
 		want := refs[name]
-		if r.TotalCycles != want.res.TotalCycles || r.Checks != want.res.Checks || r.Digest != want.digest {
+		if r.TotalCycles != want.res.TotalCycles || r.Checks != want.res.Checks || r.Digest != want.res.Digest {
 			return fmt.Errorf("%s [%s]: diverged: %d cycles / %d checks / %s, want %d / %d / %s",
 				name, leg, r.TotalCycles, r.Checks, r.Digest,
-				want.res.TotalCycles, want.res.Checks, want.digest)
+				want.res.TotalCycles, want.res.Checks, want.res.Digest)
 		}
 		fmt.Fprintf(w, "  %-16s %-24s %8d cycles  %d ckpt  %d recoveries  OK\n",
 			name, leg, r.TotalCycles, r.Checkpoints, r.Recoveries)
@@ -86,7 +82,7 @@ func runDistSoak(w io.Writer) error {
 	type drillCase struct {
 		name, leg string
 		cfg       dist.Config
-		wantClass dist.FailureClass
+		wantClass guard.Class
 		minRecov  int
 	}
 	drills := []drillCase{
@@ -96,22 +92,22 @@ func runDistSoak(w io.Writer) error {
 				{Node: 1, Cycle: 600, Kind: "panic"},
 				{Node: 3, Cycle: 2000, Kind: "panic"},
 			},
-		}, dist.FailCrash, 2},
+		}, guard.ClassCrash, 2},
 		{"meshsmooth4.wl", "stall drill", dist.Config{
 			Shards: 2, Launcher: dist.LocalLauncher{}, CheckpointEvery: 200,
 			WindowTimeout: 400 * time.Millisecond, HeartbeatEvery: 50 * time.Millisecond,
 			SilenceTimeout: 2 * time.Second,
 			Chaos:          []dist.ChaosSpec{{Node: 2, Cycle: 900, Kind: "hang"}},
-		}, dist.FailStall, 1},
+		}, guard.ClassStallTimeout, 1},
 		{"redblack.wl", "lost drill", dist.Config{
 			Shards: 2, Launcher: dist.LocalLauncher{}, CheckpointEvery: 128,
 			Kill: []dist.KillSpec{{Shard: 1, Cycle: 500}},
-		}, dist.FailLost, 1},
+		}, guard.ClassLost, 1},
 		{"meshsmooth4.wl", "sigkill drill (procs)", dist.Config{
 			Shards: 2, Launcher: &dist.ProcLauncher{Exe: exe},
 			CheckpointEvery: 256,
 			Kill:            []dist.KillSpec{{Shard: 0, Cycle: 700}, {Shard: 1, Cycle: 1900}},
-		}, dist.FailLost, 2},
+		}, guard.ClassLost, 2},
 	}
 	fmt.Fprintln(w)
 	for _, d := range drills {

@@ -28,6 +28,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/guard"
 	"repro/internal/serve"
 )
 
@@ -116,7 +117,7 @@ func runServeSoak(w io.Writer) error {
 		sessions = append(sessions, s)
 	}
 	recovered, clean := 0, 0
-	byClass := make(map[string]int)
+	byClass := make(map[guard.Class]int)
 	for _, s := range sessions {
 		<-s.Done()
 		info := s.Info()
@@ -139,16 +140,16 @@ func runServeSoak(w io.Writer) error {
 	if recovered == 0 {
 		return fmt.Errorf("chaos: no session was ever faulted; the soak proved nothing")
 	}
-	if byClass[serve.FailCrash] == 0 {
+	if byClass[guard.ClassCrash] == 0 {
 		return fmt.Errorf("chaos: no session recovered from a worker panic")
 	}
-	if byClass[serve.FailStallTimeout]+byClass[serve.FailStallHang] == 0 {
+	if byClass[guard.ClassStallTimeout]+byClass[guard.ClassStallHang] == 0 {
 		return fmt.Errorf("chaos: no session recovered from a stall")
 	}
 	st := chaotic.Stats()
 	fmt.Fprintf(w, "serve chaos: %d sessions done, %d recovered (%d crash, %d stall; %d retries), %d untouched — all digests match control\n",
-		len(sessions), recovered, byClass[serve.FailCrash],
-		byClass[serve.FailStallTimeout]+byClass[serve.FailStallHang], st.Retries, clean)
+		len(sessions), recovered, byClass[guard.ClassCrash],
+		byClass[guard.ClassStallTimeout]+byClass[guard.ClassStallHang], st.Retries, clean)
 
 	// Load shedding: a throttled server (1 worker, tiny queue) must answer
 	// busy rather than queue unboundedly.

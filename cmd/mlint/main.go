@@ -1,7 +1,8 @@
 // Command mlint runs the repo's determinism-invariant analyzer suite
 // (internal/lint; DESIGN.md "Static analysis") over the whole module:
 // the four repo-specific analyzers — detrange, wallclock, gocheck,
-// snapfields — plus the stock shadow/copylocks/nilness passes.
+// snapfields — plus the stock shadow and nilness passes (go vet, which
+// CI also runs, owns copylocks).
 //
 // Exit status: 0 when every finding is suppressed or none exist, 1 when
 // unsuppressed diagnostics remain (the CI lint leg fails), 2 on usage

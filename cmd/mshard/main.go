@@ -14,7 +14,7 @@
 //
 //	-drill-kill shard@cycle    SIGKILL a worker mid-run (lost connection)
 //	-drill-panic node@cycle    inject a contained worker panic (crash)
-//	-drill-hang node@cycle     wedge a worker mid-step (stall)
+//	-drill-hang node@cycle     wedge a worker mid-step (stall-timeout)
 //
 // A drilled run must end with the same cycle counts, checks, and machine
 // digest as an undisturbed one — mshard prints the digest so two runs
@@ -46,8 +46,7 @@ func main() {
 
 	shards := flag.Int("shards", 2, "shard worker process count (clamped to the mesh size)")
 	ckEvery := flag.Int64("checkpoint-every", 4096, "coordinated checkpoint cadence in cycles")
-	ckPath := flag.String("checkpoint", "", "also spool each checkpoint to this file (atomic rename)")
-	windowTimeout := flag.Duration("window-timeout", 30*time.Second, "per-exchange wall deadline before a shard counts as stalled")
+	windowTimeout := flag.Duration("window-timeout", 30*time.Second, "per-exchange wall deadline before a shard counts as stalled (stall-timeout)")
 	heartbeat := flag.Duration("heartbeat", 250*time.Millisecond, "worker heartbeat cadence")
 	silence := flag.Duration("silence-timeout", 3*time.Second, "heartbeat silence before a shard counts as lost")
 	maxRecoveries := flag.Int("max-recoveries", 8, "checkpoint recoveries before giving up")
@@ -75,7 +74,6 @@ func main() {
 		Shards:          *shards,
 		Launcher:        &dist.ProcLauncher{Exe: exe},
 		CheckpointEvery: *ckEvery,
-		CheckpointPath:  *ckPath,
 		WindowTimeout:   *windowTimeout,
 		HeartbeatEvery:  *heartbeat,
 		SilenceTimeout:  *silence,
@@ -112,7 +110,7 @@ func main() {
 	fmt.Printf("\nsupervision: %d checkpoint(s), %d recover(ies)\n", res.Checkpoints, res.Recoveries)
 	for _, f := range res.Failures {
 		detail, _, _ := strings.Cut(f.Detail, "\n")
-		fmt.Printf("  shard %d %-5s at cycle %-8d %s\n", f.Shard, f.Class, f.Cycle, detail)
+		fmt.Printf("  shard %d %-13s at cycle %-8d %s\n", f.Shard, f.Class, f.Cycle, detail)
 	}
 	if *showTrace {
 		fmt.Println("\ntrace:")
@@ -155,11 +153,12 @@ func (l *drillList) Set(v string) error {
 }
 
 func exitCode(err error) int {
-	var se *guard.StallError
-	if errors.As(err, &se) || errors.Is(err, machine.ErrCycleLimit) {
+	class := guard.Classify(err)
+	switch {
+	case class == guard.ClassBudget, errors.Is(err, machine.ErrCycleLimit):
 		return 3
-	}
-	if strings.Contains(err.Error(), "recovery limit") {
+	case class.Transient():
+		// A shard failure that reached the CLI outlived the recovery cap.
 		return 4
 	}
 	return 1

@@ -376,15 +376,7 @@ func saveSnapshot(s *core.Sim, path string) error {
 // stack trace (those stay in *guard.CrashError.Stack for bug reports).
 func reportFailure(err error) {
 	fmt.Fprintf(os.Stderr, "msim: %v\n", err)
-	var diag, dump string
-	var ce *guard.CrashError
-	var se *guard.StallError
-	switch {
-	case errors.As(err, &ce):
-		diag, dump = ce.Diagnostic, ce.DumpPath
-	case errors.As(err, &se):
-		diag, dump = se.Diagnostic, se.DumpPath
-	}
+	diag, dump := guard.Forensics(err)
 	if diag != "" {
 		fmt.Fprintf(os.Stderr, "\nmachine state at cutoff:\n%s\n", diag)
 	}

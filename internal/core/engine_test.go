@@ -19,28 +19,23 @@ import (
 	"repro/internal/workload"
 )
 
-// engineMode names one (engine, shard count, rebalance window)
-// configuration.
+// engineMode names one (engine, shard count) configuration.
 type engineMode struct {
-	name      string
-	naive     bool
-	workers   int
-	rebalance int64 // machine.Config.RebalanceEvery (0 = default window)
+	name    string
+	naive   bool
+	workers int
 }
 
 // engineModes is the cross-engine matrix: the naive reference, the serial
 // event engine, and the parallel engine at several shard counts (clamped
 // to the node count on small machines, so "parallel8" on a 2-node mesh
-// still exercises the 2-shard pool) and shard-rebalance windows — from
-// disabled to every-8-busy-cycles, so rebalancing points land inside every
-// workload's busy phases.
+// still exercises the 2-shard pool).
 var engineModes = []engineMode{
-	{"naive", true, 0, 0},
-	{"event", false, 0, 0},
-	{"parallel2", false, 2, -1},
-	{"parallel3", false, 3, 0},
-	{"parallel3/rebal8", false, 3, 8},
-	{"parallel8/rebal64", false, 8, 64},
+	{"naive", true, 0},
+	{"event", false, 0},
+	{"parallel2", false, 2},
+	{"parallel3", false, 3},
+	{"parallel8", false, 8},
 }
 
 // underMode runs f with the package-default engine forced to the mode,
@@ -48,11 +43,9 @@ var engineModes = []engineMode{
 func underMode(m engineMode, f func() (string, error)) (string, error) {
 	SetDefaultEngine(m.naive)
 	SetDefaultWorkers(m.workers)
-	SetDefaultRebalance(m.rebalance)
 	defer func() {
 		SetDefaultEngine(false)
 		SetDefaultWorkers(0)
-		SetDefaultRebalance(0)
 	}()
 	return f()
 }

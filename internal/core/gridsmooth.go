@@ -125,8 +125,8 @@ type MeshScaleRow struct {
 // engine (Workers: -1; on a single-core host this degrades to the serial
 // engine with identical results). Larger meshes also mean a smaller busy
 // fraction per cycle (the fixed grid spreads thinner), which is the mix
-// the engine's active-set scheduling and shard rebalancing are for (see
-// DESIGN.md, "Active-set scheduling"). Simulated cycle counts are
+// the engine's active-set scheduling is for (see DESIGN.md, "Active-set
+// scheduling"). Simulated cycle counts are
 // host-independent; the point of the sweep is that larger meshes finish
 // the same grid in fewer simulated cycles while the parallel engine keeps
 // host wall-clock per configuration roughly flat.

@@ -96,33 +96,23 @@ func (r *ScenarioRun) Seek(step int, phaseCycles int64, phases []PhaseResult, ch
 	return nil
 }
 
-// A PhaseRunner executes run phases (or slices of them) against whatever
-// engine is driving the machine: guard.Supervisor is the in-process
-// implementation, and the distributed coordinator (internal/dist)
-// provides another. RunPhase semantics follow Supervisor.RunPhase — run
-// up to maxCycles simulated cycles with Machine.Run's completion
-// detection, returning the cycles executed (excluding the quiet window)
-// and machine.ErrCycleLimit when only the bound expired — so the slicing
-// arithmetic in Advance is engine-independent.
-type PhaseRunner interface {
-	RunPhase(maxCycles int64) (int64, error)
-}
-
-// Advance executes one quantum under the phase runner: one non-run plan
+// Advance executes one quantum under the supervisor: one non-run plan
 // step, or one slice of the current run phase — up to maxSlice cycles
 // when maxSlice > 0, the phase's whole remaining budget otherwise. It
 // reports whether the quantum advanced the machine (a run-phase slice),
 // which is when a checkpointing caller should snapshot: the machine is
 // between cycles and Pos names the position exactly.
 //
-// With a guard.Supervisor as the runner, Advance must be called inside
-// the supervisor's Do (or via a wrapper like Scenario.RunSim) so the
-// panic-containment and watchdog contracts hold; the supervisor's cycle
-// budget clamps run slices exactly as it clamps whole phases. Errors
-// follow Scenario.Run: watchdog classes (*guard.StallError,
-// machine.ErrStopped) pass through unwrapped, everything else carries the
-// step's source position.
-func (r *ScenarioRun) Advance(sup PhaseRunner, maxSlice int64) (ranPhase bool, err error) {
+// The slicing arithmetic is engine-independent: sup.RunPhase has
+// Machine.Run's contract whatever runs its legs (the machine in process,
+// the distributed coordinator via guard.NewOver), and the supervisor's
+// cycle budget clamps run slices exactly as it clamps whole phases. For
+// the panic-containment and watchdog contracts to hold, call Advance
+// inside the supervisor's Do (Scenario.RunSim does). Errors
+// follow Scenario.Run: supervision failures (any guard.Class but
+// scenario, and machine.ErrStopped) pass through unwrapped, everything
+// else carries the step's source position.
+func (r *ScenarioRun) Advance(sup *guard.Supervisor, maxSlice int64) (ranPhase bool, err error) {
 	if r.Done() {
 		return false, nil
 	}
@@ -158,11 +148,13 @@ func (r *ScenarioRun) Advance(sup PhaseRunner, maxSlice int64) (ranPhase bool, e
 			// phase continues at the next Advance.
 			return true, nil
 		}
-		// Watchdog classes must reach the supervisor unwrapped — the
-		// positional formatting would break errors.As/Is and rob Do of
-		// the chance to attach diagnostics and the dump.
-		var se *guard.StallError
-		if errors.As(err, &se) || errors.Is(err, machine.ErrStopped) {
+		// Supervision failures — watchdog cutoffs, stop requests, shard
+		// failures that outlived the recovery cap — must reach the
+		// supervisor unwrapped: the positional formatting would break
+		// errors.As/Is and guard.Classify, and rob Do of the chance to
+		// attach diagnostics and the dump. Only the scenario's own
+		// failures get the step's source position.
+		if guard.Classify(err) != guard.ClassScenario || errors.Is(err, machine.ErrStopped) {
 			return true, err
 		}
 		return true, fmt.Errorf("%s: %v", st.Pos, err)

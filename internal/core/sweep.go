@@ -23,8 +23,7 @@ import (
 
 // PointResult is one sweep point's outcome. Phases carry the point
 // prefix in their names ("MSGS=4/work"); Digest fingerprints the
-// point's final machine state (hex sha256 of the snapshot, comparable
-// with dist.Digest).
+// point's final machine state (machine.Digest).
 type PointResult struct {
 	Name        string // "NAME=value"
 	Phases      []PhaseResult
@@ -53,20 +52,7 @@ func (sc *Scenario) runSweep(o Options) (*ScenarioResult, *Sim, error) {
 		Deadline: plan.Deadline, CycleBudget: plan.CycleBudget,
 		Steps: plan.Steps,
 	}}
-	gopt := guard.Options{Timeout: o.Timeout, CycleBudget: o.CycleBudget, DumpPath: o.CrashDump}
-	if gopt.Timeout == 0 {
-		gopt.Timeout = plan.Deadline
-	}
-	if gopt.CycleBudget == 0 {
-		gopt.CycleBudget = plan.CycleBudget
-	}
-	sup := guard.New(s.M, gopt)
-	var res *ScenarioResult
-	err = sup.Do(func() error {
-		var e error
-		res, e = prefix.runOn(s, sup)
-		return e
-	})
+	res, err := prefix.supervise(s, o)
 	if err != nil {
 		if !guard.IsHang(err) {
 			s.M.Close()
@@ -102,7 +88,7 @@ func (sc *Scenario) runSweep(o Options) (*ScenarioResult, *Sim, error) {
 		}
 	}
 
-	if res.Digest, err = machineDigest(s.M); err != nil {
+	if res.Digest, err = s.M.Digest(); err != nil {
 		s.M.Close()
 		return nil, s, err
 	}
@@ -115,23 +101,10 @@ func (sc *Scenario) runSweep(o Options) (*ScenarioResult, *Sim, error) {
 // point's own supervision bounds, then folds the point's trace events
 // into parent's recorder so the whole sweep reads as one stream.
 func (sc *Scenario) runPoint(ps *Sim, o Options, name string, parent *Sim) (*PointResult, error) {
-	gopt := guard.Options{Timeout: o.Timeout, CycleBudget: o.CycleBudget, DumpPath: o.CrashDump}
-	if gopt.Timeout == 0 {
-		gopt.Timeout = sc.Plan.Deadline
-	}
-	if gopt.CycleBudget == 0 {
-		gopt.CycleBudget = sc.Plan.CycleBudget
-	}
-	sup := guard.New(ps.M, gopt)
-	var res *ScenarioResult
-	err := sup.Do(func() error {
-		var e error
-		res, e = sc.runOn(ps, sup)
-		return e
-	})
+	res, err := sc.supervise(ps, o)
 	var digest string
 	if err == nil {
-		digest, err = machineDigest(ps.M)
+		digest, err = ps.M.Digest()
 	}
 	if guard.IsHang(err) {
 		// A wedged run goroutine still owns the point machine; abandon

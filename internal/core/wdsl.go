@@ -10,13 +10,10 @@ package core
 // picks up testdata/workloads/*.wl).
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"os"
 
 	"repro/internal/guard"
-	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/wdsl"
 	"repro/internal/workload"
@@ -72,32 +69,17 @@ type ScenarioResult struct {
 	TotalCycles int64 // machine cycle counter at the end of the run
 	Checks      int   // expect/check steps that passed; sweeps: all points
 	Stats       Stats
-	// Digest is the machine-state fingerprint at the end of a successful
-	// run (hex sha256 of the snapshot stream, computed before Close —
-	// the same function as dist.Digest). For sweep scenarios it covers
-	// the staging machine after the prefix; per-point fingerprints are
-	// in Points.
+	// Digest is the machine-state fingerprint (machine.Digest) at the
+	// end of a successful run. For sweep scenarios it covers the staging
+	// machine after the prefix; per-point fingerprints are in Points.
 	Digest string
 	// Points holds per-point results for sweep scenarios; nil otherwise.
 	Points []PointResult
 }
 
-// machineDigest is the canonical state fingerprint: the hex sha256 of
-// the full snapshot stream. It matches dist.Digest bit for bit (core
-// cannot import dist — dist imports core), so sweep-point digests,
-// scenario digests, and distributed-run digests are directly
-// comparable.
-func machineDigest(m *machine.Machine) (string, error) {
-	h := sha256.New()
-	if err := m.Save(h); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
 // Run boots a machine per the scenario's mesh/caching declarations and
 // executes the plan. The caller's Options may select the engine
-// (NaiveEngine, Workers, RebalanceEvery) and tracing-related settings;
+// (NaiveEngine, Workers) and tracing-related settings;
 // the mesh dimensions and caching mode always come from the scenario
 // file. Expect/check failures are returned as errors naming the step's
 // source position.
@@ -123,26 +105,13 @@ func (sc *Scenario) RunSim(o Options) (*ScenarioResult, *Sim, error) {
 	if sc.Plan.Sweep != nil {
 		return sc.runSweep(o)
 	}
-	gopt := guard.Options{Timeout: o.Timeout, CycleBudget: o.CycleBudget, DumpPath: o.CrashDump}
-	if gopt.Timeout == 0 {
-		gopt.Timeout = sc.Plan.Deadline
-	}
-	if gopt.CycleBudget == 0 {
-		gopt.CycleBudget = sc.Plan.CycleBudget
-	}
 	s, err := sc.NewSim(o)
 	if err != nil {
 		return nil, nil, err
 	}
-	sup := guard.New(s.M, gopt)
-	var res *ScenarioResult
-	err = sup.Do(func() error {
-		var e error
-		res, e = sc.runOn(s, sup)
-		return e
-	})
+	res, err := sc.supervise(s, o)
 	if err == nil {
-		res.Digest, err = machineDigest(s.M)
+		res.Digest, err = s.M.Digest()
 	}
 	if !guard.IsHang(err) {
 		s.M.Close()
@@ -163,17 +132,32 @@ func (sc *Scenario) NewSim(o Options) (*Sim, error) {
 	return NewSim(o)
 }
 
-// runOn executes the plan's steps on a booted simulator, routing run
-// phases through the supervisor so the scenario-wide cycle budget clamps
-// them. This is ScenarioRun driven to completion in unsliced quanta; a
-// caller that needs to checkpoint or stream between quanta drives a
-// ScenarioRun itself (internal/serve does).
-func (sc *Scenario) runOn(s *Sim, sup *guard.Supervisor) (*ScenarioResult, error) {
+// supervise executes the plan's steps on a booted simulator under a
+// guard.Supervisor bounded by the caller's Options.Timeout/CycleBudget,
+// else the scenario file's deadline/budget directives. This is
+// ScenarioRun driven to completion in unsliced quanta; a caller that
+// needs to checkpoint or stream between quanta drives a ScenarioRun
+// itself (internal/serve does).
+func (sc *Scenario) supervise(s *Sim, o Options) (*ScenarioResult, error) {
+	gopt := guard.Options{Timeout: o.Timeout, CycleBudget: o.CycleBudget, DumpPath: o.CrashDump}
+	if gopt.Timeout == 0 {
+		gopt.Timeout = sc.Plan.Deadline
+	}
+	if gopt.CycleBudget == 0 {
+		gopt.CycleBudget = sc.Plan.CycleBudget
+	}
+	sup := guard.New(s.M, gopt)
 	run := sc.NewRun(s)
-	for !run.Done() {
-		if _, err := run.Advance(sup, 0); err != nil {
-			return nil, err
+	err := sup.Do(func() error {
+		for !run.Done() {
+			if _, err := run.Advance(sup, 0); err != nil {
+				return err
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return run.Result(), nil
 }

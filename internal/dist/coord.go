@@ -15,9 +15,10 @@ package dist
 // and checkpoints exact.
 //
 // Supervision: every window the coordinator enforces a wall deadline and
-// a heartbeat-silence bound on each shard, classifying failures as crash
-// (the worker reported a contained panic), stall (alive but wedged), or
-// lost (connection dead, process killed). Recovery rewinds the whole
+// a heartbeat-silence bound on each shard, classifying failures in
+// guard's taxonomy — crash (the worker reported a contained panic),
+// stall-timeout (alive but wedged), lost (connection dead, process
+// killed). Recovery rewinds the whole
 // federation to the latest coordinated checkpoint — taken at run-loop
 // heads, where the machine is exactly between cycles — respawns the
 // workers, and replays; the replay is bit-identical to an undisturbed
@@ -28,29 +29,22 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
+	"repro/internal/guard"
 	"repro/internal/machine"
-	"repro/internal/snap"
-)
-
-// FailureClass labels how a shard died, mirroring internal/serve's
-// failure taxonomy across process boundaries.
-type FailureClass string
-
-const (
-	FailCrash FailureClass = "crash" // worker reported a contained panic
-	FailStall FailureClass = "stall" // alive (heartbeating) but missed the window deadline
-	FailLost  FailureClass = "lost"  // connection died or went silent
 )
 
 // ShardFailure is a supervised shard fault: the coordinator's retry loop
-// catches it, recovers from the latest checkpoint, and replays.
+// catches it, recovers from the latest checkpoint, and replays. Class is
+// one of guard.ClassCrash (the worker reported a contained panic, or
+// answered out of protocol), guard.ClassStallTimeout (alive — heartbeating
+// — but past the window deadline) or guard.ClassLost (the connection died
+// or went silent).
 type ShardFailure struct {
 	Shard int
-	Class FailureClass
+	Class guard.Class
 	Cycle int64
 	Err   error
 }
@@ -60,6 +54,9 @@ func (f *ShardFailure) Error() string {
 }
 
 func (f *ShardFailure) Unwrap() error { return f.Err }
+
+// FailureClass is how guard.Classify reads the class off a shard failure.
+func (f *ShardFailure) FailureClass() guard.Class { return f.Class }
 
 // KillSpec is a supervised fault drill: at the first stepped cycle at or
 // after Cycle, the coordinator kills shard Shard's worker outright
@@ -72,7 +69,7 @@ type KillSpec struct {
 // FailureRecord is one observed shard failure, kept for reporting.
 type FailureRecord struct {
 	Shard  int
-	Class  FailureClass
+	Class  guard.Class
 	Cycle  int64
 	Detail string
 }
@@ -87,10 +84,6 @@ type Config struct {
 	// CheckpointEvery is the coordinated checkpoint cadence in cycles
 	// (default 4096; <0 disables mid-phase checkpoints).
 	CheckpointEvery int64
-	// CheckpointPath, when set, additionally spools each checkpoint to
-	// this file via snap.WriteFileAtomic — an operator artifact for
-	// inspecting what a recovery would rewind to.
-	CheckpointPath string
 	// WindowTimeout is the wall deadline for one shard exchange
 	// (default 30s). A shard that heartbeats but cannot answer within
 	// it is classified as stalled.
@@ -148,9 +141,10 @@ type shardConn struct {
 	lastFrame time.Time
 }
 
-// Coordinator drives a sharded federation as a core.PhaseRunner: RunPhase
-// has Supervisor.RunPhase semantics (minus cycle budgets, which run.go's
-// budget wrapper adds back), so core.ScenarioRun can drive it unchanged.
+// Coordinator drives a sharded federation as a guard.LegRunner: Run and
+// RunExact have the machine's contracts, so a guard.Supervisor built over
+// it (guard.NewOver) clamps cycle budgets and drives core.ScenarioRun
+// exactly as it does in process.
 type Coordinator struct {
 	cfg    Config
 	m      *machine.Machine // the hub
@@ -305,7 +299,7 @@ func (co *Coordinator) spawn(i int) error {
 // write sends one command to a shard under the window deadline.
 func (co *Coordinator) write(sc *shardConn, kind byte, payload []byte) *ShardFailure {
 	if err := writeFrameDeadline(sc.h, kind, payload, co.cfg.WindowTimeout); err != nil {
-		return co.fail(sc, FailLost, fmt.Errorf("write: %w", err))
+		return co.fail(sc, guard.ClassLost, fmt.Errorf("write: %w", err))
 	}
 	return nil
 }
@@ -325,13 +319,13 @@ func (co *Coordinator) read(sc *shardConn) (byte, []byte, *ShardFailure) {
 		if err != nil {
 			if errors.Is(err, os.ErrDeadlineExceeded) {
 				if time.Now().Before(windowEnd) || time.Since(sc.lastFrame) > co.cfg.SilenceTimeout {
-					return 0, nil, co.fail(sc, FailLost,
+					return 0, nil, co.fail(sc, guard.ClassLost,
 						fmt.Errorf("no frame for %v (heartbeat silence)", time.Since(sc.lastFrame).Round(time.Millisecond)))
 				}
-				return 0, nil, co.fail(sc, FailStall,
+				return 0, nil, co.fail(sc, guard.ClassStallTimeout,
 					fmt.Errorf("alive but no reply within the %v window", co.cfg.WindowTimeout))
 			}
-			return 0, nil, co.fail(sc, FailLost, err)
+			return 0, nil, co.fail(sc, guard.ClassLost, err)
 		}
 		sc.lastFrame = time.Now()
 		switch kind {
@@ -339,14 +333,14 @@ func (co *Coordinator) read(sc *shardConn) (byte, []byte, *ShardFailure) {
 			continue
 		case repErr:
 			msg, _ := decodeString(payload)
-			return 0, nil, co.fail(sc, FailCrash, errors.New(msg))
+			return 0, nil, co.fail(sc, guard.ClassCrash, errors.New(msg))
 		default:
 			return kind, payload, nil
 		}
 	}
 }
 
-func (co *Coordinator) fail(sc *shardConn, class FailureClass, err error) *ShardFailure {
+func (co *Coordinator) fail(sc *shardConn, class guard.Class, err error) *ShardFailure {
 	return &ShardFailure{Shard: sc.shard, Class: class, Cycle: co.cycle, Err: err}
 }
 
@@ -360,42 +354,61 @@ func (co *Coordinator) callExpect(sc *shardConn, kind byte, payload []byte, want
 		return nil, f
 	}
 	if got != want {
-		return nil, co.fail(sc, FailCrash, fmt.Errorf("reply %#x, want %#x", got, want))
+		return nil, co.fail(sc, guard.ClassCrash, fmt.Errorf("reply %#x, want %#x", got, want))
 	}
 	return reply, nil
 }
 
-// RunPhase runs one machine.Run leg across the federation, recovering
-// from shard failures via checkpoint rewind until the leg completes or
-// the recovery cap trips. Semantics match Machine.Run: the cycles
-// executed (excluding the quiet window) and an error on cycle-limit
-// expiry or user faults.
-func (co *Coordinator) RunPhase(maxCycles int64) (int64, error) {
-	resume := false
-	for {
-		n, err := co.phaseAttempt(maxCycles, resume)
-		var sf *ShardFailure
-		if errors.As(err, &sf) {
-			if rerr := co.recover(sf); rerr != nil {
-				return 0, rerr
-			}
-			resume = true
-			continue
+// Run runs one machine.Run leg across the federation. Semantics match
+// Machine.Run: the cycles executed (excluding the quiet window) and an
+// error on cycle-limit expiry or user faults.
+func (co *Coordinator) Run(maxCycles int64) (int64, error) {
+	return co.supervise(func(resume bool) (int64, error) { return co.runLeg(maxCycles, resume) })
+}
+
+// RunExact advances the federation exactly n cycles with no completion
+// detection and no fast-forward — the distributed twin of
+// Machine.RunExact, the budget clamp's cycle-by-cycle tail.
+func (co *Coordinator) RunExact(n int64) (int64, error) {
+	return co.supervise(func(bool) (int64, error) {
+		if f := co.beginRun(); f != nil {
+			return 0, f
 		}
-		return n, err
+		for co.cycle < co.phaseStart+n {
+			if f := co.stepCycle(co.cycle); f != nil {
+				return co.cycle - co.phaseStart, f
+			}
+		}
+		return n, nil
+	})
+}
+
+// supervise is the federation's one recover-and-resume loop. An attempt
+// seeds the workers from the hub, runs leg, and reassembles the hub; a
+// *ShardFailure anywhere in it rewinds to the latest checkpoint
+// (recover) and re-attempts with resume=true, until the leg completes or
+// the recovery cap trips.
+func (co *Coordinator) supervise(leg func(resume bool) (int64, error)) (int64, error) {
+	co.phaseStart = co.m.Cycle
+	co.cycle, co.idle = co.m.Cycle, 0
+	co.ck = checkpoint{}
+	co.pendingTrace = co.pendingTrace[:0]
+	for resume := false; ; resume = true {
+		n, err := co.attempt(leg, resume)
+		sf, failed := err.(*ShardFailure)
+		if !failed {
+			return n, err
+		}
+		if rerr := co.recover(sf); rerr != nil {
+			return 0, rerr
+		}
 	}
 }
 
-// phaseAttempt is one try at the leg: seed the workers from the hub, run,
-// and reassemble the hub. A *ShardFailure return means "recover and call
-// me again with resume=true".
-func (co *Coordinator) phaseAttempt(maxCycles int64, resume bool) (int64, error) {
-	if !resume {
-		co.phaseStart = co.m.Cycle
-		co.cycle, co.idle = co.m.Cycle, 0
-		co.ck = checkpoint{}
-		co.pendingTrace = co.pendingTrace[:0]
-	}
+// attempt is one try at a leg. Shard failures come back bare — never
+// wrapped — which is what lets supervise tell a recoverable failure from
+// a terminal error that merely wraps its cause.
+func (co *Coordinator) attempt(leg func(resume bool) (int64, error), resume bool) (int64, error) {
 	if err := co.seedAll(); err != nil {
 		return 0, err
 	}
@@ -404,21 +417,24 @@ func (co *Coordinator) phaseAttempt(maxCycles int64, resume bool) (int64, error)
 			return 0, err
 		}
 	}
-	n, err := co.runLeg(maxCycles, resume)
-	var sf *ShardFailure
-	if errors.As(err, &sf) {
+	n, err := leg(resume)
+	if _, failed := err.(*ShardFailure); failed {
 		return n, err
 	}
-	if serr := co.finishPhase(); serr != nil {
-		return n, serr
+	// Leave the hub authoritative at the leg's end, whatever the leg's
+	// outcome, and flush the trace tail.
+	if f := co.syncHub(); f != nil {
+		return n, f
 	}
+	co.commitTrace()
 	return n, err
 }
 
 // seedAll ships the hub snapshot to every worker and rebuilds the
 // arrival mirror. Seed failures respawn the one affected worker and
 // retry in place — the hub was not touched, so there is nothing to
-// rewind; exhaustion is terminal (deliberately not a *ShardFailure).
+// rewind; exhaustion is terminal (it wraps the last failure, so
+// guard.Classify still names the cause).
 func (co *Coordinator) seedAll() error {
 	var buf bytes.Buffer
 	if err := co.m.Save(&buf); err != nil {
@@ -433,7 +449,7 @@ func (co *Coordinator) seedAll() error {
 			}
 			co.noteFailure(f)
 			if co.recoveries >= co.cfg.MaxRecoveries {
-				return fmt.Errorf("dist: recovery limit %d exhausted seeding: %v", co.cfg.MaxRecoveries, f)
+				return fmt.Errorf("dist: recovery limit %d exhausted seeding: %w", co.cfg.MaxRecoveries, f)
 			}
 			co.recoveries++
 			if err := co.spawn(i); err != nil {
@@ -464,7 +480,7 @@ func (co *Coordinator) beginRun() *ShardFailure {
 		}
 		a, err := decodeActivityFrame(payload)
 		if err != nil {
-			return co.fail(sc, FailCrash, err)
+			return co.fail(sc, guard.ClassCrash, err)
 		}
 		co.acts[i] = a
 	}
@@ -605,11 +621,11 @@ func (co *Coordinator) stepCycle(t int64) *ShardFailure {
 			return f
 		}
 		if kind != repStep {
-			return co.fail(sc, FailCrash, fmt.Errorf("step reply %#x", kind))
+			return co.fail(sc, guard.ClassCrash, fmt.Errorf("step reply %#x", kind))
 		}
 		rep, err := decodeStepReply(co.m.Net, payload)
 		if err != nil {
-			return co.fail(sc, FailCrash, err)
+			return co.fail(sc, guard.ClassCrash, err)
 		}
 		reps[i] = rep
 	}
@@ -625,7 +641,7 @@ func (co *Coordinator) stepCycle(t int64) *ShardFailure {
 		for _, c := range rep.Consumed {
 			if c.Node < sc.lo || c.Node >= sc.hi || c.Pri < 0 || c.Pri > 1 ||
 				c.N <= 0 || c.N > co.shipped[c.Node][c.Pri] {
-				return co.fail(sc, FailCrash,
+				return co.fail(sc, guard.ClassCrash,
 					fmt.Errorf("bogus consumption: node %d pri %d n %d", c.Node, c.Pri, c.N))
 			}
 			co.m.Net.DropArrivals(c.Node, c.Pri, c.N)
@@ -697,30 +713,8 @@ func (co *Coordinator) takeCheckpoint(atStep bool) error {
 	co.lastCkpt = co.cycle
 	co.ckCount++
 	co.commitTrace()
-	if co.cfg.CheckpointPath != "" {
-		if err := co.spool(); err != nil {
-			return err
-		}
-	}
 	return nil
 }
-
-// spool writes the current checkpoint to CheckpointPath atomically.
-func (co *Coordinator) spool() error {
-	return snap.WriteFileAtomic(co.cfg.CheckpointPath, func(w io.Writer) error {
-		sw := snap.NewWriter(w)
-		sw.U64(distCkptMagic)
-		sw.Int(1)
-		sw.I64(co.ck.cycle)
-		sw.I64(co.ck.idle)
-		sw.Bool(co.ck.atStep)
-		sw.Bytes(co.ck.machine)
-		return sw.Err()
-	})
-}
-
-// distCkptMagic brands spooled coordinator checkpoints ("mdistck1").
-const distCkptMagic = 0x316b63747369646d
 
 // commitTrace flushes the buffered window of trace events to the sink.
 // Events buffer between checkpoints so a rewind can discard exactly the
@@ -751,23 +745,13 @@ func (co *Coordinator) syncHub() *ShardFailure {
 		}
 		cyc, err := co.m.AdoptShard(bytes.NewReader(payload), sc.lo, sc.hi)
 		if err != nil {
-			return co.fail(sc, FailCrash, err)
+			return co.fail(sc, guard.ClassCrash, err)
 		}
 		if cyc != co.cycle {
-			return co.fail(sc, FailCrash, fmt.Errorf("frame at cycle %d, coordinator at %d", cyc, co.cycle))
+			return co.fail(sc, guard.ClassCrash, fmt.Errorf("frame at cycle %d, coordinator at %d", cyc, co.cycle))
 		}
 	}
 	co.m.Cycle = co.cycle
-	return nil
-}
-
-// finishPhase leaves the hub authoritative at the leg's end, whatever
-// the leg's outcome, and flushes the trace tail.
-func (co *Coordinator) finishPhase() error {
-	if f := co.syncHub(); f != nil {
-		return f
-	}
-	co.commitTrace()
 	return nil
 }
 
@@ -786,11 +770,11 @@ func (co *Coordinator) noteFailure(f *ShardFailure) {
 func (co *Coordinator) recover(sf *ShardFailure) error {
 	co.noteFailure(sf)
 	if co.recoveries >= co.cfg.MaxRecoveries {
-		return fmt.Errorf("dist: recovery limit %d exhausted: %v", co.cfg.MaxRecoveries, sf)
+		return fmt.Errorf("dist: recovery limit %d exhausted: %w", co.cfg.MaxRecoveries, sf)
 	}
 	co.recoveries++
 	if !co.ck.valid {
-		return fmt.Errorf("dist: no checkpoint to recover from: %v", sf)
+		return fmt.Errorf("dist: no checkpoint to recover from: %w", sf)
 	}
 	keepChaos := co.chaos[:0]
 	for _, c := range co.chaos {
@@ -818,50 +802,4 @@ func (co *Coordinator) recover(sf *ShardFailure) error {
 	co.lastCkpt = co.ck.cycle
 	co.pendingTrace = co.pendingTrace[:0]
 	return nil
-}
-
-// RunExact advances the federation exactly n cycles with no completion
-// detection and no fast-forward — the distributed twin of the cycle-by-
-// cycle tail guard.Supervisor.RunPhase uses when the remaining cycle
-// budget is smaller than one quiet window.
-func (co *Coordinator) RunExact(n int64) error {
-	resume := false
-	for {
-		err := co.exactAttempt(n, resume)
-		var sf *ShardFailure
-		if errors.As(err, &sf) {
-			if rerr := co.recover(sf); rerr != nil {
-				return rerr
-			}
-			resume = true
-			continue
-		}
-		return err
-	}
-}
-
-func (co *Coordinator) exactAttempt(n int64, resume bool) error {
-	if !resume {
-		co.phaseStart = co.m.Cycle
-		co.cycle, co.idle = co.m.Cycle, 0
-		co.ck = checkpoint{}
-		co.pendingTrace = co.pendingTrace[:0]
-	}
-	if err := co.seedAll(); err != nil {
-		return err
-	}
-	if !resume {
-		if err := co.takeCheckpoint(false); err != nil {
-			return err
-		}
-	}
-	if f := co.beginRun(); f != nil {
-		return f
-	}
-	for co.cycle < co.phaseStart+n {
-		if f := co.stepCycle(co.cycle); f != nil {
-			return f
-		}
-	}
-	return co.finishPhase()
 }

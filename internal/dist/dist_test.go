@@ -7,6 +7,8 @@ package dist
 // runs that lose and recover workers mid-flight.
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,6 +16,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/guard"
+	"repro/internal/machine"
+	"repro/internal/serve"
 	"repro/internal/trace"
 )
 
@@ -40,7 +45,7 @@ func refRun(t *testing.T, sc *core.Scenario, o core.Options) refOutcome {
 	if err != nil {
 		t.Fatalf("in-process run: %v", err)
 	}
-	digest, err := Digest(s.M)
+	digest, err := s.M.Digest()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +146,7 @@ func TestDistRecoverFromCrash(t *testing.T) {
 	}
 	crashes := 0
 	for _, f := range got.Failures {
-		if f.Class == FailCrash {
+		if f.Class == guard.ClassCrash {
 			crashes++
 		}
 	}
@@ -167,7 +172,7 @@ func TestDistRecoverFromStall(t *testing.T) {
 	compareOutcome(t, ref, got, events)
 	stalls := 0
 	for _, f := range got.Failures {
-		if f.Class == FailStall {
+		if f.Class == guard.ClassStallTimeout {
 			stalls++
 		}
 	}
@@ -190,7 +195,7 @@ func TestDistRecoverFromLost(t *testing.T) {
 	compareOutcome(t, ref, got, events)
 	lost := 0
 	for _, f := range got.Failures {
-		if f.Class == FailLost {
+		if f.Class == guard.ClassLost {
 			lost++
 		}
 	}
@@ -218,5 +223,118 @@ func TestDistRecoveryLimit(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "recovery limit") {
 		t.Fatalf("err = %v, want recovery-limit error", err)
+	}
+	if c := guard.Classify(err); c != guard.ClassCrash {
+		t.Errorf("recovery-limit error classifies as %q, want the cause's class %q", c, guard.ClassCrash)
+	}
+}
+
+// TestBudgetExactAcrossTransports: one budget clamp (guard.Supervisor.
+// RunPhase) serves both transports, so the same scenario with the same
+// `budget N` is cut off at machine cycle N exactly — and in the identical
+// machine state — in process and distributed: for N below one quiet
+// window (the cycle-by-cycle tail from the first leg), N that leaves a
+// later leg less than a quiet window, N mid-phase, and N above the
+// scenario's total (no cutoff, equal results).
+func TestBudgetExactAcrossTransports(t *testing.T) {
+	path := filepath.Join("..", "..", "testdata", "workloads", "redblack.wl")
+	text, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withBudget := func(n int64) *core.Scenario {
+		src := strings.Replace(string(text), "\nmesh 4\n", fmt.Sprintf("\nmesh 4\nbudget %d\n", n), 1)
+		sc, err := core.ScenarioFromDSL(path, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sc.Plan.CycleBudget != n {
+			t.Fatalf("budget directive not applied: plan budget %d, want %d", sc.Plan.CycleBudget, n)
+		}
+		return sc
+	}
+	free, err := loadScenario(t, "redblack.wl").Run(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(free.Phases) < 2 {
+		t.Fatalf("redblack.wl has %d run phases; the test needs a later leg", len(free.Phases))
+	}
+	firstLegEnd := free.Phases[0].Cycles + machine.QuietWindow
+
+	for _, c := range []struct {
+		name   string
+		budget int64
+		cutoff bool
+	}{
+		{"below one quiet window", machine.QuietWindow - 12, true},
+		{"later leg gets less than a quiet window", firstLegEnd + 10, true},
+		{"mid-phase", free.TotalCycles / 2, true},
+		{"above the total", free.TotalCycles + 1000, false},
+	} {
+		sc := withBudget(c.budget)
+		inRes, inSim, inErr := sc.RunSim(core.Options{})
+		dRes, dSim, dErr := RunScenario(sc, core.Options{}, Config{Shards: 2, Launcher: LocalLauncher{}})
+		if !c.cutoff {
+			if inErr != nil || dErr != nil {
+				t.Errorf("%s (budget %d): in-process err %v, dist err %v; want neither", c.name, c.budget, inErr, dErr)
+			} else if inRes.TotalCycles != dRes.TotalCycles || inRes.Digest != dRes.Digest {
+				t.Errorf("%s: in-process %d cycles digest %s, dist %d cycles digest %s",
+					c.name, inRes.TotalCycles, inRes.Digest, dRes.TotalCycles, dRes.Digest)
+			}
+			continue
+		}
+		var inSE, dSE *guard.StallError
+		if !errors.As(inErr, &inSE) || !errors.As(dErr, &dSE) || inSE.Kind != guard.StallBudget || dSE.Kind != guard.StallBudget {
+			t.Errorf("%s (budget %d): in-process err %v, dist err %v; want StallBudget from both", c.name, c.budget, inErr, dErr)
+			continue
+		}
+		if inSE.Cycle != c.budget || dSE.Cycle != c.budget {
+			t.Errorf("%s: cut off at cycle %d in process, %d distributed; want exactly the budget %d",
+				c.name, inSE.Cycle, dSE.Cycle, c.budget)
+		}
+		inDigest, err1 := inSim.M.Digest()
+		dDigest, err2 := dSim.M.Digest()
+		if err1 != nil || err2 != nil || inDigest != dDigest {
+			t.Errorf("%s: machine state at the cutoff differs: in-process %s (%v), dist %s (%v)",
+				c.name, inDigest, err1, dDigest, err2)
+		}
+	}
+}
+
+// TestOneDigest: there is one state fingerprint (machine.Digest), so the
+// three front ends that report one — Scenario.Run, the distributed
+// runner, and an msimd session (unsliced, so it executes the same bound
+// sequence) — agree on the same scenario.
+func TestOneDigest(t *testing.T) {
+	sc := loadScenario(t, "meshsmooth4.wl")
+	inProcess, err := sc.Run(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	distributed, _ := distRun(t, sc, Config{Shards: 2})
+
+	sv, err := serve.New(serve.Config{Spool: t.TempDir(), Workers: 1, CheckpointEvery: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sv.Drain()
+	text, err := os.ReadFile(sc.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	session, err := sv.Submit("meshsmooth4.wl", string(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-session.Done()
+	info := session.Info()
+	if info.State != serve.StateDone {
+		t.Fatalf("session: %s (%s: %s)", info.State, info.FailureClass, info.Failure)
+	}
+
+	if inProcess.Digest == "" || inProcess.Digest != distributed.Digest || inProcess.Digest != info.Digest {
+		t.Errorf("digests disagree:\n  Scenario.Run   %s\n  dist.RunResult %s\n  msimd session  %s",
+			inProcess.Digest, distributed.Digest, info.Digest)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/guard"
 )
 
 func procLauncher(t *testing.T) *ProcLauncher {
@@ -56,7 +57,7 @@ func TestDistProcessSIGKILL(t *testing.T) {
 	compareOutcome(t, ref, got, events)
 	lost := 0
 	for _, f := range got.Failures {
-		if f.Class == FailLost {
+		if f.Class == guard.ClassLost {
 			lost++
 		}
 	}

@@ -18,7 +18,7 @@
 //     stepping goroutine to exercise the hang/grace path.
 //
 //   - Stream faults corrupt snapshot bytes: Truncate, FlipBit, and the
-//     seeded Corrupter, which derives every mutation from a splitmix-style
+//     seeded Corrupter, which derives every mutation from a splitmix64
 //     generator so a corpus of damaged snapshots is reproducible from a
 //     single integer seed (no math/rand, no global state).
 package faultinject
@@ -119,29 +119,42 @@ func FlipBit(b []byte, bit int) []byte {
 	return out
 }
 
-// Corrupter derives a reproducible stream of snapshot corruptions from a
-// seed: the same seed always yields the same damage, so a failing corpus
-// entry is a single integer in a test log. The zero value is seed 0.
-type Corrupter struct {
-	state uint64
-}
+// Rand is a splitmix64 stream — the one seeded generator behind every
+// reproducible choice outside the simulation proper: snapshot
+// corruptions (Corrupter), generated scenarios (internal/wgen), chaos
+// fault sites (internal/serve). A full-period 64-bit mixer,
+// deterministic and dependency-free; crypto quality is irrelevant here,
+// reproducibility is everything. The zero value is seed 0.
+type Rand struct{ State uint64 }
 
-// NewCorrupter seeds a Corrupter.
-func NewCorrupter(seed uint64) *Corrupter { return &Corrupter{state: seed} }
-
-// next is a splitmix64 step: a full-period 64-bit mixer, deterministic
-// and dependency-free (crypto quality is irrelevant here; reproducibility
-// is everything).
-func (c *Corrupter) next() uint64 {
-	c.state += 0x9e3779b97f4a7c15
-	z := c.state
+// Next advances the stream one step.
+func (r *Rand) Next() uint64 {
+	r.State += 0x9e3779b97f4a7c15
+	z := r.State
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
 
-// intn returns a value in [0, n); n must be > 0.
-func (c *Corrupter) intn(n int) int { return int(c.next() % uint64(n)) }
+// Intn returns a value in [0, n); n must be > 0.
+func (r *Rand) Intn(n int) int { return int(r.Next() % uint64(n)) }
+
+// SplitMix64 is one stream step as a pure function: the first output of
+// the stream seeded x — a hash for spreading (seed, index) pairs.
+func SplitMix64(x uint64) uint64 {
+	r := Rand{State: x}
+	return r.Next()
+}
+
+// Corrupter derives a reproducible stream of snapshot corruptions from a
+// seed: the same seed always yields the same damage, so a failing corpus
+// entry is a single integer in a test log. The zero value is seed 0.
+type Corrupter struct {
+	rng Rand
+}
+
+// NewCorrupter seeds a Corrupter.
+func NewCorrupter(seed uint64) *Corrupter { return &Corrupter{rng: Rand{State: seed}} }
 
 // Truncate cuts b at a derived point strictly inside the stream (never a
 // no-op for len(b) > 1).
@@ -149,7 +162,7 @@ func (c *Corrupter) Truncate(b []byte) []byte {
 	if len(b) < 2 {
 		return Truncate(b, 0)
 	}
-	return Truncate(b, 1+c.intn(len(b)-1))
+	return Truncate(b, 1+c.rng.Intn(len(b)-1))
 }
 
 // FlipBit inverts one derived bit of b.
@@ -157,7 +170,7 @@ func (c *Corrupter) FlipBit(b []byte) []byte {
 	if len(b) == 0 {
 		return b
 	}
-	return FlipBit(b, c.intn(len(b)*8))
+	return FlipBit(b, c.rng.Intn(len(b)*8))
 }
 
 // Scramble overwrites a short derived span of b with derived bytes — the
@@ -167,10 +180,10 @@ func (c *Corrupter) Scramble(b []byte) []byte {
 	if len(out) == 0 {
 		return out
 	}
-	n := 1 + c.intn(16)
-	at := c.intn(len(out))
+	n := 1 + c.rng.Intn(16)
+	at := c.rng.Intn(len(out))
 	for i := 0; i < n && at+i < len(out); i++ {
-		out[at+i] = byte(c.next())
+		out[at+i] = byte(c.rng.Next())
 	}
 	return out
 }
@@ -179,7 +192,7 @@ func (c *Corrupter) Scramble(b []byte) []byte {
 // chosen by the seed stream. The soak harness calls this in a loop to
 // sweep the fault space from one base snapshot.
 func (c *Corrupter) Mutate(b []byte) []byte {
-	switch c.intn(3) {
+	switch c.rng.Intn(3) {
 	case 0:
 		return c.Truncate(b)
 	case 1:

@@ -141,6 +141,21 @@ func TestChain(t *testing.T) {
 
 // TestStreamFaultsDeterministic: the seeded Corrupter reproduces the
 // identical damage from the identical seed, and its primitives behave.
+// TestSplitMix64Golden pins the mixer to the published splitmix64
+// sequence (seed 0) — every seeded artifact in the repo hangs off it.
+func TestSplitMix64Golden(t *testing.T) {
+	if got := faultinject.SplitMix64(0); got != 0xe220a8397b1dcdaf {
+		t.Errorf("SplitMix64(0) = %#x", got)
+	}
+	if got := faultinject.SplitMix64(5); got != 0x63033b0ca389c35a {
+		t.Errorf("SplitMix64(5) = %#x", got)
+	}
+	r := faultinject.Rand{}
+	if a, b := r.Next(), r.Next(); a != 0xe220a8397b1dcdaf || b != 0x6e789e6aa1b965f4 {
+		t.Errorf("Rand{0} stream starts %#x %#x", a, b)
+	}
+}
+
 func TestStreamFaultsDeterministic(t *testing.T) {
 	base := []byte(strings.Repeat("the quick brown fox ", 40))
 	a, b := faultinject.NewCorrupter(42), faultinject.NewCorrupter(42)

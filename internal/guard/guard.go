@@ -187,20 +187,108 @@ func IsHang(err error) bool {
 	return errors.As(err, &se) && se.Kind == StallHang
 }
 
+// Class is the failure taxonomy every supervision layer shares — guard
+// itself, the session service (internal/serve, where it is the
+// failure_class JSON string) and the distributed coordinator
+// (internal/dist, where it labels shard failures). DESIGN.md's
+// "Supervision" table says who raises and who retries each.
+type Class string
+
+const (
+	ClassCrash        Class = "crash"         // contained panic (*CrashError, a worker's reported panic)
+	ClassStallTimeout Class = "stall-timeout" // a wall deadline expired; the run answered the stop
+	ClassStallHang    Class = "stall-hang"    // the stop went unanswered past the grace period
+	ClassLost         Class = "lost"          // a shard's connection died or went silent
+	ClassBudget       Class = "budget"        // cycle budget exhausted
+	ClassScenario     Class = "scenario"      // expect/check/staging error, thread fault, phase bound
+)
+
+// Transient reports whether a retry from the latest checkpoint can get
+// past the failure. Budget and scenario failures are deterministic
+// properties of the scenario: a replay reproduces them exactly.
+func (c Class) Transient() bool {
+	return c == ClassCrash || c == ClassStallTimeout || c == ClassStallHang || c == ClassLost
+}
+
+// Classify maps a run error to its class: guard's own typed errors by
+// type and kind, errors that carry a class (dist.ShardFailure) by asking
+// them, everything else — failed expectations, program faults, a phase
+// that outran its own bound — as a scenario failure.
+func Classify(err error) Class {
+	var ce *CrashError
+	if errors.As(err, &ce) {
+		return ClassCrash
+	}
+	var se *StallError
+	if errors.As(err, &se) {
+		switch se.Kind {
+		case StallTimeout:
+			return ClassStallTimeout
+		case StallHang:
+			return ClassStallHang
+		case StallBudget:
+			return ClassBudget
+		}
+	}
+	var cl interface{ FailureClass() Class }
+	if errors.As(err, &cl) {
+		return cl.FailureClass()
+	}
+	return ClassScenario
+}
+
+// Forensics extracts what a supervisor attached to a failure: the
+// Diagnose report and the crash-dump path ("" when err carries none).
+func Forensics(err error) (diagnostic, dumpPath string) {
+	var ce *CrashError
+	if errors.As(err, &ce) {
+		return ce.Diagnostic, ce.DumpPath
+	}
+	var se *StallError
+	if errors.As(err, &se) {
+		return se.Diagnostic, se.DumpPath
+	}
+	return "", ""
+}
+
+// A LegRunner executes machine.Run-shaped legs for a Supervisor: the
+// machine itself in process, the distributed coordinator (internal/dist)
+// across shard workers. RunPhase's budget clamp is written once over
+// these two calls, so every transport exhausts a budget at the identical
+// cycle.
+type LegRunner interface {
+	// Run has Machine.Run's contract: up to maxCycles cycles plus the
+	// completion-detection quiet window, the cycles executed (excluding
+	// that window), machine.ErrCycleLimit when only the bound expired.
+	Run(maxCycles int64) (int64, error)
+	// RunExact advances exactly n cycles — no completion detection, no
+	// fast-forward — and errs only when it could not (a stop request, a
+	// failed transport).
+	RunExact(n int64) (int64, error)
+}
+
 // Supervisor wraps one machine for supervised runs. It is not itself
 // concurrency-safe: one Do at a time, from one goroutine, exactly like
 // the machine it guards.
 type Supervisor struct {
 	m   *machine.Machine
+	leg LegRunner
 	opt Options
 
-	base        int64 // machine cycle at Do entry; budget accounting base
+	base        int64 // budget accounting base: machine cycle at New, re-based at Do entry
 	supervising bool
 }
 
-// New builds a Supervisor over m.
+// New builds a Supervisor over m, whose legs m runs itself.
 func New(m *machine.Machine, opt Options) *Supervisor {
-	return &Supervisor{m: m, opt: opt}
+	return NewOver(m, m, opt)
+}
+
+// NewOver builds a Supervisor whose legs run on leg while m — the
+// machine that is authoritative between legs — is what the budget is
+// counted on and what watchdogs and forensics address.
+func NewOver(leg LegRunner, m *machine.Machine, opt Options) *Supervisor {
+	return &Supervisor{m: m, leg: leg, opt: opt, base: m.Cycle}
 }
 
 // Run supervises a single machine.Run leg: Do around one RunPhase. This
@@ -304,18 +392,18 @@ func (s *Supervisor) Do(fn func() error) error {
 	}
 }
 
-// RunPhase runs one machine.Run leg inside a Do, clamping maxCycles to
-// the remaining cycle budget. The budget is exact: a budget-bound leg
-// stops at machine cycle base+CycleBudget precisely (machine.Run's bound
-// is padded by the completion-detection quiet window; the clamp subtracts
-// it back out), so exhaustion reproduces at the identical cycle on every
-// host and engine. When the global budget — not the leg's own bound — is
-// what cut the run off, the error is a *StallError (StallBudget) that Do
-// enriches with diagnostics and the dump on the way out. Outside a Do it
-// behaves like Machine.Run plus the clamp.
+// RunPhase runs one leg, clamping maxCycles to the remaining cycle
+// budget. The budget is exact: a budget-bound leg stops at machine cycle
+// base+CycleBudget precisely (Run's bound is padded by the
+// completion-detection quiet window; the clamp subtracts it back out), so
+// exhaustion reproduces at the identical cycle on every host, engine and
+// transport. When the global budget — not the leg's own bound — is what
+// cut the run off, the error is a *StallError (StallBudget) that Do
+// enriches with diagnostics and the dump on the way out. Outside a Do the
+// budget counts from the cycle the Supervisor was built at.
 func (s *Supervisor) RunPhase(maxCycles int64) (int64, error) {
 	if s.opt.CycleBudget <= 0 {
-		return s.m.Run(maxCycles)
+		return s.leg.Run(maxCycles)
 	}
 	rem := s.opt.CycleBudget - (s.m.Cycle - s.base)
 	budgetErr := func() *StallError {
@@ -326,10 +414,10 @@ func (s *Supervisor) RunPhase(maxCycles int64) (int64, error) {
 	}
 	if maxCycles+machine.QuietWindow <= rem {
 		// The leg's own bound binds; its timeout is the caller's business.
-		return s.m.Run(maxCycles)
+		return s.leg.Run(maxCycles)
 	}
 	if bound := rem - machine.QuietWindow; bound > 0 {
-		n, err := s.m.Run(bound)
+		n, err := s.leg.Run(bound)
 		if err != nil && errors.Is(err, machine.ErrCycleLimit) {
 			return n, budgetErr()
 		}
@@ -338,8 +426,8 @@ func (s *Supervisor) RunPhase(maxCycles int64) (int64, error) {
 	// Less budget left than one quiet window: advance the exact remainder
 	// cycle by cycle (bit-identical to the engine loop, merely without the
 	// idle fast-forward, over at most QuietWindow-1 cycles).
-	n, err := s.m.RunUntil(func() bool { return false }, rem)
-	if err == nil || errors.Is(err, machine.ErrStopped) {
+	n, err := s.leg.RunExact(rem)
+	if err != nil {
 		return n, err
 	}
 	return n, budgetErr()

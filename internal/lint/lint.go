@@ -59,7 +59,7 @@ type Result struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DetRange, WallClock, GoCheck, SnapFields,
-		Shadow, CopyLocks, Nilness,
+		Shadow, Nilness,
 	}
 }
 

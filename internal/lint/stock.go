@@ -1,8 +1,8 @@
 package lint
 
-// Stock correctness passes. go vet's default set already runs in the
-// vet leg; these are the passes it leaves out (nilness, shadow) or
-// narrows (copylocks only checks some copy sites). The container
+// Stock correctness passes. go vet's default set (copylocks included)
+// already runs in the vet leg; these are the passes it leaves out
+// (nilness, shadow). The container
 // carries no golang.org/x/tools, so these are conservative stdlib
 // reimplementations of the same invariants, tuned to report only
 // high-confidence findings: the lint leg fails on any unsuppressed
@@ -138,130 +138,6 @@ func runShadow(m *Module, report Reporter) {
 			}
 		}
 	}
-}
-
-// CopyLocks reports values containing locks (anything whose pointer
-// method set has Lock/Unlock that its value method set lacks — sync
-// primitives, sync/atomic types, and structs containing them) copied by
-// value: parameters, assignments, returns, and range values. Beyond the
-// vet leg, it covers module-internal declarations uniformly.
-var CopyLocks = &Analyzer{
-	Name:      "copylocks",
-	Doc:       "no lock-bearing values copied by value",
-	Invariant: "locks and atomics are shared by pointer, never copied",
-	Section:   "Static analysis",
-	Run:       runCopyLocks,
-}
-
-func runCopyLocks(m *Module, report Reporter) {
-	memo := map[types.Type]bool{}
-	for _, pkg := range m.Pkgs {
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch s := n.(type) {
-				case *ast.FuncDecl:
-					checkFieldListLocks(m, pkg, s.Recv, memo, report)
-					if s.Type.Params != nil {
-						checkFieldListLocks(m, pkg, s.Type.Params, memo, report)
-					}
-				case *ast.FuncLit:
-					checkFieldListLocks(m, pkg, s.Type.Params, memo, report)
-				case *ast.AssignStmt:
-					for i, rhs := range s.Rhs {
-						// A blank-identifier assignment discards the
-						// value; nothing retains the copy.
-						if len(s.Lhs) == len(s.Rhs) {
-							if id, ok := s.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-								continue
-							}
-						}
-						checkCopyExpr(m, pkg, rhs, memo, report, "assignment")
-					}
-				case *ast.ReturnStmt:
-					for _, r := range s.Results {
-						checkCopyExpr(m, pkg, r, memo, report, "return")
-					}
-				case *ast.RangeStmt:
-					if s.Value != nil {
-						if tv, ok := pkg.Info.Types[s.Value]; ok && containsLock(tv.Type, memo) {
-							report(s.Value.Pos(), "range value copies lock-bearing %s per iteration; range over indices or pointers", tv.Type)
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
-}
-
-func checkFieldListLocks(m *Module, pkg *Package, fl *ast.FieldList, memo map[types.Type]bool, report Reporter) {
-	if fl == nil {
-		return
-	}
-	for _, f := range fl.List {
-		tv, ok := pkg.Info.Types[f.Type]
-		if !ok {
-			continue
-		}
-		if containsLock(tv.Type, memo) {
-			report(f.Pos(), "parameter passes lock-bearing %s by value; pass a pointer", tv.Type)
-		}
-	}
-}
-
-// checkCopyExpr flags reads that copy an existing lock-bearing value.
-// Fresh values (composite literals, function calls, conversions) are
-// initializations, not copies, and are allowed — matching vet.
-func checkCopyExpr(m *Module, pkg *Package, e ast.Expr, memo map[types.Type]bool, report Reporter, what string) {
-	switch e.(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-	default:
-		return
-	}
-	tv, ok := pkg.Info.Types[e]
-	if !ok || !tv.IsValue() {
-		return
-	}
-	if containsLock(tv.Type, memo) {
-		report(e.Pos(), "%s copies lock-bearing %s; use a pointer", what, tv.Type)
-	}
-}
-
-// containsLock reports whether t (not a pointer to t) carries a lock:
-// its pointer method set has Lock and Unlock while its value method set
-// does not, or a struct field / array element does, recursively.
-func containsLock(t types.Type, memo map[types.Type]bool) bool {
-	if v, ok := memo[t]; ok {
-		return v
-	}
-	memo[t] = false // cycle guard
-	res := false
-	if hasLockMethods(types.NewPointer(t)) && !hasLockMethods(t) {
-		res = true
-	} else {
-		switch u := t.Underlying().(type) {
-		case *types.Struct:
-			for i := 0; i < u.NumFields() && !res; i++ {
-				res = containsLock(u.Field(i).Type(), memo)
-			}
-		case *types.Array:
-			res = containsLock(u.Elem(), memo)
-		}
-	}
-	memo[t] = res
-	return res
-}
-
-func hasLockMethods(t types.Type) bool {
-	ms := types.NewMethodSet(t)
-	found := 0
-	for i := 0; i < ms.Len(); i++ {
-		switch ms.At(i).Obj().Name() {
-		case "Lock", "Unlock":
-			found++
-		}
-	}
-	return found == 2
 }
 
 // Nilness reports dereferences of a variable on a branch where the

@@ -73,15 +73,13 @@ func TestDeterminism(t *testing.T) {
 // time — the pattern that defeats static contiguous shards. It returns a
 // fingerprint of the complete observable state (cycle count, the full
 // trace stream, per-chip issue and stall statistics — the numbers the
-// deferred SkipCycles batching must replay exactly) plus the machine's
-// rebalance count.
-func runMigrating(t *testing.T, workers int, rebalanceEvery int64) (string, int64) {
+// deferred SkipCycles batching must replay exactly).
+func runMigrating(t *testing.T, workers int) string {
 	t.Helper()
 	const nodes = 8
 	cfg := machine.DefaultConfig()
 	cfg.Dims = noc.Coord{X: nodes, Y: 1, Z: 1}
 	cfg.Workers = workers
-	cfg.RebalanceEvery = rebalanceEvery
 	m := machine.New(cfg)
 	defer m.Close()
 	if _, err := rt.Install(m, rt.Options{}); err != nil {
@@ -135,41 +133,20 @@ spin:
 			reg(m, i, 0, 0, 5), reg(m, i, 0, 0, 6))
 	}
 	b.WriteString(trace.String())
-	return b.String(), m.Rebalances()
+	return b.String()
 }
 
-// TestDeterminismRebalance holds the parallel engine to the serial event
+// TestDeterminismMigrating holds the parallel engine to the serial event
 // engine's bit-identical standard while the busy region migrates across
-// shard-rebalance intervals: every worker count x window combination must
-// reproduce the serial trace stream, statistics (including the stall
-// counters the deferred SkipCycles batching replays), and cycle count
-// exactly — and the aggressive windows must actually rebalance, proving
-// the re-partition path ran.
-func TestDeterminismRebalance(t *testing.T) {
-	ref, _ := runMigrating(t, 0, 0) // serial event engine
-	configs := []struct {
-		workers int
-		every   int64
-		mustReb bool // aggressive enough that rebalancing must trigger
-	}{
-		{2, -1, false}, // rebalancing disabled
-		{2, 4, true},
-		{3, 16, true},
-		{4, 8, true},
-		{8, 64, false}, // one chip per shard: stays balanced by construction
-	}
-	for _, c := range configs {
-		name := fmt.Sprintf("workers%d/every%d", c.workers, c.every)
-		got, rebalances := runMigrating(t, c.workers, c.every)
-		if got != ref {
-			t.Errorf("%s diverged from the serial engine:\n--- serial ---\n%.2000s\n--- %s ---\n%.2000s",
-				name, ref, name, got)
-		}
-		if c.mustReb && rebalances == 0 {
-			t.Errorf("%s: migrating workload never rebalanced", name)
-		}
-		if !c.mustReb && c.every < 0 && rebalances != 0 {
-			t.Errorf("%s: rebalanced %d times with rebalancing disabled", name, rebalances)
+// the static shards: every worker count must reproduce the serial trace
+// stream, statistics (including the stall counters the deferred
+// SkipCycles batching replays), and cycle count exactly.
+func TestDeterminismMigrating(t *testing.T) {
+	ref := runMigrating(t, 0) // serial event engine
+	for _, workers := range []int{2, 3, 4, 8} {
+		if got := runMigrating(t, workers); got != ref {
+			t.Errorf("workers%d diverged from the serial engine:\n--- serial ---\n%.2000s\n--- workers%d ---\n%.2000s",
+				workers, ref, workers, got)
 		}
 	}
 }

@@ -64,14 +64,6 @@ type Config struct {
 	// the serial event engine (enforced by TestDeterminismThreeWay in core)
 	// and is ignored under the naive reference engine and by RunUntil.
 	Workers int `snap:"derived,engine selection, never affects simulated results"`
-
-	// RebalanceEvery is the parallel engine's shard-rebalance window, in
-	// dispatched busy cycles: after each window the pool re-draws shard
-	// boundaries when the observed per-shard work is imbalanced (see
-	// DESIGN.md, "Active-set scheduling"). 0 selects the default window;
-	// negative disables rebalancing. Rebalancing never affects simulated
-	// results — only which worker steps which chip.
-	RebalanceEvery int64 `snap:"derived,engine tuning, never affects simulated results"`
 }
 
 // DefaultConfig returns a 2x1x1 machine (the two-node setup of the paper's
@@ -345,7 +337,7 @@ func (m *Machine) step(parallel bool) {
 				// machine instead of tripping the pool's own panic.
 				panic("machine: parallel chip phase stepped after Close (do not call Step after Machine.Close)")
 			}
-			m.pool = newChipPool(m.Chips, m.workers, m.Cfg.RebalanceEvery)
+			m.pool = newChipPool(m.Chips, m.workers)
 			m.pool.probe = m.probe
 			// Backstop for machines that are never Closed (the experiment
 			// harnesses build thousands): release the workers when the
@@ -694,16 +686,6 @@ func (m *Machine) syncDeferred() {
 	}
 }
 
-// Rebalances reports how many times the parallel engine has re-drawn its
-// shard boundaries (0 when the pool never started). Diagnostics only:
-// rebalancing cannot affect simulated results.
-func (m *Machine) Rebalances() int64 {
-	if m.pool == nil {
-		return 0
-	}
-	return m.pool.Rebalances()
-}
-
 // RunUntil steps until pred holds or maxCycles elapse. The event engine
 // advances cycle-by-cycle here (components are still skipped when idle,
 // but the clock is not fast-forwarded), so an arbitrary predicate — even
@@ -729,6 +711,18 @@ func (m *Machine) RunUntil(pred func() bool, maxCycles int64) (int64, error) {
 		m.step(false)
 	}
 	return m.Cycle - start, fmt.Errorf("machine: condition not met within %d cycles", maxCycles)
+}
+
+// RunExact advances exactly n cycles with no completion detection and no
+// fast-forward — what a supervisor needs to land on a precise cycle when
+// less than one quiet window of budget is left. It errs only when a stop
+// request cut it short (ErrStopped).
+func (m *Machine) RunExact(n int64) (int64, error) {
+	ran, err := m.RunUntil(func() bool { return false }, n)
+	if errors.Is(err, ErrStopped) {
+		return ran, err
+	}
+	return ran, nil
 }
 
 // FaultError collects user-thread fault diagnostics, nil if none.

@@ -20,10 +20,7 @@ package machine
 // external wake (message delivery, Touch, LoadProgram). Shards whose whole
 // due-set lies in the future are not dispatched at all, and the dispatch
 // itself is a sense-reversing barrier on atomics (spin-then-park) instead
-// of a channel round trip per worker per cycle. Contiguous shard
-// boundaries are re-drawn periodically from observed per-chip step counts
-// (dynamic rebalancing), so heterogeneous busy/idle mixes keep the workers
-// evenly loaded.
+// of a channel round trip per worker per cycle.
 
 import (
 	"fmt"
@@ -46,9 +43,9 @@ import (
 // the re-raised panic crashes the process just as the original would have,
 // only with better attribution.
 type WorkerPanic struct {
-	Node  int   // chip the shard was stepping, -1 if the panic hit between chips
-	Cycle int64 // cycle being stepped
-	Value any   // the original panic value
+	Node  int    // chip the shard was stepping, -1 if the panic hit between chips
+	Cycle int64  // cycle being stepped
+	Value any    // the original panic value
 	Stack []byte // worker goroutine stack at the point of the panic
 }
 
@@ -80,10 +77,6 @@ const (
 	gatherSpins   = 256
 )
 
-// defaultRebalanceEvery is the rebalance-check window (in dispatched busy
-// cycles) when Config.RebalanceEvery is zero.
-const defaultRebalanceEvery = 1024
-
 // dueEntry is one due-heap element: chip `node` is believed runnable at
 // cycle `at`. Entries are compared by (at, node) so that same-cycle pops
 // come out in node-index order (which keeps the per-cycle stepped list
@@ -95,7 +88,7 @@ type dueEntry struct {
 
 // shard is one worker's slice of the machine plus its barrier endpoints.
 // The worker owns everything here during the chip phase; the machine owns
-// it between barriers (wake hooks, rebalancing). The two never overlap: the
+// it between barriers (wake hooks). The two never overlap: the
 // barrier's atomics order every handoff.
 type shard struct {
 	lo, hi int        // chip index range [lo, hi)
@@ -127,7 +120,7 @@ type shard struct {
 }
 
 // chipPool is the persistent worker pool. Worker w permanently owns
-// shards[w]; rebalancing moves only the [lo, hi) boundaries.
+// shards[w], a fixed contiguous range of chips.
 type chipPool struct {
 	chips  []*chip.Chip
 	shards []shard
@@ -136,17 +129,9 @@ type chipPool struct {
 	// later than the chip's true wake: it is read back from the chip after
 	// every pool step of that chip, and lowered by the wake hook on every
 	// external wake. Stale-early values merely cause a spurious due-heap
-	// pop. shardOf[i] locates chip i's current shard for the hook.
+	// pop. shardOf[i] locates chip i's shard for the hook.
 	due     []int64
 	shardOf []int32
-
-	// work counts steps per chip since the last rebalance window, the
-	// weight input for re-drawing shard boundaries. Each worker writes only
-	// its own shard's entries.
-	work       []uint32
-	windowLeft int64 // dispatched cycles until the next rebalance check
-	every      int64 // rebalance window length (<= 0: rebalancing disabled)
-	rebalances int64
 
 	// Gather-side barrier state. remaining counts down the workers
 	// dispatched this cycle; the worker that takes it to zero wakes the
@@ -174,25 +159,18 @@ type chipPool struct {
 
 // newChipPool starts min(workers, len(chips)) workers over contiguous
 // shards of near-equal size and installs the due-set wake hooks. The
-// goroutines persist until stop. rebalanceEvery <= -1 disables rebalancing;
-// 0 selects the default window.
-func newChipPool(chips []*chip.Chip, workers int, rebalanceEvery int64) *chipPool {
+// goroutines persist until stop.
+func newChipPool(chips []*chip.Chip, workers int) *chipPool {
 	n := len(chips)
 	if workers > n {
 		workers = n
 	}
-	if rebalanceEvery == 0 {
-		rebalanceEvery = defaultRebalanceEvery
-	}
 	p := &chipPool{
-		chips:      chips,
-		shards:     make([]shard, workers),
-		due:        make([]int64, n),
-		shardOf:    make([]int32, n),
-		work:       make([]uint32, n),
-		every:      rebalanceEvery,
-		windowLeft: rebalanceEvery,
-		done:       make(chan struct{}, 1),
+		chips:   chips,
+		shards:  make([]shard, workers),
+		due:     make([]int64, n),
+		shardOf: make([]int32, n),
+		done:    make(chan struct{}, 1),
 	}
 	p.mparked.Store(notParked)
 	for i, c := range chips {
@@ -206,27 +184,19 @@ func newChipPool(chips []*chip.Chip, workers int, rebalanceEvery int64) *chipPoo
 		s.wakeCh = make(chan struct{}, 1)
 		s.slot.Store(idleCycle)
 		s.parked.Store(notParked)
-		p.rebuildShard(s, int32(w))
+		for i := s.lo; i < s.hi; i++ {
+			p.shardOf[i] = int32(w)
+			if p.due[i] != NoEvent {
+				s.push(dueEntry{p.due[i], int32(i)})
+			}
+		}
+		s.next = NoEvent
+		if len(s.heap) > 0 {
+			s.next = s.heap[0].at
+		}
 		go p.worker(w) //mlint:allow gocheck the supervised shard worker pool; workers park at the cycle barrier and panics are contained by guard
 	}
 	return p
-}
-
-// rebuildShard recomputes shard w's due-heap, cached next, and the chips'
-// shardOf entries from the current [lo, hi) boundaries and due cache.
-func (p *chipPool) rebuildShard(s *shard, w int32) {
-	s.heap = s.heap[:0]
-	for i := s.lo; i < s.hi; i++ {
-		p.shardOf[i] = w
-		if p.due[i] != NoEvent {
-			s.push(dueEntry{p.due[i], int32(i)})
-		}
-	}
-	if len(s.heap) > 0 {
-		s.next = s.heap[0].at
-	} else {
-		s.next = NoEvent
-	}
 }
 
 // wake is the chip wake hook: chip node became runnable at cycle at. It
@@ -321,7 +291,6 @@ func (p *chipPool) step(now int64) {
 		p.crashed = crash
 		panic(crash)
 	}
-	p.maybeRebalance()
 }
 
 // dispatch releases one worker for cycle now (or quitCycle): publish the
@@ -453,7 +422,6 @@ func (p *chipPool) runShard(s *shard, now int64) {
 				p.probe(int(e.node), now)
 			}
 			c.Step(now)
-			p.work[e.node]++
 			s.stepped = append(s.stepped, e.node)
 			p.requeue(s, e.node, c.NextEvent(now+1))
 		} else {
@@ -511,81 +479,6 @@ func (p *chipPool) sync(now int64) {
 		}
 	}
 }
-
-// maybeRebalance re-draws shard boundaries when the observed per-shard work
-// of the last window is imbalanced. It runs on the machine goroutine right
-// after the gather barrier, so no worker is active.
-func (p *chipPool) maybeRebalance() {
-	if p.every <= 0 || len(p.shards) < 2 {
-		return
-	}
-	p.windowLeft--
-	if p.windowLeft > 0 {
-		return
-	}
-	p.windowLeft = p.every
-
-	var total, maxShard uint64
-	for i := range p.shards {
-		var sum uint64
-		for n := p.shards[i].lo; n < p.shards[i].hi; n++ {
-			sum += uint64(p.work[n])
-		}
-		total += sum
-		if sum > maxShard {
-			maxShard = sum
-		}
-	}
-	if total == 0 || maxShard*2*uint64(len(p.shards)) <= total*3 {
-		// Balanced enough (max <= 1.5x the mean): keep the boundaries.
-		clear(p.work)
-		return
-	}
-	p.rebalance()
-	clear(p.work)
-	p.rebalances++
-}
-
-// rebalance re-partitions the chips into contiguous shards of near-equal
-// observed weight (steps in the last window, plus one so idle chips spread
-// evenly), then rebuilds the per-shard due-heaps. Only which worker steps
-// which chip changes; the drain order and every simulated outcome are
-// unaffected (see DESIGN.md, "Active-set scheduling").
-func (p *chipPool) rebalance() {
-	n := len(p.chips)
-	nsh := len(p.shards)
-	var totalW uint64
-	for _, w := range p.work {
-		totalW += uint64(w) + 1
-	}
-	cut := 0
-	var acc uint64
-	for k := 0; k < nsh; k++ {
-		s := &p.shards[k]
-		s.lo = cut
-		if k == nsh-1 {
-			s.hi = n
-		} else {
-			// Leave at least one chip for each remaining shard, and stop at
-			// the prefix-weight target for shards 0..k.
-			maxHi := n - (nsh - 1 - k)
-			target := totalW * uint64(k+1) / uint64(nsh)
-			hi := cut + 1
-			acc += uint64(p.work[cut]) + 1
-			for hi < maxHi && acc < target {
-				acc += uint64(p.work[hi]) + 1
-				hi++
-			}
-			s.hi = hi
-		}
-		cut = s.hi
-		p.rebuildShard(s, int32(k))
-	}
-}
-
-// Rebalances reports how many times the pool has re-drawn its shard
-// boundaries (for tests and diagnostics).
-func (p *chipPool) Rebalances() int64 { return p.rebalances }
 
 // stop terminates the workers. Idempotent; safe after any number of steps.
 // A worker parked at the dispatch barrier is woken and exits; stepping the

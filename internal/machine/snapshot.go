@@ -22,6 +22,8 @@ package machine
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 
@@ -46,7 +48,7 @@ const (
 
 // encodeConfig writes the parts of the configuration that define snapshot
 // compatibility: the mesh shape and the chip's timing and capacity
-// parameters. Engine selection (Workers, RebalanceEvery, Naive) is
+// parameters. Engine selection (Workers, Naive) is
 // deliberately excluded — it is not simulated state, and a snapshot taken
 // under one engine restores under any other.
 func encodeConfig(w *snap.Writer, cfg Config) {
@@ -149,6 +151,19 @@ func (m *Machine) Save(w io.Writer) error {
 		return fmt.Errorf("machine: save: %w", err)
 	}
 	return nil
+}
+
+// Digest is the canonical state fingerprint: the hex sha256 of the Save
+// stream. Two machines with equal digests hold bit-identical simulation
+// state, whatever engine, transport, or recovery path produced them —
+// scenario results, sweep points, msimd sessions and distributed runs
+// all report this one value.
+func (m *Machine) Digest() (string, error) {
+	h := sha256.New()
+	if err := m.Save(h); err != nil {
+		return "", err
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // Restore replaces the machine's simulation state with a snapshot written

@@ -23,17 +23,16 @@ import (
 
 // snapMode is one engine configuration of the snapshot matrix.
 type snapMode struct {
-	name      string
-	naive     bool
-	workers   int
-	rebalance int64
+	name    string
+	naive   bool
+	workers int
 }
 
 var snapModes = []snapMode{
-	{"naive", true, 0, 0},
-	{"event", false, 0, 0},
-	{"parallel2", false, 2, -1},
-	{"parallel3/rebal8", false, 3, 8},
+	{"naive", true, 0},
+	{"event", false, 0},
+	{"parallel2", false, 2},
+	{"parallel3", false, 3},
 }
 
 // buildSnapWorkload boots a 4-node machine under the given engine with a
@@ -46,7 +45,6 @@ func buildSnapWorkload(t *testing.T, mode snapMode) *machine.Machine {
 	cfg := machine.DefaultConfig()
 	cfg.Dims = noc.Coord{X: nodes, Y: 1, Z: 1}
 	cfg.Workers = mode.workers
-	cfg.RebalanceEvery = mode.rebalance
 	m := machine.New(cfg)
 	m.Naive = mode.naive
 	if _, err := rt.Install(m, rt.Options{Caching: true}); err != nil {

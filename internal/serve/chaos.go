@@ -67,15 +67,6 @@ func ParseChaos(s string) (*Chaos, error) {
 	return c, nil
 }
 
-// splitmix64 is the same full-period mixer faultinject.Corrupter uses:
-// deterministic, dependency-free, good enough to spread fault sites.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // probe derives the fault (if any) for admission number seq of a
 // nodes-node session. It returns a machine fault probe and a description
 // for logs, or (nil, ""). A panic and a stall landing on the same seq is
@@ -84,9 +75,9 @@ func (c *Chaos) probe(seq uint64, nodes int) (faultinject.Probe, string) {
 	if c == nil || nodes < 1 {
 		return nil, ""
 	}
-	h := splitmix64(c.Seed ^ (seq * 0x9e3779b97f4a7c15))
+	h := faultinject.SplitMix64(c.Seed ^ (seq * 0x9e3779b97f4a7c15))
 	node := int(h % uint64(nodes))
-	cycle := 1 + int64(splitmix64(h)%uint64(c.MaxCycle))
+	cycle := 1 + int64(faultinject.SplitMix64(h)%uint64(c.MaxCycle))
 	if c.PanicEvery > 0 && seq%uint64(c.PanicEvery) == 0 {
 		return panicFrom(node, cycle), fmt.Sprintf("panic at node %d from cycle %d", node, cycle)
 	}

@@ -375,11 +375,34 @@ func (sv *Server) Draining() bool {
 	return sv.draining
 }
 
-// count bumps a stats counter under the server lock.
-func (sv *Server) count(f func(*Stats)) {
+// finish moves s to a terminal (or suspended) state and bumps the matching
+// Stats counter in one critical section — the server lock is held across
+// the session update, and Stats takes the same lock — so whoever observes
+// the state (Done, /wait, the stream's end event) reads counters that
+// already include it. set, when non-nil, fills in the session's result
+// fields under the session lock.
+func (sv *Server) finish(s *Session, state State, set func()) {
 	sv.mu.Lock()
-	f(&sv.stats)
-	sv.mu.Unlock()
+	defer sv.mu.Unlock()
+	s.update(func() {
+		s.state = state
+		if set != nil {
+			set()
+		}
+		switch state {
+		case StateDone:
+			sv.stats.Done++
+			if s.retries > 0 {
+				sv.stats.Recovered++
+			}
+		case StateFailed:
+			sv.stats.Failed++
+		case StateCanceled:
+			sv.stats.Canceled++
+		case StateSuspended:
+			sv.stats.Suspended++
+		}
+	})
 }
 
 // Drain stops the server gracefully: new admissions are refused, every
@@ -412,65 +435,33 @@ func (sv *Server) worker() {
 	}
 }
 
-// attemptOutcome says what runAttempt's caller should do next.
-type attemptOutcome int
-
-const (
-	attemptDone attemptOutcome = iota
-	attemptFailed
-	attemptCanceled
-	attemptSuspended
-	attemptRetry
-)
-
 // runSession drives one session to a terminal (or suspended) state:
 // attempts with retry-from-checkpoint and capped exponential backoff in
 // between.
 func (sv *Server) runSession(s *Session) {
-	for {
-		switch sv.runAttempt(s) {
-		case attemptDone:
-			sv.count(func(st *Stats) {
-				st.Done++
-				if s.retries > 0 {
-					st.Recovered++
-				}
-			})
-			return
-		case attemptFailed:
-			sv.count(func(st *Stats) { st.Failed++ })
-			return
-		case attemptCanceled:
-			removeSpooled(sv.cfg.Spool, s.ID)
-			sv.count(func(st *Stats) { st.Canceled++ })
-			return
-		case attemptSuspended:
-			sv.count(func(st *Stats) { st.Suspended++ })
-			return
-		case attemptRetry:
-			sv.count(func(st *Stats) { st.Retries++ })
-			backoff := sv.cfg.Backoff << uint(s.retries)
-			if backoff > sv.cfg.BackoffCap || backoff <= 0 {
-				backoff = sv.cfg.BackoffCap
-			}
-			s.update(func() {
-				s.retries++
-				s.state = StateRetrying
-				s.backoff = backoff
-			})
-			sv.cfg.logf("session %s: retry %d/%d in %v (%s)",
-				s.ID, s.retries, sv.cfg.Retries, backoff, s.failClass)
-			if !sv.sleep(s, backoff) {
-				// Interrupted: re-enter runAttempt, whose quantum-head
-				// checks will cancel or suspend immediately.
-				continue
-			}
+	for sv.runAttempt(s) {
+		backoff := sv.cfg.Backoff << uint(s.retries)
+		if backoff > sv.cfg.BackoffCap || backoff <= 0 {
+			backoff = sv.cfg.BackoffCap
 		}
+		sv.mu.Lock()
+		sv.stats.Retries++
+		s.update(func() {
+			s.retries++
+			s.state = StateRetrying
+			s.backoff = backoff
+		})
+		sv.mu.Unlock()
+		sv.cfg.logf("session %s: retry %d/%d in %v (%s)",
+			s.ID, s.retries, sv.cfg.Retries, backoff, s.failClass)
+		// An interrupted backoff re-enters runAttempt, whose quantum-head
+		// checks cancel or suspend immediately.
+		sv.sleep(s, backoff)
 	}
 }
 
-// sleep waits out a backoff, returning early (false) on cancel or drain.
-func (sv *Server) sleep(s *Session, d time.Duration) bool {
+// sleep waits out a backoff, returning early on cancel or drain.
+func (sv *Server) sleep(s *Session, d time.Duration) {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	check := time.NewTicker(10 * time.Millisecond)
@@ -478,35 +469,51 @@ func (sv *Server) sleep(s *Session, d time.Duration) bool {
 	for {
 		select {
 		case <-t.C:
-			return true
+			return
 		case <-check.C:
 			if s.isCanceled() || sv.Draining() {
-				return false
+				return
 			}
 		}
 	}
 }
 
-// fail finalizes a permanent failure.
-func (sv *Server) fail(s *Session, class string, err error) attemptOutcome {
-	sv.cfg.logf("%s", sessionError(s, class, err))
-	s.update(func() {
-		s.state = StateFailed
+// fail finalizes a permanent failure. A failed session is terminal and
+// re-adopting it at next boot would retry a deterministic failure
+// forever, so its checkpoint is dropped (before the state is published:
+// whoever sees "failed" sees the spool already settled); the crash dump
+// stays for forensics.
+func (sv *Server) fail(s *Session, class guard.Class, err error) {
+	sv.cfg.logf("session %s (%s): %s: %v", s.ID, s.Name, class, err)
+	os.Remove(ckptPath(sv.cfg.Spool, s.ID))
+	sv.finish(s, StateFailed, func() {
 		s.failure = err.Error()
 		s.failClass = class
 	})
-	// The last checkpoint and crash dump stay in the spool for forensics?
-	// No: a failed session is terminal and re-adopting it at next boot
-	// would retry a deterministic failure forever. Keep the crash dump,
-	// drop the checkpoint.
-	os.Remove(ckptPath(sv.cfg.Spool, s.ID))
-	return attemptFailed
+}
+
+// cancel finalizes a canceled session: nothing of it is worth keeping.
+func (sv *Server) cancel(s *Session) {
+	removeSpooled(sv.cfg.Spool, s.ID)
+	sv.finish(s, StateCanceled, nil)
+}
+
+// suspend parks a session for the drain: its latest boundary checkpoint
+// is already spooled, so the state transition is all that is needed. The
+// partial slice since that checkpoint is discarded — resuming replays it,
+// keeping the recovered execution's slice bounds identical to an
+// uninterrupted run's.
+func (sv *Server) suspend(s *Session) {
+	sv.finish(s, StateSuspended, nil)
+	sv.cfg.logf("session %s: suspended (drain); checkpoint retained", s.ID)
 }
 
 // runAttempt executes one attempt: boot (or restore) a simulator, then
 // advance the scenario quantum by quantum under a supervisor, spooling a
-// checkpoint at every run-slice boundary.
-func (sv *Server) runAttempt(s *Session) attemptOutcome {
+// checkpoint at every run-slice boundary. It leaves the session terminal
+// (or suspended) and returns false, or records a transient failure and
+// returns true: retry from the latest checkpoint.
+func (sv *Server) runAttempt(s *Session) (retry bool) {
 	s.update(func() { s.attempts++ })
 	// Resume state comes from the spool: either an admission checkpoint
 	// (fresh start) or a boundary checkpoint with a machine snapshot.
@@ -520,7 +527,8 @@ func (sv *Server) runAttempt(s *Session) attemptOutcome {
 
 	sim, err := s.sc.NewSim(core.Options{Workers: sv.cfg.SimWorkers})
 	if err != nil {
-		return sv.fail(s, FailScenario, err)
+		sv.fail(s, guard.ClassScenario, err)
+		return false
 	}
 	closeSim := true
 	defer func() {
@@ -539,15 +547,17 @@ func (sv *Server) runAttempt(s *Session) attemptOutcome {
 			}
 		}
 		if resumed {
-			sv.count(func(st *Stats) { st.Restores++ })
-		}
-		if !resumed {
+			sv.mu.Lock()
+			sv.stats.Restores++
+			sv.mu.Unlock()
+		} else {
 			// Corrupt or incompatible snapshot: fall back to a fresh start.
 			sv.cfg.logf("session %s: checkpoint restore failed; restarting from scratch", s.ID)
 			sim.M.Close()
 			if sim, err = s.sc.NewSim(core.Options{Workers: sv.cfg.SimWorkers}); err != nil {
 				closeSim = false
-				return sv.fail(s, FailScenario, err)
+				sv.fail(s, guard.ClassScenario, err)
+				return false
 			}
 			run = s.sc.NewRun(sim)
 		}
@@ -565,27 +575,36 @@ func (sv *Server) runAttempt(s *Session) attemptOutcome {
 	s.attach(sim)
 	deadline := time.Now().Add(s.wall)
 
+	// interrupted finalizes a pending cancel or drain, if there is one.
+	interrupted := func() bool {
+		if s.isCanceled() {
+			sv.cancel(s)
+			return true
+		}
+		if sv.Draining() {
+			sv.suspend(s)
+			return true
+		}
+		return false
+	}
+
 	for !run.Done() {
 		// Quantum-head interrupt checks. guard.Do clears any pending stop
 		// request at entry, so these flags — not the stop flag — are the
 		// reliable interrupt signal; RequestStop only shortens a slice.
-		if s.isCanceled() {
-			s.update(func() { s.state = StateCanceled })
-			return attemptCanceled
-		}
-		if sv.Draining() {
-			return sv.suspend(s)
+		if interrupted() {
+			return false
 		}
 		remWall := time.Until(deadline)
 		if remWall <= 0 {
-			return sv.transient(s, &guard.StallError{Kind: guard.StallTimeout, Cycle: sim.M.Cycle, Timeout: s.wall}, &closeSim)
-		}
-		if rem := s.cycleBudget - sim.M.Cycle; rem <= 0 {
-			return sv.fail(s, FailBudget,
-				fmt.Errorf("cycle budget %d exhausted at cycle %d", s.cycleBudget, sim.M.Cycle))
+			return sv.attemptFailed(s, &guard.StallError{Kind: guard.StallTimeout, Cycle: sim.M.Cycle, Timeout: s.wall}, &closeSim)
 		}
 		slice := sv.cfg.CheckpointEvery
-		if rem := s.cycleBudget - sim.M.Cycle; rem < slice {
+		if rem := s.cycleBudget - sim.M.Cycle; rem <= 0 {
+			sv.fail(s, guard.ClassBudget,
+				fmt.Errorf("cycle budget %d exhausted at cycle %d", s.cycleBudget, sim.M.Cycle))
+			return false
+		} else if rem < slice {
 			slice = rem
 		}
 
@@ -595,7 +614,7 @@ func (sv *Server) runAttempt(s *Session) attemptOutcome {
 			DumpPath: crashPath(sv.cfg.Spool, s.ID),
 		})
 		var ran bool
-		err := sup.Do(func() error {
+		err = sup.Do(func() error {
 			var e error
 			ran, e = run.Advance(sup, slice)
 			return e
@@ -604,22 +623,14 @@ func (sv *Server) runAttempt(s *Session) attemptOutcome {
 			// Stop-flag interrupts surface as machine.ErrStopped; map them
 			// back to whoever requested the stop.
 			if errors.Is(err, machine.ErrStopped) {
-				if s.isCanceled() {
-					s.update(func() { s.state = StateCanceled })
-					return attemptCanceled
-				}
-				if sv.Draining() {
-					return sv.suspend(s)
+				if interrupted() {
+					return false
 				}
 				// A stray stop with no interrupt pending: treat as a
 				// transient stall and recover from the checkpoint.
 				err = &guard.StallError{Kind: guard.StallTimeout, Cycle: sim.M.Cycle, Timeout: s.wall}
 			}
-			class := classifyFailure(err)
-			if !transientFailure(class) {
-				return sv.fail(s, class, err)
-			}
-			return sv.transient(s, err, &closeSim)
+			return sv.attemptFailed(s, err, &closeSim)
 		}
 		if ran {
 			// Between cycles at a deterministic slice boundary: publish
@@ -633,42 +644,40 @@ func (sv *Server) runAttempt(s *Session) attemptOutcome {
 		}
 	}
 
-	// Completed. The digest over the final snapshot is the bit-identity
+	// Completed. The digest of the final state is the bit-identity
 	// witness chaos runs are compared with.
-	var final bytes.Buffer
-	if err := sim.M.Save(&final); err != nil {
-		return sv.fail(s, FailScenario, fmt.Errorf("saving final state: %v", err))
+	digest, err := sim.M.Digest()
+	if err != nil {
+		sv.fail(s, guard.ClassScenario, fmt.Errorf("saving final state: %v", err))
+		return false
 	}
 	result := run.Result()
-	s.update(func() {
-		s.state = StateDone
+	removeSpooled(sv.cfg.Spool, s.ID)
+	sv.finish(s, StateDone, func() {
 		s.result = result
 		s.phases = append(s.phases[:0], result.Phases...)
 		s.checks = result.Checks
-		s.digest = stateDigest(final.Bytes())
+		s.digest = digest
 	})
-	removeSpooled(sv.cfg.Spool, s.ID)
-	return attemptDone
+	return false
 }
 
-// transient records a transient failure and decides retry vs give-up.
-// The machine of this attempt is always discarded (a crashed parallel
-// pool is poisoned; a hung machine is abandoned un-Closed per the guard
-// contract) — the next attempt restores the spooled checkpoint into a
-// fresh simulator.
-func (sv *Server) transient(s *Session, err error, closeSim *bool) attemptOutcome {
-	if guard.IsHang(err) {
+// attemptFailed handles an attempt's error: permanent classes fail the
+// session; transient ones are recorded and retried (true) until the
+// retry cap. The machine of a failed attempt is always discarded (a
+// crashed parallel pool is poisoned; a hung machine is abandoned
+// un-Closed per the guard contract) — the next attempt restores the
+// spooled checkpoint into a fresh simulator.
+func (sv *Server) attemptFailed(s *Session, err error, closeSim *bool) (retry bool) {
+	class := guard.Classify(err)
+	if !class.Transient() {
+		sv.fail(s, class, err)
+		return false
+	}
+	if class == guard.ClassStallHang {
 		*closeSim = false // wedged run goroutine still owns the machine
 	}
-	class := classifyFailure(err)
-	var dump string
-	var se *guard.StallError
-	var ce *guard.CrashError
-	if errors.As(err, &se) {
-		dump = se.DumpPath
-	} else if errors.As(err, &ce) {
-		dump = ce.DumpPath
-	}
+	_, dump := guard.Forensics(err)
 	s.update(func() {
 		s.failure = err.Error()
 		s.failClass = class
@@ -677,21 +686,11 @@ func (sv *Server) transient(s *Session, err error, closeSim *bool) attemptOutcom
 		}
 	})
 	if s.retries >= sv.cfg.Retries {
-		return sv.fail(s, class,
+		sv.fail(s, class,
 			fmt.Errorf("%v (retries exhausted after %d attempts)", err, s.retries+1))
+		return false
 	}
-	return attemptRetry
-}
-
-// suspend parks a session for the drain: its latest boundary checkpoint
-// is already spooled, so the state transition is all that is needed. The
-// partial slice since that checkpoint is discarded — resuming replays it,
-// keeping the recovered execution's slice bounds identical to an
-// uninterrupted run's.
-func (sv *Server) suspend(s *Session) attemptOutcome {
-	s.update(func() { s.state = StateSuspended })
-	sv.cfg.logf("session %s: suspended (drain); checkpoint retained", s.ID)
-	return attemptSuspended
+	return true
 }
 
 // spoolProgress writes the boundary checkpoint for a running session.

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/guard"
 )
 
 // spinScenario is a tiny deterministic scenario: a counting loop of
@@ -121,8 +122,8 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 	if got.Retries == 0 {
 		t.Fatal("chaos session completed without retrying — the injected panic never fired")
 	}
-	if got.FailureClass != FailCrash {
-		t.Errorf("failure class %q, want %q", got.FailureClass, FailCrash)
+	if got.FailureClass != guard.ClassCrash {
+		t.Errorf("failure class %q, want %q", got.FailureClass, guard.ClassCrash)
 	}
 	if got.Digest != want.Digest {
 		t.Errorf("recovered digest %s != control %s", got.Digest, want.Digest)
@@ -152,8 +153,8 @@ func TestStallRecoveryBitIdentical(t *testing.T) {
 	if got.Retries == 0 {
 		t.Fatal("stalled session completed without retrying")
 	}
-	if got.FailureClass != FailStallTimeout {
-		t.Errorf("failure class %q, want %q", got.FailureClass, FailStallTimeout)
+	if got.FailureClass != guard.ClassStallTimeout {
+		t.Errorf("failure class %q, want %q", got.FailureClass, guard.ClassStallTimeout)
 	}
 	if got.Digest != want.Digest {
 		t.Errorf("recovered digest %s != control %s", got.Digest, want.Digest)
@@ -179,8 +180,8 @@ func TestHangRecovery(t *testing.T) {
 	if got.Retries == 0 {
 		t.Fatal("hung session completed without retrying")
 	}
-	if got.FailureClass != FailStallHang {
-		t.Errorf("failure class %q, want %q", got.FailureClass, FailStallHang)
+	if got.FailureClass != guard.ClassStallHang {
+		t.Errorf("failure class %q, want %q", got.FailureClass, guard.ClassStallHang)
 	}
 	if got.Digest != want.Digest {
 		t.Errorf("recovered digest %s != control %s", got.Digest, want.Digest)
@@ -396,9 +397,9 @@ func TestBudgetExhaustionPermanent(t *testing.T) {
 		t.Fatal(err)
 	}
 	info := waitDone(t, s)
-	if info.State != StateFailed || info.FailureClass != FailBudget {
+	if info.State != StateFailed || info.FailureClass != guard.ClassBudget {
 		t.Fatalf("state %s class %s, want failed/%s (failure %q)",
-			info.State, info.FailureClass, FailBudget, info.Failure)
+			info.State, info.FailureClass, guard.ClassBudget, info.Failure)
 	}
 	if info.Retries != 0 {
 		t.Errorf("budget exhaustion was retried %d times; it is permanent", info.Retries)
@@ -413,8 +414,8 @@ func TestScenarioFailurePermanent(t *testing.T) {
 		t.Fatal(err)
 	}
 	info := waitDone(t, s)
-	if info.State != StateFailed || info.FailureClass != FailScenario {
-		t.Fatalf("state %s class %s, want failed/%s", info.State, info.FailureClass, FailScenario)
+	if info.State != StateFailed || info.FailureClass != guard.ClassScenario {
+		t.Fatalf("state %s class %s, want failed/%s", info.State, info.FailureClass, guard.ClassScenario)
 	}
 	if !strings.Contains(info.Failure, "expect reg") {
 		t.Errorf("failure %q does not name the failing expectation", info.Failure)
@@ -480,6 +481,26 @@ func TestParseChaos(t *testing.T) {
 	}
 	if _, d := c.probe(15, 4); !strings.Contains(d, "panic") {
 		t.Errorf("seq 15 (both panic and stall multiples): %q, want panic-wins", d)
+	}
+}
+
+// TestChaosSitesGolden pins the fault sites of the `mbench -serve` chaos
+// configuration: they are a pure function of (seed, admission number)
+// through faultinject.SplitMix64, and must not move when the mixer's
+// home does.
+func TestChaosSitesGolden(t *testing.T) {
+	c := &Chaos{Seed: 1234, PanicEvery: 3, StallEvery: 7, StallDelay: 3 * time.Second, MaxCycle: 600}
+	for seq, want := range map[uint64]string{
+		3:   "panic at node 3 from cycle 40",
+		6:   "panic at node 0 from cycle 4",
+		7:   "stall 3s at node 2 from cycle 280",
+		14:  "stall 3s at node 3 from cycle 412",
+		21:  "panic at node 2 from cycle 117",
+		200: "",
+	} {
+		if _, got := c.probe(seq, 4); got != want {
+			t.Errorf("admission %d: chaos site %q, want %q", seq, got, want)
+		}
 	}
 }
 
@@ -771,8 +792,8 @@ func TestRetryObservability(t *testing.T) {
 	if info.Backoff != "" {
 		t.Errorf("backoff %q still set on a done session", info.Backoff)
 	}
-	if info.FailureClass != FailCrash {
-		t.Errorf("last failure class %q, want %q (sticky after recovery)", info.FailureClass, FailCrash)
+	if info.FailureClass != guard.ClassCrash {
+		t.Errorf("last failure class %q, want %q (sticky after recovery)", info.FailureClass, guard.ClassCrash)
 	}
 
 	st := sv.Stats()
@@ -781,5 +802,113 @@ func TestRetryObservability(t *testing.T) {
 	}
 	if st.Restores < 1 {
 		t.Errorf("stats restores %d, want >= 1 (retry resumed from a boundary checkpoint)", st.Restores)
+	}
+}
+
+// TestWaitReturnSeesStats: a terminal transition and its Stats counter
+// are one critical section, so a client whose /wait has returned reads
+// /stats that already count that session — for every terminal state, and
+// for the recovered count of a session that got there through a retry.
+func TestWaitReturnSeesStats(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Chaos = &Chaos{Seed: 42, PanicEvery: 3, MaxCycle: 500} // sessions 3 and 6 crash once
+	sv := mustServer(t, cfg)
+	ts := httptest.NewServer(sv.Handler())
+	defer ts.Close()
+
+	getJSON := func(path string, into any) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+	}
+	// waitThenStats is the client sequence under test.
+	waitThenStats := func(s *Session) (Info, Stats) {
+		t.Helper()
+		var info Info
+		var st Stats
+		getJSON("/api/v1/sessions/"+s.ID+"/wait", &info)
+		getJSON("/api/v1/stats", &st)
+		return info, st
+	}
+
+	const bad = "workload \"bad\"\nmesh 1\ngenerate sp spinloop iters=10\nload sp on node 0\nrun 100000\nexpect reg node=0 cluster=0 reg=1 value=11\n"
+	var done, failed, recovered uint64
+	for i := 1; i <= 8; i++ {
+		src := spinScenario(600 + i)
+		if i == 5 {
+			src = bad
+		}
+		s, err := sv.Submit(fmt.Sprintf("s%d.wl", i), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, st := waitThenStats(s)
+		switch info.State {
+		case StateDone:
+			done++
+			if info.Retries > 0 {
+				recovered++
+			}
+		case StateFailed:
+			failed++
+		default:
+			t.Fatalf("session %d: /wait returned state %s", i, info.State)
+		}
+		if st.Done != done || st.Failed != failed || st.Recovered != recovered {
+			t.Fatalf("after /wait of session %d (%s, %d retries): stats done %d failed %d recovered %d, want %d %d %d",
+				i, info.State, info.Retries, st.Done, st.Failed, st.Recovered, done, failed, recovered)
+		}
+	}
+	if failed != 1 || recovered == 0 {
+		t.Fatalf("test exercised %d failed, %d recovered sessions; want 1 and >= 1", failed, recovered)
+	}
+
+	s, err := sv.Submit("long.wl", spinScenario(200000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Cancel()
+	if info, st := waitThenStats(s); info.State != StateCanceled || st.Canceled != 1 {
+		t.Fatalf("after /wait of a canceled session: state %s, stats canceled %d", info.State, st.Canceled)
+	}
+
+	// Suspended is not terminal, but /wait answers it immediately too.
+	s, err = sv.Submit("long.wl", spinScenario(200000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	go sv.Drain()
+	if info, st := waitThenStats(s); info.State != StateSuspended || st.Suspended != 1 {
+		t.Fatalf("after /wait of a drained session: state %s, stats suspended %d", info.State, st.Suspended)
+	}
+}
+
+// TestFailureClassJSON pins the failure_class strings of the session
+// JSON: clients switch on them, so moving the taxonomy into guard must
+// not change a byte.
+func TestFailureClassJSON(t *testing.T) {
+	for class, want := range map[guard.Class]string{
+		guard.ClassCrash:        `"failure_class":"crash"`,
+		guard.ClassStallTimeout: `"failure_class":"stall-timeout"`,
+		guard.ClassStallHang:    `"failure_class":"stall-hang"`,
+		guard.ClassBudget:       `"failure_class":"budget"`,
+		guard.ClassScenario:     `"failure_class":"scenario"`,
+	} {
+		b, err := json.Marshal(Info{FailureClass: class})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(b, []byte(want)) {
+			t.Errorf("class %s encodes as %s, want it to contain %s", class, b, want)
+		}
+	}
+	if b, _ := json.Marshal(Info{}); bytes.Contains(b, []byte("failure_class")) {
+		t.Errorf("a session that never failed encodes a failure_class: %s", b)
 	}
 }

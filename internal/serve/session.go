@@ -10,10 +10,6 @@
 package serve
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -51,44 +47,6 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// Failure classes, reported on failed (and retrying) sessions. The first
-// three are transient — the supervisor contained a fault that a retry
-// from the latest checkpoint can get past — and are retried up to the
-// server's retry cap. The rest are deterministic properties of the
-// scenario itself; retrying would reproduce them exactly.
-const (
-	FailCrash        = "crash"         // contained panic (*guard.CrashError); transient
-	FailStallTimeout = "stall-timeout" // wall-clock watchdog stop; transient
-	FailStallHang    = "stall-hang"    // watchdog stop ignored past grace; transient
-	FailBudget       = "budget"        // session cycle budget exhausted; permanent
-	FailScenario     = "scenario"      // expect/check/staging error; permanent
-)
-
-// transientFailure reports whether a failure class is worth retrying.
-func transientFailure(class string) bool {
-	return class == FailCrash || class == FailStallTimeout || class == FailStallHang
-}
-
-// classifyFailure maps a supervised attempt error to a failure class.
-func classifyFailure(err error) string {
-	var ce *guard.CrashError
-	if errors.As(err, &ce) {
-		return FailCrash
-	}
-	var se *guard.StallError
-	if errors.As(err, &se) {
-		switch se.Kind {
-		case guard.StallTimeout:
-			return FailStallTimeout
-		case guard.StallHang:
-			return FailStallHang
-		case guard.StallBudget:
-			return FailBudget
-		}
-	}
-	return FailScenario
-}
-
 // Session is one submitted scenario and its execution state. All mutable
 // fields are guarded by mu; the identity fields before it are fixed at
 // admission.
@@ -111,12 +69,13 @@ type Session struct {
 	canceled bool          // cancellation requested (observed at quantum heads)
 	sim      *core.Sim     // live machine while running (interrupt target)
 
-	phases             []core.PhaseResult // completed phases, live-updated
-	checks             int
-	result             *core.ScenarioResult // set when done
-	digest             string               // sha256 of the final machine snapshot
-	failure, failClass string
-	dumpPath           string // last crash dump, if any
+	phases    []core.PhaseResult // completed phases, live-updated
+	checks    int
+	result    *core.ScenarioResult // set when done
+	digest    string               // machine.Digest of the final state
+	failure   string
+	failClass guard.Class // last failure's class; sticky across a recovery
+	dumpPath  string      // last crash dump, if any
 
 	notify chan struct{} // closed and swapped on every visible change
 	done   chan struct{} // closed on reaching a Terminal state
@@ -229,10 +188,11 @@ type Info struct {
 	TotalCycles int64  `json:"total_cycles,omitempty"`
 	Digest      string `json:"digest,omitempty"` // sha256 of the final machine snapshot
 
-	// Set on failed (class also set while retrying):
-	Failure      string `json:"failure,omitempty"`
-	FailureClass string `json:"failure_class,omitempty"`
-	DumpPath     string `json:"dump_path,omitempty"`
+	// Set on failed (class also set while retrying; the classes and which
+	// of them are retried are DESIGN.md's "Supervision" table):
+	Failure      string      `json:"failure,omitempty"`
+	FailureClass guard.Class `json:"failure_class,omitempty"`
+	DumpPath     string      `json:"dump_path,omitempty"`
 }
 
 // Phase is the JSON view of one completed run phase.
@@ -273,17 +233,4 @@ func (s *Session) watch() (Info, <-chan struct{}) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.infoLocked(), s.notify
-}
-
-// stateDigest hex-encodes the sha256 of a final machine snapshot; the
-// digest is the service's bit-identity witness (two sessions simulated
-// the same thing iff their digests match).
-func stateDigest(snapshot []byte) string {
-	sum := sha256.Sum256(snapshot)
-	return hex.EncodeToString(sum[:])
-}
-
-// sessionError decorates a terminal failure for logs.
-func sessionError(s *Session, class string, err error) string {
-	return fmt.Sprintf("session %s (%s): %s: %v", s.ID, s.Name, class, err)
 }

@@ -7,7 +7,7 @@
 // under every in-process engine and requires bit-identical results.
 //
 // The package is simulation-critical (mlint's simCritical list): the
-// generator derives everything from its own splitmix64 stream — no maps,
+// generator derives everything from one splitmix64 stream — no maps,
 // no wall clock, no global rand — so one seed names one scenario, on
 // every host, forever. That is what makes a CI failure reproducible
 // with `msim -gen-seed N`.
@@ -21,28 +21,19 @@ package wgen
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/faultinject"
 )
 
-// rng is the splitmix64 stream (same mixer as faultinject.Corrupter):
-// tiny, deterministic, and uniform enough for scenario shaping.
-type rng struct{ state uint64 }
-
-func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// intn returns a value in [0, n).
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
+// rng shapes scenarios from the shared splitmix64 stream
+// (faultinject.Rand): tiny, deterministic, and uniform enough.
+type rng struct{ faultinject.Rand }
 
 // in returns a value in [lo, hi] inclusive.
-func (r *rng) in(lo, hi int) int { return lo + r.intn(hi-lo+1) }
+func (r *rng) in(lo, hi int) int { return lo + r.Intn(hi-lo+1) }
 
 // oneIn reports true with probability 1/n.
-func (r *rng) oneIn(n int) bool { return r.intn(n) == 0 }
+func (r *rng) oneIn(n int) bool { return r.Intn(n) == 0 }
 
 // Leg kinds. Exchange, loopsync, and the guarded-pointer walk appear at
 // most once per scenario: exchange owns the shared mailbox region and
@@ -83,12 +74,12 @@ const (
 // whose source fails to compile is a generator bug, and Verify reports
 // it as such.
 func Source(seed uint64) (name, src string) {
-	r := &rng{state: seed}
+	r := &rng{faultinject.Rand{State: seed}}
 	var b strings.Builder
 
-	mesh := meshes[r.intn(len(meshes))]
+	mesh := meshes[r.Intn(len(meshes))]
 	nodes := mesh[0] * mesh[1] * mesh[2]
-	legs := 1 + r.intn(3)
+	legs := 1 + r.Intn(3)
 
 	fmt.Fprintf(&b, "; generated by wgen, seed %d — do not edit, regenerate instead\n", seed)
 	fmt.Fprintf(&b, "workload \"generated scenario %d\"\n", seed)
@@ -104,7 +95,7 @@ func Source(seed uint64) (name, src string) {
 	usedOnce := make([]bool, numLegKinds)
 	for i := range kinds {
 		for {
-			k := r.intn(numLegKinds)
+			k := r.Intn(numLegKinds)
 			if k == legExchange && (nodes < 2 || usedOnce[k]) {
 				continue
 			}
@@ -125,7 +116,7 @@ func Source(seed uint64) (name, src string) {
 	var sweepVals []int
 	if sweep {
 		lo, hi := legParamRange(last)
-		n := 2 + r.intn(2)
+		n := 2 + r.Intn(2)
 		for len(sweepVals) < n {
 			sweepVals = append(sweepVals, r.in(lo, hi))
 		}
@@ -170,7 +161,7 @@ func legParamRange(kind int) (lo, hi int) {
 // parameter's name standing in for the leg's main parameter.
 func emitLeg(b *strings.Builder, r *rng, kind, idx, nodes int, param string) {
 	v := idx // vthread
-	x := r.intn(nodes)
+	x := r.Intn(nodes)
 	p := func(dflt int) string {
 		if param != "" {
 			return param

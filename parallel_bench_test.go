@@ -84,8 +84,7 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 // clusters of the first busyNodes nodes and nothing on the rest, so every
 // busy cycle has exactly busyNodes due chips. The busy nodes are clustered
 // at the low end of the node range — the worst case for static contiguous
-// shards and the configuration active-set scheduling plus rebalancing is
-// for.
+// shards and the configuration active-set scheduling is for.
 func idleMixSim(tb testing.TB, dims noc.Coord, busyNodes, workers int) *core.Sim {
 	s, err := core.NewSim(core.Options{Dims: dims, Workers: workers})
 	if err != nil {
