@@ -55,10 +55,14 @@ shuffle:
 
 # The short pass covers every package; the supervision layers — where the
 # goroutines, locks and watchdogs live — also run their full suites under
-# the race detector (serve and guard here, dist in the dist leg).
+# the race detector (serve and guard here, dist in the dist leg), and so
+# do the fork-concurrency tests: a parent and its forks share SDRAM
+# chunks copy-on-write without synchronization, which is only sound if
+# no goroutine ever writes a shared chunk.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=1 ./internal/serve ./internal/guard
+	$(GO) test -race -count=1 -run 'TestForkConcurrent' ./internal/machine ./internal/mem
 
 # Parallel-engine speedup tripwire, in its own invocation so the wall-clock
 # measurement never contends with other package test binaries (it skips on
@@ -70,9 +74,11 @@ speedup:
 # regression is named in CI output: the engine-pair determinism matrix
 # (run -> snapshot -> continue vs restore -> continue, bit-identical
 # including trace streams), the corrupt/truncated/wrong-version error
-# paths, and an end-to-end msim -save / -restore round trip.
+# paths, Fork ≡ Restore(Save) under every engine (TestSimForkMatchesRestore)
+# with the copy-on-write isolation tests under it, and an end-to-end
+# msim -save / -restore round trip.
 checkpoint:
-	$(GO) test -run 'TestSnapshot|TestDoubleClose|TestRestoredBoot|TestSimFork|TestSimRestore' -count=1 ./internal/machine ./internal/core
+	$(GO) test -run 'TestSnapshot|TestDoubleClose|TestRestoredBoot|TestSimFork|TestSimRestore|TestFork|TestClone|TestAdopt' -count=1 ./internal/machine ./internal/core ./internal/mem
 	@tmp=$$(mktemp -d); \
 	$(GO) run ./cmd/msim -save $$tmp/ci.snap testdata/fib.masm >$$tmp/a.out && \
 	$(GO) run ./cmd/msim -restore $$tmp/ci.snap testdata/fib.masm >$$tmp/b.out && \

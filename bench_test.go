@@ -10,6 +10,9 @@
 package repro_test
 
 import (
+	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -288,6 +291,91 @@ func BenchmarkEngineFastForward(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := s.Run(200000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// stagedMesh boots the 4x4x2 machine and runs a staging prefix that fills
+// 256 words of every node's home memory, so snapshots of it carry
+// materialized SDRAM chunks, valid cache lines and warmed LTLBs — the
+// common prefix a sweep forks from.
+func stagedMesh(tb testing.TB) *core.Sim {
+	s, err := core.NewSim(core.Options{Dims: noc.Coord{X: 4, Y: 4, Z: 2}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for n := 0; n < s.M.NumNodes(); n++ {
+		src := fmt.Sprintf(`
+    movi i1, #%d
+    movi i2, #%d
+    movi i3, #0
+fill:
+    st [i1], i2
+    add i1, i1, #1
+    add i2, i2, #3
+    add i3, i3, #1
+    lt i4, i3, #256
+    brt i4, fill
+    halt
+`, s.HomeBase(n), 1000*n)
+		if err := s.LoadASM(n, 0, 0, src); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if _, err := s.Run(1_000_000); err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// BenchmarkFork, BenchmarkSave and BenchmarkRestore price the checkpoint
+// subsystem on the staged 32-node machine (DESIGN.md, "Checkpoint/
+// restore", Target vs Actual): ns, bytes and allocations per operation.
+func BenchmarkFork(b *testing.B) {
+	s := stagedMesh(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := s.Fork()
+		if err != nil {
+			b.Fatal(err)
+		}
+		f.M.Close()
+	}
+}
+
+func BenchmarkSave(b *testing.B) {
+	s := stagedMesh(b)
+	var size bytes.Buffer
+	if err := s.Save(&size); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Save(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(size.Len()), "snapshot_bytes")
+}
+
+func BenchmarkRestore(b *testing.B) {
+	s := stagedMesh(b)
+	var snapshot bytes.Buffer
+	if err := s.Save(&snapshot); err != nil {
+		b.Fatal(err)
+	}
+	f, err := s.Fork()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.M.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := f.Restore(bytes.NewReader(snapshot.Bytes())); err != nil {
 			b.Fatal(err)
 		}
 	}

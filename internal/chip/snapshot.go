@@ -135,7 +135,7 @@ func (c *Chip) EncodeState(w *snap.Writer) {
 		c.Net.EncodeMessage(w, m)
 	}
 
-	dips := make([]uint64, 0, len(c.validDIPs))
+	dips := w.Stage(len(c.validDIPs))[:0]
 	for d := range c.validDIPs {
 		dips = append(dips, d)
 	}
@@ -319,6 +319,65 @@ func DecodeChipState(r *snap.Reader, cfg Config, node noc.Coord, index int, net 
 		}
 	}
 	return c
+}
+
+// Clone returns an independent chip with c's cross-cycle state, bound to
+// net and gdt (the clone machine's own network and table). Like a chip
+// adopted from a snapshot it has no trace callback or wake hook, an
+// empty idle-replay cache, and a wake cycle of zero, so its first step
+// re-derives everything the engines cache.
+func (c *Chip) Clone(net *noc.Network, gdt *gtlb.Table) *Chip {
+	f := &Chip{
+		Cfg:          c.Cfg,
+		Node:         c.Node,
+		Index:        c.Index,
+		Mem:          c.Mem.Clone(),
+		Net:          net,
+		GTLB:         c.GTLB.Clone(gdt),
+		excq:         c.excq.Clone(),
+		pendingRegs:  slices.Clone(c.pendingRegs),
+		pendingGCC:   slices.Clone(c.pendingGCC),
+		pendRegNext:  c.pendRegNext,
+		pendGCCNext:  c.pendGCCNext,
+		memReqs:      slices.Clone(c.memReqs),
+		memSeq:       c.memSeq,
+		credits:      c.credits,
+		resends:      make([]resend, len(c.resends)),
+		resendNext:   c.resendNext,
+		outbox:       make([]*noc.Message, len(c.outbox)),
+		validDIPs:    maps.Clone(c.validDIPs),
+		directory:    make(map[uint64][]int, len(c.directory)),
+		Console:      &Console{},
+		Cycle:        c.Cycle,
+		InstsIssued:  c.InstsIssued,
+		OpsIssued:    c.OpsIssued,
+		SendsBlocked: c.SendsBlocked,
+		MsgsReturned: c.MsgsReturned,
+	}
+	for i, cc := range c.Clusters {
+		f.Clusters[i] = cc.Clone()
+	}
+	for i, q := range c.evq {
+		f.evq[i] = q.Clone()
+	}
+	for i, q := range c.msgq {
+		f.msgq[i] = q.Clone()
+	}
+	for i, rs := range c.resends {
+		f.resends[i] = resend{msg: rs.msg.Clone(), at: rs.at}
+	}
+	for i, m := range c.outbox {
+		f.outbox[i] = m.Clone()
+	}
+	//mlint:allow detrange copying into another map; iteration order cannot reach simulated state
+	for b, sharers := range c.directory {
+		f.directory[b] = slices.Clone(sharers)
+	}
+	c.Console.mu.Lock()
+	f.Console.buf = slices.Clone(c.Console.buf)
+	c.Console.mu.Unlock()
+	f.Mem.AttachDevice(f.ConsoleBase(), ConsoleWords, f.Console)
+	return f
 }
 
 // Adopt commits src's state into c in place, preserving c's identity and

@@ -6,10 +6,13 @@ package cluster
 // (all validation happens here, against the snap.Reader's sticky error),
 // and Adopt commits a scratch into a live object in place — so restore
 // never invalidates pointers other code holds (chips hand out *HThread and
-// *RegFile freely) and never half-mutates on a bad snapshot.
+// *RegFile freely) and never half-mutates on a bad snapshot. Clone is
+// the fork path (machine.Fork): the same fields copied into an
+// independent object without going through the stream.
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/snap"
@@ -40,6 +43,11 @@ func DecodeRegFileState(r *snap.Reader) *RegFile {
 	return rf
 }
 
+// Clone returns an independent register file with rf's state.
+func (rf *RegFile) Clone() *RegFile {
+	return &RegFile{vals: slices.Clone(rf.vals), full: slices.Clone(rf.full)}
+}
+
 // Adopt copies src's state into rf in place.
 func (rf *RegFile) Adopt(src *RegFile) {
 	copy(rf.vals, src.vals)
@@ -59,6 +67,11 @@ func DecodeGCCFileState(r *snap.Reader) *GCCFile {
 		r.Fail(fmt.Errorf("cluster: GCC replica with %d values, %d scoreboard bits", len(g.vals), len(g.full)))
 	}
 	return g
+}
+
+// Clone returns an independent GCC replica with g's state.
+func (g *GCCFile) Clone() *GCCFile {
+	return &GCCFile{vals: slices.Clone(g.vals), full: slices.Clone(g.full)}
 }
 
 // Adopt copies src's state into g in place.
@@ -94,6 +107,19 @@ func decodeProgramMemo(r *snap.Reader, name string, words []uint64) *isa.Program
 	return p
 }
 
+// encodeProgramMemo returns p's binary encoding, computed once per
+// stream however many thread contexts run p (the runtime installs the
+// same handler programs on every node).
+func encodeProgramMemo(w *snap.Writer, p *isa.Program) []uint64 {
+	memo := w.Memo()
+	if words, ok := memo[p].([]uint64); ok {
+		return words
+	}
+	words := isa.EncodeProgram(p)
+	memo[p] = words
+	return words
+}
+
 // EncodeState writes the thread's control state, program (in the isa
 // binary encoding — label names are an assembler artifact and are not
 // preserved), statistics, and register files.
@@ -108,7 +134,7 @@ func (h *HThread) EncodeState(w *snap.Writer) {
 	if h.Prog != nil {
 		w.Bool(true)
 		w.String(h.Prog.Name)
-		w.U64s(isa.EncodeProgram(h.Prog))
+		w.U64s(encodeProgramMemo(w, h.Prog))
 	} else {
 		w.Bool(false)
 	}
@@ -148,6 +174,23 @@ func DecodeHThreadState(r *snap.Reader) *HThread {
 		}
 	}
 	return h
+}
+
+// Clone returns an independent thread context with h's state, sharing
+// the program (immutable once assembled).
+func (h *HThread) Clone() *HThread {
+	return &HThread{
+		Prog:        h.Prog,
+		PC:          h.PC,
+		Status:      h.Status,
+		Privileged:  h.Privileged,
+		FaultMsg:    h.FaultMsg,
+		Ints:        h.Ints.Clone(),
+		FPs:         h.FPs.Clone(),
+		Issued:      h.Issued,
+		OpsIssued:   h.OpsIssued,
+		StallCycles: h.StallCycles,
+	}
 }
 
 // Adopt copies src's state into h in place, including the program pointer
@@ -191,6 +234,15 @@ func DecodeClusterState(r *snap.Reader, id int) *Cluster {
 		}
 	}
 	return c
+}
+
+// Clone returns an independent cluster with c's state.
+func (c *Cluster) Clone() *Cluster {
+	f := &Cluster{ID: c.ID, GCC: c.GCC.Clone(), LastIssued: c.LastIssued}
+	for i, th := range c.Threads {
+		f.Threads[i] = th.Clone()
+	}
+	return f
 }
 
 // Adopt copies src's state into c in place.

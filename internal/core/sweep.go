@@ -3,7 +3,7 @@ package core
 // Sweep execution (DESIGN.md "Workload DSL v2"): a sweep scenario's
 // shared staging prefix runs once on a freshly booted machine, then
 // every sweep point runs on a Fork of that staged machine — a bit-exact
-// snapshot clone — so N points cost one staging instead of N. Because
+// clone — so N points cost one staging instead of N. Because
 // the fork is exact, a point's simulated results and final state digest
 // are bit-identical to booting a fresh machine and replaying prefix +
 // point from scratch (Plan.PointPlan); TestSweepMatchesStandalone pins

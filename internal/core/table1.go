@@ -100,9 +100,11 @@ func Table1() ([]Table1Row, error) {
 // measureClass stages a fresh machine into the class's state, then times
 // the read cell on the staged machine and the write cell on a fork taken
 // before the read — the checkpoint subsystem's warm start for the
-// harness. The fork is bit-identical to the staged machine (pinned by
-// TestSnapshotRoundTripMatrix), so the write measurement equals the
-// historical methodology's, which staged a second machine from scratch.
+// harness. The fork is bit-identical to the staged machine (a clone is
+// indistinguishable from a restore of its snapshot, pinned for these
+// very machines by TestSimForkMatchesRestore), so the write measurement
+// equals the historical methodology's, which staged a second machine
+// from scratch.
 func measureClass(class AccessClass) (read, write int64, err error) {
 	s, err := NewSim(Options{Nodes: 2})
 	if err != nil {

@@ -120,20 +120,29 @@ type initSpec struct {
 	Chaos           []ChaosSpec
 }
 
-func encodeInit(s *initSpec) []byte {
+// frame returns the bytes encode writes. (A bytes.Buffer sink never
+// fails, so the flush has no error to report.)
+func frame(encode func(w *snap.Writer)) []byte {
 	var buf bytes.Buffer
 	w := snap.NewWriter(&buf)
-	w.Int(s.Shard)
-	w.Int(s.Lo)
-	w.Int(s.Hi)
-	w.I64(s.HeartbeatMillis)
-	w.Len(len(s.Chaos))
-	for _, c := range s.Chaos {
-		w.Int(c.Node)
-		w.I64(c.Cycle)
-		w.String(c.Kind)
-	}
+	encode(w)
+	w.Flush()
 	return buf.Bytes()
+}
+
+func encodeInit(s *initSpec) []byte {
+	return frame(func(w *snap.Writer) {
+		w.Int(s.Shard)
+		w.Int(s.Lo)
+		w.Int(s.Hi)
+		w.I64(s.HeartbeatMillis)
+		w.Len(len(s.Chaos))
+		for _, c := range s.Chaos {
+			w.Int(c.Node)
+			w.I64(c.Cycle)
+			w.String(c.Kind)
+		}
+	})
 }
 
 func decodeInit(p []byte) (*initSpec, error) {
@@ -176,10 +185,9 @@ func decodeActivity(r *snap.Reader) activity {
 }
 
 func encodeActivityFrame(a *activity) []byte {
-	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
-	a.encode(w)
-	return buf.Bytes()
+	return frame(func(w *snap.Writer) {
+		a.encode(w)
+	})
 }
 
 func decodeActivityFrame(p []byte) (activity, error) {
@@ -206,16 +214,15 @@ type stepCmd struct {
 }
 
 func encodeStep(net *noc.Network, c *stepCmd) []byte {
-	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
-	w.I64(c.Cycle)
-	w.Len(len(c.Deliveries))
-	for _, d := range c.Deliveries {
-		w.Int(d.Node)
-		w.Int(d.Pri)
-		net.EncodeMessage(w, d.Msg)
-	}
-	return buf.Bytes()
+	return frame(func(w *snap.Writer) {
+		w.I64(c.Cycle)
+		w.Len(len(c.Deliveries))
+		for _, d := range c.Deliveries {
+			w.Int(d.Node)
+			w.Int(d.Pri)
+			net.EncodeMessage(w, d.Msg)
+		}
+	})
 }
 
 func decodeStep(net *noc.Network, p []byte) (*stepCmd, error) {
@@ -261,27 +268,26 @@ type stepReply struct {
 }
 
 func encodeStepReply(net *noc.Network, rep *stepReply) []byte {
-	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
-	w.Len(len(rep.Msgs))
-	for _, m := range rep.Msgs {
-		net.EncodeMessage(w, m)
-	}
-	w.Len(len(rep.Consumed))
-	for _, c := range rep.Consumed {
-		w.Int(c.Node)
-		w.Int(c.Pri)
-		w.Int(c.N)
-	}
-	w.Len(len(rep.Trace))
-	for _, t := range rep.Trace {
-		w.I64(t.Cycle)
-		w.Int(t.Node)
-		w.String(t.Event)
-		w.String(t.Detail)
-	}
-	rep.Act.encode(w)
-	return buf.Bytes()
+	return frame(func(w *snap.Writer) {
+		w.Len(len(rep.Msgs))
+		for _, m := range rep.Msgs {
+			net.EncodeMessage(w, m)
+		}
+		w.Len(len(rep.Consumed))
+		for _, c := range rep.Consumed {
+			w.Int(c.Node)
+			w.Int(c.Pri)
+			w.Int(c.N)
+		}
+		w.Len(len(rep.Trace))
+		for _, t := range rep.Trace {
+			w.I64(t.Cycle)
+			w.Int(t.Node)
+			w.String(t.Event)
+			w.String(t.Detail)
+		}
+		rep.Act.encode(w)
+	})
 }
 
 func decodeStepReply(net *noc.Network, p []byte) (*stepReply, error) {
@@ -307,10 +313,9 @@ func decodeStepReply(net *noc.Network, p []byte) (*stepReply, error) {
 }
 
 func encodeI64(v int64) []byte {
-	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
-	w.I64(v)
-	return buf.Bytes()
+	return frame(func(w *snap.Writer) {
+		w.I64(v)
+	})
 }
 
 func decodeI64(p []byte) (int64, error) {
@@ -320,10 +325,9 @@ func decodeI64(p []byte) (int64, error) {
 }
 
 func encodeString(s string) []byte {
-	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
-	w.String(s)
-	return buf.Bytes()
+	return frame(func(w *snap.Writer) {
+		w.String(s)
+	})
 }
 
 func decodeString(p []byte) (string, error) {

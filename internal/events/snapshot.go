@@ -3,9 +3,12 @@ package events
 // Checkpoint support (DESIGN.md, "Checkpoint/restore"): EncodeState
 // streams the live queue contents and statistics, DecodeQueueState
 // rebuilds a detached scratch queue, and Adopt commits a scratch into a
-// live queue in place, keeping the live queue's configured capacity.
+// live queue in place, keeping the live queue's configured capacity;
+// Clone copies the same fields for machine.Fork.
 
 import (
+	"slices"
+
 	"repro/internal/isa"
 	"repro/internal/snap"
 )
@@ -30,6 +33,18 @@ func DecodeQueueState(r *snap.Reader) *Queue {
 	q.Dropped = r.U64()
 	q.HighWater = r.Int()
 	return q
+}
+
+// Clone returns an independent queue with q's live contents, capacity
+// and statistics (like a restore, it drops the ring's dead prefix).
+func (q *Queue) Clone() *Queue {
+	return &Queue{
+		words:     slices.Clone(q.words[q.head:]),
+		cap:       q.cap,
+		Enqueued:  q.Enqueued,
+		Dropped:   q.Dropped,
+		HighWater: q.HighWater,
+	}
 }
 
 // Adopt replaces q's contents and statistics with src's, keeping q's

@@ -3,10 +3,12 @@ package gtlb
 // Checkpoint support (DESIGN.md, "Checkpoint/restore") for the global
 // destination table and the per-chip GTLB caches: EncodeState streams,
 // the DecodeXState functions rebuild detached scratch objects (entries
-// are re-validated on the way in), and Adopt commits in place.
+// are re-validated on the way in), Adopt commits in place, and Clone
+// copies the same fields for machine.Fork.
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/snap"
 )
@@ -62,6 +64,11 @@ func DecodeTableState(r *snap.Reader) *Table {
 	return t
 }
 
+// Clone returns an independent GDT with t's entries.
+func (t *Table) Clone() *Table {
+	return &Table{entries: slices.Clone(t.entries)}
+}
+
 // Adopt replaces t's entries with src's.
 func (t *Table) Adopt(src *Table) {
 	t.entries = append(t.entries[:0], src.entries...)
@@ -92,6 +99,18 @@ func DecodeGTLBState(r *snap.Reader, capacity int) *GTLB {
 	g.Hits = r.U64()
 	g.Misses = r.U64()
 	return g
+}
+
+// Clone returns an independent GTLB with g's resident set, capacity and
+// statistics, backed by gdt (the clone machine's own table).
+func (g *GTLB) Clone(gdt *Table) *GTLB {
+	return &GTLB{
+		gdt:      gdt,
+		resident: slices.Clone(g.resident),
+		capacity: g.capacity,
+		Hits:     g.Hits,
+		Misses:   g.Misses,
+	}
 }
 
 // Adopt replaces g's resident set and statistics with src's, keeping g's

@@ -58,7 +58,10 @@ func decodeReg(w uint64) Reg {
 }
 
 // EncodeOp packs an operation into one or two words.
-func EncodeOp(op *Op) []uint64 {
+func EncodeOp(op *Op) []uint64 { return appendOp(nil, op) }
+
+// appendOp appends op's one- or two-word encoding to out.
+func appendOp(out []uint64, op *Op) []uint64 {
 	w := uint64(op.Code) & 0x7F
 	if op.HasImm {
 		w |= 1 << 7
@@ -71,10 +74,10 @@ func EncodeOp(op *Op) []uint64 {
 	w |= encodeReg(op.Src2) << 33
 	if op.Imm >= immMin && op.Imm <= immMax {
 		w |= (uint64(op.Imm) & (1<<immBits - 1)) << 44
-		return []uint64{w}
+		return append(out, w)
 	}
 	w |= 1 << 43
-	return []uint64{w, uint64(op.Imm)}
+	return append(out, w, uint64(op.Imm))
 }
 
 // DecodeOp unpacks an operation, returning it and the number of words
@@ -133,7 +136,7 @@ func EncodeProgram(p *Program) []uint64 {
 		out = append(out, ctrl)
 		for _, op := range []*Op{in.IOp, in.MOp, in.FOp} {
 			if op != nil {
-				out = append(out, EncodeOp(op)...)
+				out = appendOp(out, op)
 			}
 		}
 	}

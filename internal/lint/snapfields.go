@@ -10,13 +10,18 @@ package lint
 //
 // The pass finds every struct that round-trips through the snap codec
 // and demands that each of its fields is referenced on BOTH the encode
-// and the decode path, or is explicitly exempted:
+// and the decode path — and, when the struct is cloned field by field
+// for Machine.Fork, on the clone path too — or is explicitly exempted:
 //
 //   - encode paths: functions with a *snap.Writer parameter, or that
 //     call snap.NewWriter;
 //   - decode paths: functions with a *snap.Reader parameter, that call
 //     snap.NewReader, or Adopt/adopt methods (the commit phase of the
 //     two-phase restore);
+//   - clone paths: Clone/clone methods and Fork. A covered struct is
+//     held to this path once any of its fields is referenced there;
+//     structs that only ever travel by value (slices.Clone of a
+//     []PTE) copy every field by construction and are not;
 //   - exemptions: a `snap:"derived"` struct tag (the field is
 //     deliberately re-derived or fixed by construction at restore —
 //     wake caches, link grants, decode memos, engine-selection config),
@@ -30,15 +35,16 @@ import (
 	"go/ast"
 	"go/types"
 	"reflect"
+	"slices"
 	"strings"
 )
 
 // SnapFields reports snapshot-covered struct fields missing from an
-// encode or decode path.
+// encode, decode or clone path.
 var SnapFields = &Analyzer{
 	Name:      "snapfields",
-	Doc:       "every snapshot-covered struct field is encoded and decoded, or tagged snap:\"derived\"",
-	Invariant: "a snapshot round-trips every field of every covered struct",
+	Doc:       "every snapshot-covered struct field is encoded, decoded and cloned, or tagged snap:\"derived\"",
+	Invariant: "a snapshot round-trips, and a fork copies, every field of every covered struct",
 	Section:   "Checkpoint/restore",
 	Run:       runSnapFields,
 }
@@ -89,6 +95,7 @@ func runSnapFields(m *Module, report Reporter) {
 
 	encRefs := map[*types.Var]bool{}
 	decRefs := map[*types.Var]bool{}
+	cloneRefs := map[*types.Var]bool{}
 	for _, pkg := range m.Pkgs {
 		if pkg.Path == snapPkgPath {
 			continue
@@ -100,7 +107,8 @@ func runSnapFields(m *Module, report Reporter) {
 					continue
 				}
 				enc, dec := snapRole(pkg, fd)
-				if !enc && !dec {
+				clone := fd.Recv != nil && (fd.Name.Name == "Clone" || fd.Name.Name == "clone" || fd.Name.Name == "Fork")
+				if !enc && !dec && !clone {
 					continue
 				}
 				collectFieldRefs(pkg, fd, func(v *types.Var) {
@@ -110,32 +118,24 @@ func runSnapFields(m *Module, report Reporter) {
 					if dec {
 						decRefs[v] = true
 					}
+					if clone {
+						cloneRefs[v] = true
+					}
 				})
 			}
 		}
 	}
 
+	onPath := func(s *snapStruct, refs map[*types.Var]bool) bool {
+		return slices.ContainsFunc(s.fields, func(f *types.Var) bool { return refs[f] })
+	}
 	for _, s := range structs {
-		covered := false
-		for _, f := range s.fields {
-			if encRefs[f] {
-				covered = true
-				break
-			}
-		}
-		if !covered {
+		// Encode-only is a write-only (digest) encode, not a
+		// round-tripped struct.
+		if !onPath(s, encRefs) || !onPath(s, decRefs) {
 			continue
 		}
-		onDec := false
-		for _, f := range s.fields {
-			if decRefs[f] {
-				onDec = true
-				break
-			}
-		}
-		if !onDec {
-			continue // write-only (digest) encode, not a round-tripped struct
-		}
+		cloned := onPath(s, cloneRefs)
 		for _, f := range s.fields {
 			if s.derived[f] {
 				continue
@@ -147,8 +147,11 @@ func runSnapFields(m *Module, report Reporter) {
 			if !decRefs[f] {
 				missing = append(missing, "decode")
 			}
+			if cloned && !cloneRefs[f] {
+				missing = append(missing, "clone")
+			}
 			if len(missing) > 0 {
-				report(f.Pos(), "field %s.%s is not referenced on the snapshot %s path — a snapshot would drop it silently (serialize it or tag it snap:\"derived\")",
+				report(f.Pos(), "field %s.%s is not referenced on the snapshot %s path — a snapshot or a fork would drop it silently (carry it or tag it snap:\"derived\")",
 					s.name, f.Name(), strings.Join(missing, " or "))
 			}
 		}

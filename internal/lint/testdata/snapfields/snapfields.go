@@ -1,6 +1,7 @@
 // Package sfix is the snapfields fixture: State round-trips through the
 // snap codec, so every field must appear on both the encode and decode
-// paths or carry a snap:"derived" tag.
+// paths or carry a snap:"derived" tag; Forked is also cloned field by
+// field, so every field must appear on the clone path too.
 package sfix
 
 import "repro/internal/snap"
@@ -21,6 +22,26 @@ func (s *State) DecodeState(r *snap.Reader) {
 	s.A = r.U64()
 	s.B = r.U64()
 }
+
+// Forked has the third path: its Clone method references A, so the
+// struct is held to the clone path and the field Clone forgets is a
+// finding. State above has no clone method and is not.
+type Forked struct {
+	A       uint64
+	dropped uint64 // want `field repro/internal/chip/sfix.Forked.dropped is not referenced on the snapshot clone path`
+}
+
+func (f *Forked) EncodeState(w *snap.Writer) {
+	w.U64(f.A)
+	w.U64(f.dropped)
+}
+
+func (f *Forked) DecodeState(r *snap.Reader) {
+	f.A = r.U64()
+	f.dropped = r.U64()
+}
+
+func (f *Forked) Clone() *Forked { return &Forked{A: f.A} }
 
 // Digest is write-only — it is encoded (into hash inputs) but never
 // decoded — so snapfields does not conscript it into coverage and its

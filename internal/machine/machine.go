@@ -13,8 +13,8 @@
 // Machines checkpoint: Save serializes the complete simulation state to
 // a versioned stream, Restore replaces a compatible machine's state
 // all-or-nothing (a corrupt or mismatched stream errors and leaves the
-// machine untouched), and Fork clones a machine through an in-memory
-// snapshot for what-if runs. Snapshots are engine-agnostic: a stream
+// machine untouched), and Fork clones a machine for what-if runs,
+// sharing SDRAM chunks copy-on-write. Snapshots are engine-agnostic: a stream
 // saved under one engine restores and continues bit-identically under
 // any other (DESIGN.md, "Checkpoint/restore").
 package machine
@@ -165,11 +165,10 @@ func AllocBasePPN(c mem.Config) uint64 {
 	return (AllocCounterAddr(c) + 64 + mem.PageWords) / mem.PageWords
 }
 
-// New builds the machine: one chip per mesh coordinate, all sharing the
-// network and GDT.
-func New(cfg Config) *Machine {
-	net := noc.New(cfg.Dims, cfg.Chip.Net)
-	gdt := &gtlb.Table{}
+// newShell builds a machine around net and gdt with its per-node
+// bookkeeping allocated and the worker count normalized, and no chips
+// yet: the part of construction New and Fork share.
+func newShell(cfg Config, net *noc.Network, gdt *gtlb.Table) *Machine {
 	m := &Machine{
 		Cfg:         cfg,
 		Net:         net,
@@ -188,8 +187,15 @@ func New(cfg Config) *Machine {
 	if m.workers > len(m.Chips) {
 		m.workers = len(m.Chips)
 	}
+	return m
+}
+
+// New builds the machine: one chip per mesh coordinate, all sharing the
+// network and GDT.
+func New(cfg Config) *Machine {
+	m := newShell(cfg, noc.New(cfg.Dims, cfg.Chip.Net), &gtlb.Table{})
 	for i := range m.Chips {
-		c := chip.New(cfg.Chip, net.CoordOf(i), i, net, gdt)
+		c := chip.New(cfg.Chip, m.Net.CoordOf(i), i, m.Net, m.GDT)
 		// Initialize the runtime page allocator counter.
 		c.Mem.SDRAM.Write(AllocCounterAddr(cfg.Chip.Mem), AllocBasePPN(cfg.Chip.Mem), false)
 		// Under the parallel engine trace events are buffered per chip and

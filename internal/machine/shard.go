@@ -38,8 +38,7 @@ func (m *Machine) EncodeShard(w io.Writer, lo, hi int) error {
 		return fmt.Errorf("machine: shard range [%d,%d) outside 0..%d", lo, hi, len(m.Chips))
 	}
 	m.syncDeferred()
-	bw := bufio.NewWriter(w)
-	sw := snap.NewWriter(bw)
+	sw := snap.NewWriter(w)
 	sw.U64(shardFrameMagic)
 	sw.U64(SnapshotVersion)
 	sw.I64(m.Cycle)
@@ -49,10 +48,7 @@ func (m *Machine) EncodeShard(w io.Writer, lo, hi int) error {
 		c.EncodeState(sw)
 	}
 	sw.U64(shardFrameTrailer)
-	if err := sw.Err(); err != nil {
-		return fmt.Errorf("machine: encode shard [%d,%d): %w", lo, hi, err)
-	}
-	if err := bw.Flush(); err != nil {
+	if err := sw.Flush(); err != nil {
 		return fmt.Errorf("machine: encode shard [%d,%d): %w", lo, hi, err)
 	}
 	return nil

@@ -4,7 +4,7 @@ package machine
 // the complete simulation state — every chip, the memory systems, the
 // in-flight network, the GDT, and the machine clock — to a versioned
 // binary stream; Restore loads one into a compatible machine; Fork clones
-// a machine through an in-memory snapshot.
+// a machine structurally, sharing SDRAM chunks copy-on-write.
 //
 // Snapshots are engine-agnostic: Save first materializes any idle-chip
 // bookkeeping the parallel engine's active-set scheduler deferred (the
@@ -21,7 +21,6 @@ package machine
 
 import (
 	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -128,8 +127,7 @@ func decodeConfig(r *snap.Reader) Config {
 // Restore re-derives.
 func (m *Machine) Save(w io.Writer) error {
 	m.syncDeferred()
-	bw := bufio.NewWriter(w)
-	sw := snap.NewWriter(bw)
+	sw := snap.NewWriter(w)
 	sw.U64(snapshotMagic)
 	sw.U64(SnapshotVersion)
 	encodeConfig(sw, m.Cfg)
@@ -144,10 +142,7 @@ func (m *Machine) Save(w io.Writer) error {
 	}
 	m.Net.EncodeState(sw)
 	sw.U64(snapshotTrailer)
-	if err := sw.Err(); err != nil {
-		return fmt.Errorf("machine: save: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
+	if err := sw.Flush(); err != nil {
 		return fmt.Errorf("machine: save: %w", err)
 	}
 	return nil
@@ -229,19 +224,30 @@ func (m *Machine) Restore(rd io.Reader) error {
 	return nil
 }
 
-// Fork clones the machine through an in-memory snapshot: the clone has
-// identical simulation state and engine configuration but no trace
-// callbacks, and evolves independently of the original (what-if runs,
-// record/replay debugging). The caller owns the clone's Close.
+// Fork clones the machine: the clone has identical simulation state and
+// engine configuration but no trace callbacks or fault probe, and
+// evolves independently of the original (what-if runs, record/replay
+// debugging). The caller owns the clone's Close. Like Save it must be
+// called between cycles, and it brackets the copy with the same sync
+// points as a Save followed by a Restore — deferred idle bookkeeping is
+// materialized first, every chip of the clone is touched and the
+// activity counters rebuilt afterwards — so the clone is
+// indistinguishable from Restore(Save(m)) into a fresh machine under
+// every engine. Every component is copied by its Clone method except
+// what is immutable (programs) and the materialized SDRAM chunks, which
+// original and clone share until either writes one (mem.SDRAM.Clone);
+// the two machines may then run on different goroutines.
 func (m *Machine) Fork() (*Machine, error) {
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		return nil, fmt.Errorf("machine: fork: %w", err)
-	}
-	f := New(m.Cfg)
+	m.syncDeferred()
+	f := newShell(m.Cfg, m.Net.Clone(), m.GDT.Clone())
+	f.Cycle = m.Cycle
 	f.Naive = m.Naive
-	if err := f.Restore(&buf); err != nil {
-		return nil, fmt.Errorf("machine: fork: %w", err)
+	copy(f.nextPPN, m.nextPPN)
+	for i, c := range m.Chips {
+		f.Chips[i] = c.Clone(f.Net, f.GDT)
+		f.Chips[i].BufferTrace = c.BufferTrace
 	}
+	f.WakeAll()
+	f.recomputeActive()
 	return f, nil
 }

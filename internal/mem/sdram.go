@@ -60,8 +60,14 @@ type sdramChunk struct {
 // by the (always-passing) integrity of the Go arrays; no latency is added,
 // matching a no-error run.
 type SDRAM struct {
-	cfg     SDRAMConfig `snap:"derived,fixed at construction; decode validates against it"`
-	chunks  []*sdramChunk
+	cfg    SDRAMConfig `snap:"derived,fixed at construction; decode validates against it"`
+	chunks []*sdramChunk
+	// shared[i] marks chunks[i] as also referenced by another SDRAM (the
+	// other side of a Clone): it is then immutable, and the first write
+	// replaces it with a private copy (chunkFor). The bit is per SDRAM,
+	// never cleared by the other side's copy, so at worst the last owner
+	// copies once more than it had to.
+	shared  []bool `snap:"derived,copy-on-write ownership, set by Clone and reset by Adopt"`
 	openRow uint64
 	hasOpen bool
 
@@ -71,18 +77,29 @@ type SDRAM struct {
 
 // NewSDRAM builds the physical memory; storage materializes on first write.
 func NewSDRAM(cfg SDRAMConfig) *SDRAM {
+	n := (cfg.Words + chunkWords - 1) / chunkWords
 	return &SDRAM{
 		cfg:    cfg,
-		chunks: make([]*sdramChunk, (cfg.Words+chunkWords-1)/chunkWords),
+		chunks: make([]*sdramChunk, n),
+		shared: make([]bool, n),
 	}
 }
 
-// chunkFor returns the chunk containing pa, materializing it if needed.
+// chunkFor returns the chunk containing pa for writing: materialized if
+// the memory was untouched, copied first if a Clone shares it. Every
+// mutation of chunk contents goes through here; reads never do.
 func (s *SDRAM) chunkFor(pa uint64) *sdramChunk {
-	ch := s.chunks[pa/chunkWords]
-	if ch == nil {
+	i := pa / chunkWords
+	ch := s.chunks[i]
+	switch {
+	case ch == nil:
 		ch = new(sdramChunk)
-		s.chunks[pa/chunkWords] = ch
+		s.chunks[i] = ch
+	case s.shared[i]:
+		own := new(sdramChunk)
+		*own = *ch
+		ch = own
+		s.chunks[i], s.shared[i] = ch, false
 	}
 	return ch
 }

@@ -7,10 +7,12 @@ package mem
 // EncodeState streams, DecodeSystemState rebuilds a detached scratch
 // system (all validation happens here), and Adopt commits a scratch into
 // a live system in place, preserving its configuration and I/O-bus device
-// attachment.
+// attachment. Clone is the fork path: the same fields copied into an
+// independent system, with the SDRAM chunks shared copy-on-write.
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/snap"
@@ -74,9 +76,31 @@ func DecodeSDRAMState(r *snap.Reader, cfg SDRAMConfig) *SDRAM {
 	return s
 }
 
-// Adopt replaces s's memory contents and row-mode state with src's.
+// Clone returns an independent SDRAM with s's contents. The materialized
+// chunks are not copied: both sides mark them shared and whichever
+// writes one first takes a private copy (chunkFor). A shared chunk is
+// never written, so the two SDRAMs may be used from different goroutines
+// without synchronization.
+func (s *SDRAM) Clone() *SDRAM {
+	for i, ch := range s.chunks {
+		s.shared[i] = ch != nil
+	}
+	return &SDRAM{
+		cfg:       s.cfg,
+		chunks:    slices.Clone(s.chunks),
+		shared:    slices.Clone(s.shared),
+		openRow:   s.openRow,
+		hasOpen:   s.hasOpen,
+		RowHits:   s.RowHits,
+		RowMisses: s.RowMisses,
+	}
+}
+
+// Adopt replaces s's memory contents and row-mode state with src's; the
+// adopted chunks are src's own, so nothing s held shared stays aliased.
 func (s *SDRAM) Adopt(src *SDRAM) {
 	s.chunks = src.chunks
+	s.shared = src.shared
 	s.openRow = src.openRow
 	s.hasOpen = src.hasOpen
 	s.RowHits = src.RowHits
@@ -142,6 +166,17 @@ func DecodeCacheState(r *snap.Reader, cfg CacheConfig) *Cache {
 		}
 	}
 	return c
+}
+
+// Clone returns an independent cache with c's lines and statistics.
+func (c *Cache) Clone() *Cache {
+	return &Cache{
+		cfg:        c.cfg,
+		lines:      slices.Clone(c.lines),
+		Hits:       c.Hits,
+		Misses:     c.Misses,
+		Writebacks: c.Writebacks,
+	}
 }
 
 // Adopt replaces c's lines and statistics with src's. The line array is
@@ -211,6 +246,18 @@ func DecodeLTLBState(r *snap.Reader, capacity int) *LTLB {
 	return t
 }
 
+// Clone returns an independent LTLB with t's entries, order, and
+// statistics.
+func (t *LTLB) Clone() *LTLB {
+	return &LTLB{
+		entries:  slices.Clone(t.entries),
+		order:    slices.Clone(t.order),
+		capacity: t.capacity,
+		Hits:     t.Hits,
+		Misses:   t.Misses,
+	}
+}
+
 // Adopt replaces t's entries, order, and statistics with src's, keeping
 // t's capacity.
 func (t *LTLB) Adopt(src *LTLB) {
@@ -272,10 +319,12 @@ func (m *System) EncodeState(w *snap.Writer) {
 }
 
 // DecodeSystemState reads a memory system written by EncodeState into a
-// detached scratch system built from cfg. The earliest-deadline cache is
-// recomputed from the decoded in-flight set.
+// detached scratch system built from cfg (assembled from the decoded
+// parts; NewSystem would build an SDRAM, a cache and an LTLB only for
+// them to be replaced). The earliest-deadline cache is recomputed from
+// the decoded in-flight set.
 func DecodeSystemState(r *snap.Reader, cfg Config) *System {
-	m := NewSystem(cfg)
+	m := &System{cfg: cfg, earliest: NoEvent}
 	n := r.Len(maxInflight)
 	for i := 0; i < n; i++ {
 		resp := Response{
@@ -312,6 +361,25 @@ func DecodeSystemState(r *snap.Reader, cfg Config) *System {
 // request metadata before Restore commits anything. Callers must not
 // mutate the returned slice.
 func (m *System) PendingResponses() []Response { return m.inflight }
+
+// Clone returns an independent memory system with m's state and
+// configuration and no I/O-bus device: the owner attaches the clone's
+// own (AttachDevice).
+func (m *System) Clone() *System {
+	return &System{
+		cfg:          m.cfg,
+		SDRAM:        m.SDRAM.Clone(),
+		Cache:        m.Cache.Clone(),
+		LTLB:         m.LTLB.Clone(),
+		inflight:     slices.Clone(m.inflight),
+		earliest:     m.earliest,
+		bankFreeAt:   m.bankFreeAt,
+		sdramFree:    m.sdramFree,
+		LTLBFaults:   m.LTLBFaults,
+		StatusFaults: m.StatusFaults,
+		SyncFaults:   m.SyncFaults,
+	}
+}
 
 // Adopt replaces m's mutable state with src's, keeping the configuration
 // and the I/O-bus device attachment. The SDRAM, cache, and LTLB objects

@@ -14,6 +14,7 @@ package noc
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/snap"
@@ -160,6 +161,61 @@ func DecodeNetworkState(r *snap.Reader, dims Coord, cfg Config) *Network {
 	}
 	n.arrivalCount.Store(total)
 	return n
+}
+
+// Clone returns an independent copy of m, including the returned
+// original a negative acknowledgement carries. Messages are mutable
+// while they travel (hop count, delivery cycle), so a cloned network or
+// chip never shares one with its source.
+func (m *Message) Clone() *Message {
+	f := &Message{
+		Pri:         m.Pri,
+		Src:         m.Src,
+		Dst:         m.Dst,
+		DIP:         m.DIP,
+		DstAddr:     m.DstAddr,
+		Body:        slices.Clone(m.Body),
+		Seq:         m.Seq,
+		HWAck:       m.HWAck,
+		AckOK:       m.AckOK,
+		InjectedAt:  m.InjectedAt,
+		DeliveredAt: m.DeliveredAt,
+		Hops:        m.Hops,
+	}
+	if m.Orig != nil {
+		f.Orig = m.Orig.Clone()
+	}
+	return f
+}
+
+// Clone returns an independent network with n's cross-cycle state: the
+// in-flight and delivered-but-unconsumed messages, the injection
+// sequence and the statistics. Link grants and the last-Step delivery
+// dedup start fresh, as after a restore — see the package note above
+// for why that is unobservable.
+func (n *Network) Clone() *Network {
+	f := New(n.dims, n.cfg)
+	f.seq = n.seq
+	f.Injected = n.Injected
+	f.Delivered = n.Delivered
+	f.TotalHops = n.TotalHops
+	for pri, flights := range n.flight {
+		f.flight[pri] = make([]inflight, len(flights))
+		for i, fl := range flights {
+			f.flight[pri][i] = inflight{msg: fl.msg.Clone(), at: fl.at, readyAt: fl.readyAt}
+		}
+	}
+	for node := range n.arrivals {
+		for pri := range n.arrivals[node] {
+			q := &n.arrivals[node][pri]
+			for _, m := range q.buf[q.head:] {
+				f.arrivals[node][pri].push(m.Clone())
+			}
+		}
+	}
+	f.arrivalCount.Store(n.arrivalCount.Load())
+	f.nextWake = n.nextWake
+	return f
 }
 
 // Adopt replaces n's cross-cycle state with src's (same shape; the caller

@@ -58,8 +58,10 @@ func crashPath(spool, id string) string { return filepath.Join(spool, id+".crash
 // writeCheckpoint spools ck atomically and durably.
 func writeCheckpoint(path string, ck *checkpoint) error {
 	return snap.WriteFileAtomic(path, func(wr io.Writer) error {
+		if _, err := io.WriteString(wr, ckptMagic); err != nil {
+			return err
+		}
 		w := snap.NewWriter(wr)
-		io.WriteString(wr, ckptMagic)
 		w.Int(ckptVersion)
 		w.String(ck.ID)
 		w.String(ck.Name)
@@ -77,7 +79,7 @@ func writeCheckpoint(path string, ck *checkpoint) error {
 		}
 		w.Bytes(ck.Machine)
 		w.U64(ckptTrailer)
-		return w.Err()
+		return w.Flush()
 	})
 }
 

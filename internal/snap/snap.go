@@ -11,6 +11,8 @@
 // truncated input lives here: every length read is bounded by the caller
 // (Len), every primitive read fails cleanly at EOF, and the first error
 // sticks, so a decoder can run an entire field list and check Err once.
+// The Writer buffers: an encoder runs its field list and checks Flush
+// once, and the sink sees tens of kilobytes per Write, not eight bytes.
 package snap
 
 import (
@@ -19,6 +21,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // WriteFileAtomic writes a snapshot-style stream to path with
@@ -73,14 +76,22 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// Writer serializes primitives to an io.Writer. The first write error
-// sticks; subsequent calls are no-ops.
+// flushAt is the buffered-byte count at which a Writer hands its buffer
+// to the sink: large enough that a sink pays its per-Write cost (an
+// interface call, a hash block loop, a syscall) once per tens of
+// kilobytes instead of once per primitive.
+const flushAt = 64 << 10
+
+// Writer serializes primitives into a buffer it owns and hands the
+// buffer to an io.Writer in large pieces; Flush delivers the tail, so a
+// stream is complete only after Flush. The first write error sticks;
+// subsequent calls are no-ops.
 type Writer struct {
-	w       io.Writer
-	err     error
-	buf     [8]byte
-	scratch []byte   // reused bulk-transfer buffer (RawU64s)
-	stage   []uint64 // reused staging buffer (Stage)
+	w     io.Writer
+	err   error
+	buf   []byte   // encoded bytes not yet handed to w
+	stage []uint64 // reused staging buffer (Stage)
+	memo  map[any]any
 }
 
 // Stage returns a zeroed, reusable word buffer of length n for
@@ -99,20 +110,40 @@ func (w *Writer) Stage(n int) []uint64 {
 // NewWriter wraps w.
 func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
-// Err returns the first write error, nil if none.
-func (w *Writer) Err() error { return w.err }
-
-func (w *Writer) write(p []byte) {
-	if w.err != nil {
-		return
+// Memo returns per-stream scratch space for encoders that share work
+// across one stream — the writer-side mirror of Reader.Memo, e.g.
+// encoding each distinct embedded program once however many thread
+// contexts run it.
+func (w *Writer) Memo() map[any]any {
+	if w.memo == nil {
+		w.memo = make(map[any]any)
 	}
-	_, w.err = w.w.Write(p)
+	return w.memo
+}
+
+// Flush hands every buffered byte to the sink and returns the first
+// error of the stream (the only way to learn it: until Flush, bytes may
+// not have been attempted).
+func (w *Writer) Flush() error {
+	if w.err == nil && len(w.buf) > 0 {
+		_, w.err = w.w.Write(w.buf)
+	}
+	w.buf = w.buf[:0]
+	return w.err
+}
+
+// room flushes when the buffer has reached flushAt, so appends keep the
+// buffer near that size however long the stream is.
+func (w *Writer) room() {
+	if len(w.buf) >= flushAt {
+		w.Flush()
+	}
 }
 
 // U64 writes an unsigned 64-bit word.
 func (w *Writer) U64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:], v)
-	w.write(w.buf[:])
+	w.room()
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
 }
 
 // I64 writes a signed 64-bit word.
@@ -127,43 +158,57 @@ func (w *Writer) Bool(v bool) {
 	if v {
 		b = 1
 	}
-	w.write([]byte{b})
+	w.room()
+	w.buf = append(w.buf, b)
 }
 
 // Len writes a slice length (the counterpart of Reader.Len).
 func (w *Writer) Len(n int) { w.U64(uint64(n)) }
 
-// Bytes writes a length-prefixed byte slice.
+// Bytes writes a length-prefixed byte slice. A payload of flushAt bytes
+// or more goes to the sink directly instead of through the buffer.
 func (w *Writer) Bytes(p []byte) {
 	w.Len(len(p))
-	w.write(p)
+	if len(p) < flushAt {
+		w.room()
+		w.buf = append(w.buf, p...)
+		return
+	}
+	if w.Flush() == nil {
+		_, w.err = w.w.Write(p)
+	}
 }
 
 // String writes a length-prefixed string.
-func (w *Writer) String(s string) { w.Bytes([]byte(s)) }
+func (w *Writer) String(s string) {
+	w.Len(len(s))
+	w.room()
+	w.buf = append(w.buf, s...)
+}
 
-// U64s writes a length-prefixed slice of unsigned words in one Write.
+// U64s writes a length-prefixed slice of unsigned words.
 func (w *Writer) U64s(vs []uint64) {
 	w.Len(len(vs))
 	w.RawU64s(vs)
 }
 
 // RawU64s writes the words of vs without a length prefix (for fixed-size
-// arrays whose length is implied by the format). The staging buffer is
-// reused across calls, so bulk sections (SDRAM chunks, register blocks)
-// do not allocate per call.
+// arrays whose length is implied by the format). Words are encoded
+// straight into the writer's buffer, at most flushAt bytes between
+// flushes, so bulk sections (SDRAM chunks, register blocks) are staged
+// nowhere else and allocate nothing once the buffer has grown.
 func (w *Writer) RawU64s(vs []uint64) {
-	if w.err != nil || len(vs) == 0 {
-		return
+	for len(vs) > 0 {
+		w.room()
+		n := min(len(vs), flushAt/8)
+		w.buf = slices.Grow(w.buf, n*8)
+		at := len(w.buf)
+		w.buf = w.buf[:at+n*8]
+		for i, v := range vs[:n] {
+			binary.LittleEndian.PutUint64(w.buf[at+i*8:], v)
+		}
+		vs = vs[n:]
 	}
-	if cap(w.scratch) < len(vs)*8 {
-		w.scratch = make([]byte, len(vs)*8)
-	}
-	buf := w.scratch[:len(vs)*8]
-	for i, v := range vs {
-		binary.LittleEndian.PutUint64(buf[i*8:], v)
-	}
-	w.write(buf)
 }
 
 // Bools writes a length-prefixed boolean slice packed as a bitmask, so a

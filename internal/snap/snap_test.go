@@ -22,7 +22,7 @@ func TestRoundTrip(t *testing.T) {
 	w.Bytes([]byte{1, 2, 3})
 	w.U64s([]uint64{9, 8, 7})
 	w.RawU64s([]uint64{5, 6})
-	if err := w.Err(); err != nil {
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -63,6 +63,7 @@ func TestTruncation(t *testing.T) {
 	w := NewWriter(&buf)
 	w.U64(1)
 	w.String("payload")
+	w.Flush()
 	full := buf.Bytes()
 	for cut := 0; cut < len(full); cut++ {
 		r := NewReader(bytes.NewReader(full[:cut]))
@@ -81,6 +82,7 @@ func TestBoundsAndStickiness(t *testing.T) {
 	w := NewWriter(&buf)
 	w.Len(1 << 40) // absurd count
 	w.U64(123)
+	w.Flush()
 	r := NewReader(&buf)
 	if n := r.Len(1000); n != 0 || r.Err() == nil {
 		t.Fatalf("oversized count accepted: n=%d err=%v", n, r.Err())
@@ -110,6 +112,7 @@ func TestOversizedLengthCapped(t *testing.T) {
 	w := NewWriter(&buf)
 	w.Len(1 << 30)
 	w.U64(0x1234)
+	w.Flush()
 	stream := buf.Bytes()
 
 	r := NewReader(bytes.NewReader(stream))
@@ -158,7 +161,7 @@ func TestLargeSliceRoundTrip(t *testing.T) {
 	w.U64s(vs)
 	w.Bools(bs)
 	w.Bytes(p)
-	if err := w.Err(); err != nil {
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	r := NewReader(bytes.NewReader(buf.Bytes()))

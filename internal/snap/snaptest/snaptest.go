@@ -46,7 +46,7 @@ func Encode(t *testing.T, f func(*snap.Writer)) []byte {
 	var buf bytes.Buffer
 	w := snap.NewWriter(&buf)
 	f(w)
-	if err := w.Err(); err != nil {
+	if err := w.Flush(); err != nil {
 		t.Fatalf("snaptest: encode: %v", err)
 	}
 	return buf.Bytes()

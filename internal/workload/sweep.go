@@ -17,7 +17,7 @@ package workload
 // carry an empty Plan.Steps and each point boots its own machine.
 //
 // The fork-per-point construction is what makes sweeps cheap *and*
-// trustworthy: because machine.Fork is a bit-exact snapshot clone,
+// trustworthy: because machine.Fork is a bit-exact clone,
 // running a point from the fork is bit-identical to re-running the
 // prefix from boot and then the point — TestSweepMatchesStandalone in
 // internal/core pins exactly that, via PointPlan.
