@@ -51,7 +51,8 @@
 //	1  scenario fault (failed expectation, program fault, bad input file)
 //	2  usage error (bad flags or arguments)
 //	3  timeout or cycle-budget exhaustion (supervision watchdog fired)
-//	4  internal crash (contained panic; a bug in the simulator)
+//	4  internal crash (contained panic; a bug in the simulator), or under
+//	   -dist a shard that crashed or was lost past the recovery cap
 package main
 
 import (
@@ -385,18 +386,21 @@ func reportFailure(err error) {
 	}
 }
 
-// exitCode classifies a run error per the documented table: 3 for
-// watchdog cutoffs (wall clock, cycle budget, hang, or the plain -cycles
-// bound expiring), 4 for a contained internal panic, 1 for everything
-// else (failed expectations, program faults).
+// exitCode maps a run error's failure class (guard.Classify, the one
+// msimd reports as failure_class) to the documented table: 3 for watchdog
+// cutoffs (wall clock, hang, cycle budget, or the plain -cycles bound
+// expiring), 4 for a contained internal panic — or, under -dist, a shard
+// crashed or lost for good — and 1 for everything else (failed
+// expectations, program faults).
 func exitCode(err error) int {
-	var ce *guard.CrashError
-	if errors.As(err, &ce) {
-		return 4
-	}
-	var se *guard.StallError
-	if errors.As(err, &se) || errors.Is(err, machine.ErrCycleLimit) {
+	if errors.Is(err, machine.ErrCycleLimit) {
 		return 3
+	}
+	switch guard.Classify(err) {
+	case guard.ClassStallTimeout, guard.ClassStallHang, guard.ClassBudget:
+		return 3
+	case guard.ClassCrash, guard.ClassLost:
+		return 4
 	}
 	return 1
 }

@@ -153,10 +153,10 @@ type Chip struct {
 	// outbox buffers the messages this chip produced during the current
 	// Step (SENDs, hardware acks, resends). The chip never injects into the
 	// shared network directly: the machine drains outboxes in node-index
-	// order after every chip has stepped, which reproduces the serial
-	// engines' injection order exactly (a chip cannot observe another
+	// order after every chip has stepped, which reproduces the historical
+	// inject-during-step order exactly (a chip cannot observe another
 	// chip's same-cycle injections) while keeping Chip.Step free of shared
-	// state — the property the parallel engine shards on.
+	// state — the property that lets worker goroutines run the chip phase.
 	outbox []*noc.Message
 
 	// validDIPs restricts the dispatch instruction pointers user threads
@@ -177,9 +177,9 @@ type Chip struct {
 
 	// BufferTrace redirects trace events into a per-chip buffer that the
 	// machine flushes in node-index order after the chip phase (FlushTrace).
-	// The parallel engine sets it so concurrently stepping chips still
-	// produce the exact serial trace stream; the callback itself is shared
-	// and must not be invoked from worker goroutines.
+	// The machine sets it when workers step the chips, so concurrently
+	// stepping chips still produce the exact inline trace stream; the
+	// callback itself is shared and must not be invoked from workers.
 	BufferTrace bool         `snap:"derived,engine mode flag, set by the owner"`
 	traceBuf    []traceEvent `snap:"derived,drained every cycle, empty at snapshot points"`
 
@@ -191,9 +191,9 @@ type Chip struct {
 	// side effects of an idle issue scan so SkipCycles can replay them
 	// without stepping, keeping skipped runs bit-identical to the naive
 	// per-cycle loop. onWake, if set, observes every external lowering of
-	// the wake cycle (WakeAt, Touch, LoadProgram) — the parallel engine's
-	// due-set hook (see DESIGN.md, "Active-set scheduling"). It fires only
-	// from the machine's serial phases, never from inside Step.
+	// the wake cycle (WakeAt, Touch, LoadProgram) — the machine's due-set
+	// hook (see DESIGN.md, "The cycle engine"). It fires only between chip
+	// phases, never from inside Step.
 	wake             int64              `snap:"derived,recomputed by the first Step after restore"`
 	onWake           func(at int64)     `snap:"derived,engine hook, reinstalled by the owner"`
 	idleStalled      []*cluster.HThread `snap:"derived,per-cycle idle-scan replay cache, reset at adopt"`
@@ -262,11 +262,11 @@ func (c *Chip) Touch() {
 }
 
 // SetWakeHook installs fn to observe every external lowering of the chip's
-// wake cycle (WakeAt, Touch, LoadProgram). The parallel engine uses it to
-// re-enter the chip into its shard's due-set; the hook must therefore never
-// report a cycle later than the chip's true wake. All call sites run on the
-// machine goroutine between chip phases, so fn needs no synchronization
-// beyond the engine's own barriers. nil uninstalls.
+// wake cycle (WakeAt, Touch, LoadProgram). The machine uses it to lower the
+// chip's entry in its due-set; the hook must therefore never report a
+// cycle later than the chip's true wake. All call sites run on the machine
+// goroutine between chip phases, so fn needs no synchronization beyond the
+// engine's own barriers. nil uninstalls.
 func (c *Chip) SetWakeHook(fn func(at int64)) { c.onWake = fn }
 
 // RegisterDIP marks a dispatch instruction pointer as legal for user SENDs.
@@ -309,7 +309,7 @@ func (c *Chip) trace(event, detail string) {
 // FlushTrace delivers buffered trace events to the Trace callback in
 // emission order. The machine calls it per chip, in node-index order, after
 // the chip phase of each cycle; together with per-cycle flushing this keeps
-// the observed stream identical to the serial engines'.
+// the observed stream identical to an unbuffered chip phase's.
 func (c *Chip) FlushTrace() {
 	if len(c.traceBuf) == 0 {
 		return

@@ -94,7 +94,7 @@ var defaultNaiveEngine bool
 // defaultWorkers is the chip-engine worker count applied when
 // Options.Workers is zero; like defaultNaiveEngine it exists so the
 // determinism regressions can force whole experiment harnesses onto the
-// parallel engine.
+// worker pool.
 var defaultWorkers int
 
 // SetDefaultEngine selects the engine for sims that don't request one

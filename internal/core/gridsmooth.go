@@ -121,15 +121,14 @@ type MeshScaleRow struct {
 
 // MeshScaleExperiment runs the smoothing pass over a fixed 2048-element
 // grid on progressively larger 3-D meshes — up to the 4x4x2 and 8x8x2
-// configurations the parallel engine targets — under the parallel chip
-// engine (Workers: -1; on a single-core host this degrades to the serial
-// engine with identical results). Larger meshes also mean a smaller busy
-// fraction per cycle (the fixed grid spreads thinner), which is the mix
-// the engine's active-set scheduling is for (see DESIGN.md, "Active-set
-// scheduling"). Simulated cycle counts are
+// configurations the worker pool targets — with the chip phase on the
+// pool (Workers: -1; on a single-core host it runs inline with identical
+// results). Larger meshes also mean a smaller busy fraction per cycle
+// (the fixed grid spreads thinner), which is the mix the engine's due-set
+// is for (see DESIGN.md, "The due-set"). Simulated cycle counts are
 // host-independent; the point of the sweep is that larger meshes finish
-// the same grid in fewer simulated cycles while the parallel engine keeps
-// host wall-clock per configuration roughly flat.
+// the same grid in fewer simulated cycles while the pool keeps host
+// wall-clock per configuration roughly flat.
 func MeshScaleExperiment() ([]MeshScaleRow, error) {
 	const total = 2048
 	dims := []noc.Coord{

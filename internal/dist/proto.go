@@ -205,9 +205,9 @@ type delivery struct {
 }
 
 // stepCmd advances a shard's owned chips through machine cycle Cycle.
-// The gap between the shard's local clock and Cycle is the deferred
-// idle window the coordinator fast-forwarded over; the shard
-// materializes it with SkipCycles first, exactly like machine.skip.
+// The gap between the shard's local clock and Cycle is the idle window
+// the coordinator fast-forwarded over; each owned chip replays it when it
+// next acts, exactly as in-process.
 type stepCmd struct {
 	Cycle      int64
 	Deliveries []delivery

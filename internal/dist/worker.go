@@ -7,9 +7,10 @@ package dist
 // the chips' mailbox, fed by coordinator deliveries (noc.Deliver) and
 // drained by the chips' own network input path. Everything the chips
 // produce — outbox messages, trace events, activity aggregates — ships
-// back to the coordinator each cycle, and the chip phase here replicates
-// the serial event engine's exactly: due chips step, idle chips skip,
-// output drains in node-index order.
+// back to the coordinator each cycle. The chip phase is the machine's own
+// (Machine.StepRange over the owned range); only the drain differs: the
+// stepped chips' outboxes are taken in node-index order instead of being
+// injected locally.
 
 import (
 	"bytes"
@@ -72,6 +73,7 @@ type worker struct {
 
 	traceBuf []traceEvent // events emitted during the current chip phase
 	outBuf   []*noc.Message
+	stepped  []int // owned chips the current chip phase stepped
 
 	hbStop chan struct{}
 	hbOnce sync.Once
@@ -265,25 +267,19 @@ func (w *worker) chaos(t int64) {
 	}
 }
 
-// skipTo materializes deferred idle cycles: the coordinator fast-
-// forwarded the clock to `to`, and the owned chips replay the skipped
-// window's idle bookkeeping exactly like machine.skip.
+// skipTo follows the coordinator's fast-forward of the clock to `to`. Like
+// the in-process jump it is one assignment: each owned chip replays the
+// idle window when it next acts, or when pull encodes it.
 func (w *worker) skipTo(to int64) error {
-	d := to - w.m.Cycle
-	if d < 0 {
+	if to < w.m.Cycle {
 		return fmt.Errorf("shard %d: skip to cycle %d, already at %d", w.spec.Shard, to, w.m.Cycle)
 	}
-	if d > 0 {
-		for i := w.spec.Lo; i < w.spec.Hi; i++ {
-			w.m.Chips[i].SkipCycles(d)
-		}
-		w.m.Cycle = to
-	}
+	w.m.Cycle = to
 	return nil
 }
 
-// step advances the owned chips through machine cycle cmd.Cycle,
-// replicating one iteration of the serial event engine's chip phase.
+// step advances the owned chips through machine cycle cmd.Cycle: one
+// iteration of the in-process engine's chip phase and drain.
 func (w *worker) step(cmd *stepCmd) *stepReply {
 	t := cmd.Cycle
 	if err := w.skipTo(t); err != nil {
@@ -310,23 +306,17 @@ func (w *worker) step(cmd *stepCmd) *stepReply {
 		before[k] = pend{w.m.Net.PendingAt(co, 0), w.m.Net.PendingAt(co, 1)}
 	}
 
-	// Chip phase, in node-index order: due chips step, idle chips skip.
+	// Chip phase over the owned range, in node-index order.
 	w.chaos(t)
 	w.traceBuf = w.traceBuf[:0]
-	for i := w.spec.Lo; i < w.spec.Hi; i++ {
-		c := w.m.Chips[i]
-		if c.NextEvent(t) <= t {
-			c.Step(t)
-		} else {
-			c.SkipCycles(1)
-		}
-	}
+	w.stepped = w.m.StepRange(w.spec.Lo, w.spec.Hi, t, w.stepped[:0])
 
-	// Drain phase: outboxes in node-index order. The coordinator injects
-	// these into the authoritative network in the same order, assigning
-	// the same sequence numbers as an in-process drain.
+	// Drain phase: the stepped chips' outboxes in node-index order (a chip
+	// that did not step produced nothing). The coordinator injects these
+	// into the authoritative network in the same order, assigning the same
+	// sequence numbers as an in-process drain.
 	w.outBuf = w.outBuf[:0]
-	for i := w.spec.Lo; i < w.spec.Hi; i++ {
+	for _, i := range w.stepped {
 		w.outBuf = w.m.Chips[i].TakeOutbox(w.outBuf)
 	}
 

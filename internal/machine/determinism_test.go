@@ -1,10 +1,12 @@
 package machine_test
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/noc"
 	"repro/internal/rt"
@@ -74,13 +76,14 @@ func TestDeterminism(t *testing.T) {
 // fingerprint of the complete observable state (cycle count, the full
 // trace stream, per-chip issue and stall statistics — the numbers the
 // deferred SkipCycles batching must replay exactly).
-func runMigrating(t *testing.T, workers int) string {
+func runMigrating(t *testing.T, workers int, naive bool) string {
 	t.Helper()
 	const nodes = 8
 	cfg := machine.DefaultConfig()
 	cfg.Dims = noc.Coord{X: nodes, Y: 1, Z: 1}
 	cfg.Workers = workers
 	m := machine.New(cfg)
+	m.Naive = naive
 	defer m.Close()
 	if _, err := rt.Install(m, rt.Options{}); err != nil {
 		t.Fatal(err)
@@ -136,31 +139,41 @@ spin:
 	return b.String()
 }
 
-// TestDeterminismMigrating holds the parallel engine to the serial event
-// engine's bit-identical standard while the busy region migrates across
-// the static shards: every worker count must reproduce the serial trace
-// stream, statistics (including the stall counters the deferred
-// SkipCycles batching replays), and cycle count exactly.
+// TestDeterminismMigrating holds the event engine — inline and on every
+// worker count — to the naive reference's bit-identical standard while the
+// busy region migrates across the mesh and the static shards: each must
+// reproduce the naive trace stream, statistics (including the stall
+// counters the deferred SkipCycles batching replays), and cycle count
+// exactly.
 func TestDeterminismMigrating(t *testing.T) {
-	ref := runMigrating(t, 0) // serial event engine
-	for _, workers := range []int{2, 3, 4, 8} {
-		if got := runMigrating(t, workers); got != ref {
-			t.Errorf("workers%d diverged from the serial engine:\n--- serial ---\n%.2000s\n--- workers%d ---\n%.2000s",
+	ref := runMigrating(t, 0, true) // naive reference: every chip steps every cycle
+	for _, workers := range []int{0, 2, 3, 4, 8} {
+		if got := runMigrating(t, workers, false); got != ref {
+			t.Errorf("workers%d diverged from the naive engine:\n--- naive ---\n%.2000s\n--- workers%d ---\n%.2000s",
 				workers, ref, workers, got)
 		}
 	}
 }
 
-// TestDeterminismMixedEngines interleaves the naive reference engine with
-// the parallel event engine on one machine — every cycle sequence must
-// still match a pure event-engine run bit for bit. This pins the StepAll
+// TestDeterminismMixedEngines drives one machine through every way of
+// advancing it — Run, RunUntil, RunExact, StepAll, public Step, flipping
+// Naive mid-run — with a Save+Restore and a Fork in between, inline and on
+// 2 and 3 workers, and holds it to a pure naive run at every boundary:
+// trace stream, Digest, and (read before Digest's own sync) every thread's
+// StallCycles and every chip's SendsBlocked. Each boundary is a sync point
+// of the chip phase's deferred idle accounting. It also pins the StepAll
 // cache repair: a forced naive step can lower a chip's wake internally
 // (consuming a delivered message) without firing the wake hook, so StepAll
 // must re-mark chips due and ingest deliveries into the arrival set, or
-// the next parallel step leaves a runnable chip asleep.
+// the next event-engine step leaves a runnable chip asleep.
 func TestDeterminismMixedEngines(t *testing.T) {
+	const nodes = 4
+	trace := func(m *machine.Machine, to *strings.Builder) {
+		m.SetTrace(func(cycle int64, node int, event, detail string) {
+			fmt.Fprintf(to, "%d %d %s %s\n", cycle, node, event, detail)
+		})
+	}
 	build := func(workers int) (*machine.Machine, *strings.Builder) {
-		const nodes = 4
 		cfg := machine.DefaultConfig()
 		cfg.Dims = noc.Coord{X: nodes, Y: 1, Z: 1}
 		cfg.Workers = workers
@@ -173,13 +186,13 @@ func TestDeterminismMixedEngines(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		var trace strings.Builder
-		m.SetTrace(func(cycle int64, node int, event, detail string) {
-			fmt.Fprintf(&trace, "%d %d %s %s\n", cycle, node, event, detail)
-		})
+		var tr strings.Builder
+		trace(m, &tr)
 		// Node 0 streams remote stores into the other nodes' home ranges, so
 		// deliveries and handler dispatches land on otherwise-idle chips
-		// throughout the run.
+		// throughout the run; node 1 serializes through dependent remote
+		// loads, so it sits idle with a stalled thread most of the time —
+		// the cycles the deferred catch-up must account for.
 		loadUser(t, m, 0, 0, 0, `
     movi i1, #4096
     movi i2, #0
@@ -192,32 +205,127 @@ loop:
     brt i6, loop
     halt
 `)
-		m.WakeAll()
-		return m, &trace
+		loadUser(t, m, 1, 0, 0, `
+    movi i1, #8192
+    movi i2, #0
+    movi i3, #24
+loop:
+    ld i4, [i1]
+    add i5, i5, i4
+    add i1, i1, #97
+    add i2, i2, #1
+    lt i6, i2, i3
+    brt i6, loop
+    halt
+`)
+		return m, &tr
 	}
-	ref, refTrace := build(0) // pure serial event engine
-	mix, mixTrace := build(2) // parallel engine, naive phases interleaved
-	defer mix.Close()
-	const cycles = 6000
-	for i := 0; i < cycles; i++ {
-		ref.Step()
-		mix.Naive = (i/5)%2 == 1 // flip engines every 5 cycles
-		mix.Step()
-	}
-	mix.Close() // materialize deferred idle bookkeeping
-	if refTrace.String() != mixTrace.String() {
-		t.Errorf("trace streams diverged between pure and mixed engine runs")
-	}
-	for n := 0; n < 4; n++ {
-		a, b := ref.Chip(n), mix.Chip(n)
-		if a.InstsIssued != b.InstsIssued || a.Thread(0, 0).StallCycles != b.Thread(0, 0).StallCycles {
-			t.Errorf("node %d stats diverged: insts %d vs %d, stalls %d vs %d",
-				n, a.InstsIssued, b.InstsIssued,
-				a.Thread(0, 0).StallCycles, b.Thread(0, 0).StallCycles)
+	// state reads the deferred statistics first: the operation that just
+	// returned must have been a sync point on its own.
+	state := func(m *machine.Machine) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "cycle=%d\n", m.Cycle)
+		for n := 0; n < nodes; n++ {
+			c := m.Chip(n)
+			fmt.Fprintf(&b, "node%d cycle=%d insts=%d blocked=%d stalls=", n, c.Cycle, c.InstsIssued, c.SendsBlocked)
+			for vt := 0; vt < isa.NumVThreads; vt++ {
+				for cl := 0; cl < isa.NumClusters; cl++ {
+					fmt.Fprintf(&b, "%d,", c.Thread(vt, cl).StallCycles)
+				}
+			}
+			b.WriteByte('\n')
 		}
+		d, err := m.Digest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.String() + d
 	}
-	if got, want := reg(mix, 0, 0, 0, 2), reg(ref, 0, 0, 0, 2); got != want {
-		t.Errorf("final i2: mixed %d vs pure %d", got, want)
+	// One op advances a machine and reports what the call returned.
+	stalled := func(m *machine.Machine, by uint64) func() bool {
+		th := m.Chip(1).Thread(0, 0)
+		goal := th.StallCycles + by
+		return func() bool { return th.StallCycles >= goal }
+	}
+	ops := []struct {
+		name string
+		do   func(m *machine.Machine) string
+	}{
+		{"Run", func(m *machine.Machine) string { n, err := m.Run(150); return fmt.Sprint(n, err) }},
+		{"Step", func(m *machine.Machine) string {
+			for i := 0; i < 7; i++ {
+				m.Step()
+			}
+			return ""
+		}},
+		{"RunUntil", func(m *machine.Machine) string {
+			// The predicate reads a statistic of a mostly idle chip: it sees
+			// the naive per-cycle sequence only if every call is a sync point.
+			n, err := m.RunUntil(stalled(m, 40), 300)
+			return fmt.Sprint(n, err)
+		}},
+		{"StepAll", func(m *machine.Machine) string {
+			for i := 0; i < 5; i++ {
+				m.StepAll()
+			}
+			return ""
+		}},
+		{"RunExact", func(m *machine.Machine) string { n, err := m.RunExact(23); return fmt.Sprint(n, err) }},
+		{"NaiveStep", func(m *machine.Machine) string {
+			was := m.Naive
+			m.Naive = true
+			for i := 0; i < 5; i++ {
+				m.Step()
+			}
+			m.Naive = was
+			return ""
+		}},
+	}
+	for _, workers := range []int{0, 2, 3} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			ref, refTrace := build(0)
+			ref.Naive = true
+			mix, mixTrace := build(workers)
+			defer func() { mix.Close() }()
+			for round := 0; ref.Cycle < 6000; round++ {
+				op := ops[round%len(ops)]
+				want, got := op.do(ref), op.do(mix)
+				switch round {
+				case 7: // mid-run: the machine restores its own snapshot
+					var snap bytes.Buffer
+					if err := mix.Save(&snap); err != nil {
+						t.Fatal(err)
+					}
+					if err := mix.Restore(&snap); err != nil {
+						t.Fatal(err)
+					}
+				case 16: // mid-run: a fork carries on, the original is closed
+					f, err := mix.Fork()
+					if err != nil {
+						t.Fatal(err)
+					}
+					trace(f, mixTrace)
+					mix.Close()
+					mix = f
+				}
+				if got != want {
+					t.Fatalf("round %d %s: returned %q, naive %q", round, op.name, got, want)
+				}
+				if got, want := state(mix), state(ref); got != want {
+					t.Fatalf("round %d %s: state diverged from the naive run:\n--- naive ---\n%s\n--- mixed ---\n%s",
+						round, op.name, want, got)
+				}
+				if mixTrace.String() != refTrace.String() {
+					t.Fatalf("round %d %s: trace streams diverged from the naive run", round, op.name)
+				}
+			}
+			if got, want := reg(mix, 0, 0, 0, 2), reg(ref, 0, 0, 0, 2); got != want || got != 36 {
+				t.Errorf("final i2: mixed %d vs naive %d, want 36", got, want)
+			}
+			if th := ref.Chip(1).Thread(0, 0); th.StallCycles == 0 {
+				t.Error("node 1 never stalled: the workload no longer exercises deferred idle accounting")
+			}
+		})
 	}
 }
 

@@ -3,12 +3,12 @@
 // cycle loop that advances every node and the network in lock step.
 //
 // The lifecycle is New(Config) -> load programs / map pages -> Run (or
-// Step/StepAll/RunUntil) -> Close. Three engines execute the cycle loop
-// — the naive per-cycle reference (Naive=true / StepAll), the default
-// event-driven engine with idle fast-forward, and the goroutine-sharded
-// parallel engine (Config.Workers) — and they are bit-identical in every
-// observable way; see DESIGN.md ("The cycle engine", "The parallel
-// engine").
+// Step/StepAll/RunUntil) -> Close. There are two cycle loops: the naive
+// per-cycle reference (Naive=true / StepAll), and the event-driven engine,
+// whose one chip phase steps only the chips that are due and fast-forwards
+// idle stretches. Config.Workers only chooses how many goroutines run that
+// chip phase. Every combination is bit-identical in every observable way;
+// see DESIGN.md ("The cycle engine").
 //
 // Machines checkpoint: Save serializes the complete simulation state to
 // a versioned stream, Restore replaces a compatible machine's state
@@ -56,13 +56,14 @@ type Config struct {
 	Dims noc.Coord // mesh dimensions
 	Chip chip.Config
 
-	// Workers selects the parallel chip engine: the chip phase of each busy
-	// cycle is sharded across this many persistent worker goroutines with a
-	// barrier per cycle (see DESIGN.md, "The parallel engine"). 0 or 1 runs
-	// the chip phase serially; -1 uses runtime.GOMAXPROCS(0); values above
-	// the node count are clamped. The parallel engine is bit-identical to
-	// the serial event engine (enforced by TestDeterminismThreeWay in core)
-	// and is ignored under the naive reference engine and by RunUntil.
+	// Workers is the number of goroutines the event engine's chip phase runs
+	// on: the mesh is cut into that many contiguous ranges, each stepped by
+	// a persistent worker with a barrier per busy cycle (see DESIGN.md, "The
+	// cycle engine"). 0 or 1 runs the same phase inline on the caller; -1
+	// uses runtime.GOMAXPROCS(0); values above the node count are clamped.
+	// The result is bit-identical for every value (enforced by
+	// TestDeterminismThreeWay in core); the naive reference engine and
+	// RunUntil never use the workers.
 	Workers int `snap:"derived,engine selection, never affects simulated results"`
 }
 
@@ -93,9 +94,11 @@ type Machine struct {
 	// handlers allocate from a separate high region (see AllocBase).
 	nextPPN []uint64
 
-	// workers is the normalized Config.Workers (>= 2 means the parallel
-	// chip engine is active); pool is its lazily started goroutine pool,
-	// and closed records Close so a later Step cannot resurrect it.
+	// ds is the chip scheduler every engine steps through (dueset.go).
+	// workers is the normalized Config.Workers (>= 2 means the chip phase
+	// runs on the pool); pool is the lazily started goroutine pool, and
+	// closed records Close so a later Step cannot resurrect it.
+	ds      *dueSet   `snap:"derived,wake caches, re-derived by WakeAll after Restore"`
 	workers int       `snap:"derived,normalized engine config"`
 	pool    *chipPool `snap:"derived,goroutine pool, rebuilt lazily"`
 	closed  bool      `snap:"derived,process-lifetime flag"`
@@ -111,17 +114,16 @@ type Machine struct {
 	// state is never affected — stopping only decides where the run ends,
 	// never what any cycle computes. cycleGauge mirrors Cycle at the same
 	// point so monitors on other goroutines can observe progress without
-	// racing the engine. probe is the fault-injection hook (SetFaultProbe).
-	runMu      sync.Mutex                  `snap:"derived,supervision plumbing"`
-	stopReq    atomic.Bool                 `snap:"derived,supervision plumbing"`
-	cycleGauge atomic.Int64                `snap:"derived,supervision plumbing"`
-	probe      func(node int, cycle int64) `snap:"derived,fault-injection hook, reinstalled by the owner"`
+	// racing the engine.
+	runMu      sync.Mutex   `snap:"derived,supervision plumbing"`
+	stopReq    atomic.Bool  `snap:"derived,supervision plumbing"`
+	cycleGauge atomic.Int64 `snap:"derived,supervision plumbing"`
 
 	// arrivalNodes tracks the nodes with delivered-but-unconsumed network
 	// messages (arrivalMark is its membership bitmap), maintained
 	// incrementally from noc.Network.DeliveredNodes so per-cycle arrival
 	// wake-ups cost O(affected nodes), not O(nodes). Used by the event
-	// engines only; the naive loop steps everything anyway.
+	// engine only; the naive loop steps everything anyway.
 	arrivalNodes []int  `snap:"derived,rebuilt by recomputeActive after Restore"`
 	arrivalMark  []bool `snap:"derived,rebuilt by recomputeActive after Restore"`
 
@@ -141,7 +143,6 @@ type Machine struct {
 	chipRunning []int    `snap:"derived,rebuilt by recomputeActive after Restore"`
 	chipBusy    []bool   `snap:"derived,rebuilt by recomputeActive after Restore"`
 	chipIssued  []uint64 `snap:"derived,rebuilt by recomputeActive after Restore"`
-	steppedBuf  []int    `snap:"derived,per-cycle scratch"` // serial event phase scratch: chips stepped this cycle
 }
 
 // Reserved physical layout (words). The LPT base comes from the memory
@@ -167,7 +168,8 @@ func AllocBasePPN(c mem.Config) uint64 {
 
 // newShell builds a machine around net and gdt with its per-node
 // bookkeeping allocated and the worker count normalized, and no chips
-// yet: the part of construction New and Fork share.
+// yet (attach installs them): the part of construction New and Fork
+// share.
 func newShell(cfg Config, net *noc.Network, gdt *gtlb.Table) *Machine {
 	m := &Machine{
 		Cfg:         cfg,
@@ -187,6 +189,7 @@ func newShell(cfg Config, net *noc.Network, gdt *gtlb.Table) *Machine {
 	if m.workers > len(m.Chips) {
 		m.workers = len(m.Chips)
 	}
+	m.ds = newDueSet(m.Chips, m.workers)
 	return m
 }
 
@@ -198,26 +201,26 @@ func New(cfg Config) *Machine {
 		c := chip.New(cfg.Chip, m.Net.CoordOf(i), i, m.Net, m.GDT)
 		// Initialize the runtime page allocator counter.
 		c.Mem.SDRAM.Write(AllocCounterAddr(cfg.Chip.Mem), AllocBasePPN(cfg.Chip.Mem), false)
-		// Under the parallel engine trace events are buffered per chip and
+		// When workers step the chips, trace events are buffered per chip and
 		// flushed in node order so the shared callback never runs
-		// concurrently (and the stream order matches the serial engines).
+		// concurrently (and the stream order matches the inline phase).
 		c.BufferTrace = m.workers >= 2
-		m.Chips[i] = c
+		m.ds.attach(i, c)
 		m.nextPPN[i] = FirstMapPPN
 	}
 	return m
 }
 
-// Close stops the parallel engine's worker goroutines, if any were started,
-// after materializing any deferred idle-chip bookkeeping (see step). It is
-// optional: an unreachable Machine releases the workers via a GC cleanup.
+// Close materializes the deferred idle-chip bookkeeping (see Step) and
+// stops the worker goroutines, if any were started. It is optional: an
+// unreachable Machine releases the workers via a GC cleanup.
 // Close is idempotent — a second Close (including one racing the GC
 // cleanup after a finished Run) is a harmless no-op — and safe to call
 // concurrently with an in-flight Run or RunUntil: it raises the stop
 // request, waits for the run to observe it at its next loop head and
 // return ErrStopped, and only then tears the pool down (the shutdown
-// ordering a session server needs). The machine must not be stepped after
-// Close — the parallel chip phase panics if it is.
+// ordering a session server needs). A machine with Workers >= 2 must not
+// be stepped after Close — its chip phase panics if it is.
 func (m *Machine) Close() {
 	m.stopReq.Store(true)
 	m.runMu.Lock()
@@ -230,8 +233,8 @@ func (m *Machine) Close() {
 		return
 	}
 	m.closed = true
+	m.syncDeferred()
 	if m.pool != nil {
-		m.pool.sync(m.Cycle)
 		m.pool.stop()
 	}
 }
@@ -259,19 +262,14 @@ func (m *Machine) CycleGauge() int64 { return m.cycleGauge.Load() }
 
 // SetFaultProbe installs fn to be called immediately before every chip
 // step, with the chip's node index and the current cycle — the
-// fault-injection hook (see internal/faultinject). Under the parallel
-// engine the probe runs on worker goroutines, concurrently for distinct
-// nodes, so fn must be safe for that; a panic out of fn is contained
-// exactly like a panic out of the chip step itself. Install probes only
-// between runs (the same contract as program loads); nil removes the
-// probe. Probes are for tests and fault drills — the nil check they cost
-// per stepped chip is the entire production overhead.
-func (m *Machine) SetFaultProbe(fn func(node int, cycle int64)) {
-	m.probe = fn
-	if m.pool != nil {
-		m.pool.probe = fn
-	}
-}
+// fault-injection hook (see internal/faultinject). With Workers >= 2 the
+// probe runs on worker goroutines, concurrently for distinct nodes, so fn
+// must be safe for that; a panic out of fn is contained exactly like a
+// panic out of the chip step itself. Install probes only between runs
+// (the same contract as program loads); nil removes the probe. Probes are
+// for tests and fault drills — the nil check they cost per stepped chip
+// is the entire production overhead.
+func (m *Machine) SetFaultProbe(fn func(node int, cycle int64)) { m.ds.probe = fn }
 
 // NumNodes returns the node count.
 func (m *Machine) NumNodes() int { return len(m.Chips) }
@@ -281,108 +279,68 @@ func (m *Machine) Chip(i int) *chip.Chip { return m.Chips[i] }
 
 // StepAll advances the whole machine one cycle the naive way: every chip
 // and the network step unconditionally. This is the reference (debug)
-// engine the event-driven Step is validated against. When a parallel pool
-// is alive (the engines may be interleaved on one machine), StepAll also
-// keeps the event-engine caches honest: a forced Step can lower a chip's
-// wake internally (e.g. by consuming a delivered message) without firing
-// the wake hook, so every chip is re-marked due for the next cycle — the
-// safe, possibly-early direction of the due-cache invariant — and the
-// tracked arrival set ingests this cycle's deliveries.
+// engine the event-driven Step is validated against. The engines may be
+// interleaved on one machine, so StepAll keeps the event engine's caches
+// honest: chips the event engine left behind are caught up first, and
+// because a forced Step can lower a chip's wake internally (e.g. by
+// consuming a delivered message) without firing the wake hook, every chip
+// is re-marked due for the next cycle — the safe, possibly-early direction
+// of the due-set invariant — and the tracked arrival set ingests this
+// cycle's deliveries.
 func (m *Machine) StepAll() {
 	now := m.Cycle
-	if m.pool != nil {
-		m.pool.sync(now)
-	}
+	m.syncDeferred()
 	for i, c := range m.Chips {
-		if m.probe != nil {
-			m.probe(i, now)
+		if m.ds.probe != nil {
+			m.ds.probe(i, now)
 		}
 		c.Step(now)
 	}
-	m.drainChipOutput(now)
 	for i := range m.Chips {
-		m.noteStepped(i)
+		m.drain(i, now)
 	}
 	m.Net.Step(now)
-	if m.pool != nil {
-		m.pool.wakeAllAt(now + 1)
-	}
+	m.ds.wakeAllAt(now + 1)
 	// The wakes are unobservable under naive stepping (only the event
-	// engines consult wake cycles), so this costs nothing but keeps the
+	// engine consults wake cycles), so this costs nothing but keeps the
 	// arrival set exact for a later event-engine step.
 	m.wakeArrivals(now, true)
 	m.Cycle++
 }
 
 // Step advances the whole machine one cycle. The event-driven engine steps
-// only the chips whose NextEvent is due; a skipped chip replays its idle
-// stat side effects via SkipCycles, so observable state evolves exactly as
-// under StepAll. The network walk runs only when a message can move. With
-// Config.Workers >= 2 the chip phase runs sharded on the worker pool under
-// active-set scheduling: chips that are not due are not touched at all —
-// their per-cycle idle bookkeeping is deferred and replayed in one batch
-// when they next become due, or at the next sync point (Run returning,
-// RunUntil, StepAll, Close), so every externally observed state is
-// bit-identical to the serial engines'.
-func (m *Machine) Step() { m.step(m.workers >= 2) }
+// only the chips whose NextEvent is due (dueSet.stepRange, inline or on the
+// Config.Workers pool); a chip that is not due is not touched at all — its
+// per-cycle idle bookkeeping is deferred and replayed in one SkipCycles
+// batch when it next becomes due, or at the next sync point. Step is such a
+// sync point, like Run returning, every RunUntil predicate call, StepAll,
+// Save, Fork and Close, so every externally observed state is bit-identical
+// to StepAll's. The network walk runs only when a message can move.
+func (m *Machine) Step() {
+	m.step(m.workers >= 2)
+	m.syncDeferred()
+}
 
-// step is Step with an explicit engine choice for the chip phase; RunUntil
-// forces the serial phase so tight per-cycle predicate loops don't pay the
-// parallel barrier.
-func (m *Machine) step(parallel bool) {
+// step is Step without the sync point, with an explicit choice of where
+// the chip phase runs; RunUntil keeps it inline so tight per-cycle
+// predicate loops don't pay the barrier.
+func (m *Machine) step(pooled bool) {
 	if m.Naive {
 		m.StepAll()
 		return
 	}
 	now := m.Cycle
-	if parallel {
-		if m.pool == nil {
-			if m.closed {
-				// Without this, a Close before the first parallel step would
-				// let the lazy path resurrect a worker pool on a closed
-				// machine instead of tripping the pool's own panic.
-				panic("machine: parallel chip phase stepped after Close (do not call Step after Machine.Close)")
-			}
-			m.pool = newChipPool(m.Chips, m.workers)
-			m.pool.probe = m.probe
-			// Backstop for machines that are never Closed (the experiment
-			// harnesses build thousands): release the workers when the
-			// machine becomes unreachable. The cleanup must not capture m.
-			runtime.AddCleanup(m, func(p *chipPool) { p.stop() }, m.pool)
-		}
-		m.pool.step(now)
-		// Only chips that stepped can have buffered output; drain exactly
-		// those, in node-index order.
-		m.pool.drainOutput(now)
-		for i := range m.pool.shards {
-			for _, node := range m.pool.shards[i].stepped {
-				m.noteStepped(int(node))
-			}
-		}
+	if pooled {
+		m.stepPooled(now)
 	} else {
-		// Entering the serial chip phase with a pool alive: materialize any
-		// idle bookkeeping the active-set scheduler deferred, so Step's
-		// per-chip cycle invariant holds.
-		if m.pool != nil {
-			m.pool.sync(now)
+		m.ds.stepInline(now)
+	}
+	for k := range m.ds.ranges {
+		r := &m.ds.ranges[k]
+		for _, i := range r.stepped {
+			m.drain(i, now)
 		}
-		stepped := m.steppedBuf[:0]
-		for i, c := range m.Chips {
-			if c.NextEvent(now) <= now {
-				if m.probe != nil {
-					m.probe(i, now)
-				}
-				c.Step(now)
-				stepped = append(stepped, i)
-			} else {
-				c.SkipCycles(1)
-			}
-		}
-		m.drainChipOutput(now)
-		for _, i := range stepped {
-			m.noteStepped(i)
-		}
-		m.steppedBuf = stepped
+		r.stepped = r.stepped[:0]
 	}
 	netStepped := false
 	if m.Net.NeedsStep(now) {
@@ -391,6 +349,18 @@ func (m *Machine) step(parallel bool) {
 	}
 	m.wakeArrivals(now, netStepped)
 	m.Cycle++
+}
+
+// StepRange runs the chip phase of cycle now over chips [lo, hi) on the
+// calling goroutine and returns the chips it stepped, ascending, appended
+// to stepped — the entry point of a transport that owns part of the mesh
+// and does its own drain (internal/dist takes the stepped chips' outboxes
+// instead of injecting them). Chips that were not due are caught up by the
+// next sync point (EncodeShard).
+func (m *Machine) StepRange(lo, hi int, now int64, stepped []int) []int {
+	r := chipRange{lo: lo, hi: hi, stepped: stepped}
+	m.ds.stepRange(&r, now)
+	return r.stepped
 }
 
 // wakeArrivals wakes every chip that has delivered-but-unconsumed network
@@ -424,55 +394,33 @@ func (m *Machine) wakeArrivals(now int64, netStepped bool) {
 	}
 }
 
-// drainChipOutput moves every chip's buffered cycle output into the shared
-// structures, in node-index order: trace events to the callback, outbox
-// messages into the network. A chip cannot observe another chip's
-// same-cycle injections, so draining after the chip phase is bit-identical
-// to the historical inject-during-step order — and it is the only point
-// where per-chip work touches shared mutable state, which is what makes
-// the parallel chip phase safe.
-func (m *Machine) drainChipOutput(now int64) {
-	for _, c := range m.Chips {
-		c.FlushTrace()
-		c.FlushNet(now)
-	}
+// drain moves chip i's buffered cycle output into the shared structures —
+// trace events to the callback, outbox messages into the network — and
+// refreshes its activity counters. Callers visit chips in node-index order.
+// A chip cannot observe another chip's same-cycle injections, so draining
+// after the chip phase is bit-identical to the historical
+// inject-during-step order — and it is the only point where per-chip work
+// touches shared mutable state, which is what lets workers run the phase.
+func (m *Machine) drain(i int, now int64) {
+	c := m.Chips[i]
+	c.FlushTrace()
+	c.FlushNet(now)
+	m.noteStepped(i)
 }
 
 // NextEvent reports the earliest cycle >= now at which any component of the
 // machine can change state without new external input, NoEvent if the
-// machine is permanently idle (deadlocked or finished). With the parallel
-// engine's pool alive the chip minimum comes from the per-shard due-set
-// aggregates — O(shards) instead of O(nodes); the cached values are never
-// later than the chips' true wakes, so the answer can only err early, which
-// at worst costs a spurious (and observably identical) busy cycle.
+// machine is permanently idle (deadlocked or finished). It scans every
+// chip, so it is exact even after a caller stepped chips itself; the run
+// loop reads the due-set's cached minima instead (fastForward).
 func (m *Machine) NextEvent(now int64) int64 {
 	next := m.Net.NextEvent(now)
-	if m.pool != nil {
-		if w := m.pool.nextEvent(now); w < next {
-			next = w
-		}
-		return next
-	}
 	for _, c := range m.Chips {
 		if w := c.NextEvent(now); w < next {
 			next = w
 		}
 	}
 	return next
-}
-
-// skip fast-forwards the machine clock d cycles; the caller must have
-// established via NextEvent that no component can act inside the window.
-// With the parallel pool alive the per-chip SkipCycles replay is deferred
-// (the active-set scheduler batches it when a chip next runs, or a sync
-// point materializes it), so a machine-wide idle jump is one addition.
-func (m *Machine) skip(d int64) {
-	if m.pool == nil {
-		for _, c := range m.Chips {
-			c.SkipCycles(d)
-		}
-	}
-	m.Cycle += d
 }
 
 // UserDone reports whether every loaded user H-Thread has halted or
@@ -577,14 +525,15 @@ const QuietWindow = quietWindow
 // beyond the next cycle, jumps the clock there in one go. The skipped
 // cycles are provably no-ops (no component may act, so the loop-head
 // bookkeeping below is frozen too), and their only observable effects —
-// per-cycle stall statistics — are replayed exactly by Machine.skip, so
-// cycle counts, state, and traces stay bit-identical to the naive loop.
+// per-cycle stall statistics — are replayed exactly by the chips' deferred
+// SkipCycles catch-up, so cycle counts, state, and traces stay
+// bit-identical to the naive loop.
 func (m *Machine) Run(maxCycles int64) (int64, error) {
 	m.runMu.Lock()
 	defer m.runMu.Unlock()
-	// The active-set scheduler defers idle chips' per-cycle bookkeeping;
-	// materialize it before returning so callers observe exactly the
-	// per-chip cycle counts and stall statistics of the serial engines.
+	// The chip phase defers idle chips' per-cycle bookkeeping; materialize
+	// it before returning so callers observe exactly the per-chip cycle
+	// counts and stall statistics of the naive loop.
 	defer m.syncDeferred()
 	m.WakeAll()
 	m.recomputeActive()
@@ -617,7 +566,7 @@ func (m *Machine) Run(maxCycles int64) (int64, error) {
 		} else {
 			prevIssued, idle = m.issuedTotal, 0
 		}
-		m.Step()
+		m.step(m.workers >= 2)
 		if !m.Naive {
 			m.fastForward(bound, &idle)
 		}
@@ -636,12 +585,12 @@ func (m *Machine) Run(maxCycles int64) (int64, error) {
 // skipped iteration increments the idle counter, and the jump must stop
 // one cycle before the counter reaches the quiet window so the next real
 // iteration returns exactly where the naive loop would — or it is not, and
-// each iteration resets the counter.
+// each iteration resets the counter. The chips' next event comes from the
+// due-set's cached minima, which can only err early — at worst a spurious
+// (and observably identical) busy cycle — and the jump itself is one
+// addition: the chips replay the window when they next act (see Step).
 func (m *Machine) fastForward(bound int64, idle *int64) {
-	next := m.NextEvent(m.Cycle)
-	if next > bound {
-		next = bound
-	}
+	next := min(m.Net.NextEvent(m.Cycle), m.ds.nextEvent(m.Cycle), bound)
 	d := next - m.Cycle
 	if d <= 0 {
 		return
@@ -661,7 +610,7 @@ func (m *Machine) fastForward(bound int64, idle *int64) {
 	} else {
 		*idle = 0
 	}
-	m.skip(d)
+	m.Cycle += d
 }
 
 // WakeAll forces every chip to re-derive its next event on its coming
@@ -684,25 +633,22 @@ func (m *Machine) WakeAll() {
 	}
 }
 
-// syncDeferred materializes any idle-chip bookkeeping the active-set
-// scheduler deferred (no-op without a pool).
-func (m *Machine) syncDeferred() {
-	if m.pool != nil {
-		m.pool.sync(m.Cycle)
-	}
-}
+// syncDeferred materializes the idle-chip bookkeeping the chip phase
+// deferred: every chip is caught up to the machine clock.
+func (m *Machine) syncDeferred() { m.ds.sync(m.Cycle) }
 
 // RunUntil steps until pred holds or maxCycles elapse. The event engine
-// advances cycle-by-cycle here (components are still skipped when idle,
-// but the clock is not fast-forwarded), so an arbitrary predicate — even
-// one reading Machine.Cycle — observes exactly the per-cycle sequence the
-// naive loop produces. The chip phase always runs serially here, even on
-// a parallel-configured machine: with no fast-forward amortizing it, the
-// per-cycle barrier would dominate, and the result is identical anyway.
+// advances cycle-by-cycle here (chips are still skipped when idle, but the
+// clock is not fast-forwarded) and catches every chip up before each pred
+// call, so an arbitrary predicate — even one reading Machine.Cycle or
+// per-chip statistics — observes exactly the per-cycle sequence the naive
+// loop produces. The chip phase always runs inline here, even with
+// Workers >= 2: with no fast-forward amortizing it, the per-cycle barrier
+// would dominate, and the result is identical anyway.
 func (m *Machine) RunUntil(pred func() bool, maxCycles int64) (int64, error) {
 	m.runMu.Lock()
 	defer m.runMu.Unlock()
-	m.syncDeferred() // pred may read per-chip state a prior Run deferred
+	defer m.syncDeferred()
 	m.WakeAll()
 	m.recomputeActive()
 	start := m.Cycle
@@ -711,6 +657,7 @@ func (m *Machine) RunUntil(pred func() bool, maxCycles int64) (int64, error) {
 		if m.stopReq.Load() {
 			return m.Cycle - start, fmt.Errorf("machine: run stopped at cycle %d: %w", m.Cycle, ErrStopped)
 		}
+		m.syncDeferred()
 		if pred() {
 			return m.Cycle - start, nil
 		}

@@ -1,39 +1,29 @@
 package machine
 
-// The parallel chip engine: the chip phase of each busy cycle is sharded
-// across a persistent pool of worker goroutines with one barrier per cycle.
+// The worker pool: a transport that runs the one chip phase
+// (dueSet.stepRange) for several node ranges at once, on persistent
+// goroutines with one barrier per busy cycle. It schedules nothing; what
+// is left here is about goroutines only — the dispatch mailboxes and the
+// gather barrier, panic containment, start and stop.
 //
 // Chips are independent within a cycle — Chip.Step reads and writes only
 // per-chip state plus two shared read-only structures (the GDT and loaded
 // programs) and its own node's arrival queues — because the one shared
 // *write* path, network injection, goes through the per-chip outbox that
-// the machine drains serially after the barrier (see DESIGN.md, "The
-// parallel engine").
-//
-// The pool is *active-set scheduled* (DESIGN.md, "Active-set scheduling"):
-// each shard keeps a due-heap over its chips' NextEvent cycles, so a busy
-// cycle costs work proportional to the chips that actually act. Idle chips
-// are not touched at all — their per-cycle SkipCycles bookkeeping is
-// deferred and replayed in one batched call when they next become due (or
-// at a sync point). Chips re-enter the due-set through the wake hook
-// (chip.SetWakeHook), which the machine's serial phases fire on every
-// external wake (message delivery, Touch, LoadProgram). Shards whose whole
-// due-set lies in the future are not dispatched at all, and the dispatch
-// itself is a sense-reversing barrier on atomics (spin-then-park) instead
-// of a channel round trip per worker per cycle.
+// the machine drains serially after the barrier (DESIGN.md, "The cycle
+// engine"). Ranges with nothing due are not dispatched at all, and the
+// dispatch itself is a sense-reversing barrier on atomics (spin-then-park)
+// instead of a channel round trip per worker per cycle.
 
 import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"slices"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/chip"
 )
 
-// WorkerPanic is the panic value the parallel chip phase re-raises on the
+// WorkerPanic is the panic value the pooled chip phase re-raises on the
 // machine goroutine when a worker goroutine's chip step panicked. Worker
 // panics are recovered at the shard boundary — the worker still arrives at
 // the gather barrier, so the machine never deadlocks on a crashed cycle —
@@ -77,35 +67,14 @@ const (
 	gatherSpins   = 256
 )
 
-// dueEntry is one due-heap element: chip `node` is believed runnable at
-// cycle `at`. Entries are compared by (at, node) so that same-cycle pops
-// come out in node-index order (which keeps the per-cycle stepped list
-// nearly sorted).
-type dueEntry struct {
-	at   int64
-	node int32
-}
-
-// shard is one worker's slice of the machine plus its barrier endpoints.
-// The worker owns everything here during the chip phase; the machine owns
-// it between barriers (wake hooks). The two never overlap: the
+// shard is one worker's barrier endpoint; shards[w] serves ranges[w] of the
+// due-set. The worker owns the range during the chip phase, the machine
+// owns it between barriers (wake hooks, drain). The two never overlap: the
 // barrier's atomics order every handoff.
 type shard struct {
-	lo, hi int        // chip index range [lo, hi)
-	heap   []dueEntry // min-heap over due chips, lazy-deleted against pool.due
-	next   int64      // cached min due cycle of the shard (NoEvent if none)
-
-	// stepped lists the node indices this shard stepped in the current
-	// cycle, sorted ascending; the machine drains exactly these chips'
-	// outboxes and trace buffers after the barrier.
-	stepped []int32
-
-	// Panic containment: stepping is the chip currently being stepped
-	// (-1 between chips), and crash records a panic recovered out of this
-	// shard's cycle. Both are worker-owned during the chip phase and read
-	// by the machine after the barrier, like stepped.
-	stepping int32
-	crash    *WorkerPanic
+	// crash records a panic recovered out of this shard's cycle: written by
+	// the worker, read by the machine after the barrier.
+	crash *WorkerPanic
 
 	// Dispatch mailbox: the machine stores the cycle to run (or quitCycle),
 	// the worker spins on it and parks on wakeCh when the spin budget runs
@@ -120,18 +89,10 @@ type shard struct {
 }
 
 // chipPool is the persistent worker pool. Worker w permanently owns
-// shards[w], a fixed contiguous range of chips.
+// shards[w] and, during a chip phase, ds.ranges[w].
 type chipPool struct {
-	chips  []*chip.Chip
+	ds     *dueSet
 	shards []shard
-
-	// due[i] is the pool's belief of chip i's next event cycle. It is never
-	// later than the chip's true wake: it is read back from the chip after
-	// every pool step of that chip, and lowered by the wake hook on every
-	// external wake. Stale-early values merely cause a spurious due-heap
-	// pop. shardOf[i] locates chip i's shard for the hook.
-	due     []int64
-	shardOf []int32
 
 	// Gather-side barrier state. remaining counts down the workers
 	// dispatched this cycle; the worker that takes it to zero wakes the
@@ -146,107 +107,46 @@ type chipPool struct {
 	stopped  atomic.Bool
 	stopOnce sync.Once
 
-	// probe is the machine's fault-injection hook (Machine.SetFaultProbe),
-	// called on the worker goroutine immediately before each chip step.
-	probe func(node int, cycle int64)
-
 	// crashed poisons the pool after a worker panic was re-raised: the
-	// shard due-heaps may have lost entries for the aborted cycle, so a
-	// further step would silently violate the due-cache invariant instead
-	// of failing. Stepping a crashed pool re-raises the original panic.
+	// crashed chip stopped mid-step, so a further cycle would run on torn
+	// state instead of failing. Stepping a crashed pool re-raises the
+	// original panic.
 	crashed *WorkerPanic
 }
 
-// newChipPool starts min(workers, len(chips)) workers over contiguous
-// shards of near-equal size and installs the due-set wake hooks. The
-// goroutines persist until stop.
-func newChipPool(chips []*chip.Chip, workers int) *chipPool {
-	n := len(chips)
-	if workers > n {
-		workers = n
-	}
-	p := &chipPool{
-		chips:   chips,
-		shards:  make([]shard, workers),
-		due:     make([]int64, n),
-		shardOf: make([]int32, n),
-		done:    make(chan struct{}, 1),
-	}
-	p.mparked.Store(notParked)
-	for i, c := range chips {
-		p.due[i] = c.NextEvent(c.Cycle)
-		i := i
-		c.SetWakeHook(func(at int64) { p.wake(i, at) })
-	}
-	for w := range p.shards {
-		s := &p.shards[w]
-		s.lo, s.hi = w*n/workers, (w+1)*n/workers
-		s.wakeCh = make(chan struct{}, 1)
-		s.slot.Store(idleCycle)
-		s.parked.Store(notParked)
-		for i := s.lo; i < s.hi; i++ {
-			p.shardOf[i] = int32(w)
-			if p.due[i] != NoEvent {
-				s.push(dueEntry{p.due[i], int32(i)})
-			}
+// stepPooled runs the chip phase of cycle now on the worker pool, starting
+// one goroutine per range on first use. The goroutines persist until Close
+// (or the machine's collection) stops them.
+func (m *Machine) stepPooled(now int64) {
+	if m.pool == nil {
+		if m.closed {
+			// Without this, a Close before the first pooled step would let the
+			// lazy path resurrect a worker pool on a closed machine instead
+			// of tripping the pool's own panic.
+			panic("machine: parallel chip phase stepped after Close (do not call Step after Machine.Close)")
 		}
-		s.next = NoEvent
-		if len(s.heap) > 0 {
-			s.next = s.heap[0].at
+		p := &chipPool{ds: m.ds, shards: make([]shard, len(m.ds.ranges)), done: make(chan struct{}, 1)}
+		p.mparked.Store(notParked)
+		for w := range p.shards {
+			s := &p.shards[w]
+			s.wakeCh = make(chan struct{}, 1)
+			s.slot.Store(idleCycle)
+			s.parked.Store(notParked)
+			go p.worker(w) //mlint:allow gocheck the supervised shard worker pool; workers park at the cycle barrier and panics are contained by guard
 		}
-		go p.worker(w) //mlint:allow gocheck the supervised shard worker pool; workers park at the cycle barrier and panics are contained by guard
+		m.pool = p
+		// Backstop for machines that are never Closed (the experiment
+		// harnesses build thousands): release the workers when the machine
+		// becomes unreachable. The pool must not reach m, directly or
+		// through the due-set.
+		runtime.AddCleanup(m, func(p *chipPool) { p.stop() }, p)
 	}
-	return p
+	m.pool.step(now)
 }
 
-// wake is the chip wake hook: chip node became runnable at cycle at. It
-// runs only on the machine goroutine between chip phases (drain, arrival
-// wake-ups, Run entry, program loads), when every worker is parked at the
-// barrier, so it may touch shard heaps directly.
-func (p *chipPool) wake(node int, at int64) {
-	if at >= p.due[node] {
-		return
-	}
-	p.due[node] = at
-	s := &p.shards[p.shardOf[node]]
-	s.push(dueEntry{at, int32(node)})
-	if at < s.next {
-		s.next = at
-	}
-}
-
-// wakeAllAt marks every chip as possibly due at cycle at (used by StepAll,
-// whose forced chip steps can lower wakes without firing the hooks). Early
-// entries are always safe: a spurious pop just re-enqueues the chip at its
-// true wake.
-func (p *chipPool) wakeAllAt(at int64) {
-	for i := range p.chips {
-		p.wake(i, at)
-	}
-}
-
-// nextEvent reports the earliest cycle >= now at which any chip can act,
-// NoEvent if all chips are permanently idle — the shard-aggregated form of
-// scanning every chip, O(shards) instead of O(nodes).
-func (p *chipPool) nextEvent(now int64) int64 {
-	next := NoEvent
-	for i := range p.shards {
-		if p.shards[i].next < next {
-			next = p.shards[i].next
-		}
-	}
-	if next < now {
-		return now
-	}
-	return next
-}
-
-// step runs one parallel chip phase for cycle now: dispatch every shard
-// with due work, then barrier until they finish. Shards that are wholly
-// idle this cycle are not dispatched (and their chips are not touched —
-// deferred SkipCycles catch-up replays the idle window when each chip next
-// runs). On return the stepped chips have advanced to now+1 and their
-// outbox/trace buffers hold the cycle's output.
+// step runs one chip phase for cycle now: dispatch every shard whose range
+// has due work, then barrier until they finish. Ranges that are wholly
+// idle this cycle are not dispatched.
 func (p *chipPool) step(now int64) {
 	if p.stopped.Load() {
 		panic("machine: parallel chip phase stepped after Close (the worker pool is stopped; do not call Step after Machine.Close)")
@@ -255,24 +155,18 @@ func (p *chipPool) step(now int64) {
 		panic(p.crashed)
 	}
 	dispatched := int32(0)
-	for i := range p.shards {
-		if p.shards[i].next <= now {
+	for w := range p.ds.ranges {
+		if p.ds.ranges[w].next <= now {
 			dispatched++
 		}
 	}
 	if dispatched == 0 {
-		for i := range p.shards {
-			p.shards[i].stepped = p.shards[i].stepped[:0]
-		}
 		return
 	}
 	p.remaining.Store(dispatched)
-	for i := range p.shards {
-		s := &p.shards[i]
-		if s.next <= now {
-			p.dispatch(s, now)
-		} else {
-			s.stepped = s.stepped[:0]
+	for w := range p.shards {
+		if p.ds.ranges[w].next <= now {
+			p.dispatch(&p.shards[w], now)
 		}
 	}
 	p.awaitGather(now)
@@ -348,7 +242,7 @@ func (p *chipPool) worker(w int) {
 		if now == quitCycle {
 			return
 		}
-		p.runShardContained(s, now)
+		p.runShardContained(w, now)
 		if p.remaining.Add(-1) == 0 && p.mparked.CompareAndSwap(now, notParked) {
 			p.done <- struct{}{}
 		}
@@ -356,26 +250,26 @@ func (p *chipPool) worker(w int) {
 	}
 }
 
-// runShardContained is runShard with panic containment: a panic out of a
-// chip step (or an injected fault probe) is recovered here, on the worker
-// goroutine where the stack is still deep, and recorded on the shard; the
-// worker then arrives at the gather barrier normally so the machine
-// goroutine is never left waiting on a crashed cycle. step re-raises the
-// recorded panic as a *WorkerPanic after the barrier.
-func (p *chipPool) runShardContained(s *shard, now int64) {
+// runShardContained runs the chip phase over the worker's range with panic
+// containment: a panic out of a chip step (or an injected fault probe) is
+// recovered here, on the worker goroutine where the stack is still deep,
+// and recorded on the shard; the worker then arrives at the gather barrier
+// normally so the machine goroutine is never left waiting on a crashed
+// cycle. step re-raises the recorded panic as a *WorkerPanic after the
+// barrier.
+func (p *chipPool) runShardContained(w int, now int64) {
+	s, r := &p.shards[w], &p.ds.ranges[w]
 	defer func() {
 		if v := recover(); v != nil {
 			if wp, ok := v.(*WorkerPanic); ok {
 				s.crash = wp
 				return
 			}
-			s.crash = &WorkerPanic{Node: int(s.stepping), Cycle: now, Value: v, Stack: debug.Stack()}
+			s.crash = &WorkerPanic{Node: r.stepping, Cycle: now, Value: v, Stack: debug.Stack()}
 		}
 	}()
 	s.crash = nil
-	s.stepping = -1
-	p.runShard(s, now)
-	s.stepping = -1
+	p.ds.stepRange(r, now)
 }
 
 // awaitGather blocks the machine until every worker dispatched for cycle
@@ -399,87 +293,6 @@ func (p *chipPool) awaitGather(now int64) {
 	<-p.done
 }
 
-// runShard advances the shard's due chips through cycle now: pop every
-// due-heap entry at or before now, batch-replay the chip's deferred idle
-// cycles, step it if it is in fact due, and re-enter it with its new
-// NextEvent. Chips whose entries lie beyond now are never touched — the
-// active-set property. Stale heap entries (superseded by a lower due value)
-// are discarded lazily.
-func (p *chipPool) runShard(s *shard, now int64) {
-	s.stepped = s.stepped[:0]
-	for len(s.heap) > 0 && s.heap[0].at <= now {
-		e := s.pop()
-		if e.at != p.due[e.node] {
-			continue // stale
-		}
-		c := p.chips[e.node]
-		s.stepping = e.node
-		if d := now - c.Cycle; d > 0 {
-			c.SkipCycles(d)
-		}
-		if c.NextEvent(now) <= now {
-			if p.probe != nil {
-				p.probe(int(e.node), now)
-			}
-			c.Step(now)
-			s.stepped = append(s.stepped, e.node)
-			p.requeue(s, e.node, c.NextEvent(now+1))
-		} else {
-			// Spurious wake (the cached due cycle was early): re-enter the
-			// chip at its true wake.
-			p.requeue(s, e.node, c.NextEvent(now))
-		}
-	}
-	for len(s.heap) > 0 && s.heap[0].at != p.due[s.heap[0].node] {
-		s.pop()
-	}
-	if len(s.heap) > 0 {
-		s.next = s.heap[0].at
-	} else {
-		s.next = NoEvent
-	}
-	// Pops at the same cycle come out in node order, so the list is usually
-	// already sorted and this is a cheap linear pass.
-	slices.Sort(s.stepped)
-}
-
-// requeue records chip node's next event and re-enters it into the
-// due-heap. NoEvent chips leave the heap entirely: only a wake hook can
-// bring them back.
-func (p *chipPool) requeue(s *shard, node int32, at int64) {
-	p.due[node] = at
-	if at != NoEvent {
-		s.push(dueEntry{at, node})
-	}
-}
-
-// drainOutput flushes the cycle's output of exactly the chips that stepped,
-// in global node-index order (shards are contiguous and ascending, and each
-// stepped list is sorted). Chips that did not step buffered nothing, so
-// this is bit-identical to draining every chip.
-func (p *chipPool) drainOutput(now int64) {
-	for i := range p.shards {
-		for _, node := range p.shards[i].stepped {
-			c := p.chips[node]
-			c.FlushTrace()
-			c.FlushNet(now)
-		}
-	}
-}
-
-// sync catches every chip up to cycle now, materializing the deferred idle
-// bookkeeping (SkipCycles) the active-set scheduler batches. The machine
-// calls it before any serial chip phase, before Close, and when Run
-// returns, so external observers always see the same per-chip cycle counts
-// and stall statistics the serial engines produce.
-func (p *chipPool) sync(now int64) {
-	for _, c := range p.chips {
-		if d := now - c.Cycle; d > 0 {
-			c.SkipCycles(d)
-		}
-	}
-}
-
 // stop terminates the workers. Idempotent; safe after any number of steps.
 // A worker parked at the dispatch barrier is woken and exits; stepping the
 // pool after stop panics (see step).
@@ -490,53 +303,4 @@ func (p *chipPool) stop() {
 			p.dispatch(&p.shards[i], quitCycle)
 		}
 	})
-}
-
-// push/pop implement the due-heap (a plain slice binary min-heap ordered by
-// (at, node); no container/heap, so no interface boxing on the hot path).
-func (s *shard) push(e dueEntry) {
-	h := append(s.heap, e)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.less(h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = e
-	s.heap = h
-}
-
-func (s *shard) pop() dueEntry {
-	h := s.heap
-	top := h[0]
-	last := h[len(h)-1]
-	h = h[:len(h)-1]
-	if len(h) > 0 {
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			if l >= len(h) {
-				break
-			}
-			child := l
-			if r < len(h) && h[r].less(h[l]) {
-				child = r
-			}
-			if !h[child].less(last) {
-				break
-			}
-			h[i] = h[child]
-			i = child
-		}
-		h[i] = last
-	}
-	s.heap = h
-	return top
-}
-
-func (e dueEntry) less(o dueEntry) bool {
-	return e.at < o.at || (e.at == o.at && e.node < o.node)
 }

@@ -9,10 +9,13 @@ package machine_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/noc"
+	"repro/internal/rt"
 )
 
 func TestShardFrameRoundTrip(t *testing.T) {
@@ -129,5 +132,89 @@ func TestReadSnapshotConfig(t *testing.T) {
 	defer fresh.Close()
 	if err := fresh.Restore(bytes.NewReader(snap.Bytes())); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShardRangeStepping: a transport that owns chips [lo, hi) and drives
+// them the way the dist worker does — the machine's chip phase through
+// StepRange, the clock assigned from outside and jumped over idle windows,
+// the stepped chips' outboxes taken instead of injected — must pull the
+// EncodeShard frame the naive reference produces for that range: the
+// deferred idle accounting has to be materialized by the pull, for chips
+// that never became due again as well.
+func TestShardRangeStepping(t *testing.T) {
+	const nodes, lo, hi, cycles = 4, 1, 3, 3000
+	build := func() *machine.Machine {
+		m, _ := newMachine(t, nodes, rt.Options{})
+		for i := 0; i < nodes; i++ {
+			// Node-local work only (no chip outside the range steps here, so
+			// nothing could answer a message): strided loads over the node's
+			// own home range, i.e. LTLB misses, cache misses and the stall
+			// cycles between them; node 2 halts early and idles.
+			loadUser(t, m, i, 0, 0, fmt.Sprintf(`
+    movi i1, #%d
+    movi i2, #0
+    movi i3, #%d
+loop:
+    ld i4, [i1]
+    add i5, i5, i4
+    st [i1+1], i5
+    add i1, i1, #129
+    add i2, i2, #1
+    lt i6, i2, i3
+    brt i6, loop
+    halt
+`, i*4096, 6+18*(i%2)))
+		}
+		return m
+	}
+	ref := build()
+	defer ref.Close()
+	for ref.Cycle < cycles {
+		ref.StepAll()
+	}
+
+	w := build()
+	defer w.Close()
+	for i := lo; i < hi; i++ {
+		w.Chip(i).Touch()
+	}
+	var stepped []int
+	var out []*noc.Message
+	steps, jumps := 0, 0
+	for w.Cycle < cycles {
+		now := w.Cycle
+		stepped = w.StepRange(lo, hi, now, stepped[:0])
+		for _, i := range stepped {
+			out = w.Chip(i).TakeOutbox(out)
+		}
+		steps += len(stepped)
+		w.Cycle = now + 1
+		// The coordinator's fast-forward, from the range's activity report.
+		if _, _, _, next, _ := w.ShardActivity(lo, hi, w.Cycle); next > w.Cycle {
+			w.Cycle = min(next, cycles)
+			jumps++
+		}
+	}
+	if len(out) != 0 {
+		t.Fatalf("workload sent %d messages; it is meant to be node-local", len(out))
+	}
+	if steps == 0 || steps >= (hi-lo)*cycles/2 || jumps == 0 {
+		t.Fatalf("%d chip steps, %d clock jumps over %d cycles: the run deferred nothing", steps, jumps, cycles)
+	}
+	var want, got bytes.Buffer
+	if err := ref.EncodeShard(&want, lo, hi); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.EncodeShard(&got, lo, hi); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		t.Fatal("range stepped through StepRange encodes differently from the naive reference")
+	}
+	for i := lo; i < hi; i++ {
+		if th := w.Chip(i).Thread(0, 0); th.StallCycles == 0 || th.Status != ref.Chip(i).Thread(0, 0).Status {
+			t.Errorf("node %d: stalls %d, status %v vs reference %v", i, th.StallCycles, th.Status, ref.Chip(i).Thread(0, 0).Status)
+		}
 	}
 }

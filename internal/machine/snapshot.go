@@ -6,13 +6,12 @@ package machine
 // binary stream; Restore loads one into a compatible machine; Fork clones
 // a machine structurally, sharing SDRAM chunks copy-on-write.
 //
-// Snapshots are engine-agnostic: Save first materializes any idle-chip
-// bookkeeping the parallel engine's active-set scheduler deferred (the
-// same sync point Run and Close use), so the serialized state is the one
-// the serial engines would show, bit for bit. Restore re-derives the
-// event-engine wake caches by touching every chip — the always-safe early
-// direction of the NextEvent contract — so the restored machine continues
-// identically under any engine.
+// Snapshots are engine-agnostic: Save first materializes the idle-chip
+// bookkeeping the chip phase deferred (the same sync point Run and Close
+// use), so the serialized state is the one the naive loop would show, bit
+// for bit. Restore re-derives the event-engine wake caches by touching
+// every chip — the always-safe early direction of the NextEvent contract —
+// so the restored machine continues identically under any engine.
 //
 // Restore is all-or-nothing: the stream is fully decoded and validated
 // into detached scratch components first, and only then committed, so a
@@ -205,10 +204,9 @@ func (m *Machine) Restore(rd io.Reader) error {
 		return fmt.Errorf("machine: restore: %w", err)
 	}
 
-	// Phase 2: commit. Materialize any engine-deferred bookkeeping first
-	// (the pre-restore state must be consistent before it is overwritten),
-	// then adopt the scratch state in place — infallible from here on.
-	m.syncDeferred()
+	// Phase 2: commit. Adopt the scratch state in place — infallible from
+	// here on. (Bookkeeping the chip phase deferred on the old state is
+	// overwritten with it: every chip adopts its saved Cycle.)
 	m.Cycle = cycle
 	copy(m.nextPPN, nppn)
 	m.GDT.Adopt(gdt)
@@ -216,9 +214,9 @@ func (m *Machine) Restore(rd io.Reader) error {
 		c.Adopt(chips[i])
 	}
 	m.Net.Adopt(net)
-	// Re-derive the engine caches: touch every chip (firing the parallel
-	// engine's due-set hooks) and rebuild the arrival tracking and the
-	// run-loop activity counters from the adopted state.
+	// Re-derive the engine caches: touch every chip (firing the due-set
+	// hooks) and rebuild the arrival tracking and the run-loop activity
+	// counters from the adopted state.
 	m.WakeAll()
 	m.recomputeActive()
 	return nil
@@ -244,8 +242,9 @@ func (m *Machine) Fork() (*Machine, error) {
 	f.Naive = m.Naive
 	copy(f.nextPPN, m.nextPPN)
 	for i, c := range m.Chips {
-		f.Chips[i] = c.Clone(f.Net, f.GDT)
-		f.Chips[i].BufferTrace = c.BufferTrace
+		fc := c.Clone(f.Net, f.GDT)
+		fc.BufferTrace = c.BufferTrace
+		f.ds.attach(i, fc)
 	}
 	f.WakeAll()
 	f.recomputeActive()

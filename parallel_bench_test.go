@@ -1,8 +1,9 @@
-// Benchmarks and regression checks for the parallel simulation engine:
-// the goroutine-sharded chip phase (machine.Config.Workers) swept against
-// the serial event engine over node count, under a busy workload — every
-// cluster of every node issuing every cycle, the chip phase's worst case
-// and the configuration the parallel engine exists for.
+// Benchmarks and regression checks for the worker pool: the chip phase
+// run on machine.Config.Workers goroutines swept against the same phase
+// run inline, over node count, under a busy workload — every cluster of
+// every node issuing every cycle, the chip phase's worst case and the
+// configuration the pool exists for. (Mostly idle meshes are measured by
+// benchmark/'s idle-remote workload.)
 package repro_test
 
 import (
@@ -45,7 +46,7 @@ loop:
 
 // BenchmarkParallelSpeedup sweeps node count × engine: compare the
 // "serial" and "parallel" variants of each size to read off the speedup
-// (cycles/sec). The parallel engine shards the chip phase over GOMAXPROCS
+// (cycles/sec). The parallel variant runs the chip phase on GOMAXPROCS
 // workers; on a single-core host the two variants coincide.
 func BenchmarkParallelSpeedup(b *testing.B) {
 	sizes := []struct {
@@ -80,103 +81,31 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 	}
 }
 
-// idleMixSim boots a dims-shaped machine with spin loops on all four
-// clusters of the first busyNodes nodes and nothing on the rest, so every
-// busy cycle has exactly busyNodes due chips. The busy nodes are clustered
-// at the low end of the node range — the worst case for static contiguous
-// shards and the configuration active-set scheduling is for.
-func idleMixSim(tb testing.TB, dims noc.Coord, busyNodes, workers int) *core.Sim {
-	s, err := core.NewSim(core.Options{Dims: dims, Workers: workers})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	spin := `
-    movi i1, #0
-loop:
-    add i1, i1, #1
-    br loop
-`
-	for n := 0; n < busyNodes; n++ {
-		for cl := 0; cl < 4; cl++ {
-			if err := s.LoadASM(n, 0, cl, spin); err != nil {
-				tb.Fatal(err)
-			}
-		}
-	}
-	for i := 0; i < 16; i++ {
-		s.M.Step()
-	}
-	return s
-}
-
-// BenchmarkIdleMix measures the engines on heterogeneous busy/idle mixes:
-// a 128-node mesh where only 10%/50%/90% of the chips are idle each cycle.
-// The serial event engine touches every chip every busy cycle (idle ones
-// via SkipCycles(1)); the active-set parallel engine's cost is
-// proportional to the busy chips alone, which is the win this benchmark
-// demonstrates and guards. Workers are fixed at 4 so the comparison is
-// about scheduling, not host core count.
-func BenchmarkIdleMix(b *testing.B) {
-	dims := noc.Coord{X: 8, Y: 8, Z: 2} // 128 nodes
-	total := dims.X * dims.Y * dims.Z
-	mixes := []struct {
-		name     string
-		idlePart int // percent of chips idle per cycle
-	}{
-		{"Idle10", 10},
-		{"Idle50", 50},
-		{"Idle90", 90},
-	}
-	engines := []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1},
-		{"parallel4", 4},
-	}
-	for _, mix := range mixes {
-		busy := total * (100 - mix.idlePart) / 100
-		for _, eng := range engines {
-			b.Run(mix.name+"/"+eng.name, func(b *testing.B) {
-				s := idleMixSim(b, dims, busy, eng.workers)
-				defer s.M.Close()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					s.M.Step()
-				}
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/sec")
-				b.ReportMetric(float64(b.N)*float64(busy)/b.Elapsed().Seconds(),
-					"busy-node-cycles/sec")
-			})
-		}
-	}
-}
-
-// TestParallelSpeedup is the acceptance tripwire for the parallel engine:
+// TestParallelSpeedup is the acceptance tripwire for the worker pool:
 // on a host with ≥ 4 cores, stepping a busy 128-node mesh (8x8x2, well
-// past the 32-node bar) must be ≥ 2× faster under the parallel engine
-// than under the serial event engine. Wall-clock assertions are only
-// meaningful when the measurement has the host to itself, so the test
-// runs solely under `make speedup` (PARALLEL_SPEEDUP=1, its own go test
-// invocation after the main suite) — inside a plain `go test ./...` it
-// would contend with concurrently running package binaries and flake. It
-// also skips on small hosts and under the race detector's
-// instrumentation.
+// past the 32-node bar) must be ≥ 2× faster on the pool than inline.
+// Wall-clock assertions are only meaningful when the measurement has the
+// host to itself, so the test runs solely under `make speedup`
+// (PARALLEL_SPEEDUP=1, its own go test invocation after the main suite) —
+// inside a plain `go test ./...` it would contend with concurrently
+// running package binaries and flake. It also skips on small hosts and
+// under the race detector's instrumentation; `make speedup` prints the
+// reason on one line.
 func TestParallelSpeedup(t *testing.T) {
 	if os.Getenv("PARALLEL_SPEEDUP") == "" {
 		t.Skip("wall-clock measurement needs an idle host: run via make speedup (PARALLEL_SPEEDUP=1)")
 	}
 	if raceEnabled {
-		t.Skip("wall-clock measurement skipped under the race detector")
+		t.Skip("skipped: wall-clock measurement is meaningless under the race detector")
 	}
 	if p := runtime.GOMAXPROCS(0); p < 4 {
-		t.Skipf("need GOMAXPROCS >= 4 for the 2x bar, have %d", p)
+		t.Skipf("skipped: need GOMAXPROCS >= 4 for the 2x bar, have %d", p)
 	}
 	if c := runtime.NumCPU(); c < 4 {
 		// GOMAXPROCS can be raised by hand, but time-slicing 4 workers on
-		// fewer physical cores makes the parallel engine *slower*; the bar
+		// fewer physical cores makes the pooled phase *slower*; the bar
 		// only means something on real parallel hardware.
-		t.Skipf("need >= 4 physical CPUs for the 2x bar, have %d", c)
+		t.Skipf("skipped: need >= 4 physical CPUs for the 2x bar, have %d", c)
 	}
 	const cycles = 1000
 	dims := noc.Coord{X: 8, Y: 8, Z: 2}
@@ -200,6 +129,6 @@ func TestParallelSpeedup(t *testing.T) {
 	speedup := float64(serial) / float64(parallel)
 	t.Logf("busy 8x8x2: serial %v, parallel %v, speedup %.2fx", serial, parallel, speedup)
 	if speedup < 2 {
-		t.Errorf("parallel engine speedup %.2fx < 2x on a %d-core host", speedup, runtime.GOMAXPROCS(0))
+		t.Errorf("worker pool speedup %.2fx < 2x on a %d-core host", speedup, runtime.GOMAXPROCS(0))
 	}
 }
