@@ -67,24 +67,25 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// runMigrating boots an n-node machine under the given engine
-// configuration and runs a workload whose busy region migrates across the
+// migratingNodes is the mesh size of the migrating workload.
+const migratingNodes = 8
+
+// buildMigrating boots an n-node machine under the given engine
+// configuration and loads a workload whose busy region migrates across the
 // mesh: node i first serializes through i*4 dependent remote loads from
 // its successor's home range (mostly stall cycles), then runs a hot
 // arithmetic burst, so activity sweeps from node 0 towards node n-1 over
-// time — the pattern that defeats static contiguous shards. It returns a
-// fingerprint of the complete observable state (cycle count, the full
-// trace stream, per-chip issue and stall statistics — the numbers the
-// deferred SkipCycles batching must replay exactly).
-func runMigrating(t *testing.T, workers int, naive bool) string {
+// time — the pattern that defeats static contiguous shards. The machine's
+// trace stream is collected in the returned builder.
+func buildMigrating(t *testing.T, workers int, naive bool) (*machine.Machine, *strings.Builder) {
 	t.Helper()
-	const nodes = 8
+	const nodes = migratingNodes
 	cfg := machine.DefaultConfig()
 	cfg.Dims = noc.Coord{X: nodes, Y: 1, Z: 1}
 	cfg.Workers = workers
 	m := machine.New(cfg)
 	m.Naive = naive
-	defer m.Close()
+	t.Cleanup(m.Close)
 	if _, err := rt.Install(m, rt.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -121,6 +122,17 @@ spin:
     halt
 `, succ*4096+256, i*4, 300+40*i))
 	}
+	return m, &trace
+}
+
+// runMigrating runs the migrating workload to completion and returns a
+// fingerprint of the complete observable state (cycle count, the full
+// trace stream, per-chip issue and stall statistics — the numbers the
+// deferred SkipCycles batching must replay exactly).
+func runMigrating(t *testing.T, workers int, naive bool) string {
+	t.Helper()
+	const nodes = migratingNodes
+	m, trace := buildMigrating(t, workers, naive)
 	cycles, err := m.Run(2_000_000)
 	if err != nil {
 		t.Fatal(err)
@@ -155,17 +167,32 @@ func TestDeterminismMigrating(t *testing.T) {
 	}
 }
 
+// chipStats renders the per-chip numbers the chip phase's deferred idle
+// accounting replays: the chip's cycle, issue count, throttle-blocked SEND
+// evaluations and every thread's stall count.
+func chipStats(m *machine.Machine, n int) string {
+	var b strings.Builder
+	c := m.Chip(n)
+	fmt.Fprintf(&b, "node%d cycle=%d insts=%d blocked=%d stalls=", n, c.Cycle, c.InstsIssued, c.SendsBlocked)
+	for vt := 0; vt < isa.NumVThreads; vt++ {
+		for cl := 0; cl < isa.NumClusters; cl++ {
+			fmt.Fprintf(&b, "%d,", c.Thread(vt, cl).StallCycles)
+		}
+	}
+	b.WriteByte('\n')
+	return b.String()
+}
+
 // TestDeterminismMixedEngines drives one machine through every way of
 // advancing it — Run, RunUntil, RunExact, StepAll, public Step, flipping
-// Naive mid-run — with a Save+Restore and a Fork in between, inline and on
-// 2 and 3 workers, and holds it to a pure naive run at every boundary:
+// Naive every few Steps — with a Save+Restore and a Fork in between, inline
+// and on 2 and 3 workers, and holds it to a pure naive run at every boundary:
 // trace stream, Digest, and (read before Digest's own sync) every thread's
 // StallCycles and every chip's SendsBlocked. Each boundary is a sync point
-// of the chip phase's deferred idle accounting. It also pins the StepAll
-// cache repair: a forced naive step can lower a chip's wake internally
-// (consuming a delivered message) without firing the wake hook, so StepAll
-// must re-mark chips due and ingest deliveries into the arrival set, or
-// the next event-engine step leaves a runnable chip asleep.
+// of the chip phase's deferred idle accounting. It also pins StepAll's cache
+// repair: naive cycles deliver messages behind the event engine's back, so
+// StepAll must ingest them into the arrival set (whose wake-ups lower the
+// due-set), or the next event-engine step leaves a runnable chip asleep.
 func TestDeterminismMixedEngines(t *testing.T) {
 	const nodes = 4
 	trace := func(m *machine.Machine, to *strings.Builder) {
@@ -226,14 +253,7 @@ loop:
 		var b strings.Builder
 		fmt.Fprintf(&b, "cycle=%d\n", m.Cycle)
 		for n := 0; n < nodes; n++ {
-			c := m.Chip(n)
-			fmt.Fprintf(&b, "node%d cycle=%d insts=%d blocked=%d stalls=", n, c.Cycle, c.InstsIssued, c.SendsBlocked)
-			for vt := 0; vt < isa.NumVThreads; vt++ {
-				for cl := 0; cl < isa.NumClusters; cl++ {
-					fmt.Fprintf(&b, "%d,", c.Thread(vt, cl).StallCycles)
-				}
-			}
-			b.WriteByte('\n')
+			b.WriteString(chipStats(m, n))
 		}
 		d, err := m.Digest()
 		if err != nil {
@@ -247,11 +267,21 @@ loop:
 		goal := th.StallCycles + by
 		return func() bool { return th.StallCycles >= goal }
 	}
+	// The order matters: a public event-engine Step is the one entry point
+	// that does not WakeAll first, so the steps that directly follow StepAll
+	// and the naive stretches inside Flip see nothing but StepAll's own
+	// cache repair. Run, RunUntil and RunExact would mask a missing one.
 	ops := []struct {
 		name string
 		do   func(m *machine.Machine) string
 	}{
 		{"Run", func(m *machine.Machine) string { n, err := m.Run(150); return fmt.Sprint(n, err) }},
+		{"StepAll", func(m *machine.Machine) string {
+			for i := 0; i < 5; i++ {
+				m.StepAll()
+			}
+			return ""
+		}},
 		{"Step", func(m *machine.Machine) string {
 			for i := 0; i < 7; i++ {
 				m.Step()
@@ -264,22 +294,17 @@ loop:
 			n, err := m.RunUntil(stalled(m, 40), 300)
 			return fmt.Sprint(n, err)
 		}},
-		{"StepAll", func(m *machine.Machine) string {
-			for i := 0; i < 5; i++ {
-				m.StepAll()
+		{"Flip", func(m *machine.Machine) string {
+			// Naive flips every 5 cycles under the public Step.
+			pure := m.Naive
+			for i := 0; i < 40; i++ {
+				m.Naive = pure || (i/5)%2 == 0
+				m.Step()
 			}
+			m.Naive = pure
 			return ""
 		}},
 		{"RunExact", func(m *machine.Machine) string { n, err := m.RunExact(23); return fmt.Sprint(n, err) }},
-		{"NaiveStep", func(m *machine.Machine) string {
-			was := m.Naive
-			m.Naive = true
-			for i := 0; i < 5; i++ {
-				m.Step()
-			}
-			m.Naive = was
-			return ""
-		}},
 	}
 	for _, workers := range []int{0, 2, 3} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
@@ -326,6 +351,53 @@ loop:
 				t.Error("node 1 never stalled: the workload no longer exercises deferred idle accounting")
 			}
 		})
+	}
+}
+
+// TestCrashStateMatchesNaive: a panic out of the chip phase unwinds through
+// Run's sync point, and what forensics (guard's Diagnose and crash dump) then
+// read must be the naive loop's state. The crashed chip stopped before its
+// Cycle advanced, so the sync leaves it alone; chips the phase had not
+// reached and idle chips are caught up to the crash cycle; chips that had
+// already stepped the crash cycle are one cycle on.
+func TestCrashStateMatchesNaive(t *testing.T) {
+	const node, at = 5, 333
+	naiveAt := func(cycle int64) *machine.Machine {
+		m, _ := buildMigrating(t, 0, true)
+		if _, err := m.RunExact(cycle); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	before, after := naiveAt(at), naiveAt(at+1)
+	for _, workers := range []int{0, 2, 3} {
+		m, _ := buildMigrating(t, workers, false)
+		m.SetFaultProbe(func(n int, cycle int64) {
+			if n == node && cycle >= at {
+				panic("injected")
+			}
+		})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("workers%d: Run returned without the injected panic", workers)
+				}
+			}()
+			m.Run(2_000_000)
+		}()
+		if m.Cycle != at || m.Chip(node).Cycle != at {
+			t.Fatalf("workers%d: crash left machine at cycle %d, chip %d at %d, want %d",
+				workers, m.Cycle, node, m.Chip(node).Cycle, at)
+		}
+		for n := 0; n < migratingNodes; n++ {
+			ref := before
+			if m.Chip(n).Cycle == at+1 {
+				ref = after
+			}
+			if got, want := chipStats(m, n), chipStats(ref, n); got != want {
+				t.Errorf("workers%d: after the crash %swant the naive %s", workers, got, want)
+			}
+		}
 	}
 }
 

@@ -140,18 +140,6 @@ func (ds *dueSet) nextEvent(now int64) int64 {
 	return max(next, now)
 }
 
-// wakeAllAt marks every chip possibly due at cycle at. StepAll needs it: a
-// forced Step can lower a chip's wake internally (by consuming a delivered
-// message) without firing the hook.
-func (ds *dueSet) wakeAllAt(at int64) {
-	for i := range ds.due {
-		ds.due[i] = min(ds.due[i], at)
-	}
-	for k := range ds.ranges {
-		ds.ranges[k].next = min(ds.ranges[k].next, at)
-	}
-}
-
 // sync catches every chip up to cycle now, materializing the idle
 // bookkeeping the phase defers, so that an observer sees the per-chip cycle
 // counts and stall statistics of stepping every chip every cycle.

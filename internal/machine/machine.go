@@ -281,12 +281,11 @@ func (m *Machine) Chip(i int) *chip.Chip { return m.Chips[i] }
 // and the network step unconditionally. This is the reference (debug)
 // engine the event-driven Step is validated against. The engines may be
 // interleaved on one machine, so StepAll keeps the event engine's caches
-// honest: chips the event engine left behind are caught up first, and
-// because a forced Step can lower a chip's wake internally (e.g. by
-// consuming a delivered message) without firing the wake hook, every chip
-// is re-marked due for the next cycle — the safe, possibly-early direction
-// of the due-set invariant — and the tracked arrival set ingests this
-// cycle's deliveries.
+// honest: chips the event engine left behind are caught up first, and the
+// tracked arrival set ingests this cycle's deliveries, whose wake-ups
+// lower the due-set through the hook. Nothing else is needed: StepAll never
+// raises a due entry, and a forced step of a chip that is not due changes
+// nothing, so every entry stays at or before its chip's true wake.
 func (m *Machine) StepAll() {
 	now := m.Cycle
 	m.syncDeferred()
@@ -300,10 +299,9 @@ func (m *Machine) StepAll() {
 		m.drain(i, now)
 	}
 	m.Net.Step(now)
-	m.ds.wakeAllAt(now + 1)
 	// The wakes are unobservable under naive stepping (only the event
 	// engine consults wake cycles), so this costs nothing but keeps the
-	// arrival set exact for a later event-engine step.
+	// arrival set and the due-set exact for a later event-engine step.
 	m.wakeArrivals(now, true)
 	m.Cycle++
 }
@@ -533,7 +531,10 @@ func (m *Machine) Run(maxCycles int64) (int64, error) {
 	defer m.runMu.Unlock()
 	// The chip phase defers idle chips' per-cycle bookkeeping; materialize
 	// it before returning so callers observe exactly the per-chip cycle
-	// counts and stall statistics of the naive loop.
+	// counts and stall statistics of the naive loop. That includes a chip
+	// panic unwinding through here: the crashed chip stopped before its Cycle
+	// advanced, so the sync leaves it as it broke, and forensics read the
+	// naive state of the crash cycle on every other chip.
 	defer m.syncDeferred()
 	m.WakeAll()
 	m.recomputeActive()
