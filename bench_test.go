@@ -1,203 +1,20 @@
-// Benchmark harness: one benchmark per table and figure of the paper, plus
-// the mechanism ablations indexed in DESIGN.md. Each benchmark regenerates
-// its result on the simulator and reports the headline quantity as a custom
-// metric (cycles, cycles/iter, etc.), so
-//
-//	go test -bench=. -benchmem
-//
-// reproduces the whole evaluation. The same measurements with
-// paper-vs-measured comparison tables are printed by cmd/mbench.
+// Root benchmarks: the ones DESIGN.md quotes — the cycle engine's
+// throughput and fast-forward, the checkpoint subsystem (Fork, Save,
+// Restore), and (ablation_bench_test.go) the mechanism ablations and
+// scaling sweeps. The paper's tables and figures are regenerated by
+// cmd/mbench, and end-to-end host time is measured by benchmark/; neither
+// is repeated here.
 package repro_test
 
 import (
 	"bytes"
 	"fmt"
 	"io"
-	"strings"
 	"testing"
 
-	"repro/internal/area"
 	"repro/internal/core"
 	"repro/internal/noc"
 )
-
-// BenchmarkTable1 regenerates every row of Table 1 (E1), reporting each
-// cell's latency in cycles as a metric.
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := core.Table1()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				name := strings.ReplaceAll(r.Class.String(), " ", "_")
-				b.ReportMetric(float64(r.Read), name+"_read_cycles")
-				b.ReportMetric(float64(r.Write), name+"_write_cycles")
-			}
-		}
-	}
-}
-
-// BenchmarkFigure9Read regenerates the remote read timeline (E2).
-func BenchmarkFigure9Read(b *testing.B) {
-	var total int64
-	for i := 0; i < b.N; i++ {
-		r, _, err := core.Figure9()
-		if err != nil {
-			b.Fatal(err)
-		}
-		total = r.Total
-	}
-	b.ReportMetric(float64(total), "remote_read_cycles")
-}
-
-// BenchmarkFigure9Write regenerates the remote write timeline (E2).
-func BenchmarkFigure9Write(b *testing.B) {
-	var total int64
-	for i := 0; i < b.N; i++ {
-		_, w, err := core.Figure9()
-		if err != nil {
-			b.Fatal(err)
-		}
-		total = w.Total
-	}
-	b.ReportMetric(float64(total), "remote_write_cycles")
-}
-
-// BenchmarkFigure5Stencils regenerates the stencil schedule-depth results
-// (E3): 7-point 12 -> 8 and 27-point 36 -> 17 in the paper.
-func BenchmarkFigure5Stencils(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rs, err := core.StencilExperiment()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rs {
-				name := r.Name[:1] + "pt"
-				if r.Name[1] == '7' { // "27-point ..."
-					name = "27pt"
-				}
-				b.ReportMetric(float64(r.Depth), name+"_depth_x"+itoa(r.HThreads))
-				b.ReportMetric(float64(r.Cycles), name+"_cycles_x"+itoa(r.HThreads))
-			}
-		}
-	}
-}
-
-// BenchmarkFigure6LoopSync regenerates the loop synchronization overhead
-// (E4).
-func BenchmarkFigure6LoopSync(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rs, err := core.LoopSyncExperiment(100)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rs {
-				b.ReportMetric(r.PerIter-r.BaselinePerIter,
-					"barrier_overhead_x"+itoa(r.HThreads))
-			}
-		}
-	}
-}
-
-// BenchmarkAreaModel evaluates the Sections 1/5 analytical model (E5): the
-// 85:1 peak-performance-per-area headline.
-func BenchmarkAreaModel(b *testing.B) {
-	var r area.Results
-	for i := 0; i < b.N; i++ {
-		r = area.Evaluate(area.PaperInputs())
-	}
-	b.ReportMetric(r.PerfPerAreaGain, "perf_per_area_gain")
-	b.ReportMetric(r.AreaRatio, "area_ratio")
-}
-
-// BenchmarkVThreads measures latency tolerance from V-Thread interleaving
-// (E6).
-func BenchmarkVThreads(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rs, err := core.VThreadExperiment(200)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rs {
-				b.ReportMetric(r.LoadsPerKCycle, "loads_per_kcycle_x"+itoa(r.VThreads))
-			}
-		}
-	}
-}
-
-// BenchmarkThrottle exercises the return-to-sender protocol (E7).
-func BenchmarkThrottle(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := core.ThrottleExperiment(24, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(r.SendsBlocked), "send_stalls")
-			b.ReportMetric(float64(r.Returned), "messages_returned")
-		}
-	}
-}
-
-// BenchmarkGTLB measures raw GTLB translation throughput over a block/
-// cyclic interleaved page group (E8).
-func BenchmarkGTLB(b *testing.B) {
-	rows := core.GTLBExperiment()
-	if len(rows) == 0 {
-		b.Fatal("no GTLB rows")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.GTLBExperiment()
-	}
-}
-
-// BenchmarkGuardedPtr measures the guarded-pointer overhead ablation (E9).
-func BenchmarkGuardedPtr(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := core.GuardedPtrExperiment(200)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(r.GuardedCycles), "guarded_cycles")
-			b.ReportMetric(float64(r.RawCycles), "raw_cycles")
-		}
-	}
-}
-
-// BenchmarkSyncBits measures the synchronizing producer/consumer handoff
-// (E10).
-func BenchmarkSyncBits(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := core.SyncBitsExperiment()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !r.HandoffOK {
-			b.Fatal("handoff failed")
-		}
-	}
-}
-
-// BenchmarkBlockCache measures caching remote data in local DRAM (E11).
-func BenchmarkBlockCache(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := core.BlockCacheExperiment()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(r.CachedPass2), "cached_pass2_cycles")
-			b.ReportMetric(float64(r.UncachedPass2), "uncached_pass2_cycles")
-		}
-	}
-}
 
 // BenchmarkSimulatorThroughput measures raw simulation speed: simulated
 // cycles per second for a busy 4-node machine, the simulator's own

@@ -1,25 +1,22 @@
 // Command benchdiff compares two mbench -json records (BENCH_<n>.json, the
-// per-PR performance trajectory) and flags two kinds of drift:
+// per-PR simulated-metrics drift record). Every metric mbench records is a
+// simulated result (cycle counts and derived figures), so any change
+// between records is a determinism break — the engines are contractually
+// bit-identical across versions unless a PR deliberately changes simulated
+// behavior. A metric that drifted, a metric that disappeared and an
+// experiment that was dropped all fail the comparison (exit 1).
 //
-//   - Metric deltas. Every metric mbench records is a simulated result
-//     (cycle counts and derived figures), so any change between records is
-//     a determinism break — the engines are contractually bit-identical
-//     across versions unless a PR deliberately changes simulated behavior.
-//     These fail the comparison (exit 1) unless -advisory is set.
-//
-//   - Wall-time regressions. Each experiment's wall_ns is compared under a
-//     multiplicative tolerance (-tol) that absorbs host noise; regressions
-//     beyond it are reported. Wall time is advisory by default (records
-//     may come from different hosts); -strict-wall makes it fail too.
+// Host time is not in the record (records up to BENCH_16 carry a
+// single-shot wall time per experiment, which is ignored): wall-time
+// evidence comes from benchmark/run.sh pairs only.
 //
 // Usage:
 //
-//	benchdiff [-tol 1.5] [-advisory] [-strict-wall] old.json new.json
+//	benchdiff old.json new.json
 package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 )
@@ -35,15 +32,13 @@ type metric struct {
 type result struct {
 	Name    string   `json:"name"`
 	Title   string   `json:"title"`
-	WallNs  int64    `json:"wall_ns"`
 	Metrics []metric `json:"metrics,omitempty"`
 }
 
 // report mirrors mbench's top-level -json document.
 type report struct {
-	Schema     string   `json:"schema"`
-	GoMaxProcs int      `json:"gomaxprocs"`
-	Results    []result `json:"results"`
+	Schema  string   `json:"schema"`
+	Results []result `json:"results"`
 }
 
 func load(path string) (*report, error) {
@@ -62,20 +57,16 @@ func load(path string) (*report, error) {
 }
 
 func main() {
-	tol := flag.Float64("tol", 1.5, "wall-time regression tolerance (new/old ratio)")
-	advisory := flag.Bool("advisory", false, "always exit 0, even on metric deltas")
-	strictWall := flag.Bool("strict-wall", false, "treat wall-time regressions beyond -tol as failures")
-	flag.Parse()
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-tol f] [-advisory] [-strict-wall] old.json new.json")
+	if len(os.Args) != 3 {
+		fmt.Fprintln(os.Stderr, "usage: benchdiff old.json new.json")
 		os.Exit(2)
 	}
-	oldRep, err := load(flag.Arg(0))
+	oldRep, err := load(os.Args[1])
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(2)
 	}
-	newRep, err := load(flag.Arg(1))
+	newRep, err := load(os.Args[2])
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(2)
@@ -86,7 +77,7 @@ func main() {
 		oldBy[oldRep.Results[i].Name] = &oldRep.Results[i]
 	}
 
-	var breaks, wallRegs, compared int
+	var breaks, compared int
 	seen := make(map[string]bool)
 	for i := range newRep.Results {
 		nr := &newRep.Results[i]
@@ -120,16 +111,6 @@ func main() {
 			breaks++
 			fmt.Printf("BREAK      %-12s %-28s missing from new record\n", nr.Name, name)
 		}
-		ratio := float64(nr.WallNs) / float64(or.WallNs)
-		switch {
-		case ratio > *tol:
-			wallRegs++
-			fmt.Printf("SLOWER     %-12s wall %.2fx (%.1fms -> %.1fms, tol %.2fx)\n",
-				nr.Name, ratio, float64(or.WallNs)/1e6, float64(nr.WallNs)/1e6, *tol)
-		case ratio < 1 / *tol:
-			fmt.Printf("faster     %-12s wall %.2fx (%.1fms -> %.1fms)\n",
-				nr.Name, ratio, float64(or.WallNs)/1e6, float64(nr.WallNs)/1e6)
-		}
 	}
 	for name := range oldBy {
 		if !seen[name] {
@@ -138,12 +119,8 @@ func main() {
 		}
 	}
 
-	fmt.Printf("benchdiff: %d experiments compared, %d metric breaks, %d wall regressions beyond %.2fx\n",
-		compared, breaks, wallRegs, *tol)
-	if *advisory {
-		return
-	}
-	if breaks > 0 || (*strictWall && wallRegs > 0) {
+	fmt.Printf("benchdiff: %d experiments compared, %d metric breaks\n", compared, breaks)
+	if breaks > 0 {
 		os.Exit(1)
 	}
 }

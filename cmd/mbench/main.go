@@ -9,9 +9,9 @@
 //
 // Independent experiments fan out across runtime.GOMAXPROCS worker
 // goroutines (most experiments additionally run their own machines
-// concurrently); output is always printed in table order. -json runs the
-// experiments serially so each recorded wall time is that experiment's
-// own cost.
+// concurrently); output is always printed in table order. mbench does
+// not time anything: every number it prints or records is a simulated
+// result, and host-time measurement is benchmark/'s job alone.
 //
 // Checked-in declarative workload scenarios (testdata/workloads/*.wl,
 // see docs/wdsl.md) are picked up as additional experiments named
@@ -23,14 +23,8 @@
 //
 //	mbench                # run everything
 //	mbench -exp table1    # one experiment by name
-//	mbench -json          # machine-readable results: per-experiment
-//	                      # metrics (cycles etc.) plus host ns wall time
-//	mbench -faults        # deterministic fault-injection soak (faults.go):
-//	                      # injected panics/stalls/corrupt snapshots must
-//	                      # all be contained by the supervision layer
-//	mbench -gen 200       # generated-scenario determinism matrix (gen.go):
-//	                      # wgen seeds 0..199, every engine, bit-identical
-//	                      # results; failures print an msim -gen-seed repro
+//	mbench -json          # machine-readable per-experiment metrics
+//	                      # (cycles etc.): the BENCH_<n>.json drift record
 package main
 
 import (
@@ -40,14 +34,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/area"
 	"repro/internal/core"
-	"repro/internal/dist"
 )
 
 // Metric is one machine-readable quantity of an experiment's result.
@@ -67,7 +58,6 @@ type experiment struct {
 type Result struct {
 	Name    string   `json:"name"`
 	Title   string   `json:"title"`
-	WallNs  int64    `json:"wall_ns"`
 	Metrics []Metric `json:"metrics,omitempty"`
 
 	out string // formatted table for text mode
@@ -75,9 +65,8 @@ type Result struct {
 
 // report is the top-level -json document.
 type report struct {
-	Schema     string   `json:"schema"`
-	GoMaxProcs int      `json:"gomaxprocs"`
-	Results    []Result `json:"results"`
+	Schema  string   `json:"schema"`
+	Results []Result `json:"results"`
 }
 
 func cyc(name string, v int64) Metric { return Metric{Name: name, Value: float64(v), Unit: "cycles"} }
@@ -282,47 +271,10 @@ func scenarioExperiments(glob string) ([]experiment, error) {
 }
 
 func main() {
-	// The -dist soak re-executes this binary as shard worker processes;
-	// when launched that way, serve the shard and exit.
-	dist.MaybeWorker()
-
 	exp := flag.String("exp", "", "run a single experiment by name")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON (metrics + wall time per experiment)")
+	jsonOut := flag.Bool("json", false, "emit machine-readable JSON (the metrics of every experiment)")
 	wlGlob := flag.String("wl", defaultWLGlob, "glob of workload scenarios to run as experiments (\"\" disables)")
-	faults := flag.Bool("faults", false, "run the deterministic fault-injection soak instead of the experiments")
-	serveSoak := flag.Bool("serve", false, "run the msimd service chaos-recovery soak instead of the experiments")
-	distSoak := flag.Bool("dist", false, "run the distributed-engine determinism and recovery soak instead of the experiments")
-	gen := flag.Int("gen", 0, "run this many generated scenarios (seeds 0..N-1) through the engine determinism matrix instead of the experiments")
 	flag.Parse()
-
-	if *gen > 0 {
-		if err := runGenMatrix(os.Stdout, *gen); err != nil {
-			fmt.Fprintf(os.Stderr, "mbench: gen matrix: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *faults {
-		if err := runFaultSoak(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "mbench: fault soak: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *serveSoak {
-		if err := runServeSoak(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "mbench: serve soak: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *distSoak {
-		if err := runDistSoak(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "mbench: dist soak: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	scenarios, err := scenarioExperiments(*wlGlob)
 	if err != nil {
@@ -349,37 +301,18 @@ func main() {
 		}
 	}
 
-	// Fan the experiments out across the host's cores (core.ForEachMachine
-	// collects by index, so output order never depends on scheduling) —
-	// except in -json mode, which runs them serially so the recorded
-	// wall_ns is each experiment's own cost rather than contention noise;
-	// the perf trajectory in BENCH_<n>.json must be comparable across
-	// records. Experiments still fan their internal machines out in both
-	// modes.
+	// Fan the experiments out across the host's cores; core.ForEachMachine
+	// collects by index, so output order never depends on scheduling.
 	results := make([]Result, len(selected))
-	runOne := func(i int) error {
+	err = core.ForEachMachine(len(selected), func(i int) error {
 		e := selected[i]
-		start := time.Now()
 		out, ms, runErr := e.run()
 		if runErr != nil {
 			return fmt.Errorf("%s: %w", e.name, runErr)
 		}
-		results[i] = Result{
-			Name: e.name, Title: e.title,
-			WallNs:  time.Since(start).Nanoseconds(),
-			Metrics: ms, out: out,
-		}
+		results[i] = Result{Name: e.name, Title: e.title, Metrics: ms, out: out}
 		return nil
-	}
-	if *jsonOut {
-		for i := range selected {
-			if err = runOne(i); err != nil {
-				break
-			}
-		}
-	} else {
-		err = core.ForEachMachine(len(selected), runOne)
-	}
+	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mbench: %v\n", err)
 		os.Exit(1)
@@ -387,11 +320,7 @@ func main() {
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(report{
-			Schema:     "mbench/v1",
-			GoMaxProcs: runtime.GOMAXPROCS(0),
-			Results:    results,
-		}); err != nil {
+		if err := enc.Encode(report{Schema: "mbench/v1", Results: results}); err != nil {
 			fmt.Fprintf(os.Stderr, "mbench: %v\n", err)
 			os.Exit(1)
 		}

@@ -18,13 +18,13 @@
 //
 // A drilled run must end with the same cycle counts, checks, and machine
 // digest as an undisturbed one — mshard prints the digest so two runs
-// can be compared directly. Exit codes match msim: 0 success, 1 scenario
-// fault, 2 usage, 3 cycle-budget exhaustion, 4 unrecoverable engine
-// failure (e.g. the recovery cap tripped).
+// can be compared directly. Exit codes are msim's (guard.ExitCode): 0
+// success, 1 scenario fault, 2 usage, 3 watchdog cutoff (cycle budget or
+// bound, or a stalled shard past the recovery cap), 4 a shard crashed or
+// lost past the recovery cap.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -35,7 +35,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/guard"
-	"repro/internal/machine"
 	"repro/internal/trace"
 )
 
@@ -92,7 +91,7 @@ func main() {
 	res, s, err := dist.RunScenario(sc, core.Options{}, cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mshard: %v\n", err)
-		os.Exit(exitCode(err))
+		os.Exit(guard.ExitCode(err))
 	}
 
 	fmt.Printf("workload: %s\n", sc.Title())
@@ -150,18 +149,6 @@ func (l *drillList) Set(v string) error {
 	}
 	*l = append(*l, drill{a: n, cycle: cy})
 	return nil
-}
-
-func exitCode(err error) int {
-	class := guard.Classify(err)
-	switch {
-	case class == guard.ClassBudget, errors.Is(err, machine.ErrCycleLimit):
-		return 3
-	case class.Transient():
-		// A shard failure that reached the CLI outlived the recovery cap.
-		return 4
-	}
-	return 1
 }
 
 func fatal(err error) {

@@ -37,15 +37,16 @@
 //
 // -gen-seed N replays seed N of the scenario fuzzer (internal/wgen):
 // the seed's generated scenario runs under every engine of the
-// determinism matrix, exactly what `mbench -gen` (the `make gen` CI
-// leg) did when it printed N as a failing seed. -gen-dump prints the
-// generated source instead of running it.
+// determinism matrix, exactly what wgen's TestVerifySeeds did when it
+// printed N as a failing seed. -gen-dump prints the generated source
+// instead of running it.
 //
 // Every run is supervised (internal/guard): panics are contained,
 // -timeout (or a scenario's deadline/budget directives) cuts off runaway
 // runs between cycles, and -crash-dump names a file that receives a
 // regular machine snapshot on any crash or cutoff — load it back with
-// -restore to replay the failure. The exit code classifies the outcome:
+// -restore to replay the failure. The exit code classifies the outcome
+// (guard.ExitCode, shared with mshard):
 //
 //	0  success
 //	1  scenario fault (failed expectation, program fault, bad input file)
@@ -56,7 +57,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -64,7 +64,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/guard"
-	"repro/internal/machine"
 	"repro/internal/snap"
 	"repro/internal/trace"
 	"repro/internal/wgen"
@@ -110,7 +109,7 @@ func main() {
 	// Workload.
 	workloadPath := flag.String("workload", "", "run a declarative workload scenario (.wl file)")
 	// Generator.
-	genSeed := flag.Int64("gen-seed", -1, "run the wgen scenario for this seed through the engine determinism matrix (repro for mbench -gen / make gen failures)")
+	genSeed := flag.Int64("gen-seed", -1, "run the wgen scenario for this seed through the engine determinism matrix (repro for a seed wgen's TestVerifySeeds reports)")
 	genDump := flag.Bool("gen-dump", false, "with -gen-seed, print the generated scenario source instead of running it")
 
 	flag.Usage = usage
@@ -206,7 +205,7 @@ func main() {
 			// further (no register dump, no -save), just classify and leave.
 			os.Exit(3)
 		}
-		os.Exit(exitCode(err))
+		os.Exit(guard.ExitCode(err))
 	}
 
 	fmt.Printf("completed in %d cycles\n\ninteger registers (node %d, vthread %d, cluster %d):\n",
@@ -249,7 +248,7 @@ func runWorkload(path string, engine core.Options, showTrace bool) {
 	res, s, err := sc.RunSim(engine)
 	if err != nil {
 		reportFailure(err)
-		os.Exit(exitCode(err))
+		os.Exit(guard.ExitCode(err))
 	}
 	fmt.Printf("workload: %s\n", sc.Title())
 	fmt.Printf("mesh:     %dx%dx%d", sc.Plan.Dims[0], sc.Plan.Dims[1], sc.Plan.Dims[2])
@@ -295,7 +294,7 @@ func runWorkloadDist(path string, shards int, showTrace bool) {
 	})
 	if err != nil {
 		reportFailure(err)
-		os.Exit(exitCode(err))
+		os.Exit(guard.ExitCode(err))
 	}
 	fmt.Printf("workload: %s\n", sc.Title())
 	fmt.Printf("mesh:     %dx%dx%d, %d shard worker(s)\n\n",
@@ -319,8 +318,8 @@ func runWorkloadDist(path string, shards int, showTrace bool) {
 // runGenSeed reproduces one seed of the generated-scenario determinism
 // fuzzer: with dump, print the seed's scenario source (pipe it to a file
 // and run it with -workload to poke at it manually); otherwise run the
-// full engine matrix, exactly what `mbench -gen` ran when it printed
-// this seed as failing.
+// full engine matrix, exactly what wgen's TestVerifySeeds ran when it
+// printed this seed as failing.
 func runGenSeed(seed uint64, dump bool) {
 	name, src := wgen.Source(seed)
 	if dump {
@@ -384,25 +383,6 @@ func reportFailure(err error) {
 	if dump != "" {
 		fmt.Fprintf(os.Stderr, "\ncrash dump written to %s (replay with msim -restore %s)\n", dump, dump)
 	}
-}
-
-// exitCode maps a run error's failure class (guard.Classify, the one
-// msimd reports as failure_class) to the documented table: 3 for watchdog
-// cutoffs (wall clock, hang, cycle budget, or the plain -cycles bound
-// expiring), 4 for a contained internal panic — or, under -dist, a shard
-// crashed or lost for good — and 1 for everything else (failed
-// expectations, program faults).
-func exitCode(err error) int {
-	if errors.Is(err, machine.ErrCycleLimit) {
-		return 3
-	}
-	switch guard.Classify(err) {
-	case guard.ClassStallTimeout, guard.ClassStallHang, guard.ClassBudget:
-		return 3
-	case guard.ClassCrash, guard.ClassLost:
-		return 4
-	}
-	return 1
 }
 
 // workloadFlagConflict scans the explicitly-set flags (via a

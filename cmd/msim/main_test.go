@@ -5,7 +5,6 @@ package main
 // the documented exit codes (2 for usage errors, 0 for a valid run).
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -13,36 +12,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/dist"
-	"repro/internal/guard"
-	"repro/internal/machine"
 )
-
-// TestExitCodeFollowsClass: the exit code is a function of the failure
-// class msimd reports (guard.Classify), wrapped or not, so the two cannot
-// disagree about what kind of failure a run ended in.
-func TestExitCodeFollowsClass(t *testing.T) {
-	shard := func(c guard.Class) error { return &dist.ShardFailure{Class: c, Err: errors.New("x")} }
-	for _, tc := range []struct {
-		err  error
-		want int
-	}{
-		{errors.New("expect failed"), 1},
-		{fmt.Errorf("machine: %w within 5 cycles", machine.ErrCycleLimit), 3},
-		{&guard.StallError{Kind: guard.StallTimeout}, 3},
-		{&guard.StallError{Kind: guard.StallHang}, 3},
-		{fmt.Errorf("phase p: %w", &guard.StallError{Kind: guard.StallBudget}), 3},
-		{&guard.CrashError{Value: "boom"}, 4},
-		{fmt.Errorf("dist: recovery limit 2 exhausted: %w", shard(guard.ClassCrash)), 4},
-		{shard(guard.ClassLost), 4},
-		{shard(guard.ClassStallTimeout), 3},
-	} {
-		if got := exitCode(tc.err); got != tc.want {
-			t.Errorf("exitCode(%v) = %d, want %d (class %s)", tc.err, got, tc.want, guard.Classify(tc.err))
-		}
-	}
-}
 
 func TestWorkloadFlagConflict(t *testing.T) {
 	// Model msim's flag surface on a private FlagSet so the test can

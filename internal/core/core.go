@@ -61,11 +61,10 @@ type Options struct {
 	// the debug baseline the engine is validated against.
 	NaiveEngine bool
 	// Workers selects the parallel chip engine: busy cycles shard the chip
-	// phase across this many goroutines (machine.Config.Workers). 0 uses
-	// the package default (serial unless SetDefaultWorkers was called),
-	// 1 forces serial, -1 uses GOMAXPROCS. Bit-identical to the serial
-	// engines on any mesh (TestDeterminismThreeWay); it pays off once the
-	// mesh is large and busy — use it for ≥ 16-node scenarios.
+	// phase across this many goroutines (machine.Config.Workers). 0 and 1
+	// are serial, -1 uses GOMAXPROCS. Bit-identical to the serial engines
+	// on any mesh (TestDeterminismThreeWay); it pays off once the mesh is
+	// large and busy — use it for ≥ 16-node scenarios.
 	Workers int
 	// Timeout is the wall-clock watchdog for supervised execution
 	// (Scenario.Run/RunSim): exceeding it stops the run between cycles
@@ -85,25 +84,15 @@ type Options struct {
 	CrashDump string
 }
 
-// defaultNaiveEngine makes every subsequently built Sim use the naive
-// engine, including the ones experiment harnesses construct internally.
-// It exists so the determinism regression test can run each experiment
-// under both engines; production code should leave it alone.
-var defaultNaiveEngine bool
-
-// defaultWorkers is the chip-engine worker count applied when
-// Options.Workers is zero; like defaultNaiveEngine it exists so the
-// determinism regressions can force whole experiment harnesses onto the
-// worker pool.
-var defaultWorkers int
-
-// SetDefaultEngine selects the engine for sims that don't request one
-// explicitly: naive=true forces the reference per-cycle loop.
-func SetDefaultEngine(naive bool) { defaultNaiveEngine = naive }
-
-// SetDefaultWorkers sets the chip-engine worker count for sims that don't
-// request one explicitly (0 restores serial).
-func SetDefaultWorkers(n int) { defaultWorkers = n }
+// defaultNaiveEngine and defaultWorkers are test hooks: the determinism
+// regression (engine_test.go, underMode) sets them so that every Sim built
+// afterwards — including the ones experiment harnesses construct
+// internally — runs under the engine being compared. Nothing outside this
+// package's tests writes them.
+var (
+	defaultNaiveEngine bool // force the naive reference loop
+	defaultWorkers     int  // worker count applied when Options.Workers is zero
+)
 
 // Sim is a booted M-Machine with its runtime installed.
 type Sim struct {

@@ -41,12 +41,8 @@ var engineModes = []engineMode{
 // underMode runs f with the package-default engine forced to the mode,
 // restoring the defaults afterwards.
 func underMode(m engineMode, f func() (string, error)) (string, error) {
-	SetDefaultEngine(m.naive)
-	SetDefaultWorkers(m.workers)
-	defer func() {
-		SetDefaultEngine(false)
-		SetDefaultWorkers(0)
-	}()
+	defaultNaiveEngine, defaultWorkers = m.naive, m.workers
+	defer func() { defaultNaiveEngine, defaultWorkers = false, 0 }()
 	return f()
 }
 

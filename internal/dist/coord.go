@@ -1,18 +1,18 @@
 package dist
 
 // The coordinator: owner of the authoritative machine (the "hub"), the
-// clock, and the run-loop completion checks. It replicates machine.Run's
-// loop bit for bit — the loop-head quiescence checks, the quiet-window
-// idle counter, the event-driven fast-forward — but the chip phase of
-// each cycle is farmed out to the shard workers, and the hub's chips
-// never step. The hub network is the single source of truth for all
-// traffic: worker outboxes are injected here in global node order (so
-// sequence numbers match an in-process run exactly), deliveries are
-// shipped to the owning shard as copies, and a shipped message is retired
-// from the hub only when its shard confirms the chip consumed it — which
-// keeps the hub's arrival queues equal to the real unconsumed set at
-// every synchronization point, and therefore keeps Quiescent, NextEvent,
-// and checkpoints exact.
+// clock, and the run loop. Its loop makes machine.Run's completion
+// decisions by calling the same machine.QuietLoop — the loop-head
+// quiescence check, the quiet-window count, the event-driven jump — but
+// the chip phase of each cycle is farmed out to the shard workers, and
+// the hub's chips never step. The hub network is the single source of
+// truth for all traffic: worker outboxes are injected here in global node
+// order (so sequence numbers match an in-process run exactly), deliveries
+// are shipped to the owning shard as copies, and a shipped message is
+// retired from the hub only when its shard confirms the chip consumed it
+// — which keeps the hub's arrival queues equal to the real unconsumed set
+// at every synchronization point, and therefore keeps Quiescent,
+// NextEvent, and checkpoints exact.
 //
 // Supervision: every window the coordinator enforces a wall deadline and
 // a heartbeat-silence bound on each shard, classifying failures in
@@ -127,10 +127,11 @@ func (cfg *Config) setDefaults() {
 // run-loop position. atStep marks a checkpoint taken after the loop-head
 // checks and before the step, so a resume skips the checks once.
 type checkpoint struct {
-	machine     []byte
-	cycle, idle int64
-	atStep      bool
-	valid       bool
+	machine []byte
+	cycle   int64
+	loop    machine.QuietLoop
+	atStep  bool
+	valid   bool
 }
 
 // shardConn is the coordinator's view of one worker.
@@ -151,11 +152,11 @@ type Coordinator struct {
 	shards []*shardConn
 	owner  []int // node -> shard index
 
-	// Run-loop state, mirroring machine.Run's locals.
-	phaseStart  int64
-	cycle, idle int64
-	prevIssued  uint64
-	acts        []activity
+	// Run-loop state: the leg's first cycle, the clock, the completion
+	// policy machine.Run holds on its stack, and each shard's last report.
+	phaseStart, cycle int64
+	loop              machine.QuietLoop
+	acts              []activity
 
 	// Arrival mirroring: per (node, pri), how many of the hub's pending
 	// arrivals have been shipped to the owning shard; pend lists nodes
@@ -389,8 +390,7 @@ func (co *Coordinator) RunExact(n int64) (int64, error) {
 // (recover) and re-attempts with resume=true, until the leg completes or
 // the recovery cap trips.
 func (co *Coordinator) supervise(leg func(resume bool) (int64, error)) (int64, error) {
-	co.phaseStart = co.m.Cycle
-	co.cycle, co.idle = co.m.Cycle, 0
+	co.phaseStart, co.cycle = co.m.Cycle, co.m.Cycle
 	co.ck = checkpoint{}
 	co.pendingTrace = co.pendingTrace[:0]
 	for resume := false; ; resume = true {
@@ -470,8 +470,7 @@ func (co *Coordinator) seedAll() error {
 }
 
 // beginRun is the run-loop entry across the federation: every worker
-// wakes its chips (machine.Run's WakeAll) and reports activity, from
-// which the loop's issue baseline is taken.
+// wakes its chips (machine.Run's WakeAll) and reports activity.
 func (co *Coordinator) beginRun() *ShardFailure {
 	for i, sc := range co.shards {
 		payload, f := co.callExpect(sc, cmdBeginRun, nil, repActivity)
@@ -484,32 +483,19 @@ func (co *Coordinator) beginRun() *ShardFailure {
 		}
 		co.acts[i] = a
 	}
-	co.prevIssued = co.issued()
 	return nil
 }
 
-func (co *Coordinator) running() int {
-	n := 0
+// totals sums the shards' last reports into the machine-wide activity
+// the quiet loop reads.
+func (co *Coordinator) totals() machine.Activity {
+	var t machine.Activity
 	for i := range co.acts {
-		n += co.acts[i].Running
+		t.Running += co.acts[i].Running
+		t.Busy += co.acts[i].Busy
+		t.Issued += co.acts[i].Issued
 	}
-	return n
-}
-
-func (co *Coordinator) busy() int {
-	n := 0
-	for i := range co.acts {
-		n += co.acts[i].Busy
-	}
-	return n
-}
-
-func (co *Coordinator) issued() uint64 {
-	var n uint64
-	for i := range co.acts {
-		n += co.acts[i].Issued
-	}
-	return n
+	return t
 }
 
 // faultErr mirrors Machine.FaultError: the first fault in node-scan
@@ -523,29 +509,25 @@ func (co *Coordinator) faultErr() error {
 	return nil
 }
 
-// runLeg is machine.Run's loop, distributed. Every branch mirrors the
-// in-process loop exactly; see Machine.Run.
+// runLeg is machine.Run's loop with the chip phase distributed: the same
+// QuietLoop calls at the same points, plus coordinated checkpoints at the
+// loop heads.
 func (co *Coordinator) runLeg(maxCycles int64, resume bool) (int64, error) {
-	bound := co.phaseStart + maxCycles + machine.QuietWindow
 	if f := co.beginRun(); f != nil {
 		return 0, f
 	}
 	// A checkpoint taken at a loop head already performed the head's
-	// checks; a resume from one goes straight to the step.
+	// check, and recover restored the loop as it stood after it; a resume
+	// from one goes straight to the step. Any other start is the leg's.
 	atStep := resume && co.ck.atStep
-	for co.cycle < bound {
+	act := co.totals()
+	if !atStep {
+		co.loop = machine.NewQuietLoop(co.phaseStart, maxCycles, act)
+	}
+	for co.cycle < co.loop.Bound() {
 		if !atStep {
-			if co.running() == 0 && co.busy() == 0 && co.m.Net.Quiescent() {
-				if co.issued() == co.prevIssued {
-					co.idle++
-					if co.idle >= machine.QuietWindow {
-						return co.cycle - co.phaseStart - co.idle, co.faultErr()
-					}
-				} else {
-					co.prevIssued, co.idle = co.issued(), 0
-				}
-			} else {
-				co.prevIssued, co.idle = co.issued(), 0
+			if co.loop.Head(act, co.m.Net) {
+				return co.loop.Ran(co.cycle), co.faultErr()
 			}
 			if co.cfg.CheckpointEvery > 0 && co.cycle-co.lastCkpt >= co.cfg.CheckpointEvery {
 				if err := co.takeCheckpoint(true); err != nil {
@@ -557,12 +539,19 @@ func (co *Coordinator) runLeg(maxCycles int64, resume bool) (int64, error) {
 		if f := co.stepCycle(co.cycle); f != nil {
 			return co.cycle - co.phaseStart, f
 		}
-		co.fastForward(bound)
+		// The jump to the next event; workers materialize the skipped
+		// window lazily (cmdSkip) before their next step or pull.
+		act = co.totals()
+		next := co.m.Net.NextEvent(co.cycle)
+		for i := range co.acts {
+			next = min(next, co.acts[i].Next)
+		}
+		co.cycle = co.loop.Jump(co.cycle, next, act, co.m.Net)
 	}
-	if co.running() == 0 {
-		return co.cycle - co.phaseStart, co.faultErr()
+	if err := co.loop.Expired(act); err != nil {
+		return co.cycle - co.phaseStart, err
 	}
-	return co.cycle - co.phaseStart, fmt.Errorf("machine: %w within %d cycles", machine.ErrCycleLimit, maxCycles)
+	return co.cycle - co.phaseStart, co.faultErr()
 }
 
 // stepCycle advances the federation through machine cycle t: fire due
@@ -663,38 +652,6 @@ func (co *Coordinator) stepCycle(t int64) *ShardFailure {
 	return nil
 }
 
-// fastForward mirrors Machine.fastForward: jump the clock to the next
-// event, clamped to the bound and the quiet window. Workers materialize
-// the skipped window lazily (cmdSkip) before their next step or pull.
-func (co *Coordinator) fastForward(bound int64) {
-	next := co.m.Net.NextEvent(co.cycle)
-	for i := range co.acts {
-		if co.acts[i].Next < next {
-			next = co.acts[i].Next
-		}
-	}
-	if next > bound {
-		next = bound
-	}
-	d := next - co.cycle
-	if d <= 0 {
-		return
-	}
-	if co.running() == 0 && co.busy() == 0 && co.m.Net.Quiescent() {
-		room := machine.QuietWindow - co.idle - 1
-		if room <= 0 {
-			return
-		}
-		if d > room {
-			d = room
-		}
-		co.idle += d
-	} else {
-		co.idle = 0
-	}
-	co.cycle += d
-}
-
 // takeCheckpoint records a coordinated rewind point. atStep checkpoints
 // sit at a run-loop head, so the workers' chip state must be pulled back
 // into the hub first; the entry checkpoint needs no pull because the hub
@@ -709,7 +666,7 @@ func (co *Coordinator) takeCheckpoint(atStep bool) error {
 	if err := co.m.Save(&buf); err != nil {
 		return fmt.Errorf("dist: checkpoint: %w", err)
 	}
-	co.ck = checkpoint{machine: buf.Bytes(), cycle: co.cycle, idle: co.idle, atStep: atStep, valid: true}
+	co.ck = checkpoint{machine: buf.Bytes(), cycle: co.cycle, loop: co.loop, atStep: atStep, valid: true}
 	co.lastCkpt = co.cycle
 	co.ckCount++
 	co.commitTrace()
@@ -798,7 +755,7 @@ func (co *Coordinator) recover(sf *ShardFailure) error {
 	if err := co.m.Restore(bytes.NewReader(co.ck.machine)); err != nil {
 		return fmt.Errorf("dist: restore checkpoint: %w", err)
 	}
-	co.cycle, co.idle = co.ck.cycle, co.ck.idle
+	co.cycle, co.loop = co.ck.cycle, co.ck.loop
 	co.lastCkpt = co.ck.cycle
 	co.pendingTrace = co.pendingTrace[:0]
 	return nil

@@ -36,6 +36,7 @@ import (
 	"net"
 	"time"
 
+	"repro/internal/machine"
 	"repro/internal/noc"
 	"repro/internal/snap"
 )
@@ -160,27 +161,25 @@ func decodeInit(p []byte) (*initSpec, error) {
 // loop head: running user H-Threads, non-quiescent chips, instructions
 // issued, the earliest chip event, and the first fault in scan order.
 type activity struct {
-	Running, Busy int
-	Issued        uint64
-	Next          int64
-	Fault         string
+	machine.Activity
+	Next  int64
+	Fault string
 }
 
 func (a *activity) encode(w *snap.Writer) {
-	w.Int(a.Running)
-	w.Int(a.Busy)
-	w.U64(a.Issued)
+	// The embedded field is named so mlint's snapfields sees it encoded.
+	w.Int(a.Activity.Running)
+	w.Int(a.Activity.Busy)
+	w.U64(a.Activity.Issued)
 	w.I64(a.Next)
 	w.String(a.Fault)
 }
 
 func decodeActivity(r *snap.Reader) activity {
 	return activity{
-		Running: r.Int(),
-		Busy:    r.Int(),
-		Issued:  r.U64(),
-		Next:    r.I64(),
-		Fault:   r.String(1 << 12),
+		Activity: machine.Activity{Running: r.Int(), Busy: r.Int(), Issued: r.U64()},
+		Next:     r.I64(),
+		Fault:    r.String(1 << 12),
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/machine"
 	"repro/internal/noc"
 )
 
@@ -86,7 +87,7 @@ func TestStepRoundTrip(t *testing.T) {
 		Msgs:     []*noc.Message{msg},
 		Consumed: []consumption{{Node: 3, Pri: 1, N: 2}},
 		Trace:    []traceEvent{{Cycle: 77, Node: 3, Event: "issue", Detail: "x"}},
-		Act:      activity{Running: 1, Busy: 2, Issued: 3, Next: 78, Fault: "boom"},
+		Act:      activity{Activity: machine.Activity{Running: 1, Busy: 2, Issued: 3}, Next: 78, Fault: "boom"},
 	}
 	rout, err := decodeStepReply(net, encodeStepReply(net, &rep))
 	if err != nil {

@@ -246,8 +246,8 @@ func (w *worker) beginRun() activity {
 }
 
 func (w *worker) activity(now int64) activity {
-	running, busy, issued, next, fault := w.m.ShardActivity(w.spec.Lo, w.spec.Hi, now)
-	return activity{Running: running, Busy: busy, Issued: issued, Next: next, Fault: fault}
+	act, next, fault := w.m.ShardActivity(w.spec.Lo, w.spec.Hi, now)
+	return activity{Activity: act, Next: next, Fault: fault}
 }
 
 // chaos fires any armed fault that is due at cycle t — the worker-side

@@ -3,8 +3,8 @@
 // manufactures the failures internal/guard exists to contain — worker
 // panics at a chosen (chip, cycle), wall-clock stalls, wedged workers,
 // corrupted snapshot streams — as reproducible, seedable artifacts, so
-// the containment paths are exercised by ordinary tests and the
-// `mbench -faults` soak leg instead of waiting for a real crash.
+// the containment paths are exercised by ordinary tests instead of
+// waiting for a real crash.
 //
 // Two fault families:
 //

@@ -80,13 +80,47 @@ func TestClassify(t *testing.T) {
 	}
 
 	// The class strings are wire format: msimd's failure_class, mshard's
-	// failure table, the mbench soak reports.
+	// failure table.
 	for c, want := range map[guard.Class]string{
 		guard.ClassCrash: "crash", guard.ClassStallTimeout: "stall-timeout", guard.ClassStallHang: "stall-hang",
 		guard.ClassLost: "lost", guard.ClassBudget: "budget", guard.ClassScenario: "scenario",
 	} {
 		if string(c) != want {
 			t.Errorf("class %q renamed; the wire string is %q", c, want)
+		}
+	}
+}
+
+// TestExitCodeFollowsClass: the CLIs' exit code is a function of the
+// failure class msimd reports (guard.Classify), wrapped or not, so the
+// three cannot disagree about what kind of failure a run ended in. msim
+// and mshard both exit through guard.ExitCode; the dist rows are what
+// mshard (and msim -dist) see when a shard failure outlives the recovery
+// cap.
+func TestExitCodeFollowsClass(t *testing.T) {
+	shard := func(c guard.Class) error { return &dist.ShardFailure{Class: c, Err: errors.New("x")} }
+	capped := func(c guard.Class) error {
+		return fmt.Errorf("dist: recovery limit 2 exhausted: %w", shard(c))
+	}
+	for _, tc := range []struct {
+		err  error
+		want int
+	}{
+		{errors.New("expect failed"), 1},
+		{fmt.Errorf("machine: %w within 5 cycles", machine.ErrCycleLimit), 3},
+		{&guard.StallError{Kind: guard.StallTimeout}, 3},
+		{&guard.StallError{Kind: guard.StallHang}, 3},
+		{fmt.Errorf("phase p: %w", &guard.StallError{Kind: guard.StallBudget}), 3},
+		{&guard.CrashError{Value: "boom"}, 4},
+		{shard(guard.ClassLost), 4},
+		{shard(guard.ClassStallTimeout), 3},
+		{capped(guard.ClassCrash), 4},
+		{capped(guard.ClassLost), 4},
+		{capped(guard.ClassStallTimeout), 3},
+		{capped(guard.ClassStallHang), 3},
+	} {
+		if got := guard.ExitCode(tc.err); got != tc.want {
+			t.Errorf("ExitCode(%v) = %d, want %d (class %s)", tc.err, got, tc.want, guard.Classify(tc.err))
 		}
 	}
 }

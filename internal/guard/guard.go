@@ -237,6 +237,26 @@ func Classify(err error) Class {
 	return ClassScenario
 }
 
+// ExitCode is the process exit code a CLI reports for a failed run, a
+// function of the failure class alone so that msim, mshard and msimd's
+// failure_class cannot disagree about what kind of failure a run ended
+// in: 3 for a watchdog cutoff (wall clock, hang, cycle budget, or the
+// run's own cycle bound expiring), 4 for a contained internal panic or a
+// shard lost for good, 1 for everything else (failed expectations,
+// program faults).
+func ExitCode(err error) int {
+	if errors.Is(err, machine.ErrCycleLimit) {
+		return 3
+	}
+	switch Classify(err) {
+	case ClassStallTimeout, ClassStallHang, ClassBudget:
+		return 3
+	case ClassCrash, ClassLost:
+		return 4
+	}
+	return 1
+}
+
 // Forensics extracts what a supervisor attached to a failure: the
 // Diagnose report and the crash-dump path ("" when err carries none).
 func Forensics(err error) (diagnostic, dumpPath string) {

@@ -225,28 +225,37 @@ func TestContextCancel(t *testing.T) {
 }
 
 // TestCycleBudgetDeterministic: budget exhaustion is a property of the
-// simulation, not the host — two runs stop at the identical cycle.
+// simulation, not the host or the engine — the naive loop, the event
+// engine and the worker pool all stop a runaway mesh at exactly the
+// budgeted cycle.
 func TestCycleBudgetDeterministic(t *testing.T) {
-	stopAt := func() int64 {
-		m := newM(t, 2, 0)
-		load(t, m, 0, spinSrc)
-		load(t, m, 1, spinSrc)
-		s := guard.New(m, guard.Options{CycleBudget: 3000})
-		_, err := s.Run(1 << 40)
-		var se *guard.StallError
-		if !errors.As(err, &se) {
-			t.Fatalf("want *StallError, got %v", err)
-		}
-		if se.Kind != guard.StallBudget || se.Budget != 3000 {
-			t.Fatalf("kind=%v budget=%d, want budget kind 3000", se.Kind, se.Budget)
-		}
-		if errors.Is(err, context.DeadlineExceeded) {
-			t.Fatal("budget exhaustion must not look like a wall-clock deadline")
-		}
-		return se.Cycle
-	}
-	if a, b := stopAt(), stopAt(); a != b {
-		t.Fatalf("budget stop cycle nondeterministic: %d vs %d", a, b)
+	const budget = 3000
+	for _, e := range []struct {
+		name    string
+		naive   bool
+		workers int
+	}{{"naive", true, 0}, {"event", false, 0}, {"parallel3", false, 3}} {
+		t.Run(e.name, func(t *testing.T) {
+			m := newM(t, 6, e.workers)
+			m.Naive = e.naive
+			for n := 0; n < 6; n++ {
+				load(t, m, n, spinSrc)
+			}
+			_, err := guard.New(m, guard.Options{CycleBudget: budget}).Run(1 << 40)
+			var se *guard.StallError
+			if !errors.As(err, &se) {
+				t.Fatalf("want *StallError, got %v", err)
+			}
+			if se.Kind != guard.StallBudget || se.Budget != budget {
+				t.Fatalf("kind=%v budget=%d, want budget kind %d", se.Kind, se.Budget, budget)
+			}
+			if errors.Is(err, context.DeadlineExceeded) {
+				t.Fatal("budget exhaustion must not look like a wall-clock deadline")
+			}
+			if se.Cycle != budget || m.Cycle != budget {
+				t.Fatalf("cut off at cycle %d (machine at %d), want exactly %d", se.Cycle, m.Cycle, budget)
+			}
+		})
 	}
 }
 

@@ -137,9 +137,7 @@ type Machine struct {
 	// stepped chips — O(active) per cycle. recomputeActive rebuilds
 	// everything at Run/RunUntil entry and after Restore, covering
 	// external mutations (program loads, pokes) between runs.
-	runningUser int      `snap:"derived,rebuilt by recomputeActive after Restore"` // running user H-Threads across all chips
-	busyChips   int      `snap:"derived,rebuilt by recomputeActive after Restore"` // chips with outstanding work (!chip.Quiescent)
-	issuedTotal uint64   `snap:"derived,rebuilt by recomputeActive after Restore"` // sum of per-chip InstsIssued
+	act         Activity `snap:"derived,rebuilt by recomputeActive after Restore"` // the machine totals
 	chipRunning []int    `snap:"derived,rebuilt by recomputeActive after Restore"`
 	chipBusy    []bool   `snap:"derived,rebuilt by recomputeActive after Restore"`
 	chipIssued  []uint64 `snap:"derived,rebuilt by recomputeActive after Restore"`
@@ -410,7 +408,7 @@ func (m *Machine) drain(i int, now int64) {
 // machine can change state without new external input, NoEvent if the
 // machine is permanently idle (deadlocked or finished). It scans every
 // chip, so it is exact even after a caller stepped chips itself; the run
-// loop reads the due-set's cached minima instead (fastForward).
+// loop reads the due-set's cached minima instead (see Run).
 func (m *Machine) NextEvent(now int64) int64 {
 	next := m.Net.NextEvent(now)
 	for _, c := range m.Chips {
@@ -453,19 +451,19 @@ func runningUserOf(c *chip.Chip) int {
 func (m *Machine) noteStepped(i int) {
 	c := m.Chips[i]
 	if n := runningUserOf(c); n != m.chipRunning[i] {
-		m.runningUser += n - m.chipRunning[i]
+		m.act.Running += n - m.chipRunning[i]
 		m.chipRunning[i] = n
 	}
 	if b := !c.Quiescent(); b != m.chipBusy[i] {
 		if b {
-			m.busyChips++
+			m.act.Busy++
 		} else {
-			m.busyChips--
+			m.act.Busy--
 		}
 		m.chipBusy[i] = b
 	}
 	if v := c.InstsIssued; v != m.chipIssued[i] {
-		m.issuedTotal += v - m.chipIssued[i]
+		m.act.Issued += v - m.chipIssued[i]
 		m.chipIssued[i] = v
 	}
 }
@@ -475,16 +473,16 @@ func (m *Machine) noteStepped(i int) {
 // once at commit) so that state mutated from outside the simulation is
 // observed; within a run noteStepped keeps them exact incrementally.
 func (m *Machine) recomputeActive() {
-	m.runningUser, m.busyChips, m.issuedTotal = 0, 0, 0
+	m.act = Activity{}
 	for i, c := range m.Chips {
 		m.chipRunning[i] = runningUserOf(c)
-		m.runningUser += m.chipRunning[i]
+		m.act.Running += m.chipRunning[i]
 		m.chipBusy[i] = !c.Quiescent()
 		if m.chipBusy[i] {
-			m.busyChips++
+			m.act.Busy++
 		}
 		m.chipIssued[i] = c.InstsIssued
-		m.issuedTotal += c.InstsIssued
+		m.act.Issued += c.InstsIssued
 	}
 }
 
@@ -513,19 +511,109 @@ const quietWindow = 32
 // subtracts it back out of the bound it passes.
 const QuietWindow = quietWindow
 
+// Activity is what the run loop knows about the chips between two cycles:
+// running user H-Threads, non-quiescent chips, and instructions issued so
+// far. Run reads the machine's incrementally maintained totals (see
+// noteStepped); the dist coordinator sums its shards' ShardActivity.
+type Activity struct {
+	Running, Busy int
+	Issued        uint64
+}
+
+// quiet reports whether nothing is running or queued anywhere.
+func (a Activity) quiet(net *noc.Network) bool {
+	return a.Running == 0 && a.Busy == 0 && net.Quiescent()
+}
+
+// QuietLoop is Run's completion policy for one leg, as a value: the leg is
+// done once the machine has been quiet, with no instruction issued, for
+// quietWindow consecutive loop heads, and it gives up at the bound. Run
+// holds one on its stack; the dist coordinator holds one per leg and copies
+// it into its checkpoints, so both loops end a leg at the same cycle by
+// making the same calls rather than by mirroring each other's code.
+type QuietLoop struct {
+	start, bound int64
+	idle         int64
+	prevIssued   uint64
+}
+
+// NewQuietLoop starts a leg of at most maxCycles (plus the detection
+// window) at cycle start, with a the activity at entry.
+func NewQuietLoop(start, maxCycles int64, a Activity) QuietLoop {
+	return QuietLoop{start: start, bound: start + maxCycles + quietWindow, prevIssued: a.Issued}
+}
+
+// Bound is the cycle at which the leg gives up.
+func (q *QuietLoop) Bound() int64 { return q.bound }
+
+// Head is the loop-head check, made once before every stepped cycle. It
+// reports whether the leg is done; Ran then gives its length.
+func (q *QuietLoop) Head(a Activity, net *noc.Network) bool {
+	if a.quiet(net) && a.Issued == q.prevIssued {
+		q.idle++
+		return q.idle >= quietWindow
+	}
+	q.prevIssued, q.idle = a.Issued, 0
+	return false
+}
+
+// Ran is the cycles a leg that Head declared done at cycle executed,
+// excluding the quiet window.
+func (q *QuietLoop) Ran(cycle int64) int64 { return cycle - q.start - q.idle }
+
+// Jump is the event engine's fast-forward after a stepped cycle: with no
+// component able to act before next, it returns the cycle to continue at,
+// standing in for the Head calls of every skipped iteration. State is
+// frozen across the window, so those calls are all alike: either the
+// machine is not quiet and each resets the idle count, or it is — nothing
+// can have issued, an issue would have put the issuing chip's next event
+// at the very next cycle — and each increments it. Then the jump stops one
+// short of the window, so that the next real Head returns exactly where
+// the naive loop would.
+func (q *QuietLoop) Jump(cycle, next int64, a Activity, net *noc.Network) int64 {
+	d := min(next, q.bound) - cycle
+	if d <= 0 {
+		return cycle
+	}
+	if a.quiet(net) {
+		room := quietWindow - q.idle - 1
+		if room <= 0 {
+			return cycle
+		}
+		d = min(d, room)
+		q.idle += d
+	} else {
+		q.idle = 0
+	}
+	return cycle + d
+}
+
+// Expired is the verdict on a leg that reached its bound: nil when every
+// user thread is done (the caller reports their faults), ErrCycleLimit
+// otherwise.
+func (q *QuietLoop) Expired(a Activity) error {
+	if a.Running == 0 {
+		return nil
+	}
+	return fmt.Errorf("machine: %w within %d cycles", ErrCycleLimit, q.bound-q.start-quietWindow)
+}
+
 // Run steps until all user threads are done and the machine has been
 // quiescent (no queued work and no instruction issued) for quietWindow
 // cycles, or maxCycles elapse. It returns the cycles executed (excluding
 // the quiet window) and an error on timeout or if any user thread faulted.
 //
 // Under the event-driven engine Run additionally fast-forwards: after each
-// step it asks every component for its NextEvent and, when the minimum lies
-// beyond the next cycle, jumps the clock there in one go. The skipped
-// cycles are provably no-ops (no component may act, so the loop-head
-// bookkeeping below is frozen too), and their only observable effects —
+// step it takes the earliest NextEvent of any component and, when that lies
+// beyond the next cycle, jumps the clock there in one go (QuietLoop.Jump).
+// The skipped cycles are provably no-ops (no component may act, so the
+// loop-head bookkeeping is frozen too), and their only observable effects —
 // per-cycle stall statistics — are replayed exactly by the chips' deferred
 // SkipCycles catch-up, so cycle counts, state, and traces stay
-// bit-identical to the naive loop.
+// bit-identical to the naive loop. The chips' next event comes from the
+// due-set's cached minima, which can only err early — at worst a spurious
+// (and observably identical) busy cycle — and the jump itself is one
+// assignment: the chips replay the window when they next act (see Step).
 func (m *Machine) Run(maxCycles int64) (int64, error) {
 	m.runMu.Lock()
 	defer m.runMu.Unlock()
@@ -539,10 +627,8 @@ func (m *Machine) Run(maxCycles int64) (int64, error) {
 	m.WakeAll()
 	m.recomputeActive()
 	start := m.Cycle
-	bound := start + maxCycles + quietWindow
-	idle := int64(0)
-	prevIssued := m.issuedTotal
-	for m.Cycle < bound {
+	loop := NewQuietLoop(start, maxCycles, m.act)
+	for m.Cycle < loop.Bound() {
 		// Stop flag and progress gauge: the only supervision cost on the
 		// hot path, one atomic load and one atomic store per loop
 		// iteration. Stopping cannot change simulated state — the run
@@ -551,67 +637,24 @@ func (m *Machine) Run(maxCycles int64) (int64, error) {
 		if m.stopReq.Load() {
 			return m.Cycle - start, fmt.Errorf("machine: run stopped at cycle %d: %w", m.Cycle, ErrStopped)
 		}
-		// The loop-head checks read the incrementally maintained activity
-		// counters (see noteStepped) — O(1) instead of the historical
+		// The loop-head check reads the incrementally maintained activity
+		// totals (see noteStepped) — O(1) instead of the historical
 		// O(nodes) UserDone/Quiescent/totalIssued scans every busy cycle,
 		// and equal to them at every iteration by construction.
-		if m.runningUser == 0 && m.busyChips == 0 && m.Net.Quiescent() {
-			if m.issuedTotal == prevIssued {
-				idle++
-				if idle >= quietWindow {
-					return m.Cycle - start - idle, m.FaultError()
-				}
-			} else {
-				prevIssued, idle = m.issuedTotal, 0
-			}
-		} else {
-			prevIssued, idle = m.issuedTotal, 0
+		if loop.Head(m.act, m.Net) {
+			return loop.Ran(m.Cycle), m.FaultError()
 		}
 		m.step(m.workers >= 2)
 		if !m.Naive {
-			m.fastForward(bound, &idle)
+			next := min(m.Net.NextEvent(m.Cycle), m.ds.nextEvent(m.Cycle))
+			m.Cycle = loop.Jump(m.Cycle, next, m.act, m.Net)
 		}
 	}
 	m.cycleGauge.Store(m.Cycle)
-	if m.UserDone() {
-		return m.Cycle - start, m.FaultError()
+	if err := loop.Expired(m.act); err != nil {
+		return m.Cycle - start, err
 	}
-	return m.Cycle - start, fmt.Errorf("machine: %w within %d cycles", ErrCycleLimit, maxCycles)
-}
-
-// fastForward jumps the clock to the machine's next event (clamped to
-// bound), emulating the loop-head bookkeeping of Run for every skipped
-// iteration. State is frozen across the window, so the per-iteration
-// checks are constant: either the machine is done and quiescent — each
-// skipped iteration increments the idle counter, and the jump must stop
-// one cycle before the counter reaches the quiet window so the next real
-// iteration returns exactly where the naive loop would — or it is not, and
-// each iteration resets the counter. The chips' next event comes from the
-// due-set's cached minima, which can only err early — at worst a spurious
-// (and observably identical) busy cycle — and the jump itself is one
-// addition: the chips replay the window when they next act (see Step).
-func (m *Machine) fastForward(bound int64, idle *int64) {
-	next := min(m.Net.NextEvent(m.Cycle), m.ds.nextEvent(m.Cycle), bound)
-	d := next - m.Cycle
-	if d <= 0 {
-		return
-	}
-	if m.runningUser == 0 && m.busyChips == 0 && m.Net.Quiescent() {
-		// issuedTotal cannot have changed (an issue would have set the
-		// issuing chip's NextEvent to the very next cycle), so every
-		// skipped iteration takes the idle++ branch.
-		room := quietWindow - *idle - 1
-		if room <= 0 {
-			return
-		}
-		if d > room {
-			d = room
-		}
-		*idle += d
-	} else {
-		*idle = 0
-	}
-	m.Cycle += d
+	return m.Cycle - start, m.FaultError()
 }
 
 // WakeAll forces every chip to re-derive its next event on its coming
@@ -681,18 +724,27 @@ func (m *Machine) RunExact(n int64) (int64, error) {
 
 // FaultError collects user-thread fault diagnostics, nil if none.
 func (m *Machine) FaultError() error {
-	for i, c := range m.Chips {
+	if msg := m.firstFault(0, len(m.Chips)); msg != "" {
+		return errors.New(msg)
+	}
+	return nil
+}
+
+// firstFault describes the first faulted user thread of chips [lo, hi) in
+// (node, vthread, cluster) order, "" if none.
+func (m *Machine) firstFault(lo, hi int) string {
+	for i := lo; i < hi; i++ {
 		for vt := 0; vt < isa.NumUserSlots; vt++ {
 			for cl := 0; cl < isa.NumClusters; cl++ {
-				th := c.Thread(vt, cl)
+				th := m.Chips[i].Thread(vt, cl)
 				if th.Status == cluster.ThreadFaulted {
-					return fmt.Errorf("machine: node %d vthread %d cluster %d faulted: %s",
+					return fmt.Sprintf("machine: node %d vthread %d cluster %d faulted: %s",
 						i, vt, cl, th.FaultMsg)
 				}
 			}
 		}
 	}
-	return nil
+	return ""
 }
 
 // MapPageGroup installs a GDT entry distributing a virtual range across

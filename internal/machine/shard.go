@@ -17,8 +17,6 @@ import (
 	"io"
 
 	"repro/internal/chip"
-	"repro/internal/cluster"
-	"repro/internal/isa"
 	"repro/internal/snap"
 )
 
@@ -96,37 +94,24 @@ func (m *Machine) AdoptShard(r io.Reader, lo, hi int) (int64, error) {
 	return cycle, nil
 }
 
-// ShardActivity aggregates the run-loop activity quantities over chips
-// [lo, hi): running user H-Threads, non-quiescent chips, instructions
-// issued, the earliest chip NextEvent at cycle now, and the first
+// ShardActivity aggregates the run-loop quantities over chips [lo, hi):
+// their Activity, the earliest chip NextEvent at cycle now, and the first
 // faulted-thread description in FaultError's scan order (empty if none).
-// The coordinator sums these per-shard reports to evaluate exactly the
-// loop-head checks Machine.Run evaluates in-process.
-func (m *Machine) ShardActivity(lo, hi int, now int64) (running, busy int, issued uint64, next int64, fault string) {
+// The coordinator sums these per-shard reports to make exactly the
+// QuietLoop calls Machine.Run makes in-process.
+func (m *Machine) ShardActivity(lo, hi int, now int64) (a Activity, next int64, fault string) {
 	next = NoEvent
-	for i := lo; i < hi; i++ {
-		c := m.Chips[i]
-		running += runningUserOf(c)
+	for _, c := range m.Chips[lo:hi] {
+		a.Running += runningUserOf(c)
 		if !c.Quiescent() {
-			busy++
+			a.Busy++
 		}
-		issued += c.InstsIssued
+		a.Issued += c.InstsIssued
 		if w := c.NextEvent(now); w < next {
 			next = w
 		}
-		if fault == "" {
-			for vt := 0; vt < isa.NumUserSlots; vt++ {
-				for cl := 0; cl < isa.NumClusters; cl++ {
-					if th := c.Thread(vt, cl); th.Status == cluster.ThreadFaulted {
-						fault = fmt.Sprintf("machine: node %d vthread %d cluster %d faulted: %s",
-							i, vt, cl, th.FaultMsg)
-						vt, cl = isa.NumUserSlots, isa.NumClusters // first hit wins
-					}
-				}
-			}
-		}
 	}
-	return running, busy, issued, next, fault
+	return a, next, m.firstFault(lo, hi)
 }
 
 // ReadSnapshotConfig decodes just the configuration header of a snapshot

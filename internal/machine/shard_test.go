@@ -191,7 +191,7 @@ loop:
 		steps += len(stepped)
 		w.Cycle = now + 1
 		// The coordinator's fast-forward, from the range's activity report.
-		if _, _, _, next, _ := w.ShardActivity(lo, hi, w.Cycle); next > w.Cycle {
+		if _, next, _ := w.ShardActivity(lo, hi, w.Cycle); next > w.Cycle {
 			w.Cycle = min(next, cycles)
 			jumps++
 		}

@@ -1,8 +1,8 @@
 package serve
 
 // Chaos wiring: the server can inject faults into admitted sessions
-// (the -chaos flag, mbench's -serve soak) so the recovery paths run in
-// CI instead of waiting for a real crash. Selection and placement are
+// (the -chaos flag, the recovery tests) so the recovery paths run in CI
+// instead of waiting for a real crash. Selection and placement are
 // deterministic functions of (seed, admission sequence number), so a
 // chaos run is reproducible from its flag string alone. Probes are
 // installed only on a session's first attempt from a fresh start —

@@ -188,44 +188,80 @@ func TestHangRecovery(t *testing.T) {
 	}
 }
 
-// TestNoCrossSessionInterference runs a chaos-doomed session next to
-// clean ones: the clean sessions must finish with digests matching their
-// chaos-free controls.
+// TestNoCrossSessionInterference runs chaos-doomed sessions next to
+// clean ones: every session, faulted or not, must finish with the digest
+// of its chaos-free control. The small case crashes two of three; the
+// full-mode case floods the pool with 28 concurrent sessions under mixed
+// panic/stall chaos and must see both kinds of recovery, or it proved
+// nothing.
 func TestNoCrossSessionInterference(t *testing.T) {
-	srcs := []string{spinScenario(300), spinScenario(600), spinScenario(900)}
+	type chaosCase struct {
+		name            string
+		sessions        int
+		chaos           Chaos
+		wall            time.Duration // session deadline
+		crashes, stalls int           // minimum recoveries of each kind
+	}
+	cases := []chaosCase{
+		{"three", 3, Chaos{Seed: 3, PanicEvery: 2, MaxCycle: 250}, 30 * time.Second, 1, 0}, // seqs 2, 4 panic
+	}
+	if !testing.Short() {
+		// Every 3rd admission panics and every 7th stalls past the
+		// (shortened) deadline; an admission divisible by both panics.
+		cases = append(cases, chaosCase{"mixed", 28,
+			Chaos{Seed: 1234, PanicEvery: 3, StallEvery: 7, StallDelay: time.Second, MaxCycle: 600},
+			300 * time.Millisecond, 1, 1})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			src := func(i int) (string, string) { return fmt.Sprintf("c%d.wl", i), spinScenario(300 + 40*i) }
+			cfg := testConfig(t)
+			cfg.Workers = 8
+			control := mustServer(t, cfg)
+			var want []Info
+			for i := 0; i < c.sessions; i++ {
+				name, text := src(i)
+				want = append(want, digestOf(t, control, name, text))
+			}
 
-	control := mustServer(t, testConfig(t))
-	var want []Info
-	for i, src := range srcs {
-		want = append(want, digestOf(t, control, fmt.Sprintf("c%d.wl", i), src))
-	}
-
-	cfg := testConfig(t)
-	cfg.Chaos = &Chaos{Seed: 3, PanicEvery: 2, MaxCycle: 250} // seqs 2, 4 panic
-	chaotic := mustServer(t, cfg)
-	var sessions []*Session
-	for i, src := range srcs {
-		s, err := chaotic.Submit(fmt.Sprintf("c%d.wl", i), src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sessions = append(sessions, s)
-	}
-	crashed := 0
-	for i, s := range sessions {
-		info := waitDone(t, s)
-		if info.State != StateDone {
-			t.Fatalf("session %d: %s (%s: %s)", i, info.State, info.FailureClass, info.Failure)
-		}
-		if info.Retries > 0 {
-			crashed++
-		}
-		if info.Digest != want[i].Digest {
-			t.Errorf("session %d digest %s != control %s", i, info.Digest, want[i].Digest)
-		}
-	}
-	if crashed == 0 {
-		t.Error("no session was crashed by chaos; interference test proved nothing")
+			cfg = testConfig(t)
+			cfg.Workers = 8
+			cfg.Grace = 5 * time.Second // a stalled step returns within grace
+			cfg.DefaultWall = c.wall
+			cfg.Chaos = &c.chaos
+			chaotic := mustServer(t, cfg)
+			var sessions []*Session
+			for i := 0; i < c.sessions; i++ {
+				name, text := src(i)
+				s, err := chaotic.Submit(name, text)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sessions = append(sessions, s)
+			}
+			crashed, stalled := 0, 0
+			for i, s := range sessions {
+				info := waitDone(t, s)
+				if info.State != StateDone {
+					t.Fatalf("session %d: %s (%s: %s)", i, info.State, info.FailureClass, info.Failure)
+				}
+				if info.Retries > 0 {
+					switch info.FailureClass {
+					case guard.ClassCrash:
+						crashed++
+					case guard.ClassStallTimeout, guard.ClassStallHang:
+						stalled++
+					}
+				}
+				if info.Digest != want[i].Digest {
+					t.Errorf("session %d digest %s != control %s", i, info.Digest, want[i].Digest)
+				}
+			}
+			if crashed < c.crashes || stalled < c.stalls {
+				t.Errorf("%d crash and %d stall recoveries, want at least %d and %d; the interference test proved nothing",
+					crashed, stalled, c.crashes, c.stalls)
+			}
+		})
 	}
 }
 
@@ -484,10 +520,10 @@ func TestParseChaos(t *testing.T) {
 	}
 }
 
-// TestChaosSitesGolden pins the fault sites of the `mbench -serve` chaos
-// configuration: they are a pure function of (seed, admission number)
-// through faultinject.SplitMix64, and must not move when the mixer's
-// home does.
+// TestChaosSitesGolden pins the fault sites of one chaos configuration
+// (TestNoCrossSessionInterference's seed and cadences): they are a pure
+// function of (seed, admission number) through faultinject.SplitMix64,
+// and must not move when the mixer's home does.
 func TestChaosSitesGolden(t *testing.T) {
 	c := &Chaos{Seed: 1234, PanicEvery: 3, StallEvery: 7, StallDelay: 3 * time.Second, MaxCycle: 600}
 	for seq, want := range map[uint64]string{

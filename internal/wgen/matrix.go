@@ -14,8 +14,8 @@ import (
 
 // mode is one engine configuration of the verification matrix. The
 // options are explicit (not the package defaults the engine_test helpers
-// mutate), so Verify is safe to call from anywhere — tests, mbench,
-// msim — without touching global state.
+// mutate), so Verify is safe to call from anywhere — tests, msim —
+// without touching global state.
 type mode struct {
 	name string
 	opts core.Options
@@ -29,10 +29,6 @@ var matrixModes = [...]mode{
 	{"parallel2", core.Options{Workers: 2}},
 	{"parallel3", core.Options{Workers: 3}},
 }
-
-// Modes reports the in-process engine count of the matrix, for
-// harness banners (cmd/mbench -gen).
-func Modes() int { return len(matrixModes) }
 
 // fingerprint renders everything the determinism contract covers: phase
 // cycle counts, check counts, machine statistics, the final machine

@@ -106,17 +106,26 @@ func TestSourceVariety(t *testing.T) {
 	}
 }
 
-// TestVerifySeeds runs the full determinism matrix over a window of
-// seeds — the in-test twin of the `make gen` CI leg (mbench -gen runs a
-// larger window). Any failure names the seed for `msim -gen-seed`.
+// TestVerifySeeds runs the full determinism matrix over seeds 0..199
+// (four when -short), fanned out across the host's cores: each seed's
+// matrix owns its machines, nothing is shared. Every failing seed is
+// reported, each naming its `msim -gen-seed N` repro.
 func TestVerifySeeds(t *testing.T) {
-	seeds := 16
+	seeds := 200
 	if testing.Short() {
 		seeds = 4
 	}
-	for seed := uint64(0); seed < uint64(seeds); seed++ {
-		if err := Verify(seed); err != nil {
+	errs := make([]error, seeds)
+	core.ForEachMachine(seeds, func(i int) error {
+		errs[i] = Verify(uint64(i))
+		return nil
+	})
+	for _, err := range errs {
+		if err != nil {
 			t.Error(err)
 		}
+	}
+	if len(errs) == 0 {
+		t.Fatal("the seed window is empty; the matrix proved nothing")
 	}
 }
