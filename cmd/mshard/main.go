@@ -35,7 +35,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/guard"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -113,7 +112,7 @@ func main() {
 	}
 	if *showTrace {
 		fmt.Println("\ntrace:")
-		fmt.Print(trace.Timeline(s.Recorder.Events))
+		fmt.Print(s.Recorder.Timeline(s.Recorder.Events))
 	}
 }
 

@@ -65,7 +65,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/guard"
 	"repro/internal/snap"
-	"repro/internal/trace"
 	"repro/internal/wgen"
 )
 
@@ -226,7 +225,7 @@ func main() {
 
 	if *showTrace {
 		fmt.Println("\ntrace:")
-		fmt.Print(trace.Timeline(s.Recorder.Events))
+		fmt.Print(s.Recorder.Timeline(s.Recorder.Events))
 	}
 	if *savePath != "" {
 		if err := saveSnapshot(s, *savePath); err != nil {
@@ -270,7 +269,7 @@ func runWorkload(path string, engine core.Options, showTrace bool) {
 	}
 	if showTrace {
 		fmt.Println("\ntrace:")
-		fmt.Print(trace.Timeline(s.Recorder.Events))
+		fmt.Print(s.Recorder.Timeline(s.Recorder.Events))
 	}
 }
 
@@ -311,7 +310,7 @@ func runWorkloadDist(path string, shards int, showTrace bool) {
 	}
 	if showTrace {
 		fmt.Println("\ntrace:")
-		fmt.Print(trace.Timeline(s.Recorder.Events))
+		fmt.Print(s.Recorder.Timeline(s.Recorder.Events))
 	}
 }
 

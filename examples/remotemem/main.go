@@ -11,7 +11,6 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -79,6 +78,6 @@ func runOnce(caching bool) {
 		st.LTLBFaults, st.StatusFaults, st.MsgsInjected)
 
 	fmt.Println("event timeline:")
-	fmt.Print(trace.Timeline(sim.Recorder.Filter(0,
+	fmt.Print(sim.Recorder.Timeline(sim.Recorder.Filter(0,
 		"mem-issue", "event", "send", "msg-recv", "rstw", "mretry", "tlbw")))
 }

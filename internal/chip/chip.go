@@ -19,6 +19,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/noc"
+	"repro/internal/trace"
 )
 
 // NoEvent is the NextEvent sentinel meaning "this component will never act
@@ -171,17 +172,14 @@ type Chip struct {
 	// Console is the node's I/O-bus output device.
 	Console *Console
 
-	// Trace, if non-nil, receives simulation events for timeline
-	// reconstruction (Figure 9).
-	Trace func(cycle int64, node int, event, detail string) `snap:"derived,engine hook, reinstalled by the owner"`
-
-	// BufferTrace redirects trace events into a per-chip buffer that the
-	// machine flushes in node-index order after the chip phase (FlushTrace).
-	// The machine sets it when workers step the chips, so concurrently
-	// stepping chips still produce the exact inline trace stream; the
-	// callback itself is shared and must not be invoked from workers.
-	BufferTrace bool         `snap:"derived,engine mode flag, set by the owner"`
-	traceBuf    []traceEvent `snap:"derived,drained every cycle, empty at snapshot points"`
+	// Trace, if non-nil, is the sink for simulation events (timeline
+	// reconstruction, Figure 9). Step only appends typed records to
+	// traceBuf; the owner moves them to the sink with FlushTrace, per chip
+	// in node-index order after the chip phase, so chips stepping
+	// concurrently never touch the shared sink and every engine observes
+	// the same stream.
+	Trace    *trace.Recorder `snap:"derived,engine hook, reinstalled by the owner"`
+	traceBuf trace.Recorder  `snap:"derived,drained every cycle, empty at snapshot points"`
 
 	Cycle int64
 
@@ -289,38 +287,22 @@ func (c *Chip) MsgQueue(p int) *events.Queue { return c.msgq[p] }
 // ExcQueue exposes the synchronous exception queue.
 func (c *Chip) ExcQueue() *events.Queue { return c.excq }
 
-// traceEvent is one buffered trace record (see BufferTrace).
-type traceEvent struct {
-	cycle         int64
-	event, detail string
-}
-
-func (c *Chip) trace(event, detail string) {
+// trace stamps e with the current cycle and this node and buffers it.
+func (c *Chip) trace(e trace.Event) {
 	if c.Trace == nil {
 		return
 	}
-	if c.BufferTrace {
-		c.traceBuf = append(c.traceBuf, traceEvent{c.Cycle, event, detail})
-		return
-	}
-	c.Trace(c.Cycle, c.Index, event, detail)
+	e.Cycle, e.Node = c.Cycle, int32(c.Index)
+	c.traceBuf.Events = append(c.traceBuf.Events, e)
 }
 
-// FlushTrace delivers buffered trace events to the Trace callback in
+// FlushTrace moves the buffered trace records to the Trace sink in
 // emission order. The machine calls it per chip, in node-index order, after
-// the chip phase of each cycle; together with per-cycle flushing this keeps
-// the observed stream identical to an unbuffered chip phase's.
+// the chip phase of each cycle.
 func (c *Chip) FlushTrace() {
-	if len(c.traceBuf) == 0 {
-		return
+	if len(c.traceBuf.Events) != 0 {
+		c.Trace.Drain(&c.traceBuf)
 	}
-	if c.Trace != nil {
-		for i := range c.traceBuf {
-			e := &c.traceBuf[i]
-			c.Trace(e.cycle, c.Index, e.event, e.detail)
-		}
-	}
-	c.traceBuf = c.traceBuf[:0]
 }
 
 // send buffers a message for injection into the network. The machine
@@ -544,13 +526,13 @@ func (c *Chip) memResponse(resp mem.Response) {
 		c.memFault(resp, meta)
 		return
 	}
-	c.trace("mem-complete", fmt.Sprintf("%s addr=%#x", resp.Req.Kind, resp.Req.Addr))
+	c.trace(trace.Event{Kind: trace.MemComplete, Sub: uint8(resp.Req.Kind), Arg: resp.Req.Addr})
 	if !resp.Req.Kind.IsWrite() {
 		w := isa.Word{Bits: resp.Data, Ptr: resp.DataPtr}
 		if meta.isRetry {
 			vt, cl, reg := isa.UnpackRegDesc(meta.regDesc)
 			c.Clusters[cl].Threads[vt].File(reg.Class).Set(int(reg.Index), w)
-			c.trace("retry-complete", fmt.Sprintf("addr=%#x", resp.Req.Addr))
+			c.trace(trace.Event{Kind: trace.RetryComplete, Arg: resp.Req.Addr})
 		} else {
 			th := c.Clusters[meta.cl].Threads[meta.vthread]
 			th.File(meta.dst.Class).Set(int(meta.dst.Index), w)
@@ -587,7 +569,7 @@ func (c *Chip) memFault(resp mem.Response, meta reqMeta) {
 	default:
 		panic("chip: unknown fault")
 	}
-	c.trace("event", rec.String())
+	c.trace(trace.Fault(rec.Type, rec.Kind, rec.VAddr))
 	q.Push(rec)
 }
 

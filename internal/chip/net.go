@@ -13,6 +13,7 @@ import (
 	"repro/internal/gtlb"
 	"repro/internal/isa"
 	"repro/internal/noc"
+	"repro/internal/trace"
 )
 
 // gtlbToNoc converts between the two packages' coordinate types.
@@ -42,7 +43,7 @@ func (c *Chip) executeSend(now int64, vt, cl int, th *cluster.HThread, op *isa.O
 		msg.Dst = c.Net.CoordOf(idx)
 		msg.DstAddr = addrW.Bits
 		c.send(msg)
-		c.trace("send", fmt.Sprintf("pri1 to node %d dip=%d len=%d", idx, msg.DIP, len(body)))
+		c.trace(trace.Event{Kind: trace.SendPri1, Arg: msg.DIP, Sub: uint8(len(body)), Peer: int32(idx)})
 		return
 	}
 
@@ -76,7 +77,7 @@ func (c *Chip) executeSend(now int64, vt, cl int, th *cluster.HThread, op *isa.O
 	msg.Dst = gtlbToNoc(home)
 	msg.DstAddr = a
 	c.send(msg)
-	c.trace("send", fmt.Sprintf("pri0 to %v dip=%d len=%d", msg.Dst, msg.DIP, len(body)))
+	c.trace(trace.Event{Kind: trace.SendPri0, Arg: msg.DIP, Sub: uint8(len(body))}.WithPeer(msg.Dst))
 }
 
 // networkInput drains delivered messages into the hardware message queues.
@@ -132,11 +133,11 @@ func (c *Chip) receiveMsg(now int64, m *noc.Message) {
 		}
 		c.send(ack)
 	}
-	if accepted {
-		c.trace("msg-recv", fmt.Sprintf("pri%d dip=%d from %v", m.Pri, m.DIP, m.Src))
-	} else {
-		c.trace("msg-reject", fmt.Sprintf("pri%d dip=%d from %v", m.Pri, m.DIP, m.Src))
+	kind := trace.MsgRecv
+	if !accepted {
+		kind = trace.MsgReject
 	}
+	c.trace(trace.Event{Kind: kind, Arg: m.DIP, Sub: uint8(m.Pri)}.WithPeer(m.Src))
 }
 
 // resendReturned re-injects returned messages whose backoff has expired.
@@ -165,7 +166,7 @@ func (c *Chip) resendReturned(now int64) {
 			Body:    m.Body,
 		}
 		c.send(fresh)
-		c.trace("resend", fmt.Sprintf("dip=%d to %v", m.DIP, m.Dst))
+		c.trace(trace.Event{Kind: trace.Resend, Arg: m.DIP}.WithPeer(m.Dst))
 	}
 	for i := len(kept); i < len(c.resends); i++ {
 		c.resends[i] = resend{}

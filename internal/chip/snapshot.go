@@ -323,7 +323,7 @@ func DecodeChipState(r *snap.Reader, cfg Config, node noc.Coord, index int, net 
 
 // Clone returns an independent chip with c's cross-cycle state, bound to
 // net and gdt (the clone machine's own network and table). Like a chip
-// adopted from a snapshot it has no trace callback or wake hook, an
+// adopted from a snapshot it has no trace sink or wake hook, an
 // empty idle-replay cache, and a wake cycle of zero, so its first step
 // re-derives everything the engines cache.
 func (c *Chip) Clone(net *noc.Network, gdt *gtlb.Table) *Chip {
@@ -381,10 +381,10 @@ func (c *Chip) Clone(net *noc.Network, gdt *gtlb.Table) *Chip {
 }
 
 // Adopt commits src's state into c in place, preserving c's identity and
-// environment: node coordinate, network and GDT bindings, trace callback
-// and buffering mode, and the engine wake hook. The caller must Touch the
-// chip afterwards (the machine's restore does) so a sleeping engine
-// re-derives the wake cycle from the adopted state.
+// environment: node coordinate, network and GDT bindings, trace sink,
+// and the engine wake hook. The caller must Touch the chip afterwards (the
+// machine's restore does) so a sleeping engine re-derives the wake cycle
+// from the adopted state.
 func (c *Chip) Adopt(src *Chip) {
 	c.Cycle = src.Cycle
 	c.InstsIssued = src.InstsIssued
@@ -431,5 +431,5 @@ func (c *Chip) Adopt(src *Chip) {
 	// SkipCycles could consult it).
 	c.idleStalled = c.idleStalled[:0]
 	c.idleSendsBlocked = 0
-	c.traceBuf = c.traceBuf[:0]
+	c.traceBuf.Reset()
 }

@@ -128,7 +128,7 @@ func NewSim(o Options) (*Sim, error) {
 		return nil, err
 	}
 	s := &Sim{M: m, RT: r, Recorder: &trace.Recorder{}}
-	m.SetTrace(s.Recorder.Hook())
+	m.SetTrace(s.Recorder)
 
 	pages := o.HomePages
 	if pages == 0 {

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/noc"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -159,7 +158,7 @@ func fingerprint(o Options, w meshWorkload) (string, error) {
 		}
 	}
 	for _, e := range s.Recorder.Events {
-		fmt.Fprintf(&b, "trace %d %d %s %s\n", e.Cycle, e.Node, e.Name, e.Detail)
+		fmt.Fprintf(&b, "trace %d %d %s %s\n", e.Cycle, e.Node, e.Name(), s.Recorder.Detail(e))
 	}
 	return b.String(), nil
 }
@@ -351,7 +350,7 @@ func TestDeterminismLockstep(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.M.Close()
-	tr := func(s *Sim) string { return trace.Timeline(s.Recorder.Events) }
+	tr := func(s *Sim) string { return s.Recorder.Timeline(s.Recorder.Events) }
 	for i := 0; i < 2000; i++ {
 		a.M.Step()
 		b.M.Step()

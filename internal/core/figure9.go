@@ -75,7 +75,7 @@ func figure9One(isWrite bool) (*Figure9Result, error) {
 	base := issue.Cycle
 	add := func(e trace.Event, label string, ok bool) {
 		if ok {
-			res.Phases = append(res.Phases, Phase{e.Cycle - base, e.Node, label})
+			res.Phases = append(res.Phases, Phase{e.Cycle - base, int(e.Node), label})
 		}
 	}
 	opName := map[bool]string{false: "LOAD", true: "STORE"}[isWrite]
@@ -84,17 +84,14 @@ func figure9One(isWrite bool) (*Figure9Result, error) {
 	ev, ok := s.Recorder.First(base, "event")
 	add(ev, "LTLB miss event enqueued", ok)
 	snd, ok := s.Recorder.FirstMatch(base, func(e trace.Event) bool {
-		return e.Node == 0 && e.Name == "send"
+		return e.Node == 0 && e.Name() == "send"
 	})
 	add(snd, "LTLB miss handler completes; "+opName+" message sent", ok)
 	rcv, ok := s.Recorder.FirstMatch(base, func(e trace.Event) bool {
-		return e.Node == 1 && e.Name == "msg-recv"
+		return e.Node == 1 && e.Kind == trace.MsgRecv
 	})
 	add(rcv, "message received", ok)
-	exec, ok := s.Recorder.FirstMatch(base, func(e trace.Event) bool {
-		return e.Node == 1 && e.Name == "mem-complete" &&
-			strings.Contains(e.Detail, fmt.Sprintf("addr=%#x", addr))
-	})
+	exec, ok := firstComplete(s.Recorder, base, 1, addr, false)
 	add(exec, "execute "+strings.ToLower(opName), ok)
 
 	if isWrite {
@@ -104,15 +101,15 @@ func figure9One(isWrite bool) (*Figure9Result, error) {
 		res.Total = exec.Cycle - base
 	} else {
 		reply, rok := s.Recorder.FirstMatch(base, func(e trace.Event) bool {
-			return e.Node == 1 && e.Name == "send"
+			return e.Node == 1 && e.Name() == "send"
 		})
 		add(reply, "reply message sent", rok)
 		rrecv, rok2 := s.Recorder.FirstMatch(base, func(e trace.Event) bool {
-			return e.Node == 0 && e.Name == "msg-recv"
+			return e.Node == 0 && e.Kind == trace.MsgRecv
 		})
 		add(rrecv, "reply received", rok2)
 		wb, rok3 := s.Recorder.FirstMatch(base, func(e trace.Event) bool {
-			return e.Node == 0 && e.Name == "rstw"
+			return e.Node == 0 && e.Kind == trace.RSTW
 		})
 		add(wb, "data written to destination register", rok3)
 		if !rok3 {

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/guard"
-	"repro/internal/trace"
 	"repro/internal/wgen"
 	"repro/internal/workload"
 )
@@ -64,7 +63,7 @@ func continuation(t *testing.T, sc *core.Scenario, s *core.Sim, run *core.Scenar
 	res := run.Result()
 	return fmt.Sprintf("phases=%v total=%d checks=%d stats=%+v digest=%s\n%s",
 		res.Phases, res.TotalCycles, res.Checks, res.Stats, digestOf(t, s),
-		trace.Timeline(s.Recorder.Events[from:]))
+		s.Recorder.Timeline(s.Recorder.Events[from:]))
 }
 
 func digestOf(t *testing.T, s *core.Sim) string {
@@ -193,7 +192,7 @@ func TestSimForkMatchesRestore(t *testing.T) {
 						t.Fatal(err)
 					}
 					return fmt.Sprintf("write=%d stats=%+v digest=%s\n%s", cycles, f.Stats(), digestOf(t, f),
-						trace.Timeline(f.Recorder.Events[from:]))
+						f.Recorder.Timeline(f.Recorder.Events[from:]))
 				}
 				want := cell(restored, 0)
 				if got := cell(clone, 0); got != want {

@@ -34,6 +34,6 @@ func (s *Sim) Fork() (*Sim, error) {
 		return nil, err
 	}
 	f := &Sim{M: m, RT: s.RT, Recorder: &trace.Recorder{}, homeSpan: s.homeSpan}
-	m.SetTrace(f.Recorder.Hook())
+	m.SetTrace(f.Recorder)
 	return f, nil
 }

@@ -111,7 +111,7 @@ func (sc *Scenario) runPoint(ps *Sim, o Options, name string, parent *Sim) (*Poi
 		// it un-Closed (its events stay unobserved).
 		return nil, err
 	}
-	parent.Recorder.Events = append(parent.Recorder.Events, ps.Recorder.Events...)
+	parent.Recorder.Drain(ps.Recorder)
 	ps.M.Close()
 	if err != nil {
 		return nil, err

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
@@ -240,18 +241,25 @@ func timeWrite(s *Sim, class AccessClass, addr uint64) (int64, error) {
 		return 0, err
 	}
 	issue := int64(s.Reg(0, 0, 0, 8)) + 1
-	node := 0
+	var node int32
 	if class >= RemoteCacheHit {
 		node = 1
 	}
-	want := fmt.Sprintf("write addr=%#x", addr)
-	ev, ok := s.Recorder.FirstMatch(start, func(e trace.Event) bool {
-		return e.Node == node && e.Name == "mem-complete" && e.Detail == want
-	})
+	ev, ok := firstComplete(s.Recorder, start, node, addr, true)
 	if !ok {
-		return 0, fmt.Errorf("no completion event for %s", want)
+		return 0, fmt.Errorf("no completion event for write addr=%#x", addr)
 	}
 	return ev.Cycle - issue, nil
+}
+
+// firstComplete finds the first mem-complete record at node for exactly
+// addr, at or after cycle from; storesOnly skips every access kind but the
+// virtual store.
+func firstComplete(r *trace.Recorder, from int64, node int32, addr uint64, storesOnly bool) (trace.Event, bool) {
+	return r.FirstMatch(from, func(e trace.Event) bool {
+		return e.Node == node && e.Kind == trace.MemComplete && e.Arg == addr &&
+			(!storesOnly || mem.Kind(e.Sub) == mem.ReqWrite)
+	})
 }
 
 // FormatTable1 renders rows as the paper's table with a measured column.

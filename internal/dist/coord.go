@@ -34,6 +34,7 @@ import (
 
 	"repro/internal/guard"
 	"repro/internal/machine"
+	"repro/internal/trace"
 )
 
 // ShardFailure is a supervised shard fault: the coordinator's retry loop
@@ -102,7 +103,7 @@ type Config struct {
 	Kill []KillSpec
 	// Trace receives the merged chip trace stream, in the serial
 	// engines' order. Nil drops it.
-	Trace func(cycle int64, node int, event, detail string)
+	Trace *trace.Recorder
 }
 
 func (cfg *Config) setDefaults() {
@@ -168,7 +169,7 @@ type Coordinator struct {
 	ck           checkpoint
 	lastCkpt     int64
 	ckCount      int
-	pendingTrace []traceEvent
+	pendingTrace trace.Recorder
 
 	recoveries int
 	failures   []FailureRecord
@@ -392,7 +393,7 @@ func (co *Coordinator) RunExact(n int64) (int64, error) {
 func (co *Coordinator) supervise(leg func(resume bool) (int64, error)) (int64, error) {
 	co.phaseStart, co.cycle = co.m.Cycle, co.m.Cycle
 	co.ck = checkpoint{}
-	co.pendingTrace = co.pendingTrace[:0]
+	co.pendingTrace.Reset()
 	for resume := false; ; resume = true {
 		n, err := co.attempt(leg, resume)
 		sf, failed := err.(*ShardFailure)
@@ -636,7 +637,7 @@ func (co *Coordinator) stepCycle(t int64) *ShardFailure {
 			co.m.Net.DropArrivals(c.Node, c.Pri, c.N)
 			co.shipped[c.Node][c.Pri] -= c.N
 		}
-		co.pendingTrace = append(co.pendingTrace, rep.Trace...)
+		co.pendingTrace.Drain(&rep.Trace)
 		co.acts[i] = rep.Act
 	}
 	if co.m.Net.NeedsStep(t) {
@@ -678,12 +679,9 @@ func (co *Coordinator) takeCheckpoint(atStep bool) error {
 // events of the replayed window — each is delivered exactly once.
 func (co *Coordinator) commitTrace() {
 	if co.cfg.Trace != nil {
-		for i := range co.pendingTrace {
-			ev := &co.pendingTrace[i]
-			co.cfg.Trace(ev.Cycle, ev.Node, ev.Event, ev.Detail)
-		}
+		co.cfg.Trace.Drain(&co.pendingTrace)
 	}
-	co.pendingTrace = co.pendingTrace[:0]
+	co.pendingTrace.Reset()
 }
 
 // syncHub reassembles the full machine in the hub: every worker
@@ -757,6 +755,6 @@ func (co *Coordinator) recover(sf *ShardFailure) error {
 	}
 	co.cycle, co.loop = co.ck.cycle, co.ck.loop
 	co.lastCkpt = co.ck.cycle
-	co.pendingTrace = co.pendingTrace[:0]
+	co.pendingTrace.Reset()
 	return nil
 }

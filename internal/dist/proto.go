@@ -39,11 +39,12 @@ import (
 	"repro/internal/machine"
 	"repro/internal/noc"
 	"repro/internal/snap"
+	"repro/internal/trace"
 )
 
 // protoVersion gates the handshake: a coordinator and worker from
 // different builds refuse to pair instead of corrupting each other.
-const protoVersion = 1
+const protoVersion = 2
 
 // Frame kinds. Commands flow coordinator -> worker, replies worker ->
 // coordinator; repHeartbeat may arrive between any command and its reply.
@@ -246,23 +247,16 @@ type consumption struct {
 	Node, Pri, N int
 }
 
-// traceEvent is one chip trace record shipped back to the coordinator,
-// which replays the events of all shards in global node order so the
-// observed trace stream matches the serial engines'.
-type traceEvent struct {
-	Cycle         int64
-	Node          int
-	Event, Detail string
-}
-
 // stepReply is everything one shard produced during one cycle: drained
 // outbox messages in node order (the coordinator injects them, assigning
-// global sequence numbers), consumption confirmations, trace events, and
-// the post-step activity aggregates.
+// global sequence numbers), consumption confirmations, the owned chips'
+// trace records in node order (the coordinator appends the shards' in
+// shard order, so the merged stream matches the serial engines'), and the
+// post-step activity aggregates.
 type stepReply struct {
 	Msgs     []*noc.Message
 	Consumed []consumption
-	Trace    []traceEvent
+	Trace    trace.Recorder
 	Act      activity
 }
 
@@ -278,13 +272,7 @@ func encodeStepReply(net *noc.Network, rep *stepReply) []byte {
 			w.Int(c.Pri)
 			w.Int(c.N)
 		}
-		w.Len(len(rep.Trace))
-		for _, t := range rep.Trace {
-			w.I64(t.Cycle)
-			w.Int(t.Node)
-			w.String(t.Event)
-			w.String(t.Detail)
-		}
+		rep.Trace.Encode(w)
 		rep.Act.encode(w)
 	})
 }
@@ -300,13 +288,7 @@ func decodeStepReply(net *noc.Network, p []byte) (*stepReply, error) {
 	for i := 0; i < n && r.Err() == nil; i++ {
 		rep.Consumed = append(rep.Consumed, consumption{Node: r.Int(), Pri: r.Int(), N: r.Int()})
 	}
-	n = r.Len(1 << 24)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		rep.Trace = append(rep.Trace, traceEvent{
-			Cycle: r.I64(), Node: r.Int(),
-			Event: r.String(1 << 12), Detail: r.String(1 << 16),
-		})
-	}
+	rep.Trace.Decode(r, 1<<24, 1<<16)
 	rep.Act = decodeActivity(r)
 	return rep, r.Err()
 }

@@ -9,12 +9,18 @@ package dist
 import (
 	"bytes"
 	"io"
+	"net"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/events"
+	"repro/internal/guard"
 	"repro/internal/isa"
 	"repro/internal/machine"
+	"repro/internal/mem"
 	"repro/internal/noc"
+	"repro/internal/trace"
 )
 
 func testNet() *noc.Network {
@@ -86,7 +92,7 @@ func TestStepRoundTrip(t *testing.T) {
 	rep := stepReply{
 		Msgs:     []*noc.Message{msg},
 		Consumed: []consumption{{Node: 3, Pri: 1, N: 2}},
-		Trace:    []traceEvent{{Cycle: 77, Node: 3, Event: "issue", Detail: "x"}},
+		Trace:    everyKind(),
 		Act:      activity{Activity: machine.Activity{Running: 1, Busy: 2, Issued: 3}, Next: 78, Fault: "boom"},
 	}
 	rout, err := decodeStepReply(net, encodeStepReply(net, &rep))
@@ -94,9 +100,84 @@ func TestStepRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(rout.Msgs) != 1 || rout.Consumed[0] != rep.Consumed[0] ||
-		rout.Trace[0] != rep.Trace[0] || rout.Act != rep.Act {
+		!slices.Equal(rout.Trace.Events, rep.Trace.Events) || !slices.Equal(rout.Trace.Text, rep.Trace.Text) ||
+		rout.Act != rep.Act {
 		t.Fatalf("reply round trip: %+v", rout)
 	}
+	if got, want := rout.Trace.Timeline(rout.Trace.Events), rep.Trace.Timeline(rep.Trace.Events); got != want {
+		t.Fatalf("timeline changed on the wire:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// everyKind is a reply's trace section holding one record of every kind,
+// with every field of the record non-zero somewhere, negative coordinates
+// included (the wire packs them as unsigned halves).
+func everyKind() trace.Recorder {
+	var r trace.Recorder
+	at := noc.Coord{X: 1, Y: -2, Z: trace.MaxCoord}
+	for i, e := range []trace.Event{
+		{Kind: trace.MemIssue, Sub: uint8(mem.ReqWrite), Arg: 0x410},
+		{Kind: trace.MemComplete, Sub: uint8(mem.ReqReadPhys), Arg: 1<<64 - 1},
+		{Kind: trace.RetryComplete, Arg: 0x1007},
+		{Kind: trace.MRetry, Arg: 0x2a},
+		{Kind: trace.TLBW, Arg: 12},
+		{Kind: trace.RSTW, Arg: isa.RegDesc(2, 1, isa.Int(7))},
+		trace.Fault(events.SyncFault, mem.ReqRead, 0x20),
+		trace.Event{Kind: trace.SendPri0, Arg: 2, Sub: 16}.WithPeer(at),
+		{Kind: trace.SendPri1, Arg: 9, Sub: 3, Peer: 1<<31 - 1},
+		trace.Event{Kind: trace.MsgRecv, Arg: 5, Sub: 1}.WithPeer(at),
+		trace.Event{Kind: trace.MsgReject, Arg: 2}.WithPeer(at),
+		trace.Event{Kind: trace.Resend, Arg: 2}.WithPeer(at),
+		{Kind: trace.ProtFault, Arg: r.AddText("send to untagged address")},
+		{Kind: trace.ProtFault, Arg: r.AddText("sendn to bad node -1")},
+	} {
+		e.Cycle, e.Node = int64(1)<<40+int64(i), int32(3+i)
+		r.Events = append(r.Events, e)
+	}
+	return r
+}
+
+// TestHandshakeVersionMismatch pairs the coordinator with a worker that
+// speaks the previous protocol (string-carrying trace events): New must
+// refuse it with the handshake error — an ordinary error, not a shard
+// failure the supervision loop would try to recover from.
+func TestHandshakeVersionMismatch(t *testing.T) {
+	cfg := machine.DefaultConfig()
+	cfg.Dims = noc.Coord{X: 2, Y: 1, Z: 1}
+	m := machine.New(cfg)
+	defer m.Close()
+	_, err := New(m, Config{Shards: 1, Launcher: oldWorkerLauncher{}})
+	if err == nil || !strings.Contains(err.Error(), "shard 0 speaks protocol 1, coordinator 2") {
+		t.Fatalf("New with a version-1 worker: %v", err)
+	}
+	if _, recoverable := err.(*ShardFailure); recoverable || guard.Classify(err) != guard.ClassScenario {
+		t.Errorf("handshake refusal classified %v (%T), want a plain scenario error", guard.Classify(err), err)
+	}
+}
+
+// oldWorkerLauncher starts workers that greet with protocol version 1 and
+// then only acknowledge the shutdown.
+type oldWorkerLauncher struct{}
+
+func (oldWorkerLauncher) Start(int) (Handle, error) {
+	cc, wc := net.Pipe()
+	go func() {
+		defer wc.Close()
+		if writeFrame(wc, repHello, encodeI64(1)) != nil {
+			return
+		}
+		for {
+			kind, _, err := readFrame(wc)
+			if err != nil {
+				return
+			}
+			if kind == cmdShutdown {
+				writeFrame(wc, repOK, nil)
+				return
+			}
+		}
+	}()
+	return &localHandle{Conn: cc, peer: wc}, nil
 }
 
 func TestDecodeCorruptPayloads(t *testing.T) {

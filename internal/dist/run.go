@@ -51,7 +51,7 @@ func RunScenario(sc *core.Scenario, o core.Options, cfg Config) (*RunResult, *co
 	if cfg.Trace == nil {
 		// Worker trace events merge into the hub recorder, in the serial
 		// engines' order, alongside hub-side (plan step) events.
-		cfg.Trace = s.Recorder.Hook()
+		cfg.Trace = s.Recorder
 	}
 	co, err := New(s.M, cfg)
 	if err != nil {

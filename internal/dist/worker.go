@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/noc"
+	"repro/internal/trace"
 )
 
 // WorkerAddrEnv names the environment variable that turns a process
@@ -71,9 +72,9 @@ type worker struct {
 	arrNodes []int
 	arrMark  []bool
 
-	traceBuf []traceEvent // events emitted during the current chip phase
-	outBuf   []*noc.Message
-	stepped  []int // owned chips the current chip phase stepped
+	trace   trace.Recorder // the owned chips' sink: records of the current chip phase
+	outBuf  []*noc.Message
+	stepped []int // owned chips the current chip phase stepped
 
 	hbStop chan struct{}
 	hbOnce sync.Once
@@ -213,16 +214,10 @@ func (w *worker) seed(snapshot []byte) error {
 		return fmt.Errorf("shard %d: range [%d,%d) outside the %d-node mesh",
 			w.spec.Shard, w.spec.Lo, w.spec.Hi, w.m.NumNodes())
 	}
-	// Trace hook on owned chips only: events buffer per cycle and ship
-	// with the step reply. Unowned chips never step here, so they need
-	// no hook.
+	// Trace sink on owned chips only: each cycle's records ship with the
+	// step reply. Unowned chips never step here, so they need no sink.
 	for i := w.spec.Lo; i < w.spec.Hi; i++ {
-		c := w.m.Chips[i]
-		c.BufferTrace = false
-		node := i
-		c.Trace = func(cycle int64, _ int, event, detail string) {
-			w.traceBuf = append(w.traceBuf, traceEvent{Cycle: cycle, Node: node, Event: event, Detail: detail})
-		}
+		w.m.Chips[i].Trace = &w.trace
 	}
 	return nil
 }
@@ -308,19 +303,21 @@ func (w *worker) step(cmd *stepCmd) *stepReply {
 
 	// Chip phase over the owned range, in node-index order.
 	w.chaos(t)
-	w.traceBuf = w.traceBuf[:0]
 	w.stepped = w.m.StepRange(w.spec.Lo, w.spec.Hi, t, w.stepped[:0])
 
-	// Drain phase: the stepped chips' outboxes in node-index order (a chip
-	// that did not step produced nothing). The coordinator injects these
-	// into the authoritative network in the same order, assigning the same
-	// sequence numbers as an in-process drain.
+	// Drain phase: the stepped chips' trace buffers and outboxes in
+	// node-index order (a chip that did not step produced nothing). The
+	// coordinator injects the messages into the authoritative network in
+	// the same order, assigning the same sequence numbers as an in-process
+	// drain.
+	w.trace.Reset()
 	w.outBuf = w.outBuf[:0]
 	for _, i := range w.stepped {
+		w.m.Chips[i].FlushTrace()
 		w.outBuf = w.m.Chips[i].TakeOutbox(w.outBuf)
 	}
 
-	rep := &stepReply{Msgs: w.outBuf, Trace: w.traceBuf}
+	rep := &stepReply{Msgs: w.outBuf, Trace: w.trace}
 
 	// Consumption confirmations and next cycle's arrival wake-ups.
 	keep := w.arrNodes[:0]

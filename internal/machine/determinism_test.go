@@ -3,6 +3,7 @@ package machine_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/noc"
 	"repro/internal/rt"
+	"repro/internal/trace"
 )
 
 // runWorkload boots a fresh machine, runs a mixed multi-node workload, and
@@ -76,8 +78,8 @@ const migratingNodes = 8
 // its successor's home range (mostly stall cycles), then runs a hot
 // arithmetic burst, so activity sweeps from node 0 towards node n-1 over
 // time — the pattern that defeats static contiguous shards. The machine's
-// trace stream is collected in the returned builder.
-func buildMigrating(t *testing.T, workers int, naive bool) (*machine.Machine, *strings.Builder) {
+// trace stream is collected in the returned recorder.
+func buildMigrating(t *testing.T, workers int, naive bool) (*machine.Machine, *trace.Recorder) {
 	t.Helper()
 	const nodes = migratingNodes
 	cfg := machine.DefaultConfig()
@@ -94,10 +96,8 @@ func buildMigrating(t *testing.T, workers int, naive bool) (*machine.Machine, *s
 			t.Fatal(err)
 		}
 	}
-	var trace strings.Builder
-	m.SetTrace(func(cycle int64, node int, event, detail string) {
-		fmt.Fprintf(&trace, "%d %d %s %s\n", cycle, node, event, detail)
-	})
+	rec := &trace.Recorder{}
+	m.SetTrace(rec)
 	for i := 0; i < nodes; i++ {
 		succ := (i + 1) % nodes
 		loadUser(t, m, i, 0, 0, fmt.Sprintf(`
@@ -122,7 +122,17 @@ spin:
     halt
 `, succ*4096+256, i*4, 300+40*i))
 	}
-	return m, &trace
+	return m, rec
+}
+
+// traceText renders a recorded stream with absolute cycles, one record per
+// line.
+func traceText(r *trace.Recorder) string {
+	var b strings.Builder
+	for _, e := range r.Events {
+		fmt.Fprintf(&b, "%d %d %s %s\n", e.Cycle, e.Node, e.Name(), r.Detail(e))
+	}
+	return b.String()
 }
 
 // runMigrating runs the migrating workload to completion and returns a
@@ -132,7 +142,7 @@ spin:
 func runMigrating(t *testing.T, workers int, naive bool) string {
 	t.Helper()
 	const nodes = migratingNodes
-	m, trace := buildMigrating(t, workers, naive)
+	m, rec := buildMigrating(t, workers, naive)
 	cycles, err := m.Run(2_000_000)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +157,7 @@ func runMigrating(t *testing.T, workers int, naive bool) string {
 			i, c.InstsIssued, c.OpsIssued, th.StallCycles,
 			reg(m, i, 0, 0, 5), reg(m, i, 0, 0, 6))
 	}
-	b.WriteString(trace.String())
+	b.WriteString(traceText(rec))
 	return b.String()
 }
 
@@ -195,12 +205,7 @@ func chipStats(m *machine.Machine, n int) string {
 // due-set), or the next event-engine step leaves a runnable chip asleep.
 func TestDeterminismMixedEngines(t *testing.T) {
 	const nodes = 4
-	trace := func(m *machine.Machine, to *strings.Builder) {
-		m.SetTrace(func(cycle int64, node int, event, detail string) {
-			fmt.Fprintf(to, "%d %d %s %s\n", cycle, node, event, detail)
-		})
-	}
-	build := func(workers int) (*machine.Machine, *strings.Builder) {
+	build := func(workers int) (*machine.Machine, *trace.Recorder) {
 		cfg := machine.DefaultConfig()
 		cfg.Dims = noc.Coord{X: nodes, Y: 1, Z: 1}
 		cfg.Workers = workers
@@ -213,8 +218,8 @@ func TestDeterminismMixedEngines(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		var tr strings.Builder
-		trace(m, &tr)
+		rec := &trace.Recorder{}
+		m.SetTrace(rec)
 		// Node 0 streams remote stores into the other nodes' home ranges, so
 		// deliveries and handler dispatches land on otherwise-idle chips
 		// throughout the run; node 1 serializes through dependent remote
@@ -245,7 +250,7 @@ loop:
     brt i6, loop
     halt
 `)
-		return m, &tr
+		return m, rec
 	}
 	// state reads the deferred statistics first: the operation that just
 	// returned must have been a sync point on its own.
@@ -329,7 +334,7 @@ loop:
 					if err != nil {
 						t.Fatal(err)
 					}
-					trace(f, mixTrace)
+					f.SetTrace(mixTrace)
 					mix.Close()
 					mix = f
 				}
@@ -340,7 +345,7 @@ loop:
 					t.Fatalf("round %d %s: state diverged from the naive run:\n--- naive ---\n%s\n--- mixed ---\n%s",
 						round, op.name, want, got)
 				}
-				if mixTrace.String() != refTrace.String() {
+				if !slices.Equal(mixTrace.Events, refTrace.Events) {
 					t.Fatalf("round %d %s: trace streams diverged from the naive run", round, op.name)
 				}
 			}

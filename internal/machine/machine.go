@@ -32,6 +32,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/noc"
+	"repro/internal/trace"
 )
 
 // ErrStopped is wrapped into the error Run and RunUntil return when an
@@ -194,15 +195,14 @@ func newShell(cfg Config, net *noc.Network, gdt *gtlb.Table) *Machine {
 // New builds the machine: one chip per mesh coordinate, all sharing the
 // network and GDT.
 func New(cfg Config) *Machine {
+	if max(cfg.Dims.X, cfg.Dims.Y, cfg.Dims.Z) > trace.MaxCoord+1 {
+		panic(fmt.Sprintf("machine: mesh %v exceeds the trace record's coordinate range", cfg.Dims))
+	}
 	m := newShell(cfg, noc.New(cfg.Dims, cfg.Chip.Net), &gtlb.Table{})
 	for i := range m.Chips {
 		c := chip.New(cfg.Chip, m.Net.CoordOf(i), i, m.Net, m.GDT)
 		// Initialize the runtime page allocator counter.
 		c.Mem.SDRAM.Write(AllocCounterAddr(cfg.Chip.Mem), AllocBasePPN(cfg.Chip.Mem), false)
-		// When workers step the chips, trace events are buffered per chip and
-		// flushed in node order so the shared callback never runs
-		// concurrently (and the stream order matches the inline phase).
-		c.BufferTrace = m.workers >= 2
 		m.ds.attach(i, c)
 		m.nextPPN[i] = FirstMapPPN
 	}
@@ -391,7 +391,7 @@ func (m *Machine) wakeArrivals(now int64, netStepped bool) {
 }
 
 // drain moves chip i's buffered cycle output into the shared structures —
-// trace events to the callback, outbox messages into the network — and
+// trace records to the sink, outbox messages into the network — and
 // refreshes its activity counters. Callers visit chips in node-index order.
 // A chip cannot observe another chip's same-cycle injections, so draining
 // after the chip phase is bit-identical to the historical
@@ -795,9 +795,11 @@ func (m *Machine) Peek(node int, vaddr uint64) (uint64, error) {
 	return w, err
 }
 
-// SetTrace installs a trace callback on every chip.
-func (m *Machine) SetTrace(fn func(cycle int64, node int, event, detail string)) {
+// SetTrace installs r as every chip's trace sink (nil removes it). The
+// machine moves each stepped chip's records into r after the chip phase,
+// in node-index order.
+func (m *Machine) SetTrace(r *trace.Recorder) {
 	for _, c := range m.Chips {
-		c.Trace = fn
+		c.Trace = r
 	}
 }

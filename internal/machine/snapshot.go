@@ -121,7 +121,7 @@ func decodeConfig(r *snap.Reader) Config {
 // Save serializes the machine's complete simulation state to w. It must
 // be called between cycles (any point where Step/Run/RunUntil is not
 // executing — the same contract as Close). Not captured, by design: the
-// engine configuration, trace callbacks, and chip wake hooks —
+// engine configuration, trace sink, and chip wake hooks —
 // environment, not state — and the event-engine wake caches, which
 // Restore re-derives.
 func (m *Machine) Save(w io.Writer) error {
@@ -223,7 +223,7 @@ func (m *Machine) Restore(rd io.Reader) error {
 }
 
 // Fork clones the machine: the clone has identical simulation state and
-// engine configuration but no trace callbacks or fault probe, and
+// engine configuration but no trace sink or fault probe, and
 // evolves independently of the original (what-if runs, record/replay
 // debugging). The caller owns the clone's Close. Like Save it must be
 // called between cycles, and it brackets the copy with the same sync
@@ -242,9 +242,7 @@ func (m *Machine) Fork() (*Machine, error) {
 	f.Naive = m.Naive
 	copy(f.nextPPN, m.nextPPN)
 	for i, c := range m.Chips {
-		fc := c.Clone(f.Net, f.GDT)
-		fc.BufferTrace = c.BufferTrace
-		f.ds.attach(i, fc)
+		f.ds.attach(i, c.Clone(f.Net, f.GDT))
 	}
 	f.WakeAll()
 	f.recomputeActive()

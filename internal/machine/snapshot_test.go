@@ -19,6 +19,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/noc"
 	"repro/internal/rt"
+	"repro/internal/trace"
 )
 
 // snapMode is one engine configuration of the snapshot matrix.
@@ -134,15 +135,13 @@ func TestSnapshotRoundTripMatrix(t *testing.T) {
 			snapshot := buf.Bytes()
 
 			// Continue the original; record the continuation's trace.
-			var traceA strings.Builder
-			a.SetTrace(func(cycle int64, node int, event, detail string) {
-				fmt.Fprintf(&traceA, "%d %d %s %s\n", cycle, node, event, detail)
-			})
+			traceA := &trace.Recorder{}
+			a.SetTrace(traceA)
 			ran, err := a.Run(500000)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fpA := snapFingerprint(t, a, ran) + traceA.String()
+			fpA := snapFingerprint(t, a, ran) + traceText(traceA)
 			if refFP == "" {
 				refFP = fpA
 			} else if fpA != refFP {
@@ -168,15 +167,13 @@ func TestSnapshotRoundTripMatrix(t *testing.T) {
 						t.Errorf("re-saved snapshot differs from the original (%d vs %d bytes)",
 							again.Len(), len(snapshot))
 					}
-					var traceB strings.Builder
-					b.SetTrace(func(cycle int64, node int, event, detail string) {
-						fmt.Fprintf(&traceB, "%d %d %s %s\n", cycle, node, event, detail)
-					})
+					traceB := &trace.Recorder{}
+					b.SetTrace(traceB)
 					ranB, err := b.Run(500000)
 					if err != nil {
 						t.Fatal(err)
 					}
-					fpB := snapFingerprint(t, b, ranB) + traceB.String()
+					fpB := snapFingerprint(t, b, ranB) + traceText(traceB)
 					if fpB != fpA {
 						t.Errorf("restore under %s diverged from continue under %s:\n%.1500s\nvs\n%.1500s",
 							restore.name, save.name, fpB, fpA)

@@ -34,7 +34,7 @@ var matrixModes = [...]mode{
 // cycle counts, check counts, machine statistics, the final machine
 // digest (per sweep point too), and the full trace timeline. Two
 // engines agree iff their fingerprints are equal strings.
-func fingerprint(res *core.ScenarioResult, events []trace.Event) string {
+func fingerprint(res *core.ScenarioResult, rec *trace.Recorder) string {
 	var b strings.Builder
 	for _, ph := range res.Phases {
 		fmt.Fprintf(&b, "phase %s=%d\n", ph.Name, ph.Cycles)
@@ -46,7 +46,7 @@ func fingerprint(res *core.ScenarioResult, events []trace.Event) string {
 		fmt.Fprintf(&b, "point %s cycles=%d checks=%d digest=%s\n",
 			pt.Name, pt.TotalCycles, pt.Checks, pt.Digest)
 	}
-	b.WriteString(trace.Timeline(events))
+	b.WriteString(rec.Timeline(rec.Events))
 	return b.String()
 }
 
@@ -80,7 +80,7 @@ func Verify(seed uint64) error {
 		if err != nil {
 			return seedErr(seed, "%s engine: %v", m.name, err)
 		}
-		fp := fingerprint(res, s.Recorder.Events)
+		fp := fingerprint(res, s.Recorder)
 		if i == 0 {
 			ref = fp
 			continue
@@ -104,7 +104,7 @@ func Verify(seed uint64) error {
 			return seedErr(seed, "dist engine: %v", err)
 		}
 		rr.ScenarioResult.Digest = rr.Digest
-		if fp := fingerprint(rr.ScenarioResult, s.Recorder.Events); fp != ref {
+		if fp := fingerprint(rr.ScenarioResult, s.Recorder); fp != ref {
 			return seedErr(seed, "dist engine diverged from %s:\n%s",
 				matrixModes[0].name, diffLines(ref, fp))
 		}

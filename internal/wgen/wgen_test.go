@@ -129,3 +129,33 @@ func TestVerifySeeds(t *testing.T) {
 		t.Fatal("the seed window is empty; the matrix proved nothing")
 	}
 }
+
+// TestSeedTimelinesPinned pins the rendered trace timeline of five seeds
+// to the bytes the per-event fmt.Sprintf call sites produced before the
+// trace record became typed; Verify's fingerprints embed this text, so the
+// matrix compares the same strings it always has. (Generated scenarios
+// emit seven of the record kinds; internal/core's TestTimelineBytesPinned
+// covers the rest.)
+func TestSeedTimelinesPinned(t *testing.T) {
+	for seed, want := range map[uint64]string{
+		0:  "dce098021a9eb3f8ddb5b5a25186af0a783f9b6a2f049e66c1abd76b6f00249e",
+		4:  "84eeb86554ef4f27db393473fd3410cfa0d480bce02cc83810d01acf2437fa4f",
+		5:  "8b7e6d7a6247216ab1fe853b26fda42108694ada1d87acb1272d3b7756e3dcc9",
+		8:  "6daafb7efd6604948f9be3fdc92730a910294131534afdefec5b7f4902077be7",
+		21: "3574a3cee396e1c083bd85d219bef763827fe2139084e510427a0d13b8e4c85e",
+	} {
+		name, src := Source(seed)
+		sc, err := core.ScenarioFromDSL(name+".wl", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, s, err := sc.RunSim(core.Options{})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		tl := s.Recorder.Timeline(s.Recorder.Events)
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(tl))); got != want {
+			t.Errorf("seed %d: timeline sha256 %s, want %s", seed, got, want)
+		}
+	}
+}
