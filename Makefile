@@ -73,7 +73,7 @@ speedup:
 # End-to-end msim -save / -restore round trip. The library side of the
 # checkpoint contract (the engine-pair round-trip matrix, the corrupt-stream
 # error paths, Fork ≡ Restore(Save) and copy-on-write isolation) is the
-# TestSnapshot*/TestSimFork*/TestFork*/TestClone*/TestAdopt* tests the
+# TestSnapshot*/TestShardFrame*/TestSimFork*/TestFork*/TestClone* tests the
 # `test` leg has just run.
 checkpoint:
 	@tmp=$$(mktemp -d); \

@@ -12,7 +12,7 @@
 // Flags are grouped:
 //
 //	run control:  -nodes -node -vthread -cluster -cycles -trace
-//	engine:       -naive -workers -caching -dist
+//	engine:       -naive -workers -caching
 //	snapshot:     -save -restore
 //	workload:     -workload
 //	generator:    -gen-seed -gen-dump
@@ -29,11 +29,8 @@
 // placement all come from the scenario file, so -nodes/-node/-vthread/
 // -cluster/-cycles and the snapshot flags do not combine with -workload;
 // the engine flags (-naive, -workers), -trace, and the supervision flags
-// (-timeout, -crash-dump) do. -dist N (workload mode only) runs the
-// scenario on the distributed engine instead: the mesh is partitioned
-// across N shard worker processes supervised by a coordinator with
-// checkpoint-based recovery — see cmd/mshard for the full-featured
-// distributed front end with fault drills and tunable supervision.
+// (-timeout, -crash-dump) do. cmd/mshard runs a scenario on the
+// distributed engine.
 //
 // -gen-seed N replays seed N of the scenario fuzzer (internal/wgen):
 // the seed's generated scenario runs under every engine of the
@@ -52,8 +49,7 @@
 //	1  scenario fault (failed expectation, program fault, bad input file)
 //	2  usage error (bad flags or arguments)
 //	3  timeout or cycle-budget exhaustion (supervision watchdog fired)
-//	4  internal crash (contained panic; a bug in the simulator), or under
-//	   -dist a shard that crashed or was lost past the recovery cap
+//	4  internal crash (contained panic; a bug in the simulator)
 package main
 
 import (
@@ -62,7 +58,6 @@ import (
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/guard"
 	"repro/internal/snap"
 	"repro/internal/wgen"
@@ -75,7 +70,7 @@ var flagGroups = []struct {
 	flags []string
 }{
 	{"run control", []string{"nodes", "node", "vthread", "cluster", "cycles", "trace"}},
-	{"engine", []string{"naive", "workers", "caching", "dist"}},
+	{"engine", []string{"naive", "workers", "caching"}},
 	{"snapshot", []string{"save", "restore"}},
 	{"supervision", []string{"timeout", "crash-dump"}},
 	{"workload", []string{"workload"}},
@@ -83,10 +78,6 @@ var flagGroups = []struct {
 }
 
 func main() {
-	// When this binary was launched by a distributed-run coordinator it is
-	// a shard worker, not a CLI; MaybeWorker serves the shard and exits.
-	dist.MaybeWorker()
-
 	// Run control.
 	nodes := flag.Int("nodes", 2, "number of nodes (x-axis mesh)")
 	node := flag.Int("node", 0, "node to load the program on")
@@ -98,7 +89,6 @@ func main() {
 	naive := flag.Bool("naive", false, "use the reference per-cycle loop instead of the event engine")
 	workers := flag.Int("workers", 0, "parallel chip engine worker count (0 serial, -1 all cores)")
 	caching := flag.Bool("caching", false, "cache remote data in local DRAM")
-	distShards := flag.Int("dist", 0, "run -workload across this many shard worker processes (0 in-process)")
 	// Snapshot.
 	restorePath := flag.String("restore", "", "restore machine state from this snapshot before running")
 	savePath := flag.String("save", "", "write a machine snapshot to this file after the run")
@@ -136,18 +126,8 @@ func main() {
 		if name := workloadFlagConflict(flag.Visit); name != "" {
 			usageErr("-%s does not combine with -workload (the scenario file defines it)", name)
 		}
-		if *distShards > 0 {
-			if name := distFlagConflict(flag.Visit); name != "" {
-				usageErr("-%s does not combine with -dist (the coordinator owns the engine and supervision)", name)
-			}
-			runWorkloadDist(*workloadPath, *distShards, *showTrace)
-			return
-		}
 		runWorkload(*workloadPath, engine, *showTrace)
 		return
-	}
-	if *distShards > 0 {
-		usageErr("-dist requires -workload (single programs run in-process)")
 	}
 
 	if flag.NArg() != 1 {
@@ -273,47 +253,6 @@ func runWorkload(path string, engine core.Options, showTrace bool) {
 	}
 }
 
-// runWorkloadDist runs a .wl scenario on the distributed engine: this
-// binary re-executed as shard worker processes, a coordinator
-// partitioning the mesh across them. Output matches runWorkload plus
-// the supervision summary; the digest line lets a user compare runs
-// (drilled vs. undisturbed, different shard counts) directly.
-func runWorkloadDist(path string, shards int, showTrace bool) {
-	sc, err := core.ScenarioFromFile(path)
-	if err != nil {
-		fatal(err)
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		fatal(err)
-	}
-	res, s, err := dist.RunScenario(sc, core.Options{}, dist.Config{
-		Shards:   shards,
-		Launcher: &dist.ProcLauncher{Exe: exe},
-	})
-	if err != nil {
-		reportFailure(err)
-		os.Exit(guard.ExitCode(err))
-	}
-	fmt.Printf("workload: %s\n", sc.Title())
-	fmt.Printf("mesh:     %dx%dx%d, %d shard worker(s)\n\n",
-		sc.Plan.Dims[0], sc.Plan.Dims[1], sc.Plan.Dims[2], res.Shards)
-	for _, ph := range res.Phases {
-		fmt.Printf("  phase %-12s %10d cycles\n", ph.Name, ph.Cycles)
-	}
-	fmt.Printf("  %-18s %10d cycles\n", "total", res.TotalCycles)
-	fmt.Printf("\n%d expectation(s) verified\n", res.Checks)
-	printStats(s)
-	fmt.Printf("digest: %s\n", res.Digest)
-	if res.Recoveries > 0 {
-		fmt.Printf("supervision: %d recover(ies) from %d failure(s)\n", res.Recoveries, len(res.Failures))
-	}
-	if showTrace {
-		fmt.Println("\ntrace:")
-		fmt.Print(s.Recorder.Timeline(s.Recorder.Events))
-	}
-}
-
 // runGenSeed reproduces one seed of the generated-scenario determinism
 // fuzzer: with dump, print the seed's scenario source (pipe it to a file
 // and run it with -workload to poke at it manually); otherwise run the
@@ -395,24 +334,6 @@ func workloadFlagConflict(visit func(func(*flag.Flag))) string {
 	incompatible := map[string]bool{
 		"nodes": true, "node": true, "vthread": true, "cluster": true,
 		"cycles": true, "caching": true, "save": true, "restore": true,
-	}
-	conflict := ""
-	visit(func(f *flag.Flag) {
-		if conflict == "" && incompatible[f.Name] {
-			conflict = f.Name
-		}
-	})
-	return conflict
-}
-
-// distFlagConflict returns the first explicitly-set flag that -dist does
-// not combine with. The distributed coordinator owns the engine choice
-// (workers never step the hub machine; determinism requires its fixed
-// exchange schedule) and the supervision story (heartbeats, window
-// deadlines, and checkpoint recovery replace the in-process guard).
-func distFlagConflict(visit func(func(*flag.Flag))) string {
-	incompatible := map[string]bool{
-		"naive": true, "workers": true, "timeout": true, "crash-dump": true,
 	}
 	conflict := ""
 	visit(func(f *flag.Flag) {

@@ -78,6 +78,9 @@ const (
 	MsgPri1Cluster = 3
 )
 
+// gtlbEntries is the capacity of the chip's GTLB cache.
+const gtlbEntries = 16
+
 type pendingReg struct {
 	at      int64
 	vthread int
@@ -194,8 +197,8 @@ type Chip struct {
 	// phases, never from inside Step.
 	wake             int64              `snap:"derived,recomputed by the first Step after restore"`
 	onWake           func(at int64)     `snap:"derived,engine hook, reinstalled by the owner"`
-	idleStalled      []*cluster.HThread `snap:"derived,per-cycle idle-scan replay cache, reset at adopt"`
-	idleSendsBlocked uint64             `snap:"derived,per-cycle idle-scan replay cache, reset at adopt"`
+	idleStalled      []*cluster.HThread `snap:"derived,per-cycle idle-scan replay cache, rebuilt by the first Step"`
+	idleSendsBlocked uint64             `snap:"derived,per-cycle idle-scan replay cache, rebuilt by the first Step"`
 
 	// msgScratch assembles arriving message words before they are copied
 	// into a hardware queue (reused across messages).
@@ -218,7 +221,7 @@ func New(cfg Config, node noc.Coord, index int, net *noc.Network, gdt *gtlb.Tabl
 		Index:       index,
 		Mem:         mem.NewSystem(cfg.Mem),
 		Net:         net,
-		GTLB:        gtlb.New(gdt, 16),
+		GTLB:        gtlb.New(gdt, gtlbEntries),
 		excq:        events.NewQueue(cfg.EventQueueCap),
 		credits:     cfg.SendCredits,
 		validDIPs:   make(map[uint64]bool),

@@ -17,7 +17,7 @@ const ConsoleWords = 64
 
 // Console buffers output text from simulated programs.
 type Console struct {
-	mu  sync.Mutex
+	mu  sync.Mutex `snap:"derived,guards buf, not state"`
 	buf []byte
 }
 

@@ -165,12 +165,16 @@ func (c *Chip) EncodeState(w *snap.Writer) {
 	c.Mem.EncodeState(w)
 }
 
-// DecodeChipState reads a chip written by EncodeState into a detached
-// scratch chip. net is only consulted for shape validation and message
-// decoding; the scratch chip is never stepped, so it is assembled
-// directly from the decoded parts instead of going through New (whose
-// memory system and cache the decode would immediately replace).
-func DecodeChipState(r *snap.Reader, cfg Config, node noc.Coord, index int, net *noc.Network) *Chip {
+// DecodeChipState reads a chip written by EncodeState into a new chip
+// bound to net and gdt, with what New gives a chip beyond its state: the
+// configured queue capacities and the console on the I/O bus. It is
+// assembled from the decoded parts instead of going through New (whose
+// memory system and cache the decode would immediately replace), and like
+// a Clone it has no trace sink or wake hook and a wake cycle of zero. A
+// full restore decodes the chips before the network that follows them in
+// the stream: net then is the machine's current one, which has the
+// decoded one's shape, and install rebinds the chips.
+func DecodeChipState(r *snap.Reader, cfg Config, node noc.Coord, index int, net *noc.Network, gdt *gtlb.Table) *Chip {
 	c := &Chip{
 		Cfg:         cfg,
 		Node:        node,
@@ -194,13 +198,13 @@ func DecodeChipState(r *snap.Reader, cfg Config, node noc.Coord, index int, net 
 	for i := range c.Clusters {
 		c.Clusters[i] = cluster.DecodeClusterState(r, i)
 	}
-	c.excq = events.DecodeQueueState(r)
+	c.excq = events.DecodeQueueState(r, cfg.EventQueueCap)
 	for i := range c.evq {
-		c.evq[i] = events.DecodeQueueState(r)
+		c.evq[i] = events.DecodeQueueState(r, cfg.EventQueueCap)
 	}
-	for i := range c.msgq {
-		c.msgq[i] = events.DecodeQueueState(r)
-	}
+	// Request queue bounded, reply queue unbounded: see New.
+	c.msgq[0] = events.DecodeQueueState(r, cfg.MsgQueueCap)
+	c.msgq[1] = events.DecodeQueueState(r, 0)
 
 	np := r.Len(maxPending)
 	for i := 0; i < np; i++ {
@@ -291,8 +295,9 @@ func DecodeChipState(r *snap.Reader, cfg Config, node noc.Coord, index int, net 
 
 	c.Console.buf = r.Bytes(maxConsole)
 
-	c.GTLB = gtlb.DecodeGTLBState(r, 16)
+	c.GTLB = gtlb.DecodeGTLBState(r, gdt, gtlbEntries)
 	c.Mem = mem.DecodeSystemState(r, cfg.Mem)
+	c.Mem.AttachDevice(c.ConsoleBase(), ConsoleWords, c.Console)
 	if r.Err() == nil {
 		// Cross-check the decoded memory system against the routing
 		// metadata: every in-flight response must have a request entry
@@ -323,7 +328,7 @@ func DecodeChipState(r *snap.Reader, cfg Config, node noc.Coord, index int, net 
 
 // Clone returns an independent chip with c's cross-cycle state, bound to
 // net and gdt (the clone machine's own network and table). Like a chip
-// adopted from a snapshot it has no trace sink or wake hook, an
+// decoded from a snapshot it has no trace sink or wake hook, an
 // empty idle-replay cache, and a wake cycle of zero, so its first step
 // re-derives everything the engines cache.
 func (c *Chip) Clone(net *noc.Network, gdt *gtlb.Table) *Chip {
@@ -378,58 +383,4 @@ func (c *Chip) Clone(net *noc.Network, gdt *gtlb.Table) *Chip {
 	c.Console.mu.Unlock()
 	f.Mem.AttachDevice(f.ConsoleBase(), ConsoleWords, f.Console)
 	return f
-}
-
-// Adopt commits src's state into c in place, preserving c's identity and
-// environment: node coordinate, network and GDT bindings, trace sink,
-// and the engine wake hook. The caller must Touch the chip afterwards (the
-// machine's restore does) so a sleeping engine re-derives the wake cycle
-// from the adopted state.
-func (c *Chip) Adopt(src *Chip) {
-	c.Cycle = src.Cycle
-	c.InstsIssued = src.InstsIssued
-	c.OpsIssued = src.OpsIssued
-	c.SendsBlocked = src.SendsBlocked
-	c.MsgsReturned = src.MsgsReturned
-	c.credits = src.credits
-	c.memSeq = src.memSeq
-
-	for i := range c.Clusters {
-		c.Clusters[i].Adopt(src.Clusters[i])
-	}
-	c.excq.Adopt(src.excq)
-	for i := range c.evq {
-		c.evq[i].Adopt(src.evq[i])
-	}
-	for i := range c.msgq {
-		c.msgq[i].Adopt(src.msgq[i])
-	}
-
-	c.pendingRegs = append(c.pendingRegs[:0], src.pendingRegs...)
-	c.pendingGCC = append(c.pendingGCC[:0], src.pendingGCC...)
-	c.pendRegNext = src.pendRegNext
-	c.pendGCCNext = src.pendGCCNext
-	c.memReqs = append(c.memReqs[:0], src.memReqs...)
-	c.resends = append(c.resends[:0], src.resends...)
-	c.resendNext = src.resendNext
-	c.outbox = append(c.outbox[:0], src.outbox...)
-
-	clear(c.validDIPs)
-	maps.Copy(c.validDIPs, src.validDIPs)
-	clear(c.directory)
-	maps.Copy(c.directory, src.directory)
-
-	c.Console.mu.Lock()
-	c.Console.buf = append(c.Console.buf[:0], src.Console.buf...)
-	c.Console.mu.Unlock()
-
-	c.GTLB.Adopt(src.GTLB)
-	c.Mem.Adopt(src.Mem)
-
-	// Idle replay state is re-derived by the first post-restore issue scan
-	// (the machine touches every chip, so that scan happens before any
-	// SkipCycles could consult it).
-	c.idleStalled = c.idleStalled[:0]
-	c.idleSendsBlocked = 0
-	c.traceBuf.Reset()
 }

@@ -1,14 +1,12 @@
 package cluster
 
-// Checkpoint support (DESIGN.md, "Checkpoint/restore"). Each type follows
-// the subsystem's three-part contract: EncodeState streams the complete
-// architectural state, DecodeXState rebuilds a detached scratch object
+// Checkpoint support (DESIGN.md, "Checkpoint/restore"). Each type has the
+// subsystem's three state verbs: EncodeState streams the complete
+// architectural state, DecodeXState builds a new object from the stream
 // (all validation happens here, against the snap.Reader's sticky error),
-// and Adopt commits a scratch into a live object in place — so restore
-// never invalidates pointers other code holds (chips hand out *HThread and
-// *RegFile freely) and never half-mutates on a bad snapshot. Clone is
-// the fork path (machine.Fork): the same fields copied into an
-// independent object without going through the stream.
+// and Clone builds one from a live object without going through the
+// stream (machine.Fork). Both results are complete parts the machine
+// installs as they are; nothing is copied into an existing object.
 
 import (
 	"fmt"
@@ -48,12 +46,6 @@ func (rf *RegFile) Clone() *RegFile {
 	return &RegFile{vals: slices.Clone(rf.vals), full: slices.Clone(rf.full)}
 }
 
-// Adopt copies src's state into rf in place.
-func (rf *RegFile) Adopt(src *RegFile) {
-	copy(rf.vals, src.vals)
-	copy(rf.full, src.full)
-}
-
 // EncodeState writes the GCC replica's values and scoreboard bits.
 func (g *GCCFile) EncodeState(w *snap.Writer) {
 	isa.EncodeWords(w, g.vals)
@@ -72,12 +64,6 @@ func DecodeGCCFileState(r *snap.Reader) *GCCFile {
 // Clone returns an independent GCC replica with g's state.
 func (g *GCCFile) Clone() *GCCFile {
 	return &GCCFile{vals: slices.Clone(g.vals), full: slices.Clone(g.full)}
-}
-
-// Adopt copies src's state into g in place.
-func (g *GCCFile) Adopt(src *GCCFile) {
-	copy(g.vals, src.vals)
-	copy(g.full, src.full)
 }
 
 // decodeProgramMemo decodes an embedded program, deduplicating by full
@@ -193,21 +179,6 @@ func (h *HThread) Clone() *HThread {
 	}
 }
 
-// Adopt copies src's state into h in place, including the program pointer
-// (programs are immutable once assembled, so sharing is safe).
-func (h *HThread) Adopt(src *HThread) {
-	h.Prog = src.Prog
-	h.PC = src.PC
-	h.Status = src.Status
-	h.Privileged = src.Privileged
-	h.FaultMsg = src.FaultMsg
-	h.Issued = src.Issued
-	h.OpsIssued = src.OpsIssued
-	h.StallCycles = src.StallCycles
-	h.Ints.Adopt(src.Ints)
-	h.FPs.Adopt(src.FPs)
-}
-
 // EncodeState writes the cluster's round-robin rotation point, GCC
 // replica, and all six thread contexts.
 func (c *Cluster) EncodeState(w *snap.Writer) {
@@ -243,13 +214,4 @@ func (c *Cluster) Clone() *Cluster {
 		f.Threads[i] = th.Clone()
 	}
 	return f
-}
-
-// Adopt copies src's state into c in place.
-func (c *Cluster) Adopt(src *Cluster) {
-	c.LastIssued = src.LastIssued
-	c.GCC.Adopt(src.GCC)
-	for i := range c.Threads {
-		c.Threads[i].Adopt(src.Threads[i])
-	}
 }

@@ -12,6 +12,8 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"repro/internal/faultinject"
 )
 
 // simResult runs the simulator's loaded program and fingerprints it.
@@ -113,8 +115,12 @@ func TestSimFork(t *testing.T) {
 	}
 }
 
-// TestSimRestoreKeepsRecording: the Sim's trace recorder installed before
-// a restore keeps receiving events after it.
+// TestSimRestoreKeepsRecording: what is environment rather than state
+// survives the chips being replaced, by Restore and by AdoptShard alike.
+// The recorder NewSim installed keeps receiving events; a fault probe
+// armed before the new state arrives still fires after it; and it fires on
+// node 1, which steps mid-run only because an arrival wake-up reached the
+// engine through the wake hook of the chip that was installed.
 func TestSimRestoreKeepsRecording(t *testing.T) {
 	a, err := NewSim(Options{Nodes: 2})
 	if err != nil {
@@ -123,22 +129,54 @@ func TestSimRestoreKeepsRecording(t *testing.T) {
 	if err := a.LoadASM(0, 0, 0, snapTestProg); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := a.Save(&buf); err != nil {
+	var full, frame bytes.Buffer
+	if err := a.Save(&full); err != nil {
 		t.Fatal(err)
 	}
+	if err := a.M.EncodeShard(&frame, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	// The cycles node 1 steps on in an undisturbed run; the probe goes on
+	// one in the middle.
+	var steps []int64
+	a.M.SetFaultProbe(func(node int, cycle int64) {
+		if node == 1 {
+			steps = append(steps, cycle)
+		}
+	})
+	if _, err := a.Run(200000); err != nil {
+		t.Fatal(err)
+	}
+	at := steps[len(steps)/2]
 
-	b, err := NewSim(Options{Nodes: 2})
-	if err != nil {
-		t.Fatal(err)
+	install := map[string]func(*Sim) error{
+		"Restore": func(b *Sim) error { return b.Restore(&full) },
+		"AdoptShard": func(b *Sim) error {
+			_, err := b.M.AdoptShard(&frame, 0, 2)
+			return err
+		},
 	}
-	if err := b.Restore(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Run(200000); err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Recorder.Events) == 0 {
-		t.Error("no trace events recorded after restore")
+	for name, put := range install {
+		t.Run(name, func(t *testing.T) {
+			b, err := NewSim(Options{Nodes: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.M.SetFaultProbe(faultinject.PanicAt(1, at))
+			if err := put(b); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				ip, ok := recover().(*faultinject.InjectedPanic)
+				if !ok || ip.Node != 1 || ip.Cycle != at {
+					t.Errorf("run ended with %v, want the probe armed before the install to fire at node 1, cycle %d", ip, at)
+				}
+				if len(b.Recorder.Events) == 0 {
+					t.Error("no trace events recorded after the install")
+				}
+			}()
+			_, err = b.Run(200000)
+			t.Errorf("run finished (%v) without reaching the fault probe", err)
+		})
 	}
 }

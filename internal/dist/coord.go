@@ -160,11 +160,9 @@ type Coordinator struct {
 	acts              []activity
 
 	// Arrival mirroring: per (node, pri), how many of the hub's pending
-	// arrivals have been shipped to the owning shard; pend lists nodes
-	// with hub arrivals.
-	shipped  [][2]int
-	pendMark []bool
-	pend     []int
+	// arrivals have been shipped to the owning shard (never more than the
+	// queue holds, so a drained queue's watermark is back at zero).
+	shipped [][2]int
 
 	ck           checkpoint
 	lastCkpt     int64
@@ -194,15 +192,14 @@ func New(m *machine.Machine, cfg Config) (*Coordinator, error) {
 		cfg.Shards = nodes
 	}
 	co := &Coordinator{
-		cfg:      cfg,
-		m:        m,
-		shards:   make([]*shardConn, cfg.Shards),
-		owner:    make([]int, nodes),
-		acts:     make([]activity, cfg.Shards),
-		shipped:  make([][2]int, nodes),
-		pendMark: make([]bool, nodes),
-		chaos:    append([]ChaosSpec(nil), cfg.Chaos...),
-		kill:     append([]KillSpec(nil), cfg.Kill...),
+		cfg:     cfg,
+		m:       m,
+		shards:  make([]*shardConn, cfg.Shards),
+		owner:   make([]int, nodes),
+		acts:    make([]activity, cfg.Shards),
+		shipped: make([][2]int, nodes),
+		chaos:   append([]ChaosSpec(nil), cfg.Chaos...),
+		kill:    append([]KillSpec(nil), cfg.Kill...),
 	}
 	// Contiguous partition: nodes/shards each, the first nodes%shards
 	// ranges one wider.
@@ -386,7 +383,7 @@ func (co *Coordinator) RunExact(n int64) (int64, error) {
 }
 
 // supervise is the federation's one recover-and-resume loop. An attempt
-// seeds the workers from the hub, runs leg, and reassembles the hub; a
+// seeds the workers with the hub's state, runs leg, and reassembles the hub; a
 // *ShardFailure anywhere in it rewinds to the latest checkpoint
 // (recover) and re-attempts with resume=true, until the leg completes or
 // the recovery cap trips.
@@ -410,13 +407,15 @@ func (co *Coordinator) supervise(leg func(resume bool) (int64, error)) (int64, e
 // wrapped — which is what lets supervise tell a recoverable failure from
 // a terminal error that merely wraps its cause.
 func (co *Coordinator) attempt(leg func(resume bool) (int64, error), resume bool) (int64, error) {
-	if err := co.seedAll(); err != nil {
-		return 0, err
-	}
+	// One hub Save per leg: the entry checkpoint is the seed snapshot, and a
+	// resume seeds with the checkpoint recover just restored the hub from.
 	if !resume {
 		if err := co.takeCheckpoint(false); err != nil {
 			return 0, err
 		}
+	}
+	if err := co.seedAll(co.ck.machine); err != nil {
+		return 0, err
 	}
 	n, err := leg(resume)
 	if _, failed := err.(*ShardFailure); failed {
@@ -431,17 +430,12 @@ func (co *Coordinator) attempt(leg func(resume bool) (int64, error), resume bool
 	return n, err
 }
 
-// seedAll ships the hub snapshot to every worker and rebuilds the
-// arrival mirror. Seed failures respawn the one affected worker and
-// retry in place — the hub was not touched, so there is nothing to
-// rewind; exhaustion is terminal (it wraps the last failure, so
-// guard.Classify still names the cause).
-func (co *Coordinator) seedAll() error {
-	var buf bytes.Buffer
-	if err := co.m.Save(&buf); err != nil {
-		return fmt.Errorf("dist: snapshot hub: %w", err)
-	}
-	snapshot := buf.Bytes()
+// seedAll ships snapshot, the hub's current state, to every worker and
+// resets the arrival mirror (a seeded worker's mailbox is empty). Seed
+// failures respawn the one affected worker and retry in place — the hub
+// was not touched, so there is nothing to rewind; exhaustion is terminal
+// (it wraps the last failure, so guard.Classify still names the cause).
+func (co *Coordinator) seedAll(snapshot []byte) error {
 	for i := range co.shards {
 		for {
 			_, f := co.callExpect(co.shards[i], cmdSeed, snapshot, repOK)
@@ -458,15 +452,7 @@ func (co *Coordinator) seedAll() error {
 			}
 		}
 	}
-	co.pend = co.pend[:0]
-	for n := range co.pendMark {
-		co.pendMark[n] = false
-		co.shipped[n] = [2]int{}
-		if co.m.Net.HasArrivals(n) {
-			co.pendMark[n] = true
-			co.pend = append(co.pend, n)
-		}
-	}
+	clear(co.shipped)
 	return nil
 }
 
@@ -570,23 +556,12 @@ func (co *Coordinator) stepCycle(t int64) *ShardFailure {
 		i++
 	}
 
-	// Drop drained nodes from the arrival mirror, then ship what the hub
-	// holds beyond each owner's shipped watermark.
-	keep := co.pend[:0]
-	for _, n := range co.pend {
-		if co.m.Net.HasArrivals(n) {
-			keep = append(keep, n)
-		} else {
-			co.pendMark[n] = false
-			co.shipped[n] = [2]int{}
-		}
-	}
-	co.pend = keep
+	// Ship what the hub holds beyond each owner's shipped watermark.
 	cmds := make([]stepCmd, len(co.shards))
 	for i := range cmds {
 		cmds[i].Cycle = t
 	}
-	for _, n := range co.pend {
+	for _, n := range co.m.Net.ArrivalNodes() {
 		cmd := &cmds[co.owner[n]]
 		for pri := 0; pri < 2; pri++ {
 			q := co.m.Net.ArrivalsAt(n, pri)
@@ -642,12 +617,6 @@ func (co *Coordinator) stepCycle(t int64) *ShardFailure {
 	}
 	if co.m.Net.NeedsStep(t) {
 		co.m.Net.Step(t)
-		for _, n := range co.m.Net.DeliveredNodes() {
-			if !co.pendMark[n] {
-				co.pendMark[n] = true
-				co.pend = append(co.pend, n)
-			}
-		}
 	}
 	co.cycle = t + 1
 	return nil
@@ -655,8 +624,8 @@ func (co *Coordinator) stepCycle(t int64) *ShardFailure {
 
 // takeCheckpoint records a coordinated rewind point. atStep checkpoints
 // sit at a run-loop head, so the workers' chip state must be pulled back
-// into the hub first; the entry checkpoint needs no pull because the hub
-// had just seeded the workers.
+// into the hub first; the entry checkpoint needs no pull because no
+// worker has run yet — its bytes go on to seed them.
 func (co *Coordinator) takeCheckpoint(atStep bool) error {
 	if atStep {
 		if f := co.syncHub(); f != nil {
@@ -686,7 +655,7 @@ func (co *Coordinator) commitTrace() {
 
 // syncHub reassembles the full machine in the hub: every worker
 // materializes deferred skips up to the coordinator clock and ships its
-// chip range, which the hub adopts in place.
+// chip range, which the hub installs (Machine.AdoptShard).
 func (co *Coordinator) syncHub() *ShardFailure {
 	for _, sc := range co.shards {
 		if _, f := co.callExpect(sc, cmdSkip, encodeI64(co.cycle), repOK); f != nil {
@@ -721,7 +690,7 @@ func (co *Coordinator) noteFailure(f *ShardFailure) {
 // protocol state), the hub restores the checkpointed machine, the
 // buffered trace window is discarded, and fired fault drills are
 // disarmed so the replay runs clean. The caller then re-attempts the leg
-// with resume=true, which reseeds the workers from the restored hub.
+// with resume=true, which reseeds the workers with the same checkpoint.
 func (co *Coordinator) recover(sf *ShardFailure) error {
 	co.noteFailure(sf)
 	if co.recoveries >= co.cfg.MaxRecoveries {

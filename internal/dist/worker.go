@@ -31,7 +31,7 @@ import (
 // WorkerAddrEnv names the environment variable that turns a process
 // into a shard worker: when set, the process dials the coordinator at
 // that loopback address and serves the shard protocol instead of
-// running its normal command line. cmd/mshard, cmd/msim, and the dist
+// running its normal command line. cmd/mshard and the dist
 // tests' TestMain all call MaybeWorker first thing, so the coordinator
 // can respawn shards by re-executing its own binary.
 const WorkerAddrEnv = "MSHARD_WORKER_ADDR"
@@ -65,12 +65,6 @@ type worker struct {
 
 	spec initSpec
 	m    *machine.Machine
-
-	// arrival tracking mirrors machine.wakeArrivals: the owned nodes
-	// with delivered-but-unconsumed mailbox messages, woken every cycle
-	// until they drain.
-	arrNodes []int
-	arrMark  []bool
 
 	trace   trace.Recorder // the owned chips' sink: records of the current chip phase
 	outBuf  []*noc.Message
@@ -202,14 +196,11 @@ func (w *worker) seed(snapshot []byte) error {
 			return err
 		}
 		w.m = machine.New(cfg)
-		w.arrMark = make([]bool, w.m.NumNodes())
 	}
 	if err := w.m.Restore(bytes.NewReader(snapshot)); err != nil {
 		return err
 	}
 	w.m.Net.ClearTraffic()
-	w.arrNodes = w.arrNodes[:0]
-	clear(w.arrMark)
 	if w.spec.Hi > w.m.NumNodes() || w.spec.Lo < 0 || w.spec.Lo >= w.spec.Hi {
 		return fmt.Errorf("shard %d: range [%d,%d) outside the %d-node mesh",
 			w.spec.Shard, w.spec.Lo, w.spec.Hi, w.m.NumNodes())
@@ -228,14 +219,6 @@ func (w *worker) seed(snapshot []byte) error {
 func (w *worker) beginRun() activity {
 	for i := w.spec.Lo; i < w.spec.Hi; i++ {
 		w.m.Chips[i].Touch()
-	}
-	w.arrNodes = w.arrNodes[:0]
-	for i := w.spec.Lo; i < w.spec.Hi; i++ {
-		has := w.m.Net.HasArrivals(i)
-		w.arrMark[i] = has
-		if has {
-			w.arrNodes = append(w.arrNodes, i)
-		}
 	}
 	return w.activity(w.m.Cycle)
 }
@@ -286,17 +269,17 @@ func (w *worker) step(cmd *stepCmd) *stepReply {
 	// wakeArrivals did exactly this at the end of the previous cycle.
 	for _, d := range cmd.Deliveries {
 		w.m.Net.Deliver(d.Node, d.Pri, d.Msg)
-		if !w.arrMark[d.Node] {
-			w.arrMark[d.Node] = true
-			w.arrNodes = append(w.arrNodes, d.Node)
-		}
 		w.m.Chips[d.Node].WakeAt(t)
 	}
 
-	// Pending counts before the chip phase, for consumption deltas.
+	// The nodes with mailbox messages — the mailbox holds only what the
+	// coordinator delivered, so all are owned — and their pending counts
+	// before the chip phase, for consumption deltas. The chips' pops do
+	// not edit the list, so it is still the same nodes afterwards.
 	type pend struct{ n0, n1 int }
-	before := make([]pend, len(w.arrNodes))
-	for k, node := range w.arrNodes {
+	arrived := w.m.Net.ArrivalNodes()
+	before := make([]pend, len(arrived))
+	for k, node := range arrived {
 		co := w.m.Net.CoordOf(node)
 		before[k] = pend{w.m.Net.PendingAt(co, 0), w.m.Net.PendingAt(co, 1)}
 	}
@@ -320,8 +303,7 @@ func (w *worker) step(cmd *stepCmd) *stepReply {
 	rep := &stepReply{Msgs: w.outBuf, Trace: w.trace}
 
 	// Consumption confirmations and next cycle's arrival wake-ups.
-	keep := w.arrNodes[:0]
-	for k, node := range w.arrNodes {
+	for k, node := range arrived {
 		co := w.m.Net.CoordOf(node)
 		if n := before[k].n0 - w.m.Net.PendingAt(co, 0); n > 0 {
 			rep.Consumed = append(rep.Consumed, consumption{Node: node, Pri: 0, N: n})
@@ -330,13 +312,9 @@ func (w *worker) step(cmd *stepCmd) *stepReply {
 			rep.Consumed = append(rep.Consumed, consumption{Node: node, Pri: 1, N: n})
 		}
 		if w.m.Net.HasArrivals(node) {
-			keep = append(keep, node)
 			w.m.Chips[node].WakeAt(t + 1)
-		} else {
-			w.arrMark[node] = false
 		}
 	}
-	w.arrNodes = keep
 
 	w.m.Cycle = t + 1
 	rep.Act = w.activity(w.m.Cycle)

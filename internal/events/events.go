@@ -112,7 +112,7 @@ const NoEvent = int64(math.MaxInt64)
 type Queue struct {
 	words []isa.Word
 	head  int
-	cap   int `snap:"derived,fixed at construction; decode bounds-checks against it"`
+	cap   int `snap:"derived,fixed at construction; decode takes it from the chip configuration"`
 
 	Enqueued, Dropped uint64
 	HighWater         int

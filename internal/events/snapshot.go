@@ -1,10 +1,9 @@
 package events
 
 // Checkpoint support (DESIGN.md, "Checkpoint/restore"): EncodeState
-// streams the live queue contents and statistics, DecodeQueueState
-// rebuilds a detached scratch queue, and Adopt commits a scratch into a
-// live queue in place, keeping the live queue's configured capacity;
-// Clone copies the same fields for machine.Fork.
+// streams the live queue contents and statistics, DecodeQueueState builds
+// a queue of the configured capacity from the stream, and Clone copies
+// the same fields for machine.Fork.
 
 import (
 	"slices"
@@ -25,10 +24,11 @@ func (q *Queue) EncodeState(w *snap.Writer) {
 	w.Int(q.HighWater)
 }
 
-// DecodeQueueState reads a queue written by EncodeState. The scratch
-// queue carries no capacity; Adopt preserves the live queue's.
-func DecodeQueueState(r *snap.Reader) *Queue {
-	q := &Queue{words: isa.DecodeWords(r, maxQueueWords)}
+// DecodeQueueState reads a queue written by EncodeState; capacity is the
+// bound the chip configuration gives this queue (NewQueue's argument).
+// The stream starts at the encoded queue's head, so the new one's is 0.
+func DecodeQueueState(r *snap.Reader, capacity int) *Queue {
+	q := &Queue{words: isa.DecodeWords(r, maxQueueWords), head: 0, cap: capacity}
 	q.Enqueued = r.U64()
 	q.Dropped = r.U64()
 	q.HighWater = r.Int()
@@ -45,14 +45,4 @@ func (q *Queue) Clone() *Queue {
 		Dropped:   q.Dropped,
 		HighWater: q.HighWater,
 	}
-}
-
-// Adopt replaces q's contents and statistics with src's, keeping q's
-// configured capacity.
-func (q *Queue) Adopt(src *Queue) {
-	q.words = append(q.words[:0], src.words[src.head:]...)
-	q.head = 0
-	q.Enqueued = src.Enqueued
-	q.Dropped = src.Dropped
-	q.HighWater = src.HighWater
 }

@@ -23,7 +23,7 @@ func TestQueueFieldRoundTrip(t *testing.T) {
 		Encode: func(q *Queue) []byte { return snaptest.Encode(t, q.EncodeState) },
 		Decode: func(data []byte) (*Queue, error) {
 			r := snap.NewReader(bytes.NewReader(data))
-			d := DecodeQueueState(r)
+			d := DecodeQueueState(r, 16)
 			return d, r.Err()
 		},
 		Mutate: map[string]func(*Queue) func(){

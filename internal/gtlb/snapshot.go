@@ -2,9 +2,9 @@ package gtlb
 
 // Checkpoint support (DESIGN.md, "Checkpoint/restore") for the global
 // destination table and the per-chip GTLB caches: EncodeState streams,
-// the DecodeXState functions rebuild detached scratch objects (entries
-// are re-validated on the way in), Adopt commits in place, and Clone
-// copies the same fields for machine.Fork.
+// the DecodeXState functions build new objects from the stream (entries
+// are re-validated on the way in), and Clone copies the same fields for
+// machine.Fork.
 
 import (
 	"fmt"
@@ -69,11 +69,6 @@ func (t *Table) Clone() *Table {
 	return &Table{entries: slices.Clone(t.entries)}
 }
 
-// Adopt replaces t's entries with src's.
-func (t *Table) Adopt(src *Table) {
-	t.entries = append(t.entries[:0], src.entries...)
-}
-
 // EncodeState writes the GTLB's resident entries in refill order and its
 // statistics.
 func (g *GTLB) EncodeState(w *snap.Writer) {
@@ -85,10 +80,10 @@ func (g *GTLB) EncodeState(w *snap.Writer) {
 	w.U64(g.Misses)
 }
 
-// DecodeGTLBState reads a GTLB written by EncodeState. The scratch cache
-// has no backing GDT; Adopt preserves the live one's.
-func DecodeGTLBState(r *snap.Reader, capacity int) *GTLB {
-	g := &GTLB{capacity: capacity}
+// DecodeGTLBState reads a GTLB written by EncodeState, backed by gdt (the
+// restored machine's table).
+func DecodeGTLBState(r *snap.Reader, gdt *Table, capacity int) *GTLB {
+	g := &GTLB{gdt: gdt, capacity: capacity}
 	n := r.Len(maxEntries)
 	for i := 0; i < n; i++ {
 		g.resident = append(g.resident, decodeEntry(r))
@@ -111,12 +106,4 @@ func (g *GTLB) Clone(gdt *Table) *GTLB {
 		Hits:     g.Hits,
 		Misses:   g.Misses,
 	}
-}
-
-// Adopt replaces g's resident set and statistics with src's, keeping g's
-// backing GDT and capacity.
-func (g *GTLB) Adopt(src *GTLB) {
-	g.resident = append(g.resident[:0], src.resident...)
-	g.Hits = src.Hits
-	g.Misses = src.Misses
 }

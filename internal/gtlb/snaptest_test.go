@@ -28,7 +28,7 @@ func TestGTLBFieldRoundTrip(t *testing.T) {
 		Encode: func(g *GTLB) []byte { return snaptest.Encode(t, g.EncodeState) },
 		Decode: func(data []byte) (*GTLB, error) {
 			r := snap.NewReader(bytes.NewReader(data))
-			d := DecodeGTLBState(r, 4)
+			d := DecodeGTLBState(r, nil, 4)
 			return d, r.Err()
 		},
 		Mutate: map[string]func(*GTLB) func(){

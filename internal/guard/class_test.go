@@ -95,8 +95,7 @@ func TestClassify(t *testing.T) {
 // failure class msimd reports (guard.Classify), wrapped or not, so the
 // three cannot disagree about what kind of failure a run ended in. msim
 // and mshard both exit through guard.ExitCode; the dist rows are what
-// mshard (and msim -dist) see when a shard failure outlives the recovery
-// cap.
+// mshard sees when a shard failure outlives the recovery cap.
 func TestExitCodeFollowsClass(t *testing.T) {
 	shard := func(c guard.Class) error { return &dist.ShardFailure{Class: c, Err: errors.New("x")} }
 	capped := func(c guard.Class) error {

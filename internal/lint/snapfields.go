@@ -11,13 +11,14 @@ package lint
 // The pass finds every struct that round-trips through the snap codec
 // and demands that each of its fields is referenced on BOTH the encode
 // and the decode path — and, when the struct is cloned field by field
-// for Machine.Fork, on the clone path too — or is explicitly exempted:
+// for Machine.Fork, on the clone path too — or is explicitly exempted.
+// Those are the only three paths state takes: a decoder builds the live
+// part the machine installs, so there is no fourth, copy-into-place list.
 //
 //   - encode paths: functions with a *snap.Writer parameter, or that
 //     call snap.NewWriter;
-//   - decode paths: functions with a *snap.Reader parameter, that call
-//     snap.NewReader, or Adopt/adopt methods (the commit phase of the
-//     two-phase restore);
+//   - decode paths: functions with a *snap.Reader parameter, or that
+//     call snap.NewReader;
 //   - clone paths: Clone/clone methods and Fork. A covered struct is
 //     held to this path once any of its fields is referenced there;
 //     structs that only ever travel by value (slices.Clone of a
@@ -183,9 +184,6 @@ func snapRole(pkg *Package, fd *ast.FuncDecl) (enc, dec bool) {
 	}
 	for i := 0; i < sig.Params().Len(); i++ {
 		check(sig.Params().At(i).Type())
-	}
-	if fd.Recv != nil && (fd.Name.Name == "Adopt" || fd.Name.Name == "adopt") {
-		dec = true
 	}
 	// Functions that build their own codec (Save/Restore, the dist
 	// frame encoders) are roots too.

@@ -43,6 +43,23 @@ func (f *Forked) DecodeState(r *snap.Reader) {
 
 func (f *Forked) Clone() *Forked { return &Forked{A: f.A} }
 
+// Copied is decoded by a function that forgets a field which only a
+// copy between live objects mentions: that copy is not a snapshot path,
+// so the field is missing from the decode path.
+type Copied struct {
+	A    uint64
+	late uint64 // want `field repro/internal/chip/sfix.Copied.late is not referenced on the snapshot decode path`
+}
+
+func (c *Copied) EncodeState(w *snap.Writer) {
+	w.U64(c.A)
+	w.U64(c.late)
+}
+
+func DecodeCopied(r *snap.Reader) *Copied { return &Copied{A: r.U64()} }
+
+func (c *Copied) Adopt(src *Copied) { c.A, c.late = src.A, src.late }
+
 // Digest is write-only — it is encoded (into hash inputs) but never
 // decoded — so snapfields does not conscript it into coverage and its
 // unreferenced field is fine.

@@ -75,8 +75,10 @@ func TestForkConcurrent(t *testing.T) {
 }
 
 // TestForkRestoreUnaliases: a child restored from an unrelated snapshot
-// takes that snapshot's memory, and from then on neither its writes nor
-// the parent's reach the other.
+// takes that snapshot's memory — the decoded SDRAMs own every chunk, and
+// the chips that shared chunks with the parent are gone — so from then on
+// each side's writes (word, pointer tag, synchronization bit) land on its
+// own side only.
 func TestForkRestoreUnaliases(t *testing.T) {
 	parent := buildSnapWorkload(t, snapModes[1])
 	defer parent.Close()
@@ -124,6 +126,17 @@ func TestForkRestoreUnaliases(t *testing.T) {
 	}
 	if got, _ := child.Digest(); got != childBefore {
 		t.Error("writes to the parent changed a restored child's state")
+	}
+	for node := 0; node < child.NumNodes(); node++ {
+		cs, ps := child.Chip(node).Mem.SDRAM, parent.Chip(node).Mem.SDRAM
+		if w, ptr := cs.Read(scratch + 200); w != 0xdead || !ptr || !cs.SyncBit(scratch+200) {
+			t.Errorf("node %d: restored child reads (%#x, ptr %v, sync %v), want its own (0xdead, true, true)",
+				node, w, ptr, cs.SyncBit(scratch+200))
+		}
+		if w, ptr := ps.Read(scratch + 200); w != 0xbeef || ptr || ps.SyncBit(scratch+200) {
+			t.Errorf("node %d: parent reads (%#x, ptr %v, sync %v), want its own (0xbeef, false, false)",
+				node, w, ptr, ps.SyncBit(scratch+200))
+		}
 	}
 }
 

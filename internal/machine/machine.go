@@ -13,7 +13,8 @@
 // Machines checkpoint: Save serializes the complete simulation state to
 // a versioned stream, Restore replaces a compatible machine's state
 // all-or-nothing (a corrupt or mismatched stream errors and leaves the
-// machine untouched), and Fork clones a machine for what-if runs,
+// machine untouched; a good one installs new chip, network and GDT
+// objects), and Fork clones a machine for what-if runs,
 // sharing SDRAM chunks copy-on-write. Snapshots are engine-agnostic: a stream
 // saved under one engine restores and continues bit-identically under
 // any other (DESIGN.md, "Checkpoint/restore").
@@ -99,7 +100,7 @@ type Machine struct {
 	// workers is the normalized Config.Workers (>= 2 means the chip phase
 	// runs on the pool); pool is the lazily started goroutine pool, and
 	// closed records Close so a later Step cannot resurrect it.
-	ds      *dueSet   `snap:"derived,wake caches, re-derived by WakeAll after Restore"`
+	ds      *dueSet   `snap:"derived,wake caches, re-derived by install's WakeAll"`
 	workers int       `snap:"derived,normalized engine config"`
 	pool    *chipPool `snap:"derived,goroutine pool, rebuilt lazily"`
 	closed  bool      `snap:"derived,process-lifetime flag"`
@@ -120,28 +121,20 @@ type Machine struct {
 	stopReq    atomic.Bool  `snap:"derived,supervision plumbing"`
 	cycleGauge atomic.Int64 `snap:"derived,supervision plumbing"`
 
-	// arrivalNodes tracks the nodes with delivered-but-unconsumed network
-	// messages (arrivalMark is its membership bitmap), maintained
-	// incrementally from noc.Network.DeliveredNodes so per-cycle arrival
-	// wake-ups cost O(affected nodes), not O(nodes). Used by the event
-	// engine only; the naive loop steps everything anyway.
-	arrivalNodes []int  `snap:"derived,rebuilt by recomputeActive after Restore"`
-	arrivalMark  []bool `snap:"derived,rebuilt by recomputeActive after Restore"`
-
-	// Run-loop activity counters (ROADMAP, "Run-loop active sets"): the
-	// loop head's UserDone/Quiescent/totalIssued checks ran O(nodes) scans
-	// every busy cycle; these cache the same quantities per chip and
-	// maintain the machine totals incrementally. A chip's contribution can
-	// only change on a cycle it steps (every thread transition, queue
+	// Run-loop activity counters (DESIGN.md, "Run-loop activity
+	// counters"): the loop head would otherwise scan every chip every busy
+	// cycle; these cache UserDone/Quiescent/instructions-issued per chip
+	// and maintain the machine totals incrementally. A chip's contribution
+	// can only change on a cycle it steps (every thread transition, queue
 	// push, and issue happens inside Chip.Step, and its outbox is drained
 	// before the counters are read), so noteStepped refreshes exactly the
 	// stepped chips — O(active) per cycle. recomputeActive rebuilds
-	// everything at Run/RunUntil entry and after Restore, covering
-	// external mutations (program loads, pokes) between runs.
-	act         Activity `snap:"derived,rebuilt by recomputeActive after Restore"` // the machine totals
-	chipRunning []int    `snap:"derived,rebuilt by recomputeActive after Restore"`
-	chipBusy    []bool   `snap:"derived,rebuilt by recomputeActive after Restore"`
-	chipIssued  []uint64 `snap:"derived,rebuilt by recomputeActive after Restore"`
+	// everything at Run/RunUntil entry and in install, covering external
+	// mutations (program loads, pokes) between runs.
+	act         Activity `snap:"derived,rebuilt by install's recomputeActive"` // the machine totals
+	chipRunning []int    `snap:"derived,rebuilt by install's recomputeActive"`
+	chipBusy    []bool   `snap:"derived,rebuilt by install's recomputeActive"`
+	chipIssued  []uint64 `snap:"derived,rebuilt by install's recomputeActive"`
 }
 
 // Reserved physical layout (words). The LPT base comes from the memory
@@ -165,21 +158,18 @@ func AllocBasePPN(c mem.Config) uint64 {
 	return (AllocCounterAddr(c) + 64 + mem.PageWords) / mem.PageWords
 }
 
-// newShell builds a machine around net and gdt with its per-node
-// bookkeeping allocated and the worker count normalized, and no chips
-// yet (attach installs them): the part of construction New and Fork
-// share.
-func newShell(cfg Config, net *noc.Network, gdt *gtlb.Table) *Machine {
+// newShell builds a machine with its per-node bookkeeping allocated and
+// the worker count normalized — everything that is environment — and no
+// simulated state yet (install puts that in): the part of construction
+// New and Fork share.
+func newShell(cfg Config) *Machine {
+	nodes := cfg.Dims.X * cfg.Dims.Y * cfg.Dims.Z
 	m := &Machine{
 		Cfg:         cfg,
-		Net:         net,
-		GDT:         gdt,
-		Chips:       make([]*chip.Chip, net.NumNodes()),
-		nextPPN:     make([]uint64, net.NumNodes()),
-		arrivalMark: make([]bool, net.NumNodes()),
-		chipRunning: make([]int, net.NumNodes()),
-		chipBusy:    make([]bool, net.NumNodes()),
-		chipIssued:  make([]uint64, net.NumNodes()),
+		Chips:       make([]*chip.Chip, nodes),
+		chipRunning: make([]int, nodes),
+		chipBusy:    make([]bool, nodes),
+		chipIssued:  make([]uint64, nodes),
 	}
 	m.workers = cfg.Workers
 	if m.workers < 0 {
@@ -198,15 +188,46 @@ func New(cfg Config) *Machine {
 	if max(cfg.Dims.X, cfg.Dims.Y, cfg.Dims.Z) > trace.MaxCoord+1 {
 		panic(fmt.Sprintf("machine: mesh %v exceeds the trace record's coordinate range", cfg.Dims))
 	}
-	m := newShell(cfg, noc.New(cfg.Dims, cfg.Chip.Net), &gtlb.Table{})
-	for i := range m.Chips {
-		c := chip.New(cfg.Chip, m.Net.CoordOf(i), i, m.Net, m.GDT)
+	top := &Machine{Net: noc.New(cfg.Dims, cfg.Chip.Net), GDT: &gtlb.Table{}}
+	top.nextPPN = make([]uint64, top.Net.NumNodes())
+	chips := make([]*chip.Chip, top.Net.NumNodes())
+	for i := range chips {
+		chips[i] = chip.New(cfg.Chip, top.Net.CoordOf(i), i, top.Net, top.GDT)
 		// Initialize the runtime page allocator counter.
-		c.Mem.SDRAM.Write(AllocCounterAddr(cfg.Chip.Mem), AllocBasePPN(cfg.Chip.Mem), false)
-		m.ds.attach(i, c)
-		m.nextPPN[i] = FirstMapPPN
+		chips[i].Mem.SDRAM.Write(AllocCounterAddr(cfg.Chip.Mem), AllocBasePPN(cfg.Chip.Mem), false)
+		top.nextPPN[i] = FirstMapPPN
 	}
+	m := newShell(cfg)
+	m.install(0, chips, top)
 	return m
+}
+
+// install is the one place simulated state enters a machine: chips become
+// m.Chips[lo:lo+len(chips)], and a non-nil top supplies the state above
+// the chips — network, GDT, clock and page allocators (the only fields
+// of it read). New installs fresh parts, Fork cloned ones, Restore and
+// AdoptShard decoded ones; the caller has finished building and
+// validating them, so nothing here can fail and the machine is never
+// seen half replaced. What is environment rather than state stays or is
+// carried over: engine selection, the started pool and the fault probe
+// live in the shell and the due-set, each new chip takes over its
+// predecessor's trace sink and gets the wake hook from attach, and every
+// installed chip is pointed at the machine's network (a full restore
+// decodes chips before the network that replaces it). WakeAll and
+// recomputeActive then re-derive the engine caches from the new state.
+func (m *Machine) install(lo int, chips []*chip.Chip, top *Machine) {
+	if top != nil {
+		m.Net, m.GDT, m.Cycle, m.nextPPN = top.Net, top.GDT, top.Cycle, top.nextPPN
+	}
+	for k, c := range chips {
+		if old := m.Chips[lo+k]; old != nil {
+			c.Trace = old.Trace
+		}
+		c.Net = m.Net
+		m.ds.attach(lo+k, c)
+	}
+	m.WakeAll()
+	m.recomputeActive()
 }
 
 // Close materializes the deferred idle-chip bookkeeping (see Step) and
@@ -279,9 +300,9 @@ func (m *Machine) Chip(i int) *chip.Chip { return m.Chips[i] }
 // and the network step unconditionally. This is the reference (debug)
 // engine the event-driven Step is validated against. The engines may be
 // interleaved on one machine, so StepAll keeps the event engine's caches
-// honest: chips the event engine left behind are caught up first, and the
-// tracked arrival set ingests this cycle's deliveries, whose wake-ups
-// lower the due-set through the hook. Nothing else is needed: StepAll never
+// honest: chips the event engine left behind are caught up first, and this
+// cycle's arrival wake-ups lower the due-set through the hook. Nothing
+// else is needed: StepAll never
 // raises a due entry, and a forced step of a chip that is not due changes
 // nothing, so every entry stays at or before its chip's true wake.
 func (m *Machine) StepAll() {
@@ -299,8 +320,8 @@ func (m *Machine) StepAll() {
 	m.Net.Step(now)
 	// The wakes are unobservable under naive stepping (only the event
 	// engine consults wake cycles), so this costs nothing but keeps the
-	// arrival set and the due-set exact for a later event-engine step.
-	m.wakeArrivals(now, true)
+	// due-set exact for a later event-engine step.
+	m.wakeArrivals(now)
 	m.Cycle++
 }
 
@@ -338,12 +359,10 @@ func (m *Machine) step(pooled bool) {
 		}
 		r.stepped = r.stepped[:0]
 	}
-	netStepped := false
 	if m.Net.NeedsStep(now) {
 		m.Net.Step(now)
-		netStepped = true
 	}
-	m.wakeArrivals(now, netStepped)
+	m.wakeArrivals(now)
 	m.Cycle++
 }
 
@@ -363,29 +382,10 @@ func (m *Machine) StepRange(lo, hi int, now int64, stepped []int) []int {
 // messages: a delivery at cycle now is consumed by the destination's
 // network input interface at now+1, and a node whose queues are still
 // backed up must retry every cycle (the return-to-sender protocol depends
-// on it). The tracked node list is maintained incrementally — last cycle's
-// survivors plus this cycle's delivery targets — so the walk costs
-// O(affected nodes) instead of O(nodes); WakeAll rebuilds it from scratch
-// at Run/RunUntil entry.
-func (m *Machine) wakeArrivals(now int64, netStepped bool) {
-	keep := m.arrivalNodes[:0]
-	for _, i := range m.arrivalNodes {
-		if m.Net.HasArrivals(i) {
-			keep = append(keep, i)
-		} else {
-			m.arrivalMark[i] = false
-		}
-	}
-	if netStepped {
-		for _, i := range m.Net.DeliveredNodes() {
-			if !m.arrivalMark[i] {
-				m.arrivalMark[i] = true
-				keep = append(keep, i)
-			}
-		}
-	}
-	m.arrivalNodes = keep
-	for _, i := range keep {
+// on it). The network keeps the node set (noc.Network.ArrivalNodes), so the
+// walk costs O(affected nodes) instead of O(nodes).
+func (m *Machine) wakeArrivals(now int64) {
+	for _, i := range m.Net.ArrivalNodes() {
 		m.Chips[i].WakeAt(now + 1)
 	}
 }
@@ -469,8 +469,8 @@ func (m *Machine) noteStepped(i int) {
 }
 
 // recomputeActive rebuilds the run-loop activity counters from scratch —
-// the O(nodes) pass Run and RunUntil pay once at entry (and Restore pays
-// once at commit) so that state mutated from outside the simulation is
+// the O(nodes) pass Run and RunUntil pay once at entry (and install pays
+// once) so that state mutated from outside the simulation is
 // observed; within a run noteStepped keeps them exact incrementally.
 func (m *Machine) recomputeActive() {
 	m.act = Activity{}
@@ -660,19 +660,9 @@ func (m *Machine) Run(maxCycles int64) (int64, error) {
 // WakeAll forces every chip to re-derive its next event on its coming
 // step. Run and RunUntil call it on entry so that any state mutated from
 // outside the simulation between runs (program loads, register pokes) is
-// observed; within a run the engine maintains wake cycles itself. It also
-// rebuilds the tracked arrival set from scratch, so deliveries that
-// happened outside the event engines (e.g. naive-engine cycles on the same
-// machine) are re-observed.
+// observed; within a run the engine maintains wake cycles itself.
 func (m *Machine) WakeAll() {
-	m.arrivalNodes = m.arrivalNodes[:0]
-	for i, c := range m.Chips {
-		if m.Net.HasArrivals(i) {
-			m.arrivalMark[i] = true
-			m.arrivalNodes = append(m.arrivalNodes, i)
-		} else {
-			m.arrivalMark[i] = false
-		}
+	for _, c := range m.Chips {
 		c.Touch()
 	}
 }

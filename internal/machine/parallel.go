@@ -47,15 +47,17 @@ func (wp *WorkerPanic) Error() string {
 // interface).
 func (wp *WorkerPanic) CrashSite() (node int, cycle int64) { return wp.Node, wp.Cycle }
 
-// Dispatch mailbox sentinels. Real dispatches carry the cycle number, which
-// is non-negative and strictly increasing, so both sentinels are distinct
-// from every dispatch and from each other.
+// Dispatch mailbox sentinels. Real dispatches carry the pool's phase
+// number (chipPool.phase), which is positive and strictly increasing — the
+// cycle is not: a Restore can put the clock back to a cycle the pool has
+// already run — so both sentinels are distinct from every dispatch and
+// from each other.
 const (
 	idleCycle = int64(-1) // mailbox initial value (no dispatch yet)
 	quitCycle = int64(-2) // stop request
 	// notParked marks "nobody is parked" in the park-generation words
 	// (shard.parked, chipPool.mparked). It must differ from every value a
-	// waiter can park on: cycles (>= 0) and idleCycle.
+	// waiter can park on: phase numbers (> 0) and idleCycle.
 	notParked = int64(-3)
 )
 
@@ -76,7 +78,7 @@ type shard struct {
 	// the worker, read by the machine after the barrier.
 	crash *WorkerPanic
 
-	// Dispatch mailbox: the machine stores the cycle to run (or quitCycle),
+	// Dispatch mailbox: the machine stores the phase to run (or quitCycle),
 	// the worker spins on it and parks on wakeCh when the spin budget runs
 	// out. parked holds the mailbox value the worker parked on (notParked
 	// when it is not parked): the machine wakes a worker by compare-and-
@@ -94,12 +96,17 @@ type chipPool struct {
 	ds     *dueSet
 	shards []shard
 
+	// phase numbers the chip phases the pool has run, and now is the cycle
+	// of the one in flight: written by the machine before the dispatch,
+	// read by the workers after they observe it in their mailbox.
+	phase, now int64
+
 	// Gather-side barrier state. remaining counts down the workers
-	// dispatched this cycle; the worker that takes it to zero wakes the
-	// machine if (and only if) the machine parked for that same cycle:
-	// mparked holds the cycle the machine is parked on (notParked when it
+	// dispatched this phase; the worker that takes it to zero wakes the
+	// machine if (and only if) the machine parked for that same phase:
+	// mparked holds the phase the machine is parked on (notParked when it
 	// is not), and the waker claims it by compare-and-swap, so a worker
-	// finishing late can never complete a *later* cycle's barrier.
+	// finishing late can never complete a *later* phase's barrier.
 	remaining atomic.Int32
 	mparked   atomic.Int64
 	done      chan struct{}
@@ -164,12 +171,14 @@ func (p *chipPool) step(now int64) {
 		return
 	}
 	p.remaining.Store(dispatched)
+	p.phase++
+	p.now = now
 	for w := range p.shards {
 		if p.ds.ranges[w].next <= now {
-			p.dispatch(&p.shards[w], now)
+			p.dispatch(&p.shards[w], p.phase)
 		}
 	}
-	p.awaitGather(now)
+	p.awaitGather(p.phase)
 	// Re-raise any worker panic on the machine goroutine, after the
 	// barrier so every worker is parked and the machine is the only
 	// goroutine touching simulation state (a supervisor that recovers the
@@ -187,7 +196,7 @@ func (p *chipPool) step(now int64) {
 	}
 }
 
-// dispatch releases one worker for cycle now (or quitCycle): publish the
+// dispatch releases one worker for a phase (or quitCycle): publish the
 // mailbox, then wake the worker iff it is parked on the value the mailbox
 // held before — claiming the park by compare-and-swap on that generation.
 // A plain boolean here is wrong: the worker can catch the new value
@@ -195,10 +204,10 @@ func (p *chipPool) step(now int64) {
 // this check runs, and a boolean wake would then deliver a token for a
 // dispatch the worker already completed (a phantom wake-up one cycle
 // later). The generation CAS fails in that interleaving, because the
-// worker is parked on now, not on prev.
-func (p *chipPool) dispatch(s *shard, now int64) {
+// worker is parked on phase, not on prev.
+func (p *chipPool) dispatch(s *shard, phase int64) {
 	prev := s.slot.Load()
-	s.slot.Store(now)
+	s.slot.Store(phase)
 	if s.parked.CompareAndSwap(prev, notParked) {
 		s.wakeCh <- struct{}{}
 	}
@@ -230,23 +239,23 @@ func (s *shard) await(last int64) int64 {
 }
 
 // worker is the per-shard goroutine: await a dispatch, run the shard,
-// arrive at the gather barrier; quit on quitCycle. The last arriver of
-// cycle now wakes the machine iff the machine parked *for cycle now* — the
+// arrive at the gather barrier; quit on quitCycle. The last arriver of a
+// phase wakes the machine iff the machine parked *for that phase* — the
 // compare-and-swap on the parked generation makes a late arrival from an
-// earlier cycle harmless.
+// earlier phase harmless.
 func (p *chipPool) worker(w int) {
 	s := &p.shards[w]
 	last := idleCycle
 	for {
-		now := s.await(last)
-		if now == quitCycle {
+		phase := s.await(last)
+		if phase == quitCycle {
 			return
 		}
-		p.runShardContained(w, now)
-		if p.remaining.Add(-1) == 0 && p.mparked.CompareAndSwap(now, notParked) {
+		p.runShardContained(w, p.now)
+		if p.remaining.Add(-1) == 0 && p.mparked.CompareAndSwap(phase, notParked) {
 			p.done <- struct{}{}
 		}
-		last = now
+		last = phase
 	}
 }
 
@@ -272,18 +281,18 @@ func (p *chipPool) runShardContained(w int, now int64) {
 	p.ds.stepRange(r, now)
 }
 
-// awaitGather blocks the machine until every worker dispatched for cycle
-// now has arrived, with the same spin-then-park protocol as the workers.
-func (p *chipPool) awaitGather(now int64) {
+// awaitGather blocks the machine until every worker dispatched for the
+// phase has arrived, with the same spin-then-park protocol as the workers.
+func (p *chipPool) awaitGather(phase int64) {
 	for i := 0; i < gatherSpins; i++ {
 		if p.remaining.Load() == 0 {
 			return
 		}
 		runtime.Gosched()
 	}
-	p.mparked.Store(now)
+	p.mparked.Store(phase)
 	if p.remaining.Load() == 0 {
-		if !p.mparked.CompareAndSwap(now, notParked) {
+		if !p.mparked.CompareAndSwap(phase, notParked) {
 			// The last worker claimed the park: consume its token so it
 			// cannot leak into a later cycle's barrier.
 			<-p.done

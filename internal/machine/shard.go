@@ -52,12 +52,12 @@ func (m *Machine) EncodeShard(w io.Writer, lo, hi int) error {
 	return nil
 }
 
-// AdoptShard reads a frame written by EncodeShard and adopts its chips
-// into this machine, which must have been seeded from the same full
-// snapshot lineage (the frame's node range must match lo, hi). Like
-// Restore it is two-phase — the frame is fully decoded and validated
-// before any live chip is touched — and it rebuilds the engine caches
-// afterwards. It returns the frame's machine clock; the caller decides
+// AdoptShard reads a frame written by EncodeShard and installs its chips
+// in this machine, which must have been seeded from the same full
+// snapshot lineage (the frame's node range must match lo, hi). It is
+// Restore for a chip range: the frame is fully decoded and validated into
+// new chips before install replaces m.Chips[lo:hi] (new objects, as after
+// a Restore). It returns the frame's machine clock; the caller decides
 // whether (and to what) to advance m.Cycle.
 func (m *Machine) AdoptShard(r io.Reader, lo, hi int) (int64, error) {
 	sr := snap.NewReader(bufio.NewReader(r))
@@ -75,9 +75,9 @@ func (m *Machine) AdoptShard(r io.Reader, lo, hi int) (int64, error) {
 	if lo < 0 || hi > len(m.Chips) || lo >= hi {
 		return 0, fmt.Errorf("machine: shard range [%d,%d) outside 0..%d", lo, hi, len(m.Chips))
 	}
-	scratch := make([]*chip.Chip, hi-lo)
-	for i := range scratch {
-		scratch[i] = chip.DecodeChipState(sr, m.Cfg.Chip, m.Net.CoordOf(lo+i), lo+i, m.Net)
+	chips := make([]*chip.Chip, hi-lo)
+	for i := range chips {
+		chips[i] = chip.DecodeChipState(sr, m.Cfg.Chip, m.Net.CoordOf(lo+i), lo+i, m.Net, m.GDT)
 	}
 	if t := sr.U64(); sr.Err() == nil && t != shardFrameTrailer {
 		sr.Fail(fmt.Errorf("machine: shard frame trailer missing (stream corrupt)"))
@@ -86,11 +86,7 @@ func (m *Machine) AdoptShard(r io.Reader, lo, hi int) (int64, error) {
 		return 0, fmt.Errorf("machine: adopt shard [%d,%d): %w", lo, hi, err)
 	}
 	m.syncDeferred()
-	for i, c := range scratch {
-		m.Chips[lo+i].Adopt(c)
-	}
-	m.WakeAll()
-	m.recomputeActive()
+	m.install(lo, chips, nil)
 	return cycle, nil
 }
 

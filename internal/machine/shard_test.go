@@ -4,8 +4,9 @@ package machine_test
 // state between processes as partial-machine frames (EncodeShard /
 // AdoptShard). Adopting the frames of a further-advanced machine into a
 // stale peer must reproduce the donor's chip state bit for bit (proved by
-// re-encoding), and corrupt or mismatched frames must fail descriptively
-// without touching the target.
+// re-encoding) and leave a machine that runs on like the donor — under
+// every engine, with the peer's pool already started — and corrupt or
+// mismatched frames must fail descriptively without touching the target.
 
 import (
 	"bytes"
@@ -13,60 +14,108 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/noc"
 	"repro/internal/rt"
+	"repro/internal/trace"
 )
 
 func TestShardFrameRoundTrip(t *testing.T) {
-	donor := buildSnapWorkload(t, snapMode{name: "event"})
+	donor := buildSnapWorkload(t, snapModes[0])
 	defer donor.Close()
 	stepN(donor, 400)
 	var s0 bytes.Buffer
 	if err := donor.Save(&s0); err != nil {
 		t.Fatal(err)
 	}
-
-	// A peer seeded from the same snapshot lineage, now stale: the donor
-	// advances 300 more cycles on its own.
-	peer := buildSnapWorkload(t, snapMode{name: "event"})
-	defer peer.Close()
-	if err := peer.Restore(bytes.NewReader(s0.Bytes())); err != nil {
+	// The donor advances 300 more cycles on its own; its chips then travel
+	// in two frames, and the naive continuation is the reference.
+	stepN(donor, 300)
+	var s1 bytes.Buffer
+	if err := donor.Save(&s1); err != nil {
 		t.Fatal(err)
 	}
-	stepN(donor, 300)
-
-	// Ship the donor's chips to the peer in two frames.
 	ranges := [][2]int{{0, 2}, {2, 4}}
-	for _, rg := range ranges {
+	frames := make([][]byte, len(ranges))
+	for k, rg := range ranges {
 		var frame bytes.Buffer
 		if err := donor.EncodeShard(&frame, rg[0], rg[1]); err != nil {
 			t.Fatal(err)
 		}
-		cycle, err := peer.AdoptShard(bytes.NewReader(frame.Bytes()), rg[0], rg[1])
-		if err != nil {
-			t.Fatal(err)
+		frames[k] = frame.Bytes()
+	}
+	frameCycle := donor.Cycle
+	traceD := &trace.Recorder{}
+	donor.SetTrace(traceD)
+	ran, err := donor.Run(500000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := snapFingerprint(t, donor, ran) + traceText(traceD)
+
+	// adopt installs both frames in peer and requires the adopted ranges to
+	// re-encode to the donor's frames byte for byte — the bit-identity the
+	// distributed checkpoint and final-digest assembly depend on.
+	adopt := func(t *testing.T, peer *machine.Machine) {
+		t.Helper()
+		for k, rg := range ranges {
+			cycle, err := peer.AdoptShard(bytes.NewReader(frames[k]), rg[0], rg[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cycle != frameCycle {
+				t.Fatalf("frame cycle %d, donor at %d", cycle, frameCycle)
+			}
 		}
-		if cycle != donor.Cycle {
-			t.Fatalf("frame cycle %d, donor at %d", cycle, donor.Cycle)
+		peer.Cycle = frameCycle
+		for k, rg := range ranges {
+			var got bytes.Buffer
+			if err := peer.EncodeShard(&got, rg[0], rg[1]); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(frames[k], got.Bytes()) {
+				t.Fatalf("shard [%d,%d): adopted frame re-encodes differently", rg[0], rg[1])
+			}
 		}
 	}
-	peer.Cycle = donor.Cycle
 
-	// Re-encoding the adopted ranges must reproduce the donor's frames
-	// byte for byte — the bit-identity the distributed checkpoint and
-	// final-digest assembly depend on.
-	for _, rg := range ranges {
-		var want, got bytes.Buffer
-		if err := donor.EncodeShard(&want, rg[0], rg[1]); err != nil {
-			t.Fatal(err)
-		}
-		if err := peer.EncodeShard(&got, rg[0], rg[1]); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want.Bytes(), got.Bytes()) {
-			t.Fatalf("shard [%d,%d): adopted frame re-encodes differently", rg[0], rg[1])
-		}
+	// Every peer is caught mid-phase (a started pool for the parallel
+	// modes, stale due-set entries and deferred bookkeeping for all) with
+	// its trace sink already installed.
+	for _, mode := range snapModes[1:] {
+		t.Run(mode.name, func(t *testing.T) {
+			peer := buildSnapWorkload(t, mode)
+			defer peer.Close()
+			stepN(peer, 401)
+			traceP := &trace.Recorder{}
+			peer.SetTrace(traceP)
+
+			// A peer of the same snapshot lineage, now stale.
+			if err := peer.Restore(bytes.NewReader(s0.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+			adopt(t, peer)
+
+			// Running on needs the frames' network too: restore the donor's
+			// full state, wreck the chips' registers, and let the frames put
+			// them back.
+			if err := peer.Restore(bytes.NewReader(s1.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < peer.NumNodes(); i++ {
+				peer.Chip(i).Thread(0, 0).Ints.Set(5, isa.W(0xbad))
+			}
+			adopt(t, peer)
+			ran, err := peer.Run(500000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := snapFingerprint(t, peer, ran) + traceText(traceP); got != want {
+				t.Errorf("continuation after AdoptShard under %s diverged from the naive donor's:\n%.1500s\nvs\n%.1500s",
+					mode.name, got, want)
+			}
+		})
 	}
 }
 

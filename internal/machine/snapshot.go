@@ -13,10 +13,11 @@ package machine
 // every chip — the always-safe early direction of the NextEvent contract —
 // so the restored machine continues identically under any engine.
 //
-// Restore is all-or-nothing: the stream is fully decoded and validated
-// into detached scratch components first, and only then committed, so a
-// corrupt, truncated, or mismatched snapshot returns an error and leaves
-// the machine exactly as it was.
+// Restore is all-or-nothing by construction: the decoders build new chips,
+// a new network and a new GDT that nothing in the machine points to, and
+// install swaps them in only after the whole stream, trailer included, has
+// validated — so a corrupt, truncated, or mismatched snapshot returns an
+// error and there is nothing it could have changed.
 
 import (
 	"bufio"
@@ -24,6 +25,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/chip"
 	"repro/internal/gtlb"
@@ -163,9 +165,11 @@ func (m *Machine) Digest() (string, error) {
 // Restore replaces the machine's simulation state with a snapshot written
 // by Save. The target must have the same mesh shape and chip
 // configuration as the saved machine (the snapshot carries both and
-// Restore verifies them); the engine configuration, installed trace
-// callbacks, and worker pool of the target are preserved. On any error
-// the machine is left untouched.
+// Restore verifies them); the engine configuration, trace sink, fault
+// probe and worker pool of the target are preserved. On any error the
+// machine is left untouched. On success m.Chips[i], m.Net and m.GDT are
+// new objects: reach them through the machine after a restore, not
+// through pointers taken before it.
 func (m *Machine) Restore(rd io.Reader) error {
 	r := snap.NewReader(bufio.NewReader(rd))
 	if magic := r.U64(); r.Err() == nil && magic != snapshotMagic {
@@ -180,45 +184,30 @@ func (m *Machine) Restore(rd io.Reader) error {
 			cfg.Dims, m.Cfg.Dims)
 	}
 
-	// Phase 1: decode everything into detached scratch state. All
-	// validation happens against the reader's sticky error; nothing below
-	// touches the live machine.
-	cycle := r.I64()
-	nppn := make([]uint64, r.Len(len(m.Chips)))
-	if r.Err() == nil && len(nppn) != len(m.Chips) {
-		r.Fail(fmt.Errorf("machine: snapshot has %d page allocators for %d nodes", len(nppn), len(m.Chips)))
+	// Decode new parts. All validation happens against the reader's sticky
+	// error, and nothing the machine can reach is written.
+	top := &Machine{Cycle: r.I64(), nextPPN: make([]uint64, r.Len(len(m.Chips)))}
+	if r.Err() == nil && len(top.nextPPN) != len(m.Chips) {
+		r.Fail(fmt.Errorf("machine: snapshot has %d page allocators for %d nodes", len(top.nextPPN), len(m.Chips)))
 	}
-	for i := range nppn {
-		nppn[i] = r.U64()
+	for i := range top.nextPPN {
+		top.nextPPN[i] = r.U64()
 	}
-	gdt := gtlb.DecodeTableState(r)
+	top.GDT = gtlb.DecodeTableState(r)
 	chips := make([]*chip.Chip, len(m.Chips))
 	for i := range chips {
-		chips[i] = chip.DecodeChipState(r, m.Cfg.Chip, m.Net.CoordOf(i), i, m.Net)
+		chips[i] = chip.DecodeChipState(r, m.Cfg.Chip, m.Net.CoordOf(i), i, m.Net, top.GDT)
 	}
-	net := noc.DecodeNetworkState(r, m.Cfg.Dims, m.Cfg.Chip.Net)
+	top.Net = noc.DecodeNetworkState(r, m.Cfg.Dims, m.Cfg.Chip.Net)
 	if t := r.U64(); r.Err() == nil && t != snapshotTrailer {
 		r.Fail(fmt.Errorf("machine: snapshot trailer missing (stream corrupt)"))
 	}
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("machine: restore: %w", err)
 	}
-
-	// Phase 2: commit. Adopt the scratch state in place — infallible from
-	// here on. (Bookkeeping the chip phase deferred on the old state is
-	// overwritten with it: every chip adopts its saved Cycle.)
-	m.Cycle = cycle
-	copy(m.nextPPN, nppn)
-	m.GDT.Adopt(gdt)
-	for i, c := range m.Chips {
-		c.Adopt(chips[i])
-	}
-	m.Net.Adopt(net)
-	// Re-derive the engine caches: touch every chip (firing the due-set
-	// hooks) and rebuild the arrival tracking and the run-loop activity
-	// counters from the adopted state.
-	m.WakeAll()
-	m.recomputeActive()
+	// Bookkeeping the chip phase deferred on the old chips goes with them:
+	// every new chip carries its saved Cycle.
+	m.install(0, chips, top)
 	return nil
 }
 
@@ -231,20 +220,21 @@ func (m *Machine) Restore(rd io.Reader) error {
 // materialized first, every chip of the clone is touched and the
 // activity counters rebuilt afterwards — so the clone is
 // indistinguishable from Restore(Save(m)) into a fresh machine under
-// every engine. Every component is copied by its Clone method except
-// what is immutable (programs) and the materialized SDRAM chunks, which
-// original and clone share until either writes one (mem.SDRAM.Clone);
-// the two machines may then run on different goroutines.
+// every engine: a new shell, and install on the cloned parts where
+// Restore runs it on decoded ones. Every component is copied by its Clone
+// method except what is immutable (programs) and the materialized SDRAM
+// chunks, which original and clone share until either writes one
+// (mem.SDRAM.Clone); the two machines may then run on different
+// goroutines.
 func (m *Machine) Fork() (*Machine, error) {
 	m.syncDeferred()
-	f := newShell(m.Cfg, m.Net.Clone(), m.GDT.Clone())
-	f.Cycle = m.Cycle
-	f.Naive = m.Naive
-	copy(f.nextPPN, m.nextPPN)
+	top := &Machine{Net: m.Net.Clone(), GDT: m.GDT.Clone(), Cycle: m.Cycle, nextPPN: slices.Clone(m.nextPPN)}
+	chips := make([]*chip.Chip, len(m.Chips))
 	for i, c := range m.Chips {
-		f.ds.attach(i, c.Clone(f.Net, f.GDT))
+		chips[i] = c.Clone(top.Net, top.GDT)
 	}
-	f.WakeAll()
-	f.recomputeActive()
+	f := newShell(m.Cfg)
+	f.Naive = m.Naive
+	f.install(0, chips, top)
 	return f, nil
 }

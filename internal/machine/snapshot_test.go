@@ -16,9 +16,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/noc"
 	"repro/internal/rt"
+	"repro/internal/snap/snaptest"
 	"repro/internal/trace"
 )
 
@@ -79,16 +81,28 @@ loop:
 	return m
 }
 
-// snapFingerprint summarizes the observable final state.
+// snapFingerprint summarizes the observable final state: the digest, and
+// in readable form the statistics, every H-Thread's stall count, registers,
+// console and memory a divergence would show up in.
 func snapFingerprint(t *testing.T, m *machine.Machine, ran int64) string {
 	t.Helper()
+	digest, err := m.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "ran=%d end=%d net=%d/%d/%d\n",
-		ran, m.Cycle, m.Net.Injected, m.Net.Delivered, m.Net.TotalHops)
+	fmt.Fprintf(&b, "digest=%s ran=%d end=%d net=%d/%d/%d\n",
+		digest, ran, m.Cycle, m.Net.Injected, m.Net.Delivered, m.Net.TotalHops)
 	for i := 0; i < m.NumNodes(); i++ {
 		c := m.Chip(i)
-		fmt.Fprintf(&b, "node%d insts=%d ops=%d stalls=%d i2=%d i5=%d ltlb=%d cache=%d/%d console=%q\n",
-			i, c.InstsIssued, c.OpsIssued, c.Thread(0, 0).StallCycles,
+		var stalls []uint64
+		for vt := 0; vt < isa.NumVThreads; vt++ {
+			for cl := 0; cl < isa.NumClusters; cl++ {
+				stalls = append(stalls, c.Thread(vt, cl).StallCycles)
+			}
+		}
+		fmt.Fprintf(&b, "node%d insts=%d ops=%d stalls=%v i2=%d i5=%d ltlb=%d cache=%d/%d console=%q\n",
+			i, c.InstsIssued, c.OpsIssued, stalls,
 			reg(m, i, 0, 0, 2), reg(m, i, 0, 0, 5),
 			c.Mem.LTLBFaults, c.Mem.Cache.Hits, c.Mem.Cache.Misses,
 			c.Console.String())
@@ -118,7 +132,12 @@ func stepN(m *machine.Machine, n int) {
 // pair (save under A, continue under A) vs (restore under B, continue
 // under B), the continuations must be bit-identical including their trace
 // streams, and re-saving a restored machine must reproduce the snapshot
-// byte for byte.
+// byte for byte. Each restore runs twice: into a fresh machine, and into
+// one caught mid-phase one cycle past the snapshot — its due-set, its
+// chips' deferred bookkeeping and, for the parallel modes, its started
+// pool (whose last dispatch was the very cycle the restore goes back to)
+// all belong to the state being replaced, and its trace sink was
+// installed before the restore.
 func TestSnapshotRoundTripMatrix(t *testing.T) {
 	const snapAt = 2500
 	var refFP string
@@ -150,38 +169,54 @@ func TestSnapshotRoundTripMatrix(t *testing.T) {
 			}
 
 			for _, restore := range snapModes {
-				restore := restore
-				t.Run("restore/"+restore.name, func(t *testing.T) {
-					b := buildSnapWorkload(t, restore)
-					defer b.Close()
-					if err := b.Restore(bytes.NewReader(snapshot)); err != nil {
-						t.Fatal(err)
-					}
-					// A restored machine must re-serialize to the identical
-					// snapshot: restore loses nothing.
-					var again bytes.Buffer
-					if err := b.Save(&again); err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(again.Bytes(), snapshot) {
-						t.Errorf("re-saved snapshot differs from the original (%d vs %d bytes)",
-							again.Len(), len(snapshot))
-					}
-					traceB := &trace.Recorder{}
-					b.SetTrace(traceB)
-					ranB, err := b.Run(500000)
-					if err != nil {
-						t.Fatal(err)
-					}
-					fpB := snapFingerprint(t, b, ranB) + traceText(traceB)
-					if fpB != fpA {
-						t.Errorf("restore under %s diverged from continue under %s:\n%.1500s\nvs\n%.1500s",
-							restore.name, save.name, fpB, fpA)
-					}
-				})
+				for _, midPhase := range []bool{false, true} {
+					runRestore(t, restore, midPhase, snapAt, snapshot, save.name, fpA)
+				}
 			}
 		})
 	}
+}
+
+// runRestore is one restore cell of TestSnapshotRoundTripMatrix.
+func runRestore(t *testing.T, restore snapMode, midPhase bool, snapAt int, snapshot []byte, saveName, fpA string) {
+	name := "restore/" + restore.name
+	if midPhase {
+		name += "-midphase"
+	}
+	t.Run(name, func(t *testing.T) {
+		b := buildSnapWorkload(t, restore)
+		defer b.Close()
+		traceB := &trace.Recorder{}
+		if midPhase {
+			stepN(b, snapAt+1)
+			b.SetTrace(traceB)
+		}
+		if err := b.Restore(bytes.NewReader(snapshot)); err != nil {
+			t.Fatal(err)
+		}
+		// A restored machine must re-serialize to the identical
+		// snapshot: restore loses nothing.
+		var again bytes.Buffer
+		if err := b.Save(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), snapshot) {
+			t.Errorf("re-saved snapshot differs from the original (%d vs %d bytes)",
+				again.Len(), len(snapshot))
+		}
+		if !midPhase {
+			b.SetTrace(traceB)
+		}
+		ranB, err := b.Run(500000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fpB := snapFingerprint(t, b, ranB) + traceText(traceB)
+		if fpB != fpA {
+			t.Errorf("restore under %s diverged from continue under %s:\n%.1500s\nvs\n%.1500s",
+				restore.name, saveName, fpB, fpA)
+		}
+	})
 }
 
 // TestSnapshotFork: a fork taken mid-run evolves independently and lands
@@ -210,9 +245,10 @@ func TestSnapshotFork(t *testing.T) {
 }
 
 // TestSnapshotErrors: corrupt, truncated, and wrong-version snapshots
-// must return descriptive errors and leave the machine bit-identical —
-// pinned by comparing a full re-save before and after each failed
-// restore.
+// must return descriptive errors and leave the machine as it was — the
+// same chip and network objects (a restore installs new ones only once
+// the whole stream has validated), holding the same bytes, pinned by
+// comparing a full re-save before and after each failed restore.
 func TestSnapshotErrors(t *testing.T) {
 	m := buildSnapWorkload(t, snapModes[1])
 	stepN(m, 1500)
@@ -222,15 +258,12 @@ func TestSnapshotErrors(t *testing.T) {
 	}
 	good := buf.Bytes()
 	before := append([]byte(nil), good...)
+	chip0, net := m.Chips[0], m.Net
 
-	check := func(name string, data []byte, wantSub string) {
+	untouched := func(name string) {
 		t.Helper()
-		err := m.Restore(bytes.NewReader(data))
-		if err == nil {
-			t.Fatalf("%s: Restore succeeded on bad input", name)
-		}
-		if !strings.Contains(err.Error(), wantSub) {
-			t.Errorf("%s: error %q does not mention %q", name, err, wantSub)
+		if m.Chips[0] != chip0 || m.Net != net {
+			t.Errorf("%s: failed restore replaced the machine's chips or network", name)
 		}
 		var after bytes.Buffer
 		if err := m.Save(&after); err != nil {
@@ -240,6 +273,17 @@ func TestSnapshotErrors(t *testing.T) {
 			t.Errorf("%s: failed restore mutated the machine", name)
 		}
 	}
+	check := func(name string, data []byte, wantSub string) {
+		t.Helper()
+		err := m.Restore(bytes.NewReader(data))
+		if err == nil {
+			t.Fatalf("%s: Restore succeeded on bad input", name)
+		}
+		if !strings.Contains(err.Error(), wantSub) {
+			t.Errorf("%s: error %q does not mention %q", name, err, wantSub)
+		}
+		untouched(name)
+	}
 
 	check("empty", nil, "truncated")
 	check("garbage", []byte("this is not a snapshot at all, not even close"), "magic")
@@ -248,9 +292,15 @@ func TestSnapshotErrors(t *testing.T) {
 	binary.LittleEndian.PutUint64(wrongVer[8:], 99)
 	check("version", wrongVer, "version 99")
 
-	for _, cut := range []int{12, 40, 300, len(good) / 2, len(good) - 9} {
-		check(fmt.Sprintf("truncated@%d", cut), good[:cut], "")
+	// The stream ends: ... last chip, network, trailer word. Cut inside
+	// each of the three, after every earlier part decoded cleanly.
+	netLen := len(snaptest.Encode(t, m.Net.EncodeState))
+	for _, cut := range []int{12, 40, 300, len(good) / 2, len(good) - 8 - netLen - 100, len(good) - 9, len(good) - 3} {
+		check(fmt.Sprintf("truncated@%d", cut), good[:cut], "truncated")
 	}
+	badTrailer := append([]byte(nil), good...)
+	badTrailer[len(badTrailer)-1] ^= 0xFF
+	check("trailer", badTrailer, "trailer missing")
 
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)/3] ^= 0xFF
@@ -262,13 +312,7 @@ func TestSnapshotErrors(t *testing.T) {
 		// error, the machine must be untouched.
 		t.Skip("bit flip landed in bulk data and decoded structurally")
 	}
-	var after bytes.Buffer
-	if err := m.Save(&after); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(after.Bytes(), before) {
-		t.Error("failed restore of flipped snapshot mutated the machine")
-	}
+	untouched("flipped")
 
 	// Mesh-shape mismatch: a 2-node snapshot must not restore here.
 	cfg := machine.DefaultConfig()

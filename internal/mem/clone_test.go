@@ -2,9 +2,10 @@ package mem
 
 // Clone tests (DESIGN.md, "Checkpoint/restore"): SDRAM chunks shared
 // copy-on-write stay private to whoever writes them — words, pointer
-// tags and synchronization bits alike — an Adopt drops every alias, the
-// sharing needs no synchronization when the sides run on different
-// goroutines, and the encode paths a Save is made of do not allocate.
+// tags and synchronization bits alike — the sharing needs no
+// synchronization when the sides run on different goroutines, and the
+// encode paths a Save is made of do not allocate. That a Restore drops
+// every alias is pinned on whole machines (machine.TestForkRestoreUnaliases).
 
 import (
 	"bytes"
@@ -82,40 +83,6 @@ func TestCloneCopyOnWrite(t *testing.T) {
 	if c1.chunks[0] != own {
 		t.Error("a second write to an owned chunk copied it again")
 	}
-}
-
-// TestAdoptDropsSharing: a child that adopts an unrelated decoded SDRAM
-// (what Restore does) no longer aliases its parent in either direction.
-func TestAdoptDropsSharing(t *testing.T) {
-	p := NewSDRAM(DefaultSDRAMConfig())
-	cowFill(p, 9)
-	c := p.Clone()
-
-	other := NewSDRAM(DefaultSDRAMConfig())
-	cowFill(other, 5)
-	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
-	other.EncodeState(w)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r := snap.NewReader(&buf)
-	scratch := DecodeSDRAMState(r, DefaultSDRAMConfig())
-	if err := r.Err(); err != nil {
-		t.Fatal(err)
-	}
-	c.Adopt(scratch)
-
-	cowCheck(t, "restored child", c, 5)
-	for i, ch := range c.chunks {
-		if ch != nil && (ch == p.chunks[i] || c.shared[i]) {
-			t.Errorf("chunk %d of the restored child still aliases the parent (shared bit %v)", i, c.shared[i])
-		}
-	}
-	cowFill(c, 6)
-	cowFill(p, 7)
-	cowCheck(t, "restored child after writes", c, 6)
-	cowCheck(t, "parent after writes", p, 7)
 }
 
 // TestForkConcurrentSDRAM: parent and children hammer the shared chunks

@@ -135,9 +135,9 @@ type System struct {
 	Cache *Cache
 	LTLB  *LTLB
 
-	devBase  uint64 `snap:"derived,I/O-bus attachment, preserved in place across restore"`
-	devWords uint64 `snap:"derived,I/O-bus attachment, preserved in place across restore"`
-	device   Device `snap:"derived,I/O-bus attachment, preserved in place across restore"`
+	devBase  uint64 `snap:"derived,I/O-bus attachment, made by the owning chip"`
+	devWords uint64 `snap:"derived,I/O-bus attachment, made by the owning chip"`
+	device   Device `snap:"derived,I/O-bus attachment, made by the owning chip"`
 
 	inflight []Response
 	// earliest caches the minimum ReadyAt across inflight, so idle banks

@@ -67,7 +67,7 @@ type SDRAM struct {
 	// replaces it with a private copy (chunkFor). The bit is per SDRAM,
 	// never cleared by the other side's copy, so at worst the last owner
 	// copies once more than it had to.
-	shared  []bool `snap:"derived,copy-on-write ownership, set by Clone and reset by Adopt"`
+	shared  []bool `snap:"derived,copy-on-write ownership, set by Clone; a decoded SDRAM owns every chunk"`
 	openRow uint64
 	hasOpen bool
 

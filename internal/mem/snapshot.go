@@ -4,11 +4,11 @@ package mem
 // system's complete timed state — sparse SDRAM chunks with their
 // pointer-tag and synchronization bitmaps, cache lines, LTLB entries and
 // FIFO order, in-flight responses, and the bank/SDRAM timing windows.
-// EncodeState streams, DecodeSystemState rebuilds a detached scratch
-// system (all validation happens here), and Adopt commits a scratch into
-// a live system in place, preserving its configuration and I/O-bus device
-// attachment. Clone is the fork path: the same fields copied into an
-// independent system, with the SDRAM chunks shared copy-on-write.
+// EncodeState streams, DecodeSystemState builds a new system from the
+// stream (all validation happens here), and Clone is the fork path: the
+// same fields copied into an independent system, with the SDRAM chunks
+// shared copy-on-write. Neither result has an I/O-bus device; the owning
+// chip attaches its own (AttachDevice).
 
 import (
 	"fmt"
@@ -96,17 +96,6 @@ func (s *SDRAM) Clone() *SDRAM {
 	}
 }
 
-// Adopt replaces s's memory contents and row-mode state with src's; the
-// adopted chunks are src's own, so nothing s held shared stays aliased.
-func (s *SDRAM) Adopt(src *SDRAM) {
-	s.chunks = src.chunks
-	s.shared = src.shared
-	s.openRow = src.openRow
-	s.hasOpen = src.hasOpen
-	s.RowHits = src.RowHits
-	s.RowMisses = src.RowMisses
-}
-
 // EncodeState writes the cache statistics and every valid line.
 func (c *Cache) EncodeState(w *snap.Writer) {
 	w.U64(c.Hits)
@@ -179,17 +168,6 @@ func (c *Cache) Clone() *Cache {
 	}
 }
 
-// Adopt replaces c's lines and statistics with src's. The line array is
-// taken over wholesale (the scratch cache was decoded with c's own
-// configuration, so the geometry matches; nothing holds line pointers
-// across calls).
-func (c *Cache) Adopt(src *Cache) {
-	c.lines = src.lines
-	c.Hits = src.Hits
-	c.Misses = src.Misses
-	c.Writebacks = src.Writebacks
-}
-
 func encodePTE(w *snap.Writer, e *PTE) {
 	w.U64(e.VPN)
 	w.U64(e.PPN)
@@ -258,15 +236,6 @@ func (t *LTLB) Clone() *LTLB {
 	}
 }
 
-// Adopt replaces t's entries, order, and statistics with src's, keeping
-// t's capacity.
-func (t *LTLB) Adopt(src *LTLB) {
-	t.entries = append(t.entries[:0], src.entries...)
-	t.order = append(t.order[:0], src.order...)
-	t.Hits = src.Hits
-	t.Misses = src.Misses
-}
-
 func encodeRequest(w *snap.Writer, q *Request) {
 	w.U64(uint64(q.Kind))
 	w.U64(q.Addr)
@@ -319,10 +288,10 @@ func (m *System) EncodeState(w *snap.Writer) {
 }
 
 // DecodeSystemState reads a memory system written by EncodeState into a
-// detached scratch system built from cfg (assembled from the decoded
-// parts; NewSystem would build an SDRAM, a cache and an LTLB only for
-// them to be replaced). The earliest-deadline cache is recomputed from
-// the decoded in-flight set.
+// new system built from cfg (assembled from the decoded parts; NewSystem
+// would build an SDRAM, a cache and an LTLB only for them to be
+// replaced), with no I/O-bus device, like a Clone. The earliest-deadline
+// cache is recomputed from the decoded in-flight set.
 func DecodeSystemState(r *snap.Reader, cfg Config) *System {
 	m := &System{cfg: cfg, earliest: NoEvent}
 	n := r.Len(maxInflight)
@@ -358,7 +327,7 @@ func DecodeSystemState(r *snap.Reader, cfg Config) *System {
 
 // PendingResponses exposes the in-flight responses for cross-component
 // snapshot validation: chip decode verifies every response has routable
-// request metadata before Restore commits anything. Callers must not
+// request metadata before Restore installs anything. Callers must not
 // mutate the returned slice.
 func (m *System) PendingResponses() []Response { return m.inflight }
 
@@ -379,20 +348,4 @@ func (m *System) Clone() *System {
 		StatusFaults: m.StatusFaults,
 		SyncFaults:   m.SyncFaults,
 	}
-}
-
-// Adopt replaces m's mutable state with src's, keeping the configuration
-// and the I/O-bus device attachment. The SDRAM, cache, and LTLB objects
-// are adopted in place so pointers held by callers stay valid.
-func (m *System) Adopt(src *System) {
-	m.inflight = append(m.inflight[:0], src.inflight...)
-	m.earliest = src.earliest
-	m.bankFreeAt = src.bankFreeAt
-	m.sdramFree = src.sdramFree
-	m.LTLBFaults = src.LTLBFaults
-	m.StatusFaults = src.StatusFaults
-	m.SyncFaults = src.SyncFaults
-	m.SDRAM.Adopt(src.SDRAM)
-	m.Cache.Adopt(src.Cache)
-	m.LTLB.Adopt(src.LTLB)
 }

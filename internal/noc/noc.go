@@ -123,6 +123,14 @@ type Network struct {
 	// engine (each chip pops only its own node's queues, so the queues
 	// themselves are unshared; this counter is the one cross-node write).
 	arrivalCount atomic.Int64 `snap:"derived,recomputed from decoded arrivals"`
+	// arrived lists the nodes with delivered-but-unconsumed messages, each
+	// once (arrivedMark is its membership bitmap): the set every engine
+	// wakes, and the dist coordinator ships from, each cycle. A delivery
+	// adds its node (arrive); drained nodes are dropped by ArrivalNodes,
+	// not by Pop — chips pop concurrently under the pooled chip phase, and
+	// each may touch only its own node's queues.
+	arrived     []int  `snap:"derived,rebuilt from decoded arrivals"`
+	arrivedMark []bool `snap:"derived,rebuilt from decoded arrivals"`
 
 	// deliveredTo lists the nodes that received at least one delivery
 	// during the most recent Step, deduplicated via deliveredMark (per-node
@@ -151,6 +159,8 @@ func New(dims Coord, cfg Config) *Network {
 		dims:          dims,
 		linkBusy:      make([]int64, nodes*3*2*NumPriorities),
 		arrivals:      make([][NumPriorities]msgQueue, nodes),
+		arrived:       make([]int, 0, nodes),
+		arrivedMark:   make([]bool, nodes),
 		nextWake:      NoEvent,
 		deliveredMark: make([]int64, nodes),
 	}
@@ -243,8 +253,7 @@ func (n *Network) Step(now int64) {
 			if f.at == f.msg.Dst {
 				// Delivery into the node's hardware message queue.
 				node := n.Index(f.at)
-				n.arrivals[node][pri].push(f.msg)
-				n.arrivalCount.Add(1)
+				n.arrive(node, pri, f.msg)
 				if n.deliveredMark[node] != now {
 					n.deliveredMark[node] = now
 					n.deliveredTo = append(n.deliveredTo, node)
@@ -333,6 +342,35 @@ func move(c Coord, dim int, neg bool) Coord {
 	return c
 }
 
+// arrive puts m into node's arrival queue at priority pri and the node
+// into the arrival set.
+func (n *Network) arrive(node, pri int, m *Message) {
+	n.arrivals[node][pri].push(m)
+	n.arrivalCount.Add(1)
+	if !n.arrivedMark[node] {
+		n.arrivedMark[node] = true
+		n.arrived = append(n.arrived, node)
+	}
+}
+
+// ArrivalNodes returns the nodes with delivered-but-unconsumed messages,
+// each once, in order of first delivery, after dropping the ones that
+// drained since the last call: O(nodes that had arrivals), not O(nodes).
+// The slice is valid until the next Step, Deliver or ArrivalNodes;
+// callers must not retain it.
+func (n *Network) ArrivalNodes() []int {
+	keep := n.arrived[:0]
+	for _, i := range n.arrived {
+		if n.HasArrivals(i) {
+			keep = append(keep, i)
+		} else {
+			n.arrivedMark[i] = false
+		}
+	}
+	n.arrived = keep
+	return keep
+}
+
 // Pop removes and returns the oldest delivered message of the given
 // priority at node c, or nil if none is waiting.
 func (n *Network) Pop(c Coord, pri int) *Message {
@@ -383,10 +421,7 @@ func (n *Network) DropArrivals(i, pri, k int) {
 // so the destination chip consumes it exactly as it would in-process.
 // Queue order is the shipment order, which the coordinator produces in
 // per-(node, priority) FIFO order — the only order chips can observe.
-func (n *Network) Deliver(i int, pri int, m *Message) {
-	n.arrivals[i][pri].push(m)
-	n.arrivalCount.Add(1)
-}
+func (n *Network) Deliver(i int, pri int, m *Message) { n.arrive(i, pri, m) }
 
 // ClearTraffic drops all in-flight and delivered-but-unconsumed messages.
 // A distributed shard calls it after restoring a full snapshot: the
@@ -405,6 +440,8 @@ func (n *Network) ClearTraffic() {
 		}
 	}
 	n.arrivalCount.Store(0)
+	n.arrived = n.arrived[:0]
+	clear(n.arrivedMark)
 	n.deliveredTo = nil
 	n.nextWake = NoEvent
 }

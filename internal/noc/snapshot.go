@@ -125,10 +125,9 @@ func (n *Network) EncodeState(w *snap.Writer) {
 	}
 }
 
-// DecodeNetworkState reads a network written by EncodeState into a
-// detached scratch network of the given shape. The next-wake cache is
-// recomputed from the decoded flights and the arrival count from the
-// decoded queues.
+// DecodeNetworkState reads a network written by EncodeState into a new
+// network of the given shape. The next-wake cache is recomputed from the
+// decoded flights, the arrival count and set from the decoded queues.
 func DecodeNetworkState(r *snap.Reader, dims Coord, cfg Config) *Network {
 	n := New(dims, cfg)
 	n.seq = r.U64()
@@ -149,17 +148,14 @@ func DecodeNetworkState(r *snap.Reader, dims Coord, cfg Config) *Network {
 			}
 		}
 	}
-	total := int64(0)
 	for node := range n.arrivals {
 		for pri := range n.arrivals[node] {
 			cnt := r.Len(maxArrivals)
 			for i := 0; i < cnt; i++ {
-				n.arrivals[node][pri].push(n.decodeMessage(r, 0))
+				n.arrive(node, pri, n.decodeMessage(r, 0))
 			}
-			total += int64(cnt)
 		}
 	}
-	n.arrivalCount.Store(total)
 	return n
 }
 
@@ -209,33 +205,10 @@ func (n *Network) Clone() *Network {
 		for pri := range n.arrivals[node] {
 			q := &n.arrivals[node][pri]
 			for _, m := range q.buf[q.head:] {
-				f.arrivals[node][pri].push(m.Clone())
+				f.arrive(node, pri, m.Clone())
 			}
 		}
 	}
-	f.arrivalCount.Store(n.arrivalCount.Load())
 	f.nextWake = n.nextWake
 	return f
-}
-
-// Adopt replaces n's cross-cycle state with src's (same shape; the caller
-// guarantees it by decoding with n's own dims and config). Link grants
-// and the last-Step delivery dedup are reset — see the package note above
-// for why that is unobservable.
-func (n *Network) Adopt(src *Network) {
-	for pri := range n.flight {
-		n.flight[pri] = src.flight[pri]
-	}
-	n.seq = src.seq
-	n.Injected = src.Injected
-	n.Delivered = src.Delivered
-	n.TotalHops = src.TotalHops
-	copy(n.arrivals, src.arrivals)
-	n.arrivalCount.Store(src.arrivalCount.Load())
-	n.nextWake = src.nextWake
-	clear(n.linkBusy)
-	n.deliveredTo = n.deliveredTo[:0]
-	for i := range n.deliveredMark {
-		n.deliveredMark[i] = -1
-	}
 }
