@@ -44,13 +44,13 @@ func main() {
 
 	shards := flag.Int("shards", 2, "shard worker process count (clamped to the mesh size)")
 	ckEvery := flag.Int64("checkpoint-every", 4096, "coordinated checkpoint cadence in cycles")
-	windowTimeout := flag.Duration("window-timeout", 30*time.Second, "per-exchange wall deadline before a shard counts as stalled (stall-timeout)")
+	windowTimeout := flag.Duration("window-timeout", 30*time.Second, "per-exchange (one window of cycles) wall deadline before a shard counts as stalled (stall-timeout)")
 	heartbeat := flag.Duration("heartbeat", 250*time.Millisecond, "worker heartbeat cadence")
 	silence := flag.Duration("silence-timeout", 3*time.Second, "heartbeat silence before a shard counts as lost")
 	maxRecoveries := flag.Int("max-recoveries", 8, "checkpoint recoveries before giving up")
 	showTrace := flag.Bool("trace", false, "print the event trace")
 	var kills, panics, hangs drillList
-	flag.Var(&kills, "drill-kill", "kill worker shard@cycle (repeatable)")
+	flag.Var(&kills, "drill-kill", "kill worker shard@cycle, at the first exchange whose window reaches the cycle (repeatable)")
 	flag.Var(&panics, "drill-panic", "inject worker panic node@cycle (repeatable)")
 	flag.Var(&hangs, "drill-hang", "wedge worker node@cycle (repeatable)")
 	flag.Parse()

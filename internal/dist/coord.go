@@ -14,7 +14,19 @@ package dist
 // at every synchronization point, and therefore keeps Quiescent,
 // NextEvent, and checkpoints exact.
 //
-// Supervision: every window the coordinator enforces a wall deadline and
+// One exchange steps a window of W = noc.Network.Lookahead() cycles (3
+// by default), clipped so it never contains a loop head that could end
+// the leg or take a checkpoint, nor crosses the leg's bound or a RunExact
+// budget. Nothing injected inside a window reaches a chip before the
+// window ends, so every delivery the window's chips can see is made by
+// hub Steps the coordinator can preview at its start, on a clone of the
+// hub network; the workers get those deliveries tagged with their
+// visibility cycle, and their per-cycle replies are replayed here cycle by
+// cycle — inject, retire, trace, Net.Step, QuietLoop.Head — with each
+// replayed Step checked against the preview (DESIGN.md, "The distributed
+// engine").
+//
+// Supervision: every exchange the coordinator enforces a wall deadline and
 // a heartbeat-silence bound on each shard, classifying failures in
 // guard's taxonomy — crash (the worker reported a contained panic),
 // stall-timeout (alive but wedged), lost (connection dead, process
@@ -59,9 +71,10 @@ func (f *ShardFailure) Unwrap() error { return f.Err }
 // FailureClass is how guard.Classify reads the class off a shard failure.
 func (f *ShardFailure) FailureClass() guard.Class { return f.Class }
 
-// KillSpec is a supervised fault drill: at the first stepped cycle at or
-// after Cycle, the coordinator kills shard Shard's worker outright
-// (SIGKILL for process workers), exercising the lost-connection path.
+// KillSpec is a supervised fault drill: at the first step exchange whose
+// window reaches Cycle, the coordinator kills shard Shard's worker
+// outright (SIGKILL for process workers), exercising the lost-connection
+// path.
 type KillSpec struct {
 	Shard int
 	Cycle int64
@@ -85,9 +98,9 @@ type Config struct {
 	// CheckpointEvery is the coordinated checkpoint cadence in cycles
 	// (default 4096; <0 disables mid-phase checkpoints).
 	CheckpointEvery int64
-	// WindowTimeout is the wall deadline for one shard exchange
-	// (default 30s). A shard that heartbeats but cannot answer within
-	// it is classified as stalled.
+	// WindowTimeout is the wall deadline for one shard exchange — a
+	// whole step window, not one cycle (default 30s). A shard that
+	// heartbeats but cannot answer within it is classified as stalled.
 	WindowTimeout time.Duration
 	// HeartbeatEvery is the worker beacon cadence (default 250ms).
 	HeartbeatEvery time.Duration
@@ -164,6 +177,19 @@ type Coordinator struct {
 	// queue holds, so a drained queue's watermark is back at zero).
 	shipped [][2]int
 
+	// Window buffers, reused every exchange: each shard's command and
+	// reply, each shard's failure in the latest exchange, the deliveries
+	// the window's preview shipped (in the order the replay must confirm
+	// them) with the confirmation cursor, the preview's per-queue
+	// watermark, and the last cycle the latest step exchange reached.
+	cmds      []stepCmd
+	reps      []stepReply
+	fails     []*ShardFailure
+	previewed []delivery
+	confirmed int
+	mark      [][2]int
+	reach     int64
+
 	ck           checkpoint
 	lastCkpt     int64
 	ckCount      int
@@ -198,6 +224,10 @@ func New(m *machine.Machine, cfg Config) (*Coordinator, error) {
 		owner:   make([]int, nodes),
 		acts:    make([]activity, cfg.Shards),
 		shipped: make([][2]int, nodes),
+		cmds:    make([]stepCmd, cfg.Shards),
+		reps:    make([]stepReply, cfg.Shards),
+		fails:   make([]*ShardFailure, cfg.Shards),
+		mark:    make([][2]int, nodes),
 		chaos:   append([]ChaosSpec(nil), cfg.Chaos...),
 		kill:    append([]KillSpec(nil), cfg.Kill...),
 	}
@@ -358,6 +388,40 @@ func (co *Coordinator) callExpect(sc *shardConn, kind byte, payload []byte, want
 	return reply, nil
 }
 
+// exchange is the one shape of a federation-wide command: write every
+// shard its command, then read every reply, in shard order, so the
+// workers serve it concurrently. Each reply must be of kind want and is
+// handed to reply (when not nil). co.fails[i] is shard i's failure, nil if
+// it answered; the first in shard order is returned. Every shard whose
+// command went out has its reply read, so a failure leaves no survivor
+// with an unread reply on the wire.
+func (co *Coordinator) exchange(kind, want byte, payload func(i int) []byte, reply func(i int, p []byte) error) *ShardFailure {
+	for i, sc := range co.shards {
+		co.fails[i] = co.write(sc, kind, payload(i))
+	}
+	for i, sc := range co.shards {
+		if co.fails[i] != nil {
+			continue
+		}
+		got, p, f := co.read(sc)
+		if f == nil && got != want {
+			f = co.fail(sc, guard.ClassCrash, fmt.Errorf("reply %#x to command %#x, want %#x", got, kind, want))
+		}
+		if f == nil && reply != nil {
+			if err := reply(i, p); err != nil {
+				f = co.fail(sc, guard.ClassCrash, err)
+			}
+		}
+		co.fails[i] = f
+	}
+	for _, f := range co.fails {
+		if f != nil {
+			return f
+		}
+	}
+	return nil
+}
+
 // Run runs one machine.Run leg across the federation. Semantics match
 // Machine.Run: the cycles executed (excluding the quiet window) and an
 // error on cycle-limit expiry or user faults.
@@ -374,7 +438,7 @@ func (co *Coordinator) RunExact(n int64) (int64, error) {
 			return 0, f
 		}
 		for co.cycle < co.phaseStart+n {
-			if f := co.stepCycle(co.cycle); f != nil {
+			if f := co.stepWindow(co.phaseStart+n, nil); f != nil {
 				return co.cycle - co.phaseStart, f
 			}
 		}
@@ -431,17 +495,14 @@ func (co *Coordinator) attempt(leg func(resume bool) (int64, error), resume bool
 }
 
 // seedAll ships snapshot, the hub's current state, to every worker and
-// resets the arrival mirror (a seeded worker's mailbox is empty). Seed
-// failures respawn the one affected worker and retry in place — the hub
-// was not touched, so there is nothing to rewind; exhaustion is terminal
-// (it wraps the last failure, so guard.Classify still names the cause).
+// resets the arrival mirror (a seeded worker's mailbox is empty). A shard
+// that fails its seed is respawned and retried in place — the hub was not
+// touched, so there is nothing to rewind; exhaustion is terminal (it wraps
+// the last failure, so guard.Classify still names the cause).
 func (co *Coordinator) seedAll(snapshot []byte) error {
-	for i := range co.shards {
-		for {
-			_, f := co.callExpect(co.shards[i], cmdSeed, snapshot, repOK)
-			if f == nil {
-				break
-			}
+	co.exchange(cmdSeed, repOK, func(int) []byte { return snapshot }, nil)
+	for i, f := range co.fails {
+		for f != nil {
 			co.noteFailure(f)
 			if co.recoveries >= co.cfg.MaxRecoveries {
 				return fmt.Errorf("dist: recovery limit %d exhausted seeding: %w", co.cfg.MaxRecoveries, f)
@@ -450,6 +511,7 @@ func (co *Coordinator) seedAll(snapshot []byte) error {
 			if err := co.spawn(i); err != nil {
 				return err
 			}
+			_, f = co.callExpect(co.shards[i], cmdSeed, snapshot, repOK)
 		}
 	}
 	clear(co.shipped)
@@ -459,18 +521,10 @@ func (co *Coordinator) seedAll(snapshot []byte) error {
 // beginRun is the run-loop entry across the federation: every worker
 // wakes its chips (machine.Run's WakeAll) and reports activity.
 func (co *Coordinator) beginRun() *ShardFailure {
-	for i, sc := range co.shards {
-		payload, f := co.callExpect(sc, cmdBeginRun, nil, repActivity)
-		if f != nil {
-			return f
-		}
-		a, err := decodeActivityFrame(payload)
-		if err != nil {
-			return co.fail(sc, guard.ClassCrash, err)
-		}
-		co.acts[i] = a
-	}
-	return nil
+	return co.exchange(cmdBeginRun, repActivity, func(int) []byte { return nil }, func(i int, p []byte) (err error) {
+		co.acts[i], err = decodeActivityFrame(p)
+		return err
+	})
 }
 
 // totals sums the shards' last reports into the machine-wide activity
@@ -523,11 +577,15 @@ func (co *Coordinator) runLeg(maxCycles int64, resume bool) (int64, error) {
 			}
 		}
 		atStep = false
-		if f := co.stepCycle(co.cycle); f != nil {
+		end := co.loop.Horizon(co.cycle)
+		if co.cfg.CheckpointEvery > 0 {
+			end = min(end, co.lastCkpt+co.cfg.CheckpointEvery)
+		}
+		if f := co.stepWindow(end, &co.loop); f != nil {
 			return co.cycle - co.phaseStart, f
 		}
 		// The jump to the next event; workers materialize the skipped
-		// window lazily (cmdSkip) before their next step or pull.
+		// stretch lazily, before their next step or pull.
 		act = co.totals()
 		next := co.m.Net.NextEvent(co.cycle)
 		for i := range co.acts {
@@ -541,14 +599,22 @@ func (co *Coordinator) runLeg(maxCycles int64, resume bool) (int64, error) {
 	return co.cycle - co.phaseStart, co.faultErr()
 }
 
-// stepCycle advances the federation through machine cycle t: fire due
-// kill drills, ship unshipped hub arrivals to their owners, step every
-// shard, then reassemble — inject outboxes in global node order, retire
-// confirmed consumptions, buffer traces, and step the hub network.
-func (co *Coordinator) stepCycle(t int64) *ShardFailure {
+// stepWindow advances the federation through the cycles from co.cycle to
+// end, at most Lookahead() of them, in one exchange: fire the kill drills
+// the window reaches, ship every delivery the window's chips will see,
+// step every shard through the window, then replay the window cycle by
+// cycle — inject outboxes in global node order, retire confirmed
+// consumptions, buffer traces, step the hub network, confirm its
+// deliveries against the preview — making loop's Head call at every loop
+// head inside the window (loop is nil for RunExact, which makes none).
+// The caller clips end so that none of those calls can end the leg.
+func (co *Coordinator) stepWindow(end int64, loop *machine.QuietLoop) *ShardFailure {
+	t := co.cycle
+	end = min(end, t+co.m.Net.Lookahead())
+	co.reach = end - 1
 	for i := 0; i < len(co.kill); {
 		k := co.kill[i]
-		if k.Cycle <= t && k.Shard >= 0 && k.Shard < len(co.shards) {
+		if k.Cycle < end && k.Shard >= 0 && k.Shard < len(co.shards) {
 			co.shards[k.Shard].h.Kill()
 			co.kill = append(co.kill[:i], co.kill[i+1:]...)
 			continue
@@ -556,70 +622,144 @@ func (co *Coordinator) stepCycle(t int64) *ShardFailure {
 		i++
 	}
 
-	// Ship what the hub holds beyond each owner's shipped watermark.
-	cmds := make([]stepCmd, len(co.shards))
-	for i := range cmds {
-		cmds[i].Cycle = t
+	// Ship what the hub holds beyond each owner's shipped watermark,
+	// visible from t, then what the hub will deliver inside the window.
+	for i := range co.cmds {
+		co.cmds[i] = stepCmd{Cycle: t, Width: int(end - t), Deliveries: co.cmds[i].Deliveries[:0]}
 	}
 	for _, n := range co.m.Net.ArrivalNodes() {
-		cmd := &cmds[co.owner[n]]
+		cmd := &co.cmds[co.owner[n]]
 		for pri := 0; pri < 2; pri++ {
 			q := co.m.Net.ArrivalsAt(n, pri)
 			for _, msg := range q[co.shipped[n][pri]:] {
-				cmd.Deliveries = append(cmd.Deliveries, delivery{Node: n, Pri: pri, Msg: msg})
+				cmd.Deliveries = append(cmd.Deliveries, delivery{At: t, Node: n, Pri: pri, Msg: msg})
 			}
 			co.shipped[n][pri] = len(q)
 		}
 	}
+	co.preview(t, end)
 
-	// Lockstep exchange: write every command, then read every reply, in
-	// shard order.
-	for i, sc := range co.shards {
-		if f := co.write(sc, cmdStep, encodeStep(co.m.Net, &cmds[i])); f != nil {
-			return f
-		}
-	}
-	reps := make([]*stepReply, len(co.shards))
-	for i, sc := range co.shards {
-		kind, payload, f := co.read(sc)
-		if f != nil {
-			return f
-		}
-		if kind != repStep {
-			return co.fail(sc, guard.ClassCrash, fmt.Errorf("step reply %#x", kind))
-		}
-		rep, err := decodeStepReply(co.m.Net, payload)
-		if err != nil {
-			return co.fail(sc, guard.ClassCrash, err)
-		}
-		reps[i] = rep
-	}
-
-	// Reassembly in shard order — which is global node order, so the
-	// hub assigns the same message sequence numbers as an in-process
-	// drain phase.
-	for i, sc := range co.shards {
-		rep := reps[i]
-		for _, msg := range rep.Msgs {
-			co.m.Net.Inject(t, msg)
-		}
-		for _, c := range rep.Consumed {
-			if c.Node < sc.lo || c.Node >= sc.hi || c.Pri < 0 || c.Pri > 1 ||
-				c.N <= 0 || c.N > co.shipped[c.Node][c.Pri] {
-				return co.fail(sc, guard.ClassCrash,
-					fmt.Errorf("bogus consumption: node %d pri %d n %d", c.Node, c.Pri, c.N))
+	f := co.exchange(cmdStep, repStep,
+		func(i int) []byte { return encodeStep(co.m.Net, &co.cmds[i]) },
+		func(i int, p []byte) error {
+			if err := decodeStepReply(co.m.Net, p, &co.reps[i]); err != nil {
+				return err
 			}
-			co.m.Net.DropArrivals(c.Node, c.Pri, c.N)
-			co.shipped[c.Node][c.Pri] -= c.N
+			if len(co.reps[i].Cycles) != int(end-t) {
+				return fmt.Errorf("step reply covers %d cycles, window %d", len(co.reps[i].Cycles), end-t)
+			}
+			return nil
+		})
+	if f != nil {
+		return f
+	}
+
+	// Replay in shard order — which is global node order, so the hub
+	// assigns the same message sequence numbers as an in-process drain
+	// phase.
+	for s := t; s < end; s++ {
+		for i, sc := range co.shards {
+			out := &co.reps[i].Cycles[s-t]
+			for _, msg := range out.Msgs {
+				co.m.Net.Inject(s, msg)
+			}
+			for _, c := range out.Consumed {
+				if c.Node < sc.lo || c.Node >= sc.hi || c.Pri < 0 || c.Pri > 1 ||
+					c.N <= 0 || c.N > co.shipped[c.Node][c.Pri] {
+					return co.fail(sc, guard.ClassCrash,
+						fmt.Errorf("bogus consumption: node %d pri %d n %d at cycle %d", c.Node, c.Pri, c.N, s))
+				}
+				co.m.Net.DropArrivals(c.Node, c.Pri, c.N)
+				co.shipped[c.Node][c.Pri] -= c.N
+			}
+			co.pendingTrace.Drain(&out.Trace)
+			co.acts[i] = out.Act
 		}
-		co.pendingTrace.Drain(&rep.Trace)
-		co.acts[i] = rep.Act
+		stepped := co.m.Net.NeedsStep(s)
+		if stepped {
+			co.m.Net.Step(s)
+		}
+		if s+1 < end {
+			if f := co.confirm(s, stepped); f != nil {
+				return f
+			}
+			if loop != nil {
+				loop.Head(co.totals(), co.m.Net) // false: end is inside the loop's Horizon
+			}
+		}
 	}
-	if co.m.Net.NeedsStep(t) {
-		co.m.Net.Step(t)
-	}
-	co.cycle = t + 1
+	co.cycle = end
 	return nil
+}
+
+// preview appends to the shards' commands every delivery hub Steps t …
+// end-2 will make — the last Step whose deliveries a chip in the window
+// can see — tagged with the cycle after its Step, and records them for
+// confirm. It steps a clone of the hub network: the messages the window
+// will inject cannot move before t+Lookahead()-1 > end-2, and the older
+// flights' timing does not depend on them.
+func (co *Coordinator) preview(t, end int64) {
+	co.previewed, co.confirmed = co.previewed[:0], 0
+	last := end - 2
+	if last < t || !co.m.Net.NeedsStep(last) {
+		return // no flight can move, so none is delivered, before end-1
+	}
+	p := co.m.Net.Clone()
+	copy(co.mark, co.shipped) // the clone's queues hold what the hub's hold: all shipped
+	for s := t; s <= last; s++ {
+		if !p.NeedsStep(s) {
+			continue
+		}
+		p.Step(s)
+		for _, n := range p.DeliveredNodes() {
+			cmd := &co.cmds[co.owner[n]]
+			for pri := 0; pri < 2; pri++ {
+				q := p.ArrivalsAt(n, pri)
+				for _, msg := range q[co.mark[n][pri]:] {
+					d := delivery{At: s + 1, Node: n, Pri: pri, Msg: msg}
+					cmd.Deliveries = append(cmd.Deliveries, d)
+					co.previewed = append(co.previewed, d)
+				}
+				co.mark[n][pri] = len(q)
+			}
+		}
+	}
+}
+
+// confirm checks, after the replay of cycle s, that hub Step(s) made
+// exactly the deliveries the preview shipped for cycle s+1 — same node,
+// priority, message and order — and moves the shipped watermarks over
+// them. A mismatch means the window rule was violated: a protocol error.
+func (co *Coordinator) confirm(s int64, stepped bool) *ShardFailure {
+	if stepped {
+		for _, n := range co.m.Net.DeliveredNodes() {
+			for pri := 0; pri < 2; pri++ {
+				q := co.m.Net.ArrivalsAt(n, pri)
+				for _, msg := range q[co.shipped[n][pri]:] {
+					if co.confirmed == len(co.previewed) {
+						return co.unpreviewed(s, n)
+					}
+					d := co.previewed[co.confirmed]
+					if d.At != s+1 || d.Node != n || d.Pri != pri || d.Msg.Seq != msg.Seq {
+						return co.unpreviewed(s, n)
+					}
+					co.confirmed++
+				}
+				co.shipped[n][pri] = len(q)
+			}
+		}
+	}
+	if co.confirmed < len(co.previewed) && co.previewed[co.confirmed].At == s+1 {
+		return co.unpreviewed(s, co.previewed[co.confirmed].Node)
+	}
+	return nil
+}
+
+// unpreviewed is confirm's failure: hub Step(s) and the preview disagree
+// at node n.
+func (co *Coordinator) unpreviewed(s int64, n int) *ShardFailure {
+	return co.fail(co.shards[co.owner[n]], guard.ClassCrash,
+		fmt.Errorf("protocol: hub Step(%d) delivered to node %d other than the window's preview shipped", s, n))
 }
 
 // takeCheckpoint records a coordinated rewind point. atStep checkpoints
@@ -653,27 +793,21 @@ func (co *Coordinator) commitTrace() {
 	co.pendingTrace.Reset()
 }
 
-// syncHub reassembles the full machine in the hub: every worker
-// materializes deferred skips up to the coordinator clock and ships its
-// chip range, which the hub installs (Machine.AdoptShard).
+// syncHub reassembles the full machine in the hub: every worker catches
+// up to the coordinator clock the pull carries and ships its chip range,
+// which the hub installs (Machine.AdoptShard).
 func (co *Coordinator) syncHub() *ShardFailure {
-	for _, sc := range co.shards {
-		if _, f := co.callExpect(sc, cmdSkip, encodeI64(co.cycle), repOK); f != nil {
-			return f
+	clock := encodeI64(co.cycle)
+	f := co.exchange(cmdPull, repFrame, func(int) []byte { return clock }, func(i int, p []byte) error {
+		sc := co.shards[i]
+		cyc, err := co.m.AdoptShard(bytes.NewReader(p), sc.lo, sc.hi)
+		if err == nil && cyc != co.cycle {
+			err = fmt.Errorf("frame at cycle %d, coordinator at %d", cyc, co.cycle)
 		}
-	}
-	for _, sc := range co.shards {
-		payload, f := co.callExpect(sc, cmdPull, nil, repFrame)
-		if f != nil {
-			return f
-		}
-		cyc, err := co.m.AdoptShard(bytes.NewReader(payload), sc.lo, sc.hi)
-		if err != nil {
-			return co.fail(sc, guard.ClassCrash, err)
-		}
-		if cyc != co.cycle {
-			return co.fail(sc, guard.ClassCrash, fmt.Errorf("frame at cycle %d, coordinator at %d", cyc, co.cycle))
-		}
+		return err
+	})
+	if f != nil {
+		return f
 	}
 	co.m.Cycle = co.cycle
 	return nil
@@ -700,16 +834,20 @@ func (co *Coordinator) recover(sf *ShardFailure) error {
 	if !co.ck.valid {
 		return fmt.Errorf("dist: no checkpoint to recover from: %w", sf)
 	}
+	// Drills up to the last cycle the failed exchange reached may have
+	// fired; they are disarmed.
+	through := max(co.cycle, co.reach)
+	co.reach = 0
 	keepChaos := co.chaos[:0]
 	for _, c := range co.chaos {
-		if c.Cycle > co.cycle {
+		if c.Cycle > through {
 			keepChaos = append(keepChaos, c)
 		}
 	}
 	co.chaos = keepChaos
 	keepKill := co.kill[:0]
 	for _, k := range co.kill {
-		if k.Cycle > co.cycle {
+		if k.Cycle > through {
 			keepKill = append(keepKill, k)
 		}
 	}

@@ -7,6 +7,8 @@ package dist
 // runs that lose and recover workers mid-flight.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -17,7 +19,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/guard"
+	"repro/internal/isa"
 	"repro/internal/machine"
+	"repro/internal/noc"
 	"repro/internal/serve"
 	"repro/internal/trace"
 )
@@ -93,13 +97,138 @@ func compareOutcome(t *testing.T, ref refOutcome, got *RunResult, events []trace
 	}
 }
 
+// edgeSource is a scenario at the edges of the lookahead window: every
+// node SENDs to a word homed on itself and waits for it (the tight case:
+// visible InjectLat+1 cycles after injection), SENDNs a read reply to its
+// own node index, then floods node 0 until its message queue overflows
+// and the return-to-sender protocol resends; a last phase is quiet from
+// its first cycle to its end.
+const edgeSource = `
+workload "lookahead edge"
+mesh 4
+const MB 512      ; each node's self-send mailbox word
+const FL 1024     ; node 0's flood area, FLOOD words per sender
+const ITERS 12
+const FLOOD 32
+
+program touch
+    movi i2, #0
+    movi i1, #{home(node)+MB}
+    st [i1], i2
+    movi i1, #{home(node)+FL}
+    st [i1], i2
+    halt
+end
+
+program self
+    movi i1, #{home(node)+MB}
+    movi i2, #{dipsync}
+    movi i4, #0
+    movi i7, #{ITERS}
+sloop:
+    add i3, i4, #1
+    send i1, i2, i3, #1
+    ldsy.fe i4, [i1]
+    lt i6, i4, i7
+    brt i6, sloop
+    movi i1, #{node}
+    movi i6, #{RREPLY}
+    movi i8, #{REGDESC}
+    movi i9, #{node*7+5}
+    sendn i1, i6, i8, #2
+    halt
+end
+
+program flood
+    movi i1, #{home(0)+FL+node*FLOOD}
+    movi i2, #{dip}
+    movi i3, #1
+    movi i7, #{FLOOD+1}
+floop:
+    send i1, i2, i3, #1
+    add i1, i1, #1
+    add i3, i3, #1
+    lt i6, i3, i7
+    brt i6, floop
+    halt
+end
+
+phase touch
+load touch on all vthread=3 cluster=3
+run 100000
+
+phase self
+load self on all
+run 100000
+
+phase flood
+load flood on all vthread=1
+run 100000
+
+phase quiet
+run 1000
+`
+
+// edgeScenario compiles edgeSource. The read-reply dispatch pointer and
+// the register descriptor of i12 (V-Thread 0, cluster 0) are the
+// runtime's, which the DSL does not name.
+func edgeScenario(t *testing.T) *core.Scenario {
+	t.Helper()
+	s, err := core.NewSim(core.Options{Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dip := s.RT.DIPReadReply
+	s.M.Close()
+	src := fmt.Sprintf("const RREPLY %d\nconst REGDESC %d\n", dip, isa.RegDesc(0, 0, isa.Reg{Class: isa.RInt, Index: 12}))
+	src = strings.Replace(edgeSource, "mesh 4\n", "mesh 4\n"+src, 1)
+	for n := 0; n < 4; n++ {
+		src += fmt.Sprintf("expect reg node=%d reg=4 value=ITERS\nexpect reg node=%d reg=12 value=%d\n", n, n, n*7+5)
+		src += fmt.Sprintf("expect mem node=0 addr=home(0)+FL+%d*FLOOD+FLOOD-1 value=FLOOD\n", n)
+	}
+	sc, err := core.ScenarioFromDSL("lookahead-edge.wl", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
+// TestEdgeScenarioHitsTheEdges: the edge scenario keeps exercising what it
+// is in the matrix for — self-sends, a SENDN to the sender's own index,
+// rejected messages and their resends.
+func TestEdgeScenarioHitsTheEdges(t *testing.T) {
+	ref := refRun(t, edgeScenario(t), core.Options{})
+	seen := map[string]int{}
+	for _, e := range ref.events {
+		node := noc.Coord{X: int(e.Node)} // a 4x1x1 mesh: node index = X
+		switch {
+		case e.Kind == trace.SendPri0 && noc.Coord{X: int(e.X), Y: int(e.Y), Z: int(e.Z)} == node:
+			seen["self-send"]++
+		case e.Kind == trace.SendPri1 && e.Peer == e.Node:
+			seen["sendn-self"]++
+		case e.Kind == trace.MsgReject:
+			seen["reject"]++
+		case e.Kind == trace.Resend:
+			seen["resend"]++
+		}
+	}
+	for _, what := range []string{"self-send", "sendn-self", "reject", "resend"} {
+		if seen[what] == 0 {
+			t.Errorf("edge scenario emits no %s (saw %v)", what, seen)
+		}
+	}
+}
+
 func TestDistDeterminismMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix run in full mode only")
 	}
+	scenarios := []*core.Scenario{edgeScenario(t)}
 	for _, name := range []string{"meshsmooth4.wl", "stencil7x2.wl", "redblack.wl"} {
-		t.Run(name, func(t *testing.T) {
-			sc := loadScenario(t, name)
+		scenarios = append(scenarios, loadScenario(t, name))
+	}
+	for _, sc := range scenarios {
+		t.Run(filepath.Base(sc.Name), func(t *testing.T) {
 			engines := map[string]core.Options{
 				"naive":    {NaiveEngine: true},
 				"event":    {},
@@ -115,11 +244,194 @@ func TestDistDeterminismMatrix(t *testing.T) {
 					t.Fatalf("engine %s digest %s, event engine %s", eng, ref.digest, refs["event"].digest)
 				}
 			}
+			// A checkpoint cadence of 7 is no multiple of the window, so
+			// checkpoint heads clip windows mid-stride.
 			for _, shards := range []int{2, 3} {
-				got, events := distRun(t, sc, Config{Shards: shards, CheckpointEvery: 256})
-				compareOutcome(t, refs["event"], got, events)
+				for _, every := range []int64{7, 256} {
+					got, events := distRun(t, sc, Config{Shards: shards, CheckpointEvery: every})
+					compareOutcome(t, refs["event"], got, events)
+				}
 			}
 		})
+	}
+}
+
+// frameCounter counts the command frames a coordinator writes, by kind,
+// parsing the [kind][len u32 LE][payload] stream from outside the
+// protocol code, and logs shard 0's seeds, step windows and pull clocks
+// (the leading words of their payloads). Only the coordinator's goroutine
+// writes to a handle.
+type frameCounter struct {
+	launcher LocalLauncher
+	sent     map[byte]int
+	log      []sentFrame
+}
+
+// sentFrame is one logged command: a step window [at, at+width), a pull
+// at clock at, or a seed.
+type sentFrame struct {
+	kind      byte
+	at, width int64
+}
+
+func (fc *frameCounter) Start(shard int) (Handle, error) {
+	h, err := fc.launcher.Start(shard)
+	if err != nil {
+		return nil, err
+	}
+	return &countingHandle{Handle: h, fc: fc, logged: shard == 0}, nil
+}
+
+type countingHandle struct {
+	Handle
+	fc       *frameCounter
+	logged   bool
+	hdr, pay []byte
+	remain   int
+}
+
+func (h *countingHandle) Write(p []byte) (int, error) {
+	n, err := h.Handle.Write(p)
+	for q := p[:n]; len(q) > 0; {
+		if h.remain > 0 {
+			k := min(h.remain, len(q))
+			h.pay = append(h.pay, q[:k]...)
+			h.remain, q = h.remain-k, q[k:]
+			if h.remain == 0 {
+				h.frameDone()
+			}
+			continue
+		}
+		k := min(5-len(h.hdr), len(q))
+		h.hdr, q = append(h.hdr, q[:k]...), q[k:]
+		if len(h.hdr) == 5 {
+			h.fc.sent[h.hdr[0]]++
+			h.remain, h.pay = int(binary.LittleEndian.Uint32(h.hdr[1:])), h.pay[:0]
+			if h.remain == 0 {
+				h.frameDone()
+			}
+		}
+	}
+	return n, err
+}
+
+func (h *countingHandle) frameDone() {
+	kind := h.hdr[0]
+	h.hdr = h.hdr[:0]
+	if !h.logged || (kind != cmdSeed && kind != cmdStep && kind != cmdPull) {
+		return
+	}
+	f := sentFrame{kind: kind}
+	if kind != cmdSeed {
+		f.at = int64(binary.LittleEndian.Uint64(h.pay))
+	}
+	if kind == cmdStep {
+		f.width = int64(binary.LittleEndian.Uint64(h.pay[8:]))
+	}
+	h.fc.log = append(h.fc.log, f)
+}
+
+// TestDistWindowedExchanges: one step exchange covers a lookahead window,
+// so a shard gets at most one step command per two simulated cycles on a
+// busy scenario (at one exchange per stepped cycle it got ~0.9 per cycle);
+// and no window straddles a checkpoint head, so checkpoints land on the
+// cycles the cadence names, window or no window.
+func TestDistWindowedExchanges(t *testing.T) {
+	sc := loadScenario(t, "meshsmooth4.wl")
+	ref := refRun(t, sc, core.Options{})
+	for _, shards := range []int{2, 3} {
+		fc := &frameCounter{sent: map[byte]int{}}
+		got, events := distRun(t, sc, Config{Shards: shards, Launcher: fc})
+		compareOutcome(t, ref, got, events)
+		perCycle := float64(fc.sent[cmdStep]) / float64(got.TotalCycles)
+		t.Logf("%d shards: %d step commands over %d cycles = %.3f per cycle", shards, fc.sent[cmdStep], got.TotalCycles, perCycle)
+		if perCycle > float64(shards)/2 {
+			t.Errorf("%d shards: %.3f step commands per simulated cycle, want <= %.1f", shards, perCycle, float64(shards)/2)
+		}
+	}
+
+	const every = 7
+	fc := &frameCounter{sent: map[byte]int{}}
+	got, events := distRun(t, sc, Config{Shards: 2, Launcher: fc, CheckpointEvery: every})
+	compareOutcome(t, ref, got, events)
+	// A leg's entry checkpoint is at its first window; each later pull is a
+	// checkpoint (or the leg's end, after which a seed starts the next).
+	lastCk, entry, windows := int64(0), false, 0
+	for _, f := range fc.log {
+		switch f.kind {
+		case cmdSeed:
+			entry = true
+		case cmdPull:
+			lastCk = f.at
+		case cmdStep:
+			if entry {
+				lastCk, entry = f.at, false
+			}
+			if f.at+f.width > lastCk+every {
+				t.Fatalf("window [%d,%d) crosses the checkpoint head at %d", f.at, f.at+f.width, lastCk+every)
+			}
+			windows++
+		}
+	}
+	if windows != fc.sent[cmdStep]/2 || got.Checkpoints < int(got.TotalCycles)/(2*every) {
+		t.Fatalf("logged %d windows of %d step commands, %d checkpoints over %d cycles",
+			windows, fc.sent[cmdStep], got.Checkpoints, got.TotalCycles)
+	}
+}
+
+// earlyLauncher's workers report, after every cycle of a window, that a
+// chip is due on the very next cycle — an early NextEvent, which the
+// contract allows (DESIGN.md, "The NextEvent contract": it costs a
+// spurious visit, never a result). The coordinator then never jumps: it
+// walks every quiet tail window by window, so each leg must end on its
+// in-process cycle by the QuietLoop.Horizon clip alone.
+type earlyLauncher struct{ dims noc.Coord }
+
+func (l earlyLauncher) Start(shard int) (Handle, error) {
+	h, err := LocalLauncher{}.Start(shard)
+	if err != nil {
+		return nil, err
+	}
+	return &earlyHandle{Handle: h, net: noc.New(l.dims, noc.DefaultConfig())}, nil
+}
+
+// earlyHandle rewrites step replies on their way to the coordinator.
+type earlyHandle struct {
+	Handle
+	net  *noc.Network // message codec only
+	rest []byte       // rewritten bytes not yet read
+}
+
+func (h *earlyHandle) Read(p []byte) (int, error) {
+	if len(h.rest) == 0 {
+		kind, payload, err := readFrame(h.Handle)
+		if err != nil {
+			return 0, err
+		}
+		if kind == repStep {
+			var rep stepReply
+			if err := decodeStepReply(h.net, payload, &rep); err != nil {
+				return 0, err
+			}
+			for k := range rep.Cycles {
+				rep.Cycles[k].Act.Next = 0 // due now, whatever now is
+			}
+			payload = encodeStepReply(h.net, &rep)
+		}
+		var buf bytes.Buffer
+		writeFrame(&buf, kind, payload)
+		h.rest = buf.Bytes()
+	}
+	n := copy(p, h.rest)
+	h.rest = h.rest[n:]
+	return n, nil
+}
+
+func TestDistEarlyWakesStayExact(t *testing.T) {
+	for _, sc := range []*core.Scenario{edgeScenario(t), loadScenario(t, "redblack.wl")} {
+		ref := refRun(t, sc, core.Options{})
+		got, events := distRun(t, sc, Config{Shards: 2, Launcher: earlyLauncher{noc.Coord{X: 4, Y: 1, Z: 1}}})
+		compareOutcome(t, ref, got, events)
 	}
 }
 
@@ -262,16 +574,24 @@ func TestBudgetExactAcrossTransports(t *testing.T) {
 	}
 	firstLegEnd := free.Phases[0].Cycles + machine.QuietWindow
 
-	for _, c := range []struct {
+	type budgetCase struct {
 		name   string
 		budget int64
 		cutoff bool
-	}{
+	}
+	cases := []budgetCase{{"above the total", free.TotalCycles + 1000, false}}
+	// Each cutoff three cycles in a row, so two of the three end inside a
+	// lookahead window — whichever cycle the windows happen to start on.
+	for _, c := range []budgetCase{
 		{"below one quiet window", machine.QuietWindow - 12, true},
 		{"later leg gets less than a quiet window", firstLegEnd + 10, true},
 		{"mid-phase", free.TotalCycles / 2, true},
-		{"above the total", free.TotalCycles + 1000, false},
 	} {
+		for d := int64(0); d < 3; d++ {
+			cases = append(cases, budgetCase{fmt.Sprintf("%s, +%d", c.name, d), c.budget + d, true})
+		}
+	}
+	for _, c := range cases {
 		sc := withBudget(c.budget)
 		inRes, inSim, inErr := sc.RunSim(core.Options{})
 		dRes, dSim, dErr := RunScenario(sc, core.Options{}, Config{Shards: 2, Launcher: LocalLauncher{}})

@@ -9,11 +9,15 @@
 // The engine is conservatively synchronized and bit-identical to the
 // in-process engines: the coordinator owns the authoritative network,
 // the clock, and the run-loop completion checks, while shards own chip
-// state and step only their range. The existing outbox drain phase is
-// the inter-process exchange point — shards ship their drained outboxes
-// back each window and the coordinator injects them in global node
-// order, so sequence numbers (and therefore every simulated result)
-// match an in-process run exactly.
+// state and step only their range. One exchange covers a lookahead
+// window of up to noc.Network.Lookahead() cycles — no message injected
+// inside it can reach a chip before it ends — so the coordinator ships
+// each shard every delivery its chips will see in the window, tagged with
+// the cycle it becomes visible, and the shard returns one section per
+// cycle: drained outboxes, consumptions, trace records and activity. The
+// coordinator replays the sections cycle by cycle, injecting outboxes in
+// global node order, so sequence numbers (and therefore every simulated
+// result) match an in-process run exactly.
 //
 // The headline is supervision (the robustness story of internal/serve
 // applied across process boundaries): the coordinator heartbeats each
@@ -44,7 +48,8 @@ import (
 
 // protoVersion gates the handshake: a coordinator and worker from
 // different builds refuse to pair instead of corrupting each other.
-const protoVersion = 2
+// Version 3 steps windows of cycles per exchange.
+const protoVersion = 3
 
 // Frame kinds. Commands flow coordinator -> worker, replies worker ->
 // coordinator; repHeartbeat may arrive between any command and its reply.
@@ -52,9 +57,8 @@ const (
 	cmdInit     = byte(0x01) // initSpec: shard identity, range, chaos
 	cmdSeed     = byte(0x02) // full machine snapshot (machine.Save bytes)
 	cmdBeginRun = byte(0x03) // run-phase entry: wake chips, report activity
-	cmdStep     = byte(0x04) // stepCmd: advance owned chips one cycle
-	cmdSkip     = byte(0x05) // skipCmd: materialize deferred idle cycles
-	cmdPull     = byte(0x06) // request a shard frame (machine.EncodeShard)
+	cmdStep     = byte(0x04) // stepCmd: advance owned chips through a window
+	cmdPull     = byte(0x06) // coordinator clock: catch up to it, reply with a shard frame (machine.EncodeShard)
 	cmdShutdown = byte(0x07) // orderly exit
 
 	repHello     = byte(0x41) // worker's first frame: protocol version
@@ -68,6 +72,10 @@ const (
 
 // maxFrame bounds a frame payload; anything larger is a corrupt stream.
 const maxFrame = 1 << 30
+
+// maxWindow bounds a step window's width on the wire (the coordinator's
+// is noc.Network.Lookahead(), 3 under the default timing).
+const maxWindow = 1 << 10
 
 // writeFrame writes one [kind][len u32 LE][payload] frame.
 func writeFrame(w io.Writer, kind byte, payload []byte) error {
@@ -198,26 +206,33 @@ func decodeActivityFrame(p []byte) (activity, error) {
 
 // delivery ships one authoritative-network delivery to the shard that
 // owns the destination node; the shard replays it into its local
-// mailbox so the chip consumes it exactly as it would in-process.
+// mailbox just before the chip phase of cycle At — the cycle after the
+// hub Step that delivers it, when an in-process chip would first see it —
+// so the chip consumes it exactly as it would in-process.
 type delivery struct {
+	At        int64
 	Node, Pri int
 	Msg       *noc.Message
 }
 
-// stepCmd advances a shard's owned chips through machine cycle Cycle.
-// The gap between the shard's local clock and Cycle is the idle window
-// the coordinator fast-forwarded over; each owned chip replays it when it
-// next acts, exactly as in-process.
+// stepCmd advances a shard's owned chips through the window of machine
+// cycles [Cycle, Cycle+Width). The gap between the shard's local clock and
+// Cycle is the idle stretch the coordinator fast-forwarded over; each
+// owned chip replays it when it next acts, exactly as in-process.
+// Deliveries are in visibility order, each tagged inside the window.
 type stepCmd struct {
 	Cycle      int64
+	Width      int
 	Deliveries []delivery
 }
 
 func encodeStep(net *noc.Network, c *stepCmd) []byte {
 	return frame(func(w *snap.Writer) {
 		w.I64(c.Cycle)
+		w.Int(c.Width)
 		w.Len(len(c.Deliveries))
 		for _, d := range c.Deliveries {
+			w.I64(d.At)
 			w.Int(d.Node)
 			w.Int(d.Pri)
 			net.EncodeMessage(w, d.Msg)
@@ -227,14 +242,19 @@ func encodeStep(net *noc.Network, c *stepCmd) []byte {
 
 func decodeStep(net *noc.Network, p []byte) (*stepCmd, error) {
 	r := limitedReader(p)
-	c := &stepCmd{Cycle: r.I64()}
+	c := &stepCmd{Cycle: r.I64(), Width: r.Int()}
+	if r.Err() == nil && (c.Width < 1 || c.Width > maxWindow) {
+		r.Fail(fmt.Errorf("dist: step window of %d cycles outside [1, %d]", c.Width, maxWindow))
+	}
+	end := c.Cycle + int64(c.Width)
 	n := r.Len(1 << 24)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		c.Deliveries = append(c.Deliveries, delivery{
-			Node: r.Int(),
-			Pri:  r.Int(),
-			Msg:  net.DecodeMessage(r),
-		})
+	for i, at := 0, c.Cycle; i < n && r.Err() == nil; i++ {
+		d := delivery{At: r.I64(), Node: r.Int(), Pri: r.Int(), Msg: net.DecodeMessage(r)}
+		if r.Err() == nil && (d.At < at || d.At >= end) {
+			r.Fail(fmt.Errorf("dist: delivery tagged cycle %d after one tagged %d, window [%d,%d)", d.At, at, c.Cycle, end))
+		}
+		at = d.At
+		c.Deliveries = append(c.Deliveries, d)
 	}
 	return c, r.Err()
 }
@@ -247,50 +267,76 @@ type consumption struct {
 	Node, Pri, N int
 }
 
-// stepReply is everything one shard produced during one cycle: drained
-// outbox messages in node order (the coordinator injects them, assigning
-// global sequence numbers), consumption confirmations, the owned chips'
-// trace records in node order (the coordinator appends the shards' in
-// shard order, so the merged stream matches the serial engines'), and the
-// post-step activity aggregates.
-type stepReply struct {
+// cycleReply is everything one shard produced during one cycle of a
+// window: drained outbox messages in node order (the coordinator injects
+// them, assigning global sequence numbers), consumption confirmations, the
+// owned chips' trace records in node order (the coordinator appends the
+// shards' in shard order, so the merged stream matches the serial
+// engines'), and the post-step activity aggregates.
+type cycleReply struct {
 	Msgs     []*noc.Message
 	Consumed []consumption
 	Trace    trace.Recorder
 	Act      activity
 }
 
+// stepReply is a window's output: one section per cycle, in cycle order.
+type stepReply struct {
+	Cycles []cycleReply
+}
+
+// section returns the reply's k-th cycle section, reusing what an earlier
+// window left in its slot.
+func (rep *stepReply) section(k int) *cycleReply {
+	if k < cap(rep.Cycles) {
+		rep.Cycles = rep.Cycles[:k+1]
+	} else {
+		rep.Cycles = append(rep.Cycles, cycleReply{})
+	}
+	return &rep.Cycles[k]
+}
+
 func encodeStepReply(net *noc.Network, rep *stepReply) []byte {
 	return frame(func(w *snap.Writer) {
-		w.Len(len(rep.Msgs))
-		for _, m := range rep.Msgs {
-			net.EncodeMessage(w, m)
+		w.Len(len(rep.Cycles))
+		for k := range rep.Cycles {
+			c := &rep.Cycles[k]
+			w.Len(len(c.Msgs))
+			for _, m := range c.Msgs {
+				net.EncodeMessage(w, m)
+			}
+			w.Len(len(c.Consumed))
+			for _, x := range c.Consumed {
+				w.Int(x.Node)
+				w.Int(x.Pri)
+				w.Int(x.N)
+			}
+			c.Trace.Encode(w)
+			c.Act.encode(w)
 		}
-		w.Len(len(rep.Consumed))
-		for _, c := range rep.Consumed {
-			w.Int(c.Node)
-			w.Int(c.Pri)
-			w.Int(c.N)
-		}
-		rep.Trace.Encode(w)
-		rep.Act.encode(w)
 	})
 }
 
-func decodeStepReply(net *noc.Network, p []byte) (*stepReply, error) {
+// decodeStepReply decodes p into rep, reusing its sections' buffers.
+func decodeStepReply(net *noc.Network, p []byte, rep *stepReply) error {
 	r := limitedReader(p)
-	rep := &stepReply{}
-	n := r.Len(1 << 24)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		rep.Msgs = append(rep.Msgs, net.DecodeMessage(r))
+	n := r.Len(maxWindow)
+	rep.Cycles = rep.Cycles[:0]
+	for k := 0; k < n && r.Err() == nil; k++ {
+		c := rep.section(k)
+		c.Msgs, c.Consumed = c.Msgs[:0], c.Consumed[:0]
+		m := r.Len(1 << 24)
+		for i := 0; i < m && r.Err() == nil; i++ {
+			c.Msgs = append(c.Msgs, net.DecodeMessage(r))
+		}
+		m = r.Len(1 << 24)
+		for i := 0; i < m && r.Err() == nil; i++ {
+			c.Consumed = append(c.Consumed, consumption{Node: r.Int(), Pri: r.Int(), N: r.Int()})
+		}
+		c.Trace.Decode(r, 1<<24, 1<<16)
+		c.Act = decodeActivity(r)
 	}
-	n = r.Len(1 << 24)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		rep.Consumed = append(rep.Consumed, consumption{Node: r.Int(), Pri: r.Int(), N: r.Int()})
-	}
-	rep.Trace.Decode(r, 1<<24, 1<<16)
-	rep.Act = decodeActivity(r)
-	return rep, r.Err()
+	return r.Err()
 }
 
 func encodeI64(v int64) []byte {

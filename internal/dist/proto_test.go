@@ -76,36 +76,59 @@ func TestStepRoundTrip(t *testing.T) {
 		DIP: 42, DstAddr: 0x1000,
 		Body: []isa.Word{{Bits: 7}, {Bits: 9, Ptr: true}},
 	}
-	cmd := stepCmd{Cycle: 77, Deliveries: []delivery{{Node: 3, Pri: 0, Msg: msg}}}
+	cmd := stepCmd{Cycle: 77, Width: 3, Deliveries: []delivery{
+		{At: 77, Node: 3, Pri: 0, Msg: msg},
+		{At: 79, Node: 1, Pri: 1, Msg: msg},
+	}}
 	out, err := decodeStep(net, encodeStep(net, &cmd))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Cycle != 77 || len(out.Deliveries) != 1 {
+	if out.Cycle != 77 || out.Width != 3 || len(out.Deliveries) != 2 {
 		t.Fatalf("round trip: %+v", out)
 	}
 	d := out.Deliveries[0]
-	if d.Node != 3 || d.Pri != 0 || d.Msg.DIP != 42 || len(d.Msg.Body) != 2 || !d.Msg.Body[1].Ptr {
+	if d.At != 77 || d.Node != 3 || d.Pri != 0 || d.Msg.DIP != 42 || len(d.Msg.Body) != 2 || !d.Msg.Body[1].Ptr {
 		t.Fatalf("delivery round trip: %+v msg %+v", d, d.Msg)
 	}
-
-	rep := stepReply{
-		Msgs:     []*noc.Message{msg},
-		Consumed: []consumption{{Node: 3, Pri: 1, N: 2}},
-		Trace:    everyKind(),
-		Act:      activity{Activity: machine.Activity{Running: 1, Busy: 2, Issued: 3}, Next: 78, Fault: "boom"},
+	if d := out.Deliveries[1]; d.At != 79 || d.Node != 1 || d.Pri != 1 {
+		t.Fatalf("second delivery round trip: %+v", d)
 	}
-	rout, err := decodeStepReply(net, encodeStepReply(net, &rep))
-	if err != nil {
+
+	// Three per-cycle sections: a full one, an empty one, and one whose
+	// trace text table is its own.
+	rep := stepReply{Cycles: []cycleReply{
+		{
+			Msgs:     []*noc.Message{msg},
+			Consumed: []consumption{{Node: 3, Pri: 1, N: 2}},
+			Trace:    everyKind(),
+			Act:      activity{Activity: machine.Activity{Running: 1, Busy: 2, Issued: 3}, Next: 78, Fault: "boom"},
+		},
+		{Act: activity{Next: 79}},
+		{Consumed: []consumption{{Node: 0, Pri: 0, N: 1}}, Trace: everyKind()},
+	}}
+	// Decode into a reply that already holds longer sections: reuse must
+	// not leak an earlier window's contents.
+	rout := stepReply{Cycles: make([]cycleReply, 5)}
+	for k := range rout.Cycles {
+		rout.Cycles[k] = cycleReply{Msgs: []*noc.Message{msg, msg}, Consumed: []consumption{{1, 1, 1}, {2, 2, 2}}}
+	}
+	if err := decodeStepReply(net, encodeStepReply(net, &rep), &rout); err != nil {
 		t.Fatal(err)
 	}
-	if len(rout.Msgs) != 1 || rout.Consumed[0] != rep.Consumed[0] ||
-		!slices.Equal(rout.Trace.Events, rep.Trace.Events) || !slices.Equal(rout.Trace.Text, rep.Trace.Text) ||
-		rout.Act != rep.Act {
-		t.Fatalf("reply round trip: %+v", rout)
+	if len(rout.Cycles) != len(rep.Cycles) {
+		t.Fatalf("reply round trip: %d sections, want %d", len(rout.Cycles), len(rep.Cycles))
 	}
-	if got, want := rout.Trace.Timeline(rout.Trace.Events), rep.Trace.Timeline(rep.Trace.Events); got != want {
-		t.Fatalf("timeline changed on the wire:\n%s\nvs\n%s", got, want)
+	for k := range rep.Cycles {
+		got, want := &rout.Cycles[k], &rep.Cycles[k]
+		if len(got.Msgs) != len(want.Msgs) || !slices.Equal(got.Consumed, want.Consumed) ||
+			!slices.Equal(got.Trace.Events, want.Trace.Events) || !slices.Equal(got.Trace.Text, want.Trace.Text) ||
+			got.Act != want.Act {
+			t.Fatalf("reply section %d round trip: %+v, want %+v", k, got, want)
+		}
+		if g, w := got.Trace.Timeline(got.Trace.Events), want.Trace.Timeline(want.Trace.Events); g != w {
+			t.Fatalf("section %d timeline changed on the wire:\n%s\nvs\n%s", k, g, w)
+		}
 	}
 }
 
@@ -138,7 +161,7 @@ func everyKind() trace.Recorder {
 }
 
 // TestHandshakeVersionMismatch pairs the coordinator with a worker that
-// speaks the previous protocol (string-carrying trace events): New must
+// speaks the previous protocol (one cycle per step exchange): New must
 // refuse it with the handshake error — an ordinary error, not a shard
 // failure the supervision loop would try to recover from.
 func TestHandshakeVersionMismatch(t *testing.T) {
@@ -147,15 +170,15 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 	m := machine.New(cfg)
 	defer m.Close()
 	_, err := New(m, Config{Shards: 1, Launcher: oldWorkerLauncher{}})
-	if err == nil || !strings.Contains(err.Error(), "shard 0 speaks protocol 1, coordinator 2") {
-		t.Fatalf("New with a version-1 worker: %v", err)
+	if err == nil || !strings.Contains(err.Error(), "shard 0 speaks protocol 2, coordinator 3") {
+		t.Fatalf("New with a version-2 worker: %v", err)
 	}
 	if _, recoverable := err.(*ShardFailure); recoverable || guard.Classify(err) != guard.ClassScenario {
 		t.Errorf("handshake refusal classified %v (%T), want a plain scenario error", guard.Classify(err), err)
 	}
 }
 
-// oldWorkerLauncher starts workers that greet with protocol version 1 and
+// oldWorkerLauncher starts workers that greet with protocol version 2 and
 // then only acknowledge the shutdown.
 type oldWorkerLauncher struct{}
 
@@ -163,7 +186,7 @@ func (oldWorkerLauncher) Start(int) (Handle, error) {
 	cc, wc := net.Pipe()
 	go func() {
 		defer wc.Close()
-		if writeFrame(wc, repHello, encodeI64(1)) != nil {
+		if writeFrame(wc, repHello, encodeI64(2)) != nil {
 			return
 		}
 		for {
@@ -190,7 +213,57 @@ func TestDecodeCorruptPayloads(t *testing.T) {
 	if _, err := decodeStep(net, []byte{0x01, 0x02}); err == nil {
 		t.Fatal("truncated stepCmd decoded")
 	}
-	if _, err := decodeStepReply(net, []byte{0xee}); err == nil {
+	var rep stepReply
+	if err := decodeStepReply(net, []byte{0xee}, &rep); err == nil {
 		t.Fatal("truncated stepReply decoded")
+	}
+
+	// Step windows: a delivery tagged outside [Cycle, Cycle+Width), or
+	// before the one preceding it, and a width outside [1, maxWindow], are
+	// decode errors — never a panic or a mis-timed delivery.
+	msg := &noc.Message{Dst: noc.Coord{X: 1}}
+	at := func(tags ...int64) []delivery {
+		var ds []delivery
+		for _, a := range tags {
+			ds = append(ds, delivery{At: a, Node: 1, Msg: msg})
+		}
+		return ds
+	}
+	for _, c := range []struct {
+		name string
+		cmd  stepCmd
+	}{
+		{"tag before the window", stepCmd{Cycle: 10, Width: 3, Deliveries: at(9)}},
+		{"tag at the window's end", stepCmd{Cycle: 10, Width: 3, Deliveries: at(10, 13)}},
+		{"tag going backwards", stepCmd{Cycle: 10, Width: 3, Deliveries: at(10, 12, 11)}},
+		{"zero width", stepCmd{Cycle: 10, Width: 0}},
+		{"negative width", stepCmd{Cycle: 10, Width: -3, Deliveries: at(10)}},
+		{"width beyond maxWindow", stepCmd{Cycle: 10, Width: maxWindow + 1}},
+		{"window end overflowing", stepCmd{Cycle: 1<<63 - 2, Width: 3, Deliveries: at(1<<63 - 2)}},
+	} {
+		if _, err := decodeStep(net, encodeStep(net, &c.cmd)); err == nil {
+			t.Errorf("%s: stepCmd %+v decoded", c.name, c.cmd)
+		}
+	}
+	if _, err := decodeStep(net, encodeStep(net, &stepCmd{Cycle: 10, Width: 3, Deliveries: at(10, 10, 12)})); err != nil {
+		t.Errorf("in-window, non-decreasing tags: %v", err)
+	}
+
+	// Per-cycle sections: a section count beyond maxWindow, and a reply
+	// truncated inside any section, are decode errors.
+	full := stepReply{Cycles: []cycleReply{
+		{Msgs: []*noc.Message{msg}, Trace: everyKind()},
+		{Consumed: []consumption{{Node: 1, Pri: 0, N: 1}}, Act: activity{Fault: "x"}},
+	}}
+	p := encodeStepReply(net, &full)
+	for cut := 0; cut < len(p); cut++ {
+		if err := decodeStepReply(net, p[:cut], &rep); err == nil {
+			t.Fatalf("stepReply truncated to %d of %d bytes decoded", cut, len(p))
+		}
+	}
+	huge := append([]byte(nil), p...)
+	huge[0], huge[1] = 0xff, 0xff // section count 65535 > maxWindow
+	if err := decodeStepReply(net, huge, &rep); err == nil {
+		t.Fatal("stepReply with a section count beyond maxWindow decoded")
 	}
 }

@@ -5,9 +5,13 @@ package dist
 // machine seeded from the coordinator's snapshot, but steps only its
 // owned chips; the local network is never stepped — it serves purely as
 // the chips' mailbox, fed by coordinator deliveries (noc.Deliver) and
-// drained by the chips' own network input path. Everything the chips
-// produce — outbox messages, trace events, activity aggregates — ships
-// back to the coordinator each cycle. The chip phase is the machine's own
+// drained by the chips' own network input path. A step command covers a
+// window of cycles: before each cycle's chip phase the worker delivers
+// exactly the messages tagged with that cycle (never earlier — a chip
+// must not see a message before the in-process engines would show it),
+// and everything the chips produce in the cycle — outbox messages, trace
+// events, consumptions, activity aggregates — goes into that cycle's
+// section of the reply. The chip phase is the machine's own
 // (Machine.StepRange over the owned range); only the drain differs: the
 // stepped chips' outboxes are taken in node-index order instead of being
 // injected locally.
@@ -66,9 +70,13 @@ type worker struct {
 	spec initSpec
 	m    *machine.Machine
 
-	trace   trace.Recorder // the owned chips' sink: records of the current chip phase
-	outBuf  []*noc.Message
-	stepped []int // owned chips the current chip phase stepped
+	// Window buffers, reused: the owned chips' trace sink (records of the
+	// current chip phase), the reply being built, the chips the current
+	// chip phase stepped, and the mailbox counts before it.
+	trace   trace.Recorder
+	rep     stepReply
+	stepped []int
+	before  []pending
 
 	hbStop chan struct{}
 	hbOnce sync.Once
@@ -148,15 +156,15 @@ func (w *worker) handle(kind byte, payload []byte) (rk byte, rp []byte, err erro
 		if err != nil {
 			return 0, nil, err
 		}
-		rep := w.step(cmd)
-		return repStep, encodeStepReply(w.m.Net, rep), nil
-	case cmdSkip:
+		return repStep, encodeStepReply(w.m.Net, w.step(cmd)), nil
+	case cmdPull:
 		to, err := decodeI64(payload)
 		if err != nil {
 			return 0, nil, err
 		}
-		return repOK, nil, w.skipTo(to)
-	case cmdPull:
+		if err := w.skipTo(to); err != nil {
+			return 0, nil, err
+		}
 		return repFrame, w.pull(), nil
 	case cmdShutdown:
 		return repOK, nil, nil
@@ -247,7 +255,7 @@ func (w *worker) chaos(t int64) {
 
 // skipTo follows the coordinator's fast-forward of the clock to `to`. Like
 // the in-process jump it is one assignment: each owned chip replays the
-// idle window when it next acts, or when pull encodes it.
+// idle stretch when it next acts, or when pull encodes it.
 func (w *worker) skipTo(to int64) error {
 	if to < w.m.Cycle {
 		return fmt.Errorf("shard %d: skip to cycle %d, already at %d", w.spec.Shard, to, w.m.Cycle)
@@ -256,32 +264,43 @@ func (w *worker) skipTo(to int64) error {
 	return nil
 }
 
-// step advances the owned chips through machine cycle cmd.Cycle: one
-// iteration of the in-process engine's chip phase and drain.
+// pending is one mailbox node's message counts per priority.
+type pending [noc.NumPriorities]int
+
+// step advances the owned chips through the window of cmd: per cycle, one
+// iteration of the in-process engine's chip phase and drain, with that
+// cycle's deliveries put in the mailbox first.
 func (w *worker) step(cmd *stepCmd) *stepReply {
-	t := cmd.Cycle
-	if err := w.skipTo(t); err != nil {
+	if err := w.skipTo(cmd.Cycle); err != nil {
 		panic(err) // contained by handle; a protocol bug, not a chip bug
 	}
-
-	// Replay the coordinator's deliveries into the local mailbox and
-	// wake the destinations for this cycle — the in-process machine's
-	// wakeArrivals did exactly this at the end of the previous cycle.
-	for _, d := range cmd.Deliveries {
-		w.m.Net.Deliver(d.Node, d.Pri, d.Msg)
-		w.m.Chips[d.Node].WakeAt(t)
+	w.rep.Cycles = w.rep.Cycles[:0]
+	d := cmd.Deliveries
+	for t := cmd.Cycle; t < cmd.Cycle+int64(cmd.Width); t++ {
+		// Replay the deliveries visible from this cycle into the local
+		// mailbox and wake their destinations — the in-process machine's
+		// wakeArrivals did exactly this at the end of the previous cycle.
+		for ; len(d) > 0 && d[0].At == t; d = d[1:] {
+			w.m.Net.Deliver(d[0].Node, d[0].Pri, d[0].Msg)
+			w.m.Chips[d[0].Node].WakeAt(t)
+		}
+		w.stepCycle(t, w.rep.section(int(t-cmd.Cycle)))
 	}
+	return &w.rep
+}
 
+// stepCycle runs the chip phase and drain of cycle t into out.
+func (w *worker) stepCycle(t int64, out *cycleReply) {
 	// The nodes with mailbox messages — the mailbox holds only what the
 	// coordinator delivered, so all are owned — and their pending counts
 	// before the chip phase, for consumption deltas. The chips' pops do
 	// not edit the list, so it is still the same nodes afterwards.
-	type pend struct{ n0, n1 int }
-	arrived := w.m.Net.ArrivalNodes()
-	before := make([]pend, len(arrived))
-	for k, node := range arrived {
-		co := w.m.Net.CoordOf(node)
-		before[k] = pend{w.m.Net.PendingAt(co, 0), w.m.Net.PendingAt(co, 1)}
+	net := w.m.Net
+	arrived := net.ArrivalNodes()
+	w.before = w.before[:0]
+	for _, node := range arrived {
+		co := net.CoordOf(node)
+		w.before = append(w.before, pending{net.PendingAt(co, 0), net.PendingAt(co, 1)})
 	}
 
 	// Chip phase over the owned range, in node-index order.
@@ -293,32 +312,29 @@ func (w *worker) step(cmd *stepCmd) *stepReply {
 	// coordinator injects the messages into the authoritative network in
 	// the same order, assigning the same sequence numbers as an in-process
 	// drain.
-	w.trace.Reset()
-	w.outBuf = w.outBuf[:0]
+	out.Msgs, out.Consumed = out.Msgs[:0], out.Consumed[:0]
 	for _, i := range w.stepped {
 		w.m.Chips[i].FlushTrace()
-		w.outBuf = w.m.Chips[i].TakeOutbox(w.outBuf)
+		out.Msgs = w.m.Chips[i].TakeOutbox(out.Msgs)
 	}
-
-	rep := &stepReply{Msgs: w.outBuf, Trace: w.trace}
+	out.Trace.Reset()
+	out.Trace.Drain(&w.trace)
 
 	// Consumption confirmations and next cycle's arrival wake-ups.
 	for k, node := range arrived {
-		co := w.m.Net.CoordOf(node)
-		if n := before[k].n0 - w.m.Net.PendingAt(co, 0); n > 0 {
-			rep.Consumed = append(rep.Consumed, consumption{Node: node, Pri: 0, N: n})
+		co := net.CoordOf(node)
+		for pri, was := range w.before[k] {
+			if n := was - net.PendingAt(co, pri); n > 0 {
+				out.Consumed = append(out.Consumed, consumption{Node: node, Pri: pri, N: n})
+			}
 		}
-		if n := before[k].n1 - w.m.Net.PendingAt(co, 1); n > 0 {
-			rep.Consumed = append(rep.Consumed, consumption{Node: node, Pri: 1, N: n})
-		}
-		if w.m.Net.HasArrivals(node) {
+		if net.HasArrivals(node) {
 			w.m.Chips[node].WakeAt(t + 1)
 		}
 	}
 
 	w.m.Cycle = t + 1
-	rep.Act = w.activity(w.m.Cycle)
-	return rep
+	out.Act = w.activity(w.m.Cycle)
 }
 
 // pull serializes the owned range as a partial-machine frame for

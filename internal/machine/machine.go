@@ -557,6 +557,15 @@ func (q *QuietLoop) Head(a Activity, net *noc.Network) bool {
 	return false
 }
 
+// Horizon is how far a transport may step from a loop head at cycle before
+// it must make the next completion decision itself: the cycles cycle …
+// Horizon()-1 stay below the bound, and Head, called at each of the loop
+// heads cycle+1 … Horizon()-1, cannot end the leg — the idle count after
+// the head at cycle would have to climb to quietWindow first.
+func (q *QuietLoop) Horizon(cycle int64) int64 {
+	return min(q.bound, cycle+quietWindow-q.idle)
+}
+
 // Ran is the cycles a leg that Head declared done at cycle executed,
 // excluding the quiet window.
 func (q *QuietLoop) Ran(cycle int64) int64 { return cycle - q.start - q.idle }

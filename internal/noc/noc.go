@@ -308,6 +308,15 @@ func (n *Network) NextEvent(now int64) int64 {
 	return n.nextWake
 }
 
+// Lookahead is the fewest cycles from a message's injection to the first
+// chip phase that can see it: Step leaves a message injected at cycle c
+// alone until c+InjectLat (a self-send is delivered by Step(c+InjectLat)),
+// and a node's network input interface pops a delivery one cycle after the
+// Step that made it. So the chip phases of cycles c … c+Lookahead()-1 cannot
+// depend on anything injected at or after c — the window a distributed
+// transport may run between two synchronizations.
+func (n *Network) Lookahead() int64 { return n.cfg.InjectLat + 1 }
+
 // NeedsStep reports whether Step(now) would change any network state, so
 // the engine can skip the walk entirely on idle cycles.
 func (n *Network) NeedsStep(now int64) bool {

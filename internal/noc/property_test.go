@@ -2,10 +2,13 @@ package noc
 
 // Property tests: every injected message is delivered exactly once, intact,
 // to its addressed destination, regardless of traffic pattern; and
-// dimension-order routes use exactly the Manhattan distance.
+// dimension-order routes use exactly the Manhattan distance. The two facts
+// the dist engine's lookahead window rests on (DESIGN.md, "The distributed
+// engine") are here too.
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/isa"
@@ -73,6 +76,160 @@ func TestExactlyOnceDeliveryUnderRandomTraffic(t *testing.T) {
 		}
 		if got != msgs {
 			t.Fatalf("seed %d: delivered %d/%d", seed, got, msgs)
+		}
+	}
+}
+
+// randomTraffic is a schedule of injections: per cycle, the messages to
+// inject (in order) before that cycle's Step. DIPs number the messages
+// from base, in injection order.
+func randomTraffic(rng *rand.Rand, n *Network, from, to int64, perCycle int, base uint64) map[int64][]*Message {
+	sched := map[int64][]*Message{}
+	dip := base
+	for c := from; c < to; c++ {
+		for k := rng.Intn(perCycle + 1); k > 0; k-- {
+			src := n.CoordOf(rng.Intn(n.NumNodes()))
+			dst := n.CoordOf(rng.Intn(n.NumNodes()))
+			if rng.Intn(4) == 0 {
+				dst = src // self-sends: the tight case of the lookahead bound
+			}
+			sched[c] = append(sched[c], &Message{Pri: rng.Intn(NumPriorities), Src: src, Dst: dst, DIP: dip})
+			dip++
+		}
+	}
+	return sched
+}
+
+// drive injects sched and steps n every cycle until it is empty, calling
+// delivered after every Step with the messages that Step delivered.
+func drive(t *testing.T, n *Network, sched map[int64][]*Message, delivered func(now int64, m *Message)) {
+	t.Helper()
+	left := 0
+	for _, ms := range sched {
+		left += len(ms)
+	}
+	seen := make([][NumPriorities]int, n.NumNodes())
+	for now := int64(0); left > 0 || n.InFlight() > 0; now++ {
+		if now > 100000 {
+			t.Fatalf("network did not drain: %d in flight", n.InFlight())
+		}
+		for _, m := range sched[now] {
+			n.Inject(now, m)
+			left--
+		}
+		n.Step(now)
+		for _, node := range n.DeliveredNodes() {
+			for pri := 0; pri < NumPriorities; pri++ {
+				q := n.ArrivalsAt(node, pri)
+				for _, m := range q[seen[node][pri]:] {
+					delivered(now, m)
+				}
+				seen[node][pri] = len(q)
+			}
+		}
+	}
+}
+
+// TestDeliveryNeverBeforeLookahead pins the first fact the dist window
+// rests on: over random meshes, timings and traffic, no message is
+// delivered by a Step earlier than InjectedAt+InjectLat, so none is
+// visible to a chip (which pops a delivery the cycle after the Step) before
+// InjectedAt+Lookahead(); a self-send sits exactly on the bound. And the
+// flights of a priority move in injection order, so two messages on the
+// same route arrive in the order they were sent.
+func TestDeliveryNeverBeforeLookahead(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := Config{InjectLat: rng.Int63n(5), HopLat: 1 + rng.Int63n(2), DeliverLat: rng.Int63n(3)}
+		if seed == 1 {
+			cfg = DefaultConfig()
+		}
+		n := New(Coord{1 + rng.Intn(4), 1 + rng.Intn(3), 1 + rng.Intn(2)}, cfg)
+		sched := randomTraffic(rng, n, 0, 60, 6, 0)
+		type route struct {
+			src, dst Coord
+			pri      int
+		}
+		last := map[route]uint64{}
+		drive(t, n, sched, func(now int64, m *Message) {
+			if m.DeliveredAt != now {
+				t.Fatalf("seed %d: message %d delivered by Step(%d) records DeliveredAt %d", seed, m.DIP, now, m.DeliveredAt)
+			}
+			if now < m.InjectedAt+cfg.InjectLat || now+1 < m.InjectedAt+n.Lookahead() {
+				t.Fatalf("seed %d (%+v): message %d injected at %d delivered by Step(%d), visible at %d: before the lookahead %d",
+					seed, cfg, m.DIP, m.InjectedAt, now, now+1, n.Lookahead())
+			}
+			if m.Src == m.Dst && now != m.InjectedAt+cfg.InjectLat {
+				t.Fatalf("seed %d: self-send %d injected at %d delivered at %d, want exactly %d",
+					seed, m.DIP, m.InjectedAt, now, m.InjectedAt+cfg.InjectLat)
+			}
+			r := route{m.Src, m.Dst, m.Pri}
+			if prev, ok := last[r]; ok && m.Seq < prev {
+				t.Fatalf("seed %d: message seq %d overtook seq %d on route %v", seed, prev, m.Seq, r)
+			}
+			last[r] = m.Seq
+		})
+	}
+	if l := New(Coord{1, 1, 1}, DefaultConfig()).Lookahead(); l != 3 {
+		t.Errorf("default Lookahead() = %d, want InjectLat+1 = 3", l)
+	}
+}
+
+// TestNewerTrafficNeverDelaysOlder pins the second fact: Step walks each
+// priority's flights oldest first and grants links per priority, so
+// injecting a batch of newer messages never changes when or by how many
+// hops an older message arrives, nor the order older messages reach a
+// node's queue.
+func TestNewerTrafficNeverDelaysOlder(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dims := Coord{2 + rng.Intn(3), 1 + rng.Intn(2), 1}
+		older := randomTraffic(rng, New(dims, DefaultConfig()), 0, 30, 8, 0)
+		newer := randomTraffic(rng, New(dims, DefaultConfig()), 30, 60, 12, 1<<20)
+		type arrival struct {
+			at   int64
+			hops int
+		}
+		run := func(sched map[int64][]*Message) (map[uint64]arrival, [][NumPriorities][]uint64) {
+			n := New(dims, DefaultConfig())
+			got := map[uint64]arrival{}
+			order := make([][NumPriorities][]uint64, n.NumNodes())
+			drive(t, n, sched, func(now int64, m *Message) {
+				if m.DIP < 1<<20 {
+					got[m.DIP] = arrival{m.DeliveredAt, m.Hops}
+					node := n.Index(m.Dst)
+					order[node][m.Pri] = append(order[node][m.Pri], m.DIP)
+				}
+			})
+			return got, order
+		}
+		clone := func(s map[int64][]*Message) map[int64][]*Message {
+			c := map[int64][]*Message{}
+			for cyc, ms := range s {
+				for _, m := range ms {
+					c[cyc] = append(c[cyc], m.Clone())
+				}
+			}
+			return c
+		}
+		alone, aloneOrder := run(clone(older))
+		both := clone(older)
+		for cyc, ms := range newer {
+			both[cyc] = append(both[cyc], ms...) // after the older ones injected that cycle
+		}
+		mixed, mixedOrder := run(both)
+		for dip, a := range alone {
+			if mixed[dip] != a {
+				t.Fatalf("seed %d: older message %d arrives %+v alone, %+v with newer traffic", seed, dip, a, mixed[dip])
+			}
+		}
+		for node := range aloneOrder {
+			for pri := range aloneOrder[node] {
+				if !slices.Equal(aloneOrder[node][pri], mixedOrder[node][pri]) {
+					t.Fatalf("seed %d: node %d pri %d older arrival order %v alone, %v with newer traffic",
+						seed, node, pri, aloneOrder[node][pri], mixedOrder[node][pri])
+				}
+			}
 		}
 	}
 }
