@@ -48,7 +48,6 @@ func run() int {
 		backoff         = fs.Duration("backoff", 100*time.Millisecond, "initial retry backoff (doubles per retry)")
 		backoffCap      = fs.Duration("backoff-cap", 5*time.Second, "retry backoff ceiling")
 		grace           = fs.Duration("grace", 0, "hang grace after a watchdog stop (0 = guard default)")
-		simWorkers      = fs.Int("sim-workers", 1, "per-session engine workers (1 = serial)")
 
 		chaos = fs.String("chaos", "", "fault injection, e.g. seed=1,panic=3,stall=5,delay=2s,maxcycle=4096 (testing only)")
 	)
@@ -86,7 +85,6 @@ func run() int {
 		Backoff:         *backoff,
 		BackoffCap:      *backoffCap,
 		Grace:           *grace,
-		SimWorkers:      *simWorkers,
 		Logf:            logger.Printf,
 	}
 	if *chaos != "" {

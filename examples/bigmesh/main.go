@@ -48,8 +48,8 @@ func main() {
 	}
 	fmt.Println("Simulated cycle counts are identical under both engines — the")
 	fmt.Println("parallel engine's outbox drain and per-cycle barrier preserve the")
-	fmt.Println("serial injection order bit-for-bit (DESIGN.md, \"The parallel")
-	fmt.Println("engine\"); only host wall time changes with available cores.")
+	fmt.Println("serial injection order bit-for-bit (DESIGN.md, \"The cycle engine\" →")
+	fmt.Println("\"The pool is a transport\"); only host wall time changes with available cores.")
 }
 
 // runSmooth runs the verified grid smoothing pass and returns simulated

@@ -128,7 +128,7 @@ type Chip struct {
 
 	Clusters [isa.NumClusters]*cluster.Cluster
 	Mem      *mem.System
-	Net      *noc.Network
+	Net      *noc.Network `snap:"derived,the machine's network, bound at construction and by install"`
 	GTLB     *gtlb.GTLB
 
 	// Hardware queues. evq[c] is cluster c's event queue; msgq[p] is the
@@ -215,6 +215,18 @@ type Chip struct {
 // New creates a chip at the given mesh coordinate. net and gdt are shared
 // across the machine's nodes.
 func New(cfg Config, node noc.Coord, index int, net *noc.Network, gdt *gtlb.Table) *Chip {
+	c := shell(cfg, node, index, net, gdt)
+	c.credits = cfg.SendCredits
+	for i := range c.Clusters {
+		c.Clusters[i] = cluster.New(i)
+	}
+	return c
+}
+
+// shell builds what a chip has beyond its state — configuration, memory
+// and queues sized from it, bindings, and the console on the I/O bus —
+// with empty cluster slots: the part New and Decode share.
+func shell(cfg Config, node noc.Coord, index int, net *noc.Network, gdt *gtlb.Table) *Chip {
 	c := &Chip{
 		Cfg:         cfg,
 		Node:        node,
@@ -223,18 +235,16 @@ func New(cfg Config, node noc.Coord, index int, net *noc.Network, gdt *gtlb.Tabl
 		Net:         net,
 		GTLB:        gtlb.New(gdt, gtlbEntries),
 		excq:        events.NewQueue(cfg.EventQueueCap),
-		credits:     cfg.SendCredits,
 		validDIPs:   make(map[uint64]bool),
 		directory:   make(map[uint64][]int),
+		Console:     &Console{},
 		pendRegNext: NoEvent,
 		pendGCCNext: NoEvent,
 		resendNext:  NoEvent,
 	}
-	for i := range c.Clusters {
-		c.Clusters[i] = cluster.New(i)
+	for i := range c.evq {
 		c.evq[i] = events.NewQueue(cfg.EventQueueCap)
 	}
-	c.Console = &Console{}
 	c.Mem.AttachDevice(c.ConsoleBase(), ConsoleWords, c.Console)
 	// The priority-0 (request) queue is bounded, triggering the
 	// return-to-sender protocol when full; the priority-1 (reply) queue is

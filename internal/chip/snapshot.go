@@ -21,7 +21,6 @@ import (
 	"slices"
 
 	"repro/internal/cluster"
-	"repro/internal/events"
 	"repro/internal/gtlb"
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -36,19 +35,11 @@ const (
 	maxConsole = 1 << 26
 )
 
-func encodeReg(w *snap.Writer, r isa.Reg) {
-	w.U64(uint64(r.Class))
-	w.U64(uint64(r.Index))
-	w.I64(int64(r.Cluster))
-}
-
-func decodeReg(r *snap.Reader) isa.Reg {
-	g := isa.Reg{
-		Class:   isa.RegClass(r.U64()),
-		Index:   uint8(r.U64()),
-		Cluster: int8(r.I64()),
-	}
-	if r.Err() == nil {
+func regState(c *snap.Codec, g *isa.Reg) {
+	snap.Integer(c, &g.Class)
+	snap.Integer(c, &g.Index)
+	snap.Integer(c, &g.Cluster)
+	if c.Reading() && c.Err() == nil {
 		bad := g.Class > isa.RSpec ||
 			(g.Cluster != isa.ClusterSelf && (g.Cluster < 0 || g.Cluster >= isa.NumClusters))
 		switch g.Class {
@@ -60,186 +51,98 @@ func decodeReg(r *snap.Reader) isa.Reg {
 			bad = bad || int(g.Index) >= isa.NumGCCRegs
 		}
 		if bad {
-			r.Fail(fmt.Errorf("chip: bad snapshot register %d/%d/%d", g.Class, g.Index, g.Cluster))
+			c.Fail(fmt.Errorf("chip: bad snapshot register %d/%d/%d", g.Class, g.Index, g.Cluster))
 		}
 	}
-	return g
 }
 
-func checkSlot(r *snap.Reader, vthread, cl int) {
-	if r.Err() == nil && (vthread < 0 || vthread >= isa.NumVThreads || cl < 0 || cl >= isa.NumClusters) {
-		r.Fail(fmt.Errorf("chip: bad snapshot thread slot v%d c%d", vthread, cl))
+func wordState(c *snap.Codec, w *isa.Word) {
+	c.U64(&w.Bits)
+	c.Bool(&w.Ptr)
+}
+
+func checkSlot(c *snap.Codec, vthread, cl int) {
+	if c.Err() == nil && (vthread < 0 || vthread >= isa.NumVThreads || cl < 0 || cl >= isa.NumClusters) {
+		c.Fail(fmt.Errorf("chip: bad snapshot thread slot v%d c%d", vthread, cl))
 	}
 }
 
-// EncodeState writes the chip's complete cross-cycle state.
-func (c *Chip) EncodeState(w *snap.Writer) {
-	w.I64(c.Cycle)
-	w.U64(c.InstsIssued)
-	w.U64(c.OpsIssued)
-	w.U64(c.SendsBlocked)
-	w.U64(c.MsgsReturned)
-	w.Int(c.credits)
-	w.U64(c.memSeq)
-
-	for _, cc := range c.Clusters {
-		cc.EncodeState(w)
-	}
-	c.excq.EncodeState(w)
-	for _, q := range c.evq {
-		q.EncodeState(w)
-	}
-	for _, q := range c.msgq {
-		q.EncodeState(w)
-	}
-
-	w.Len(len(c.pendingRegs))
-	for i := range c.pendingRegs {
-		p := &c.pendingRegs[i]
-		w.I64(p.at)
-		w.Int(p.vthread)
-		w.Int(p.cl)
-		encodeReg(w, p.reg)
-		w.U64(p.w.Bits)
-		w.Bool(p.w.Ptr)
-	}
-	w.Len(len(c.pendingGCC))
-	for i := range c.pendingGCC {
-		g := &c.pendingGCC[i]
-		w.I64(g.at)
-		w.Int(g.idx)
-		w.U64(g.w.Bits)
-		w.Bool(g.w.Ptr)
-	}
-
-	w.Len(len(c.memReqs))
-	for i := range c.memReqs {
-		q := &c.memReqs[i]
-		w.U64(q.token)
-		w.Int(q.meta.vthread)
-		w.Int(q.meta.cl)
-		encodeReg(w, q.meta.dst)
-		w.Bool(q.meta.isRetry)
-		w.U64(q.meta.regDesc)
-		w.U64(q.meta.data.Bits)
-		w.Bool(q.meta.data.Ptr)
-	}
-
-	w.Len(len(c.resends))
-	for i := range c.resends {
-		w.I64(c.resends[i].at)
-		c.Net.EncodeMessage(w, c.resends[i].msg)
-	}
-	w.Len(len(c.outbox))
-	for _, m := range c.outbox {
-		c.Net.EncodeMessage(w, m)
-	}
-
-	dips := w.Stage(len(c.validDIPs))[:0]
-	for d := range c.validDIPs {
-		dips = append(dips, d)
-	}
-	slices.Sort(dips)
-	w.U64s(dips)
-
-	blocks := make([]uint64, 0, len(c.directory))
-	for b := range c.directory {
-		blocks = append(blocks, b)
-	}
-	slices.Sort(blocks)
-	w.Len(len(blocks))
-	for _, b := range blocks {
-		w.U64(b)
-		sharers := c.directory[b]
-		w.Len(len(sharers))
-		for _, s := range sharers {
-			w.Int(s)
-		}
-	}
-
-	c.Console.mu.Lock()
-	w.Bytes(c.Console.buf)
-	c.Console.mu.Unlock()
-
-	c.GTLB.EncodeState(w)
-	c.Mem.EncodeState(w)
-}
-
-// DecodeChipState reads a chip written by EncodeState into a new chip
-// bound to net and gdt, with what New gives a chip beyond its state: the
-// configured queue capacities and the console on the I/O bus. It is
-// assembled from the decoded parts instead of going through New (whose
-// memory system and cache the decode would immediately replace), and like
-// a Clone it has no trace sink or wake hook and a wake cycle of zero. A
-// full restore decodes the chips before the network that follows them in
-// the stream: net then is the machine's current one, which has the
+// Decode builds a chip from a stream State wrote, bound to net and gdt.
+// It fills the shell New also starts from — what a chip has beyond its
+// state: the configured queue capacities and the console on the I/O bus
+// — and like a Clone it has no trace sink or wake hook and a wake cycle of
+// zero. A full restore decodes the chips before the network that follows
+// them in the stream: net then is the new network's shell, which has the
 // decoded one's shape, and install rebinds the chips.
-func DecodeChipState(r *snap.Reader, cfg Config, node noc.Coord, index int, net *noc.Network, gdt *gtlb.Table) *Chip {
-	c := &Chip{
-		Cfg:         cfg,
-		Node:        node,
-		Index:       index,
-		Net:         net,
-		Console:     &Console{},
-		validDIPs:   make(map[uint64]bool),
-		directory:   make(map[uint64][]int),
-		pendRegNext: NoEvent,
-		pendGCCNext: NoEvent,
-		resendNext:  NoEvent,
-	}
-	c.Cycle = r.I64()
-	c.InstsIssued = r.U64()
-	c.OpsIssued = r.U64()
-	c.SendsBlocked = r.U64()
-	c.MsgsReturned = r.U64()
-	c.credits = r.Int()
-	c.memSeq = r.U64()
+func Decode(c *snap.Codec, cfg Config, node noc.Coord, index int, net *noc.Network, gdt *gtlb.Table) *Chip {
+	ch := shell(cfg, node, index, net, gdt)
+	ch.State(c)
+	return ch
+}
 
-	for i := range c.Clusters {
-		c.Clusters[i] = cluster.DecodeClusterState(r, i)
-	}
-	c.excq = events.DecodeQueueState(r, cfg.EventQueueCap)
-	for i := range c.evq {
-		c.evq[i] = events.DecodeQueueState(r, cfg.EventQueueCap)
-	}
-	// Request queue bounded, reply queue unbounded: see New.
-	c.msgq[0] = events.DecodeQueueState(r, cfg.MsgQueueCap)
-	c.msgq[1] = events.DecodeQueueState(r, 0)
+// State walks the chip's complete cross-cycle state.
+func (ch *Chip) State(c *snap.Codec) {
+	c.I64(&ch.Cycle)
+	c.U64(&ch.InstsIssued)
+	c.U64(&ch.OpsIssued)
+	c.U64(&ch.SendsBlocked)
+	c.U64(&ch.MsgsReturned)
+	c.Int(&ch.credits)
+	c.U64(&ch.memSeq)
 
-	np := r.Len(maxPending)
-	for i := 0; i < np; i++ {
-		p := pendingReg{at: r.I64(), vthread: r.Int(), cl: r.Int(), reg: decodeReg(r)}
-		p.w = isa.Word{Bits: r.U64(), Ptr: r.Bool()}
-		checkSlot(r, p.vthread, p.cl)
-		c.pendingRegs = append(c.pendingRegs, p)
-		if p.at < c.pendRegNext {
-			c.pendRegNext = p.at
+	for i := range ch.Clusters {
+		if c.Reading() {
+			ch.Clusters[i] = &cluster.Cluster{ID: i}
 		}
+		ch.Clusters[i].State(c)
 	}
-	ng := r.Len(maxPending)
-	for i := 0; i < ng; i++ {
-		g := pendingGCC{at: r.I64(), idx: r.Int()}
-		g.w = isa.Word{Bits: r.U64(), Ptr: r.Bool()}
-		if r.Err() == nil && (g.idx < 0 || g.idx >= isa.NumGCCRegs) {
-			r.Fail(fmt.Errorf("chip: bad snapshot GCC index %d", g.idx))
-		}
-		c.pendingGCC = append(c.pendingGCC, g)
-		if g.at < c.pendGCCNext {
-			c.pendGCCNext = g.at
-		}
+	ch.excq.State(c)
+	for _, q := range ch.evq {
+		q.State(c)
+	}
+	for _, q := range ch.msgq {
+		q.State(c)
 	}
 
-	nm := r.Len(maxPending)
-	for i := 0; i < nm; i++ {
-		q := memReq{token: r.U64()}
-		q.meta.vthread = r.Int()
-		q.meta.cl = r.Int()
-		q.meta.dst = decodeReg(r)
-		q.meta.isRetry = r.Bool()
-		q.meta.regDesc = r.U64()
-		q.meta.data = isa.Word{Bits: r.U64(), Ptr: r.Bool()}
-		checkSlot(r, q.meta.vthread, q.meta.cl)
-		if r.Err() == nil {
+	np := c.Len(len(ch.pendingRegs), maxPending)
+	for i := 0; i < np && c.Err() == nil; i++ {
+		p := snap.Elem(c, &ch.pendingRegs, i)
+		c.I64(&p.at)
+		c.Int(&p.vthread)
+		c.Int(&p.cl)
+		regState(c, &p.reg)
+		wordState(c, &p.w)
+		if c.Reading() {
+			checkSlot(c, p.vthread, p.cl)
+			ch.pendRegNext = min(ch.pendRegNext, p.at)
+		}
+	}
+	ng := c.Len(len(ch.pendingGCC), maxPending)
+	for i := 0; i < ng && c.Err() == nil; i++ {
+		g := snap.Elem(c, &ch.pendingGCC, i)
+		c.I64(&g.at)
+		c.Int(&g.idx)
+		wordState(c, &g.w)
+		if c.Reading() {
+			if c.Err() == nil && (g.idx < 0 || g.idx >= isa.NumGCCRegs) {
+				c.Fail(fmt.Errorf("chip: bad snapshot GCC index %d", g.idx))
+			}
+			ch.pendGCCNext = min(ch.pendGCCNext, g.at)
+		}
+	}
+
+	nm := c.Len(len(ch.memReqs), maxPending)
+	for i := 0; i < nm && c.Err() == nil; i++ {
+		q := snap.Elem(c, &ch.memReqs, i)
+		c.U64(&q.token)
+		c.Int(&q.meta.vthread)
+		c.Int(&q.meta.cl)
+		regState(c, &q.meta.dst)
+		c.Bool(&q.meta.isRetry)
+		c.U64(&q.meta.regDesc)
+		wordState(c, &q.meta.data)
+		if c.Reading() && c.Err() == nil {
+			checkSlot(c, q.meta.vthread, q.meta.cl)
 			// memResponse routes completions through this metadata without
 			// further checks, so reject anything it could not route: a
 			// retry descriptor must unpack to a real Int/FP register slot
@@ -253,77 +156,105 @@ func DecodeChipState(r *snap.Reader, cfg Config, node noc.Coord, index int, net 
 				if vt >= isa.NumVThreads || cl >= isa.NumClusters ||
 					(reg.Class != isa.RNone && reg.Class != isa.RInt && reg.Class != isa.RFP) ||
 					int(reg.Index) >= isa.NumIntRegs {
-					r.Fail(fmt.Errorf("chip: snapshot retry descriptor %#x names no register", q.meta.regDesc))
+					c.Fail(fmt.Errorf("chip: snapshot retry descriptor %#x names no register", q.meta.regDesc))
 				}
 			} else if cls := q.meta.dst.Class; cls != isa.RNone && cls != isa.RInt && cls != isa.RFP {
-				r.Fail(fmt.Errorf("chip: snapshot memory request destination class %d", cls))
+				c.Fail(fmt.Errorf("chip: snapshot memory request destination class %d", cls))
 			}
 		}
-		c.memReqs = append(c.memReqs, q)
 	}
 
-	nr := r.Len(maxPending)
-	for i := 0; i < nr; i++ {
-		rs := resend{at: r.I64()}
-		rs.msg = net.DecodeMessage(r)
-		c.resends = append(c.resends, rs)
-		if rs.at < c.resendNext {
-			c.resendNext = rs.at
+	nr := c.Len(len(ch.resends), maxPending)
+	for i := 0; i < nr && c.Err() == nil; i++ {
+		rs := snap.Elem(c, &ch.resends, i)
+		c.I64(&rs.at)
+		ch.Net.MessageState(c, &rs.msg)
+		if c.Reading() {
+			ch.resendNext = min(ch.resendNext, rs.at)
 		}
 	}
-	no := r.Len(maxPending)
-	for i := 0; i < no; i++ {
-		c.outbox = append(c.outbox, net.DecodeMessage(r))
+	no := c.Len(len(ch.outbox), maxPending)
+	for i := 0; i < no && c.Err() == nil; i++ {
+		ch.Net.MessageState(c, snap.Elem(c, &ch.outbox, i))
 	}
 
-	for _, d := range r.U64s(maxMapLen) {
-		c.validDIPs[d] = true
-	}
-	nb := r.Len(maxMapLen)
-	for i := 0; i < nb; i++ {
-		b := r.U64()
-		ns := r.Len(maxMapLen)
-		sharers := make([]int, 0, ns)
-		for j := 0; j < ns; j++ {
-			sharers = append(sharers, r.Int())
+	// Both maps travel as sorted key lists.
+	var dips []uint64
+	if !c.Reading() {
+		dips = c.Stage(len(ch.validDIPs))[:0]
+		for d := range ch.validDIPs {
+			dips = append(dips, d)
 		}
-		if r.Err() != nil {
-			break
+		slices.Sort(dips)
+	}
+	c.U64s(&dips, maxMapLen)
+	if c.Reading() {
+		for _, d := range dips {
+			ch.validDIPs[d] = true
 		}
-		c.directory[b] = sharers
+	}
+	var blocks []uint64
+	if !c.Reading() {
+		blocks = make([]uint64, 0, len(ch.directory))
+		for b := range ch.directory {
+			blocks = append(blocks, b)
+		}
+		slices.Sort(blocks)
+	}
+	for i := range c.Len(len(blocks), maxMapLen) {
+		var b uint64
+		var sharers []int
+		if !c.Reading() {
+			b = blocks[i]
+			sharers = ch.directory[b]
+		}
+		c.U64(&b)
+		ns := c.Len(len(sharers), maxMapLen)
+		if c.Reading() {
+			sharers = make([]int, ns)
+		}
+		for j := range sharers {
+			c.Int(&sharers[j])
+		}
+		if c.Reading() {
+			if c.Err() != nil {
+				break
+			}
+			ch.directory[b] = sharers
+		}
 	}
 
-	c.Console.buf = r.Bytes(maxConsole)
+	ch.Console.mu.Lock()
+	c.Bytes(&ch.Console.buf, maxConsole)
+	ch.Console.mu.Unlock()
 
-	c.GTLB = gtlb.DecodeGTLBState(r, gdt, gtlbEntries)
-	c.Mem = mem.DecodeSystemState(r, cfg.Mem)
-	c.Mem.AttachDevice(c.ConsoleBase(), ConsoleWords, c.Console)
-	if r.Err() == nil {
+	ch.GTLB.State(c)
+	ch.Mem.State(c)
+	if c.Reading() && c.Err() == nil {
 		// Cross-check the decoded memory system against the routing
 		// metadata: every in-flight response must have a request entry
 		// (memResponse panics on orphans), and a successful read must name
 		// a register destination (its writeback goes through File, which
 		// only serves Int/FP).
-		for _, resp := range c.Mem.PendingResponses() {
+		for _, resp := range ch.Mem.PendingResponses() {
 			var meta *reqMeta
-			for j := range c.memReqs {
-				if c.memReqs[j].token == resp.Req.Token {
-					meta = &c.memReqs[j].meta
+			for j := range ch.memReqs {
+				if ch.memReqs[j].token == resp.Req.Token {
+					meta = &ch.memReqs[j].meta
 					break
 				}
 			}
 			if meta == nil {
-				r.Fail(fmt.Errorf("chip: snapshot response token %d has no request metadata", resp.Req.Token))
+				c.Fail(fmt.Errorf("chip: snapshot response token %d has no request metadata", resp.Req.Token))
 				break
 			}
 			if resp.Fault == mem.FaultNone && !resp.Req.Kind.IsWrite() && !meta.isRetry &&
 				meta.dst.Class != isa.RInt && meta.dst.Class != isa.RFP {
-				r.Fail(fmt.Errorf("chip: snapshot read response token %d routes to no register", resp.Req.Token))
+				c.Fail(fmt.Errorf("chip: snapshot read response token %d routes to no register", resp.Req.Token))
 				break
 			}
 		}
 	}
-	return c
 }
 
 // Clone returns an independent chip with c's cross-cycle state, bound to

@@ -1,14 +1,16 @@
 package cluster
 
-// Checkpoint support (DESIGN.md, "Checkpoint/restore"). Each type has the
-// subsystem's three state verbs: EncodeState streams the complete
-// architectural state, DecodeXState builds a new object from the stream
-// (all validation happens here, against the snap.Reader's sticky error),
-// and Clone builds one from a live object without going through the
-// stream (machine.Fork). Both results are complete parts the machine
-// installs as they are; nothing is copied into an existing object.
+// Checkpoint support (DESIGN.md, "Checkpoint/restore"). Each type has one
+// state walk, State, and a Clone. State streams the complete
+// architectural state to an encoding codec; on a decoding codec it fills
+// a new object instead, allocating the parts below it as it reads them
+// and validating them against the codec's sticky error. Clone builds the
+// same object from a live one without going through the stream
+// (machine.Fork). Both results are complete parts the machine installs as
+// they are; nothing is copied into an existing object.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -25,141 +27,109 @@ const (
 	maxFaultLen  = 1 << 12
 )
 
-// EncodeState writes the register values and scoreboard bits (packed —
-// see isa.EncodeWords).
-func (rf *RegFile) EncodeState(w *snap.Writer) {
-	isa.EncodeWords(w, rf.vals)
-	w.Bools(rf.full)
+// registers walks a bank's values and scoreboard bits (packed — see
+// isa.Words); what names the bank in a decoded size mismatch.
+func registers(c *snap.Codec, vals *[]isa.Word, full *[]bool, what string) {
+	isa.Words(c, vals, maxRegs)
+	c.Bools(full, maxRegs)
+	if c.Reading() && c.Err() == nil && len(*full) != len(*vals) {
+		c.Fail(fmt.Errorf("cluster: %s with %d values, %d scoreboard bits", what, len(*vals), len(*full)))
+	}
 }
 
-// DecodeRegFileState reads a register file written by EncodeState.
-func DecodeRegFileState(r *snap.Reader) *RegFile {
-	rf := &RegFile{vals: isa.DecodeWords(r, maxRegs), full: r.Bools(maxRegs)}
-	if r.Err() == nil && len(rf.full) != len(rf.vals) {
-		r.Fail(fmt.Errorf("cluster: register file with %d values, %d scoreboard bits", len(rf.vals), len(rf.full)))
-	}
-	return rf
-}
+// State walks the register values and scoreboard bits.
+func (rf *RegFile) State(c *snap.Codec) { registers(c, &rf.vals, &rf.full, "register file") }
 
 // Clone returns an independent register file with rf's state.
 func (rf *RegFile) Clone() *RegFile {
 	return &RegFile{vals: slices.Clone(rf.vals), full: slices.Clone(rf.full)}
 }
 
-// EncodeState writes the GCC replica's values and scoreboard bits.
-func (g *GCCFile) EncodeState(w *snap.Writer) {
-	isa.EncodeWords(w, g.vals)
-	w.Bools(g.full)
-}
-
-// DecodeGCCFileState reads a GCC replica written by EncodeState.
-func DecodeGCCFileState(r *snap.Reader) *GCCFile {
-	g := &GCCFile{vals: isa.DecodeWords(r, maxRegs), full: r.Bools(maxRegs)}
-	if r.Err() == nil && len(g.full) != len(g.vals) {
-		r.Fail(fmt.Errorf("cluster: GCC replica with %d values, %d scoreboard bits", len(g.vals), len(g.full)))
-	}
-	return g
-}
+// State walks the GCC replica's values and scoreboard bits.
+func (g *GCCFile) State(c *snap.Codec) { registers(c, &g.vals, &g.full, "GCC replica") }
 
 // Clone returns an independent GCC replica with g's state.
 func (g *GCCFile) Clone() *GCCFile {
 	return &GCCFile{vals: slices.Clone(g.vals), full: slices.Clone(g.full)}
 }
 
-// decodeProgramMemo decodes an embedded program, deduplicating by full
-// content within one stream: the runtime installs identical handler
-// programs on every node, so an n-node restore decodes each once.
-// Programs are immutable after assembly, so sharing the decoded object is
-// safe (and Save re-encodes contents, so re-saves stay byte-identical).
-func decodeProgramMemo(r *snap.Reader, name string, words []uint64) *isa.Program {
+// programState walks a thread's program in the isa binary encoding (label
+// names are an assembler artifact and are not preserved). The runtime
+// installs the same handler programs on every node, so both directions
+// share work across one stream: an encoder computes each program's words
+// once, a decoder decodes each distinct content once and hands every
+// thread that runs it the same object. Programs are immutable after
+// assembly, so the sharing is safe (and Save re-encodes contents, so
+// re-saves stay byte-identical).
+func programState(c *snap.Codec, p **isa.Program) {
+	has := *p != nil
+	c.Bool(&has)
+	if !has {
+		return
+	}
+	var name string
+	var words []uint64
+	if !c.Reading() {
+		memo := snap.Memo[*isa.Program, []uint64](c)
+		if memo[*p] == nil {
+			memo[*p] = isa.EncodeProgram(*p)
+		}
+		name, words = (*p).Name, memo[*p]
+	}
+	c.String(&name, maxNameLen)
+	c.U64s(&words, maxProgWords)
+	if c.Reading() && c.Err() == nil {
+		*p = decodedProgram(c, name, words)
+	}
+}
+
+func decodedProgram(c *snap.Codec, name string, words []uint64) *isa.Program {
 	key := make([]byte, 0, len(name)+1+len(words)*8)
 	key = append(key, name...)
 	key = append(key, 0)
 	for _, w := range words {
-		key = append(key,
-			byte(w), byte(w>>8), byte(w>>16), byte(w>>24),
-			byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56))
+		key = binary.LittleEndian.AppendUint64(key, w)
 	}
-	memo := r.Memo()
-	if p, ok := memo[string(key)].(*isa.Program); ok {
+	memo := snap.Memo[string, *isa.Program](c)
+	if p, ok := memo[string(key)]; ok {
 		return p
 	}
 	p, err := isa.DecodeProgram(name, words)
 	if err != nil {
-		r.Fail(err)
+		c.Fail(err)
 		return nil
 	}
 	memo[string(key)] = p
 	return p
 }
 
-// encodeProgramMemo returns p's binary encoding, computed once per
-// stream however many thread contexts run p (the runtime installs the
-// same handler programs on every node).
-func encodeProgramMemo(w *snap.Writer, p *isa.Program) []uint64 {
-	memo := w.Memo()
-	if words, ok := memo[p].([]uint64); ok {
-		return words
+// State walks the thread's control state, program, statistics, and
+// register files.
+func (h *HThread) State(c *snap.Codec) {
+	snap.Integer(c, &h.Status)
+	c.Bool(&h.Privileged)
+	c.Int(&h.PC)
+	c.String(&h.FaultMsg, maxFaultLen)
+	c.U64(&h.Issued)
+	c.U64(&h.OpsIssued)
+	c.U64(&h.StallCycles)
+	if c.Reading() && h.Status > ThreadFaulted {
+		c.Fail(fmt.Errorf("cluster: bad thread status %d", h.Status))
 	}
-	words := isa.EncodeProgram(p)
-	memo[p] = words
-	return words
-}
-
-// EncodeState writes the thread's control state, program (in the isa
-// binary encoding — label names are an assembler artifact and are not
-// preserved), statistics, and register files.
-func (h *HThread) EncodeState(w *snap.Writer) {
-	w.U64(uint64(h.Status))
-	w.Bool(h.Privileged)
-	w.Int(h.PC)
-	w.String(h.FaultMsg)
-	w.U64(h.Issued)
-	w.U64(h.OpsIssued)
-	w.U64(h.StallCycles)
-	if h.Prog != nil {
-		w.Bool(true)
-		w.String(h.Prog.Name)
-		w.U64s(encodeProgramMemo(w, h.Prog))
-	} else {
-		w.Bool(false)
+	programState(c, &h.Prog)
+	if c.Reading() {
+		h.Ints, h.FPs = new(RegFile), new(RegFile)
 	}
-	h.Ints.EncodeState(w)
-	h.FPs.EncodeState(w)
-}
-
-// DecodeHThreadState reads a thread context written by EncodeState.
-func DecodeHThreadState(r *snap.Reader) *HThread {
-	h := &HThread{
-		Status:      ThreadStatus(r.U64()),
-		Privileged:  r.Bool(),
-		PC:          r.Int(),
-		FaultMsg:    r.String(maxFaultLen),
-		Issued:      r.U64(),
-		OpsIssued:   r.U64(),
-		StallCycles: r.U64(),
-	}
-	if h.Status > ThreadFaulted {
-		r.Fail(fmt.Errorf("cluster: bad thread status %d", h.Status))
-	}
-	if r.Bool() {
-		name := r.String(maxNameLen)
-		words := r.U64s(maxProgWords)
-		if r.Err() == nil {
-			h.Prog = decodeProgramMemo(r, name, words)
-		}
-	}
-	h.Ints = DecodeRegFileState(r)
-	h.FPs = DecodeRegFileState(r)
-	if r.Err() == nil {
+	h.Ints.State(c)
+	h.FPs.State(c)
+	if c.Reading() && c.Err() == nil {
 		if h.Ints.Len() != isa.NumIntRegs || h.FPs.Len() != isa.NumFPRegs {
-			r.Fail(fmt.Errorf("cluster: bad register file sizes %d/%d", h.Ints.Len(), h.FPs.Len()))
+			c.Fail(fmt.Errorf("cluster: bad register file sizes %d/%d", h.Ints.Len(), h.FPs.Len()))
 		}
 		if h.Prog != nil && (h.PC < 0 || h.PC > len(h.Prog.Insts)) {
-			r.Fail(fmt.Errorf("cluster: PC %d outside program of %d instructions", h.PC, len(h.Prog.Insts)))
+			c.Fail(fmt.Errorf("cluster: PC %d outside program of %d instructions", h.PC, len(h.Prog.Insts)))
 		}
 	}
-	return h
 }
 
 // Clone returns an independent thread context with h's state, sharing
@@ -179,32 +149,28 @@ func (h *HThread) Clone() *HThread {
 	}
 }
 
-// EncodeState writes the cluster's round-robin rotation point, GCC
-// replica, and all six thread contexts.
-func (c *Cluster) EncodeState(w *snap.Writer) {
-	w.Int(c.LastIssued)
-	c.GCC.EncodeState(w)
-	for _, th := range c.Threads {
-		th.EncodeState(w)
-	}
-}
-
-// DecodeClusterState reads a cluster written by EncodeState.
-func DecodeClusterState(r *snap.Reader, id int) *Cluster {
-	c := &Cluster{ID: id, LastIssued: r.Int()}
-	c.GCC = DecodeGCCFileState(r)
-	for i := range c.Threads {
-		c.Threads[i] = DecodeHThreadState(r)
-	}
-	if r.Err() == nil {
-		if c.LastIssued < -1 || c.LastIssued >= isa.NumVThreads {
-			r.Fail(fmt.Errorf("cluster: bad rotation point %d", c.LastIssued))
-		}
-		if len(c.GCC.vals) != isa.NumGCCRegs {
-			r.Fail(fmt.Errorf("cluster: bad GCC size %d", len(c.GCC.vals)))
+// State walks the cluster's round-robin rotation point, GCC replica, and
+// all six thread contexts. A decoder fills a &Cluster{ID: id}.
+func (cl *Cluster) State(c *snap.Codec) {
+	c.Int(&cl.LastIssued)
+	if c.Reading() {
+		cl.GCC = new(GCCFile)
+		for i := range cl.Threads {
+			cl.Threads[i] = new(HThread)
 		}
 	}
-	return c
+	cl.GCC.State(c)
+	for _, th := range cl.Threads {
+		th.State(c)
+	}
+	if c.Reading() && c.Err() == nil {
+		if cl.LastIssued < -1 || cl.LastIssued >= isa.NumVThreads {
+			c.Fail(fmt.Errorf("cluster: bad rotation point %d", cl.LastIssued))
+		}
+		if len(cl.GCC.vals) != isa.NumGCCRegs {
+			c.Fail(fmt.Errorf("cluster: bad GCC size %d", len(cl.GCC.vals)))
+		}
+	}
 }
 
 // Clone returns an independent cluster with c's state.

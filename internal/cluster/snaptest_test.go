@@ -1,0 +1,71 @@
+package cluster
+
+import (
+	"testing"
+
+	"repro/internal/isa"
+	"repro/internal/snap/snaptest"
+)
+
+// flipWord toggles the low bit of vals[i], returning the undo.
+func flipWord(vals []isa.Word, i int) func() {
+	vals[i].Bits ^= 1
+	return func() { vals[i].Bits ^= 1 }
+}
+
+// TestRegisterFilesFieldRoundTrip mutates every serializable field of a
+// register file and a GCC replica and asserts the state walk both sees
+// the change and round-trips it.
+func TestRegisterFilesFieldRoundTrip(t *testing.T) {
+	rf := NewRegFile(isa.NumIntRegs)
+	rf.MarkEmpty(3)
+	snaptest.Fields(t, rf, snaptest.Codec[RegFile]{
+		State:  (*RegFile).State,
+		New:    func() *RegFile { return new(RegFile) },
+		Mutate: map[string]func(*RegFile) func(){"vals": func(rf *RegFile) func() { return flipWord(rf.vals, 5) }},
+	})
+	g := NewGCCFile()
+	g.Set(2, isa.W(7))
+	snaptest.Fields(t, g, snaptest.Codec[GCCFile]{
+		State:  (*GCCFile).State,
+		New:    func() *GCCFile { return new(GCCFile) },
+		Mutate: map[string]func(*GCCFile) func(){"vals": func(g *GCCFile) func() { return flipWord(g.vals, 2) }},
+	})
+}
+
+// TestThreadAndClusterFieldRoundTrip does the same for a thread context
+// with a program loaded and for a whole cluster.
+func TestThreadAndClusterFieldRoundTrip(t *testing.T) {
+	prog := &isa.Program{Name: "p", Insts: []isa.Inst{{Line: 1}, {Line: 2}, {Line: 3}}}
+	other := &isa.Program{Name: "q", Insts: []isa.Inst{{Line: 4}, {Line: 5}}}
+	h := NewHThread()
+	h.Load(prog, true)
+	h.PC, h.FaultMsg, h.Issued, h.OpsIssued, h.StallCycles = 1, "none", 4, 9, 2
+	snaptest.Fields(t, h, snaptest.Codec[HThread]{
+		State: (*HThread).State,
+		New:   func() *HThread { return new(HThread) },
+		Mutate: map[string]func(*HThread) func(){
+			"Prog": func(h *HThread) func() {
+				h.Prog = other
+				return func() { h.Prog = prog }
+			},
+			"Ints": func(h *HThread) func() { return flipWord(h.Ints.vals, 9) },
+			"FPs":  func(h *HThread) func() { return flipWord(h.FPs.vals, 1) },
+		},
+	})
+
+	cl := New(2)
+	cl.LastIssued = 2
+	cl.Threads[4].Load(prog, false)
+	snaptest.Fields(t, cl, snaptest.Codec[Cluster]{
+		State: (*Cluster).State,
+		New:   func() *Cluster { return &Cluster{ID: 2} },
+		Mutate: map[string]func(*Cluster) func(){
+			"Threads": func(cl *Cluster) func() {
+				cl.Threads[4].PC ^= 1
+				return func() { cl.Threads[4].PC ^= 1 }
+			},
+			"GCC": func(cl *Cluster) func() { return flipWord(cl.GCC.vals, 0) },
+		},
+	})
+}

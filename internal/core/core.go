@@ -2,7 +2,7 @@
 // the MAP chips, mesh network, global translation, and software runtime
 // into a ready-to-use simulator, and provides the experiment harness that
 // regenerates every quantitative result in the paper (see the functions in
-// table1.go, figure9.go, stencil.go, and experiments.go).
+// table1.go, figure9.go, and experiments.go).
 //
 // Quick start:
 //

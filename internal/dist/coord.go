@@ -521,9 +521,8 @@ func (co *Coordinator) seedAll(snapshot []byte) error {
 // beginRun is the run-loop entry across the federation: every worker
 // wakes its chips (machine.Run's WakeAll) and reports activity.
 func (co *Coordinator) beginRun() *ShardFailure {
-	return co.exchange(cmdBeginRun, repActivity, func(int) []byte { return nil }, func(i int, p []byte) (err error) {
-		co.acts[i], err = decodeActivityFrame(p)
-		return err
+	return co.exchange(cmdBeginRun, repActivity, func(int) []byte { return nil }, func(i int, p []byte) error {
+		return unframe(p, co.acts[i].state)
 	})
 }
 

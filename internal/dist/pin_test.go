@@ -1,0 +1,46 @@
+package dist
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"testing"
+
+	"repro/internal/isa"
+	"repro/internal/machine"
+	"repro/internal/noc"
+)
+
+// TestFrameBytesPinned pins the wire bytes of one frame of every
+// snap-encoded kind, so a change to the codec or to any walk that leaves
+// the round trips green but moves a byte is caught.
+func TestFrameBytesPinned(t *testing.T) {
+	net := testNet()
+	orig := &noc.Message{
+		Pri: 0, Src: noc.Coord{X: 1, Y: 1}, Dst: noc.Coord{Y: 1},
+		DIP: 7, DstAddr: 0x2000, Body: []isa.Word{{Bits: 3, Ptr: true}, {Bits: 1<<64 - 1}},
+		Seq: 11, InjectedAt: 40, DeliveredAt: 46, Hops: 2,
+	}
+	nack := &noc.Message{
+		Pri: 1, Src: noc.Coord{Y: 1}, Dst: noc.Coord{X: 1, Y: 1},
+		Seq: 12, HWAck: true, InjectedAt: 46, DeliveredAt: 52, Hops: 2, Orig: orig,
+	}
+	act := activity{Activity: machine.Activity{Running: 2, Busy: 3, Issued: 1 << 40}, Next: 91, Fault: "c1 v2: protection"}
+	for _, c := range []struct {
+		name, sha string
+		frame     []byte
+	}{
+		{"init", "bb9e481994f15abfd8c8515be9d47f58a99640c180ae4174f01c722287be4cc8", encodeInit(&initSpec{Shard: 1, Lo: 2, Hi: 4, HeartbeatMillis: 250,
+			Chaos: []ChaosSpec{{Node: 3, Cycle: 500, Kind: "panic"}, {Node: 2, Cycle: 9, Kind: "hang"}}})},
+		{"step", "aa2e3da0725e0fce06f58f749b0f9a9ebaaee612205f0cc2385f843a3a2463ad", encodeStep(net, &stepCmd{Cycle: 90, Width: 3, Deliveries: []delivery{
+			{At: 90, Node: 2, Pri: 0, Msg: orig}, {At: 92, Node: 3, Pri: 1, Msg: nack}}})},
+		{"step-reply", "0c8568c3b4b5f9cd360945686a7153a449bc31f1d4de8f83e3ed404b19223e11", encodeStepReply(net, &stepReply{Cycles: []cycleReply{
+			{Msgs: []*noc.Message{orig, nack}, Consumed: []consumption{{Node: 2, Pri: 1, N: 3}}, Trace: everyKind(), Act: act},
+			{Act: activity{Next: machine.NoEvent}},
+		}})},
+		{"activity", "1da77f5fda4e737378ac00129facb162b3666edc8f864319e9b79fe0a8f47c18", encodeActivityFrame(&act)},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(c.frame)); got != c.sha {
+			t.Errorf("%s frame sha256 %s, want %s", c.name, got, c.sha)
+		}
+	}
+}

@@ -130,40 +130,41 @@ type initSpec struct {
 	Chaos           []ChaosSpec
 }
 
-// frame returns the bytes encode writes. (A bytes.Buffer sink never
-// fails, so the flush has no error to report.)
-func frame(encode func(w *snap.Writer)) []byte {
+// frame returns the bytes walk writes. (A bytes.Buffer sink never fails,
+// so the flush has no error to report.)
+func frame(walk func(c *snap.Codec)) []byte {
 	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
-	encode(w)
-	w.Flush()
+	c := snap.NewEncoder(&buf)
+	walk(c)
+	c.Flush()
 	return buf.Bytes()
 }
 
-func encodeInit(s *initSpec) []byte {
-	return frame(func(w *snap.Writer) {
-		w.Int(s.Shard)
-		w.Int(s.Lo)
-		w.Int(s.Hi)
-		w.I64(s.HeartbeatMillis)
-		w.Len(len(s.Chaos))
-		for _, c := range s.Chaos {
-			w.Int(c.Node)
-			w.I64(c.Cycle)
-			w.String(c.Kind)
-		}
-	})
+// unframe runs walk over payload bytes with the codec's length limit
+// armed, so corrupt counts fail descriptively instead of attempting huge
+// allocations, and returns the codec's error.
+func unframe(p []byte, walk func(c *snap.Codec)) error {
+	c := snap.NewDecoder(bytes.NewReader(p))
+	c.Limit(int64(len(p)))
+	walk(c)
+	return c.Err()
 }
 
-func decodeInit(p []byte) (*initSpec, error) {
-	r := limitedReader(p)
-	s := &initSpec{Shard: r.Int(), Lo: r.Int(), Hi: r.Int(), HeartbeatMillis: r.I64()}
-	n := r.Len(1 << 16)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		s.Chaos = append(s.Chaos, ChaosSpec{Node: r.Int(), Cycle: r.I64(), Kind: r.String(64)})
+func (s *initSpec) state(c *snap.Codec) {
+	c.Int(&s.Shard)
+	c.Int(&s.Lo)
+	c.Int(&s.Hi)
+	c.I64(&s.HeartbeatMillis)
+	n := c.Len(len(s.Chaos), 1<<16)
+	for i := 0; i < n && c.Err() == nil; i++ {
+		ch := snap.Elem(c, &s.Chaos, i)
+		c.Int(&ch.Node)
+		c.I64(&ch.Cycle)
+		c.String(&ch.Kind, 64)
 	}
-	return s, r.Err()
 }
+
+func encodeInit(s *initSpec) []byte { return frame(s.state) }
 
 // activity carries one shard's run-loop aggregates, computed by
 // machine.ShardActivity with the same definitions as the in-process
@@ -175,34 +176,16 @@ type activity struct {
 	Fault string
 }
 
-func (a *activity) encode(w *snap.Writer) {
-	// The embedded field is named so mlint's snapfields sees it encoded.
-	w.Int(a.Activity.Running)
-	w.Int(a.Activity.Busy)
-	w.U64(a.Activity.Issued)
-	w.I64(a.Next)
-	w.String(a.Fault)
+func (a *activity) state(c *snap.Codec) {
+	// The embedded field is named so mlint's snapfields sees it walked.
+	c.Int(&a.Activity.Running)
+	c.Int(&a.Activity.Busy)
+	c.U64(&a.Activity.Issued)
+	c.I64(&a.Next)
+	c.String(&a.Fault, 1<<12)
 }
 
-func decodeActivity(r *snap.Reader) activity {
-	return activity{
-		Activity: machine.Activity{Running: r.Int(), Busy: r.Int(), Issued: r.U64()},
-		Next:     r.I64(),
-		Fault:    r.String(1 << 12),
-	}
-}
-
-func encodeActivityFrame(a *activity) []byte {
-	return frame(func(w *snap.Writer) {
-		a.encode(w)
-	})
-}
-
-func decodeActivityFrame(p []byte) (activity, error) {
-	r := limitedReader(p)
-	a := decodeActivity(r)
-	return a, r.Err()
-}
+func encodeActivityFrame(a *activity) []byte { return frame(a.state) }
 
 // delivery ships one authoritative-network delivery to the shard that
 // owns the destination node; the shard replays it into its local
@@ -226,37 +209,34 @@ type stepCmd struct {
 	Deliveries []delivery
 }
 
-func encodeStep(net *noc.Network, c *stepCmd) []byte {
-	return frame(func(w *snap.Writer) {
-		w.I64(c.Cycle)
-		w.Int(c.Width)
-		w.Len(len(c.Deliveries))
-		for _, d := range c.Deliveries {
-			w.I64(d.At)
-			w.Int(d.Node)
-			w.Int(d.Pri)
-			net.EncodeMessage(w, d.Msg)
+func (s *stepCmd) state(c *snap.Codec, net *noc.Network) {
+	c.I64(&s.Cycle)
+	c.Int(&s.Width)
+	if c.Reading() && c.Err() == nil && (s.Width < 1 || s.Width > maxWindow) {
+		c.Fail(fmt.Errorf("dist: step window of %d cycles outside [1, %d]", s.Width, maxWindow))
+	}
+	end := s.Cycle + int64(s.Width)
+	n := c.Len(len(s.Deliveries), 1<<24)
+	for i, at := 0, s.Cycle; i < n && c.Err() == nil; i++ {
+		d := snap.Elem(c, &s.Deliveries, i)
+		c.I64(&d.At)
+		c.Int(&d.Node)
+		c.Int(&d.Pri)
+		net.MessageState(c, &d.Msg)
+		if c.Reading() && c.Err() == nil && (d.At < at || d.At >= end) {
+			c.Fail(fmt.Errorf("dist: delivery tagged cycle %d after one tagged %d, window [%d,%d)", d.At, at, s.Cycle, end))
 		}
-	})
+		at = d.At
+	}
+}
+
+func encodeStep(net *noc.Network, s *stepCmd) []byte {
+	return frame(func(c *snap.Codec) { s.state(c, net) })
 }
 
 func decodeStep(net *noc.Network, p []byte) (*stepCmd, error) {
-	r := limitedReader(p)
-	c := &stepCmd{Cycle: r.I64(), Width: r.Int()}
-	if r.Err() == nil && (c.Width < 1 || c.Width > maxWindow) {
-		r.Fail(fmt.Errorf("dist: step window of %d cycles outside [1, %d]", c.Width, maxWindow))
-	}
-	end := c.Cycle + int64(c.Width)
-	n := r.Len(1 << 24)
-	for i, at := 0, c.Cycle; i < n && r.Err() == nil; i++ {
-		d := delivery{At: r.I64(), Node: r.Int(), Pri: r.Int(), Msg: net.DecodeMessage(r)}
-		if r.Err() == nil && (d.At < at || d.At >= end) {
-			r.Fail(fmt.Errorf("dist: delivery tagged cycle %d after one tagged %d, window [%d,%d)", d.At, at, c.Cycle, end))
-		}
-		at = d.At
-		c.Deliveries = append(c.Deliveries, d)
-	}
-	return c, r.Err()
+	s := &stepCmd{}
+	return s, unframe(p, func(c *snap.Codec) { s.state(c, net) })
 }
 
 // consumption confirms that the shard's chip consumed N messages from
@@ -296,80 +276,58 @@ func (rep *stepReply) section(k int) *cycleReply {
 	return &rep.Cycles[k]
 }
 
-func encodeStepReply(net *noc.Network, rep *stepReply) []byte {
-	return frame(func(w *snap.Writer) {
-		w.Len(len(rep.Cycles))
-		for k := range rep.Cycles {
-			c := &rep.Cycles[k]
-			w.Len(len(c.Msgs))
-			for _, m := range c.Msgs {
-				net.EncodeMessage(w, m)
-			}
-			w.Len(len(c.Consumed))
-			for _, x := range c.Consumed {
-				w.Int(x.Node)
-				w.Int(x.Pri)
-				w.Int(x.N)
-			}
-			c.Trace.Encode(w)
-			c.Act.encode(w)
+// state walks the reply's sections. A decoder reuses the buffers of the
+// sections an earlier window left in rep.
+func (rep *stepReply) state(c *snap.Codec, net *noc.Network) {
+	n := c.Len(len(rep.Cycles), maxWindow)
+	if c.Reading() {
+		rep.Cycles = rep.Cycles[:0]
+	}
+	for k := 0; k < n && c.Err() == nil; k++ {
+		var cr *cycleReply
+		if c.Reading() {
+			cr = rep.section(k)
+			cr.Msgs, cr.Consumed = cr.Msgs[:0], cr.Consumed[:0]
+		} else {
+			cr = &rep.Cycles[k]
 		}
-	})
+		m := c.Len(len(cr.Msgs), 1<<24)
+		for i := 0; i < m && c.Err() == nil; i++ {
+			net.MessageState(c, snap.Elem(c, &cr.Msgs, i))
+		}
+		m = c.Len(len(cr.Consumed), 1<<24)
+		for i := 0; i < m && c.Err() == nil; i++ {
+			x := snap.Elem(c, &cr.Consumed, i)
+			c.Int(&x.Node)
+			c.Int(&x.Pri)
+			c.Int(&x.N)
+		}
+		cr.Trace.State(c, 1<<24, 1<<16)
+		cr.Act.state(c)
+	}
+}
+
+func encodeStepReply(net *noc.Network, rep *stepReply) []byte {
+	return frame(func(c *snap.Codec) { rep.state(c, net) })
 }
 
 // decodeStepReply decodes p into rep, reusing its sections' buffers.
 func decodeStepReply(net *noc.Network, p []byte, rep *stepReply) error {
-	r := limitedReader(p)
-	n := r.Len(maxWindow)
-	rep.Cycles = rep.Cycles[:0]
-	for k := 0; k < n && r.Err() == nil; k++ {
-		c := rep.section(k)
-		c.Msgs, c.Consumed = c.Msgs[:0], c.Consumed[:0]
-		m := r.Len(1 << 24)
-		for i := 0; i < m && r.Err() == nil; i++ {
-			c.Msgs = append(c.Msgs, net.DecodeMessage(r))
-		}
-		m = r.Len(1 << 24)
-		for i := 0; i < m && r.Err() == nil; i++ {
-			c.Consumed = append(c.Consumed, consumption{Node: r.Int(), Pri: r.Int(), N: r.Int()})
-		}
-		c.Trace.Decode(r, 1<<24, 1<<16)
-		c.Act = decodeActivity(r)
-	}
-	return r.Err()
+	return unframe(p, func(c *snap.Codec) { rep.state(c, net) })
 }
 
-func encodeI64(v int64) []byte {
-	return frame(func(w *snap.Writer) {
-		w.I64(v)
-	})
+func encodeI64(v int64) []byte { return frame(func(c *snap.Codec) { c.I64(&v) }) }
+
+func decodeI64(p []byte) (v int64, err error) {
+	err = unframe(p, func(c *snap.Codec) { c.I64(&v) })
+	return v, err
 }
 
-func decodeI64(p []byte) (int64, error) {
-	r := limitedReader(p)
-	v := r.I64()
-	return v, r.Err()
-}
+func encodeString(s string) []byte { return frame(func(c *snap.Codec) { c.String(&s, 0) }) }
 
-func encodeString(s string) []byte {
-	return frame(func(w *snap.Writer) {
-		w.String(s)
-	})
-}
-
-func decodeString(p []byte) (string, error) {
-	r := limitedReader(p)
-	s := r.String(1 << 20)
-	return s, r.Err()
-}
-
-// limitedReader wraps payload bytes in a snap.Reader with its length
-// limit armed, so corrupt counts fail descriptively instead of
-// attempting huge allocations.
-func limitedReader(p []byte) *snap.Reader {
-	r := snap.NewReader(bytes.NewReader(p))
-	r.Limit(int64(len(p)))
-	return r
+func decodeString(p []byte) (s string, err error) {
+	err = unframe(p, func(c *snap.Codec) { c.String(&s, 1<<20) })
+	return s, err
 }
 
 // netConn is the transport a shard connection needs: framed I/O plus

@@ -58,8 +58,8 @@ func TestInitSpecRoundTrip(t *testing.T) {
 		Shard: 2, Lo: 4, Hi: 8, HeartbeatMillis: 125,
 		Chaos: []ChaosSpec{{Node: 5, Cycle: 999, Kind: "hang"}, {Node: 6, Cycle: 1, Kind: "panic"}},
 	}
-	out, err := decodeInit(encodeInit(&in))
-	if err != nil {
+	var out initSpec
+	if err := unframe(encodeInit(&in), out.state); err != nil {
 		t.Fatal(err)
 	}
 	if out.Shard != in.Shard || out.Lo != in.Lo || out.Hi != in.Hi ||
@@ -207,7 +207,8 @@ func TestDecodeCorruptPayloads(t *testing.T) {
 	net := testNet()
 	// A payload that is nothing but a huge count: the armed stream-length
 	// limit must reject it descriptively instead of allocating.
-	if _, err := decodeInit([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}); err == nil {
+	var spec initSpec
+	if err := unframe([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, spec.state); err == nil {
 		t.Fatal("garbage initSpec decoded")
 	}
 	if _, err := decodeStep(net, []byte{0x01, 0x02}); err == nil {

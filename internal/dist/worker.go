@@ -136,11 +136,11 @@ func (w *worker) handle(kind byte, payload []byte) (rk byte, rp []byte, err erro
 	}()
 	switch kind {
 	case cmdInit:
-		s, err := decodeInit(payload)
-		if err != nil {
+		var s initSpec
+		if err := unframe(payload, s.state); err != nil {
 			return 0, nil, err
 		}
-		w.spec = *s
+		w.spec = s
 		if w.hbStop == nil && s.HeartbeatMillis > 0 {
 			w.hbStop = make(chan struct{})
 			go w.heartbeat(time.Duration(s.HeartbeatMillis) * time.Millisecond)

@@ -1,11 +1,9 @@
 package events
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/isa"
-	"repro/internal/snap"
 	"repro/internal/snap/snaptest"
 )
 
@@ -20,12 +18,8 @@ func TestQueueFieldRoundTrip(t *testing.T) {
 	}
 	q.Enqueued, q.Dropped, q.HighWater = 3, 1, 3
 	snaptest.Fields(t, q, snaptest.Codec[Queue]{
-		Encode: func(q *Queue) []byte { return snaptest.Encode(t, q.EncodeState) },
-		Decode: func(data []byte) (*Queue, error) {
-			r := snap.NewReader(bytes.NewReader(data))
-			d := DecodeQueueState(r, 16)
-			return d, r.Err()
-		},
+		State: (*Queue).State,
+		New:   func() *Queue { return NewQueue(16) },
 		Mutate: map[string]func(*Queue) func(){
 			"words": func(q *Queue) func() {
 				q.words[q.head].Bits ^= 1

@@ -1,10 +1,9 @@
 package gtlb
 
 // Checkpoint support (DESIGN.md, "Checkpoint/restore") for the global
-// destination table and the per-chip GTLB caches: EncodeState streams,
-// the DecodeXState functions build new objects from the stream (entries
-// are re-validated on the way in), and Clone copies the same fields for
-// machine.Fork.
+// destination table and the per-chip GTLB caches: State walks a table or
+// cache — filling a new one when decoding, with every entry re-validated
+// on the way in — and Clone copies the same fields for machine.Fork.
 
 import (
 	"fmt"
@@ -16,84 +15,51 @@ import (
 // maxEntries bounds decoded entry counts against corrupt input.
 const maxEntries = 1 << 16
 
-func encodeEntry(w *snap.Writer, e *Entry) {
-	w.U64(e.VirtPage)
-	w.U64(e.GroupPages)
-	w.Int(e.Start.X)
-	w.Int(e.Start.Y)
-	w.Int(e.Start.Z)
-	for _, l := range e.ExtentLog {
-		w.Int(l)
-	}
-	w.U64(e.PagesPerNode)
-}
-
-func decodeEntry(r *snap.Reader) Entry {
-	e := Entry{
-		VirtPage:   r.U64(),
-		GroupPages: r.U64(),
-		Start:      NodeID{X: r.Int(), Y: r.Int(), Z: r.Int()},
-	}
+func (e *Entry) state(c *snap.Codec) {
+	c.U64(&e.VirtPage)
+	c.U64(&e.GroupPages)
+	c.Int(&e.Start.X)
+	c.Int(&e.Start.Y)
+	c.Int(&e.Start.Z)
 	for i := range e.ExtentLog {
-		e.ExtentLog[i] = r.Int()
+		c.Int(&e.ExtentLog[i])
 	}
-	e.PagesPerNode = r.U64()
-	if r.Err() == nil {
+	c.U64(&e.PagesPerNode)
+	if c.Reading() && c.Err() == nil {
 		if err := e.Validate(); err != nil {
-			r.Fail(fmt.Errorf("snapshot entry: %w", err))
+			c.Fail(fmt.Errorf("snapshot entry: %w", err))
 		}
 	}
-	return e
 }
 
-// EncodeState writes the GDT's entries in installation order.
-func (t *Table) EncodeState(w *snap.Writer) {
-	w.Len(len(t.entries))
-	for i := range t.entries {
-		encodeEntry(w, &t.entries[i])
+// entriesState walks a length-prefixed entry list and returns its length.
+func entriesState(c *snap.Codec, es *[]Entry) int {
+	n := c.Len(len(*es), maxEntries)
+	for i := 0; i < n && c.Err() == nil; i++ {
+		snap.Elem(c, es, i).state(c)
 	}
+	return n
 }
 
-// DecodeTableState reads a GDT written by EncodeState.
-func DecodeTableState(r *snap.Reader) *Table {
-	t := &Table{}
-	n := r.Len(maxEntries)
-	for i := 0; i < n; i++ {
-		t.entries = append(t.entries, decodeEntry(r))
-	}
-	return t
-}
+// State walks the GDT's entries in installation order. A decoder fills a
+// new &Table{}.
+func (t *Table) State(c *snap.Codec) { entriesState(c, &t.entries) }
 
 // Clone returns an independent GDT with t's entries.
 func (t *Table) Clone() *Table {
 	return &Table{entries: slices.Clone(t.entries)}
 }
 
-// EncodeState writes the GTLB's resident entries in refill order and its
-// statistics.
-func (g *GTLB) EncodeState(w *snap.Writer) {
-	w.Len(len(g.resident))
-	for i := range g.resident {
-		encodeEntry(w, &g.resident[i])
+// State walks the GTLB's resident entries in refill order and its
+// statistics. A decoder fills a GTLB from New, backed by the restored
+// machine's table.
+func (g *GTLB) State(c *snap.Codec) {
+	n := entriesState(c, &g.resident)
+	if c.Reading() && c.Err() == nil && n > g.capacity {
+		c.Fail(fmt.Errorf("gtlb: snapshot has %d resident entries, capacity %d", n, g.capacity))
 	}
-	w.U64(g.Hits)
-	w.U64(g.Misses)
-}
-
-// DecodeGTLBState reads a GTLB written by EncodeState, backed by gdt (the
-// restored machine's table).
-func DecodeGTLBState(r *snap.Reader, gdt *Table, capacity int) *GTLB {
-	g := &GTLB{gdt: gdt, capacity: capacity}
-	n := r.Len(maxEntries)
-	for i := 0; i < n; i++ {
-		g.resident = append(g.resident, decodeEntry(r))
-	}
-	if r.Err() == nil && n > capacity {
-		r.Fail(fmt.Errorf("gtlb: snapshot has %d resident entries, capacity %d", n, capacity))
-	}
-	g.Hits = r.U64()
-	g.Misses = r.U64()
-	return g
+	c.U64(&g.Hits)
+	c.U64(&g.Misses)
 }
 
 // Clone returns an independent GTLB with g's resident set, capacity and

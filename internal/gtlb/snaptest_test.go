@@ -1,10 +1,8 @@
 package gtlb
 
 import (
-	"bytes"
 	"testing"
 
-	"repro/internal/snap"
 	"repro/internal/snap/snaptest"
 )
 
@@ -25,12 +23,8 @@ func TestGTLBFieldRoundTrip(t *testing.T) {
 		Misses: 5,
 	}
 	snaptest.Fields(t, g, snaptest.Codec[GTLB]{
-		Encode: func(g *GTLB) []byte { return snaptest.Encode(t, g.EncodeState) },
-		Decode: func(data []byte) (*GTLB, error) {
-			r := snap.NewReader(bytes.NewReader(data))
-			d := DecodeGTLBState(r, nil, 4)
-			return d, r.Err()
-		},
+		State: (*GTLB).State,
+		New:   func() *GTLB { return New(nil, 4) },
 		Mutate: map[string]func(*GTLB) func(){
 			// Entries are validated at decode (power-of-two group and
 			// placement sizes), so mutate the unconstrained lookup tag.

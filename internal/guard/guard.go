@@ -16,12 +16,11 @@
 //     the panic site, and the offending (node, cycle). A panic never
 //     crosses the Supervisor boundary.
 //
-//   - Watchdogs. A wall-clock deadline (Options.Timeout and/or a
-//     caller context) is enforced by a monitor goroutine that raises the
-//     machine's atomic stop flag; the run observes the flag at its
-//     existing loop-head sync point and returns between cycles, so the
-//     engine hot path is untouched and supervised runs stay bit-identical
-//     to unsupervised ones. A cycle budget (Options.CycleBudget) is
+//   - Watchdogs. A wall-clock deadline (Options.Timeout) is enforced by
+//     a monitor goroutine that raises the machine's atomic stop flag; the
+//     run observes the flag at its existing loop-head sync point and
+//     returns between cycles, so the engine hot path is untouched and
+//     supervised runs stay bit-identical to unsupervised ones. A cycle budget (Options.CycleBudget) is
 //     enforced deterministically by clamping each RunPhase's cycle
 //     bound — no wall-clock involved, so budget exhaustion reproduces
 //     exactly on any host and engine.
@@ -64,10 +63,6 @@ type Options struct {
 	// loop-head sync point and yields a *StallError (StallTimeout).
 	Timeout time.Duration
 
-	// Ctx, when non-nil, also stops the run when the context is done
-	// (deadline or cancellation), with the same StallTimeout reporting.
-	Ctx context.Context
-
 	// CycleBudget caps the machine cycles one Do call may advance,
 	// across all its RunPhase legs; 0 disables. Exhaustion yields a
 	// *StallError (StallBudget). Enforcement is deterministic: the
@@ -95,7 +90,7 @@ const defaultGrace = 10 * time.Second
 type StallKind int
 
 const (
-	// StallTimeout: the wall-clock deadline (or context) expired; the
+	// StallTimeout: the wall-clock deadline expired; the
 	// run observed the stop flag and returned cleanly.
 	StallTimeout StallKind = iota
 	// StallBudget: the cycle budget was exhausted (deterministic).
@@ -370,10 +365,6 @@ func (s *Supervisor) Do(fn func() error) error {
 		defer t.Stop()
 		timeoutCh = t.C
 	}
-	var ctxCh <-chan struct{}
-	if s.opt.Ctx != nil {
-		ctxCh = s.opt.Ctx.Done()
-	}
 	var graceCh <-chan time.Time
 	var graceTimer *time.Timer
 	defer func() {
@@ -384,7 +375,7 @@ func (s *Supervisor) Do(fn func() error) error {
 	timedOut := false
 	stop := func() {
 		timedOut = true
-		timeoutCh, ctxCh = nil, nil
+		timeoutCh = nil
 		s.m.RequestStop()
 		g := s.opt.Grace
 		if g <= 0 {
@@ -398,8 +389,6 @@ func (s *Supervisor) Do(fn func() error) error {
 		case o := <-done:
 			return s.classify(o, timedOut, time.Since(start))
 		case <-timeoutCh:
-			stop()
-		case <-ctxCh:
 			stop()
 		case <-graceCh:
 			return &StallError{

@@ -206,24 +206,6 @@ func TestWatchdogTimeout(t *testing.T) {
 	}
 }
 
-// TestContextCancel: a canceled caller context stops the run like a
-// deadline does.
-func TestContextCancel(t *testing.T) {
-	m := newM(t, 1, 0)
-	load(t, m, 0, spinSrc)
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		cancel()
-	}()
-	s := guard.New(m, guard.Options{Ctx: ctx})
-	_, err := s.Run(1 << 40)
-	var se *guard.StallError
-	if !errors.As(err, &se) || se.Kind != guard.StallTimeout {
-		t.Fatalf("want StallTimeout from cancellation, got %v", err)
-	}
-}
-
 // TestCycleBudgetDeterministic: budget exhaustion is a property of the
 // simulation, not the host or the engine — the naive loop, the event
 // engine and the worker pool all stop a runaway mesh at exactly the

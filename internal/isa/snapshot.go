@@ -8,49 +8,48 @@ package isa
 
 import "repro/internal/snap"
 
-// EncodeWords writes ws in the packed block form. Both blocks stage
-// through the writer's reusable buffer (RawU64s copies the staged words
-// out before returning, so the two uses cannot overlap).
-func EncodeWords(w *snap.Writer, ws []Word) {
-	w.Len(len(ws))
-	bits := w.Stage(len(ws))
-	for i := range ws {
-		bits[i] = ws[i].Bits
-	}
-	w.RawU64s(bits)
-	ptrs := w.Stage((len(ws) + 63) / 64)
-	for i := range ws {
-		if ws[i].Ptr {
-			ptrs[i/64] |= 1 << (i % 64)
+// Words walks *ws in the packed block form, bounded by max entries. Both
+// blocks go through the codec's staging buffer: an encoder assembles each
+// one there (RawU64s copies it out before returning, so the two uses
+// cannot overlap), a decoder copies the bits out of it before the buffer
+// is reused for the pointer mask.
+func Words(c *snap.Codec, ws *[]Word, max int) {
+	n := c.Len(len(*ws), max)
+	if !c.Reading() {
+		bits := c.Stage(n)
+		for i, w := range *ws {
+			bits[i] = w.Bits
 		}
+		c.RawU64s(bits)
+		ptrs := c.Stage((n + 63) / 64)
+		for i, w := range *ws {
+			if w.Ptr {
+				ptrs[i/64] |= 1 << (i % 64)
+			}
+		}
+		c.RawU64s(ptrs)
+		return
 	}
-	w.RawU64s(ptrs)
-}
-
-// DecodeWords reads a slice written by EncodeWords, bounded by max
-// entries. The bit block is copied into the result before the reader's
-// staging buffer is reused for the pointer mask.
-func DecodeWords(r *snap.Reader, max int) []Word {
-	n := r.Len(max)
-	if r.Err() != nil || n == 0 {
-		return nil
+	*ws = nil
+	if c.Err() != nil || n == 0 {
+		return
 	}
-	ws := make([]Word, n)
-	bits := r.Stage(n)
-	r.RawU64s(bits)
-	if r.Err() != nil {
-		return nil
+	s := make([]Word, n)
+	bits := c.Stage(n)
+	c.RawU64s(bits)
+	if c.Err() != nil {
+		return
 	}
-	for i := range ws {
-		ws[i].Bits = bits[i]
+	for i := range s {
+		s[i].Bits = bits[i]
 	}
-	ptrs := r.Stage((n + 63) / 64)
-	r.RawU64s(ptrs)
-	if r.Err() != nil {
-		return nil
+	ptrs := c.Stage((n + 63) / 64)
+	c.RawU64s(ptrs)
+	if c.Err() != nil {
+		return
 	}
-	for i := range ws {
-		ws[i].Ptr = ptrs[i/64]&(1<<(i%64)) != 0
+	for i := range s {
+		s[i].Ptr = ptrs[i/64]&(1<<(i%64)) != 0
 	}
-	return ws
+	*ws = s
 }

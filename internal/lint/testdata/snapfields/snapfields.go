@@ -1,7 +1,8 @@
 // Package sfix is the snapfields fixture: State round-trips through the
-// snap codec, so every field must appear on both the encode and decode
-// paths or carry a snap:"derived" tag; Forked is also cloned field by
-// field, so every field must appear on the clone path too.
+// snap codec, so every field must be walked — referenced outside the
+// codec's direction branches, or inside branches of both directions — or
+// carry a snap:"derived" tag; Forked is also cloned field by field, so
+// every field must appear on the clone path too.
 package sfix
 
 import "repro/internal/snap"
@@ -9,65 +10,56 @@ import "repro/internal/snap"
 type State struct {
 	A       uint64
 	B       uint64
-	missing uint64 // want `field repro/internal/chip/sfix.State.missing is not referenced on the snapshot encode or decode path`
+	missing uint64 // want `field repro/internal/chip/sfix.State.missing is not referenced on the snapshot walk`
+	checked uint64 // want `field repro/internal/chip/sfix.State.checked is not referenced on the snapshot walk`
 	cache   uint64 `snap:"derived,recomputed from A and B on first use"`
 }
 
-func (s *State) EncodeState(w *snap.Writer) {
-	w.U64(s.A)
-	w.U64(s.B)
+// State mentions checked only when decoding: validation walks nothing.
+func (s *State) State(c *snap.Codec) {
+	c.U64(&s.A)
+	c.U64(&s.B)
+	if c.Reading() && s.A > s.checked {
+		s.cache = s.A + s.B
+	}
 }
 
-func (s *State) DecodeState(r *snap.Reader) {
-	s.A = r.U64()
-	s.B = r.U64()
-}
-
-// Forked has the third path: its Clone method references A, so the
+// Forked has the second path: its Clone method references A, so the
 // struct is held to the clone path and the field Clone forgets is a
 // finding. State above has no clone method and is not.
 type Forked struct {
 	A       uint64
-	dropped uint64 // want `field repro/internal/chip/sfix.Forked.dropped is not referenced on the snapshot clone path`
+	dropped uint64 // want `field repro/internal/chip/sfix.Forked.dropped is not referenced on the fork clone path`
 }
 
-func (f *Forked) EncodeState(w *snap.Writer) {
-	w.U64(f.A)
-	w.U64(f.dropped)
-}
-
-func (f *Forked) DecodeState(r *snap.Reader) {
-	f.A = r.U64()
-	f.dropped = r.U64()
+func (f *Forked) State(c *snap.Codec) {
+	c.U64(&f.A)
+	c.U64(&f.dropped)
 }
 
 func (f *Forked) Clone() *Forked { return &Forked{A: f.A} }
 
-// Copied is decoded by a function that forgets a field which only a
-// copy between live objects mentions: that copy is not a snapshot path,
-// so the field is missing from the decode path.
-type Copied struct {
-	A    uint64
-	late uint64 // want `field repro/internal/chip/sfix.Copied.late is not referenced on the snapshot decode path`
+// Keyed travels as a key list the encoder builds and the decoder refills
+// from: set is mentioned in both directions and is walked, order only by
+// the encoder, so a decoder would drop it.
+type Keyed struct {
+	set   map[uint64]bool
+	order []uint64 // want `field repro/internal/chip/sfix.Keyed.order is not referenced on the snapshot walk`
 }
 
-func (c *Copied) EncodeState(w *snap.Writer) {
-	w.U64(c.A)
-	w.U64(c.late)
-}
-
-func DecodeCopied(r *snap.Reader) *Copied { return &Copied{A: r.U64()} }
-
-func (c *Copied) Adopt(src *Copied) { c.A, c.late = src.A, src.late }
-
-// Digest is write-only — it is encoded (into hash inputs) but never
-// decoded — so snapfields does not conscript it into coverage and its
-// unreferenced field is fine.
-type Digest struct {
-	Sum   uint64
-	count uint64
-}
-
-func (d *Digest) EncodeDigest(w *snap.Writer) {
-	w.U64(d.Sum)
+func (k *Keyed) State(c *snap.Codec) {
+	var keys []uint64
+	if !c.Reading() {
+		for _, key := range k.order {
+			if k.set[key] {
+				keys = append(keys, key)
+			}
+		}
+	}
+	c.U64s(&keys, 64)
+	if c.Reading() {
+		for _, key := range keys {
+			k.set[key] = true
+		}
+	}
 }

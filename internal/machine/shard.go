@@ -26,27 +26,47 @@ const (
 	shardFrameTrailer = 0x444e45445248534d // "MSHRDEND"
 )
 
-// EncodeShard writes a partial-machine wire frame: the machine clock, the
-// node range, and the full serialized state of chips [lo, hi). The frame
+// shard walks a partial-machine wire frame: the machine clock, the node
+// range, and the full serialized state of chips [lo, hi). The frame
 // shares the snapshot version (the chip encoding is the same); it does
 // not carry config, network, GDT, or page-allocator state — frames only
 // travel between processes already seeded from a common full snapshot.
+// Decoding, chips receives new chips bound to m's network and GDT, and a
+// frame of another node range is refused; the error is adoption's.
+func (m *Machine) shard(c *snap.Codec, cycle *int64, lo int, chips []*chip.Chip) error {
+	if err := header(c, shardFrameMagic, "shard frame", "frame"); err != nil {
+		return fmt.Errorf("machine: adopt shard: %w", err)
+	}
+	c.I64(cycle)
+	hi := lo + len(chips)
+	flo, fhi := lo, hi
+	c.Int(&flo)
+	c.Int(&fhi)
+	if c.Err() == nil && (flo != lo || fhi != hi) {
+		return fmt.Errorf("machine: adopt shard: frame covers [%d,%d), want [%d,%d)", flo, fhi, lo, hi)
+	}
+	m.chipsState(c, lo, chips)
+	trailer := uint64(shardFrameTrailer)
+	c.U64(&trailer)
+	if c.Err() == nil && trailer != shardFrameTrailer {
+		c.Fail(fmt.Errorf("machine: shard frame trailer missing (stream corrupt)"))
+	}
+	if err := c.Err(); err != nil {
+		return fmt.Errorf("machine: adopt shard [%d,%d): %w", lo, hi, err)
+	}
+	return nil
+}
+
+// EncodeShard writes the partial-machine wire frame of chips [lo, hi)
+// (see shard).
 func (m *Machine) EncodeShard(w io.Writer, lo, hi int) error {
 	if lo < 0 || hi > len(m.Chips) || lo >= hi {
 		return fmt.Errorf("machine: shard range [%d,%d) outside 0..%d", lo, hi, len(m.Chips))
 	}
 	m.syncDeferred()
-	sw := snap.NewWriter(w)
-	sw.U64(shardFrameMagic)
-	sw.U64(SnapshotVersion)
-	sw.I64(m.Cycle)
-	sw.Int(lo)
-	sw.Int(hi)
-	for _, c := range m.Chips[lo:hi] {
-		c.EncodeState(sw)
-	}
-	sw.U64(shardFrameTrailer)
-	if err := sw.Flush(); err != nil {
+	c := snap.NewEncoder(w)
+	m.shard(c, &m.Cycle, lo, m.Chips[lo:hi])
+	if err := c.Flush(); err != nil {
 		return fmt.Errorf("machine: encode shard [%d,%d): %w", lo, hi, err)
 	}
 	return nil
@@ -60,30 +80,13 @@ func (m *Machine) EncodeShard(w io.Writer, lo, hi int) error {
 // a Restore). It returns the frame's machine clock; the caller decides
 // whether (and to what) to advance m.Cycle.
 func (m *Machine) AdoptShard(r io.Reader, lo, hi int) (int64, error) {
-	sr := snap.NewReader(bufio.NewReader(r))
-	if magic := sr.U64(); sr.Err() == nil && magic != shardFrameMagic {
-		return 0, fmt.Errorf("machine: adopt shard: not a shard frame (bad magic %#x)", magic)
-	}
-	if v := sr.U64(); sr.Err() == nil && v != SnapshotVersion {
-		return 0, fmt.Errorf("machine: adopt shard: unsupported frame version %d (this build reads version %d)", v, SnapshotVersion)
-	}
-	cycle := sr.I64()
-	flo, fhi := sr.Int(), sr.Int()
-	if sr.Err() == nil && (flo != lo || fhi != hi) {
-		return 0, fmt.Errorf("machine: adopt shard: frame covers [%d,%d), want [%d,%d)", flo, fhi, lo, hi)
-	}
 	if lo < 0 || hi > len(m.Chips) || lo >= hi {
 		return 0, fmt.Errorf("machine: shard range [%d,%d) outside 0..%d", lo, hi, len(m.Chips))
 	}
+	var cycle int64
 	chips := make([]*chip.Chip, hi-lo)
-	for i := range chips {
-		chips[i] = chip.DecodeChipState(sr, m.Cfg.Chip, m.Net.CoordOf(lo+i), lo+i, m.Net, m.GDT)
-	}
-	if t := sr.U64(); sr.Err() == nil && t != shardFrameTrailer {
-		sr.Fail(fmt.Errorf("machine: shard frame trailer missing (stream corrupt)"))
-	}
-	if err := sr.Err(); err != nil {
-		return 0, fmt.Errorf("machine: adopt shard [%d,%d): %w", lo, hi, err)
+	if err := m.shard(snap.NewDecoder(bufio.NewReader(r)), &cycle, lo, chips); err != nil {
+		return 0, err
 	}
 	m.syncDeferred()
 	m.install(lo, chips, nil)
@@ -114,15 +117,13 @@ func (m *Machine) ShardActivity(lo, hi int, now int64) (a Activity, next int64, 
 // stream written by Save, so a process can construct a compatible machine
 // (New + Restore) from snapshot bytes alone — the distributed seed path.
 func ReadSnapshotConfig(r io.Reader) (Config, error) {
-	sr := snap.NewReader(bufio.NewReader(r))
-	if magic := sr.U64(); sr.Err() == nil && magic != snapshotMagic {
-		return Config{}, fmt.Errorf("machine: not a snapshot stream (bad magic %#x)", magic)
+	c := snap.NewDecoder(bufio.NewReader(r))
+	if err := header(c, snapshotMagic, "snapshot stream", "snapshot"); err != nil {
+		return Config{}, fmt.Errorf("machine: %w", err)
 	}
-	if v := sr.U64(); sr.Err() == nil && v != SnapshotVersion {
-		return Config{}, fmt.Errorf("machine: unsupported snapshot version %d (this build reads version %d)", v, SnapshotVersion)
-	}
-	cfg := decodeConfig(sr)
-	if err := sr.Err(); err != nil {
+	var cfg Config
+	configState(c, &cfg)
+	if err := c.Err(); err != nil {
 		return Config{}, fmt.Errorf("machine: read snapshot config: %w", err)
 	}
 	return cfg, nil

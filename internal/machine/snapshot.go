@@ -13,8 +13,10 @@ package machine
 // every chip — the always-safe early direction of the NextEvent contract —
 // so the restored machine continues identically under any engine.
 //
-// Restore is all-or-nothing by construction: the decoders build new chips,
-// a new network and a new GDT that nothing in the machine points to, and
+// Save and Restore run one walk, snapshot, in the two directions of the
+// codec. Restore is all-or-nothing by construction: decoding, the walk
+// builds new chips, a new network and a new GDT that nothing in the
+// machine points to, and
 // install swaps them in only after the whole stream, trailer included, has
 // validated — so a corrupt, truncated, or mismatched snapshot returns an
 // error and there is nothing it could have changed.
@@ -46,78 +48,111 @@ const (
 	snapshotTrailer = 0x0a444e454d49534d // "MSIMEND\n"
 )
 
-// encodeConfig writes the parts of the configuration that define snapshot
+// configState walks the parts of the configuration that define snapshot
 // compatibility: the mesh shape and the chip's timing and capacity
-// parameters. Engine selection (Workers, Naive) is
-// deliberately excluded — it is not simulated state, and a snapshot taken
-// under one engine restores under any other.
-func encodeConfig(w *snap.Writer, cfg Config) {
-	w.Int(cfg.Dims.X)
-	w.Int(cfg.Dims.Y)
-	w.Int(cfg.Dims.Z)
-	c := cfg.Chip
-	w.U64(c.Mem.SDRAM.Words)
-	w.U64(c.Mem.SDRAM.RowWords)
-	w.I64(c.Mem.SDRAM.RowHitLat)
-	w.I64(c.Mem.SDRAM.RowMissLat)
-	w.Int(c.Mem.Cache.Lines)
-	w.Int(c.Mem.LTLBEntries)
-	w.U64(c.Mem.LPT.Base)
-	w.U64(c.Mem.LPT.Entries)
-	w.I64(c.Mem.ReadHitLat)
-	w.I64(c.Mem.WriteHitLat)
-	w.I64(c.Mem.MissDetectLat)
-	w.I64(c.Mem.PhysAccessLat)
-	w.I64(c.Mem.LineLoadLat)
-	w.I64(c.Net.InjectLat)
-	w.I64(c.Net.HopLat)
-	w.I64(c.Net.DeliverLat)
-	w.I64(c.IntLat)
-	w.I64(c.FPLat)
-	w.I64(c.FDivLat)
-	w.I64(c.XferLat)
-	w.I64(c.GCCLat)
-	w.I64(c.GTLBLat)
-	w.Int(c.CSwitchPorts)
-	w.Int(c.MsgQueueCap)
-	w.Int(c.EventQueueCap)
-	w.Int(c.SendCredits)
-	w.I64(c.ResendDelay)
+// parameters. Engine selection (Workers, Naive) is deliberately excluded
+// — it is not simulated state, and a snapshot taken under one engine
+// restores under any other.
+func configState(c *snap.Codec, cfg *Config) {
+	c.Int(&cfg.Dims.X)
+	c.Int(&cfg.Dims.Y)
+	c.Int(&cfg.Dims.Z)
+	k := &cfg.Chip
+	c.U64(&k.Mem.SDRAM.Words)
+	c.U64(&k.Mem.SDRAM.RowWords)
+	c.I64(&k.Mem.SDRAM.RowHitLat)
+	c.I64(&k.Mem.SDRAM.RowMissLat)
+	c.Int(&k.Mem.Cache.Lines)
+	c.Int(&k.Mem.LTLBEntries)
+	c.U64(&k.Mem.LPT.Base)
+	c.U64(&k.Mem.LPT.Entries)
+	c.I64(&k.Mem.ReadHitLat)
+	c.I64(&k.Mem.WriteHitLat)
+	c.I64(&k.Mem.MissDetectLat)
+	c.I64(&k.Mem.PhysAccessLat)
+	c.I64(&k.Mem.LineLoadLat)
+	c.I64(&k.Net.InjectLat)
+	c.I64(&k.Net.HopLat)
+	c.I64(&k.Net.DeliverLat)
+	c.I64(&k.IntLat)
+	c.I64(&k.FPLat)
+	c.I64(&k.FDivLat)
+	c.I64(&k.XferLat)
+	c.I64(&k.GCCLat)
+	c.I64(&k.GTLBLat)
+	c.Int(&k.CSwitchPorts)
+	c.Int(&k.MsgQueueCap)
+	c.Int(&k.EventQueueCap)
+	c.Int(&k.SendCredits)
+	c.I64(&k.ResendDelay)
 }
 
-// decodeConfig reads a configuration written by encodeConfig.
-func decodeConfig(r *snap.Reader) Config {
-	var cfg Config
-	cfg.Dims = noc.Coord{X: r.Int(), Y: r.Int(), Z: r.Int()}
-	c := &cfg.Chip
-	c.Mem.SDRAM.Words = r.U64()
-	c.Mem.SDRAM.RowWords = r.U64()
-	c.Mem.SDRAM.RowHitLat = r.I64()
-	c.Mem.SDRAM.RowMissLat = r.I64()
-	c.Mem.Cache.Lines = r.Int()
-	c.Mem.LTLBEntries = r.Int()
-	c.Mem.LPT.Base = r.U64()
-	c.Mem.LPT.Entries = r.U64()
-	c.Mem.ReadHitLat = r.I64()
-	c.Mem.WriteHitLat = r.I64()
-	c.Mem.MissDetectLat = r.I64()
-	c.Mem.PhysAccessLat = r.I64()
-	c.Mem.LineLoadLat = r.I64()
-	c.Net.InjectLat = r.I64()
-	c.Net.HopLat = r.I64()
-	c.Net.DeliverLat = r.I64()
-	c.IntLat = r.I64()
-	c.FPLat = r.I64()
-	c.FDivLat = r.I64()
-	c.XferLat = r.I64()
-	c.GCCLat = r.I64()
-	c.GTLBLat = r.I64()
-	c.CSwitchPorts = r.Int()
-	c.MsgQueueCap = r.Int()
-	c.EventQueueCap = r.Int()
-	c.SendCredits = r.Int()
-	c.ResendDelay = r.I64()
-	return cfg
+// header walks the two words that open a stream — its kind's magic and
+// the snapshot version — and describes a decoded mismatch, naming the
+// stream and its version as the caller's kind calls them.
+func header(c *snap.Codec, magic uint64, stream, version string) error {
+	m, v := magic, uint64(SnapshotVersion)
+	c.U64(&m)
+	if c.Err() == nil && m != magic {
+		return fmt.Errorf("not a %s (bad magic %#x)", stream, m)
+	}
+	c.U64(&v)
+	if c.Err() == nil && v != SnapshotVersion {
+		return fmt.Errorf("unsupported %s version %d (this build reads version %d)", version, v, SnapshotVersion)
+	}
+	return nil
+}
+
+// snapshot walks a Save stream: header and configuration, clock, page
+// allocators, GDT, every chip, network, trailer. Encoding, m is the
+// machine being saved. Decoding, m is a shell with the target's
+// configuration and chip count: a stream of another configuration is
+// refused, and the walk builds a new GDT, chips and network into the
+// shell, bound to each other — nothing the target can reach is written.
+func (m *Machine) snapshot(c *snap.Codec) error {
+	if err := header(c, snapshotMagic, "snapshot stream", "snapshot"); err != nil {
+		return err
+	}
+	cfg := m.Cfg
+	configState(c, &cfg)
+	if c.Err() == nil && (cfg.Dims != m.Cfg.Dims || cfg.Chip != m.Cfg.Chip) {
+		return fmt.Errorf("snapshot of a %v mesh with a different configuration cannot restore into this %v machine",
+			cfg.Dims, m.Cfg.Dims)
+	}
+	c.I64(&m.Cycle)
+	n := c.Len(len(m.nextPPN), len(m.Chips))
+	if c.Reading() {
+		if c.Err() == nil && n != len(m.Chips) {
+			c.Fail(fmt.Errorf("machine: snapshot has %d page allocators for %d nodes", n, len(m.Chips)))
+		}
+		m.nextPPN = make([]uint64, n)
+		m.GDT = &gtlb.Table{}
+		m.Net = noc.New(m.Cfg.Dims, m.Cfg.Chip.Net)
+	}
+	for i := range m.nextPPN {
+		c.U64(&m.nextPPN[i])
+	}
+	m.GDT.State(c)
+	m.chipsState(c, 0, m.Chips)
+	m.Net.State(c)
+	trailer := uint64(snapshotTrailer)
+	c.U64(&trailer)
+	if c.Err() == nil && trailer != snapshotTrailer {
+		c.Fail(fmt.Errorf("machine: snapshot trailer missing (stream corrupt)"))
+	}
+	return c.Err()
+}
+
+// chipsState walks chips, the machine's nodes from lo on. Decoding, it
+// builds each one bound to m's network and GDT.
+func (m *Machine) chipsState(c *snap.Codec, lo int, chips []*chip.Chip) {
+	for i := range chips {
+		if c.Reading() {
+			chips[i] = chip.Decode(c, m.Cfg.Chip, m.Net.CoordOf(lo+i), lo+i, m.Net, m.GDT)
+		} else {
+			chips[i].State(c)
+		}
+	}
 }
 
 // Save serializes the machine's complete simulation state to w. It must
@@ -128,22 +163,9 @@ func decodeConfig(r *snap.Reader) Config {
 // Restore re-derives.
 func (m *Machine) Save(w io.Writer) error {
 	m.syncDeferred()
-	sw := snap.NewWriter(w)
-	sw.U64(snapshotMagic)
-	sw.U64(SnapshotVersion)
-	encodeConfig(sw, m.Cfg)
-	sw.I64(m.Cycle)
-	sw.Len(len(m.nextPPN))
-	for _, p := range m.nextPPN {
-		sw.U64(p)
-	}
-	m.GDT.EncodeState(sw)
-	for _, c := range m.Chips {
-		c.EncodeState(sw)
-	}
-	m.Net.EncodeState(sw)
-	sw.U64(snapshotTrailer)
-	if err := sw.Flush(); err != nil {
+	c := snap.NewEncoder(w)
+	m.snapshot(c)
+	if err := c.Flush(); err != nil {
 		return fmt.Errorf("machine: save: %w", err)
 	}
 	return nil
@@ -171,43 +193,13 @@ func (m *Machine) Digest() (string, error) {
 // new objects: reach them through the machine after a restore, not
 // through pointers taken before it.
 func (m *Machine) Restore(rd io.Reader) error {
-	r := snap.NewReader(bufio.NewReader(rd))
-	if magic := r.U64(); r.Err() == nil && magic != snapshotMagic {
-		return fmt.Errorf("machine: restore: not a snapshot stream (bad magic %#x)", magic)
-	}
-	if v := r.U64(); r.Err() == nil && v != SnapshotVersion {
-		return fmt.Errorf("machine: restore: unsupported snapshot version %d (this build reads version %d)", v, SnapshotVersion)
-	}
-	cfg := decodeConfig(r)
-	if r.Err() == nil && (cfg.Dims != m.Cfg.Dims || cfg.Chip != m.Cfg.Chip) {
-		return fmt.Errorf("machine: restore: snapshot of a %v mesh with a different configuration cannot restore into this %v machine",
-			cfg.Dims, m.Cfg.Dims)
-	}
-
-	// Decode new parts. All validation happens against the reader's sticky
-	// error, and nothing the machine can reach is written.
-	top := &Machine{Cycle: r.I64(), nextPPN: make([]uint64, r.Len(len(m.Chips)))}
-	if r.Err() == nil && len(top.nextPPN) != len(m.Chips) {
-		r.Fail(fmt.Errorf("machine: snapshot has %d page allocators for %d nodes", len(top.nextPPN), len(m.Chips)))
-	}
-	for i := range top.nextPPN {
-		top.nextPPN[i] = r.U64()
-	}
-	top.GDT = gtlb.DecodeTableState(r)
-	chips := make([]*chip.Chip, len(m.Chips))
-	for i := range chips {
-		chips[i] = chip.DecodeChipState(r, m.Cfg.Chip, m.Net.CoordOf(i), i, m.Net, top.GDT)
-	}
-	top.Net = noc.DecodeNetworkState(r, m.Cfg.Dims, m.Cfg.Chip.Net)
-	if t := r.U64(); r.Err() == nil && t != snapshotTrailer {
-		r.Fail(fmt.Errorf("machine: snapshot trailer missing (stream corrupt)"))
-	}
-	if err := r.Err(); err != nil {
+	top := &Machine{Cfg: m.Cfg, Chips: make([]*chip.Chip, len(m.Chips))}
+	if err := top.snapshot(snap.NewDecoder(bufio.NewReader(rd))); err != nil {
 		return fmt.Errorf("machine: restore: %w", err)
 	}
 	// Bookkeeping the chip phase deferred on the old chips goes with them:
 	// every new chip carries its saved Cycle.
-	m.install(0, chips, top)
+	m.install(0, top.Chips, top)
 	return nil
 }
 

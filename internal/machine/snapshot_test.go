@@ -294,7 +294,7 @@ func TestSnapshotErrors(t *testing.T) {
 
 	// The stream ends: ... last chip, network, trailer word. Cut inside
 	// each of the three, after every earlier part decoded cleanly.
-	netLen := len(snaptest.Encode(t, m.Net.EncodeState))
+	netLen := len(snaptest.Encode(t, m.Net.State))
 	for _, cut := range []int{12, 40, 300, len(good) / 2, len(good) - 8 - netLen - 100, len(good) - 9, len(good) - 3} {
 		check(fmt.Sprintf("truncated@%d", cut), good[:cut], "truncated")
 	}

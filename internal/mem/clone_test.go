@@ -139,16 +139,16 @@ func TestCacheEncodeNoAllocs(t *testing.T) {
 		c.Fill(s, uint64(i)*BlockWords, uint64(i)*BlockWords, true)
 	}
 	var sink bytes.Buffer
-	w := snap.NewWriter(&sink)
+	w := snap.NewEncoder(&sink)
 	allocs := testing.AllocsPerRun(5, func() {
 		sink.Reset()
-		c.EncodeState(w)
+		c.State(w)
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("Cache.EncodeState of %d valid lines: %v allocs per run, want 0", c.cfg.Lines, allocs)
+		t.Errorf("Cache.State encoding %d valid lines: %v allocs per run, want 0", c.cfg.Lines, allocs)
 	}
 	if sink.Len() < c.cfg.Lines*BlockWords*8 {
 		t.Fatalf("encoded only %d bytes for %d lines", sink.Len(), c.cfg.Lines)

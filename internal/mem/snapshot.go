@@ -4,11 +4,11 @@ package mem
 // system's complete timed state — sparse SDRAM chunks with their
 // pointer-tag and synchronization bitmaps, cache lines, LTLB entries and
 // FIFO order, in-flight responses, and the bank/SDRAM timing windows.
-// EncodeState streams, DecodeSystemState builds a new system from the
-// stream (all validation happens here), and Clone is the fork path: the
-// same fields copied into an independent system, with the SDRAM chunks
-// shared copy-on-write. Neither result has an I/O-bus device; the owning
-// chip attaches its own (AttachDevice).
+// State walks it, filling a system from NewSystem when decoding (all
+// validation happens in the walk), and Clone is the fork path: the same
+// fields copied into an independent system, with the SDRAM chunks shared
+// copy-on-write. A decoded system keeps whatever I/O-bus device its shell
+// had, a clone has none; the owning chip attaches its own (AttachDevice).
 
 import (
 	"fmt"
@@ -24,56 +24,46 @@ const (
 	maxLTLB     = 1 << 16
 )
 
-// EncodeState writes the SDRAM's row-mode state, statistics, and the
-// materialized chunks (lazy chunks that were never written are omitted —
-// they read as zero either way).
-func (s *SDRAM) EncodeState(w *snap.Writer) {
-	w.U64(s.openRow)
-	w.Bool(s.hasOpen)
-	w.U64(s.RowHits)
-	w.U64(s.RowMisses)
+// State walks the SDRAM's row-mode state, statistics, and the
+// materialized chunks, each preceded by its index (lazy chunks that were
+// never written are omitted — they read as zero either way).
+func (s *SDRAM) State(c *snap.Codec) {
+	c.U64(&s.openRow)
+	c.Bool(&s.hasOpen)
+	c.U64(&s.RowHits)
+	c.U64(&s.RowMisses)
 	n := 0
-	for _, ch := range s.chunks {
-		if ch != nil {
-			n++
+	if !c.Reading() {
+		for _, ch := range s.chunks {
+			if ch != nil {
+				n++
+			}
 		}
 	}
-	w.Len(n)
-	for i, ch := range s.chunks {
-		if ch == nil {
-			continue
+	idx := -1
+	for range c.Len(n, len(s.chunks)) {
+		if !c.Reading() {
+			idx++
+			for s.chunks[idx] == nil {
+				idx++
+			}
 		}
-		w.Int(i)
-		w.RawU64s(ch.words[:])
-		w.RawU64s(ch.ptr[:])
-		w.RawU64s(ch.sync[:])
+		c.Int(&idx)
+		if c.Reading() {
+			if c.Err() != nil {
+				break
+			}
+			if idx < 0 || idx >= len(s.chunks) {
+				c.Fail(fmt.Errorf("mem: snapshot chunk index %d outside %d-chunk SDRAM", idx, len(s.chunks)))
+				break
+			}
+			s.chunks[idx] = new(sdramChunk)
+		}
+		ch := s.chunks[idx]
+		c.RawU64s(ch.words[:])
+		c.RawU64s(ch.ptr[:])
+		c.RawU64s(ch.sync[:])
 	}
-}
-
-// DecodeSDRAMState reads an SDRAM written by EncodeState.
-func DecodeSDRAMState(r *snap.Reader, cfg SDRAMConfig) *SDRAM {
-	s := NewSDRAM(cfg)
-	s.openRow = r.U64()
-	s.hasOpen = r.Bool()
-	s.RowHits = r.U64()
-	s.RowMisses = r.U64()
-	n := r.Len(len(s.chunks))
-	for i := 0; i < n; i++ {
-		idx := r.Int()
-		if r.Err() != nil {
-			break
-		}
-		if idx < 0 || idx >= len(s.chunks) {
-			r.Fail(fmt.Errorf("mem: snapshot chunk index %d outside %d-chunk SDRAM", idx, len(s.chunks)))
-			break
-		}
-		ch := new(sdramChunk)
-		r.RawU64s(ch.words[:])
-		r.RawU64s(ch.ptr[:])
-		r.RawU64s(ch.sync[:])
-		s.chunks[idx] = ch
-	}
-	return s
 }
 
 // Clone returns an independent SDRAM with s's contents. The materialized
@@ -96,65 +86,50 @@ func (s *SDRAM) Clone() *SDRAM {
 	}
 }
 
-// EncodeState writes the cache statistics and every valid line.
-func (c *Cache) EncodeState(w *snap.Writer) {
-	w.U64(c.Hits)
-	w.U64(c.Misses)
-	w.U64(c.Writebacks)
+// State walks the cache statistics and every valid line, each preceded by
+// its index.
+func (ca *Cache) State(c *snap.Codec) {
+	c.U64(&ca.Hits)
+	c.U64(&ca.Misses)
+	c.U64(&ca.Writebacks)
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
-			n++
+	if !c.Reading() {
+		for i := range ca.lines {
+			if ca.lines[i].valid {
+				n++
+			}
 		}
 	}
-	w.Len(n)
-	for i := range c.lines {
-		ln := &c.lines[i]
-		if !ln.valid {
-			continue
+	idx := -1
+	for range c.Len(n, len(ca.lines)) {
+		if !c.Reading() {
+			idx++
+			for !ca.lines[idx].valid {
+				idx++
+			}
 		}
-		w.Int(i)
-		w.U64(ln.tag)
-		w.U64(ln.vblock)
-		w.U64(ln.physBase)
-		w.Bool(ln.writable)
-		w.Bool(ln.dirty)
-		w.RawU64s(ln.words[:])
-		for _, p := range ln.ptrs {
-			w.Bool(p)
+		c.Int(&idx)
+		if c.Reading() {
+			if c.Err() != nil {
+				break
+			}
+			if idx < 0 || idx >= len(ca.lines) {
+				c.Fail(fmt.Errorf("mem: snapshot cache line %d outside %d-line cache", idx, len(ca.lines)))
+				break
+			}
+			ca.lines[idx].valid = true
 		}
-	}
-}
-
-// DecodeCacheState reads a cache written by EncodeState.
-func DecodeCacheState(r *snap.Reader, cfg CacheConfig) *Cache {
-	c := NewCache(cfg)
-	c.Hits = r.U64()
-	c.Misses = r.U64()
-	c.Writebacks = r.U64()
-	n := r.Len(len(c.lines))
-	for i := 0; i < n; i++ {
-		idx := r.Int()
-		if r.Err() != nil {
-			break
-		}
-		if idx < 0 || idx >= len(c.lines) {
-			r.Fail(fmt.Errorf("mem: snapshot cache line %d outside %d-line cache", idx, len(c.lines)))
-			break
-		}
-		ln := &c.lines[idx]
-		ln.valid = true
-		ln.tag = r.U64()
-		ln.vblock = r.U64()
-		ln.physBase = r.U64()
-		ln.writable = r.Bool()
-		ln.dirty = r.Bool()
-		r.RawU64s(ln.words[:])
+		ln := &ca.lines[idx]
+		c.U64(&ln.tag)
+		c.U64(&ln.vblock)
+		c.U64(&ln.physBase)
+		c.Bool(&ln.writable)
+		c.Bool(&ln.dirty)
+		c.RawU64s(ln.words[:])
 		for j := range ln.ptrs {
-			ln.ptrs[j] = r.Bool()
+			c.Bool(&ln.ptrs[j])
 		}
 	}
-	return c
 }
 
 // Clone returns an independent cache with c's lines and statistics.
@@ -168,60 +143,34 @@ func (c *Cache) Clone() *Cache {
 	}
 }
 
-func encodePTE(w *snap.Writer, e *PTE) {
-	w.U64(e.VPN)
-	w.U64(e.PPN)
-	w.Bool(e.Valid)
-	w.U64(e.Status[0])
-	w.U64(e.Status[1])
+func (e *PTE) state(c *snap.Codec) {
+	c.U64(&e.VPN)
+	c.U64(&e.PPN)
+	c.Bool(&e.Valid)
+	c.U64(&e.Status[0])
+	c.U64(&e.Status[1])
 }
 
-func decodePTE(r *snap.Reader) PTE {
-	return PTE{
-		VPN:    r.U64(),
-		PPN:    r.U64(),
-		Valid:  r.Bool(),
-		Status: [2]uint64{r.U64(), r.U64()},
+// State walks the LTLB's entry slots (including invalidated ones — the
+// FIFO order indexes into them), replacement order, and statistics.
+func (t *LTLB) State(c *snap.Codec) {
+	n := c.Len(len(t.entries), maxLTLB)
+	for i := 0; i < n && c.Err() == nil; i++ {
+		snap.Elem(c, &t.entries, i).state(c)
 	}
-}
-
-// EncodeState writes the LTLB's entry slots (including invalidated ones —
-// the FIFO order indexes into them), replacement order, and statistics.
-func (t *LTLB) EncodeState(w *snap.Writer) {
-	w.Len(len(t.entries))
-	for i := range t.entries {
-		encodePTE(w, &t.entries[i])
-	}
-	w.Len(len(t.order))
-	for _, i := range t.order {
-		w.Int(i)
-	}
-	w.U64(t.Hits)
-	w.U64(t.Misses)
-}
-
-// DecodeLTLBState reads an LTLB written by EncodeState.
-func DecodeLTLBState(r *snap.Reader, capacity int) *LTLB {
-	t := NewLTLB(capacity)
-	n := r.Len(maxLTLB)
-	for i := 0; i < n; i++ {
-		t.entries = append(t.entries, decodePTE(r))
-	}
-	no := r.Len(maxLTLB)
-	for i := 0; i < no; i++ {
-		slot := r.Int()
-		if r.Err() == nil && (slot < 0 || slot >= n) {
-			r.Fail(fmt.Errorf("mem: snapshot LTLB order slot %d outside %d entries", slot, n))
-			break
+	no := c.Len(len(t.order), maxLTLB)
+	for i := 0; i < no && c.Err() == nil; i++ {
+		slot := snap.Elem(c, &t.order, i)
+		c.Int(slot)
+		if c.Reading() && c.Err() == nil && (*slot < 0 || *slot >= n) {
+			c.Fail(fmt.Errorf("mem: snapshot LTLB order slot %d outside %d entries", *slot, n))
 		}
-		t.order = append(t.order, slot)
 	}
-	if r.Err() == nil && n > capacity {
-		r.Fail(fmt.Errorf("mem: snapshot LTLB has %d entries, capacity %d", n, capacity))
+	if c.Reading() && c.Err() == nil && n > t.capacity {
+		c.Fail(fmt.Errorf("mem: snapshot LTLB has %d entries, capacity %d", n, t.capacity))
 	}
-	t.Hits = r.U64()
-	t.Misses = r.U64()
-	return t
+	c.U64(&t.Hits)
+	c.U64(&t.Misses)
 }
 
 // Clone returns an independent LTLB with t's entries, order, and
@@ -236,93 +185,50 @@ func (t *LTLB) Clone() *LTLB {
 	}
 }
 
-func encodeRequest(w *snap.Writer, q *Request) {
-	w.U64(uint64(q.Kind))
-	w.U64(q.Addr)
-	w.U64(q.Data)
-	w.Bool(q.DataPtr)
-	w.U64(uint64(q.Pre))
-	w.U64(uint64(q.Post))
-	w.U64(q.Token)
+func (q *Request) state(c *snap.Codec) {
+	snap.Integer(c, &q.Kind)
+	c.U64(&q.Addr)
+	c.U64(&q.Data)
+	c.Bool(&q.DataPtr)
+	snap.Integer(c, &q.Pre)
+	snap.Integer(c, &q.Post)
+	c.U64(&q.Token)
+	if c.Reading() && c.Err() == nil && (q.Kind > ReqWritePhys || q.Pre > isa.SyncEmpty || q.Post > isa.SyncEmpty) {
+		c.Fail(fmt.Errorf("mem: bad snapshot request kind=%d pre=%d post=%d", q.Kind, q.Pre, q.Post))
+	}
 }
 
-func decodeRequest(r *snap.Reader) Request {
-	q := Request{
-		Kind:    Kind(r.U64()),
-		Addr:    r.U64(),
-		Data:    r.U64(),
-		DataPtr: r.Bool(),
-		Pre:     isa.SyncCond(r.U64()),
-		Post:    isa.SyncCond(r.U64()),
-		Token:   r.U64(),
-	}
-	if r.Err() == nil && (q.Kind > ReqWritePhys || q.Pre > isa.SyncEmpty || q.Post > isa.SyncEmpty) {
-		r.Fail(fmt.Errorf("mem: bad snapshot request kind=%d pre=%d post=%d", q.Kind, q.Pre, q.Post))
-	}
-	return q
-}
-
-// EncodeState writes the memory system's own timed state (the SDRAM,
-// cache, and LTLB follow): in-flight responses in submission order, the
-// per-bank and SDRAM busy windows, and the fault counters.
-func (m *System) EncodeState(w *snap.Writer) {
-	w.Len(len(m.inflight))
-	for i := range m.inflight {
-		resp := &m.inflight[i]
-		encodeRequest(w, &resp.Req)
-		w.U64(resp.Data)
-		w.Bool(resp.DataPtr)
-		w.U64(uint64(resp.Fault))
-		w.I64(resp.ReadyAt)
-	}
-	for _, b := range m.bankFreeAt {
-		w.I64(b)
-	}
-	w.I64(m.sdramFree)
-	w.U64(m.LTLBFaults)
-	w.U64(m.StatusFaults)
-	w.U64(m.SyncFaults)
-	m.SDRAM.EncodeState(w)
-	m.Cache.EncodeState(w)
-	m.LTLB.EncodeState(w)
-}
-
-// DecodeSystemState reads a memory system written by EncodeState into a
-// new system built from cfg (assembled from the decoded parts; NewSystem
-// would build an SDRAM, a cache and an LTLB only for them to be
-// replaced), with no I/O-bus device, like a Clone. The earliest-deadline
-// cache is recomputed from the decoded in-flight set.
-func DecodeSystemState(r *snap.Reader, cfg Config) *System {
-	m := &System{cfg: cfg, earliest: NoEvent}
-	n := r.Len(maxInflight)
-	for i := 0; i < n; i++ {
-		resp := Response{
-			Req:     decodeRequest(r),
-			Data:    r.U64(),
-			DataPtr: r.Bool(),
-			Fault:   Fault(r.U64()),
-			ReadyAt: r.I64(),
-		}
-		if r.Err() == nil && resp.Fault > FaultSync {
-			r.Fail(fmt.Errorf("mem: bad snapshot fault %d", resp.Fault))
-			break
-		}
-		m.inflight = append(m.inflight, resp)
-		if resp.ReadyAt < m.earliest {
-			m.earliest = resp.ReadyAt
+// State walks the memory system's own timed state — in-flight responses
+// in submission order, the per-bank and SDRAM busy windows, and the fault
+// counters — then the SDRAM, cache, and LTLB. A decoder fills a system
+// from NewSystem and recomputes the earliest-deadline cache from the
+// decoded in-flight set.
+func (m *System) State(c *snap.Codec) {
+	n := c.Len(len(m.inflight), maxInflight)
+	for i := 0; i < n && c.Err() == nil; i++ {
+		resp := snap.Elem(c, &m.inflight, i)
+		resp.Req.state(c)
+		c.U64(&resp.Data)
+		c.Bool(&resp.DataPtr)
+		snap.Integer(c, &resp.Fault)
+		c.I64(&resp.ReadyAt)
+		if c.Reading() {
+			if c.Err() == nil && resp.Fault > FaultSync {
+				c.Fail(fmt.Errorf("mem: bad snapshot fault %d", resp.Fault))
+			}
+			m.earliest = min(m.earliest, resp.ReadyAt)
 		}
 	}
 	for i := range m.bankFreeAt {
-		m.bankFreeAt[i] = r.I64()
+		c.I64(&m.bankFreeAt[i])
 	}
-	m.sdramFree = r.I64()
-	m.LTLBFaults = r.U64()
-	m.StatusFaults = r.U64()
-	m.SyncFaults = r.U64()
-	m.SDRAM = DecodeSDRAMState(r, cfg.SDRAM)
-	m.Cache = DecodeCacheState(r, cfg.Cache)
-	m.LTLB = DecodeLTLBState(r, cfg.LTLBEntries)
-	return m
+	c.I64(&m.sdramFree)
+	c.U64(&m.LTLBFaults)
+	c.U64(&m.StatusFaults)
+	c.U64(&m.SyncFaults)
+	m.SDRAM.State(c)
+	m.Cache.State(c)
+	m.LTLB.State(c)
 }
 
 // PendingResponses exposes the in-flight responses for cross-component

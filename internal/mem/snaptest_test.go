@@ -1,10 +1,8 @@
 package mem
 
 import (
-	"bytes"
 	"testing"
 
-	"repro/internal/snap"
 	"repro/internal/snap/snaptest"
 )
 
@@ -19,12 +17,8 @@ func TestLTLBFieldRoundTrip(t *testing.T) {
 	lt.order = []int{1, 0}
 	lt.Hits, lt.Misses = 2, 7
 	snaptest.Fields(t, lt, snaptest.Codec[LTLB]{
-		Encode: func(lt *LTLB) []byte { return snaptest.Encode(t, lt.EncodeState) },
-		Decode: func(data []byte) (*LTLB, error) {
-			r := snap.NewReader(bytes.NewReader(data))
-			d := DecodeLTLBState(r, 4)
-			return d, r.Err()
-		},
+		State: (*LTLB).State,
+		New:   func() *LTLB { return NewLTLB(4) },
 		Mutate: map[string]func(*LTLB) func(){
 			"entries": func(lt *LTLB) func() {
 				lt.entries[0].VPN ^= 1

@@ -27,136 +27,91 @@ const (
 	maxArrivals = 1 << 20
 )
 
-func (n *Network) encodeCoord(w *snap.Writer, c Coord) {
-	w.Int(c.X)
-	w.Int(c.Y)
-	w.Int(c.Z)
-}
-
-func (n *Network) decodeCoord(r *snap.Reader) Coord {
-	c := Coord{X: r.Int(), Y: r.Int(), Z: r.Int()}
-	if r.Err() == nil && !n.InMesh(c) {
-		r.Fail(fmt.Errorf("noc: snapshot coordinate %v outside mesh %v", c, n.dims))
-	}
-	return c
-}
-
-// encodeMessage writes one message, recursing into the returned original
-// carried by a negative hardware acknowledgement.
-func (n *Network) encodeMessage(w *snap.Writer, m *Message) {
-	w.Int(m.Pri)
-	n.encodeCoord(w, m.Src)
-	n.encodeCoord(w, m.Dst)
-	w.U64(m.DIP)
-	w.U64(m.DstAddr)
-	isa.EncodeWords(w, m.Body)
-	w.U64(m.Seq)
-	w.Bool(m.HWAck)
-	w.Bool(m.AckOK)
-	w.I64(m.InjectedAt)
-	w.I64(m.DeliveredAt)
-	w.Int(m.Hops)
-	if m.Orig != nil {
-		w.Bool(true)
-		n.encodeMessage(w, m.Orig)
-	} else {
-		w.Bool(false)
+func (n *Network) coord(c *snap.Codec, p *Coord) {
+	c.Int(&p.X)
+	c.Int(&p.Y)
+	c.Int(&p.Z)
+	if c.Reading() && c.Err() == nil && !n.InMesh(*p) {
+		c.Fail(fmt.Errorf("noc: snapshot coordinate %v outside mesh %v", *p, n.dims))
 	}
 }
 
-func (n *Network) decodeMessage(r *snap.Reader, depth int) *Message {
-	m := &Message{
-		Pri: r.Int(),
-		Src: n.decodeCoord(r),
-		Dst: n.decodeCoord(r),
+// MessageState walks *m, a message held outside the network's own lists
+// (a chip's resend buffer and outbox, a dist frame); a decoder allocates
+// it. Coordinates are validated against this network's mesh.
+func (n *Network) MessageState(c *snap.Codec, m **Message) { n.message(c, m, 0) }
+
+// message walks one message, recursing into the returned original a
+// negative hardware acknowledgement carries; depth guards that nesting.
+func (n *Network) message(c *snap.Codec, mp **Message, depth int) {
+	if c.Reading() {
+		*mp = new(Message)
 	}
-	if r.Err() == nil && (m.Pri < 0 || m.Pri >= NumPriorities) {
-		r.Fail(fmt.Errorf("noc: snapshot message priority %d", m.Pri))
+	m := *mp
+	c.Int(&m.Pri)
+	n.coord(c, &m.Src)
+	n.coord(c, &m.Dst)
+	if c.Reading() && c.Err() == nil && (m.Pri < 0 || m.Pri >= NumPriorities) {
+		c.Fail(fmt.Errorf("noc: snapshot message priority %d", m.Pri))
 	}
-	m.DIP = r.U64()
-	m.DstAddr = r.U64()
-	m.Body = isa.DecodeWords(r, maxBodyLen)
-	m.Seq = r.U64()
-	m.HWAck = r.Bool()
-	m.AckOK = r.Bool()
-	m.InjectedAt = r.I64()
-	m.DeliveredAt = r.I64()
-	m.Hops = r.Int()
-	if r.Bool() {
-		if depth > 0 {
-			r.Fail(fmt.Errorf("noc: snapshot message nests originals beyond one level"))
-			return m
-		}
-		m.Orig = n.decodeMessage(r, depth+1)
+	c.U64(&m.DIP)
+	c.U64(&m.DstAddr)
+	isa.Words(c, &m.Body, maxBodyLen)
+	c.U64(&m.Seq)
+	c.Bool(&m.HWAck)
+	c.Bool(&m.AckOK)
+	c.I64(&m.InjectedAt)
+	c.I64(&m.DeliveredAt)
+	c.Int(&m.Hops)
+	orig := m.Orig != nil
+	c.Bool(&orig)
+	if !orig {
+		return
 	}
-	return m
+	if c.Reading() && depth > 0 {
+		c.Fail(fmt.Errorf("noc: snapshot message nests originals beyond one level"))
+		return
+	}
+	n.message(c, &m.Orig, depth+1)
 }
 
-// EncodeMessage writes a standalone message (the chips' resend buffers
-// hold messages outside the network's own flight lists).
-func (n *Network) EncodeMessage(w *snap.Writer, m *Message) { n.encodeMessage(w, m) }
-
-// DecodeMessage reads a message written by EncodeMessage.
-func (n *Network) DecodeMessage(r *snap.Reader) *Message { return n.decodeMessage(r, 0) }
-
-// EncodeState writes the network's complete cross-cycle state.
-func (n *Network) EncodeState(w *snap.Writer) {
-	w.U64(n.seq)
-	w.U64(n.Injected)
-	w.U64(n.Delivered)
-	w.U64(n.TotalHops)
+// State walks the network's complete cross-cycle state. A decoder fills a
+// network from New of the saved shape, recomputing the next-wake cache
+// from the decoded flights and the arrival count and set from the decoded
+// queues.
+func (n *Network) State(c *snap.Codec) {
+	c.U64(&n.seq)
+	c.U64(&n.Injected)
+	c.U64(&n.Delivered)
+	c.U64(&n.TotalHops)
 	for pri := range n.flight {
-		w.Len(len(n.flight[pri]))
-		for i := range n.flight[pri] {
-			f := &n.flight[pri][i]
-			n.encodeMessage(w, f.msg)
-			n.encodeCoord(w, f.at)
-			w.I64(f.readyAt)
+		cnt := c.Len(len(n.flight[pri]), maxFlights)
+		for i := 0; i < cnt && c.Err() == nil; i++ {
+			f := snap.Elem(c, &n.flight[pri], i)
+			n.message(c, &f.msg, 0)
+			n.coord(c, &f.at)
+			c.I64(&f.readyAt)
+			if c.Reading() {
+				n.nextWake = min(n.nextWake, f.readyAt)
+			}
 		}
 	}
 	for node := range n.arrivals {
 		for pri := range n.arrivals[node] {
 			q := &n.arrivals[node][pri]
-			w.Len(q.len())
-			for i := q.head; i < len(q.buf); i++ {
-				n.encodeMessage(w, q.buf[i])
+			cnt := c.Len(q.len(), maxArrivals)
+			for i := 0; i < cnt && c.Err() == nil; i++ {
+				var m *Message
+				if !c.Reading() {
+					m = q.buf[q.head+i]
+				}
+				n.message(c, &m, 0)
+				if c.Reading() {
+					n.arrive(node, pri, m)
+				}
 			}
 		}
 	}
-}
-
-// DecodeNetworkState reads a network written by EncodeState into a new
-// network of the given shape. The next-wake cache is recomputed from the
-// decoded flights, the arrival count and set from the decoded queues.
-func DecodeNetworkState(r *snap.Reader, dims Coord, cfg Config) *Network {
-	n := New(dims, cfg)
-	n.seq = r.U64()
-	n.Injected = r.U64()
-	n.Delivered = r.U64()
-	n.TotalHops = r.U64()
-	for pri := range n.flight {
-		cnt := r.Len(maxFlights)
-		for i := 0; i < cnt; i++ {
-			f := inflight{
-				msg:     n.decodeMessage(r, 0),
-				at:      n.decodeCoord(r),
-				readyAt: r.I64(),
-			}
-			n.flight[pri] = append(n.flight[pri], f)
-			if f.readyAt < n.nextWake {
-				n.nextWake = f.readyAt
-			}
-		}
-	}
-	for node := range n.arrivals {
-		for pri := range n.arrivals[node] {
-			cnt := r.Len(maxArrivals)
-			for i := 0; i < cnt; i++ {
-				n.arrive(node, pri, n.decodeMessage(r, 0))
-			}
-		}
-	}
-	return n
 }
 
 // Clone returns an independent copy of m, including the returned

@@ -1,11 +1,9 @@
 package noc
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/isa"
-	"repro/internal/snap"
 	"repro/internal/snap/snaptest"
 )
 
@@ -31,12 +29,8 @@ func TestNetworkFieldRoundTrip(t *testing.T) {
 	n.Injected, n.Delivered, n.TotalHops = 2, 1, 5
 
 	snaptest.Fields(t, n, snaptest.Codec[Network]{
-		Encode: func(n *Network) []byte { return snaptest.Encode(t, n.EncodeState) },
-		Decode: func(data []byte) (*Network, error) {
-			r := snap.NewReader(bytes.NewReader(data))
-			d := DecodeNetworkState(r, dims, cfg)
-			return d, r.Err()
-		},
+		State: (*Network).State,
+		New:   func() *Network { return New(dims, cfg) },
 		Mutate: map[string]func(*Network) func(){
 			"flight": func(n *Network) func() {
 				n.flight[0][0].readyAt ^= 1

@@ -59,7 +59,6 @@ type Config struct {
 	Backoff         time.Duration // initial retry backoff (default 100ms)
 	BackoffCap      time.Duration // backoff ceiling (default 5s)
 	Grace           time.Duration // guard hang grace (0 = guard default)
-	SimWorkers      int           // per-session engine workers (default 1 = serial)
 
 	Chaos *Chaos               // fault injection (nil = none)
 	Logf  func(string, ...any) // event log (nil = silent)
@@ -113,9 +112,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.BackoffCap <= 0 {
 		c.BackoffCap = 5 * time.Second
-	}
-	if c.SimWorkers == 0 {
-		c.SimWorkers = 1
 	}
 	if c.DefaultCycles > c.MaxCycles || c.DefaultWall > c.MaxWall {
 		return c, errors.New("serve: default budgets exceed their caps")
@@ -525,7 +521,7 @@ func (sv *Server) runAttempt(s *Session) (retry bool) {
 		ck = &checkpoint{ID: s.ID}
 	}
 
-	sim, err := s.sc.NewSim(core.Options{Workers: sv.cfg.SimWorkers})
+	sim, err := s.sc.NewSim(core.Options{})
 	if err != nil {
 		sv.fail(s, guard.ClassScenario, err)
 		return false
@@ -554,7 +550,7 @@ func (sv *Server) runAttempt(s *Session) (retry bool) {
 			// Corrupt or incompatible snapshot: fall back to a fresh start.
 			sv.cfg.logf("session %s: checkpoint restore failed; restarting from scratch", s.ID)
 			sim.M.Close()
-			if sim, err = s.sc.NewSim(core.Options{Workers: sv.cfg.SimWorkers}); err != nil {
+			if sim, err = s.sc.NewSim(core.Options{}); err != nil {
 				closeSim = false
 				sv.fail(s, guard.ClassScenario, err)
 				return false

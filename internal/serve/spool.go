@@ -55,31 +55,55 @@ type checkpoint struct {
 func ckptPath(spool, id string) string  { return filepath.Join(spool, id+".ckpt") }
 func crashPath(spool, id string) string { return filepath.Join(spool, id+".crash") }
 
+// state walks the envelope after its magic, from the version word to the
+// trailer, and describes a decoded version, phase count or trailer that
+// is not this build's.
+func (ck *checkpoint) state(c *snap.Codec) error {
+	v := ckptVersion
+	c.Int(&v)
+	if v != ckptVersion {
+		return fmt.Errorf("checkpoint version %d, want %d", v, ckptVersion)
+	}
+	c.String(&ck.ID, 1<<10)
+	c.String(&ck.Name, 1<<16)
+	c.String(&ck.Source, maxSubmitBytes)
+	c.I64(&ck.WallNanos)
+	c.I64(&ck.CycleBudget)
+	c.Int(&ck.Retries)
+	c.Int(&ck.NextStep)
+	c.I64(&ck.PhaseRan)
+	c.Int(&ck.Checks)
+	n := len(ck.Phases)
+	c.Int(&n)
+	if err := c.Err(); err != nil {
+		return err
+	}
+	if n < 0 || n > 1<<20 {
+		return fmt.Errorf("implausible phase count %d", n)
+	}
+	for i := 0; i < n; i++ {
+		p := snap.Elem(c, &ck.Phases, i)
+		c.String(&p.Name, 1<<16)
+		c.I64(&p.Cycles)
+	}
+	c.Bytes(&ck.Machine, 1<<32)
+	t := uint64(ckptTrailer)
+	c.U64(&t)
+	if c.Err() == nil && t != ckptTrailer {
+		return fmt.Errorf("bad checkpoint trailer %#x", t)
+	}
+	return c.Err()
+}
+
 // writeCheckpoint spools ck atomically and durably.
 func writeCheckpoint(path string, ck *checkpoint) error {
 	return snap.WriteFileAtomic(path, func(wr io.Writer) error {
 		if _, err := io.WriteString(wr, ckptMagic); err != nil {
 			return err
 		}
-		w := snap.NewWriter(wr)
-		w.Int(ckptVersion)
-		w.String(ck.ID)
-		w.String(ck.Name)
-		w.String(ck.Source)
-		w.I64(ck.WallNanos)
-		w.I64(ck.CycleBudget)
-		w.Int(ck.Retries)
-		w.Int(ck.NextStep)
-		w.I64(ck.PhaseRan)
-		w.Int(ck.Checks)
-		w.Int(len(ck.Phases))
-		for _, p := range ck.Phases {
-			w.String(p.Name)
-			w.I64(p.Cycles)
-		}
-		w.Bytes(ck.Machine)
-		w.U64(ckptTrailer)
-		return w.Flush()
+		c := snap.NewEncoder(wr)
+		ck.state(c)
+		return c.Flush()
 	})
 }
 
@@ -92,37 +116,10 @@ func readCheckpoint(path string) (*checkpoint, error) {
 	if len(b) < len(ckptMagic) || string(b[:len(ckptMagic)]) != ckptMagic {
 		return nil, fmt.Errorf("%s: not an msimd checkpoint", path)
 	}
-	r := snap.NewReader(bytes.NewReader(b[len(ckptMagic):]))
-	r.Limit(int64(len(b) - len(ckptMagic)))
-	if v := r.Int(); v != ckptVersion {
-		return nil, fmt.Errorf("%s: checkpoint version %d, want %d", path, v, ckptVersion)
-	}
-	ck := &checkpoint{
-		ID:          r.String(1 << 10),
-		Name:        r.String(1 << 16),
-		Source:      r.String(maxSubmitBytes),
-		WallNanos:   r.I64(),
-		CycleBudget: r.I64(),
-		Retries:     r.Int(),
-		NextStep:    r.Int(),
-		PhaseRan:    r.I64(),
-		Checks:      r.Int(),
-	}
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	if n < 0 || n > 1<<20 {
-		return nil, fmt.Errorf("%s: implausible phase count %d", path, n)
-	}
-	for i := 0; i < n; i++ {
-		ck.Phases = append(ck.Phases, core.PhaseResult{Name: r.String(1 << 16), Cycles: r.I64()})
-	}
-	ck.Machine = r.Bytes(1 << 32)
-	if t := r.U64(); r.Err() == nil && t != ckptTrailer {
-		return nil, fmt.Errorf("%s: bad checkpoint trailer %#x", path, t)
-	}
-	if err := r.Err(); err != nil {
+	c := snap.NewDecoder(bytes.NewReader(b[len(ckptMagic):]))
+	c.Limit(int64(len(b) - len(ckptMagic)))
+	ck := &checkpoint{}
+	if err := ck.state(c); err != nil {
 		return nil, fmt.Errorf("%s: %v", path, err)
 	}
 	return ck, nil

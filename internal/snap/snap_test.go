@@ -2,74 +2,93 @@ package snap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
 
-func TestRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.U64(0xdeadbeefcafe)
-	w.I64(-42)
-	w.Int(7)
-	w.Bool(true)
-	w.Bool(false)
-	w.String("hello")
-	w.Bytes([]byte{1, 2, 3})
-	w.U64s([]uint64{9, 8, 7})
-	w.RawU64s([]uint64{5, 6})
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
+// record is a walk over one of every primitive.
+type record struct {
+	u     uint64
+	i     int64
+	n     int
+	t, f  bool
+	s     string
+	b     []byte
+	us    []uint64
+	raw   [2]uint64
+	kind  uint8
+	delta int8
+}
 
-	r := NewReader(&buf)
-	if got := r.U64(); got != 0xdeadbeefcafe {
-		t.Errorf("U64 = %#x", got)
-	}
-	if got := r.I64(); got != -42 {
-		t.Errorf("I64 = %d", got)
-	}
-	if got := r.Int(); got != 7 {
-		t.Errorf("Int = %d", got)
-	}
-	if !r.Bool() || r.Bool() {
-		t.Error("Bool round trip failed")
-	}
-	if got := r.String(16); got != "hello" {
-		t.Errorf("String = %q", got)
-	}
-	if got := r.Bytes(16); !bytes.Equal(got, []byte{1, 2, 3}) {
-		t.Errorf("Bytes = %v", got)
-	}
-	if got := r.U64s(16); len(got) != 3 || got[0] != 9 || got[2] != 7 {
-		t.Errorf("U64s = %v", got)
-	}
-	raw := make([]uint64, 2)
-	r.RawU64s(raw)
-	if raw[0] != 5 || raw[1] != 6 {
-		t.Errorf("RawU64s = %v", raw)
-	}
-	if err := r.Err(); err != nil {
+func (r *record) state(c *Codec) {
+	c.U64(&r.u)
+	c.I64(&r.i)
+	c.Int(&r.n)
+	c.Bool(&r.t)
+	c.Bool(&r.f)
+	c.String(&r.s, 16)
+	c.Bytes(&r.b, 16)
+	c.U64s(&r.us, 16)
+	c.RawU64s(r.raw[:])
+	Integer(c, &r.kind)
+	Integer(c, &r.delta)
+}
+
+// encode runs walk against a fresh encoder and returns the bytes.
+func encode(t *testing.T, walk func(*Codec)) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	c := NewEncoder(&buf)
+	walk(c)
+	if err := c.Flush(); err != nil {
 		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestRoundTrip(t *testing.T) {
+	want := record{
+		u: 0xdeadbeefcafe, i: -42, n: 7, t: true, s: "hello", b: []byte{1, 2, 3},
+		us: []uint64{9, 8, 7}, raw: [2]uint64{5, 6}, kind: 200, delta: -3,
+	}
+	stream := encode(t, want.state)
+	// One word per integer, whatever its width: a narrow signed value is
+	// sign-extended on the wire.
+	if got := binary.LittleEndian.Uint64(stream[len(stream)-8:]); got != 1<<64-3 {
+		t.Errorf("int8 -3 encoded as %#x", got)
+	}
+	var got record
+	c := NewDecoder(bytes.NewReader(stream))
+	got.state(c)
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("round trip: got %+v, want %+v", got, want)
+	}
+	if again := encode(t, got.state); !bytes.Equal(again, stream) {
+		t.Error("re-encoding the decoded record changed the stream")
 	}
 }
 
 func TestTruncation(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.U64(1)
-	w.String("payload")
-	w.Flush()
-	full := buf.Bytes()
+	walk := func(c *Codec) {
+		u, s := uint64(1), "payload"
+		c.U64(&u)
+		c.String(&s, 64)
+	}
+	full := encode(t, walk)
 	for cut := 0; cut < len(full); cut++ {
-		r := NewReader(bytes.NewReader(full[:cut]))
-		r.U64()
-		r.String(64)
-		if err := r.Err(); err == nil {
+		c := NewDecoder(bytes.NewReader(full[:cut]))
+		walk(c)
+		if err := c.Err(); err == nil {
 			t.Fatalf("truncation at %d of %d went undetected", cut, len(full))
 		} else if !strings.Contains(err.Error(), "truncated") {
 			t.Fatalf("truncation at %d: unexpected error %v", cut, err)
@@ -78,26 +97,28 @@ func TestTruncation(t *testing.T) {
 }
 
 func TestBoundsAndStickiness(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Len(1 << 40) // absurd count
-	w.U64(123)
-	w.Flush()
-	r := NewReader(&buf)
-	if n := r.Len(1000); n != 0 || r.Err() == nil {
-		t.Fatalf("oversized count accepted: n=%d err=%v", n, r.Err())
+	stream := encode(t, func(c *Codec) {
+		c.Len(1<<40, 0) // absurd count
+		u := uint64(123)
+		c.U64(&u)
+	})
+	c := NewDecoder(bytes.NewReader(stream))
+	if n := c.Len(0, 1000); n != 0 || c.Err() == nil {
+		t.Fatalf("oversized count accepted: n=%d err=%v", n, c.Err())
 	}
-	first := r.Err()
+	first := c.Err()
 	// Sticky: later reads keep the first error and return zero values.
-	if got := r.U64(); got != 0 || r.Err() != first {
-		t.Errorf("error did not stick: got %d, err %v", got, r.Err())
+	got := uint64(99)
+	if c.U64(&got); got != 0 || c.Err() != first {
+		t.Errorf("error did not stick: got %d, err %v", got, c.Err())
 	}
 
 	// Bad boolean byte.
-	r2 := NewReader(bytes.NewReader([]byte{7}))
-	r2.Bool()
-	if r2.Err() == nil || !strings.Contains(r2.Err().Error(), "boolean") {
-		t.Errorf("bad boolean byte: err %v", r2.Err())
+	c2 := NewDecoder(bytes.NewReader([]byte{7}))
+	var b bool
+	c2.Bool(&b)
+	if c2.Err() == nil || !strings.Contains(c2.Err().Error(), "boolean") {
+		t.Errorf("bad boolean byte: err %v", c2.Err())
 	}
 }
 
@@ -108,33 +129,33 @@ func TestBoundsAndStickiness(t *testing.T) {
 func TestOversizedLengthCapped(t *testing.T) {
 	// A stream claiming a ~1 GiB payload that isn't there. With a known
 	// remaining length the claim is rejected before any read.
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Len(1 << 30)
-	w.U64(0x1234)
-	w.Flush()
-	stream := buf.Bytes()
+	stream := encode(t, func(c *Codec) {
+		c.Len(1<<30, 0)
+		u := uint64(0x1234)
+		c.U64(&u)
+	})
 
-	r := NewReader(bytes.NewReader(stream))
-	r.Limit(int64(len(stream)))
-	if got := r.Bytes(1 << 31); got != nil || r.Err() == nil {
-		t.Fatalf("limited reader: oversized Bytes accepted: %v, err %v", len(got), r.Err())
+	c := NewDecoder(bytes.NewReader(stream))
+	c.Limit(int64(len(stream)))
+	var got []byte
+	if c.Bytes(&got, 1<<31); got != nil || c.Err() == nil {
+		t.Fatalf("limited decoder: oversized Bytes accepted: %v, err %v", len(got), c.Err())
 	}
-	if !strings.Contains(r.Err().Error(), "remaining") {
-		t.Errorf("limited reader error not descriptive: %v", r.Err())
+	if !strings.Contains(c.Err().Error(), "remaining") {
+		t.Errorf("limited decoder error not descriptive: %v", c.Err())
 	}
 
 	// Without a known size, the chunked growth path detects truncation
 	// after at most maxPrealloc bytes.
-	for _, decode := range map[string]func(*Reader){
-		"Bytes": func(r *Reader) { r.Bytes(1 << 31) },
-		"U64s":  func(r *Reader) { r.U64s(1 << 31) },
-		"Bools": func(r *Reader) { r.Bools(1 << 31) },
+	for _, decode := range map[string]func(*Codec){
+		"Bytes": func(c *Codec) { var p []byte; c.Bytes(&p, 1<<31) },
+		"U64s":  func(c *Codec) { var vs []uint64; c.U64s(&vs, 1<<31) },
+		"Bools": func(c *Codec) { var bs []bool; c.Bools(&bs, 1<<31) },
 	} {
-		r := NewReader(bytes.NewReader(stream))
-		decode(r)
-		if r.Err() == nil || !strings.Contains(r.Err().Error(), "truncated") {
-			t.Errorf("unlimited reader: oversized length: err %v", r.Err())
+		c := NewDecoder(bytes.NewReader(stream))
+		decode(c)
+		if c.Err() == nil || !strings.Contains(c.Err().Error(), "truncated") {
+			t.Errorf("unlimited decoder: oversized length: err %v", c.Err())
 		}
 	}
 }
@@ -156,34 +177,57 @@ func TestLargeSliceRoundTrip(t *testing.T) {
 		p[i] = byte(i)
 	}
 
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.U64s(vs)
-	w.Bools(bs)
-	w.Bytes(p)
-	if err := w.Flush(); err != nil {
+	stream := encode(t, func(c *Codec) {
+		c.U64s(&vs, 0)
+		c.Bools(&bs, 0)
+		c.Bytes(&p, 0)
+	})
+	c := NewDecoder(bytes.NewReader(stream))
+	c.Limit(int64(len(stream)))
+	var gotVs []uint64
+	var gotBs []bool
+	var gotP []byte
+	c.U64s(&gotVs, words)
+	c.Bools(&gotBs, len(bs))
+	c.Bytes(&gotP, len(p))
+	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
-	r := NewReader(bytes.NewReader(buf.Bytes()))
-	r.Limit(int64(buf.Len()))
-	gotVs := r.U64s(words)
-	gotBs := r.Bools(len(bs))
-	gotP := r.Bytes(len(p))
-	if err := r.Err(); err != nil {
-		t.Fatal(err)
+	if !slices.Equal(gotVs, vs) {
+		t.Fatal("U64s multi-chunk round trip mismatch")
 	}
-	for i := range vs {
-		if gotVs[i] != vs[i] {
-			t.Fatalf("U64s[%d] = %#x, want %#x", i, gotVs[i], vs[i])
-		}
-	}
-	for i := range bs {
-		if gotBs[i] != bs[i] {
-			t.Fatalf("Bools[%d] = %v, want %v", i, gotBs[i], bs[i])
-		}
+	if !slices.Equal(gotBs, bs) {
+		t.Fatal("Bools multi-chunk round trip mismatch")
 	}
 	if !bytes.Equal(gotP, p) {
 		t.Fatal("Bytes multi-chunk round trip mismatch")
+	}
+}
+
+// TestMemoAndElem: a stream's memo holds one map, replaced when a walk
+// asks for another type; Elem grows a decoded list one element at a time
+// and leaves an encoded one alone.
+func TestMemoAndElem(t *testing.T) {
+	c := NewEncoder(io.Discard)
+	Memo[string, int](c)["a"] = 1
+	if Memo[string, int](c)["a"] != 1 {
+		t.Error("memo lost its entry")
+	}
+	if len(Memo[int, int](c)) != 0 || len(Memo[string, int](c)) != 0 {
+		t.Error("a memo of another type did not replace the map")
+	}
+
+	list := []int{4, 5}
+	if p := Elem(c, &list, 1); p != &list[1] || len(list) != 2 {
+		t.Error("encoding Elem did not return the element in place")
+	}
+	d := NewDecoder(bytes.NewReader(nil))
+	var got []int
+	for i := range 3 {
+		*Elem(d, &got, i) = i + 1
+	}
+	if !slices.Equal(got, []int{1, 2, 3}) {
+		t.Errorf("decoding Elem built %v", got)
 	}
 }
 

@@ -1,12 +1,12 @@
 // Package snaptest is the runtime complement to the snapfields static
 // pass (DESIGN.md, "Static analysis"): where snapfields proves every
-// serializable field is *referenced* on the encode and decode paths,
-// snaptest proves the reference actually carries the value. Fields
-// mutates each non-derived field of a snapshot-covered struct in place
-// and asserts that (1) the mutation is visible in the encoded stream —
-// the encoder did not silently drop the field — and (2) decoding the
-// mutated stream and re-encoding reproduces it byte for byte — the
-// decoder did not silently discard it.
+// serializable field is *referenced* in its type's state walk, snaptest
+// proves the reference actually carries the value. Fields mutates each
+// non-derived field of a snapshot-covered struct in place and asserts
+// that (1) the mutation is visible in the encoded stream — the walk did
+// not silently drop the field — and (2) decoding the mutated stream and
+// re-encoding reproduces it byte for byte — the walk did not silently
+// discard it on the way in. Both directions run the one walk.
 //
 // Unexported fields are reached with reflect + unsafe, so packages use
 // internal test files only to supply custom mutators for fields whose
@@ -26,30 +26,41 @@ import (
 
 // Codec adapts one snapshot-covered struct to the field check.
 type Codec[T any] struct {
-	// Encode serializes the value's current state.
-	Encode func(*T) []byte
-	// Decode reconstructs a value from a stream; it returns the codec
-	// error so the check can distinguish "field dropped" from "mutator
-	// produced a value the decoder rejects".
-	Decode func([]byte) (*T, error)
+	// State is the type's state walk, e.g. (*RegFile).State.
+	State func(*T, *snap.Codec)
+	// New returns the shell a decoder fills: what the type's decoder
+	// builds before it walks the stream.
+	New func() *T
 	// Mutate overrides the default bit-flip for named fields; a mutator
 	// changes the field to a different valid value and returns the undo.
 	Mutate map[string]func(*T) func()
-	// Skip names fields excluded for a stated reason beyond the
-	// snap:"derived" tag (which is honored automatically).
-	Skip map[string]string
 }
 
-// Encode runs f against a fresh in-memory Writer and returns the bytes.
-func Encode(t *testing.T, f func(*snap.Writer)) []byte {
+// Encode runs walk against a fresh in-memory encoder and returns the
+// bytes.
+func Encode(t *testing.T, walk func(*snap.Codec)) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
-	f(w)
-	if err := w.Flush(); err != nil {
+	c := snap.NewEncoder(&buf)
+	walk(c)
+	if err := c.Flush(); err != nil {
 		t.Fatalf("snaptest: encode: %v", err)
 	}
 	return buf.Bytes()
+}
+
+func (c Codec[T]) encode(t *testing.T, v *T) []byte {
+	return Encode(t, func(sc *snap.Codec) { c.State(v, sc) })
+}
+
+// decode fills a new shell from data and returns the codec error, so the
+// check can tell "field dropped" from "mutator produced a value the
+// decoder rejects".
+func (c Codec[T]) decode(data []byte) (*T, error) {
+	v := c.New()
+	sc := snap.NewDecoder(bytes.NewReader(data))
+	c.State(v, sc)
+	return v, sc.Err()
 }
 
 // Fields checks every serializable field of *v, as described in the
@@ -61,14 +72,10 @@ func Fields[T any](t *testing.T, v *T, c Codec[T]) {
 	if rt.Kind() != reflect.Struct {
 		t.Fatalf("snaptest: %s is not a struct", rt)
 	}
-	base := c.Encode(v)
+	base := c.encode(t, v)
 	for i := 0; i < rt.NumField(); i++ {
 		f := rt.Field(i)
 		if tag := f.Tag.Get("snap"); tag == "derived" || strings.HasPrefix(tag, "derived,") {
-			continue
-		}
-		if reason, ok := c.Skip[f.Name]; ok {
-			t.Logf("snaptest: skipping %s.%s: %s", rt.Name(), f.Name, reason)
 			continue
 		}
 		var undo func()
@@ -83,23 +90,23 @@ func Fields[T any](t *testing.T, v *T, c Codec[T]) {
 			undo = u
 		}
 
-		mutated := c.Encode(v)
+		mutated := c.encode(t, v)
 		if bytes.Equal(mutated, base) {
 			t.Errorf("snaptest: field %s.%s: mutation is invisible to the encoder — the snapshot drops this field", rt.Name(), f.Name)
 			undo()
 			continue
 		}
-		restored, err := c.Decode(mutated)
+		restored, err := c.decode(mutated)
 		if err != nil {
 			t.Errorf("snaptest: field %s.%s: decoding the mutated snapshot failed: %v — the mutator must produce a valid value", rt.Name(), f.Name, err)
 			undo()
 			continue
 		}
-		if again := c.Encode(restored); !bytes.Equal(again, mutated) {
+		if again := c.encode(t, restored); !bytes.Equal(again, mutated) {
 			t.Errorf("snaptest: field %s.%s: re-encode after decode differs — the field does not round-trip", rt.Name(), f.Name)
 		}
 		undo()
-		if now := c.Encode(v); !bytes.Equal(now, base) {
+		if now := c.encode(t, v); !bytes.Equal(now, base) {
 			t.Fatalf("snaptest: field %s.%s: undo did not restore the baseline encoding", rt.Name(), f.Name)
 		}
 	}

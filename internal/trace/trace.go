@@ -85,48 +85,51 @@ func (e Event) Name() string {
 
 func (e Event) peer() noc.Coord { return noc.Coord{X: int(e.X), Y: int(e.Y), Z: int(e.Z)} }
 
-// Encode writes the recorder's contents: every record as four fixed-width
-// words, then the free-text table.
-func (r *Recorder) Encode(w *snap.Writer) {
-	w.Len(len(r.Events))
-	for _, e := range r.Events {
-		w.I64(e.Cycle)
-		w.U64(e.Arg)
-		w.U64(uint64(uint32(e.Node)) | uint64(uint32(e.Peer))<<32)
-		w.U64(uint64(uint16(e.X)) | uint64(uint16(e.Y))<<16 | uint64(uint16(e.Z))<<32 |
-			uint64(e.Kind)<<48 | uint64(e.Sub)<<56)
+// State walks the recorder's contents: every record as four fixed-width
+// words, then the free-text table. A decoder replaces r's contents,
+// bounding counts by maxEvents and every string by maxText bytes; an
+// unknown kind or a ProtFault whose index is outside the decoded table
+// fails it.
+func (r *Recorder) State(c *snap.Codec, maxEvents, maxText int) {
+	if c.Reading() {
+		r.Reset()
 	}
-	w.Len(len(r.Text))
-	for _, s := range r.Text {
-		w.String(s)
-	}
-}
-
-// Decode replaces r's contents with what Encode wrote. Counts are bounded
-// by maxEvents and every string by maxText bytes; an unknown kind or a
-// ProtFault whose index is outside the decoded table fails the reader.
-func (r *Recorder) Decode(rd *snap.Reader, maxEvents, maxText int) {
-	r.Reset()
-	n := rd.Len(maxEvents)
-	for i := 0; i < n && rd.Err() == nil; i++ {
-		e := Event{Cycle: rd.I64(), Arg: rd.U64()}
-		np, rest := rd.U64(), rd.U64()
-		e.Node, e.Peer = int32(uint32(np)), int32(uint32(np>>32))
-		e.X, e.Y, e.Z = int16(uint16(rest)), int16(uint16(rest>>16)), int16(uint16(rest>>32))
-		e.Kind, e.Sub = Kind(rest>>48), uint8(rest>>56)
-		if e.Kind >= numKinds {
-			rd.Fail(fmt.Errorf("trace: unknown record kind %d", e.Kind))
-			return
+	n := c.Len(len(r.Events), maxEvents)
+	for i := 0; i < n && c.Err() == nil; i++ {
+		if c.Reading() {
+			r.Events = append(r.Events, Event{})
 		}
-		r.Events = append(r.Events, e)
+		e := &r.Events[i]
+		np := uint64(uint32(e.Node)) | uint64(uint32(e.Peer))<<32
+		rest := uint64(uint16(e.X)) | uint64(uint16(e.Y))<<16 | uint64(uint16(e.Z))<<32 |
+			uint64(e.Kind)<<48 | uint64(e.Sub)<<56
+		c.I64(&e.Cycle)
+		c.U64(&e.Arg)
+		c.U64(&np)
+		c.U64(&rest)
+		if c.Reading() {
+			e.Node, e.Peer = int32(uint32(np)), int32(uint32(np>>32))
+			e.X, e.Y, e.Z = int16(uint16(rest)), int16(uint16(rest>>16)), int16(uint16(rest>>32))
+			e.Kind, e.Sub = Kind(rest>>48), uint8(rest>>56)
+			if e.Kind >= numKinds {
+				c.Fail(fmt.Errorf("trace: unknown record kind %d", e.Kind))
+				return
+			}
+		}
 	}
-	n = rd.Len(maxEvents)
-	for i := 0; i < n && rd.Err() == nil; i++ {
-		r.Text = append(r.Text, rd.String(maxText))
+	n = c.Len(len(r.Text), maxEvents)
+	for i := 0; i < n && c.Err() == nil; i++ {
+		if c.Reading() {
+			r.Text = append(r.Text, "")
+		}
+		c.String(&r.Text[i], maxText)
+	}
+	if !c.Reading() {
+		return
 	}
 	for _, e := range r.Events {
 		if e.Kind == ProtFault && e.Arg >= uint64(len(r.Text)) {
-			rd.Fail(fmt.Errorf("trace: text index %d outside a table of %d", e.Arg, len(r.Text)))
+			c.Fail(fmt.Errorf("trace: text index %d outside a table of %d", e.Arg, len(r.Text)))
 			return
 		}
 	}

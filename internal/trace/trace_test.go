@@ -114,8 +114,8 @@ func TestDrainMovesRecordsAndRehomesText(t *testing.T) {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	r := tableRecorder()
 	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
-	r.Encode(w)
+	w := snap.NewEncoder(&buf)
+	r.State(w, 0, 0)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +125,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	encoded := buf.Bytes()
 
 	got := &Recorder{Events: []Event{{Kind: TLBW}}, Text: []string{"stale"}}
-	rd := snap.NewReader(bytes.NewReader(encoded))
-	got.Decode(rd, 1<<10, 1<<10)
+	rd := snap.NewDecoder(bytes.NewReader(encoded))
+	got.State(rd, 1<<10, 1<<10)
 	if err := rd.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -142,15 +142,15 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	} {
 		p := slices.Clone(encoded)
 		mutate(p)
-		rd := snap.NewReader(bytes.NewReader(p))
-		(&Recorder{}).Decode(rd, 1<<10, 1<<10)
+		rd := snap.NewDecoder(bytes.NewReader(p))
+		(&Recorder{}).State(rd, 1<<10, 1<<10)
 		if rd.Err() == nil {
 			t.Errorf("%s: corrupt stream decoded cleanly", name)
 		}
 	}
 	for name, caps := range map[string][2]int{"event cap": {3, 1 << 10}, "text cap": {1 << 10, 4}} {
-		rd := snap.NewReader(bytes.NewReader(encoded))
-		(&Recorder{}).Decode(rd, caps[0], caps[1])
+		rd := snap.NewDecoder(bytes.NewReader(encoded))
+		(&Recorder{}).State(rd, caps[0], caps[1])
 		if rd.Err() == nil {
 			t.Errorf("%s: over-long stream decoded cleanly", name)
 		}
