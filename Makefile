@@ -6,7 +6,7 @@
 # short pass (order-dependent tests are bugs), a race pass (short mode
 # everywhere; the supervision layers, the dist coordinator and the
 # fork-concurrency tests in full), the worker-pool speedup tripwire, an
-# end-to-end msim -save/-restore round trip, an examples link pass, an
+# end-to-end msim -save/-restore round trip, a run of every example, an
 # end-to-end run of every checked-in workload scenario
 # (testdata/workloads/*.wl under msim), a fuzzing smoke over the snapshot
 # decoder and the DSL front end, a one-shot benchmark smoke pass (every
@@ -82,11 +82,17 @@ checkpoint:
 	grep -q 'i1  = 6765' $$tmp/b.out && echo "checkpoint: msim save/restore round trip OK"; \
 	rc=$$?; rm -rf $$tmp; exit $$rc
 
-# Link every example binary (go build ./... only type-checks main
-# packages; this leg catches link-level breakage in examples/*).
+# Build and run every example binary; each must exit 0 (go build ./...
+# only type-checks main packages, and an example that links but fails at
+# run time is as broken as one that does not link).
 examples:
 	@tmp=$$(mktemp -d); \
 	$(GO) build -o $$tmp/ ./examples/...; rc=$$?; \
+	for b in $$tmp/*; do \
+		[ $$rc -eq 0 ] || break; \
+		$$b >/dev/null || { echo "examples: $$(basename $$b) failed"; rc=1; }; \
+	done; \
+	[ $$rc -ne 0 ] || echo "examples: every example ran OK"; \
 	rm -rf $$tmp; exit $$rc
 
 # Run every checked-in workload scenario end to end under msim: a parse

@@ -59,6 +59,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/guard"
+	"repro/internal/machine"
 	"repro/internal/snap"
 	"repro/internal/wgen"
 )
@@ -118,7 +119,8 @@ func main() {
 		usageErr("-gen-dump requires -gen-seed")
 	}
 
-	engine := core.Options{NaiveEngine: *naive, Workers: *workers, Timeout: *timeout, CrashDump: *crashDump}
+	supervise := guard.Options{Timeout: *timeout, DumpPath: *crashDump}
+	engine := core.Options{NaiveEngine: *naive, Workers: *workers, Supervise: supervise}
 	if *workloadPath != "" {
 		if flag.NArg() != 0 {
 			usageErr("-workload runs a scenario file; the positional program argument does not apply")
@@ -137,8 +139,8 @@ func main() {
 	}
 	// Validate flag ranges up front: out-of-range slots used to reach
 	// machine construction and panic or index out of bounds.
-	if *nodes < 1 {
-		usageErr("-nodes must be at least 1 (got %d)", *nodes)
+	if *nodes < 1 || *nodes > machine.MaxAxis {
+		usageErr("-nodes %d outside the x-axis mesh range (valid: 1-%d)", *nodes, machine.MaxAxis)
 	}
 	if *node < 0 || *node >= *nodes {
 		usageErr("-node %d outside the %d-node mesh (valid: 0-%d)", *node, *nodes, *nodes-1)
@@ -176,7 +178,7 @@ func main() {
 	if err := s.LoadASM(*node, *vthread, *clusterID, string(src)); err != nil {
 		fatal(err)
 	}
-	ran, err := s.RunSupervised(*cycles, guard.Options{Timeout: *timeout, DumpPath: *crashDump})
+	ran, err := s.RunSupervised(*cycles, supervise)
 	if err != nil {
 		reportFailure(err)
 		if guard.IsHang(err) {

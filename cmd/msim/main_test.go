@@ -89,6 +89,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"-workload", wl, "prog.masm"}, "positional program argument"},
 		{[]string{"-vthread", "9", "prog.masm"}, "-vthread 9 outside"},
 		{[]string{"-node", "5", "prog.masm"}, "-node 5 outside"},
+		{[]string{"-nodes", "40000", "../../testdata/fib.masm"}, "-nodes 40000 outside"},
 	} {
 		cmd := exec.Command(bin, tc.args...)
 		var stderr strings.Builder

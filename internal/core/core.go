@@ -24,7 +24,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/asm"
 	"repro/internal/chip"
@@ -66,22 +65,13 @@ type Options struct {
 	// on any mesh (TestDeterminismThreeWay); it pays off once the mesh is
 	// large and busy — use it for ≥ 16-node scenarios.
 	Workers int
-	// Timeout is the wall-clock watchdog for supervised execution
-	// (Scenario.Run/RunSim): exceeding it stops the run between cycles
-	// and reports a *guard.StallError. 0 defers to the scenario file's
-	// deadline directive (and disables the watchdog if the file has
-	// none). Supervision never alters simulated state — supervised runs
-	// are bit-identical to unsupervised ones.
-	Timeout time.Duration
-	// CycleBudget caps the total machine cycles a supervised scenario
-	// may advance, across all its run phases; exhaustion is reported as
-	// a *guard.StallError at a deterministic cycle. 0 defers to the
-	// scenario file's budget directive.
-	CycleBudget int64
-	// CrashDump, when non-empty, is where supervised execution writes a
-	// crash-dump snapshot (a regular `msim -restore`-loadable snapshot)
-	// on a panic, timeout, or budget exhaustion.
-	CrashDump string
+	// Supervise bounds supervised scenario execution (Scenario.Run/RunSim):
+	// its wall-clock Timeout, its CycleBudget across all run phases, and
+	// the DumpPath a crash-dump snapshot goes to. A zero Timeout or
+	// CycleBudget defers to the scenario file's deadline or budget
+	// directive. Supervision never alters simulated state — supervised
+	// runs are bit-identical to unsupervised ones.
+	Supervise guard.Options
 }
 
 // defaultNaiveEngine and defaultWorkers are test hooks: the determinism
@@ -195,11 +185,6 @@ func (s *Sim) SetReg(node, vthread, cl, reg int, v uint64) {
 // Reg reads an integer register.
 func (s *Sim) Reg(node, vthread, cl, reg int) uint64 {
 	return s.M.Chip(node).Thread(vthread, cl).Ints.Get(reg).Bits
-}
-
-// FReg reads a floating-point register's bits.
-func (s *Sim) FReg(node, vthread, cl, reg int) uint64 {
-	return s.M.Chip(node).Thread(vthread, cl).FPs.Get(reg).Bits
 }
 
 // Run executes until completion (see machine.Run) or maxCycles.

@@ -51,10 +51,11 @@ func StencilExperiment() ([]StencilResult, error) {
 		if err != nil {
 			return err
 		}
-		res, err := runStencil(st, cfg.points)
+		s, res, err := runStencil(st, cfg.points)
 		if err != nil {
 			return err
 		}
+		s.M.Close()
 		res.PaperDepth = paper[fmt.Sprintf("%d:%d", cfg.points, cfg.hthreads)]
 		out[i] = res
 		return nil
@@ -65,10 +66,13 @@ func StencilExperiment() ([]StencilResult, error) {
 	return out, nil
 }
 
-func runStencil(st *workload.Stencil, points int) (StencilResult, error) {
+// runStencil is one E3 leg: it boots a one-node machine, stages the
+// residuals and u, and runs st's kernel. It returns the machine (its
+// statistics stay readable) alongside the row, whose Cycles is the run.
+func runStencil(st *workload.Stencil, points int) (*Sim, StencilResult, error) {
 	s, err := NewSim(Options{Nodes: 1})
 	if err != nil {
-		return StencilResult{}, err
+		return nil, StencilResult{}, err
 	}
 	s.MapLocal(0, 0, 2, true) // page 0 primed read/write
 	// Residuals r_i = i+1; u = 10. Expected: u + a*r_c + b*sum(neighbours)
@@ -79,15 +83,15 @@ func runStencil(st *workload.Stencil, points int) (StencilResult, error) {
 		v := float64(i + 1)
 		sum += v
 		if err := s.Poke(0, st.RBase+uint64(i), math.Float64bits(v)); err != nil {
-			return StencilResult{}, err
+			return nil, StencilResult{}, err
 		}
 	}
 	rc := float64(n + 1)
 	if err := s.Poke(0, st.RBase+uint64(n), math.Float64bits(rc)); err != nil {
-		return StencilResult{}, err
+		return nil, StencilResult{}, err
 	}
 	if err := s.Poke(0, st.UAddr, math.Float64bits(10)); err != nil {
-		return StencilResult{}, err
+		return nil, StencilResult{}, err
 	}
 	want := 10 + 2*rc + 3*sum
 
@@ -96,13 +100,13 @@ func runStencil(st *workload.Stencil, points int) (StencilResult, error) {
 	}
 	cycles, err := s.Run(100000)
 	if err != nil {
-		return StencilResult{}, err
+		return nil, StencilResult{}, err
 	}
 	bits, err := s.Peek(0, st.UAddr)
 	if err != nil {
-		return StencilResult{}, err
+		return nil, StencilResult{}, err
 	}
-	return StencilResult{
+	return s, StencilResult{
 		Name: st.Name, HThreads: st.HThreads, Depth: st.Depth,
 		Cycles: cycles, Value: math.Float64frombits(bits), Want: want,
 	}, nil
@@ -141,28 +145,11 @@ func LoopSyncExperiment(iters int) ([]LoopSyncResult, error) {
 	out := make([]LoopSyncResult, len(hts))
 	err := ForEachMachine(len(hts), func(i int) error {
 		ht := hts[i]
-		s, err := NewSim(Options{Nodes: 1})
+		s, cycles, err := runLoopSync(ht, iters)
 		if err != nil {
 			return err
 		}
-		progs, err := workload.LoopSync(ht, iters)
-		if err != nil {
-			return err
-		}
-		for cl, p := range progs {
-			s.LoadProgram(0, 0, cl, p, true)
-		}
-		cycles, err := s.Run(int64(iters)*200 + 10000)
-		if err != nil {
-			return err
-		}
-		// The interlock is correct iff every H-Thread saw every iteration:
-		// each follower's counter must equal the leader's.
-		for cl := 0; cl < ht; cl++ {
-			if got := s.Reg(0, 0, cl, 1); got != uint64(iters) {
-				return fmt.Errorf("loopsync: H-Thread %d ran %d iterations, want %d", cl, got, iters)
-			}
-		}
+		s.M.Close()
 
 		base, err := NewSim(Options{Nodes: 1})
 		if err != nil {
@@ -184,6 +171,35 @@ func LoopSyncExperiment(iters int) ([]LoopSyncResult, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// runLoopSync is one E4 leg: it boots a one-node machine, runs the Figure
+// 6 protocol on ht H-Threads for iters iterations, and checks the
+// interlock. It returns the machine and the protocol's cycles.
+func runLoopSync(ht, iters int) (*Sim, int64, error) {
+	s, err := NewSim(Options{Nodes: 1})
+	if err != nil {
+		return nil, 0, err
+	}
+	progs, err := workload.LoopSync(ht, iters)
+	if err != nil {
+		return nil, 0, err
+	}
+	for cl, p := range progs {
+		s.LoadProgram(0, 0, cl, p, true)
+	}
+	cycles, err := s.Run(int64(iters)*200 + 10000)
+	if err != nil {
+		return nil, 0, err
+	}
+	// The interlock is correct iff every H-Thread saw every iteration:
+	// each follower's counter must equal the leader's.
+	for cl := 0; cl < ht; cl++ {
+		if got := s.Reg(0, 0, cl, 1); got != uint64(iters) {
+			return nil, 0, fmt.Errorf("loopsync: H-Thread %d ran %d iterations, want %d", cl, got, iters)
+		}
+	}
+	return s, cycles, nil
 }
 
 // FormatLoopSync renders E4.

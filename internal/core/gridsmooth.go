@@ -10,7 +10,7 @@ package core
 // node's chunk while the flat shared address space keeps the program
 // unchanged except for its loop bounds. The program generators live in
 // internal/workload (MeshSmooth), shared with the large-mesh scaling
-// experiment, the parallel-engine benchmarks, and examples/bigmesh.
+// experiment (`mbench -exp meshscale`) and the parallel-engine benchmarks.
 
 import (
 	"fmt"
@@ -41,10 +41,11 @@ func GridSmoothExperiment() ([]GridScaleRow, error) {
 		if err != nil {
 			return err
 		}
-		cycles, err := runMeshSmooth(Options{Nodes: sizes[i]}, g)
+		s, _, cycles, err := runMeshSmooth(Options{Nodes: sizes[i]}, g)
 		if err != nil {
 			return fmt.Errorf("grid smooth on %d nodes: %w", sizes[i], err)
 		}
+		s.M.Close()
 		rows[i] = GridScaleRow{Nodes: sizes[i], Cycles: cycles}
 		return nil
 	})
@@ -60,42 +61,42 @@ func GridSmoothExperiment() ([]GridScaleRow, error) {
 
 // runMeshSmooth boots a machine with the given options, stages the grid,
 // runs the smoothing pass, and verifies every output element against the
-// host-computed reference. It returns the cycles of the smoothing run.
-func runMeshSmooth(o Options, g *workload.MeshSmooth) (int64, error) {
-	s, err := NewSim(o)
+// host-computed reference. It returns the machine and the cycles of the
+// staging and smoothing runs.
+func runMeshSmooth(o Options, g *workload.MeshSmooth) (s *Sim, stage, smooth int64, err error) {
+	s, err = NewSim(o)
 	if err != nil {
-		return 0, err
+		return nil, 0, 0, err
 	}
 	if n := s.M.NumNodes(); n != g.Nodes {
-		return 0, fmt.Errorf("mesh smooth: %d-node workload on %d-node machine", g.Nodes, n)
+		return nil, 0, 0, fmt.Errorf("mesh smooth: %d-node workload on %d-node machine", g.Nodes, n)
 	}
 	for n := 0; n < g.Nodes; n++ {
 		if err := s.LoadASM(n, 3, 3, g.StageSrc(n, s.HomeBase)); err != nil {
-			return 0, err
+			return nil, 0, 0, err
 		}
 	}
-	if _, err := s.Run(5_000_000); err != nil {
-		return 0, err
+	if stage, err = s.Run(5_000_000); err != nil {
+		return nil, 0, 0, err
 	}
 	for n := 0; n < g.Nodes; n++ {
 		if err := s.LoadASM(n, 0, 0, g.WorkerSrc(n, s.HomeBase)); err != nil {
-			return 0, err
+			return nil, 0, 0, err
 		}
 	}
-	cycles, err := s.Run(10_000_000)
-	if err != nil {
-		return 0, err
+	if smooth, err = s.Run(10_000_000); err != nil {
+		return nil, 0, 0, err
 	}
 	for j := 1; j < g.Total()-1; j++ {
 		got, err := s.Peek(j/g.Chunk, g.VAddr(s.HomeBase, j))
 		if err != nil {
-			return 0, fmt.Errorf("v[%d]: %w", j, err)
+			return nil, 0, 0, fmt.Errorf("v[%d]: %w", j, err)
 		}
 		if got != g.Want(j) {
-			return 0, fmt.Errorf("v[%d] = %d, want %d", j, got, g.Want(j))
+			return nil, 0, 0, fmt.Errorf("v[%d] = %d, want %d", j, got, g.Want(j))
 		}
 	}
-	return cycles, nil
+	return s, stage, smooth, nil
 }
 
 // FormatGridSmooth renders the scaling table.
@@ -145,10 +146,11 @@ func MeshScaleExperiment() ([]MeshScaleRow, error) {
 		if err != nil {
 			return err
 		}
-		cycles, err := runMeshSmooth(Options{Dims: d, Workers: -1}, g)
+		s, _, cycles, err := runMeshSmooth(Options{Dims: d, Workers: -1}, g)
 		if err != nil {
 			return fmt.Errorf("mesh smooth on %v: %w", d, err)
 		}
+		s.M.Close()
 		rows[i] = MeshScaleRow{Dims: d, Nodes: nodes, Cycles: cycles}
 		return nil
 	})

@@ -5,7 +5,7 @@ package core
 // must be observationally free: a scenario run with watchdogs armed is
 // bit-identical to one without, under every engine. The watchdogs
 // themselves must fire deterministically (budget) and classify correctly
-// (deadline), and a budget cutoff with Options.CrashDump set must leave
+// (deadline), and a budget cutoff with Supervise.DumpPath set must leave
 // behind a snapshot a fresh machine can restore.
 
 import (
@@ -41,7 +41,7 @@ expect reg node=0 reg=1 value=0
 // both far from firing) yields the identical fingerprint as the
 // unarmed run, under every engine mode.
 func TestSupervisedDeterminismEngines(t *testing.T) {
-	armed := Options{Timeout: 5 * time.Minute, CycleBudget: 1 << 39}
+	armed := Options{Supervise: guard.Options{Timeout: 5 * time.Minute, CycleBudget: 1 << 39}}
 	var ref string
 	for i, m := range engineModes {
 		plain, err := underMode(m, func() (string, error) {
@@ -82,7 +82,7 @@ func TestSupervisedDeterminismEngines(t *testing.T) {
 }
 
 // TestScenarioDeadlineDirective: a .wl deadline cuts off a livelocked
-// scenario as a wall-clock StallError; the caller's Options.Timeout
+// scenario as a wall-clock StallError; the caller's Supervise.Timeout
 // overrides the file's value.
 func TestScenarioDeadlineDirective(t *testing.T) {
 	src := "\ndeadline 60s\n" + spinScenario
@@ -94,7 +94,7 @@ func TestScenarioDeadlineDirective(t *testing.T) {
 		t.Fatalf("deadline lowered to %v, want 60s", sc.Plan.Deadline)
 	}
 	// Override with a short caller timeout so the test is fast.
-	_, err = sc.Run(Options{Timeout: 50 * time.Millisecond})
+	_, err = sc.Run(Options{Supervise: guard.Options{Timeout: 50 * time.Millisecond}})
 	var se *guard.StallError
 	if !errors.As(err, &se) || se.Kind != guard.StallTimeout {
 		t.Fatalf("want StallTimeout, got %v", err)
@@ -136,7 +136,7 @@ func TestScenarioCrashDumpRestores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sc.Run(Options{CycleBudget: 2000, CrashDump: dump})
+	_, err = sc.Run(Options{Supervise: guard.Options{CycleBudget: 2000, DumpPath: dump}})
 	var se *guard.StallError
 	if !errors.As(err, &se) || se.Kind != guard.StallBudget {
 		t.Fatalf("want StallBudget, got %v", err)

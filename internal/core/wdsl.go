@@ -94,9 +94,9 @@ func (sc *Scenario) Run(o Options) (*ScenarioResult, error) {
 //
 // Execution is supervised (internal/guard): a panic anywhere in the plan
 // or the engines surfaces as a *guard.CrashError, and the watchdogs —
-// the caller's Options.Timeout/CycleBudget, else the scenario file's
+// the caller's Options.Supervise, else the scenario file's
 // deadline/budget directives — cut off runaway runs as *guard.StallError,
-// with a diagnostic and (when Options.CrashDump is set) a restorable
+// with a diagnostic and (when Supervise.DumpPath is set) a restorable
 // crash-dump snapshot attached. Supervision never changes simulated
 // results. In the one unrecoverable case — the error satisfies
 // guard.IsHang — the machine is abandoned un-Closed, because a wedged
@@ -133,13 +133,13 @@ func (sc *Scenario) NewSim(o Options) (*Sim, error) {
 }
 
 // supervise executes the plan's steps on a booted simulator under a
-// guard.Supervisor bounded by the caller's Options.Timeout/CycleBudget,
-// else the scenario file's deadline/budget directives. This is
+// guard.Supervisor bounded by the caller's Options.Supervise, whose zero
+// Timeout/CycleBudget take the scenario file's deadline/budget. This is
 // ScenarioRun driven to completion in unsliced quanta; a caller that
 // needs to checkpoint or stream between quanta drives a ScenarioRun
 // itself (internal/serve does).
 func (sc *Scenario) supervise(s *Sim, o Options) (*ScenarioResult, error) {
-	gopt := guard.Options{Timeout: o.Timeout, CycleBudget: o.CycleBudget, DumpPath: o.CrashDump}
+	gopt := o.Supervise
 	if gopt.Timeout == 0 {
 		gopt.Timeout = sc.Plan.Deadline
 	}

@@ -30,7 +30,7 @@ type RunResult struct {
 
 // RunScenario boots a hub simulator for sc, launches cfg.Shards workers,
 // and drives the plan to completion distributed. The scenario file's
-// cycle budget (or o.CycleBudget) clamps run phases through the same
+// cycle budget (or o.Supervise.CycleBudget) clamps run phases through the same
 // guard.Supervisor.RunPhase an in-process run uses, so exhaustion is a
 // *guard.StallError at the identical cycle. The returned Sim's machine
 // is closed but readable, as after Scenario.RunSim.
@@ -60,7 +60,7 @@ func RunScenario(sc *core.Scenario, o core.Options, cfg Config) (*RunResult, *co
 	}
 	defer co.Close()
 
-	budget := o.CycleBudget
+	budget := o.Supervise.CycleBudget
 	if budget == 0 {
 		budget = sc.Plan.CycleBudget
 	}

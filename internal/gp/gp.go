@@ -70,10 +70,9 @@ type Pointer uint64
 // exceptions on the issuing thread (Section 3.3: detected in the first
 // execution cycle and handled synchronously).
 var (
-	ErrSegment    = errors.New("gp: pointer arithmetic crossed segment boundary")
-	ErrPerm       = errors.New("gp: insufficient permissions")
-	ErrNotPointer = errors.New("gp: operand is not a tagged pointer")
-	ErrSegLen     = errors.New("gp: segment length exponent out of range")
+	ErrSegment = errors.New("gp: pointer arithmetic crossed segment boundary")
+	ErrPerm    = errors.New("gp: insufficient permissions")
+	ErrSegLen  = errors.New("gp: segment length exponent out of range")
 )
 
 // Make constructs a guarded pointer. addr is truncated to 54 bits; segLen is

@@ -43,7 +43,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"runtime/debug"
 	"strings"
 	"time"
@@ -562,10 +561,4 @@ func fmtEvent(at, now int64) string {
 		return "-"
 	}
 	return fmt.Sprintf("+%d", at-now)
-}
-
-// WriteDump writes a standalone crash-dump snapshot of m to path with the
-// same atomic discipline the supervisor uses.
-func WriteDump(m *machine.Machine, path string) error {
-	return snap.WriteFileAtomic(path, func(w io.Writer) error { return m.Save(w) })
 }

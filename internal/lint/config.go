@@ -30,7 +30,6 @@ var simCritical = []string{
 	"repro/internal/machine",
 	"repro/internal/mem",
 	"repro/internal/noc",
-	"repro/internal/sched",
 	"repro/internal/wgen",
 }
 
@@ -47,7 +46,6 @@ var wallClockAllowed = []string{
 	"repro/internal/lint",
 	"repro/internal/serve",
 	"repro/cmd",
-	"repro/examples",
 }
 
 // goAllowed is the allowlist of package paths where spawning goroutines

@@ -182,10 +182,14 @@ func newShell(cfg Config) *Machine {
 	return m
 }
 
+// MaxAxis is the largest mesh extent along any one axis: a trace record's
+// peer fields hold coordinates up to trace.MaxCoord.
+const MaxAxis = trace.MaxCoord + 1
+
 // New builds the machine: one chip per mesh coordinate, all sharing the
 // network and GDT.
 func New(cfg Config) *Machine {
-	if max(cfg.Dims.X, cfg.Dims.Y, cfg.Dims.Z) > trace.MaxCoord+1 {
+	if max(cfg.Dims.X, cfg.Dims.Y, cfg.Dims.Z) > MaxAxis {
 		panic(fmt.Sprintf("machine: mesh %v exceeds the trace record's coordinate range", cfg.Dims))
 	}
 	top := &Machine{Net: noc.New(cfg.Dims, cfg.Chip.Net), GDT: &gtlb.Table{}}
@@ -745,10 +749,6 @@ func (m *Machine) firstFault(lo, hi int) string {
 	}
 	return ""
 }
-
-// MapPageGroup installs a GDT entry distributing a virtual range across
-// nodes (Figure 8).
-func (m *Machine) MapPageGroup(e gtlb.Entry) error { return m.GDT.Add(e) }
 
 // MapNodeRange maps npages GTLB pages starting at vaddr to a single node —
 // the common "this range lives on node n" case.

@@ -505,16 +505,6 @@ func (m *System) PeekVirt(vaddr uint64) (w uint64, ptr bool, err error) {
 	return w, ptr, nil
 }
 
-// SetSyncVirt sets the synchronization bit for a virtual address.
-func (m *System) SetSyncVirt(vaddr uint64, full bool) error {
-	pa, ok := m.Translate(vaddr)
-	if !ok {
-		return fmt.Errorf("mem: no translation for %#x", vaddr)
-	}
-	m.SDRAM.SetSyncBit(pa, full)
-	return nil
-}
-
 // SyncVirt reads the synchronization bit for a virtual address.
 func (m *System) SyncVirt(vaddr uint64) (bool, error) {
 	pa, ok := m.Translate(vaddr)

@@ -1,8 +1,9 @@
 package workload
 
 // Machine-scale mesh workloads: generators for programs that keep every
-// node of an arbitrarily large mesh busy, used by the scaling experiments,
-// the parallel-engine benchmarks, and examples/bigmesh. Two families:
+// node of an arbitrarily large mesh busy, used by the scaling experiments
+// (`mbench -exp gridsmooth|meshscale`) and the parallel-engine benchmarks.
+// Two families:
 //
 //   - MeshSmooth: a block-distributed 1-D smoothing pass (the grid-smooth
 //     application generalized to any node count) — mostly local compute
