@@ -12,6 +12,7 @@ package chip
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cluster"
 	"repro/internal/events"
@@ -259,7 +260,17 @@ func shell(cfg Config, node noc.Coord, index int, net *noc.Network, gdt *gtlb.Ta
 // chip: a sleeping event engine must rescan for issuable instructions.
 func (c *Chip) LoadProgram(vthread, cl int, p *isa.Program, privileged bool) {
 	c.Clusters[cl].Threads[vthread].Load(p, privileged)
+	c.Clusters[cl].Live |= 1 << vthread
 	c.Touch()
+}
+
+// RunningUser counts the chip's running user H-Threads.
+func (c *Chip) RunningUser() int {
+	n := 0
+	for _, cc := range c.Clusters {
+		n += bits.OnesCount8(cc.Live & cluster.UserSlots)
+	}
+	return n
 }
 
 // Touch resets the chip's event-engine wake cycle. Callers that mutate

@@ -51,6 +51,7 @@ func (c *Chip) execute(now int64, vt, cl int, th *cluster.HThread, op *isa.Op) (
 
 	case isa.HALT:
 		th.Status = cluster.ThreadHalted
+		c.Clusters[cl].Live &^= 1 << vt
 		return 0, false
 
 	case isa.BR:

@@ -8,6 +8,7 @@ package chip
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cluster"
 	"repro/internal/events"
@@ -22,24 +23,31 @@ import (
 // Section 3.2; the paper specifies no fixed priority among ready threads).
 // Threads that stall are recorded in idleStalled so SkipCycles can replay
 // the scan's stat effects over fast-forwarded idle cycles.
+//
+// Only the running slots (cc.Live) are visited, in rotation order: the
+// slots after LastIssued, then the slots up to and including it. A slot
+// outside the mask has no instruction to offer, so skipping it changes
+// nothing the scan records.
 func (c *Chip) issueCluster(now int64, cl int) bool {
 	cc := c.Clusters[cl]
-	start := cc.LastIssued + 1
-	for i := 0; i < isa.NumVThreads; i++ {
-		vt := (start + i) % isa.NumVThreads
-		th := cc.Threads[vt]
-		in := th.Current()
-		if in == nil {
-			continue
+	upTo := uint8(1)<<(cc.LastIssued+1) - 1
+	for _, set := range [2]uint8{cc.Live &^ upTo, cc.Live & upTo} {
+		for ; set != 0; set &= set - 1 {
+			vt := bits.TrailingZeros8(set)
+			th := cc.Threads[vt]
+			in := th.Current()
+			if in == nil {
+				continue
+			}
+			if !c.ready(now, vt, cl, th, in) {
+				th.StallCycles++
+				c.idleStalled = append(c.idleStalled, th)
+				continue
+			}
+			c.issue(now, vt, cl, th, in)
+			cc.LastIssued = vt
+			return true
 		}
-		if !c.ready(now, vt, cl, th, in) {
-			th.StallCycles++
-			c.idleStalled = append(c.idleStalled, th)
-			continue
-		}
-		c.issue(now, vt, cl, th, in)
-		cc.LastIssued = vt
-		return true
 	}
 	return false
 }
@@ -47,8 +55,8 @@ func (c *Chip) issueCluster(now int64, cl int) bool {
 // ready implements the scoreboard and resource checks for a whole
 // instruction: all operations issue together or not at all.
 func (c *Chip) ready(now int64, vt, cl int, th *cluster.HThread, in *isa.Inst) bool {
-	for _, op := range in.Ops() {
-		if !c.opReady(now, vt, cl, th, op) {
+	for _, op := range [3]*isa.Op{in.IOp, in.MOp, in.FOp} {
+		if op != nil && !c.opReady(now, vt, cl, th, op) {
 			return false
 		}
 	}
@@ -57,10 +65,8 @@ func (c *Chip) ready(now int64, vt, cl int, th *cluster.HThread, in *isa.Inst) b
 
 func (c *Chip) opReady(now int64, vt, cl int, th *cluster.HThread, op *isa.Op) bool {
 	// Source operands must be full.
-	for _, src := range []isa.Reg{op.Src1, op.Src2} {
-		if !c.srcReady(vt, cl, th, src) {
-			return false
-		}
+	if !c.srcReady(vt, cl, th, op.Src1) || !c.srcReady(vt, cl, th, op.Src2) {
+		return false
 	}
 	// Multi-register operands (TLBW, MRETRY read 4 consecutive registers;
 	// SEND reads the body registers).
@@ -224,7 +230,10 @@ func (c *Chip) issue(now int64, vt, cl int, th *cluster.HThread, in *isa.Inst) {
 	c.InstsIssued++
 	th.Issued++
 	nextPC := th.PC + 1
-	for _, op := range in.Ops() {
+	for _, op := range [3]*isa.Op{in.IOp, in.MOp, in.FOp} {
+		if op == nil {
+			continue
+		}
 		c.OpsIssued++
 		th.OpsIssued++
 		if op.Code.IsPrivileged() && !th.Privileged {
@@ -247,6 +256,7 @@ func (c *Chip) issue(now int64, vt, cl int, th *cluster.HThread, in *isa.Inst) {
 // handled synchronously"; we stop the offender and queue the record).
 func (c *Chip) protFault(vt, cl int, th *cluster.HThread, msg string) {
 	th.Fault(msg)
+	c.Clusters[cl].Live &^= 1 << vt
 	c.excq.PushWords([]isa.Word{
 		isa.W(uint64(vt)),
 		isa.W(uint64(cl)),

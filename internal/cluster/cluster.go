@@ -106,7 +106,8 @@ func NewHThread() *HThread {
 	}
 }
 
-// Load installs a program and makes the thread runnable.
+// Load installs a program and makes the thread runnable. The cluster's
+// Live mask is the caller's to update (chip.LoadProgram does).
 func (h *HThread) Load(p *isa.Program, privileged bool) {
 	h.Prog = p
 	h.PC = 0
@@ -190,7 +191,16 @@ type Cluster struct {
 	// LastIssued is the V-Thread slot that issued most recently, the
 	// rotation point for round-robin selection among ready threads.
 	LastIssued int
+
+	// Live has bit vt set while Threads[vt].Status is ThreadRunning: the
+	// slots the issue scan visits and the run loop counts. The chip keeps
+	// it at the only status transitions there are — program load, HALT
+	// and a synchronous fault.
+	Live uint8 `snap:"derived,rebuilt from the decoded thread statuses"`
 }
+
+// UserSlots masks Live down to the user V-Thread slots.
+const UserSlots uint8 = 1<<isa.NumUserSlots - 1
 
 // New creates cluster id with empty thread slots.
 func New(id int) *Cluster {
@@ -199,14 +209,4 @@ func New(id int) *Cluster {
 		c.Threads[i] = NewHThread()
 	}
 	return c
-}
-
-// Running reports whether any thread in the given slot range is running.
-func (c *Cluster) Running(slots ...int) bool {
-	for _, s := range slots {
-		if c.Threads[s].Status == ThreadRunning {
-			return true
-		}
-	}
-	return false
 }

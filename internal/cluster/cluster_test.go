@@ -95,12 +95,8 @@ func TestClusterNew(t *testing.T) {
 			t.Fatal("thread slots not initialized")
 		}
 	}
-	if c.Running(0, 1, 2) {
-		t.Error("no slot should be running")
-	}
-	c.Threads[1].Load(asm.MustAssemble("t", "halt"), false)
-	if !c.Running(0, 1) {
-		t.Error("slot 1 should be running")
+	if c.Live != 0 {
+		t.Errorf("Live = %06b, want no slot running", c.Live)
 	}
 }
 

@@ -150,7 +150,8 @@ func (h *HThread) Clone() *HThread {
 }
 
 // State walks the cluster's round-robin rotation point, GCC replica, and
-// all six thread contexts. A decoder fills a &Cluster{ID: id}.
+// all six thread contexts. A decoder fills a &Cluster{ID: id} and
+// rebuilds Live from the decoded statuses.
 func (cl *Cluster) State(c *snap.Codec) {
 	c.Int(&cl.LastIssued)
 	if c.Reading() {
@@ -170,12 +171,17 @@ func (cl *Cluster) State(c *snap.Codec) {
 		if len(cl.GCC.vals) != isa.NumGCCRegs {
 			c.Fail(fmt.Errorf("cluster: bad GCC size %d", len(cl.GCC.vals)))
 		}
+		for vt, th := range cl.Threads {
+			if th.Status == ThreadRunning {
+				cl.Live |= 1 << vt
+			}
+		}
 	}
 }
 
 // Clone returns an independent cluster with c's state.
 func (c *Cluster) Clone() *Cluster {
-	f := &Cluster{ID: c.ID, GCC: c.GCC.Clone(), LastIssued: c.LastIssued}
+	f := &Cluster{ID: c.ID, GCC: c.GCC.Clone(), LastIssued: c.LastIssued, Live: c.Live}
 	for i, th := range c.Threads {
 		f.Threads[i] = th.Clone()
 	}

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/snap"
 	"repro/internal/snap/snaptest"
 )
 
@@ -68,4 +70,40 @@ func TestThreadAndClusterFieldRoundTrip(t *testing.T) {
 			"GCC": func(cl *Cluster) func() { return flipWord(cl.GCC.vals, 0) },
 		},
 	})
+}
+
+// TestLiveIsDerived: the live-slot mask is not in the stream — encoding
+// is byte-identical whatever Live holds — yet a decoded cluster has it
+// rebuilt from its thread statuses, and Clone copies it, for a cluster
+// holding a running, a halted and a faulted thread.
+func TestLiveIsDerived(t *testing.T) {
+	prog := &isa.Program{Name: "p", Insts: []isa.Inst{{Line: 1}, {Line: 2}}}
+	cl := New(1)
+	for _, vt := range []int{0, 2, 5} {
+		cl.Threads[vt].Load(prog, vt == 5)
+	}
+	cl.Threads[2].Status = ThreadHalted
+	cl.Threads[5].Fault("protection")
+	cl.Live = 1 << 0
+	base := snaptest.Encode(t, cl.State)
+
+	cl.Live = 0b111111
+	if got := snaptest.Encode(t, cl.State); !bytes.Equal(got, base) {
+		t.Error("Live changed the encoded stream; it must stay derived")
+	}
+	dec := &Cluster{ID: 1}
+	d := snap.NewDecoder(bytes.NewReader(base))
+	dec.State(d)
+	if err := d.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if dec.Live != 1<<0 {
+		t.Errorf("decoded Live = %06b, want %06b (slot 0 running, 2 halted, 5 faulted)", dec.Live, 1<<0)
+	}
+	if got := snaptest.Encode(t, dec.State); !bytes.Equal(got, base) {
+		t.Error("decoded cluster re-encodes differently")
+	}
+	if f := cl.Clone(); f.Live != cl.Live {
+		t.Errorf("Clone Live = %06b, want %06b", f.Live, cl.Live)
+	}
 }

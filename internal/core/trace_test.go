@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"repro/internal/gp"
+	"repro/internal/isa"
+	"repro/internal/noc"
 	"repro/internal/trace"
 )
 
@@ -250,5 +252,42 @@ func TestTraceAllocatesNothing(t *testing.T) {
 	recorded, events := slice(true, true)
 	if recorded != bare || events < 1000 {
 		t.Errorf("SEND kernel: %v allocations per slice with a reserved Recorder (%d events), %v without a sink", recorded, events, bare)
+	}
+}
+
+// TestIssueScanAllocatesNothing: the issue scan walks an instruction's
+// operation slots without building a slice. Every cluster of every node
+// of the 4x4x2 mesh runs a two-operation ALU loop (its FP result stalls
+// the next iteration), and 1000-cycle slices of Steps allocate nothing.
+func TestIssueScanAllocatesNothing(t *testing.T) {
+	s, err := NewSim(Options{Dims: noc.Coord{X: 4, Y: 4, Z: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.M.Close()
+	for n := 0; n < s.M.NumNodes(); n++ {
+		for cl := 0; cl < isa.NumClusters; cl++ {
+			if err := s.LoadASM(n, 0, cl, `
+    movi i1, #0
+loop:
+    add i1, i1, #1 | fadd f1, f1, f2
+    br loop
+`); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	step := func() {
+		for i := 0; i < 1000; i++ {
+			s.M.Step()
+		}
+	}
+	step() // scan and trace buffers reach steady state
+	before := s.M.Chip(0).InstsIssued
+	if allocs := testing.AllocsPerRun(3, step); allocs != 0 {
+		t.Errorf("%v allocations per 1000-cycle slice, want 0", allocs)
+	}
+	if s.M.Chip(0).InstsIssued == before {
+		t.Error("the kernel issued nothing")
 	}
 }

@@ -47,7 +47,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/noc"
@@ -527,14 +526,6 @@ func Diagnose(m *machine.Machine) string {
 			skipped++
 			continue
 		}
-		users := 0
-		for vt := 0; vt < isa.NumUserSlots; vt++ {
-			for cl := 0; cl < isa.NumClusters; cl++ {
-				if c.Thread(vt, cl).Status == cluster.ThreadRunning {
-					users++
-				}
-			}
-		}
 		var q []string
 		for p := 0; p < noc.NumPriorities; p++ {
 			q = append(q, fmt.Sprint(c.MsgQueue(p).Len()))
@@ -544,7 +535,7 @@ func Diagnose(m *machine.Machine) string {
 			e = append(e, fmt.Sprint(c.EventQueue(cl).Len()))
 		}
 		fmt.Fprintf(&b, "node %-3d next=%-8s users=%d busy=%-5v outbox=%d resends=%d msgq=[%s] evq=[%s] exc=%d credits=%d issued=%d\n",
-			i, fmtEvent(c.NextEvent(now), now), users, !c.Quiescent(),
+			i, fmtEvent(c.NextEvent(now), now), c.RunningUser(), !c.Quiescent(),
 			c.OutboxLen(), c.PendingResends(),
 			strings.Join(q, " "), strings.Join(e, " "),
 			c.ExcQueue().Len(), c.Credits(), c.InstsIssued)

@@ -427,24 +427,11 @@ func (m *Machine) NextEvent(now int64) int64 {
 // faulted.
 func (m *Machine) UserDone() bool {
 	for i := range m.Chips {
-		if runningUserOf(m.Chips[i]) > 0 {
+		if m.Chips[i].RunningUser() > 0 {
 			return false
 		}
 	}
 	return true
-}
-
-// runningUserOf counts a chip's running user H-Threads.
-func runningUserOf(c *chip.Chip) int {
-	n := 0
-	for vt := 0; vt < isa.NumUserSlots; vt++ {
-		for cl := 0; cl < isa.NumClusters; cl++ {
-			if c.Thread(vt, cl).Status == cluster.ThreadRunning {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // noteStepped refreshes chip i's cached activity contributions after it
@@ -454,7 +441,7 @@ func runningUserOf(c *chip.Chip) int {
 // only stepped chips are visited.
 func (m *Machine) noteStepped(i int) {
 	c := m.Chips[i]
-	if n := runningUserOf(c); n != m.chipRunning[i] {
+	if n := c.RunningUser(); n != m.chipRunning[i] {
 		m.act.Running += n - m.chipRunning[i]
 		m.chipRunning[i] = n
 	}
@@ -479,7 +466,7 @@ func (m *Machine) noteStepped(i int) {
 func (m *Machine) recomputeActive() {
 	m.act = Activity{}
 	for i, c := range m.Chips {
-		m.chipRunning[i] = runningUserOf(c)
+		m.chipRunning[i] = c.RunningUser()
 		m.act.Running += m.chipRunning[i]
 		m.chipBusy[i] = !c.Quiescent()
 		if m.chipBusy[i] {

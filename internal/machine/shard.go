@@ -101,7 +101,7 @@ func (m *Machine) AdoptShard(r io.Reader, lo, hi int) (int64, error) {
 func (m *Machine) ShardActivity(lo, hi int, now int64) (a Activity, next int64, fault string) {
 	next = NoEvent
 	for _, c := range m.Chips[lo:hi] {
-		a.Running += runningUserOf(c)
+		a.Running += c.RunningUser()
 		if !c.Quiescent() {
 			a.Busy++
 		}
