@@ -17,7 +17,7 @@
 
 GO ?= go
 
-.PHONY: ci build vet lint test shuffle race speedup checkpoint examples wl fuzz-smoke bench-smoke bench benchdiff
+.PHONY: ci build vet lint test shuffle race speedup checkpoint examples wl fuzz-smoke bench-smoke bench benchdiff pairs
 
 ci: build vet lint test shuffle race speedup checkpoint examples wl fuzz-smoke bench-smoke benchdiff
 
@@ -135,3 +135,11 @@ benchdiff:
 # Full measurement run (slow): allocation stats included.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
+
+# Alternating parent/change pairs of one benchmark workload, run from
+# sibling temporary directories (not a ci leg: 2 x 10 x 12 s of wall per
+# workload by default). ARGS is scripts/pairs.sh's WORKLOAD [SEED] [N],
+# e.g. `make pairs ARGS="busy-alu 29"`.
+ARGS ?= busy-alu
+pairs:
+	@bash scripts/pairs.sh $(ARGS)

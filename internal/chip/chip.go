@@ -259,8 +259,10 @@ func shell(cfg Config, node noc.Coord, index int, net *noc.Network, gdt *gtlb.Ta
 // LoadProgram installs a program on an H-Thread slot. Loading wakes the
 // chip: a sleeping event engine must rescan for issuable instructions.
 func (c *Chip) LoadProgram(vthread, cl int, p *isa.Program, privileged bool) {
-	c.Clusters[cl].Threads[vthread].Load(p, privileged)
-	c.Clusters[cl].Live |= 1 << vthread
+	cc := c.Clusters[cl]
+	cc.Threads[vthread].Load(p, privileged)
+	cc.Live |= 1 << vthread
+	cc.Parked &^= 1 << vthread
 	c.Touch()
 }
 

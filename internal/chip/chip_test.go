@@ -218,6 +218,41 @@ loop:
 	}
 }
 
+// TestStallCyclesCountsScansThatFoundNotReady pins what HThread.StallCycles
+// counts: the issue scans that reached the thread and found it not ready,
+// not the cycles it was resident without issuing. On cluster 0, slots 0 and
+// 1 are always ready and alternate, so neither is ever reached while not
+// ready; slot 2 waits on a gcc nothing produces and is reached only on the
+// cycles the rotation passes it on the way from slot 1 to slot 0. The same
+// waiting thread alone on cluster 1 is reached every cycle.
+func TestStallCyclesCountsScansThatFoundNotReady(t *testing.T) {
+	c := newChip(t)
+	spin := "loop:\n    add i1, i1, #1\n    br loop\n"
+	wait := "    mov i5, gcc3\n    halt\n"
+	load(t, c, 0, 0, spin, true)
+	load(t, c, 1, 0, spin, true)
+	load(t, c, 2, 0, wait, true)
+	load(t, c, 2, 1, wait, true)
+	for i := 0; i < 100; i++ {
+		c.Step(c.Cycle)
+	}
+	for _, want := range []struct {
+		vt, cl         int
+		issued, stalls uint64
+	}{
+		{0, 0, 50, 0},
+		{1, 0, 50, 0},
+		{2, 0, 0, 49}, // cycles 2, 4, ..., 98
+		{2, 1, 0, 100},
+	} {
+		th := c.Thread(want.vt, want.cl)
+		if th.Issued != want.issued || th.StallCycles != want.stalls {
+			t.Errorf("slot %d cluster %d: issued %d, stall cycles %d; want %d, %d",
+				want.vt, want.cl, th.Issued, th.StallCycles, want.issued, want.stalls)
+		}
+	}
+}
+
 func TestClustersIssueInParallel(t *testing.T) {
 	c := newChip(t)
 	src := `

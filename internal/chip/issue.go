@@ -28,10 +28,27 @@ import (
 // slots after LastIssued, then the slots up to and including it. A slot
 // outside the mask has no instruction to offer, so skipping it changes
 // nothing the scan records.
+//
+// A slot whose instruction failed the ready check on an empty source
+// operand is parked on that operand (see park). The scan first unparks
+// the slots whose operand has filled, then visits the unparked ones; a
+// slot still parked would have failed its visit, so it is charged the
+// stall its visit would have recorded — when the rotation passes it on
+// the way to the issuing slot, or on every cycle the cluster issues
+// nothing. Between the start of the scan and the issue only side-effect
+// free ready checks run, so testing the operand up front is testing it
+// at the slot's turn.
 func (c *Chip) issueCluster(now int64, cl int) bool {
 	cc := c.Clusters[cl]
+	for set := cc.Parked; set != 0; set &= set - 1 {
+		vt := bits.TrailingZeros8(set)
+		if c.srcReady(vt, cl, cc.Threads[vt], cc.Wait[vt]) {
+			cc.Parked &^= 1 << vt
+		}
+	}
+	parked := cc.Parked
 	upTo := uint8(1)<<(cc.LastIssued+1) - 1
-	for _, set := range [2]uint8{cc.Live &^ upTo, cc.Live & upTo} {
+	for _, set := range [2]uint8{cc.Live &^ upTo &^ parked, cc.Live & upTo &^ parked} {
 		for ; set != 0; set &= set - 1 {
 			vt := bits.TrailingZeros8(set)
 			th := cc.Threads[vt]
@@ -42,14 +59,55 @@ func (c *Chip) issueCluster(now int64, cl int) bool {
 			if !c.ready(now, vt, cl, th, in) {
 				th.StallCycles++
 				c.idleStalled = append(c.idleStalled, th)
+				c.park(cc, vt, cl, th, in)
 				continue
+			}
+			// The rotation reached vt through the slots after
+			// LastIssued and, if vt is not among them, those before vt.
+			passed := ^upTo & (uint8(1)<<vt - 1)
+			if vt <= cc.LastIssued {
+				passed = ^upTo | (uint8(1)<<vt - 1)
+			}
+			for p := parked & passed; p != 0; p &= p - 1 {
+				cc.Threads[bits.TrailingZeros8(p)].StallCycles++
 			}
 			c.issue(now, vt, cl, th, in)
 			cc.LastIssued = vt
 			return true
 		}
 	}
+	for ; parked != 0; parked &= parked - 1 {
+		th := cc.Threads[bits.TrailingZeros8(parked)]
+		th.StallCycles++
+		c.idleStalled = append(c.idleStalled, th)
+	}
 	return false
+}
+
+// park records the first source operand of in, in IOp, MOp, FOp and Src1,
+// Src2 order, that is not ready, and parks slot vt on it: no ready check
+// of in can succeed before that operand fills. An instruction with a SEND
+// never parks, because a throttled SEND's ready check counts
+// SendsBlocked every time it runs.
+func (c *Chip) park(cc *cluster.Cluster, vt, cl int, th *cluster.HThread, in *isa.Inst) {
+	ops := [3]*isa.Op{in.IOp, in.MOp, in.FOp}
+	for _, op := range ops {
+		if op != nil && (op.Code == isa.SEND || op.Code == isa.SENDN) {
+			return
+		}
+	}
+	for _, op := range ops {
+		if op == nil {
+			continue
+		}
+		for _, r := range [2]isa.Reg{op.Src1, op.Src2} {
+			if !c.srcReady(vt, cl, th, r) {
+				cc.Parked |= 1 << vt
+				cc.Wait[vt] = r
+				return
+			}
+		}
+	}
 }
 
 // ready implements the scoreboard and resource checks for a whole

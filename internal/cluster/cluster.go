@@ -93,9 +93,14 @@ type HThread struct {
 	FPs  *RegFile
 
 	// Stats.
-	Issued      uint64 // instructions issued
-	OpsIssued   uint64 // operations issued (<= 3 per instruction)
-	StallCycles uint64 // cycles this thread was resident but not issued
+	Issued    uint64 // instructions issued
+	OpsIssued uint64 // operations issued (<= 3 per instruction)
+	// StallCycles counts the issue scans that reached this running thread
+	// and found its instruction not ready. A cycle on which another slot
+	// of the cluster issued before the rotation reached this one is not
+	// counted, so two always-ready threads alternating on a cluster both
+	// read 0.
+	StallCycles uint64
 }
 
 // NewHThread creates an empty H-Thread context with fresh register files.
@@ -197,6 +202,15 @@ type Cluster struct {
 	// it at the only status transitions there are — program load, HALT
 	// and a synchronous fault.
 	Live uint8 `snap:"derived,rebuilt from the decoded thread statuses"`
+
+	// Parked has bit vt set while slot vt's instruction waits on the
+	// source operand Wait[vt], which was empty when the issue scan last
+	// checked it: the scan re-tests that one operand instead of the whole
+	// instruction and counts the slot's stall cycles itself
+	// (chip.issueCluster). Parked is a subset of Live; program load
+	// clears the slot's bit.
+	Parked uint8                    `snap:"derived,zero after decode and Clone; the first Step re-parks"`
+	Wait   [isa.NumVThreads]isa.Reg `snap:"derived,meaningful only under Parked"`
 }
 
 // UserSlots masks Live down to the user V-Thread slots.

@@ -75,7 +75,8 @@ func TestThreadAndClusterFieldRoundTrip(t *testing.T) {
 // TestLiveIsDerived: the live-slot mask is not in the stream — encoding
 // is byte-identical whatever Live holds — yet a decoded cluster has it
 // rebuilt from its thread statuses, and Clone copies it, for a cluster
-// holding a running, a halted and a faulted thread.
+// holding a running, a halted and a faulted thread. The parking state is
+// not in the stream either, and neither decode nor Clone carries it.
 func TestLiveIsDerived(t *testing.T) {
 	prog := &isa.Program{Name: "p", Insts: []isa.Inst{{Line: 1}, {Line: 2}}}
 	cl := New(1)
@@ -88,8 +89,9 @@ func TestLiveIsDerived(t *testing.T) {
 	base := snaptest.Encode(t, cl.State)
 
 	cl.Live = 0b111111
+	cl.Parked, cl.Wait[0] = 1<<0, isa.Int(3)
 	if got := snaptest.Encode(t, cl.State); !bytes.Equal(got, base) {
-		t.Error("Live changed the encoded stream; it must stay derived")
+		t.Error("Live or Parked changed the encoded stream; they must stay derived")
 	}
 	dec := &Cluster{ID: 1}
 	d := snap.NewDecoder(bytes.NewReader(base))
@@ -100,10 +102,13 @@ func TestLiveIsDerived(t *testing.T) {
 	if dec.Live != 1<<0 {
 		t.Errorf("decoded Live = %06b, want %06b (slot 0 running, 2 halted, 5 faulted)", dec.Live, 1<<0)
 	}
+	if dec.Parked != 0 || dec.Wait != [isa.NumVThreads]isa.Reg{} {
+		t.Errorf("decoded Parked = %06b, Wait = %v; want nothing parked until the first Step", dec.Parked, dec.Wait)
+	}
 	if got := snaptest.Encode(t, dec.State); !bytes.Equal(got, base) {
 		t.Error("decoded cluster re-encodes differently")
 	}
-	if f := cl.Clone(); f.Live != cl.Live {
-		t.Errorf("Clone Live = %06b, want %06b", f.Live, cl.Live)
+	if f := cl.Clone(); f.Live != cl.Live || f.Parked != 0 || f.Wait != [isa.NumVThreads]isa.Reg{} {
+		t.Errorf("Clone Live = %06b, Parked = %06b, Wait = %v; want Live %06b and nothing parked", f.Live, f.Parked, f.Wait, cl.Live)
 	}
 }

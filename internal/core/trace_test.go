@@ -256,38 +256,57 @@ func TestTraceAllocatesNothing(t *testing.T) {
 }
 
 // TestIssueScanAllocatesNothing: the issue scan walks an instruction's
-// operation slots without building a slice. Every cluster of every node
-// of the 4x4x2 mesh runs a two-operation ALU loop (its FP result stalls
-// the next iteration), and 1000-cycle slices of Steps allocate nothing.
+// operation slots without building a slice, and parking a slot on its
+// empty operand allocates nothing. Every cluster of every node of the
+// 4x4x2 mesh runs a kernel, and 1000-cycle slices of Steps allocate
+// nothing: a two-operation ALU loop (its FP result stalls the next
+// iteration), and a load-use chain on local memory whose adds park on the
+// loaded register every iteration (no trace sink, so the record log does
+// not grow).
 func TestIssueScanAllocatesNothing(t *testing.T) {
-	s, err := NewSim(Options{Dims: noc.Coord{X: 4, Y: 4, Z: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.M.Close()
-	for n := 0; n < s.M.NumNodes(); n++ {
-		for cl := 0; cl < isa.NumClusters; cl++ {
-			if err := s.LoadASM(n, 0, cl, `
-    movi i1, #0
-loop:
-    add i1, i1, #1 | fadd f1, f1, f2
-    br loop
-`); err != nil {
+	for _, k := range []struct {
+		name string
+		src  func(s *Sim, n, cl int) string
+		sink bool
+	}{
+		{"alu", func(*Sim, int, int) string {
+			return "    movi i1, #0\nloop:\n    add i1, i1, #1 | fadd f1, f1, f2\n    br loop\n"
+		}, true},
+		{"load-use", func(s *Sim, n, cl int) string {
+			return fmt.Sprintf("    movi i1, #%d\nloop:\n    ld i2, [i1]\n    add i3, i3, i2\n    br loop\n",
+				s.HomeBase(n)+64+8*uint64(cl))
+		}, false},
+	} {
+		t.Run(k.name, func(t *testing.T) {
+			s, err := NewSim(Options{Dims: noc.Coord{X: 4, Y: 4, Z: 2}})
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	step := func() {
-		for i := 0; i < 1000; i++ {
-			s.M.Step()
-		}
-	}
-	step() // scan and trace buffers reach steady state
-	before := s.M.Chip(0).InstsIssued
-	if allocs := testing.AllocsPerRun(3, step); allocs != 0 {
-		t.Errorf("%v allocations per 1000-cycle slice, want 0", allocs)
-	}
-	if s.M.Chip(0).InstsIssued == before {
-		t.Error("the kernel issued nothing")
+			defer s.M.Close()
+			if !k.sink {
+				s.M.SetTrace(nil)
+			}
+			for n := 0; n < s.M.NumNodes(); n++ {
+				for cl := 0; cl < isa.NumClusters; cl++ {
+					if err := s.LoadASM(n, 0, cl, k.src(s, n, cl)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			step := func() {
+				for i := 0; i < 1000; i++ {
+					s.M.Step()
+				}
+			}
+			step() // scan and trace buffers, and the kernels' pages, reach steady state
+			th := s.M.Chip(0).Thread(0, 0)
+			issued, stalls := th.Issued, th.StallCycles
+			if allocs := testing.AllocsPerRun(3, step); allocs != 0 {
+				t.Errorf("%v allocations per 1000-cycle slice, want 0", allocs)
+			}
+			if th.Issued == issued || th.StallCycles == stalls {
+				t.Errorf("the kernel issued %d and stalled %d times, want both", th.Issued-issued, th.StallCycles-stalls)
+			}
+		})
 	}
 }

@@ -1,0 +1,75 @@
+#!/usr/bin/env bash
+# Alternating parent/change pairs of one benchmark workload, the evidence
+# a speed claim needs (ROADMAP house rules): HEAD and the working tree
+# (uncommitted edits included) are exported into sibling temporary
+# directories, and N pairs of untraced 12 s runs of benchmark/run.sh
+# alternate which side goes first. run.sh builds each side into its
+# export's .bench_build/ before every run (from scratch the first time,
+# from the cache after), outside the time the benchmark measures.
+# Prints one line per run in the
+# BENCH_<n>.pairs.txt format, then each side's median and quartiles and
+# the change's pair wins.
+#
+#   bash scripts/pairs.sh WORKLOAD [SEED] [N]
+#   bash scripts/pairs.sh busy-alu 1 10      # the defaults after WORKLOAD
+#
+# Run from the root of the repository. Temporary directories go under
+# $TMPDIR (default /tmp) and are removed on exit.
+set -euo pipefail
+
+workload=${1:?usage: scripts/pairs.sh WORKLOAD [SEED] [N]}
+seed=${2:-1}
+n=${3:-10}
+
+rev=$(git rev-parse --short HEAD)
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/parent" "$tmp/change"
+git archive "$rev" | tar -x -C "$tmp/parent"
+git ls-files -z -c -o --exclude-standard |
+	while IFS= read -r -d '' f; do [ -e "$f" ] && printf '%s\0' "$f"; done |
+	tar --null --no-recursion -T - -cf - | tar -x -C "$tmp/change"
+
+# run SIDE PAIR: one untraced run, printed as a pairs line.
+run() {
+	local out
+	out=$(cd "$tmp/$1" && bash benchmark/run.sh --workload "$workload" --seed "$seed" \
+		--seconds 12 --trace 0 | tail -n 1)
+	echo "$out" | awk -v head="$workload seed=$seed pair=$2 $1" '{
+		match($0, /"node_cycles_per_s":\{"value":[^,}]*/); ncps = substr($0, RSTART + 29, RLENGTH - 29)
+		match($0, /"setup_s":\{"value":[^,}]*/); setup = substr($0, RSTART + 19, RLENGTH - 19)
+		match($0, /"attempted":[0-9]*/); att = substr($0, RSTART + 12, RLENGTH - 12)
+		match($0, /"failed":[0-9]*/); failed = substr($0, RSTART + 9, RLENGTH - 9)
+		correct = ($0 ~ /"correct":true/) ? "True" : "False"
+		printf "%s %d %.4g %s %s %s\n", head, ncps, setup * 1000, att, failed, correct
+	}'
+}
+
+echo "# $workload seed=$seed: parent $rev vs the working tree, $n pairs, --seconds 12 --trace 0, $(nproc) CPUs; the first side alternates"
+echo "# columns: workload seed pair side node_cycles_per_s setup_ms attempted failed correct"
+lines=()
+for i in $(seq 1 "$n"); do
+	if [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+	for side in $order; do
+		line=$(run "$side" "$i")
+		echo "$line"
+		lines+=("$line")
+	done
+done
+
+# Medians and quartiles (linear interpolation between order statistics)
+# per side, and the pairs the change won on node_cycles_per_s.
+printf '%s\n' "${lines[@]}" | awk '
+	function q(a, k, p,   h, lo) { h = p * (k - 1) + 1; lo = int(h); return a[lo] + (h - lo) * (a[lo + 1] - a[lo]) }
+	function summary(side, a, k,   i, j, t) {
+		for (i = 2; i <= k; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+		a[k + 1] = a[k]
+		printf "# %s: median %d, quartiles %d .. %d (IQR %d)\n", side, q(a, k, 0.5), q(a, k, 0.25), q(a, k, 0.75), q(a, k, 0.75) - q(a, k, 0.25)
+		return q(a, k, 0.5)
+	}
+	{ split($3, kv, "="); v[$4, kv[2]] = $5; if ($4 == "parent") par[++np] = $5; else chg[++nc] = $5 }
+	END {
+		for (i = 1; i <= np; i++) if (v["change", i] > v["parent", i]) wins++
+		mp = summary("parent", par, np); mc = summary("change", chg, nc)
+		printf "# change won %d/%d pairs; median ratio change/parent %.3f\n", wins, np, mc / mp
+	}'
