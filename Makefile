@@ -138,8 +138,9 @@ bench:
 
 # Alternating parent/change pairs of one benchmark workload, run from
 # sibling temporary directories (not a ci leg: 2 x 10 x 12 s of wall per
-# workload by default). ARGS is scripts/pairs.sh's WORKLOAD [SEED] [N],
-# e.g. `make pairs ARGS="busy-alu 29"`.
+# workload by default), then one traced run per side; fails if the two
+# sides' simulated results differ. ARGS is scripts/pairs.sh's WORKLOAD
+# [SEED] [N], e.g. `make pairs ARGS="busy-alu 29"`.
 ARGS ?= busy-alu
 pairs:
 	@bash scripts/pairs.sh $(ARGS)

@@ -69,6 +69,31 @@ func buildMsim(t *testing.T) string {
 	return bin
 }
 
+// TestBadSendBodyExitsOne: a program whose SEND body runs outside the
+// register file is a bad input file (exit 1, positioned assembly error),
+// not a crashed run (a negative length) or one that stalls to its cycle
+// bound (a length past i15).
+func TestBadSendBodyExitsOne(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns processes")
+	}
+	bin := buildMsim(t)
+	for _, n := range []string{"-1", "100"} {
+		prog := filepath.Join(t.TempDir(), "send.masm")
+		src := "    movi i1, #16\n    movi i2, #5\n    send i1, i2, i8, #" + n + "\n    halt\n"
+		if err := os.WriteFile(prog, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cmd := exec.Command(bin, "-nodes", "2", prog)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 || !strings.Contains(stderr.String(), "asm: line 3: send body") {
+			t.Errorf("msim with send body length %s: err %v, stderr %q; want exit 1 and a line 3 send body error", n, err, stderr.String())
+		}
+	}
+}
+
 func TestUsageErrorsExitTwo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes")

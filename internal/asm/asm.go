@@ -371,7 +371,13 @@ func (a *assembler) operands(n int, op *isa.Op, args []string) error {
 		if op.Code == isa.SENDN {
 			op.Pri = 1
 		}
-		return a.imm(n, op, args[3])
+		if err := a.imm(n, op, args[3]); err != nil {
+			return err
+		}
+		if !op.SendBodyInFile() {
+			return &Error{n, fmt.Sprintf("send body of %d words from %s outside i0..i%d", op.Imm, args[2], isa.NumIntRegs-1)}
+		}
+		return nil
 
 	case isa.GPROBE:
 		if err := need(2); err != nil {

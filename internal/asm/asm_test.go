@@ -181,6 +181,22 @@ func TestSend(t *testing.T) {
 	}
 }
 
+// TestSendBodyOutsideRegisterFile: a SEND body is its length's worth of
+// consecutive integer registers from the body start, so a negative length
+// or one running past i15 is a positioned assembly error; i8 plus 8 words
+// (the block write-back's body) is the largest that fits.
+func TestSendBodyOutsideRegisterFile(t *testing.T) {
+	for _, src := range []string{"send i1, i2, i8, #-1", "send i1, i2, i8, #100", "sendn i1, i2, i8, #9", "send i1, i2, i0, #17"} {
+		_, err := Assemble("t", "nop\n"+src)
+		if err == nil || !strings.Contains(err.Error(), "line 2: send body") {
+			t.Errorf("Assemble(%q) = %v, want a line 2 send body error", src, err)
+		}
+	}
+	for _, src := range []string{"send i1, i2, i8, #8", "sendn i1, i2, i0, #16", "send i1, i2, i15, #0"} {
+		mustOne(t, src)
+	}
+}
+
 func TestStoreOperandOrder(t *testing.T) {
 	in := mustOne(t, "st [i5-3], i6")
 	op := in.MOp

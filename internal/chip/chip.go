@@ -164,6 +164,12 @@ type Chip struct {
 	// state — the property that lets worker goroutines run the chip phase.
 	outbox []*noc.Message
 
+	// freeMsgs holds consumed messages for reuse by this chip's SENDs and
+	// acknowledgements (see net.go). Only this chip's Step touches it, so
+	// chips stepping concurrently share nothing; a decoded or cloned chip
+	// starts with none.
+	freeMsgs []*noc.Message `snap:"derived,recycled messages, invisible to the simulation"`
+
 	// validDIPs restricts the dispatch instruction pointers user threads
 	// may name in SEND ("restricting the set of user accessible DIPs
 	// prevents a user handler from monopolizing the network input").

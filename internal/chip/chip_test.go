@@ -434,6 +434,32 @@ func TestSendConsumesCreditAndAckRestores(t *testing.T) {
 	}
 }
 
+// TestSendBodyOutsideRegisterFileFaults: a SEND whose body would read past
+// the integer register file — here from a hand-built program, which the
+// assembler would have refused — issues and raises a protection fault. It
+// neither stalls forever nor crashes the chip, and sends nothing.
+func TestSendBodyOutsideRegisterFileFaults(t *testing.T) {
+	for _, imm := range []int64{-1, 9, 100} {
+		c := newChip(t)
+		c.LoadProgram(0, 0, &isa.Program{Name: "t", Insts: []isa.Inst{
+			{MOp: &isa.Op{Code: isa.SEND, Src1: isa.Int(1), Src2: isa.Int(2), Dst: isa.Int(8), Imm: imm, HasImm: true}},
+			{IOp: &isa.Op{Code: isa.HALT}},
+		}}, true)
+		credits := c.Credits()
+		for i := 0; i < 20; i++ {
+			c.Step(c.Cycle)
+		}
+		th := c.Thread(0, 0)
+		if th.Status != cluster.ThreadFaulted || th.FaultMsg != "send body outside the register file" {
+			t.Errorf("send of %d words from i8: status %v, fault %q; want the body fault", imm, th.Status, th.FaultMsg)
+		}
+		if c.OutboxLen() != 0 || c.Credits() != credits || c.ExcQueue().Empty() {
+			t.Errorf("send of %d words from i8: outbox %d, credits %d of %d, exception queue empty %v; want nothing sent and a record queued",
+				imm, c.OutboxLen(), c.Credits(), credits, c.ExcQueue().Empty())
+		}
+	}
+}
+
 func TestDirectoryOps(t *testing.T) {
 	c := newChip(t)
 	load(t, c, 0, 0, `

@@ -137,9 +137,12 @@ func (c *Chip) opReady(now int64, vt, cl int, th *cluster.HThread, op *isa.Op) b
 			}
 		}
 	case isa.SEND, isa.SENDN:
+		if !op.SendBodyInFile() {
+			return true // issue and fault synchronously
+		}
 		base := int(op.Dst.Index)
 		for i := 0; i < int(op.Imm); i++ {
-			if base+i >= th.Ints.Len() || !th.Ints.Full(base+i) {
+			if !th.Ints.Full(base + i) {
 				return false
 			}
 		}

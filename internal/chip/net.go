@@ -4,6 +4,10 @@ package chip
 // translation and protection checks, the network input interface that fills
 // the register-mapped message queues, and the return-to-sender throttling
 // protocol.
+//
+// A message has one owner at a time — the sender's outbox, the network,
+// then the chip that pops it — and that chip reuses it instead of
+// allocating per SEND (DESIGN.md, "Allocation discipline on hot paths").
 
 import (
 	"fmt"
@@ -16,6 +20,12 @@ import (
 	"repro/internal/trace"
 )
 
+// maxFreeMsgs bounds a chip's free list. Two-way traffic keeps each list
+// balanced, since a request returns to its sender as its own
+// acknowledgement; a node that mostly receives pri-1 replies gains one
+// message per reply, and past the bound leaves them to the collector.
+const maxFreeMsgs = 64
+
 // gtlbToNoc converts between the two packages' coordinate types.
 func gtlbToNoc(n gtlb.NodeID) noc.Coord { return noc.Coord{X: n.X, Y: n.Y, Z: n.Z} }
 
@@ -23,15 +33,12 @@ func gtlbToNoc(n gtlb.NodeID) noc.Coord { return noc.Coord{X: n.X, Y: n.Y, Z: n.
 // virtual address through the GTLB and launches atomically; SENDN is the
 // privileged node-addressed form used by system reply handlers.
 func (c *Chip) executeSend(now int64, vt, cl int, th *cluster.HThread, op *isa.Op) {
+	if !op.SendBodyInFile() {
+		c.protFault(vt, cl, th, "send body outside the register file")
+		return
+	}
 	addrW := c.readSrc(vt, cl, th, op.Src1)
 	dipW := c.readSrc(vt, cl, th, op.Src2)
-
-	body := make([]isa.Word, op.Imm)
-	for i := range body {
-		body[i] = th.Ints.Get(int(op.Dst.Index) + i)
-	}
-
-	msg := &noc.Message{Src: c.Node, DIP: dipW.Bits, Body: body}
 
 	if op.Code == isa.SENDN {
 		idx := int(addrW.Bits)
@@ -39,11 +46,8 @@ func (c *Chip) executeSend(now int64, vt, cl int, th *cluster.HThread, op *isa.O
 			c.protFault(vt, cl, th, fmt.Sprintf("sendn to bad node %d", idx))
 			return
 		}
-		msg.Pri = 1
-		msg.Dst = c.Net.CoordOf(idx)
-		msg.DstAddr = addrW.Bits
-		c.send(msg)
-		c.trace(trace.Event{Kind: trace.SendPri1, Arg: msg.DIP, Sub: uint8(len(body)), Peer: int32(idx)})
+		c.launch(th, op, 1, c.Net.CoordOf(idx), dipW.Bits, addrW.Bits)
+		c.trace(trace.Event{Kind: trace.SendPri1, Arg: dipW.Bits, Sub: uint8(op.Imm), Peer: int32(idx)})
 		return
 	}
 
@@ -73,11 +77,56 @@ func (c *Chip) executeSend(now int64, vt, cl int, th *cluster.HThread, op *isa.O
 	}
 	// Throttling: reserve return-buffer space (checked in opReady).
 	c.credits--
-	msg.Pri = 0
-	msg.Dst = gtlbToNoc(home)
-	msg.DstAddr = a
-	c.send(msg)
-	c.trace(trace.Event{Kind: trace.SendPri0, Arg: msg.DIP, Sub: uint8(len(body))}.WithPeer(msg.Dst))
+	dst := gtlbToNoc(home)
+	c.launch(th, op, 0, dst, dipW.Bits, a)
+	c.trace(trace.Event{Kind: trace.SendPri0, Arg: dipW.Bits, Sub: uint8(op.Imm)}.WithPeer(dst))
+}
+
+// launch composes the message of a SEND that passed its checks, its body
+// read from the op's registers, and buffers it for injection.
+func (c *Chip) launch(th *cluster.HThread, op *isa.Op, pri int, dst noc.Coord, dip, addr uint64) {
+	m := c.newMsg(int(op.Imm))
+	for i := range m.Body {
+		m.Body[i] = th.Ints.Get(int(op.Dst.Index) + i)
+	}
+	m.Pri, m.Src, m.Dst, m.DIP, m.DstAddr = pri, c.Node, dst, dip, addr
+	c.send(m)
+}
+
+// newMsg takes a message from the free list, allocating one only when the
+// list is empty, and gives it a body of n words.
+func (c *Chip) newMsg(n int) *noc.Message {
+	var m *noc.Message
+	if k := len(c.freeMsgs) - 1; k >= 0 {
+		m = c.freeMsgs[k]
+		c.freeMsgs[k] = nil
+		c.freeMsgs = c.freeMsgs[:k]
+	} else {
+		m = new(noc.Message)
+	}
+	if cap(m.Body) < n {
+		m.Body = make([]isa.Word, n)
+	}
+	m.Body = m.Body[:n]
+	return m
+}
+
+// release puts a message this chip consumed onto its free list. The message
+// is zeroed there, apart from its body's backing array, so nothing it
+// pointed to stays reachable through the list.
+func (c *Chip) release(m *noc.Message) {
+	*m = noc.Message{Body: m.Body[:0]}
+	if len(c.freeMsgs) < maxFreeMsgs {
+		c.freeMsgs = append(c.freeMsgs, m)
+	}
+}
+
+// sendAck sends m as the hardware acknowledgement to dst: ok reports that
+// the destination consumed the request, orig is the refused request
+// itself otherwise.
+func (c *Chip) sendAck(m *noc.Message, dst noc.Coord, ok bool, orig *noc.Message) {
+	m.Pri, m.Src, m.Dst, m.HWAck, m.AckOK, m.Orig = 1, c.Node, dst, true, ok, orig
+	c.send(m)
 }
 
 // networkInput drains delivered messages into the hardware message queues.
@@ -113,31 +162,30 @@ func (c *Chip) receiveMsg(now int64, m *noc.Message) {
 				c.resendNext = at
 			}
 		}
+		c.release(m)
 		return
 	}
 
 	c.msgScratch = append(c.msgScratch[:0], isa.W(m.DIP), isa.W(m.DstAddr))
 	c.msgScratch = append(c.msgScratch, m.Body...)
 	accepted := c.msgq[m.Pri].PushWords(c.msgScratch)
-	if m.Pri == 0 {
-		ack := &noc.Message{
-			Pri:   1,
-			Src:   c.Node,
-			Dst:   m.Src,
-			HWAck: true,
-			AckOK: accepted,
-		}
-		if !accepted {
-			orig := *m
-			ack.Orig = &orig
-		}
-		c.send(ack)
-	}
-	kind := trace.MsgRecv
+	e := trace.Event{Kind: trace.MsgRecv, Arg: m.DIP, Sub: uint8(m.Pri)}.WithPeer(m.Src)
 	if !accepted {
-		kind = trace.MsgReject
+		e.Kind = trace.MsgReject
 	}
-	c.trace(trace.Event{Kind: kind, Arg: m.DIP, Sub: uint8(m.Pri)}.WithPeer(m.Src))
+	switch {
+	case m.Pri != 0:
+		c.release(m)
+	case accepted:
+		// The words are in the queue: the request itself goes back as the
+		// positive acknowledgement.
+		src := m.Src
+		*m = noc.Message{Body: m.Body[:0]}
+		c.sendAck(m, src, true, nil)
+	default:
+		c.sendAck(c.newMsg(0), m.Src, false, m)
+	}
+	c.trace(e)
 }
 
 // resendReturned re-injects returned messages whose backoff has expired.
@@ -156,16 +204,11 @@ func (c *Chip) resendReturned(now int64) {
 			}
 			continue
 		}
+		// The held request goes out as it first did: same route and
+		// contents, with the fields its earlier trip set cleared.
 		m := r.msg
-		fresh := &noc.Message{
-			Pri:     m.Pri,
-			Src:     c.Node,
-			Dst:     m.Dst,
-			DIP:     m.DIP,
-			DstAddr: m.DstAddr,
-			Body:    m.Body,
-		}
-		c.send(fresh)
+		*m = noc.Message{Pri: m.Pri, Src: c.Node, Dst: m.Dst, DIP: m.DIP, DstAddr: m.DstAddr, Body: m.Body}
+		c.send(m)
 		c.trace(trace.Event{Kind: trace.Resend, Arg: m.DIP}.WithPeer(m.Dst))
 	}
 	for i := len(kept); i < len(c.resends); i++ {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/chip"
 	"repro/internal/gp"
 	"repro/internal/isa"
 	"repro/internal/noc"
@@ -216,42 +217,84 @@ loop:
 	return s
 }
 
-// TestTraceAllocatesNothing: recording is free of heap allocation. A
-// load/store kernel steps 500-cycle slices with 0 allocations, with no sink
-// and with a Recorder whose capacity was reserved up front. A SEND
-// allocates its noc.Message, body and acknowledgement whether or not
-// anything records, so on the SEND kernel the pin is that a reserved
-// Recorder adds nothing to the sink-less count.
-func TestTraceAllocatesNothing(t *testing.T) {
-	slice := func(send, sink bool) (allocs float64, events int) {
-		s := allocKernel(t, send)
-		var rec *trace.Recorder
-		if sink {
-			rec = &trace.Recorder{Events: make([]trace.Event, 0, 1<<16)}
+// refuseKernel runs an endless SEND loop on nodes 0 and 1, each at the
+// other, with neither node's priority-0 message handler running: once the
+// queues fill, every message is refused, held and resent. Each refusal
+// moves one message from the refusing node to the sender (the
+// acknowledgement that carries the request back), so the two directions
+// keep each other's free lists stocked.
+func refuseKernel(t *testing.T) *Sim {
+	s, err := NewSim(Options{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < 2; n++ {
+		if err := s.LoadASM(n, isa.EventSlot, chip.MsgPri0Cluster, "    halt\n"); err != nil {
+			t.Fatal(err)
 		}
-		s.M.SetTrace(rec)
-		step := func() {
-			for i := 0; i < 500; i++ {
-				s.M.Step()
+		if err := s.LoadASM(n, 0, 0, fmt.Sprintf(`
+    movi i1, #%d
+    movi i3, #%d
+loop:
+    add i8, i8, #1
+    send i1, i3, i8, #1
+    br loop
+`, s.HomeBase(1-n)+8, s.RT.DIPRemoteWrite)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// TestTraceAllocatesNothing: stepping allocates nothing once buffers reach
+// steady state, with no trace sink and with a Recorder whose capacity was
+// reserved up front. Three kernels step 500-cycle slices: a load/store
+// loop, the same loop with a remote-store SEND per iteration (each request
+// comes back to its sender as its own acknowledgement), and a
+// return-to-sender loop whose messages are refused and resent.
+func TestTraceAllocatesNothing(t *testing.T) {
+	for _, k := range []struct {
+		name    string
+		boot    func(t *testing.T) *Sim
+		refuses bool
+	}{
+		{"load/store", func(t *testing.T) *Sim { return allocKernel(t, false) }, false},
+		{"send", func(t *testing.T) *Sim { return allocKernel(t, true) }, false},
+		{"return-to-sender", refuseKernel, true},
+	} {
+		for _, sink := range []bool{false, true} {
+			s := k.boot(t)
+			var rec *trace.Recorder
+			if sink {
+				rec = &trace.Recorder{Events: make([]trace.Event, 0, 1<<16)}
+			}
+			s.M.SetTrace(rec)
+			step := func() {
+				for i := 0; i < 500; i++ {
+					s.M.Step()
+				}
+			}
+			returned := func() (n uint64) {
+				for _, c := range s.M.Chips {
+					n += c.MsgsReturned
+				}
+				return n
+			}
+			step() // chip buffers, queues, free lists and the handlers' pages reach steady state
+			step()
+			before := returned()
+			allocs := testing.AllocsPerRun(5, step)
+			events := 0
+			if sink {
+				events = len(rec.Events)
+			}
+			if allocs != 0 || sink != (events > 1000) {
+				t.Errorf("%s kernel, sink=%v: %v allocations per 500-cycle slice (%d events), want 0", k.name, sink, allocs, events)
+			}
+			if k.refuses && returned() == before {
+				t.Errorf("%s kernel, sink=%v: no message was returned while measuring", k.name, sink)
 			}
 		}
-		step() // chip buffers, queues and the handlers' pages reach steady state
-		step()
-		allocs = testing.AllocsPerRun(5, step)
-		if sink {
-			events = len(rec.Events)
-		}
-		return allocs, events
-	}
-	for _, sink := range []bool{false, true} {
-		if allocs, events := slice(false, sink); allocs != 0 || sink != (events > 1000) {
-			t.Errorf("load/store kernel, sink=%v: %v allocations per 500-cycle slice (%d events), want 0", sink, allocs, events)
-		}
-	}
-	bare, _ := slice(true, false)
-	recorded, events := slice(true, true)
-	if recorded != bare || events < 1000 {
-		t.Errorf("SEND kernel: %v allocations per slice with a reserved Recorder (%d events), %v without a sink", recorded, events, bare)
 	}
 }
 

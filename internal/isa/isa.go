@@ -295,6 +295,12 @@ type Op struct {
 	Label  string   // symbolic branch target, resolved by the assembler
 }
 
+// SendBodyInFile reports whether a SEND's body — Imm consecutive integer
+// registers from Dst — lies inside the register file.
+func (o *Op) SendBodyInFile() bool {
+	return o.Imm >= 0 && int64(o.Dst.Index)+o.Imm <= NumIntRegs
+}
+
 func (o *Op) String() string {
 	if o == nil {
 		return ""

@@ -50,7 +50,7 @@ type Message struct {
 	// network output hardware, never by software.
 	HWAck bool
 	AckOK bool     // destination consumed the message
-	Orig  *Message // the returned message contents when AckOK is false
+	Orig  *Message // the refused request itself, as it arrived, when AckOK is false
 
 	InjectedAt  int64 // cycle the SEND issued
 	DeliveredAt int64 // cycle the message reached the destination queue

@@ -11,6 +11,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/events"
@@ -158,8 +159,13 @@ func (r *Recorder) AddText(s string) uint64 {
 }
 
 // Drain moves src's records to the end of r, in order, and empties src.
+// The log at least doubles when it must grow, so a run that records n
+// events copies O(n) of them in all.
 func (r *Recorder) Drain(src *Recorder) {
 	base := len(r.Events)
+	if need := base + len(src.Events); need > cap(r.Events) {
+		r.Events = slices.Grow(r.Events, max(need, 2*cap(r.Events))-base)
+	}
 	r.Events = append(r.Events, src.Events...)
 	if off := uint64(len(r.Text)); off > 0 && len(src.Text) > 0 {
 		// src's ProtFault records index src.Text, which lands at r.Text[off:].

@@ -8,7 +8,12 @@
 # from the cache after), outside the time the benchmark measures.
 # Prints one line per run in the
 # BENCH_<n>.pairs.txt format, then each side's median and quartiles and
-# the change's pair wins.
+# the change's pair wins. Last, one traced 3 s run per side (same seed)
+# prints the simulated results side by side — digest, cycles, chip and
+# network counts, LTLB faults, trace records per kcycle, snapshot bytes —
+# beside the per-layer chip.step_ns, machine.drain_ns and
+# machine.allocs_per_kcycle; the script exits 1 if any simulated result
+# differs.
 #
 #   bash scripts/pairs.sh WORKLOAD [SEED] [N]
 #   bash scripts/pairs.sh busy-alu 1 10      # the defaults after WORKLOAD
@@ -73,3 +78,28 @@ printf '%s\n' "${lines[@]}" | awk '
 		mp = summary("parent", par, np); mc = summary("change", chg, nc)
 		printf "# change won %d/%d pairs; median ratio change/parent %.3f\n", wins, np, mc / mp
 	}'
+
+# metric JSON NAME: one metric's value in a benchmark JSON line ("" if absent).
+metric() {
+	printf '%s\n' "$1" | grep -o "\"${2//./\\.}\":{\"value\":[^,}]*" | sed 's/.*://' || true
+}
+
+traced_parent=$(cd "$tmp/parent" && bash benchmark/run.sh --workload "$workload" --seed "$seed" --seconds 3 --trace 1 | tail -n 1)
+traced_change=$(cd "$tmp/change" && bash benchmark/run.sh --workload "$workload" --seed "$seed" --seconds 3 --trace 1 | tail -n 1)
+echo "# one traced run per side (--seconds 3 --trace 1): metric, parent, change"
+differs=0
+for m in digest sim_cycles chip.insts chip.ops noc.injected noc.delivered noc.hops \
+	mem.ltlb_faults trace.events_per_kcycle snap.bytes; do
+	a=$(metric "$traced_parent" "$m")
+	b=$(metric "$traced_change" "$m")
+	verdict=equal
+	if [ -z "$a" ] || [ "$a" != "$b" ]; then
+		verdict=DIFFERS
+		differs=1
+	fi
+	printf '# %-26s %22s %22s  %s\n' "$m" "$a" "$b" "$verdict"
+done
+for m in chip.step_ns machine.drain_ns machine.allocs_per_kcycle; do
+	printf '# %-26s %22s %22s\n' "$m" "$(metric "$traced_parent" "$m")" "$(metric "$traced_change" "$m")"
+done
+exit "$differs"
