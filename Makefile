@@ -54,13 +54,15 @@ shuffle:
 # The short pass covers every package; the supervision layers — where the
 # goroutines, locks and watchdogs live: serve, guard, and the dist
 # coordinator with its recovery paths — also run their full suites under
-# the race detector, and so do the fork-concurrency tests: a parent and
+# the race detector, and so do the fork-concurrency tests (a parent and
 # its forks share SDRAM chunks copy-on-write without synchronization,
-# which is only sound if no goroutine ever writes a shared chunk.
+# which is only sound if no goroutine ever writes a shared chunk) and the
+# shared-program test (machines on several goroutines load the same
+# programs, whose issue summaries are filled once, on first load).
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=1 ./internal/serve ./internal/guard ./internal/dist
-	$(GO) test -race -count=1 -run 'TestForkConcurrent' ./internal/machine ./internal/mem
+	$(GO) test -race -count=1 -run 'TestForkConcurrent|TestSharedProgramsConcurrentLoad' ./internal/machine ./internal/mem ./internal/core
 
 # Worker-pool speedup tripwire, in its own invocation so the wall-clock
 # measurement never contends with other package test binaries. It skips on

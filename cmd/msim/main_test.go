@@ -69,6 +69,27 @@ func buildMsim(t *testing.T) string {
 	return bin
 }
 
+// runProgram runs msim on a two-node machine over the program src,
+// returning its exit code and standard error.
+func runProgram(t *testing.T, bin, src string) (int, string) {
+	t.Helper()
+	prog := filepath.Join(t.TempDir(), "prog.masm")
+	if err := os.WriteFile(prog, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(bin, "-nodes", "2", prog)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); ok {
+		return ee.ExitCode(), stderr.String()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 0, stderr.String()
+}
+
 // TestBadSendBodyExitsOne: a program whose SEND body runs outside the
 // register file is a bad input file (exit 1, positioned assembly error),
 // not a crashed run (a negative length) or one that stalls to its cycle
@@ -79,17 +100,24 @@ func TestBadSendBodyExitsOne(t *testing.T) {
 	}
 	bin := buildMsim(t)
 	for _, n := range []string{"-1", "100"} {
-		prog := filepath.Join(t.TempDir(), "send.masm")
 		src := "    movi i1, #16\n    movi i2, #5\n    send i1, i2, i8, #" + n + "\n    halt\n"
-		if err := os.WriteFile(prog, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
+		if code, stderr := runProgram(t, bin, src); code != 1 || !strings.Contains(stderr, "asm: line 3: send body") {
+			t.Errorf("msim with send body length %s: exit %d, stderr %q; want exit 1 and a line 3 send body error", n, code, stderr)
 		}
-		cmd := exec.Command(bin, "-nodes", "2", prog)
-		var stderr strings.Builder
-		cmd.Stderr = &stderr
-		err := cmd.Run()
-		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 || !strings.Contains(stderr.String(), "asm: line 3: send body") {
-			t.Errorf("msim with send body length %s: err %v, stderr %q; want exit 1 and a line 3 send body error", n, err, stderr.String())
+	}
+}
+
+// TestBadRecordExitsOne: likewise a TLBW/MRETRY record outside i0..i12,
+// which would otherwise stall the privileged thread to the cycle bound
+// (exit 3) or read the wrong register file.
+func TestBadRecordExitsOne(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns processes")
+	}
+	bin := buildMsim(t)
+	for _, src := range []string{"    movi i1, #1\n    mretry i14\n    halt\n", "    movi i1, #1\n    tlbw f2\n    halt\n"} {
+		if code, stderr := runProgram(t, bin, src); code != 1 || !strings.Contains(stderr, "asm: line 2: ") || !strings.Contains(stderr, " record ") {
+			t.Errorf("msim on %q: exit %d, stderr %q; want exit 1 and a line 2 record error", src, code, stderr)
 		}
 	}
 }

@@ -392,7 +392,10 @@ func (a *assembler) operands(n int, op *isa.Op, args []string) error {
 		if err := need(1); err != nil {
 			return err
 		}
-		return a.src(n, &op.Src1, args[0])
+		if err := a.src(n, &op.Src1, args[0]); err != nil || op.Code == isa.TLBINV || op.RecordInFile() {
+			return err
+		}
+		return &Error{n, fmt.Sprintf("%s record %s outside i0..i%d", op.Code, args[0], isa.NumIntRegs-1)}
 
 	case isa.BSW, isa.RSTW, isa.DIRLOG:
 		if err := need(2); err != nil {

@@ -197,6 +197,21 @@ func TestSendBodyOutsideRegisterFile(t *testing.T) {
 	}
 }
 
+// TestRecordOutsideRegisterFile: a TLBW/MRETRY record is four consecutive
+// integer registers from its operand, so an FP, GCC or special operand, or
+// a base past i12, is a positioned assembly error.
+func TestRecordOutsideRegisterFile(t *testing.T) {
+	for _, src := range []string{"mretry i14", "tlbw i13", "tlbw f2", "mretry gcc1", "tlbw net"} {
+		_, err := Assemble("t", "nop\n"+src)
+		if err == nil || !strings.Contains(err.Error(), "line 2: "+strings.Fields(src)[0]+" record") {
+			t.Errorf("Assemble(%q) = %v, want a line 2 record error", src, err)
+		}
+	}
+	for _, src := range []string{"tlbw i12", "mretry i0", "tlbinv i15", "tlbinv f2"} {
+		mustOne(t, src)
+	}
+}
+
 func TestStoreOperandOrder(t *testing.T) {
 	in := mustOne(t, "st [i5-3], i6")
 	op := in.MOp

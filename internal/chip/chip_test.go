@@ -460,6 +460,29 @@ func TestSendBodyOutsideRegisterFileFaults(t *testing.T) {
 	}
 }
 
+// TestRecordOutsideRegisterFileFaults: a TLBW or MRETRY whose 4-register
+// record is not i0..i12 — from a hand-built program, which the assembler
+// would have refused — issues and raises a protection fault. It neither
+// stalls forever (a base past i12) nor reads the integer file for another
+// class's operand (f2 as i2..i5).
+func TestRecordOutsideRegisterFileFaults(t *testing.T) {
+	for _, op := range []*isa.Op{
+		{Code: isa.MRETRY, Src1: isa.Int(14)},
+		{Code: isa.TLBW, Src1: isa.Int(13)},
+		{Code: isa.TLBW, Src1: isa.FP(2)},
+	} {
+		c := newChip(t)
+		c.LoadProgram(0, 0, &isa.Program{Name: "t", Insts: []isa.Inst{{MOp: op}, {IOp: &isa.Op{Code: isa.HALT}}}}, true)
+		for i := 0; i < 20; i++ {
+			c.Step(c.Cycle)
+		}
+		th := c.Thread(0, 0)
+		if th.Status != cluster.ThreadFaulted || th.FaultMsg != "record outside the register file" || c.ExcQueue().Empty() {
+			t.Errorf("%v: status %v, fault %q, exception queue empty %v; want the record fault, queued", op, th.Status, th.FaultMsg, c.ExcQueue().Empty())
+		}
+	}
+}
+
 func TestDirectoryOps(t *testing.T) {
 	c := newChip(t)
 	load(t, c, 0, 0, `

@@ -149,8 +149,22 @@ func (c *Chip) execute(now int64, vt, cl int, th *cluster.HThread, op *isa.Op) (
 		c.writeDst(now, vt, cl, op, c.Cfg.GTLBLat, isa.W(res))
 		return 0, false
 
-	case isa.TLBW:
+	case isa.TLBW, isa.MRETRY:
+		if !op.RecordInFile() {
+			c.protFault(vt, cl, th, "record outside the register file")
+			return 0, false
+		}
 		rec := c.readRecord(th, int(op.Src1.Index))
+		if op.Code == isa.MRETRY {
+			r := events.Decode(rec.w)
+			c.submitMem(now, r.Request(), reqMeta{
+				isRetry: true,
+				regDesc: r.RegDesc,
+				data:    r.Data,
+			})
+			c.trace(trace.Event{Kind: trace.MRetry, Arg: r.VAddr})
+			return 0, false
+		}
 		var ws [mem.PTEWords]uint64
 		for i := range ws {
 			ws[i] = rec.w[i].Bits
@@ -174,17 +188,6 @@ func (c *Chip) execute(now int64, vt, cl int, th *cluster.HThread, op *isa.Op) (
 		a := c.readSrc(vt, cl, th, op.Src1)
 		st := c.Mem.BlockStatusOf(a.Bits)
 		c.writeDst(now, vt, cl, op, c.Cfg.IntLat, isa.W(uint64(st)))
-		return 0, false
-
-	case isa.MRETRY:
-		rec := c.readRecord(th, int(op.Src1.Index))
-		r := events.Decode(rec.w)
-		c.submitMem(now, r.Request(), reqMeta{
-			isRetry: true,
-			regDesc: r.RegDesc,
-			data:    r.Data,
-		})
-		c.trace(trace.Event{Kind: trace.MRetry, Arg: r.VAddr})
 		return 0, false
 
 	case isa.RSTW:

@@ -42,7 +42,8 @@ func (c *Chip) issueCluster(now int64, cl int) bool {
 	cc := c.Clusters[cl]
 	for set := cc.Parked; set != 0; set &= set - 1 {
 		vt := bits.TrailingZeros8(set)
-		if c.srcReady(vt, cl, cc.Threads[vt], cc.Wait[vt]) {
+		q := cc.WaitQ[vt]
+		if q != nil && q.Len() > 0 || q == nil && c.srcReady(vt, cl, cc.Threads[vt], cc.Wait[vt]) {
 			cc.Parked &^= 1 << vt
 		}
 	}
@@ -86,9 +87,10 @@ func (c *Chip) issueCluster(now int64, cl int) bool {
 
 // park records the first source operand of in, in IOp, MOp, FOp and Src1,
 // Src2 order, that is not ready, and parks slot vt on it: no ready check
-// of in can succeed before that operand fills. An instruction with a SEND
-// never parks, because a throttled SEND's ready check counts
-// SendsBlocked every time it runs.
+// of in can succeed before that operand fills. A net/evq operand is
+// resolved to its queue here, since queueFor is fixed per chip. An
+// instruction with a SEND never parks, because a throttled SEND's ready
+// check counts SendsBlocked every time it runs.
 func (c *Chip) park(cc *cluster.Cluster, vt, cl int, th *cluster.HThread, in *isa.Inst) {
 	ops := [3]*isa.Op{in.IOp, in.MOp, in.FOp}
 	for _, op := range ops {
@@ -103,7 +105,10 @@ func (c *Chip) park(cc *cluster.Cluster, vt, cl int, th *cluster.HThread, in *is
 		for _, r := range [2]isa.Reg{op.Src1, op.Src2} {
 			if !c.srcReady(vt, cl, th, r) {
 				cc.Parked |= 1 << vt
-				cc.Wait[vt] = r
+				cc.Wait[vt], cc.WaitQ[vt] = r, nil
+				if r.Class == isa.RSpec {
+					cc.WaitQ[vt] = c.queueFor(vt, cl, int(r.Index))
+				}
 				return
 			}
 		}
@@ -111,60 +116,55 @@ func (c *Chip) park(cc *cluster.Cluster, vt, cl int, th *cluster.HThread, in *is
 }
 
 // ready implements the scoreboard and resource checks for a whole
-// instruction: all operations issue together or not at all.
+// instruction: all operations issue together or not at all. Most
+// instructions need only scoreboard bits, tested as two masks; a Slow one
+// checks op by op, in order, because a throttled SEND's check counts
+// SendsBlocked only when the ops before it and its own operands are ready.
 func (c *Chip) ready(now int64, vt, cl int, th *cluster.HThread, in *isa.Inst) bool {
-	for _, op := range [3]*isa.Op{in.IOp, in.MOp, in.FOp} {
-		if op != nil && !c.opReady(now, vt, cl, th, op) {
+	if !in.Need.Slow {
+		return th.Ints.Has(in.Need.Int) && th.FPs.Has(in.Need.FP)
+	}
+	for k, op := range [3]*isa.Op{in.IOp, in.MOp, in.FOp} {
+		if op != nil && !c.opReady(now, vt, cl, th, op, in.OpNeed[k]) {
 			return false
 		}
 	}
 	return true
 }
 
-func (c *Chip) opReady(now int64, vt, cl int, th *cluster.HThread, op *isa.Op) bool {
-	// Source operands must be full.
-	if !c.srcReady(vt, cl, th, op.Src1) || !c.srcReady(vt, cl, th, op.Src2) {
+// opReady checks one operation of a Slow instruction: the masks of need,
+// then what they cannot express.
+func (c *Chip) opReady(now int64, vt, cl int, th *cluster.HThread, op *isa.Op, need isa.Needs) bool {
+	if !th.Ints.Has(need.Int) || !th.FPs.Has(need.FP) {
 		return false
 	}
-	// Multi-register operands (TLBW, MRETRY read 4 consecutive registers;
-	// SEND reads the body registers).
+	if !need.Slow {
+		return true
+	}
+	// Sources outside the masks: GCC, net/evq, unknown classes.
+	for _, r := range [2]isa.Reg{op.Src1, op.Src2} {
+		if r.Class > isa.RFP && !c.srcReady(vt, cl, th, r) {
+			return false
+		}
+	}
 	switch op.Code {
 	case isa.TLBW, isa.MRETRY:
-		base := int(op.Src1.Index)
-		for i := 0; i < 4; i++ {
-			if base+i >= th.Ints.Len() || !th.Ints.Full(base+i) {
-				return false
-			}
-		}
-	case isa.SEND, isa.SENDN:
-		if !op.SendBodyInFile() {
+		if !op.RecordInFile() {
 			return true // issue and fault synchronously
 		}
-		base := int(op.Dst.Index)
-		for i := 0; i < int(op.Imm); i++ {
-			if !th.Ints.Full(base + i) {
-				return false
-			}
-		}
-		if op.Code == isa.SEND && op.Pri == 0 && c.credits <= 0 {
+	case isa.SEND, isa.SENDN:
+		if op.Code == isa.SEND && op.Pri == 0 && op.SendBodyInFile() && c.credits <= 0 {
 			// Throttling: "threads attempting to execute a SEND
 			// instruction will stall" when no buffer space remains.
 			c.SendsBlocked++
 			return false
 		}
+		return true
 	}
-	// Local destination must not have a pending writer (scoreboard WAW
-	// rule); EMPTY only clears, and GCC broadcasts overwrite.
-	if !op.Dst.IsZero() && op.Code != isa.EMPTY && op.Code != isa.SEND && op.Code != isa.SENDN {
-		switch op.Dst.Class {
-		case isa.RInt, isa.RFP:
-			if op.Dst.Cluster == isa.ClusterSelf && !th.File(op.Dst.Class).Full(int(op.Dst.Index)) {
-				return false
-			}
-			if op.Dst.Cluster != isa.ClusterSelf && c.cswitchUsed >= c.Cfg.CSwitchPorts {
-				return false
-			}
-		}
+	// A destination on another cluster needs a C-Switch port this cycle.
+	if d := op.Dst; (d.Class == isa.RInt || d.Class == isa.RFP) && d.Cluster != isa.ClusterSelf &&
+		op.Code != isa.EMPTY && c.cswitchUsed >= c.Cfg.CSwitchPorts {
+		return false
 	}
 	// Memory unit resource checks.
 	switch op.Code {

@@ -13,6 +13,7 @@ package cluster
 import (
 	"fmt"
 
+	"repro/internal/events"
 	"repro/internal/isa"
 )
 
@@ -20,24 +21,27 @@ import (
 // scoreboard bit per register (Section 3.1, "H-Thread Synchronization": "A
 // scoreboard bit associated with the destination register is cleared
 // (empty) when a multicycle operation ... issues and set (full) when the
-// result is available").
+// result is available"). The bits are one mask, bit i for register i, so
+// the issue stage tests all of an instruction's operands at once (Has).
 type RegFile struct {
 	vals []isa.Word
-	full []bool
+	full uint32
 }
 
-// NewRegFile creates a file of n registers, all full and zero. Threads
-// start with a defined, readable register state.
+// NewRegFile creates a file of n ≤ 32 registers, all full and zero.
+// Threads start with a defined, readable register state.
 func NewRegFile(n int) *RegFile {
-	rf := &RegFile{vals: make([]isa.Word, n), full: make([]bool, n)}
-	for i := range rf.full {
-		rf.full[i] = true
-	}
-	return rf
+	return &RegFile{vals: make([]isa.Word, n), full: lowBits(n)}
 }
+
+// lowBits is the mask of registers 0..n-1.
+func lowBits(n int) uint32 { return uint32(1)<<n - 1 }
 
 // Full reports the scoreboard bit of register i.
-func (rf *RegFile) Full(i int) bool { return rf.full[i] }
+func (rf *RegFile) Full(i int) bool { return rf.full>>i&1 != 0 }
+
+// Has reports whether every register in mask is full.
+func (rf *RegFile) Has(mask uint32) bool { return rf.full&mask == mask }
 
 // Get returns the value of register i; the caller must have checked Full.
 func (rf *RegFile) Get(i int) isa.Word { return rf.vals[i] }
@@ -45,12 +49,12 @@ func (rf *RegFile) Get(i int) isa.Word { return rf.vals[i] }
 // Set writes register i and marks it full (result writeback).
 func (rf *RegFile) Set(i int, w isa.Word) {
 	rf.vals[i] = w
-	rf.full[i] = true
+	rf.full |= 1 << i
 }
 
 // MarkEmpty clears the scoreboard bit (issue of a multicycle op targeting
 // i, or an explicit EMPTY operation preparing an inter-cluster transfer).
-func (rf *RegFile) MarkEmpty(i int) { rf.full[i] = false }
+func (rf *RegFile) MarkEmpty(i int) { rf.full &^= 1 << i }
 
 // Len returns the number of registers.
 func (rf *RegFile) Len() int { return len(rf.vals) }
@@ -114,6 +118,7 @@ func NewHThread() *HThread {
 // Load installs a program and makes the thread runnable. The cluster's
 // Live mask is the caller's to update (chip.LoadProgram does).
 func (h *HThread) Load(p *isa.Program, privileged bool) {
+	p.Prepare()
 	h.Prog = p
 	h.PC = 0
 	h.Status = ThreadRunning
@@ -156,20 +161,17 @@ func (h *HThread) File(c isa.RegClass) *RegFile {
 // clusters").
 type GCCFile struct {
 	vals []isa.Word
-	full []bool
+	full uint32
 }
 
 // NewGCCFile creates the replica with all registers empty: a gcc must be
 // produced (broadcast) before it can be consumed.
 func NewGCCFile() *GCCFile {
-	return &GCCFile{
-		vals: make([]isa.Word, isa.NumGCCRegs),
-		full: make([]bool, isa.NumGCCRegs),
-	}
+	return &GCCFile{vals: make([]isa.Word, isa.NumGCCRegs)}
 }
 
 // Full reports the local scoreboard bit.
-func (g *GCCFile) Full(i int) bool { return g.full[i] }
+func (g *GCCFile) Full(i int) bool { return g.full>>i&1 != 0 }
 
 // Get reads the local copy.
 func (g *GCCFile) Get(i int) isa.Word { return g.vals[i] }
@@ -177,12 +179,12 @@ func (g *GCCFile) Get(i int) isa.Word { return g.vals[i] }
 // Set writes the local copy and marks it full (one leg of a broadcast).
 func (g *GCCFile) Set(i int, w isa.Word) {
 	g.vals[i] = w
-	g.full[i] = true
+	g.full |= 1 << i
 }
 
 // MarkEmpty empties the local copy (the EMPTY operation; each consumer
 // empties its own replica, enabling the barrier protocol of Figure 6).
-func (g *GCCFile) MarkEmpty(i int) { g.full[i] = false }
+func (g *GCCFile) MarkEmpty(i int) { g.full &^= 1 << i }
 
 // Cluster is the architectural state of one execution cluster: six H-Thread
 // contexts (one per V-Thread slot) and the local GCC replica. The
@@ -211,6 +213,10 @@ type Cluster struct {
 	// clears the slot's bit.
 	Parked uint8                    `snap:"derived,zero after decode and Clone; the first Step re-parks"`
 	Wait   [isa.NumVThreads]isa.Reg `snap:"derived,meaningful only under Parked"`
+	// WaitQ[vt] is the hardware queue a net/evq Wait[vt] reads, resolved
+	// when the slot parks, so the scan tests the queue's length directly;
+	// nil for any other wait, which the scan re-tests as an operand.
+	WaitQ [isa.NumVThreads]*events.Queue `snap:"derived,meaningful only under Parked"`
 }
 
 // UserSlots masks Live down to the user V-Thread slots.

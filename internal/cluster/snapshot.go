@@ -21,19 +21,29 @@ import (
 // Decode bounds: snapshots carry at most these many entries per field, so
 // corrupt counts fail cleanly instead of driving huge allocations.
 const (
-	maxRegs      = 1024
+	maxBank      = 32 // registers per bank: its scoreboard is one uint32
 	maxProgWords = 1 << 22
 	maxNameLen   = 1 << 10
 	maxFaultLen  = 1 << 12
 )
 
-// registers walks a bank's values and scoreboard bits (packed — see
-// isa.Words); what names the bank in a decoded size mismatch.
-func registers(c *snap.Codec, vals *[]isa.Word, full *[]bool, what string) {
-	isa.Words(c, vals, maxRegs)
-	c.Bools(full, maxRegs)
-	if c.Reading() && c.Err() == nil && len(*full) != len(*vals) {
-		c.Fail(fmt.Errorf("cluster: %s with %d values, %d scoreboard bits", what, len(*vals), len(*full)))
+// registers walks a bank's values (packed — see isa.Words) and scoreboard
+// mask. The mask travels as Codec.Bools packs a bank of n ≤ 32 bits: the
+// count n, then one little-endian word when n > 0. A decoder rejects a
+// bank of more than 32 registers and drops bits at n and above; what
+// names the bank in a decoded size mismatch.
+func registers(c *snap.Codec, vals *[]isa.Word, full *uint32, what string) {
+	isa.Words(c, vals, maxBank)
+	n := c.Len(len(*vals), maxBank)
+	if n > 0 {
+		w := uint64(*full)
+		c.U64(&w)
+		if c.Reading() {
+			*full = uint32(w) & lowBits(n)
+		}
+	}
+	if c.Reading() && c.Err() == nil && n != len(*vals) {
+		c.Fail(fmt.Errorf("cluster: %s with %d values, %d scoreboard bits", what, len(*vals), n))
 	}
 }
 
@@ -42,7 +52,7 @@ func (rf *RegFile) State(c *snap.Codec) { registers(c, &rf.vals, &rf.full, "regi
 
 // Clone returns an independent register file with rf's state.
 func (rf *RegFile) Clone() *RegFile {
-	return &RegFile{vals: slices.Clone(rf.vals), full: slices.Clone(rf.full)}
+	return &RegFile{vals: slices.Clone(rf.vals), full: rf.full}
 }
 
 // State walks the GCC replica's values and scoreboard bits.
@@ -50,7 +60,7 @@ func (g *GCCFile) State(c *snap.Codec) { registers(c, &g.vals, &g.full, "GCC rep
 
 // Clone returns an independent GCC replica with g's state.
 func (g *GCCFile) Clone() *GCCFile {
-	return &GCCFile{vals: slices.Clone(g.vals), full: slices.Clone(g.full)}
+	return &GCCFile{vals: slices.Clone(g.vals), full: g.full}
 }
 
 // programState walks a thread's program in the isa binary encoding (label
@@ -99,6 +109,7 @@ func decodedProgram(c *snap.Codec, name string, words []uint64) *isa.Program {
 		c.Fail(err)
 		return nil
 	}
+	p.Prepare()
 	memo[string(key)] = p
 	return p
 }

@@ -35,6 +35,45 @@ func TestRegisterFilesFieldRoundTrip(t *testing.T) {
 	})
 }
 
+// bankStream is a register bank's stream as Codec.Bools lays out the
+// scoreboard: n zero values, the count n, then the bits as one word.
+func bankStream(t *testing.T, n int, bits uint64) []byte {
+	return snaptest.Encode(t, func(c *snap.Codec) {
+		vals := make([]isa.Word, n)
+		isa.Words(c, &vals, n)
+		c.Len(n, n)
+		c.U64(&bits)
+	})
+}
+
+// TestRegisterBankDecodeBounds: a bank claiming more registers than a
+// scoreboard mask holds is a decode error, not a panic or a mask with a
+// register shifted out of it; bits at the bank's size and above are
+// dropped, so such a stream decodes to the state its low bits name and
+// re-encodes canonically.
+func TestRegisterBankDecodeBounds(t *testing.T) {
+	d := snap.NewDecoder(bytes.NewReader(bankStream(t, 33, 1<<32|1)))
+	new(RegFile).State(d)
+	if d.Err() == nil {
+		t.Error("a 33-register bank decoded without error")
+	}
+
+	rf := new(RegFile)
+	d = snap.NewDecoder(bytes.NewReader(bankStream(t, isa.NumIntRegs, 1<<40|0xFFFF<<16|0b101)))
+	rf.State(d)
+	if err := d.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < isa.NumIntRegs; i++ {
+		if rf.Full(i) != (i == 0 || i == 2) {
+			t.Errorf("register %d full = %v, want only registers 0 and 2 full", i, rf.Full(i))
+		}
+	}
+	if got := snaptest.Encode(t, rf.State); !bytes.Equal(got, bankStream(t, isa.NumIntRegs, 0b101)) {
+		t.Error("the decoded bank re-encodes with bits above its size")
+	}
+}
+
 // TestThreadAndClusterFieldRoundTrip does the same for a thread context
 // with a program loaded and for a whole cluster.
 func TestThreadAndClusterFieldRoundTrip(t *testing.T) {

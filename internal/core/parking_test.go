@@ -2,9 +2,12 @@ package core_test
 
 // Parking is invisible (DESIGN.md, "Issue scan"): a slot whose instruction
 // waits on an empty source operand is parked on it, and the issue scan
-// re-tests that one operand instead of the whole instruction. A machine
-// that parks must step exactly like one whose every Parked mask is zeroed
-// before each Step, which forces the full ready check on every slot.
+// re-tests that one operand instead of the whole instruction — a net/evq
+// wait through the queue it resolved to when it parked. A machine that
+// parks must step exactly like one whose every Parked mask is zeroed
+// before each Step, which forces the full ready check on every slot, and
+// like one whose resolved queues are cleared before each Step, which
+// re-tests every parked wait as an operand.
 
 import (
 	"fmt"
@@ -21,12 +24,13 @@ import (
 	"repro/internal/workload"
 )
 
-// parkTwin steps a parking machine a beside a full-scanning twin b and
-// compares them after every Step.
+// parkTwin steps a parking machine a beside a full-scanning twin b and a
+// parking machine u whose queue waits stay unresolved, and compares a and
+// u with b after every Step.
 type parkTwin struct {
-	t     *testing.T
-	a, b  *core.Sim
-	steps int
+	t       *testing.T
+	a, b, u *core.Sim
+	steps   int
 	// [node][cluster] slot masks of a: parked before the current Step,
 	// parked after some Step, and unparked by some Step.
 	prev, ever, woken [][]uint8
@@ -35,7 +39,7 @@ type parkTwin struct {
 func newParkTwin(t *testing.T, boot func() (*core.Sim, error)) *parkTwin {
 	t.Helper()
 	tw := &parkTwin{t: t}
-	for _, s := range []**core.Sim{&tw.a, &tw.b} {
+	for _, s := range []**core.Sim{&tw.a, &tw.b, &tw.u} {
 		var err error
 		if *s, err = boot(); err != nil {
 			t.Fatal(err)
@@ -68,19 +72,20 @@ func (tw *parkTwin) woke(mask uint8) bool {
 	return false
 }
 
-// both applies f to the two simulators.
-func (tw *parkTwin) both(f func(s *core.Sim) error) {
+// all applies f to the three simulators.
+func (tw *parkTwin) all(f func(s *core.Sim) error) {
 	tw.t.Helper()
-	for _, s := range []*core.Sim{tw.a, tw.b} {
+	for _, s := range []*core.Sim{tw.a, tw.b, tw.u} {
 		if err := f(s); err != nil {
 			tw.t.Fatal(err)
 		}
 	}
 }
 
-// step advances both machines one cycle and fails the test on the first
-// difference in a thread's stall count, issue count, PC or status, or a
-// chip's SendsBlocked; every 64 Steps it also compares the Save digests.
+// step advances the three machines one cycle and fails the test on the
+// first difference in a thread's stall count, issue count, PC or status,
+// or a chip's SendsBlocked; every 64 Steps it also compares the Save
+// digests.
 func (tw *parkTwin) step() {
 	t := tw.t
 	t.Helper()
@@ -96,40 +101,55 @@ func (tw *parkTwin) step() {
 		}
 	}
 	tw.b.M.Step()
+	for _, c := range tw.u.M.Chips {
+		for _, cc := range c.Clusters {
+			clear(cc.WaitQ[:])
+		}
+	}
+	tw.u.M.Step()
 	tw.steps++
 	for n, ca := range tw.a.M.Chips {
-		cb := tw.b.M.Chips[n]
-		if ca.SendsBlocked != cb.SendsBlocked {
-			t.Fatalf("cycle %d node %d: SendsBlocked %d parking, %d full scan", tw.a.M.Cycle, n, ca.SendsBlocked, cb.SendsBlocked)
-		}
 		for cl, cc := range ca.Clusters {
 			tw.ever[n][cl] |= cc.Parked
 			tw.woken[n][cl] |= tw.prev[n][cl] &^ cc.Parked
-			for vt, ta := range cc.Threads {
-				tb := cb.Clusters[cl].Threads[vt]
-				if ta.StallCycles != tb.StallCycles || ta.Issued != tb.Issued || ta.PC != tb.PC || ta.Status != tb.Status {
-					t.Fatalf("cycle %d node %d slot %d cluster %d: parking stalls=%d issued=%d pc=%d %v, full scan stalls=%d issued=%d pc=%d %v",
-						tw.a.M.Cycle, n, vt, cl, ta.StallCycles, ta.Issued, ta.PC, ta.Status,
-						tb.StallCycles, tb.Issued, tb.PC, tb.Status)
+		}
+	}
+	for _, side := range []struct {
+		name string
+		s    *core.Sim
+	}{{"parking", tw.a}, {"parking on unresolved queues", tw.u}} {
+		for n, ca := range side.s.M.Chips {
+			cb := tw.b.M.Chips[n]
+			if ca.SendsBlocked != cb.SendsBlocked {
+				t.Fatalf("cycle %d node %d: SendsBlocked %d %s, %d full scan", tw.a.M.Cycle, n, ca.SendsBlocked, side.name, cb.SendsBlocked)
+			}
+			for cl, cc := range ca.Clusters {
+				for vt, ta := range cc.Threads {
+					tb := cb.Clusters[cl].Threads[vt]
+					if ta.StallCycles != tb.StallCycles || ta.Issued != tb.Issued || ta.PC != tb.PC || ta.Status != tb.Status {
+						t.Fatalf("cycle %d node %d slot %d cluster %d: %s stalls=%d issued=%d pc=%d %v, full scan stalls=%d issued=%d pc=%d %v",
+							tw.a.M.Cycle, n, vt, cl, side.name, ta.StallCycles, ta.Issued, ta.PC, ta.Status,
+							tb.StallCycles, tb.Issued, tb.PC, tb.Status)
+					}
 				}
 			}
 		}
-	}
-	if tw.steps%64 == 0 {
-		if da, db := digestOf(t, tw.a), digestOf(t, tw.b); da != db {
-			t.Fatalf("cycle %d: digest %s parking, %s full scan", tw.a.M.Cycle, da, db)
+		if tw.steps%64 == 0 {
+			if da, db := digestOf(t, side.s), digestOf(t, tw.b); da != db {
+				t.Fatalf("cycle %d: digest %s %s, %s full scan", tw.a.M.Cycle, da, side.name, db)
+			}
 		}
 	}
 }
 
-// scenario drives a generated scenario's plan on both machines: run
+// scenario drives a generated scenario's plan on the three machines: run
 // phases Step by Step until the parking machine has been quiet for the
 // completion window or the phase budget ends, every other step through
 // ScenarioRun. Expectations are skipped, as a phase cut at its budget
 // need not have finished.
 func (tw *parkTwin) scenario(sc *core.Scenario) {
 	t := tw.t
-	ra, rb := sc.NewRun(tw.a), sc.NewRun(tw.b)
+	ra, rb, ru := sc.NewRun(tw.a), sc.NewRun(tw.b), sc.NewRun(tw.u)
 	for !ra.Done() {
 		i, _ := ra.Pos()
 		st := sc.Plan.Steps[i]
@@ -146,14 +166,14 @@ func (tw *parkTwin) scenario(sc *core.Scenario) {
 				}
 			}
 		default:
-			for _, r := range []*core.ScenarioRun{ra, rb} {
+			for _, r := range []*core.ScenarioRun{ra, rb, ru} {
 				if _, err := r.Advance(nil, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
 			continue
 		}
-		for _, r := range []*core.ScenarioRun{ra, rb} {
+		for _, r := range []*core.ScenarioRun{ra, rb, ru} {
 			if err := r.Seek(i+1, 0, ra.Phases(), ra.Checks()); err != nil {
 				t.Fatal(err)
 			}
@@ -162,7 +182,7 @@ func (tw *parkTwin) scenario(sc *core.Scenario) {
 }
 
 // parkKernel is one hand-written case: load installs the programs, poke
-// (if set) changes both machines before the Step of the given cycle, and
+// (if set) changes the three machines before the Step of the given cycle, and
 // exercised checks the parking machine at the end for the mechanism the
 // case is about, including which slots parked.
 type parkKernel struct {
@@ -356,11 +376,11 @@ func TestParkingMatchesFullScan(t *testing.T) {
 				opts := k.opts
 				opts.NaiveEngine, opts.Workers = eng.opts.NaiveEngine, eng.opts.Workers
 				tw := newParkTwin(t, func() (*core.Sim, error) { return core.NewSim(opts) })
-				tw.both(k.load)
+				tw.all(k.load)
 				for tw.a.M.Cycle < k.cycles {
 					if k.poke != nil {
 						cycle := tw.a.M.Cycle
-						tw.both(func(s *core.Sim) error { return k.poke(s, cycle) })
+						tw.all(func(s *core.Sim) error { return k.poke(s, cycle) })
 					}
 					tw.step()
 				}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 )
 
 // Machine-wide architectural constants from the paper.
@@ -301,6 +302,73 @@ func (o *Op) SendBodyInFile() bool {
 	return o.Imm >= 0 && int64(o.Dst.Index)+o.Imm <= NumIntRegs
 }
 
+// RecordInFile reports whether a TLBW/MRETRY record — the 4 consecutive
+// integer registers from Src1 — lies inside the register file.
+func (o *Op) RecordInFile() bool {
+	return o.Src1.Class == RInt && int(o.Src1.Index) <= NumIntRegs-4
+}
+
+// Needs is what the issue stage's ready check asks of an operation or an
+// instruction: Int and FP mask the registers that must be full (bit i for
+// register i), and Slow marks anything else to check — a source the masks
+// cannot name, a cross-cluster destination, SEND credits, a TLBW/MRETRY
+// record, a memory unit.
+type Needs struct {
+	Int, FP uint32
+	Slow    bool
+}
+
+// reg adds register r to the masks, or marks n Slow if they cannot hold it.
+func (n *Needs) reg(r Reg) {
+	switch r.Class {
+	case RNone:
+	case RInt:
+		n.Int |= 1 << r.Index
+	case RFP:
+		n.FP |= 1 << r.Index
+	case RSpec:
+		n.Slow = n.Slow || r.Index == SpecNet || r.Index == SpecEvq
+	default:
+		n.Slow = true
+	}
+}
+
+// Needs summarizes what issuing o waits for: its sources, a local
+// destination (the scoreboard's WAW rule), a SEND body or TLBW/MRETRY
+// record inside the file, and whatever else makes it Slow.
+func (o *Op) Needs() Needs {
+	var n Needs
+	n.reg(o.Src1)
+	n.reg(o.Src2)
+	switch o.Code {
+	case SEND, SENDN:
+		// No WAW rule: Dst names the body, which SEND only reads.
+		n.Slow = true
+		if o.SendBodyInFile() {
+			n.Int |= (1<<o.Imm - 1) << o.Dst.Index
+		}
+		return n
+	case TLBW, MRETRY:
+		n.Slow = true
+		if !o.RecordInFile() {
+			return n // issues and faults
+		}
+		n.Int |= 0xF << o.Src1.Index
+	case LD, ST, LDSY, STSY, LDP, STP:
+		n.Slow = true
+	case EMPTY:
+		return n // EMPTY only clears its destination
+	}
+	if o.Dst.Class == RInt || o.Dst.Class == RFP {
+		if o.Dst.Cluster != ClusterSelf {
+			n.Slow = true
+		} else {
+			n.reg(o.Dst)
+		}
+	}
+	return n
+}
+
 func (o *Op) String() string {
 	if o == nil {
 		return ""
@@ -370,6 +438,11 @@ type Inst struct {
 	MOp  *Op
 	FOp  *Op
 	Line int // source line for diagnostics
+
+	// Need ORs the ops' summaries, which OpNeed holds in IOp, MOp, FOp
+	// order; Program.Prepare fills both.
+	Need   Needs
+	OpNeed [3]Needs
 }
 
 // Ops returns the populated operation slots in unit order.
@@ -425,6 +498,27 @@ type Program struct {
 	Name   string         `snap:"derived,round-trips via the EncodeProgram word form"`
 	Insts  []Inst         `snap:"derived,round-trips via the EncodeProgram word form"`
 	Labels map[string]int `snap:"derived,assembler artifact, deliberately dropped"` // label -> instruction index
+
+	// prepared guards the Needs summaries: machines on several goroutines
+	// may load one program at once (the runtime's handlers are shared).
+	prepared sync.Once `snap:"derived,summaries recomputed by Prepare"`
+}
+
+// Prepare fills every instruction's Needs summaries, once per program,
+// however many goroutines call it. A program must not change afterwards.
+func (p *Program) Prepare() {
+	p.prepared.Do(func() {
+		for i := range p.Insts {
+			in := &p.Insts[i]
+			for k, op := range [3]*Op{in.IOp, in.MOp, in.FOp} {
+				if op != nil {
+					n := op.Needs()
+					in.OpNeed[k] = n
+					in.Need = Needs{in.Need.Int | n.Int, in.Need.FP | n.FP, in.Need.Slow || n.Slow}
+				}
+			}
+		}
+	})
 }
 
 // Len returns the number of instructions.
