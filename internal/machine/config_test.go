@@ -1,0 +1,136 @@
+package machine_test
+
+// Configuration bounds: a snapshot header is the one place a machine's
+// configuration arrives from outside the process (the dist worker's seed
+// builds a machine from it), so every field that sizes an allocation in
+// New, or that the model divides by, must be refused there with an error
+// naming it — never reach New as a panic or a fatal out-of-memory.
+
+import (
+	"bytes"
+	"encoding/binary"
+	"runtime"
+	"strings"
+	"testing"
+
+	"repro/internal/machine"
+	"repro/internal/noc"
+)
+
+func saveFresh(t *testing.T, cfg machine.Config) []byte {
+	t.Helper()
+	m := machine.New(cfg)
+	defer m.Close()
+	var b bytes.Buffer
+	if err := m.Save(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// headerWord returns the offset of the 8-byte header word edit changes:
+// the first word where the Save streams of a fresh default machine and of
+// one configured by edit differ.
+func headerWord(t *testing.T, edit func(*machine.Config)) int {
+	t.Helper()
+	alt := machine.DefaultConfig()
+	edit(&alt)
+	a, b := saveFresh(t, machine.DefaultConfig()), saveFresh(t, alt)
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i &^ 7
+		}
+	}
+	t.Fatal("the edit does not change the stream")
+	return 0
+}
+
+// patchWord returns a copy of stream with the word at off set to v.
+func patchWord(stream []byte, off int, v uint64) []byte {
+	out := bytes.Clone(stream)
+	binary.LittleEndian.PutUint64(out[off:], v)
+	return out
+}
+
+// boundedFields are the header words check bounds, with an edit that
+// locates each, the text its error carries, and whether 0 is a valid
+// value (an unbounded queue; a node that never sends).
+var boundedFields = []struct {
+	name   string
+	edit   func(*machine.Config)
+	zeroOK bool
+}{
+	{"mesh", func(c *machine.Config) { c.Dims.X = 3 }, false},
+	{"mesh", func(c *machine.Config) { c.Dims.Y = 2 }, false},
+	{"mesh", func(c *machine.Config) { c.Dims.Z = 2 }, false},
+	{"SDRAM words", func(c *machine.Config) { c.Chip.Mem.SDRAM.Words *= 2 }, false},
+	{"SDRAM row words", func(c *machine.Config) { c.Chip.Mem.SDRAM.RowWords *= 2 }, false},
+	{"cache lines", func(c *machine.Config) { c.Chip.Mem.Cache.Lines /= 2 }, false},
+	{"LTLB entries", func(c *machine.Config) { c.Chip.Mem.LTLBEntries /= 2 }, false},
+	{"message queue words", func(c *machine.Config) { c.Chip.MsgQueueCap /= 2 }, true},
+	{"event queue words", func(c *machine.Config) { c.Chip.EventQueueCap = 8 }, true},
+	{"send credits", func(c *machine.Config) { c.Chip.SendCredits /= 2 }, true},
+}
+
+// TestReadSnapshotConfigBounds: in a saved 2-node machine's header, each
+// bounded word set to 0, −1 or 2^40 is an error from ReadSnapshotConfig
+// naming the field (0 only where it is not a meaningful value, and then
+// the header builds and restores), and so are a mesh within the per-axis
+// range but over the node bound and an SDRAM too small for the LPT.
+func TestReadSnapshotConfigBounds(t *testing.T) {
+	stream := saveFresh(t, machine.DefaultConfig())
+	for _, f := range boundedFields {
+		off := headerWord(t, f.edit)
+		for _, v := range []uint64{0, ^uint64(0), 1 << 40} {
+			patched := patchWord(stream, off, v)
+			cfg, err := machine.ReadSnapshotConfig(bytes.NewReader(patched))
+			if v == 0 && f.zeroOK {
+				if err != nil {
+					t.Errorf("%s = 0: %v, want a buildable machine", f.name, err)
+					continue
+				}
+				m := machine.New(cfg)
+				if err := m.Restore(bytes.NewReader(patched)); err != nil {
+					t.Errorf("%s = 0: restore: %v", f.name, err)
+				}
+				m.Close()
+				continue
+			}
+			if err == nil || !strings.Contains(err.Error(), f.name) {
+				t.Errorf("header word at byte %d = %#x: error %v, want one naming %s", off, v, err, f.name)
+			}
+		}
+	}
+
+	x, y := headerWord(t, func(c *machine.Config) { c.Dims.X = 3 }), headerWord(t, func(c *machine.Config) { c.Dims.Y = 2 })
+	wide := patchWord(patchWord(stream, x, machine.MaxAxis), y, 2)
+	if _, err := machine.ReadSnapshotConfig(bytes.NewReader(wide)); err == nil || !strings.Contains(err.Error(), "in all") {
+		t.Errorf("a %dx2 mesh: error %v, want the node bound", machine.MaxAxis, err)
+	}
+	words := headerWord(t, func(c *machine.Config) { c.Chip.Mem.SDRAM.Words *= 2 })
+	small := patchWord(stream, words, 1<<12)
+	if _, err := machine.ReadSnapshotConfig(bytes.NewReader(small)); err == nil || !strings.Contains(err.Error(), "LPT") {
+		t.Errorf("4 KW of SDRAM: error %v, want the LPT not fitting", err)
+	}
+}
+
+// TestNewAllocationPin: booting a 4x4x2 mesh costs what its nodes have
+// touched — the network, the chips, one SDRAM chunk each for the page
+// allocator's counter — not every node's full cache line array.
+func TestNewAllocationPin(t *testing.T) {
+	cfg := machine.DefaultConfig()
+	cfg.Dims = noc.Coord{X: 4, Y: 4, Z: 2}
+	var a, b runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&a)
+	const runs = 4
+	for range runs {
+		machine.New(cfg).Close()
+	}
+	runtime.ReadMemStats(&b)
+	n := (b.TotalAlloc - a.TotalAlloc) / runs
+	t.Logf("machine.New of a 4x4x2 mesh: %d bytes", n)
+	if n > 3_500_000 {
+		t.Errorf("machine.New of a 4x4x2 mesh allocates %d bytes, want <= 3.5 MB", n)
+	}
+}

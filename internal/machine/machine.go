@@ -186,11 +186,53 @@ func newShell(cfg Config) *Machine {
 // peer fields hold coordinates up to trace.MaxCoord.
 const MaxAxis = trace.MaxCoord + 1
 
+// Bounds on the configuration fields that size what New allocates or that
+// the memory model divides by. New panics on a configuration outside them
+// and ReadSnapshotConfig refuses one, so a corrupt snapshot header is an
+// error, not a panic or a fatal out-of-memory in the process reading it.
+const (
+	maxNodes      = MaxAxis // nodes per mesh: the longest mesh msim builds
+	maxCacheLines = 1 << 20 // 512x the paper's 2048
+	maxLTLB       = 1 << 16 // the LTLB's snapshot decode bound
+	maxSDRAMWords = 1 << 30 // 1024x the paper's 1 MW
+	maxQueueWords = 1 << 20 // per hardware queue; 0 is unbounded
+	maxCredits    = 1 << 16
+)
+
+// check reports the first field of cfg outside its bound.
+func (cfg Config) check() error {
+	if d := cfg.Dims; min(d.X, d.Y, d.Z) < 1 || max(d.X, d.Y, d.Z) > MaxAxis || d.X*d.Y*d.Z > maxNodes {
+		return fmt.Errorf("mesh %v outside 1..%d nodes per axis (the trace record's coordinate range) and %d in all", d, MaxAxis, maxNodes)
+	}
+	k, m := cfg.Chip, cfg.Chip.Mem
+	for _, f := range []struct {
+		name      string
+		v, lo, hi uint64
+	}{
+		{"cache lines", uint64(m.Cache.Lines), 1, maxCacheLines},
+		{"LTLB entries", uint64(m.LTLBEntries), 1, maxLTLB},
+		{"SDRAM words", m.SDRAM.Words, 1, maxSDRAMWords},
+		{"SDRAM row words", m.SDRAM.RowWords, 1, maxSDRAMWords},
+		{"message queue words", uint64(k.MsgQueueCap), 0, maxQueueWords},
+		{"event queue words", uint64(k.EventQueueCap), 0, maxQueueWords},
+		{"send credits", uint64(k.SendCredits), 0, maxCredits},
+	} {
+		if f.v < f.lo || f.v > f.hi {
+			return fmt.Errorf("%d %s outside %d..%d", int64(f.v), f.name, f.lo, f.hi)
+		}
+	}
+	// New writes the runtime page allocator's counter above the LPT.
+	if m.LPT.Base >= m.SDRAM.Words || m.LPT.Entries >= m.SDRAM.Words || AllocCounterAddr(m) >= m.SDRAM.Words {
+		return fmt.Errorf("the LPT at %#x and the runtime scratch above it do not fit in %d SDRAM words", m.LPT.Base, m.SDRAM.Words)
+	}
+	return nil
+}
+
 // New builds the machine: one chip per mesh coordinate, all sharing the
-// network and GDT.
+// network and GDT. It panics on a configuration outside the bounds above.
 func New(cfg Config) *Machine {
-	if max(cfg.Dims.X, cfg.Dims.Y, cfg.Dims.Z) > MaxAxis {
-		panic(fmt.Sprintf("machine: mesh %v exceeds the trace record's coordinate range", cfg.Dims))
+	if err := cfg.check(); err != nil {
+		panic("machine: " + err.Error())
 	}
 	top := &Machine{Net: noc.New(cfg.Dims, cfg.Chip.Net), GDT: &gtlb.Table{}}
 	top.nextPPN = make([]uint64, top.Net.NumNodes())

@@ -116,6 +116,7 @@ func (m *Machine) ShardActivity(lo, hi int, now int64) (a Activity, next int64, 
 // ReadSnapshotConfig decodes just the configuration header of a snapshot
 // stream written by Save, so a process can construct a compatible machine
 // (New + Restore) from snapshot bytes alone — the distributed seed path.
+// A configuration New cannot build is an error.
 func ReadSnapshotConfig(r io.Reader) (Config, error) {
 	c := snap.NewDecoder(bufio.NewReader(r))
 	if err := header(c, snapshotMagic, "snapshot stream", "snapshot"); err != nil {
@@ -125,6 +126,9 @@ func ReadSnapshotConfig(r io.Reader) (Config, error) {
 	configState(c, &cfg)
 	if err := c.Err(); err != nil {
 		return Config{}, fmt.Errorf("machine: read snapshot config: %w", err)
+	}
+	if err := cfg.check(); err != nil {
+		return Config{}, fmt.Errorf("machine: snapshot header: %w", err)
 	}
 	return cfg, nil
 }

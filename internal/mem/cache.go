@@ -31,23 +31,46 @@ type cacheLine struct {
 	ptrs     [BlockWords]bool
 }
 
+// pageLines is the cache's allocation granule: a node holds (and a Fork
+// copies, and a Save walks) only the pages of lines it has filled.
+const pageLines = 64
+
+type linePage [pageLines]cacheLine
+
 // Cache is the node's on-chip data cache.
 type Cache struct {
 	cfg   CacheConfig `snap:"derived,fixed at construction; decode validates against it"`
-	lines []cacheLine
+	pages []*linePage // ⌈Lines/pageLines⌉ entries, nil until a line in it is filled
 
 	Hits, Misses, Writebacks uint64
 }
 
-// NewCache allocates the cache.
+// NewCache allocates the cache's page table.
 func NewCache(cfg CacheConfig) *Cache {
-	return &Cache{cfg: cfg, lines: make([]cacheLine, cfg.Lines)}
+	return &Cache{cfg: cfg, pages: make([]*linePage, (cfg.Lines+pageLines-1)/pageLines)}
 }
 
+// lineFor returns the line vaddr maps to and whether it holds vaddr's
+// block; the line is nil when its page was never filled.
 func (c *Cache) lineFor(vaddr uint64) (*cacheLine, bool) {
 	vblock := vaddr / BlockWords
-	ln := &c.lines[vblock%uint64(len(c.lines))]
+	i := vblock % uint64(c.cfg.Lines)
+	p := c.pages[i/pageLines]
+	if p == nil {
+		return nil, false
+	}
+	ln := &p[i%pageLines]
 	return ln, ln.valid && ln.vblock == vblock
+}
+
+// line returns line i, allocating its page on first use.
+func (c *Cache) line(i uint64) *cacheLine {
+	p := c.pages[i/pageLines]
+	if p == nil {
+		p = new(linePage)
+		c.pages[i/pageLines] = p
+	}
+	return &p[i%pageLines]
 }
 
 // Lookup probes the cache for vaddr without side effects on contents.
@@ -66,11 +89,12 @@ func (c *Cache) Lookup(vaddr uint64) (*cacheLine, bool) {
 // records the fill-time block status for later write-hit permission checks.
 func (c *Cache) Fill(s *SDRAM, vaddr, physBase uint64, writable bool) cacheLine {
 	vblock := vaddr / BlockWords
-	ln := &c.lines[vblock%uint64(len(c.lines))]
+	lines := uint64(c.cfg.Lines)
+	ln := c.line(vblock % lines)
 	victim := *ln
 	ln.valid = true
 	ln.vblock = vblock
-	ln.tag = vblock / uint64(len(c.lines))
+	ln.tag = vblock / lines
 	ln.physBase = physBase &^ (BlockWords - 1)
 	ln.writable = writable
 	ln.dirty = false
@@ -104,10 +128,15 @@ func (c *Cache) InvalidateBlock(s *SDRAM, vaddr uint64) {
 
 // FlushAll writes back every dirty line and invalidates the cache.
 func (c *Cache) FlushAll(s *SDRAM) {
-	for i := range c.lines {
-		if c.lines[i].valid {
-			c.WriteBack(s, c.lines[i])
-			c.lines[i].valid = false
+	for _, p := range c.pages {
+		if p == nil {
+			continue
+		}
+		for i := range p {
+			if p[i].valid {
+				c.WriteBack(s, p[i])
+				p[i].valid = false
+			}
 		}
 	}
 }

@@ -87,25 +87,33 @@ func (s *SDRAM) Clone() *SDRAM {
 }
 
 // State walks the cache statistics and every valid line, each preceded by
-// its index.
+// its index. Only pages that exist are counted and scanned; a decoder
+// allocates the page of each line it reads.
 func (ca *Cache) State(c *snap.Codec) {
 	c.U64(&ca.Hits)
 	c.U64(&ca.Misses)
 	c.U64(&ca.Writebacks)
 	n := 0
 	if !c.Reading() {
-		for i := range ca.lines {
-			if ca.lines[i].valid {
-				n++
+		for _, p := range ca.pages {
+			if p != nil {
+				for i := range p {
+					if p[i].valid {
+						n++
+					}
+				}
 			}
 		}
 	}
 	idx := -1
-	for range c.Len(n, len(ca.lines)) {
+	for range c.Len(n, ca.cfg.Lines) {
 		if !c.Reading() {
-			idx++
-			for !ca.lines[idx].valid {
-				idx++
+			for idx++; ; idx++ {
+				if p := ca.pages[idx/pageLines]; p == nil {
+					idx |= pageLines - 1 // skip the page; the loop steps past it
+				} else if p[idx%pageLines].valid {
+					break
+				}
 			}
 		}
 		c.Int(&idx)
@@ -113,13 +121,13 @@ func (ca *Cache) State(c *snap.Codec) {
 			if c.Err() != nil {
 				break
 			}
-			if idx < 0 || idx >= len(ca.lines) {
-				c.Fail(fmt.Errorf("mem: snapshot cache line %d outside %d-line cache", idx, len(ca.lines)))
+			if idx < 0 || idx >= ca.cfg.Lines {
+				c.Fail(fmt.Errorf("mem: snapshot cache line %d outside %d-line cache", idx, ca.cfg.Lines))
 				break
 			}
-			ca.lines[idx].valid = true
+			ca.line(uint64(idx)).valid = true
 		}
-		ln := &ca.lines[idx]
+		ln := &ca.pages[idx/pageLines][idx%pageLines]
 		c.U64(&ln.tag)
 		c.U64(&ln.vblock)
 		c.U64(&ln.physBase)
@@ -132,11 +140,20 @@ func (ca *Cache) State(c *snap.Codec) {
 	}
 }
 
-// Clone returns an independent cache with c's lines and statistics.
+// Clone returns an independent cache with c's lines and statistics: every
+// page that exists is copied, none is shared, so the two caches can be
+// used from different goroutines.
 func (c *Cache) Clone() *Cache {
+	pages := make([]*linePage, len(c.pages))
+	for i, p := range c.pages {
+		if p != nil {
+			pages[i] = new(linePage)
+			*pages[i] = *p
+		}
+	}
 	return &Cache{
 		cfg:        c.cfg,
-		lines:      slices.Clone(c.lines),
+		pages:      pages,
 		Hits:       c.Hits,
 		Misses:     c.Misses,
 		Writebacks: c.Writebacks,

@@ -7,11 +7,12 @@
 # export's .bench_build/ before every run (from scratch the first time,
 # from the cache after), outside the time the benchmark measures.
 # Prints one line per run in the
-# BENCH_<n>.pairs.txt format, then each side's median and quartiles and
-# the change's pair wins. Last, one traced 3 s run per side (same seed)
-# prints the simulated results side by side — digest, cycles, chip and
-# network counts, LTLB faults, trace records per kcycle, snapshot bytes —
-# beside the per-layer chip.step_ns, machine.drain_ns and
+# BENCH_<n>.pairs.txt format, then for node_cycles_per_s and setup_ms each
+# side's median and quartiles and the change's pair wins. Last, one traced
+# 3 s run per side (same seed) prints the simulated results side by side —
+# digest, cycles, chip and network counts, LTLB faults, trace records per
+# kcycle, snapshot bytes — beside the per-layer chip.step_ns,
+# snap.fork_ns, snap.save_ns, snap.restore_ns, machine.drain_ns and
 # machine.allocs_per_kcycle; the script exits 1 if any simulated result
 # differs.
 #
@@ -63,20 +64,27 @@ for i in $(seq 1 "$n"); do
 done
 
 # Medians and quartiles (linear interpolation between order statistics)
-# per side, and the pairs the change won on node_cycles_per_s.
+# per side, and the pairs the change won: on node_cycles_per_s (higher
+# wins) and on setup_ms (lower wins).
 printf '%s\n' "${lines[@]}" | awk '
 	function q(a, k, p,   h, lo) { h = p * (k - 1) + 1; lo = int(h); return a[lo] + (h - lo) * (a[lo + 1] - a[lo]) }
-	function summary(side, a, k,   i, j, t) {
+	function summary(label, a, k, f,   i, j, t) {
 		for (i = 2; i <= k; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
 		a[k + 1] = a[k]
-		printf "# %s: median %d, quartiles %d .. %d (IQR %d)\n", side, q(a, k, 0.5), q(a, k, 0.25), q(a, k, 0.75), q(a, k, 0.75) - q(a, k, 0.25)
+		printf "# " label ": median " f ", quartiles " f " .. " f " (IQR " f ")\n", q(a, k, 0.5), q(a, k, 0.25), q(a, k, 0.75), q(a, k, 0.75) - q(a, k, 0.25)
 		return q(a, k, 0.5)
 	}
-	{ split($3, kv, "="); v[$4, kv[2]] = $5; if ($4 == "parent") par[++np] = $5; else chg[++nc] = $5 }
+	{
+		split($3, kv, "=")
+		if ($4 == "parent") { pr[kv[2]] = $5; ps[kv[2]] = $6; par[++np] = $5; pset[np] = $6 }
+		else { cr[kv[2]] = $5; cs[kv[2]] = $6; chg[++nc] = $5; cset[nc] = $6 }
+	}
 	END {
-		for (i = 1; i <= np; i++) if (v["change", i] > v["parent", i]) wins++
-		mp = summary("parent", par, np); mc = summary("change", chg, nc)
+		for (i in pr) { if (cr[i] > pr[i]) wins++; if (cs[i] < ps[i]) swins++ }
+		mp = summary("parent", par, np, "%d"); mc = summary("change", chg, nc, "%d")
 		printf "# change won %d/%d pairs; median ratio change/parent %.3f\n", wins, np, mc / mp
+		mp = summary("setup_ms parent", pset, np, "%.4g"); mc = summary("setup_ms change", cset, nc, "%.4g")
+		printf "# change won %d/%d pairs on setup_ms (lower wins); median ratio change/parent %.3f\n", swins, np, mc / mp
 	}'
 
 # metric JSON NAME: one metric's value in a benchmark JSON line ("" if absent).
@@ -99,7 +107,7 @@ for m in digest sim_cycles chip.insts chip.ops noc.injected noc.delivered noc.ho
 	fi
 	printf '# %-26s %22s %22s  %s\n' "$m" "$a" "$b" "$verdict"
 done
-for m in chip.step_ns machine.drain_ns machine.allocs_per_kcycle; do
+for m in chip.step_ns snap.fork_ns snap.save_ns snap.restore_ns machine.drain_ns machine.allocs_per_kcycle; do
 	printf '# %-26s %22s %22s\n' "$m" "$(metric "$traced_parent" "$m")" "$(metric "$traced_change" "$m")"
 done
 exit "$differs"
