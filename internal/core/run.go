@@ -108,7 +108,7 @@ func (r *ScenarioRun) Seek(step int, phaseCycles int64, phases []PhaseResult, ch
 // the distributed coordinator via guard.NewOver), and the supervisor's
 // cycle budget clamps run slices exactly as it clamps whole phases. For
 // the panic-containment and watchdog contracts to hold, call Advance
-// inside the supervisor's Do (Scenario.RunSim does). Errors
+// inside the supervisor's Do (Drive does). Errors
 // follow Scenario.Run: supervision failures (any guard.Class but
 // scenario, and machine.ErrStopped) pass through unwrapped, everything
 // else carries the step's source position.
@@ -167,6 +167,38 @@ func (r *ScenarioRun) Advance(sup *guard.Supervisor, maxSlice int64) (ranPhase b
 	r.phaseRan = 0
 	r.next++
 	return true, nil
+}
+
+// Drive is the one loop every front end runs a plan with (Scenario.Run,
+// sweep points, dist.RunScenario, msimd sessions): one sup.Do that
+// Advances quantum by quantum until Done — run phases in slices of at
+// most slice cycles, whole phases when slice is 0 — and calls after, when
+// not nil, at every quantum boundary with Advance's ranPhase. An error
+// from after ends the run and comes back as Do returns it. The run's
+// bounds are the supervisor's: its wall-clock Timeout and its CycleBudget,
+// which RunPhase clamps exactly, last slice included. On success the
+// result carries the final machine Digest.
+func (r *ScenarioRun) Drive(sup *guard.Supervisor, slice int64, after func(ran bool) error) (*ScenarioResult, error) {
+	var res *ScenarioResult
+	err := sup.Do(func() error {
+		for !r.Done() {
+			ran, err := r.Advance(sup, slice)
+			if err == nil && after != nil {
+				err = after(ran)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		res = r.Result()
+		var err error
+		res.Digest, err = r.s.M.Digest()
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // Result finalizes and returns the scenario result. Meaningful once Done

@@ -88,10 +88,7 @@ func (sc *Scenario) runSweep(o Options) (*ScenarioResult, *Sim, error) {
 		}
 	}
 
-	if res.Digest, err = s.M.Digest(); err != nil {
-		s.M.Close()
-		return nil, s, err
-	}
+	// res.Digest is the prefix's: the points ran on forks or fresh boots.
 	s.M.Close()
 	return res, s, nil
 }
@@ -102,10 +99,6 @@ func (sc *Scenario) runSweep(o Options) (*ScenarioResult, *Sim, error) {
 // into parent's recorder so the whole sweep reads as one stream.
 func (sc *Scenario) runPoint(ps *Sim, o Options, name string, parent *Sim) (*PointResult, error) {
 	res, err := sc.supervise(ps, o)
-	var digest string
-	if err == nil {
-		digest, err = ps.M.Digest()
-	}
 	if guard.IsHang(err) {
 		// A wedged run goroutine still owns the point machine; abandon
 		// it un-Closed (its events stay unobserved).
@@ -116,7 +109,7 @@ func (sc *Scenario) runPoint(ps *Sim, o Options, name string, parent *Sim) (*Poi
 	if err != nil {
 		return nil, err
 	}
-	pr := &PointResult{Name: name, TotalCycles: ps.M.Cycle, Checks: res.Checks, Digest: digest}
+	pr := &PointResult{Name: name, TotalCycles: res.TotalCycles, Checks: res.Checks, Digest: res.Digest}
 	for _, ph := range res.Phases {
 		pr.Phases = append(pr.Phases, PhaseResult{Name: name + "/" + ph.Name, Cycles: ph.Cycles})
 	}

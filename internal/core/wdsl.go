@@ -110,16 +110,10 @@ func (sc *Scenario) RunSim(o Options) (*ScenarioResult, *Sim, error) {
 		return nil, nil, err
 	}
 	res, err := sc.supervise(s, o)
-	if err == nil {
-		res.Digest, err = s.M.Digest()
-	}
 	if !guard.IsHang(err) {
 		s.M.Close()
 	}
-	if err != nil {
-		return nil, s, err
-	}
-	return res, s, nil
+	return res, s, err
 }
 
 // NewSim boots a simulator for this scenario: the mesh dimensions and
@@ -132,34 +126,24 @@ func (sc *Scenario) NewSim(o Options) (*Sim, error) {
 	return NewSim(o)
 }
 
-// supervise executes the plan's steps on a booted simulator under a
-// guard.Supervisor bounded by the caller's Options.Supervise, whose zero
-// Timeout/CycleBudget take the scenario file's deadline/budget. This is
-// ScenarioRun driven to completion in unsliced quanta; a caller that
-// needs to checkpoint or stream between quanta drives a ScenarioRun
-// itself (internal/serve does).
+// Supervision is the guard.Options a run of this scenario is supervised
+// under: the caller's o.Supervise, whose zero Timeout/CycleBudget take the
+// scenario file's deadline/budget.
+func (sc *Scenario) Supervision(o Options) guard.Options {
+	g := o.Supervise
+	if g.Timeout == 0 {
+		g.Timeout = sc.Plan.Deadline
+	}
+	if g.CycleBudget == 0 {
+		g.CycleBudget = sc.Plan.CycleBudget
+	}
+	return g
+}
+
+// supervise drives the plan to completion on a booted simulator, in
+// unsliced quanta, under one supervisor bounded by Supervision(o).
 func (sc *Scenario) supervise(s *Sim, o Options) (*ScenarioResult, error) {
-	gopt := o.Supervise
-	if gopt.Timeout == 0 {
-		gopt.Timeout = sc.Plan.Deadline
-	}
-	if gopt.CycleBudget == 0 {
-		gopt.CycleBudget = sc.Plan.CycleBudget
-	}
-	sup := guard.New(s.M, gopt)
-	run := sc.NewRun(s)
-	err := sup.Do(func() error {
-		for !run.Done() {
-			if _, err := run.Advance(sup, 0); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return run.Result(), nil
+	return sc.NewRun(s).Drive(guard.New(s.M, sc.Supervision(o)), 0, nil)
 }
 
 // step executes one non-run plan step (run phases are ScenarioRun's

@@ -438,12 +438,25 @@ func (co *Coordinator) RunExact(n int64) (int64, error) {
 			return 0, f
 		}
 		for co.cycle < co.phaseStart+n {
+			if err := co.stopped(); err != nil {
+				return co.cycle - co.phaseStart, err
+			}
 			if f := co.stepWindow(co.phaseStart+n, nil); f != nil {
 				return co.cycle - co.phaseStart, f
 			}
 		}
 		return n, nil
 	})
+}
+
+// stopped answers the hub's stop request (a supervisor's deadline) at a
+// window head with the error Machine.Run returns at its loop head; the
+// leg's attempt then leaves the hub synced at the cycle it stopped on.
+func (co *Coordinator) stopped() error {
+	if !co.m.StopRequested() {
+		return nil
+	}
+	return fmt.Errorf("dist: run stopped at cycle %d: %w", co.cycle, machine.ErrStopped)
 }
 
 // supervise is the federation's one recover-and-resume loop. An attempt
@@ -565,6 +578,9 @@ func (co *Coordinator) runLeg(maxCycles int64, resume bool) (int64, error) {
 		co.loop = machine.NewQuietLoop(co.phaseStart, maxCycles, act)
 	}
 	for co.cycle < co.loop.Bound() {
+		if err := co.stopped(); err != nil {
+			return co.cycle - co.phaseStart, err
+		}
 		if !atStep {
 			if co.loop.Head(act, co.m.Net) {
 				return co.loop.Ran(co.cycle), co.faultErr()

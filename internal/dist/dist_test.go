@@ -620,6 +620,96 @@ func TestBudgetExactAcrossTransports(t *testing.T) {
 				c.name, inDigest, err1, dDigest, err2)
 		}
 	}
+
+	t.Run("every front end", func(t *testing.T) { oneVerdict(t) })
+}
+
+// verdict is what a front end says about one scenario run: done or
+// failed, the failure class, the cycle it ended or was cut off on, and the
+// final digest when done. A wall-clock cutoff's cycle depends on the host,
+// so it is left out.
+type verdict struct {
+	state  string
+	class  guard.Class
+	cycle  int64
+	digest string
+}
+
+// verdictOf reads a verdict off a run's result, or off its failure: the
+// class, and the text, which ends with "at cycle N" naming the cutoff.
+func verdictOf(res *core.ScenarioResult, class guard.Class, failure string) verdict {
+	if failure == "" {
+		return verdict{state: "done", cycle: res.TotalCycles, digest: res.Digest}
+	}
+	v := verdict{state: "failed", class: class}
+	if i := strings.LastIndex(failure, "at cycle "); i >= 0 && class != guard.ClassStallTimeout {
+		fmt.Sscanf(failure[i+len("at cycle "):], "%d", &v.cycle)
+	}
+	return v
+}
+
+// runVerdict is verdictOf for an in-process or distributed run.
+func runVerdict(res *core.ScenarioResult, err error) verdict {
+	if err != nil {
+		return verdictOf(nil, guard.Classify(err), err.Error())
+	}
+	return verdictOf(res, "", "")
+}
+
+// oneVerdict runs the same scenarios in process, distributed over two
+// shards and as an msimd session whose one slice spans the whole run, and
+// requires one verdict from all three: budgets around the run's total
+// (total-20 and total-5 end inside its final quiet window) and a 1 ms
+// deadline on a run of some 350k cycles. It asserts agreement, not any
+// particular verdict.
+func oneVerdict(t *testing.T) {
+	spin := func(bound string, iters int) string {
+		return fmt.Sprintf("workload \"spin\"\nmesh 2\n%s\ngenerate sp spinloop iters=%d\nload sp on all\nrun 100000000\nexpect reg node=1 cluster=0 reg=1 value=%d\n",
+			bound, iters, iters)
+	}
+	free, err := core.ScenarioFromDSL("spin.wl", spin("", 600))
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := refRun(t, free, core.Options{}).res.TotalCycles
+	type row struct{ name, src string }
+	var rows []row
+	for _, d := range []int64{-40, -20, -5, 0, 5} {
+		rows = append(rows, row{fmt.Sprintf("budget total%+d", d), spin(fmt.Sprintf("budget %d", total+d), 600)})
+	}
+	rows = append(rows, row{"deadline 1ms", spin("deadline 1ms", 100000)})
+
+	sv, err := serve.New(serve.Config{Spool: t.TempDir(), Workers: 1, CheckpointEvery: 1 << 30, Retries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sv.Drain()
+	for _, r := range rows {
+		sc, err := core.ScenarioFromDSL(r.name+".wl", r.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := runVerdict(sc.Run(core.Options{}))
+		var dres *core.ScenarioResult
+		rr, _, err := RunScenario(sc, core.Options{}, Config{Shards: 2, Launcher: LocalLauncher{}})
+		if rr != nil {
+			dres = rr.ScenarioResult
+		}
+		dist := runVerdict(dres, err)
+		session, err := sv.Submit(r.name+".wl", r.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-session.Done()
+		info := session.Info()
+		msimd := verdictOf(&core.ScenarioResult{TotalCycles: info.TotalCycles, Digest: info.Digest}, "", "")
+		if info.State != serve.StateDone {
+			msimd = verdictOf(nil, info.FailureClass, info.Failure)
+		}
+		if dist != in || msimd != in {
+			t.Errorf("%s: verdicts differ:\n  in process %+v\n  dist       %+v\n  msimd      %+v", r.name, in, dist, msimd)
+		}
+	}
 }
 
 // TestOneDigest: there is one state fingerprint (machine.Digest), so the

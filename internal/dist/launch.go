@@ -35,19 +35,16 @@ type Launcher interface {
 
 // ProcLauncher launches each worker as a separate OS process: it listens
 // on a fresh loopback port, starts Exe with WorkerAddrEnv pointing at
-// it, and hands the accepted connection to the coordinator. Exe is
-// usually the coordinator's own binary (os.Executable), whose main calls
-// MaybeWorker before doing anything else.
+// it, and hands the accepted connection to the coordinator, waiting at
+// most acceptTimeout for the worker to dial back. Exe is usually the
+// coordinator's own binary (os.Executable), whose main calls MaybeWorker
+// before doing anything else. Workers write to the coordinator's stderr.
 type ProcLauncher struct {
 	Exe  string
 	Args []string
-	// AcceptTimeout bounds the wait for the worker to dial back
-	// (default 10s).
-	AcceptTimeout time.Duration
-	// Stderr, when set, receives worker stderr (defaults to the
-	// coordinator's own stderr).
-	Stderr *os.File
 }
+
+const acceptTimeout = 10 * time.Second
 
 // procHandle is a process worker: the accepted loopback connection plus
 // the process to reap.
@@ -92,22 +89,12 @@ func (l *ProcLauncher) Start(shard int) (Handle, error) {
 	}
 	defer ln.Close()
 	cmd := exec.Command(l.Exe, l.Args...)
-	cmd.Env = append(os.Environ(),
-		fmt.Sprintf("%s=%s", WorkerAddrEnv, ln.Addr().String()),
-		fmt.Sprintf("MSHARD_SHARD=%d", shard))
-	if l.Stderr != nil {
-		cmd.Stderr = l.Stderr
-	} else {
-		cmd.Stderr = os.Stderr
-	}
+	cmd.Env = append(os.Environ(), fmt.Sprintf("%s=%s", WorkerAddrEnv, ln.Addr().String()))
+	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		return nil, err
 	}
-	timeout := l.AcceptTimeout
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	ln.(*net.TCPListener).SetDeadline(time.Now().Add(timeout))
+	ln.(*net.TCPListener).SetDeadline(time.Now().Add(acceptTimeout))
 	conn, err := ln.Accept()
 	if err != nil {
 		cmd.Process.Kill()

@@ -17,11 +17,10 @@ import (
 	"repro/internal/guard"
 )
 
-// RunResult is a distributed scenario run's outcome: the scenario result
-// plus the supervision history and the final machine digest.
+// RunResult is a distributed scenario run's outcome: the scenario result,
+// final machine digest included, plus the supervision history.
 type RunResult struct {
 	*core.ScenarioResult
-	Digest      string // machine.Digest of the final hub state
 	Shards      int
 	Failures    []FailureRecord
 	Recoveries  int
@@ -29,11 +28,13 @@ type RunResult struct {
 }
 
 // RunScenario boots a hub simulator for sc, launches cfg.Shards workers,
-// and drives the plan to completion distributed. The scenario file's
-// cycle budget (or o.Supervise.CycleBudget) clamps run phases through the same
-// guard.Supervisor.RunPhase an in-process run uses, so exhaustion is a
-// *guard.StallError at the identical cycle. The returned Sim's machine
-// is closed but readable, as after Scenario.RunSim.
+// and drives the plan to completion distributed, through the driver and
+// under the supervision bounds an in-process run has (Scenario.Supervision:
+// o.Supervise, else the file's deadline/budget). A budget is exhausted at
+// the identical cycle as in process; a deadline stops the federation at
+// its next window head. The returned Sim's machine is closed but readable,
+// as after Scenario.RunSim, except after a hang (guard.IsHang), when the
+// wedged run still owns it and the federation.
 func RunScenario(sc *core.Scenario, o core.Options, cfg Config) (*RunResult, *core.Sim, error) {
 	if sc.Plan.Sweep != nil {
 		// Sweep points fork the hub machine mid-run; sharded workers
@@ -58,30 +59,17 @@ func RunScenario(sc *core.Scenario, o core.Options, cfg Config) (*RunResult, *co
 		s.M.Close()
 		return nil, s, err
 	}
-	defer co.Close()
-
-	budget := o.Supervise.CycleBudget
-	if budget == 0 {
-		budget = sc.Plan.CycleBudget
+	res, err := sc.NewRun(s).Drive(guard.NewOver(co, s.M, sc.Supervision(o)), 0, nil)
+	if guard.IsHang(err) {
+		return nil, s, err
 	}
-	sup := guard.NewOver(co, s.M, guard.Options{CycleBudget: budget})
-
-	run := sc.NewRun(s)
-	for !run.Done() {
-		if _, err := run.Advance(sup, 0); err != nil {
-			s.M.Close()
-			return nil, s, err
-		}
-	}
-	res := run.Result()
-	digest, err := s.M.Digest()
+	co.Close()
 	s.M.Close()
 	if err != nil {
 		return nil, s, err
 	}
 	return &RunResult{
 		ScenarioResult: res,
-		Digest:         digest,
 		Shards:         co.Shards(),
 		Failures:       co.Failures(),
 		Recoveries:     co.Recoveries(),

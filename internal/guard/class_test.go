@@ -13,8 +13,8 @@ import (
 
 // TestClassify is the supervision taxonomy in one table: every class, as
 // each layer raises it — guard's own typed errors (bare and as Do
-// produces them), the errors the session service synthesizes or passes
-// through, the coordinator's shard failures (bare and as the terminal
+// produces them), the errors the session service passes through or
+// wraps, the coordinator's shard failures (bare and as the terminal
 // recovery-cap error wraps them) — and which of them a retry can get
 // past.
 func TestClassify(t *testing.T) {
@@ -51,8 +51,6 @@ func TestClassify(t *testing.T) {
 		{"guard: wall deadline, stop answered", timedOut, guard.ClassStallTimeout, true},
 		{"guard: wall deadline, stop ignored", hung, guard.ClassStallHang, true},
 		// serve
-		{"serve: attempt deadline passed at a quantum head",
-			&guard.StallError{Kind: guard.StallTimeout, Cycle: 9, Timeout: time.Second}, guard.ClassStallTimeout, true},
 		{"serve: failed expectation with its source position",
 			fmt.Errorf("s.wl:6:1: expect reg: node 0 vthread 0 cluster 0 i1 = 10, want 11"), guard.ClassScenario, false},
 		{"serve: phase outran its own bound",

@@ -61,8 +61,10 @@ type Options struct {
 	// loop-head sync point and yields a *StallError (StallTimeout).
 	Timeout time.Duration
 
-	// CycleBudget caps the machine cycles one Do call may advance,
-	// across all its RunPhase legs; 0 disables. Exhaustion yields a
+	// CycleBudget caps the machine cycles the supervised run may advance
+	// past the cycle the Supervisor was built at, across all its RunPhase
+	// legs; 0 disables. A machine restored after New counts from New's
+	// cycle, so one budget spans a resumed run. Exhaustion yields a
 	// *StallError (StallBudget). Enforcement is deterministic: the
 	// budget clamps each leg's cycle bound, so the same scenario
 	// exhausts at the same cycle on every host and engine.
@@ -288,7 +290,7 @@ type Supervisor struct {
 	leg LegRunner
 	opt Options
 
-	base        int64 // budget accounting base: machine cycle at New, re-based at Do entry
+	base        int64 // budget accounting base: machine cycle at New
 	supervising bool
 }
 
@@ -340,7 +342,6 @@ func (s *Supervisor) Do(fn func() error) error {
 	defer func() { s.supervising = false }()
 
 	s.m.ClearStop()
-	s.base = s.m.Cycle
 	start := time.Now()
 
 	done := make(chan outcome, 1)
@@ -406,8 +407,7 @@ func (s *Supervisor) Do(fn func() error) error {
 // exhaustion reproduces at the identical cycle on every host, engine and
 // transport. When the global budget — not the leg's own bound — is what
 // cut the run off, the error is a *StallError (StallBudget) that Do
-// enriches with diagnostics and the dump on the way out. Outside a Do the
-// budget counts from the cycle the Supervisor was built at.
+// enriches with diagnostics and the dump on the way out.
 func (s *Supervisor) RunPhase(maxCycles int64) (int64, error) {
 	if s.opt.CycleBudget <= 0 {
 		return s.leg.Run(maxCycles)

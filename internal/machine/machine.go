@@ -312,6 +312,11 @@ func (m *Machine) Close() {
 // ClearStop; a Run entered with the flag raised returns immediately.
 func (m *Machine) RequestStop() { m.stopReq.Store(true) }
 
+// StopRequested reports a pending stop request, for a loop that runs this
+// machine's legs elsewhere (the dist coordinator) and must answer it at
+// its own loop heads.
+func (m *Machine) StopRequested() bool { return m.stopReq.Load() }
+
 // ClearStop lowers the stop flag. Supervisors call it before starting a
 // supervised run so a stale request from a previous run cannot abort the
 // new one.

@@ -12,15 +12,17 @@ package serve
 //     pure function of (plan, CheckpointEvery, position), so a resumed
 //     session executes the identical machine.Run bound sequence an
 //     uninterrupted one would, and finishes bit-identical to it.
-//   - Budgets are mandatory and enforced out-of-band: the wall deadline
-//     is per attempt (a retry gets a fresh clock; progress persists via
-//     checkpoints), the cycle budget is global across attempts (simulated
-//     cycles are deterministic, so exhaustion reproduces exactly).
-//   - Interrupts (cancel, drain) are observed at quantum heads and, via
-//     machine.RequestStop, at run-loop heads mid-quantum. guard.Do wipes
-//     pending stop requests at entry, so the flag checks at quantum heads
-//     are what make interrupt delivery reliable; the in-flight stop just
-//     shortens the current slice.
+//   - Budgets are mandatory and enforced by one guard.Supervisor per
+//     attempt, which drives the scenario (core.ScenarioRun.Drive): the
+//     wall deadline is per attempt (a retry gets a fresh clock; progress
+//     persists via checkpoints), the cycle budget is global across
+//     attempts and cuts off at exactly its cycle (simulated cycles are
+//     deterministic, so exhaustion reproduces exactly).
+//   - Interrupts (cancel, drain) are observed at quantum boundaries and,
+//     via machine.RequestStop, at run-loop heads mid-quantum. guard.Do
+//     wipes pending stop requests at entry, so the flag checks at quantum
+//     boundaries are what make interrupt delivery reliable; the in-flight
+//     stop just shortens the current slice.
 
 import (
 	"bytes"
@@ -450,8 +452,8 @@ func (sv *Server) runSession(s *Session) {
 		sv.mu.Unlock()
 		sv.cfg.logf("session %s: retry %d/%d in %v (%s)",
 			s.ID, s.retries, sv.cfg.Retries, backoff, s.failClass)
-		// An interrupted backoff re-enters runAttempt, whose quantum-head
-		// checks cancel or suspend immediately.
+		// An interrupted backoff re-enters runAttempt, whose interrupt
+		// check cancels or suspends before the run starts.
 		sv.sleep(s, backoff)
 	}
 }
@@ -505,8 +507,9 @@ func (sv *Server) suspend(s *Session) {
 }
 
 // runAttempt executes one attempt: boot (or restore) a simulator, then
-// advance the scenario quantum by quantum under a supervisor, spooling a
-// checkpoint at every run-slice boundary. It leaves the session terminal
+// drive the scenario in CheckpointEvery-cycle slices under one
+// supervisor, spooling a checkpoint at every run-slice boundary. Its
+// cycle budget clamps the last slice. It leaves the session terminal
 // (or suspended) and returns false, or records a transient failure and
 // returns true: retry from the latest checkpoint.
 func (sv *Server) runAttempt(s *Session) (retry bool) {
@@ -533,28 +536,30 @@ func (sv *Server) runAttempt(s *Session) (retry bool) {
 			sim.M.Close()
 		}
 	}()
+	// One supervisor per attempt, built at cycle 0 before the checkpoint is
+	// restored: the wall deadline is the attempt's own, and the cycle
+	// budget counts from the session's first cycle, across every attempt.
+	sup := guard.New(sim.M, guard.Options{
+		Timeout:     s.wall,
+		CycleBudget: s.cycleBudget,
+		Grace:       sv.cfg.Grace,
+		DumpPath:    crashPath(sv.cfg.Spool, s.ID),
+	})
 
 	run := s.sc.NewRun(sim)
 	resumed := false
 	if len(ck.Machine) > 0 {
-		if err := sim.M.Restore(bytes.NewReader(ck.Machine)); err == nil {
-			if err := run.Seek(ck.NextStep, ck.PhaseRan, ck.Phases, ck.Checks); err == nil {
-				resumed = true
-			}
-		}
+		// Seek checks only the position, and a failed Restore leaves the
+		// machine untouched, so a corrupt or incompatible checkpoint falls
+		// back to a fresh start on the same simulator.
+		resumed = run.Seek(ck.NextStep, ck.PhaseRan, ck.Phases, ck.Checks) == nil &&
+			sim.M.Restore(bytes.NewReader(ck.Machine)) == nil
 		if resumed {
 			sv.mu.Lock()
 			sv.stats.Restores++
 			sv.mu.Unlock()
 		} else {
-			// Corrupt or incompatible snapshot: fall back to a fresh start.
 			sv.cfg.logf("session %s: checkpoint restore failed; restarting from scratch", s.ID)
-			sim.M.Close()
-			if sim, err = s.sc.NewSim(core.Options{}); err != nil {
-				closeSim = false
-				sv.fail(s, guard.ClassScenario, err)
-				return false
-			}
 			run = s.sc.NewRun(sim)
 		}
 	}
@@ -569,65 +574,10 @@ func (sv *Server) runAttempt(s *Session) (retry bool) {
 	}
 
 	s.attach(sim)
-	deadline := time.Now().Add(s.wall)
-
-	// interrupted finalizes a pending cancel or drain, if there is one.
-	interrupted := func() bool {
-		if s.isCanceled() {
-			sv.cancel(s)
-			return true
-		}
-		if sv.Draining() {
-			sv.suspend(s)
-			return true
-		}
+	if sv.interrupted(s) {
 		return false
 	}
-
-	for !run.Done() {
-		// Quantum-head interrupt checks. guard.Do clears any pending stop
-		// request at entry, so these flags — not the stop flag — are the
-		// reliable interrupt signal; RequestStop only shortens a slice.
-		if interrupted() {
-			return false
-		}
-		remWall := time.Until(deadline)
-		if remWall <= 0 {
-			return sv.attemptFailed(s, &guard.StallError{Kind: guard.StallTimeout, Cycle: sim.M.Cycle, Timeout: s.wall}, &closeSim)
-		}
-		slice := sv.cfg.CheckpointEvery
-		if rem := s.cycleBudget - sim.M.Cycle; rem <= 0 {
-			sv.fail(s, guard.ClassBudget,
-				fmt.Errorf("cycle budget %d exhausted at cycle %d", s.cycleBudget, sim.M.Cycle))
-			return false
-		} else if rem < slice {
-			slice = rem
-		}
-
-		sup := guard.New(sim.M, guard.Options{
-			Timeout:  remWall,
-			Grace:    sv.cfg.Grace,
-			DumpPath: crashPath(sv.cfg.Spool, s.ID),
-		})
-		var ran bool
-		err = sup.Do(func() error {
-			var e error
-			ran, e = run.Advance(sup, slice)
-			return e
-		})
-		if err != nil {
-			// Stop-flag interrupts surface as machine.ErrStopped; map them
-			// back to whoever requested the stop.
-			if errors.Is(err, machine.ErrStopped) {
-				if interrupted() {
-					return false
-				}
-				// A stray stop with no interrupt pending: treat as a
-				// transient stall and recover from the checkpoint.
-				err = &guard.StallError{Kind: guard.StallTimeout, Cycle: sim.M.Cycle, Timeout: s.wall}
-			}
-			return sv.attemptFailed(s, err, &closeSim)
-		}
+	result, err := run.Drive(sup, sv.cfg.CheckpointEvery, func(ran bool) error {
 		if ran {
 			// Between cycles at a deterministic slice boundary: publish
 			// progress and spool the recovery checkpoint.
@@ -638,23 +588,42 @@ func (sv *Server) runAttempt(s *Session) (retry bool) {
 				sv.cfg.logf("session %s: checkpoint write failed: %v", s.ID, err)
 			}
 		}
-	}
-
-	// Completed. The digest of the final state is the bit-identity
-	// witness chaos runs are compared with.
-	digest, err := sim.M.Digest()
-	if err != nil {
-		sv.fail(s, guard.ClassScenario, fmt.Errorf("saving final state: %v", err))
+		// guard.Do cleared any stop request raised before it began, so
+		// these flags — not the stop flag — are the reliable interrupt
+		// signal; RequestStop only shortens a slice.
+		if s.isCanceled() || sv.Draining() {
+			return machine.ErrStopped
+		}
+		return nil
+	})
+	// Interrupts end the run with machine.ErrStopped, mid-slice or here.
+	if errors.Is(err, machine.ErrStopped) && sv.interrupted(s) {
 		return false
 	}
-	result := run.Result()
+	if err != nil {
+		return sv.attemptFailed(s, err, &closeSim)
+	}
+	// Completed. The digest of the final state is the bit-identity witness
+	// chaos runs are compared with.
 	removeSpooled(sv.cfg.Spool, s.ID)
 	sv.finish(s, StateDone, func() {
 		s.result = result
 		s.phases = append(s.phases[:0], result.Phases...)
 		s.checks = result.Checks
-		s.digest = digest
 	})
+	return false
+}
+
+// interrupted finalizes a pending cancel or drain of s, if there is one.
+func (sv *Server) interrupted(s *Session) bool {
+	if s.isCanceled() {
+		sv.cancel(s)
+		return true
+	}
+	if sv.Draining() {
+		sv.suspend(s)
+		return true
+	}
 	return false
 }
 

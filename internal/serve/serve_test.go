@@ -442,6 +442,95 @@ func TestBudgetExhaustionPermanent(t *testing.T) {
 	}
 }
 
+// TestBudgetExactAcrossResume: a session's cycle budget is global across
+// its attempts and cuts off at exactly the budget cycle, as under msim —
+// after a retry from a mid-run checkpoint, and on an attempt that resumes
+// at the budget cycle itself, which must fail at its next run phase
+// rather than run unbounded.
+func TestBudgetExactAcrossResume(t *testing.T) {
+	wantCutoff := func(t *testing.T, info Info, budget int64) {
+		t.Helper()
+		want := fmt.Sprintf("exhausted at cycle %d", budget)
+		if info.State != StateFailed || info.FailureClass != guard.ClassBudget || !strings.Contains(info.Failure, want) {
+			t.Fatalf("state %s class %s failure %q; want failed/%s %q", info.State, info.FailureClass, info.Failure, guard.ClassBudget, want)
+		}
+	}
+
+	t.Run("retried", func(t *testing.T) {
+		const budget = 1000
+		cfg := testConfig(t)
+		cfg.Chaos = &Chaos{Seed: 42, PanicEvery: 1, MaxCycle: 500}
+		sv := mustServer(t, cfg)
+		src := strings.Replace(spinScenario(600), "\nmesh 1\n", fmt.Sprintf("\nmesh 1\nbudget %d\n", budget), 1)
+		s, err := sv.Submit("spin.wl", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info := waitDone(t, s)
+		if info.Retries == 0 {
+			t.Fatal("the injected panic never fired")
+		}
+		wantCutoff(t, info, budget)
+	})
+
+	t.Run("none left", func(t *testing.T) {
+		const src = "workload \"twice\"\nmesh 2\ngenerate sp spinloop iters=600\nload sp on node 0\nrun 1000000\nload sp on node 1\nrun 1000000\n"
+		sc, err := core.ScenarioFromDSL("twice.wl", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first phase in process, then the checkpoint a drain at that
+		// boundary leaves, with the budget at exactly its cycle.
+		sim, err := sc.NewSim(core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sim.M.Close()
+		run := sc.NewRun(sim)
+		sup := guard.New(sim.M, guard.Options{})
+		err = sup.Do(func() error {
+			for len(run.Phases()) == 0 {
+				if _, err := run.Advance(sup, 0); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snapshot bytes.Buffer
+		if err := sim.M.Save(&snapshot); err != nil {
+			t.Fatal(err)
+		}
+		budget := sim.M.Cycle
+		step, phaseRan := run.Pos()
+		cfg := testConfig(t)
+		err = writeCheckpoint(ckptPath(cfg.Spool, "s000001"), &checkpoint{
+			ID: "s000001", Name: "twice.wl", Source: src,
+			WallNanos: int64(30 * time.Second), CycleBudget: budget,
+			NextStep: step, PhaseRan: phaseRan, Checks: run.Checks(), Phases: run.Phases(),
+			Machine: snapshot.Bytes(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// msim's verdict on the same budget.
+		_, err = sc.Run(core.Options{Supervise: guard.Options{CycleBudget: budget}})
+		if guard.Classify(err) != guard.ClassBudget || !strings.Contains(err.Error(), fmt.Sprintf("exhausted at cycle %d", budget)) {
+			t.Fatalf("in process: %v; want the budget cut off at cycle %d", err, budget)
+		}
+
+		sv := mustServer(t, cfg)
+		s, ok := sv.Get("s000001")
+		if !ok {
+			t.Fatal("checkpointed session not adopted")
+		}
+		wantCutoff(t, waitDone(t, s), budget)
+	})
+}
+
 func TestScenarioFailurePermanent(t *testing.T) {
 	sv := mustServer(t, testConfig(t))
 	src := "workload \"bad\"\nmesh 1\ngenerate sp spinloop iters=10\nload sp on node 0\nrun 100000\nexpect reg node=0 cluster=0 reg=1 value=11\n"

@@ -66,13 +66,12 @@ type Session struct {
 	retries  int           // transient failures recovered so far
 	attempts int           // supervised attempts started (including the first)
 	backoff  time.Duration // current retry backoff; nonzero only while retrying
-	canceled bool          // cancellation requested (observed at quantum heads)
+	canceled bool          // cancellation requested (observed at quantum boundaries)
 	sim      *core.Sim     // live machine while running (interrupt target)
 
 	phases    []core.PhaseResult // completed phases, live-updated
 	checks    int
-	result    *core.ScenarioResult // set when done
-	digest    string               // machine.Digest of the final state
+	result    *core.ScenarioResult // set when done, final Digest included
 	failure   string
 	failClass guard.Class // last failure's class; sticky across a recovery
 	dumpPath  string      // last crash dump, if any
@@ -212,8 +211,8 @@ func (s *Session) infoLocked() Info {
 	in := Info{
 		ID: s.ID, Name: s.Name, State: s.state, Retries: s.retries,
 		Attempts: s.attempts,
-		Checks:   s.checks, Digest: s.digest,
-		Failure: s.failure, FailureClass: s.failClass, DumpPath: s.dumpPath,
+		Checks:   s.checks,
+		Failure:  s.failure, FailureClass: s.failClass, DumpPath: s.dumpPath,
 	}
 	if s.state == StateRetrying && s.backoff > 0 {
 		in.Backoff = s.backoff.String()
@@ -222,7 +221,7 @@ func (s *Session) infoLocked() Info {
 		in.Phases = append(in.Phases, Phase{Name: p.Name, Cycles: p.Cycles})
 	}
 	if s.result != nil {
-		in.TotalCycles = s.result.TotalCycles
+		in.TotalCycles, in.Digest = s.result.TotalCycles, s.result.Digest
 	}
 	return in
 }

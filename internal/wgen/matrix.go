@@ -103,7 +103,6 @@ func Verify(seed uint64) error {
 		if err != nil {
 			return seedErr(seed, "dist engine: %v", err)
 		}
-		rr.ScenarioResult.Digest = rr.Digest
 		if fp := fingerprint(rr.ScenarioResult, s.Recorder); fp != ref {
 			return seedErr(seed, "dist engine diverged from %s:\n%s",
 				matrixModes[0].name, diffLines(ref, fp))
