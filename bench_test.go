@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/machine"
 	"repro/internal/noc"
 )
 
@@ -144,6 +145,34 @@ fill:
 		tb.Fatal(err)
 	}
 	return s
+}
+
+// BenchmarkBoot prices building a machine (DESIGN.md, Target vs Actual):
+// machine.New alone, and core.NewSim, which also installs the runtime,
+// on the 4x4x2 and 8x8x2 meshes — the set-up every workload, msimd
+// attempt and dist worker pays.
+func BenchmarkBoot(b *testing.B) {
+	for _, dims := range []noc.Coord{{X: 4, Y: 4, Z: 2}, {X: 8, Y: 8, Z: 2}} {
+		mesh := fmt.Sprintf("%dx%dx%d", dims.X, dims.Y, dims.Z)
+		b.Run("New/"+mesh, func(b *testing.B) {
+			cfg := machine.DefaultConfig()
+			cfg.Dims = dims
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				machine.New(cfg).Close()
+			}
+		})
+		b.Run("NewSim/"+mesh, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := core.NewSim(core.Options{Dims: dims})
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.M.Close()
+			}
+		})
+	}
 }
 
 // BenchmarkFork, BenchmarkSave and BenchmarkRestore price the checkpoint

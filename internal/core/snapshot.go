@@ -25,7 +25,7 @@ func (s *Sim) Save(w io.Writer) error { return s.M.Save(w) }
 func (s *Sim) Restore(r io.Reader) error { return s.M.Restore(r) }
 
 // Fork clones the simulator (see machine.Fork: a structural copy that
-// shares SDRAM chunks copy-on-write): the clone shares the immutable
+// shares SDRAM pages copy-on-write): the clone shares the immutable
 // runtime, starts a fresh trace recorder, and evolves independently
 // (what-if runs from a common prefix), on another goroutine if desired.
 func (s *Sim) Fork() (*Sim, error) {

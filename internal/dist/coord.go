@@ -191,6 +191,7 @@ type Coordinator struct {
 	reach     int64
 
 	ck           checkpoint
+	ckBuf        *bytes.Buffer // ck.machine's storage, from snapBufs until Close
 	lastCkpt     int64
 	ckCount      int
 	pendingTrace trace.Recorder
@@ -263,8 +264,14 @@ func (co *Coordinator) Recoveries() int           { return co.recoveries }
 func (co *Coordinator) Checkpoints() int          { return co.ckCount }
 
 // Close shuts the federation down: orderly cmdShutdown where possible,
-// then handle teardown. Safe on a partially constructed coordinator.
+// then handle teardown, and hands the checkpoint buffer on to the next
+// coordinator. Safe on a partially constructed coordinator.
 func (co *Coordinator) Close() {
+	if co.ckBuf != nil {
+		co.ck = checkpoint{}
+		snapBufs.Put(co.ckBuf)
+		co.ckBuf = nil
+	}
 	for _, sc := range co.shards {
 		if sc == nil || sc.h == nil {
 			continue
@@ -787,11 +794,17 @@ func (co *Coordinator) takeCheckpoint(atStep bool) error {
 			return f
 		}
 	}
-	var buf bytes.Buffer
-	if err := co.m.Save(&buf); err != nil {
+	// The new checkpoint overwrites the old one's bytes: a failed Save is
+	// terminal, so there is nothing left to rewind to either way.
+	if co.ckBuf == nil {
+		co.ckBuf = snapBufs.Get().(*bytes.Buffer)
+	}
+	co.ckBuf.Reset()
+	if err := co.m.Save(co.ckBuf); err != nil {
+		co.ck = checkpoint{}
 		return fmt.Errorf("dist: checkpoint: %w", err)
 	}
-	co.ck = checkpoint{machine: buf.Bytes(), cycle: co.cycle, loop: co.loop, atStep: atStep, valid: true}
+	co.ck = checkpoint{machine: co.ckBuf.Bytes(), cycle: co.cycle, loop: co.loop, atStep: atStep, valid: true}
 	co.lastCkpt = co.cycle
 	co.ckCount++
 	co.commitTrace()

@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"time"
 
 	"repro/internal/machine"
@@ -129,6 +130,12 @@ type initSpec struct {
 	HeartbeatMillis int64
 	Chaos           []ChaosSpec
 }
+
+// snapBufs recycles the buffers machine-sized frames are encoded into —
+// a coordinator's checkpoint, a worker's pull — across the coordinators
+// and workers of successive runs, so each Save does not grow a fresh
+// buffer by doubling and the garbage does not pace the collector.
+var snapBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // frame returns the bytes walk writes. (A bytes.Buffer sink never fails,
 // so the flush has no error to report.)

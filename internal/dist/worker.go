@@ -77,6 +77,7 @@ type worker struct {
 	rep     stepReply
 	stepped []int
 	before  []pending
+	pullBuf *bytes.Buffer // pull's frame, from snapBufs until ServeConn returns
 
 	hbStop chan struct{}
 	hbOnce sync.Once
@@ -91,6 +92,11 @@ type worker struct {
 func ServeConn(conn net.Conn) error {
 	w := &worker{conn: conn}
 	defer w.stopHeartbeat()
+	defer func() {
+		if w.pullBuf != nil {
+			snapBufs.Put(w.pullBuf)
+		}
+	}()
 	if err := w.send(repHello, encodeI64(protoVersion)); err != nil {
 		return err
 	}
@@ -338,11 +344,15 @@ func (w *worker) stepCycle(t int64, out *cycleReply) {
 }
 
 // pull serializes the owned range as a partial-machine frame for
-// coordinated checkpoints and end-of-phase reassembly.
+// coordinated checkpoints and end-of-phase reassembly. The frame is valid
+// until the next pull: ServeConn sends it before reading another command.
 func (w *worker) pull() []byte {
-	var buf bytes.Buffer
-	if err := w.m.EncodeShard(&buf, w.spec.Lo, w.spec.Hi); err != nil {
+	if w.pullBuf == nil {
+		w.pullBuf = snapBufs.Get().(*bytes.Buffer)
+	}
+	w.pullBuf.Reset()
+	if err := w.m.EncodeShard(w.pullBuf, w.spec.Lo, w.spec.Hi); err != nil {
 		panic(err)
 	}
-	return buf.Bytes()
+	return w.pullBuf.Bytes()
 }

@@ -114,23 +114,32 @@ func TestReadSnapshotConfigBounds(t *testing.T) {
 	}
 }
 
-// TestNewAllocationPin: booting a 4x4x2 mesh costs what its nodes have
-// touched — the network, the chips, one SDRAM chunk each for the page
-// allocator's counter — not every node's full cache line array.
+// TestNewAllocationPin: booting a mesh costs what its nodes have touched
+// — the network, the chips, one SDRAM page each for the page allocator's
+// counter — not every node's full cache line array or a 64-KByte SDRAM
+// chunk per node.
 func TestNewAllocationPin(t *testing.T) {
-	cfg := machine.DefaultConfig()
-	cfg.Dims = noc.Coord{X: 4, Y: 4, Z: 2}
-	var a, b runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&a)
-	const runs = 4
-	for range runs {
-		machine.New(cfg).Close()
-	}
-	runtime.ReadMemStats(&b)
-	n := (b.TotalAlloc - a.TotalAlloc) / runs
-	t.Logf("machine.New of a 4x4x2 mesh: %d bytes", n)
-	if n > 3_500_000 {
-		t.Errorf("machine.New of a 4x4x2 mesh allocates %d bytes, want <= 3.5 MB", n)
+	for _, tc := range []struct {
+		dims  noc.Coord
+		bound uint64
+	}{
+		{noc.Coord{X: 4, Y: 4, Z: 2}, 1_200_000},
+		{noc.Coord{X: 8, Y: 8, Z: 2}, 4_000_000},
+	} {
+		cfg := machine.DefaultConfig()
+		cfg.Dims = tc.dims
+		var a, b runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&a)
+		const runs = 4
+		for range runs {
+			machine.New(cfg).Close()
+		}
+		runtime.ReadMemStats(&b)
+		n := (b.TotalAlloc - a.TotalAlloc) / runs
+		t.Logf("machine.New of a %v mesh: %d bytes", tc.dims, n)
+		if n > tc.bound {
+			t.Errorf("machine.New of a %v mesh allocates %d bytes, want <= %d", tc.dims, n, tc.bound)
+		}
 	}
 }

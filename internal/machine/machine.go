@@ -15,7 +15,7 @@
 // all-or-nothing (a corrupt or mismatched stream errors and leaves the
 // machine untouched; a good one installs new chip, network and GDT
 // objects), and Fork clones a machine for what-if runs,
-// sharing SDRAM chunks copy-on-write. Snapshots are engine-agnostic: a stream
+// sharing SDRAM pages copy-on-write. Snapshots are engine-agnostic: a stream
 // saved under one engine restores and continues bit-identically under
 // any other (DESIGN.md, "Checkpoint/restore").
 package machine

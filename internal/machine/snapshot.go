@@ -4,7 +4,7 @@ package machine
 // the complete simulation state — every chip, the memory systems, the
 // in-flight network, the GDT, and the machine clock — to a versioned
 // binary stream; Restore loads one into a compatible machine; Fork clones
-// a machine structurally, sharing SDRAM chunks copy-on-write.
+// a machine structurally, sharing SDRAM pages copy-on-write.
 //
 // Snapshots are engine-agnostic: Save first materializes the idle-chip
 // bookkeeping the chip phase deferred (the same sync point Run and Close
@@ -214,9 +214,9 @@ func (m *Machine) Restore(rd io.Reader) error {
 // indistinguishable from Restore(Save(m)) into a fresh machine under
 // every engine: a new shell, and install on the cloned parts where
 // Restore runs it on decoded ones. Every component is copied by its Clone
-// method except what is immutable (programs) and the materialized SDRAM
-// chunks, which original and clone share until either writes one
-// (mem.SDRAM.Clone); the two machines may then run on different
+// method except what is immutable (programs) and the SDRAM's chunk
+// tables and pages, which original and clone share until either writes
+// one (mem.SDRAM.Clone); the two machines may then run on different
 // goroutines.
 func (m *Machine) Fork() (*Machine, error) {
 	m.syncDeferred()

@@ -12,12 +12,14 @@ package machine_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/machine"
+	"repro/internal/snap"
 	"repro/internal/wgen"
 )
 
@@ -90,6 +92,58 @@ func wgenSnapshot(f *testing.F, seed uint64) []byte {
 	return buf.Bytes()
 }
 
+// unorderedStreams returns a 1-node snapshot with node 0's first SDRAM
+// chunk record, then its first cache line record, repeated: streams whose
+// second index repeats the first. Each must fail to restore — the decoder
+// would otherwise let the later record silently replace the earlier one.
+func unorderedStreams(f *testing.F, base []byte) [][]byte {
+	m, _, err := newFuzzTarget()
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer m.Close()
+	if err := m.Restore(bytes.NewReader(base)); err != nil {
+		f.Fatal(err)
+	}
+	const (
+		sdramHeader = 8 + 1 + 8 + 8          // row state and statistics
+		chunkRecord = 8 + (8192+2*8192/64)*8 // index, words, pointer tags, sync bits
+		cacheHeader = 3 * 8                  // statistics
+		lineRecord  = 8 + 3*8 + 2 + 8*8 + 8  // index, tag, block, base, flags, words, tags
+	)
+	mm := m.Chips[0].Mem
+	var out [][]byte
+	for _, sec := range []struct {
+		walk         func(*snap.Codec)
+		header, size int
+	}{
+		{mm.SDRAM.State, sdramHeader, chunkRecord},
+		{mm.Cache.State, cacheHeader, lineRecord},
+	} {
+		var b bytes.Buffer
+		enc := snap.NewEncoder(&b)
+		sec.walk(enc)
+		if err := enc.Flush(); err != nil {
+			f.Fatal(err)
+		}
+		old := b.Bytes()
+		at := bytes.Index(base, old)
+		n := binary.LittleEndian.Uint64(old[sec.header:])
+		if at < 0 || n == 0 {
+			f.Fatalf("section of %d records not found in the baseline snapshot", n)
+		}
+		body := old[sec.header+8:]
+		dup := binary.LittleEndian.AppendUint64(bytes.Clone(old[:sec.header]), n+1)
+		dup = append(append(dup, body[:sec.size]...), body...)
+		stream := append(append(bytes.Clone(base[:at]), dup...), base[at+len(old):]...)
+		if err := m.Restore(bytes.NewReader(stream)); err == nil || !strings.Contains(err.Error(), "indices must increase") {
+			f.Fatalf("a repeated record index: restore error %v, want increasing indices demanded", err)
+		}
+		out = append(out, stream)
+	}
+	return out
+}
+
 // Per-worker-process fuzz state: the target machine is built lazily on
 // the first execution and reset to its baseline after every accepted
 // stream, so executions are independent. fuzzBefore caches the target's
@@ -111,8 +165,12 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(base)
-	f.Add(scenarioSnapshot(f, "loopsync2.wl"))  // mesh 1: full decode path
-	f.Add(scenarioSnapshot(f, "stencil7x2.wl")) // mesh 1: full decode path
+	f.Add(scenarioSnapshot(f, "loopsync2.wl")) // mesh 1: full decode path
+	stencil := scenarioSnapshot(f, "stencil7x2.wl")
+	f.Add(stencil) // mesh 1: full decode path
+	for _, crafted := range unorderedStreams(f, stencil) {
+		f.Add(crafted)
+	}
 	f.Add(scenarioSnapshot(f, "ringreduce.wl")) // mesh 4: dims-mismatch path
 	f.Add(wgenSnapshot(f, 0))                   // generated, mesh 1: user-mode state
 	f.Add(wgenSnapshot(f, 5))                   // generated, mesh 4 sweep: staging machine

@@ -98,9 +98,7 @@ func (c *Cache) Fill(s *SDRAM, vaddr, physBase uint64, writable bool) cacheLine 
 	ln.physBase = physBase &^ (BlockWords - 1)
 	ln.writable = writable
 	ln.dirty = false
-	for i := uint64(0); i < BlockWords; i++ {
-		ln.words[i], ln.ptrs[i] = s.Read(ln.physBase + i)
-	}
+	s.ReadBlock(ln.physBase, &ln.words, &ln.ptrs)
 	return victim
 }
 
@@ -110,9 +108,7 @@ func (c *Cache) WriteBack(s *SDRAM, ln cacheLine) {
 		return
 	}
 	c.Writebacks++
-	for i := uint64(0); i < BlockWords; i++ {
-		s.Write(ln.physBase+i, ln.words[i], ln.ptrs[i])
-	}
+	s.WriteBlock(ln.physBase, &ln.words, &ln.ptrs)
 }
 
 // InvalidateBlock drops the line holding the block containing vaddr,

@@ -40,18 +40,39 @@ func DefaultSDRAMConfig() SDRAMConfig {
 	}
 }
 
-// chunkWords is the lazily-materialized SDRAM allocation granule: storage
-// for a chunk (data words plus the out-of-band pointer-tag and
-// synchronization bits) is allocated on first write. Untouched physical
+// SDRAM storage is allocated by the paper's 512-word page: a page's data
+// words plus its out-of-band pointer-tag and synchronization bits exist
+// only once something non-zero was written there. Untouched physical
 // memory reads as zero either way, so laziness is invisible to programs,
-// but booting a node costs microseconds instead of zeroing 8 MBytes — the
-// dominant cost of experiment harnesses that build many fresh machines.
-const chunkWords = 1 << 13 // 8 KW = 64 KBytes of data per chunk
+// but booting a node costs one page for the runtime's allocator counter
+// instead of zeroing 8 MBytes — the dominant cost of experiment harnesses
+// that build many fresh machines.
+//
+// Pages are grouped in 8 KW chunks, the snapshot stream's unit: a chunk
+// is a table of page pointers, and a chunk whose table exists travels in
+// the stream whole (absent pages as zeros) even when no page of it holds
+// data, so the stream never depends on which pages were allocated.
+const (
+	chunkWords = 1 << 13 // 8 KW = 64 KBytes of data per chunk
+	chunkPages = chunkWords / PageWords
+	pageBits   = PageWords / 64 // pointer-tag or sync words per page
+)
+
+type sdramPage struct {
+	words [PageWords]uint64
+	ptr   [pageBits]uint64
+	sync  [pageBits]uint64
+}
+
+// zeroPage stands in for every absent page when a chunk is encoded.
+var zeroPage sdramPage
 
 type sdramChunk struct {
-	words [chunkWords]uint64
-	ptr   [chunkWords / 64]uint64
-	sync  [chunkWords / 64]uint64
+	pages [chunkPages]*sdramPage
+	// shared marks pages also referenced by another chunk table (the
+	// table was copied from one a Clone shared): such a page is
+	// immutable, and the first write replaces it with a private copy.
+	shared uint16 `snap:"derived,copy-on-write ownership; a decoded chunk owns every page"`
 }
 
 // SDRAM models a node's local synchronous DRAM: the word array plus the
@@ -62,11 +83,12 @@ type sdramChunk struct {
 type SDRAM struct {
 	cfg    SDRAMConfig `snap:"derived,fixed at construction; decode validates against it"`
 	chunks []*sdramChunk
-	// shared[i] marks chunks[i] as also referenced by another SDRAM (the
-	// other side of a Clone): it is then immutable, and the first write
-	// replaces it with a private copy (chunkFor). The bit is per SDRAM,
-	// never cleared by the other side's copy, so at worst the last owner
-	// copies once more than it had to.
+	// shared[i] marks chunks[i]'s table as also referenced by another
+	// SDRAM (the other side of a Clone): it is then immutable, and the
+	// first write through it copies the table, marking every page in it
+	// shared (pageFor). The bit is per SDRAM, never cleared by the other
+	// side's copy, so at worst the last owner copies once more than it
+	// had to.
 	shared  []bool `snap:"derived,copy-on-write ownership, set by Clone; a decoded SDRAM owns every chunk"`
 	openRow uint64
 	hasOpen bool
@@ -85,23 +107,56 @@ func NewSDRAM(cfg SDRAMConfig) *SDRAM {
 	}
 }
 
-// chunkFor returns the chunk containing pa for writing: materialized if
-// the memory was untouched, copied first if a Clone shares it. Every
-// mutation of chunk contents goes through here; reads never do.
-func (s *SDRAM) chunkFor(pa uint64) *sdramChunk {
-	i := pa / chunkWords
+// page returns the page holding pa for reading, nil if it was never
+// written.
+func (s *SDRAM) page(pa uint64) *sdramPage {
+	ch := s.chunks[pa/chunkWords]
+	if ch == nil {
+		return nil
+	}
+	return ch.pages[pa%chunkWords/PageWords]
+}
+
+// chunkFor returns chunk i's table for writing: created if the chunk was
+// untouched, copied first if a Clone shares it.
+func (s *SDRAM) chunkFor(i uint64) *sdramChunk {
 	ch := s.chunks[i]
 	switch {
 	case ch == nil:
 		ch = new(sdramChunk)
 		s.chunks[i] = ch
 	case s.shared[i]:
-		own := new(sdramChunk)
-		*own = *ch
+		own := &sdramChunk{pages: ch.pages}
+		for j, pg := range own.pages {
+			if pg != nil {
+				own.shared |= 1 << j
+			}
+		}
 		ch = own
 		s.chunks[i], s.shared[i] = ch, false
 	}
 	return ch
+}
+
+// pageFor returns the page containing pa for writing: materialized if the
+// memory was untouched, copied first if another table shares it. Every
+// mutation of page contents goes through here; reads never do.
+func (s *SDRAM) pageFor(pa uint64) *sdramPage {
+	ch := s.chunkFor(pa / chunkWords)
+	j := pa % chunkWords / PageWords
+	pg := ch.pages[j]
+	switch {
+	case pg == nil:
+		pg = new(sdramPage)
+		ch.pages[j] = pg
+	case ch.shared&(1<<j) != 0:
+		own := new(sdramPage)
+		*own = *pg
+		pg = own
+		ch.pages[j] = pg
+		ch.shared &^= 1 << j
+	}
+	return pg
 }
 
 // Size returns the physical capacity in words.
@@ -116,48 +171,94 @@ func (s *SDRAM) check(pa uint64) {
 // Read returns the word and pointer tag at physical address pa.
 func (s *SDRAM) Read(pa uint64) (uint64, bool) {
 	s.check(pa)
-	ch := s.chunks[pa/chunkWords]
-	if ch == nil {
+	pg := s.page(pa)
+	if pg == nil {
 		return 0, false
 	}
-	off := pa % chunkWords
-	return ch.words[off], ch.ptr[off/64]&(1<<(off%64)) != 0
+	off := pa % PageWords
+	return pg.words[off], pg.ptr[off/64]&(1<<(off%64)) != 0
 }
 
-// Write stores a word and its pointer tag at physical address pa.
+// Write stores a word and its pointer tag at physical address pa. A zero
+// untagged word written to an absent page allocates nothing: the chunk
+// then exists (and travels in the stream), its pages stay absent.
 func (s *SDRAM) Write(pa uint64, w uint64, ptr bool) {
 	s.check(pa)
-	ch := s.chunkFor(pa)
-	off := pa % chunkWords
-	ch.words[off] = w
-	if ptr {
-		ch.ptr[off/64] |= 1 << (off % 64)
-	} else {
-		ch.ptr[off/64] &^= 1 << (off % 64)
+	if w == 0 && !ptr && s.page(pa) == nil {
+		s.chunkFor(pa / chunkWords)
+		return
 	}
+	pg := s.pageFor(pa)
+	off := pa % PageWords
+	pg.words[off] = w
+	if ptr {
+		pg.ptr[off/64] |= 1 << (off % 64)
+	} else {
+		pg.ptr[off/64] &^= 1 << (off % 64)
+	}
+}
+
+// ReadBlock copies the 8-word block at block-aligned physical address pa,
+// with its pointer tags, into words and ptrs: one page lookup per block.
+func (s *SDRAM) ReadBlock(pa uint64, words *[BlockWords]uint64, ptrs *[BlockWords]bool) {
+	s.check(pa + BlockWords - 1)
+	pg := s.page(pa)
+	if pg == nil {
+		*words, *ptrs = [BlockWords]uint64{}, [BlockWords]bool{}
+		return
+	}
+	off := pa % PageWords
+	copy(words[:], pg.words[off:off+BlockWords])
+	bits := pg.ptr[off/64] >> (off % 64)
+	for i := range ptrs {
+		ptrs[i] = bits&(1<<i) != 0
+	}
+}
+
+// WriteBlock stores the 8-word block at block-aligned physical address pa
+// and its pointer tags: one page lookup per block. Like Write, an
+// all-zero untagged block written to an absent page allocates nothing.
+func (s *SDRAM) WriteBlock(pa uint64, words *[BlockWords]uint64, ptrs *[BlockWords]bool) {
+	s.check(pa + BlockWords - 1)
+	var bits uint64
+	for i, p := range ptrs {
+		if p {
+			bits |= 1 << i
+		}
+	}
+	if bits == 0 && *words == ([BlockWords]uint64{}) && s.page(pa) == nil {
+		s.chunkFor(pa / chunkWords)
+		return
+	}
+	pg := s.pageFor(pa)
+	off := pa % PageWords
+	copy(pg.words[off:off+BlockWords], words[:])
+	pg.ptr[off/64] = pg.ptr[off/64]&^((1<<BlockWords-1)<<(off%64)) | bits<<(off%64)
 }
 
 // SyncBit returns the synchronization bit for physical address pa.
 func (s *SDRAM) SyncBit(pa uint64) bool {
 	s.check(pa)
-	ch := s.chunks[pa/chunkWords]
-	if ch == nil {
+	pg := s.page(pa)
+	if pg == nil {
 		return false
 	}
-	return ch.sync[pa%chunkWords/64]&(1<<(pa%64)) != 0
+	off := pa % PageWords
+	return pg.sync[off/64]&(1<<(off%64)) != 0
 }
 
 // SetSyncBit sets or clears the synchronization bit for pa.
 func (s *SDRAM) SetSyncBit(pa uint64, full bool) {
 	s.check(pa)
-	if !full && s.chunks[pa/chunkWords] == nil {
+	if !full && s.page(pa) == nil {
 		return // untouched memory is already empty
 	}
-	ch := s.chunkFor(pa)
+	pg := s.pageFor(pa)
+	off := pa % PageWords
 	if full {
-		ch.sync[pa%chunkWords/64] |= 1 << (pa % 64)
+		pg.sync[off/64] |= 1 << (off % 64)
 	} else {
-		ch.sync[pa%chunkWords/64] &^= 1 << (pa % 64)
+		pg.sync[off/64] &^= 1 << (off % 64)
 	}
 }
 

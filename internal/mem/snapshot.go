@@ -1,14 +1,15 @@
 package mem
 
 // Checkpoint support (DESIGN.md, "Checkpoint/restore"): the memory
-// system's complete timed state — sparse SDRAM chunks with their
+// system's complete timed state — sparse SDRAM chunks and pages with their
 // pointer-tag and synchronization bitmaps, cache lines, LTLB entries and
 // FIFO order, in-flight responses, and the bank/SDRAM timing windows.
 // State walks it, filling a system from NewSystem when decoding (all
 // validation happens in the walk), and Clone is the fork path: the same
-// fields copied into an independent system, with the SDRAM chunks shared
-// copy-on-write. A decoded system keeps whatever I/O-bus device its shell
-// had, a clone has none; the owning chip attaches its own (AttachDevice).
+// fields copied into an independent system, with the SDRAM chunk tables
+// and pages shared copy-on-write. A decoded system keeps whatever I/O-bus
+// device its shell had, a clone has none; the owning chip attaches its
+// own (AttachDevice).
 
 import (
 	"fmt"
@@ -24,9 +25,12 @@ const (
 	maxLTLB     = 1 << 16
 )
 
-// State walks the SDRAM's row-mode state, statistics, and the
-// materialized chunks, each preceded by its index (lazy chunks that were
-// never written are omitted — they read as zero either way).
+// State walks the SDRAM's row-mode state, statistics, and the chunks
+// that exist, each preceded by its index; indices strictly increase
+// (chunks never touched are omitted — they read as zero either way). A
+// chunk travels as its 16 pages' words, then their pointer-tag words,
+// then their sync words, absent pages as zeros; a decoder reads it a page
+// at a time and allocates only the pages that hold a non-zero word or bit.
 func (s *SDRAM) State(c *snap.Codec) {
 	c.U64(&s.openRow)
 	c.Bool(&s.hasOpen)
@@ -42,35 +46,98 @@ func (s *SDRAM) State(c *snap.Codec) {
 	}
 	idx := -1
 	for range c.Len(n, len(s.chunks)) {
+		prev := idx
 		if !c.Reading() {
-			idx++
-			for s.chunks[idx] == nil {
-				idx++
+			for idx++; s.chunks[idx] == nil; idx++ {
 			}
 		}
 		c.Int(&idx)
-		if c.Reading() {
-			if c.Err() != nil {
-				break
-			}
-			if idx < 0 || idx >= len(s.chunks) {
-				c.Fail(fmt.Errorf("mem: snapshot chunk index %d outside %d-chunk SDRAM", idx, len(s.chunks)))
-				break
-			}
-			s.chunks[idx] = new(sdramChunk)
+		if !c.Reading() {
+			s.chunks[idx].encode(c)
+			continue
 		}
-		ch := s.chunks[idx]
-		c.RawU64s(ch.words[:])
-		c.RawU64s(ch.ptr[:])
-		c.RawU64s(ch.sync[:])
+		switch {
+		case c.Err() != nil:
+			return
+		case idx >= len(s.chunks):
+			c.Fail(fmt.Errorf("mem: snapshot chunk index %d outside %d-chunk SDRAM", idx, len(s.chunks)))
+			return
+		case idx <= prev:
+			c.Fail(fmt.Errorf("mem: snapshot chunk index %d follows chunk %d: indices must increase", idx, prev))
+			return
+		}
+		s.chunks[idx] = decodeChunk(c)
 	}
 }
 
-// Clone returns an independent SDRAM with s's contents. The materialized
-// chunks are not copied: both sides mark them shared and whichever
-// writes one first takes a private copy (chunkFor). A shared chunk is
-// never written, so the two SDRAMs may be used from different goroutines
-// without synchronization.
+// encode writes a chunk's index-less body (see SDRAM.State).
+func (ch *sdramChunk) encode(c *snap.Codec) {
+	for _, pg := range ch.pages {
+		c.RawU64s(orZero(pg).words[:])
+	}
+	for _, pg := range ch.pages {
+		c.RawU64s(orZero(pg).ptr[:])
+	}
+	for _, pg := range ch.pages {
+		c.RawU64s(orZero(pg).sync[:])
+	}
+}
+
+func orZero(pg *sdramPage) *sdramPage {
+	if pg == nil {
+		return &zeroPage
+	}
+	return pg
+}
+
+// decodeChunk reads a chunk body through the codec's staging buffer,
+// allocating a page only for non-zero words or bits.
+func decodeChunk(c *snap.Codec) *sdramChunk {
+	ch := new(sdramChunk)
+	page := func(j int) *sdramPage {
+		if ch.pages[j] == nil {
+			ch.pages[j] = new(sdramPage)
+		}
+		return ch.pages[j]
+	}
+	buf := c.Stage(PageWords)
+	for j := range ch.pages {
+		c.RawU64s(buf)
+		if !allZero(buf) {
+			copy(page(j).words[:], buf)
+		}
+	}
+	// Then every page's pointer-tag words, then every page's sync words.
+	for _, field := range []func(*sdramPage) []uint64{
+		func(pg *sdramPage) []uint64 { return pg.ptr[:] },
+		func(pg *sdramPage) []uint64 { return pg.sync[:] },
+	} {
+		bits := c.Stage(chunkPages * pageBits)
+		c.RawU64s(bits)
+		for j := range ch.pages {
+			if b := bits[j*pageBits : (j+1)*pageBits]; !allZero(b) {
+				copy(field(page(j)), b)
+			}
+		}
+	}
+	return ch
+}
+
+func allZero(ws []uint64) bool {
+	for _, w := range ws {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Clone returns an independent SDRAM with s's contents. The chunk tables
+// are not copied: both sides mark them shared, and whichever writes
+// through one first copies the table, whose pages it then marks shared,
+// and copies a page only when it writes that page (pageFor). A page
+// reachable from two SDRAMs is never written, so the two may be used from
+// different goroutines without synchronization.
 func (s *SDRAM) Clone() *SDRAM {
 	for i, ch := range s.chunks {
 		s.shared[i] = ch != nil
@@ -87,8 +154,8 @@ func (s *SDRAM) Clone() *SDRAM {
 }
 
 // State walks the cache statistics and every valid line, each preceded by
-// its index. Only pages that exist are counted and scanned; a decoder
-// allocates the page of each line it reads.
+// its index; indices strictly increase. Only pages that exist are counted
+// and scanned; a decoder allocates the page of each line it reads.
 func (ca *Cache) State(c *snap.Codec) {
 	c.U64(&ca.Hits)
 	c.U64(&ca.Misses)
@@ -116,13 +183,18 @@ func (ca *Cache) State(c *snap.Codec) {
 				}
 			}
 		}
+		prev := idx
 		c.Int(&idx)
 		if c.Reading() {
 			if c.Err() != nil {
 				break
 			}
-			if idx < 0 || idx >= ca.cfg.Lines {
+			if idx >= ca.cfg.Lines {
 				c.Fail(fmt.Errorf("mem: snapshot cache line %d outside %d-line cache", idx, ca.cfg.Lines))
+				break
+			}
+			if idx <= prev {
+				c.Fail(fmt.Errorf("mem: snapshot cache line %d follows line %d: indices must increase", idx, prev))
 				break
 			}
 			ca.line(uint64(idx)).valid = true

@@ -658,10 +658,18 @@ func (sv *Server) attemptFailed(s *Session, err error, closeSim *bool) (retry bo
 	return true
 }
 
+// saveBufs recycles the buffers boundary checkpoints are encoded into, so
+// a Save per slice does not grow a fresh buffer by doubling. No buffer
+// outlives one spoolProgress call: a wedged attempt's run goroutine can
+// still be inside one after its worker has moved on.
+var saveBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // spoolProgress writes the boundary checkpoint for a running session.
 func (sv *Server) spoolProgress(s *Session, run *core.ScenarioRun, sim *core.Sim) error {
-	var buf bytes.Buffer
-	if err := sim.M.Save(&buf); err != nil {
+	buf := saveBufs.Get().(*bytes.Buffer)
+	defer saveBufs.Put(buf)
+	buf.Reset()
+	if err := sim.M.Save(buf); err != nil {
 		return err
 	}
 	step, phaseRan := run.Pos()

@@ -377,17 +377,25 @@ func (c *Codec) Bools(bs *[]bool, max int) {
 
 // RawU64s walks exactly len(vs) words with no length prefix (fixed-size
 // arrays whose length the format implies). An encoder writes them
-// straight into its buffer, at most flushAt bytes between flushes, so
-// bulk sections (SDRAM chunks, register blocks) are staged nowhere else
-// and allocate nothing once the buffer has grown; a decoder fills vs
+// straight into its buffer, filling it to flushAt bytes between flushes,
+// so bulk sections (SDRAM pages, register blocks) are staged nowhere else,
+// the buffer never outgrows flushAt however the words are split into
+// calls, and nothing is allocated once it has grown; a decoder fills vs
 // through a reused buffer that never grows past one chunk.
 func (c *Codec) RawU64s(vs []uint64) {
 	if !c.reading {
 		for len(vs) > 0 {
-			c.room()
-			n := min(len(vs), flushAt/8)
-			c.buf = slices.Grow(c.buf, n*8)
+			if len(c.buf) > flushAt-8 {
+				c.Flush()
+			}
+			n := min(len(vs), (flushAt-len(c.buf))/8)
 			at := len(c.buf)
+			if cap(c.buf)-at < n*8 {
+				// Double up to flushAt: bulk sections arrive a page at a
+				// time, and growing by append's 1.25x would allocate the
+				// buffer several times over before it reaches flushAt.
+				c.buf = slices.Grow(c.buf, min(max(2*cap(c.buf), at+n*8), flushAt)-at)
+			}
 			c.buf = c.buf[:at+n*8]
 			for i, v := range vs[:n] {
 				binary.LittleEndian.PutUint64(c.buf[at+i*8:], v)
