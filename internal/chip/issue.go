@@ -352,7 +352,11 @@ func (c *Chip) effAddr(th *cluster.HThread, op *isa.Op) (addr uint64, write bool
 	write = op.Code == isa.ST || op.Code == isa.STSY || op.Code == isa.STP
 	base := th.Ints.Get(int(op.Src1.Index))
 	if op.Code == isa.LDP || op.Code == isa.STP {
-		return base.Bits + uint64(op.Imm), write, nil
+		pa := base.Bits + uint64(op.Imm)
+		if !c.Mem.Physical(pa) {
+			return 0, write, fmt.Errorf("physical address %#x outside SDRAM and the I/O window", pa)
+		}
+		return pa, write, nil
 	}
 	if th.Privileged {
 		if base.Ptr {

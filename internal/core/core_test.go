@@ -2,7 +2,10 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
+
+	"repro/internal/guard"
 )
 
 func TestSimQuickstart(t *testing.T) {
@@ -322,5 +325,27 @@ func TestGridSmoothScaling(t *testing.T) {
 	}
 	if rows[2].Speedup < 3.0 {
 		t.Errorf("4-node speedup = %.2f, want >= 3.0", rows[2].Speedup)
+	}
+}
+
+// TestPhysicalAccessOutsideSDRAMFaults: a privileged LDP/STP whose address
+// lies past the end of SDRAM (and outside the console window) faults the
+// thread with a message naming the address, like any other bad operand,
+// instead of panicking in the memory system — msim exits 1, not 4.
+func TestPhysicalAccessOutsideSDRAMFaults(t *testing.T) {
+	for _, op := range []string{"stp [i1],i0", "ldp i2,[i1]"} {
+		s, err := NewSim(Options{Nodes: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.LoadASM(0, 0, 0, "mov i1,#1070000\n"+op+"\nhalt\n"); err != nil {
+			t.Fatal(err)
+		}
+		_, err = s.RunSupervised(3000, guard.Options{})
+		s.M.Close()
+		if c := guard.Classify(err); err == nil || c != guard.ClassScenario || guard.ExitCode(err) != 1 ||
+			!strings.Contains(err.Error(), "physical address 0x1053b0 outside SDRAM") {
+			t.Errorf("%s: err %v (class %q); want a thread fault naming the address", op, err, c)
+		}
 	}
 }

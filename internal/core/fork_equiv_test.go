@@ -39,8 +39,8 @@ func advance(t *testing.T, sc *core.Scenario, s *core.Sim, run *core.ScenarioRun
 	sup := guard.New(s.M, guard.Options{})
 	err := sup.Do(func() error {
 		for !run.Done() {
-			step, _ := run.Pos()
-			if sc.Plan.Steps[step].Kind == workload.PlanRun && len(run.Phases()) == stopAt {
+			pos := run.Position()
+			if sc.Plan.Steps[pos.Next].Kind == workload.PlanRun && len(pos.Phases) == stopAt {
 				return nil
 			}
 			if _, err := run.Advance(sup, 0); err != nil {
@@ -146,10 +146,10 @@ func TestSimForkMatchesRestore(t *testing.T) {
 					}
 					clone, restored := cloneAndRestore(t, s, func() (*core.Sim, error) { return sc.NewSim(eng.opts) })
 
-					step, _ := run.Pos()
+					pos := run.Position()
 					resume := func(f *core.Sim) *core.ScenarioRun {
 						r := sc.NewRun(f)
-						if err := r.Seek(step, 0, run.Phases(), run.Checks()); err != nil {
+						if err := r.Seek(pos); err != nil {
 							t.Fatal(err)
 						}
 						return r

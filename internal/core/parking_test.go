@@ -151,8 +151,8 @@ func (tw *parkTwin) scenario(sc *core.Scenario) {
 	t := tw.t
 	ra, rb, ru := sc.NewRun(tw.a), sc.NewRun(tw.b), sc.NewRun(tw.u)
 	for !ra.Done() {
-		i, _ := ra.Pos()
-		st := sc.Plan.Steps[i]
+		pos := ra.Position()
+		st := sc.Plan.Steps[pos.Next]
 		switch st.Kind {
 		case workload.PlanExpectReg, workload.PlanExpectMem, workload.PlanCheck:
 		case workload.PlanRun:
@@ -173,8 +173,9 @@ func (tw *parkTwin) scenario(sc *core.Scenario) {
 			}
 			continue
 		}
+		pos.Next++
 		for _, r := range []*core.ScenarioRun{ra, rb, ru} {
-			if err := r.Seek(i+1, 0, ra.Phases(), ra.Checks()); err != nil {
+			if err := r.Seek(pos); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -7,26 +7,23 @@ package core
 // execution core of the msimd session service (internal/serve, DESIGN.md
 // "The simulation service"): the service checkpoints a session at quantum
 // boundaries and, after a contained crash, restores the snapshot into a
-// fresh machine and Seeks the run back to the recorded position, from
+// fresh machine and Seeks the run back to the recorded Position, from
 // where execution is bit-identical to a run that was never interrupted.
 //
 // A quantum is either one non-run plan step (map, poke, load, expect,
-// check) or one slice of a run phase. Slicing is itself deterministic:
-// for a fixed slice size, the sequence of machine.Run bounds — and
-// therefore every simulated cycle, including the completion-detection
-// quiet windows — is a pure function of the plan, so two runs of the same
-// scenario under the same slice size agree bit for bit, whether or not
-// one of them was checkpointed, killed, restored, and resumed in the
-// middle. (Different slice sizes are different — but equally valid —
-// executions: the quiet-window padding between slices lands at different
-// cycles. Scenario.Run uses unsliced phases, the historical behavior.)
+// check) or one slice of a run phase. A run phase owns one
+// machine.QuietLoop from its first cycle to its last, carried across
+// slices in the Position; a slice only names the cycle its call stops at,
+// so every slice length, and none, is the same execution.
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/guard"
 	"repro/internal/machine"
+	"repro/internal/snap"
 	"repro/internal/workload"
 )
 
@@ -37,10 +34,30 @@ type ScenarioRun struct {
 	sc  *Scenario
 	s   *Sim
 	env workload.Env
-	res ScenarioResult
+	pos Position
+}
 
-	next     int   // index of the next plan step to execute
-	phaseRan int64 // cycles consumed by a partially executed run phase at next
+// Position is where a ScenarioRun stands between two quanta. With a
+// machine snapshot taken at the same boundary it is everything a
+// checkpoint needs to Seek a fresh run back to this point.
+type Position struct {
+	Next   int               // index of the next plan step
+	Loop   machine.QuietLoop // the completion loop of the run phase at Next, once begun
+	Checks int               // expect/check steps that have passed
+	Phases []PhaseResult     // results of the run phases completed so far
+}
+
+// State walks the position: one field list that encodes and decodes.
+func (p *Position) State(c *snap.Codec) {
+	c.Int(&p.Next)
+	p.Loop.State(c)
+	c.Int(&p.Checks)
+	n := c.Len(len(p.Phases), 1<<20)
+	for i := 0; i < n; i++ {
+		ph := snap.Elem(c, &p.Phases, i)
+		c.String(&ph.Name, 1<<16)
+		c.I64(&ph.Cycles)
+	}
 }
 
 // NewRun prepares a stepwise execution of the scenario on s, positioned
@@ -56,98 +73,68 @@ func (sc *Scenario) NewRun(s *Sim) *ScenarioRun {
 }
 
 // Done reports whether every plan step has completed.
-func (r *ScenarioRun) Done() bool { return r.next >= len(r.sc.Plan.Steps) }
+func (r *ScenarioRun) Done() bool { return r.pos.Next >= len(r.sc.Plan.Steps) }
 
-// Pos reports the resume position: the index of the next plan step and
-// the cycles already consumed by a partially executed run phase at that
-// index (0 unless the last Advance sliced a phase). Together with a
-// machine snapshot taken at the same quantum boundary, Pos is everything
-// a checkpoint needs to Seek a fresh run back to this point.
-func (r *ScenarioRun) Pos() (step int, phaseCycles int64) { return r.next, r.phaseRan }
+// Position reports the resume position. Its Phases slice is the run's
+// own; callers must not mutate it.
+func (r *ScenarioRun) Position() Position { return r.pos }
 
-// Phases returns the per-phase results recorded so far. The returned
-// slice is the run's own; callers must not mutate it.
-func (r *ScenarioRun) Phases() []PhaseResult { return r.res.Phases }
-
-// Checks returns the count of expect/check steps that have passed.
-func (r *ScenarioRun) Checks() int { return r.res.Checks }
-
-// Seek repositions the run to a checkpointed position: the next step
-// index and mid-phase cycle count from Pos, and the results accumulated
-// before the checkpoint. The simulator must already hold the matching
-// machine snapshot (machine.Restore); Seek validates only the position.
-func (r *ScenarioRun) Seek(step int, phaseCycles int64, phases []PhaseResult, checks int) error {
-	if step < 0 || step > len(r.sc.Plan.Steps) {
-		return fmt.Errorf("core: seek to step %d of a %d-step plan", step, len(r.sc.Plan.Steps))
+// Seek repositions the run to a checkpointed Position. The simulator must
+// already hold the matching machine snapshot (machine.Restore); Seek
+// validates only the position.
+func (r *ScenarioRun) Seek(p Position) error {
+	steps := r.sc.Plan.Steps
+	if p.Next < 0 || p.Next > len(steps) {
+		return fmt.Errorf("core: seek to step %d of a %d-step plan", p.Next, len(steps))
 	}
-	if phaseCycles < 0 {
-		return fmt.Errorf("core: seek to negative phase position %d", phaseCycles)
+	if p.Loop.Begun() && (p.Next == len(steps) || steps[p.Next].Kind != workload.PlanRun) {
+		return fmt.Errorf("core: seek mid-phase into step %d, which is not a run phase", p.Next)
 	}
-	if phaseCycles > 0 && (step >= len(r.sc.Plan.Steps) || r.sc.Plan.Steps[step].Kind != workload.PlanRun) {
-		return fmt.Errorf("core: seek mid-phase (%d cycles) into step %d, which is not a run phase", phaseCycles, step)
+	if p.Checks < 0 {
+		return fmt.Errorf("core: seek with negative check count %d", p.Checks)
 	}
-	if checks < 0 {
-		return fmt.Errorf("core: seek with negative check count %d", checks)
-	}
-	r.next = step
-	r.phaseRan = phaseCycles
-	r.res.Phases = append(r.res.Phases[:0], phases...)
-	r.res.Checks = checks
+	p.Phases = append([]PhaseResult(nil), p.Phases...)
+	r.pos = p
 	return nil
 }
 
 // Advance executes one quantum under the supervisor: one non-run plan
-// step, or one slice of the current run phase — up to maxSlice cycles
-// when maxSlice > 0, the phase's whole remaining budget otherwise. It
-// reports whether the quantum advanced the machine (a run-phase slice),
-// which is when a checkpointing caller should snapshot: the machine is
-// between cycles and Pos names the position exactly.
+// step, or one slice of the current run phase — until the phase ends or,
+// when maxSlice > 0, the machine has advanced maxSlice cycles. It reports
+// whether the quantum advanced the machine (a run-phase slice): the
+// machine is then between cycles and Position names the point exactly,
+// which is when a checkpointing caller should snapshot.
 //
-// The slicing arithmetic is engine-independent: sup.RunPhase has
-// Machine.Run's contract whatever runs its legs (the machine in process,
-// the distributed coordinator via guard.NewOver), and the supervisor's
-// cycle budget clamps run slices exactly as it clamps whole phases. For
-// the panic-containment and watchdog contracts to hold, call Advance
-// inside the supervisor's Do (Drive does). Errors
-// follow Scenario.Run: supervision failures (any guard.Class but
-// scenario, and machine.ErrStopped) pass through unwrapped, everything
-// else carries the step's source position.
+// sup.RunPhase runs the phase's loop on whatever runs the supervisor's
+// legs (the machine, or the dist coordinator via guard.NewOver) and clamps
+// a slice to the cycle budget. Call Advance inside sup.Do (Drive does) for
+// panic containment and the watchdogs. Errors follow Scenario.Run:
+// supervision failures (any guard.Class but scenario, and
+// machine.ErrStopped) pass through unwrapped, everything else carries the
+// step's source position.
 func (r *ScenarioRun) Advance(sup *guard.Supervisor, maxSlice int64) (ranPhase bool, err error) {
 	if r.Done() {
 		return false, nil
 	}
-	st := &r.sc.Plan.Steps[r.next]
+	st := &r.sc.Plan.Steps[r.pos.Next]
 	if st.Kind != workload.PlanRun {
-		if err := r.sc.step(r.s, r.env, st, &r.res); err != nil {
+		if err := r.sc.step(r.s, r.env, st, &r.pos.Checks); err != nil {
 			return false, err
 		}
-		r.next++
+		r.pos.Next++
 		return false, nil
 	}
 
-	// One slice of the run phase. The slice bound is a pure function of
-	// (budget, phaseRan, maxSlice), so a resumed run re-derives the exact
-	// bound sequence of an uninterrupted one.
-	leg := st.Budget - r.phaseRan
-	if leg < 1 {
-		// Quiet-window padding of earlier slices overshot the leg budget;
-		// give the phase one last cycle to prove completion, exactly as a
-		// (deterministic) rerun of this position would.
-		leg = 1
+	loop := &r.pos.Loop
+	if !loop.Begun() {
+		*loop = machine.NewLeg(st.Budget)
 	}
-	bound := leg
-	sliced := maxSlice > 0 && maxSlice < leg
-	if sliced {
-		bound = maxSlice
+	until := int64(math.MaxInt64)
+	if maxSlice > 0 {
+		until = r.s.M.Cycle + maxSlice
 	}
-	n, err := sup.RunPhase(bound)
-	r.phaseRan += n
+	ended, err := sup.RunPhase(loop, until)
 	if err != nil {
-		if sliced && errors.Is(err, machine.ErrCycleLimit) {
-			// Only the slice expired, not the phase's own budget: the
-			// phase continues at the next Advance.
-			return true, nil
-		}
 		// Supervision failures — watchdog cutoffs, stop requests, shard
 		// failures that outlived the recovery cap — must reach the
 		// supervisor unwrapped: the positional formatting would break
@@ -159,13 +146,16 @@ func (r *ScenarioRun) Advance(sup *guard.Supervisor, maxSlice int64) (ranPhase b
 		}
 		return true, fmt.Errorf("%s: %v", st.Pos, err)
 	}
+	if !ended {
+		return true, nil // the phase continues at the next Advance
+	}
 	name := st.Phase
 	if name == "" {
-		name = fmt.Sprintf("phase%d", len(r.res.Phases))
+		name = fmt.Sprintf("phase%d", len(r.pos.Phases))
 	}
-	r.res.Phases = append(r.res.Phases, PhaseResult{Name: name, Cycles: r.phaseRan})
-	r.phaseRan = 0
-	r.next++
+	r.pos.Phases = append(r.pos.Phases, PhaseResult{Name: name, Cycles: loop.Ran(r.s.M.Cycle)})
+	*loop = machine.QuietLoop{}
+	r.pos.Next++
 	return true, nil
 }
 
@@ -204,8 +194,10 @@ func (r *ScenarioRun) Drive(sup *guard.Supervisor, slice int64, after func(ran b
 // Result finalizes and returns the scenario result. Meaningful once Done
 // reports true; the totals are read from the machine at call time.
 func (r *ScenarioRun) Result() *ScenarioResult {
-	r.res.TotalCycles = r.s.M.Cycle
-	r.res.Stats = r.s.Stats()
-	out := r.res
-	return &out
+	return &ScenarioResult{
+		Phases:      r.pos.Phases,
+		TotalCycles: r.s.M.Cycle,
+		Checks:      r.pos.Checks,
+		Stats:       r.s.Stats(),
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/guard"
+	"repro/internal/machine"
 )
 
 // driveSliced runs sc to completion in maxSlice-cycle quanta, invoking
@@ -64,11 +65,8 @@ func TestScenarioRunSlicedResume(t *testing.T) {
 	// Interrupted run: checkpoint at every quantum, abandon the machine
 	// after the third, resume from the checkpoint on a fresh simulator.
 	type ckpt struct {
-		step     int
-		phaseRan int64
-		phases   []PhaseResult
-		checks   int
-		machine  []byte
+		pos     Position
+		machine []byte
 	}
 	var last ckpt
 	quanta := 0
@@ -96,14 +94,9 @@ func TestScenarioRunSlicedResume(t *testing.T) {
 		if err := s1.M.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
-		step, phaseRan := run1.Pos()
-		last = ckpt{
-			step:     step,
-			phaseRan: phaseRan,
-			phases:   append([]PhaseResult(nil), run1.Phases()...),
-			checks:   run1.Checks(),
-			machine:  buf.Bytes(),
-		}
+		pos := run1.Position()
+		pos.Phases = append([]PhaseResult(nil), pos.Phases...)
+		last = ckpt{pos: pos, machine: buf.Bytes()}
 	}
 	if quanta < 3 {
 		t.Fatalf("scenario completed in %d run quanta; need more for a mid-run checkpoint", quanta)
@@ -119,7 +112,7 @@ func TestScenarioRunSlicedResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	run2 := sc.NewRun(s2)
-	if err := run2.Seek(last.step, last.phaseRan, last.phases, last.checks); err != nil {
+	if err := run2.Seek(last.pos); err != nil {
 		t.Fatal(err)
 	}
 	for !run2.Done() {
@@ -168,19 +161,24 @@ func TestScenarioRunSeekValidation(t *testing.T) {
 	}
 	defer s.M.Close()
 	run := sc.NewRun(s)
-	if err := run.Seek(99, 0, nil, 0); err == nil {
+	midPhase := machine.NewLeg(1000)
+	midPhase.Begin(0, machine.Activity{})
+	if err := run.Seek(Position{Next: 99}); err == nil {
 		t.Error("seek past the end of the plan accepted")
 	}
-	if err := run.Seek(0, 5, nil, 0); err == nil {
+	if err := run.Seek(Position{Next: 0, Loop: midPhase}); err == nil {
 		t.Error("mid-phase seek into a non-run step accepted")
 	}
-	if err := run.Seek(1, -1, nil, 0); err == nil {
-		t.Error("negative phase position accepted")
+	if err := run.Seek(Position{Next: 2, Loop: midPhase}); err == nil {
+		t.Error("mid-phase seek past the last step accepted")
 	}
-	if err := run.Seek(1, 5, nil, 0); err != nil {
+	if err := run.Seek(Position{Next: 1, Checks: -1}); err == nil {
+		t.Error("negative check count accepted")
+	}
+	if err := run.Seek(Position{Next: 1, Loop: midPhase}); err != nil {
 		t.Errorf("mid-phase seek into the run step rejected: %v", err)
 	}
-	if err := run.Seek(0, 0, nil, 0); err != nil {
+	if err := run.Seek(Position{}); err != nil {
 		t.Errorf("seek to the start rejected: %v", err)
 	}
 }

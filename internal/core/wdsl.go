@@ -148,7 +148,7 @@ func (sc *Scenario) supervise(s *Sim, o Options) (*ScenarioResult, error) {
 
 // step executes one non-run plan step (run phases are ScenarioRun's
 // business: they need the supervisor's budget clamp and slicing).
-func (sc *Scenario) step(s *Sim, env workload.Env, st *workload.PlanStep, res *ScenarioResult) error {
+func (sc *Scenario) step(s *Sim, env workload.Env, st *workload.PlanStep, checks *int) error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("%s: %s", st.Pos, fmt.Sprintf(format, args...))
 	}
@@ -215,7 +215,7 @@ func (sc *Scenario) step(s *Sim, env workload.Env, st *workload.PlanStep, res *S
 			return fail("expect reg: node %d vthread %d cluster %d i%d = %d, want %d",
 				st.Node, st.VThread, st.Cluster, st.Reg, got, want)
 		}
-		res.Checks++
+		*checks++
 		return nil
 
 	case workload.PlanExpectMem:
@@ -237,14 +237,14 @@ func (sc *Scenario) step(s *Sim, env workload.Env, st *workload.PlanStep, res *S
 			}
 			return fail("expect mem: node %d addr %d = %d, want %d", st.Node, addr, got, want)
 		}
-		res.Checks++
+		*checks++
 		return nil
 
 	case workload.PlanCheck:
 		if err := st.Check(env, s.Peek); err != nil {
 			return fail("check: %v", err)
 		}
-		res.Checks++
+		*checks++
 		return nil
 	}
 	return fail("internal: unhandled plan step kind %d", st.Kind)

@@ -1,7 +1,7 @@
 package dist
 
 // The coordinator: owner of the authoritative machine (the "hub"), the
-// clock, and the run loop. Its loop makes machine.Run's completion
+// clock, and the run loop. Its loop makes Machine.RunLoop's completion
 // decisions by calling the same machine.QuietLoop — the loop-head
 // quiescence check, the quiet-window count, the event-driven jump — but
 // the chip phase of each cycle is farmed out to the shard workers, and
@@ -16,11 +16,11 @@ package dist
 //
 // One exchange steps a window of W = noc.Network.Lookahead() cycles (3
 // by default), clipped so it never contains a loop head that could end
-// the leg or take a checkpoint, nor crosses the leg's bound or a RunExact
-// budget. Nothing injected inside a window reaches a chip before the
-// window ends, so every delivery the window's chips can see is made by
-// hub Steps the coordinator can preview at its start, on a clone of the
-// hub network; the workers get those deliveries tagged with their
+// the leg or take a checkpoint, nor crosses the leg's bound or the cycle
+// the caller stops at. Nothing injected inside a window reaches a chip
+// before the window ends, so every delivery the window's chips can see is
+// made by hub Steps the coordinator can preview at its start, on a clone
+// of the hub network; the workers get those deliveries tagged with their
 // visibility cycle, and their per-cycle replies are replayed here cycle by
 // cycle — inject, retire, trace, Net.Step, QuietLoop.Head — with each
 // replayed Step checked against the preview (DESIGN.md, "The distributed
@@ -137,15 +137,13 @@ func (cfg *Config) setDefaults() {
 	}
 }
 
-// checkpoint is a coordinated rewind point: the full hub state plus the
-// run-loop position. atStep marks a checkpoint taken after the loop-head
-// checks and before the step, so a resume skips the checks once.
+// checkpoint is a coordinated rewind point (none while machine is nil):
+// the hub state plus the run-loop position; one taken at a loop head holds
+// its loop (QuietLoop.Hold), so a resume skips that head's check once.
 type checkpoint struct {
 	machine []byte
 	cycle   int64
 	loop    machine.QuietLoop
-	atStep  bool
-	valid   bool
 }
 
 // shardConn is the coordinator's view of one worker.
@@ -156,9 +154,9 @@ type shardConn struct {
 	lastFrame time.Time
 }
 
-// Coordinator drives a sharded federation as a guard.LegRunner: Run and
-// RunExact have the machine's contracts, so a guard.Supervisor built over
-// it (guard.NewOver) clamps cycle budgets and drives core.ScenarioRun
+// Coordinator drives a sharded federation as a guard.LegRunner: RunLoop
+// has the machine's contract, so a guard.Supervisor built over it
+// (guard.NewOver) clamps cycle budgets and drives core.ScenarioRun
 // exactly as it does in process.
 type Coordinator struct {
 	cfg    Config
@@ -166,11 +164,11 @@ type Coordinator struct {
 	shards []*shardConn
 	owner  []int // node -> shard index
 
-	// Run-loop state: the leg's first cycle, the clock, the completion
-	// policy machine.Run holds on its stack, and each shard's last report.
-	phaseStart, cycle int64
-	loop              machine.QuietLoop
-	acts              []activity
+	// Run-loop state: the clock, the caller's completion loop while a
+	// RunLoop call runs it, and each shard's last report.
+	cycle int64
+	loop  *machine.QuietLoop
+	acts  []activity
 
 	// Arrival mirroring: per (node, pri), how many of the hub's pending
 	// arrivals have been shipped to the owning shard (never more than the
@@ -429,31 +427,25 @@ func (co *Coordinator) exchange(kind, want byte, payload func(i int) []byte, rep
 	return nil
 }
 
-// Run runs one machine.Run leg across the federation. Semantics match
-// Machine.Run: the cycles executed (excluding the quiet window) and an
-// error on cycle-limit expiry or user faults.
-func (co *Coordinator) Run(maxCycles int64) (int64, error) {
-	return co.supervise(func(resume bool) (int64, error) { return co.runLeg(maxCycles, resume) })
-}
-
-// RunExact advances the federation exactly n cycles with no completion
-// detection and no fast-forward — the distributed twin of
-// Machine.RunExact, the budget clamp's cycle-by-cycle tail.
-func (co *Coordinator) RunExact(n int64) (int64, error) {
-	return co.supervise(func(bool) (int64, error) {
-		if f := co.beginRun(); f != nil {
-			return 0, f
+// RunLoop has Machine.RunLoop's contract across the federation, and is
+// its one recover-and-resume loop: an attempt seeds the workers with the
+// hub's state, runs the leg, and reassembles the hub; a *ShardFailure in
+// it rewinds to the latest checkpoint (recover) and re-attempts, until
+// the call returns or the recovery cap trips.
+func (co *Coordinator) RunLoop(loop *machine.QuietLoop, until int64) (bool, error) {
+	co.loop, co.cycle = loop, co.m.Cycle
+	co.ck = checkpoint{}
+	co.pendingTrace.Reset()
+	for resume := false; ; resume = true {
+		ended, err := co.attempt(until, resume)
+		sf, failed := err.(*ShardFailure)
+		if !failed {
+			return ended, err
 		}
-		for co.cycle < co.phaseStart+n {
-			if err := co.stopped(); err != nil {
-				return co.cycle - co.phaseStart, err
-			}
-			if f := co.stepWindow(co.phaseStart+n, nil); f != nil {
-				return co.cycle - co.phaseStart, f
-			}
+		if rerr := co.recover(sf); rerr != nil {
+			return false, rerr
 		}
-		return n, nil
-	})
+	}
 }
 
 // stopped answers the hub's stop request (a supervisor's deadline) at a
@@ -466,52 +458,31 @@ func (co *Coordinator) stopped() error {
 	return fmt.Errorf("dist: run stopped at cycle %d: %w", co.cycle, machine.ErrStopped)
 }
 
-// supervise is the federation's one recover-and-resume loop. An attempt
-// seeds the workers with the hub's state, runs leg, and reassembles the hub; a
-// *ShardFailure anywhere in it rewinds to the latest checkpoint
-// (recover) and re-attempts with resume=true, until the leg completes or
-// the recovery cap trips.
-func (co *Coordinator) supervise(leg func(resume bool) (int64, error)) (int64, error) {
-	co.phaseStart, co.cycle = co.m.Cycle, co.m.Cycle
-	co.ck = checkpoint{}
-	co.pendingTrace.Reset()
-	for resume := false; ; resume = true {
-		n, err := co.attempt(leg, resume)
-		sf, failed := err.(*ShardFailure)
-		if !failed {
-			return n, err
-		}
-		if rerr := co.recover(sf); rerr != nil {
-			return 0, rerr
-		}
-	}
-}
-
 // attempt is one try at a leg. Shard failures come back bare — never
-// wrapped — which is what lets supervise tell a recoverable failure from
-// a terminal error that merely wraps its cause.
-func (co *Coordinator) attempt(leg func(resume bool) (int64, error), resume bool) (int64, error) {
+// wrapped — which is what lets RunLoop tell a recoverable failure from a
+// terminal error that merely wraps its cause.
+func (co *Coordinator) attempt(until int64, resume bool) (bool, error) {
 	// One hub Save per leg: the entry checkpoint is the seed snapshot, and a
 	// resume seeds with the checkpoint recover just restored the hub from.
 	if !resume {
 		if err := co.takeCheckpoint(false); err != nil {
-			return 0, err
+			return false, err
 		}
 	}
 	if err := co.seedAll(co.ck.machine); err != nil {
-		return 0, err
+		return false, err
 	}
-	n, err := leg(resume)
+	ended, err := co.runLeg(until)
 	if _, failed := err.(*ShardFailure); failed {
-		return n, err
+		return ended, err
 	}
 	// Leave the hub authoritative at the leg's end, whatever the leg's
 	// outcome, and flush the trace tail.
 	if f := co.syncHub(); f != nil {
-		return n, f
+		return ended, f
 	}
 	co.commitTrace()
-	return n, err
+	return ended, err
 }
 
 // seedAll ships snapshot, the hub's current state, to every worker and
@@ -539,7 +510,7 @@ func (co *Coordinator) seedAll(snapshot []byte) error {
 }
 
 // beginRun is the run-loop entry across the federation: every worker
-// wakes its chips (machine.Run's WakeAll) and reports activity.
+// wakes its chips (Machine.RunLoop's WakeAll) and reports activity.
 func (co *Coordinator) beginRun() *ShardFailure {
 	return co.exchange(cmdBeginRun, repActivity, func(int) []byte { return nil }, func(i int, p []byte) error {
 		return unframe(p, co.acts[i].state)
@@ -569,56 +540,52 @@ func (co *Coordinator) faultErr() error {
 	return nil
 }
 
-// runLeg is machine.Run's loop with the chip phase distributed: the same
-// QuietLoop calls at the same points, plus coordinated checkpoints at the
-// loop heads.
-func (co *Coordinator) runLeg(maxCycles int64, resume bool) (int64, error) {
+// runLeg is Machine.RunLoop's loop with the chip phase distributed: the
+// same QuietLoop calls at the same points, plus coordinated checkpoints at
+// the loop heads.
+func (co *Coordinator) runLeg(until int64) (bool, error) {
 	if f := co.beginRun(); f != nil {
-		return 0, f
+		return false, f
 	}
-	// A checkpoint taken at a loop head already performed the head's
-	// check, and recover restored the loop as it stood after it; a resume
-	// from one goes straight to the step. Any other start is the leg's.
-	atStep := resume && co.ck.atStep
+	loop := co.loop
 	act := co.totals()
-	if !atStep {
-		co.loop = machine.NewQuietLoop(co.phaseStart, maxCycles, act)
-	}
-	for co.cycle < co.loop.Bound() {
+	loop.Begin(co.cycle, act)
+	for co.cycle < loop.Bound() {
 		if err := co.stopped(); err != nil {
-			return co.cycle - co.phaseStart, err
+			return false, err
 		}
-		if !atStep {
-			if co.loop.Head(act, co.m.Net) {
-				return co.loop.Ran(co.cycle), co.faultErr()
-			}
-			if co.cfg.CheckpointEvery > 0 && co.cycle-co.lastCkpt >= co.cfg.CheckpointEvery {
-				if err := co.takeCheckpoint(true); err != nil {
-					return co.cycle - co.phaseStart, err
-				}
+		if loop.Head(act, co.m.Net) {
+			return true, co.faultErr()
+		}
+		if co.cycle >= until {
+			loop.Hold()
+			return false, nil
+		}
+		if co.cfg.CheckpointEvery > 0 && co.cycle-co.lastCkpt >= co.cfg.CheckpointEvery {
+			if err := co.takeCheckpoint(true); err != nil {
+				return false, err
 			}
 		}
-		atStep = false
-		end := co.loop.Horizon(co.cycle)
+		end := min(loop.Horizon(co.cycle), until)
 		if co.cfg.CheckpointEvery > 0 {
 			end = min(end, co.lastCkpt+co.cfg.CheckpointEvery)
 		}
-		if f := co.stepWindow(end, &co.loop); f != nil {
-			return co.cycle - co.phaseStart, f
+		if f := co.stepWindow(end); f != nil {
+			return false, f
 		}
 		// The jump to the next event; workers materialize the skipped
 		// stretch lazily, before their next step or pull.
 		act = co.totals()
-		next := co.m.Net.NextEvent(co.cycle)
+		next := min(co.m.Net.NextEvent(co.cycle), until)
 		for i := range co.acts {
 			next = min(next, co.acts[i].Next)
 		}
-		co.cycle = co.loop.Jump(co.cycle, next, act, co.m.Net)
+		co.cycle = loop.Jump(co.cycle, next, act, co.m.Net)
 	}
-	if err := co.loop.Expired(act); err != nil {
-		return co.cycle - co.phaseStart, err
+	if err := loop.Expired(act); err != nil {
+		return true, err
 	}
-	return co.cycle - co.phaseStart, co.faultErr()
+	return true, co.faultErr()
 }
 
 // stepWindow advances the federation through the cycles from co.cycle to
@@ -627,10 +594,10 @@ func (co *Coordinator) runLeg(maxCycles int64, resume bool) (int64, error) {
 // step every shard through the window, then replay the window cycle by
 // cycle — inject outboxes in global node order, retire confirmed
 // consumptions, buffer traces, step the hub network, confirm its
-// deliveries against the preview — making loop's Head call at every loop
-// head inside the window (loop is nil for RunExact, which makes none).
-// The caller clips end so that none of those calls can end the leg.
-func (co *Coordinator) stepWindow(end int64, loop *machine.QuietLoop) *ShardFailure {
+// deliveries against the preview — making the loop's Head call at every
+// loop head inside the window. The caller clips end so that none of those
+// calls can end the leg.
+func (co *Coordinator) stepWindow(end int64) *ShardFailure {
 	t := co.cycle
 	end = min(end, t+co.m.Net.Lookahead())
 	co.reach = end - 1
@@ -705,9 +672,7 @@ func (co *Coordinator) stepWindow(end int64, loop *machine.QuietLoop) *ShardFail
 			if f := co.confirm(s, stepped); f != nil {
 				return f
 			}
-			if loop != nil {
-				loop.Head(co.totals(), co.m.Net) // false: end is inside the loop's Horizon
-			}
+			co.loop.Head(co.totals(), co.m.Net) // false: end is inside the loop's Horizon
 		}
 	}
 	co.cycle = end
@@ -804,7 +769,10 @@ func (co *Coordinator) takeCheckpoint(atStep bool) error {
 		co.ck = checkpoint{}
 		return fmt.Errorf("dist: checkpoint: %w", err)
 	}
-	co.ck = checkpoint{machine: co.ckBuf.Bytes(), cycle: co.cycle, loop: co.loop, atStep: atStep, valid: true}
+	co.ck = checkpoint{machine: co.ckBuf.Bytes(), cycle: co.cycle, loop: *co.loop}
+	if atStep {
+		co.ck.loop.Hold() // its head's check is made
+	}
 	co.lastCkpt = co.cycle
 	co.ckCount++
 	co.commitTrace()
@@ -859,7 +827,7 @@ func (co *Coordinator) recover(sf *ShardFailure) error {
 		return fmt.Errorf("dist: recovery limit %d exhausted: %w", co.cfg.MaxRecoveries, sf)
 	}
 	co.recoveries++
-	if !co.ck.valid {
+	if co.ck.machine == nil {
 		return fmt.Errorf("dist: no checkpoint to recover from: %w", sf)
 	}
 	// Drills up to the last cycle the failed exchange reached may have
@@ -888,7 +856,7 @@ func (co *Coordinator) recover(sf *ShardFailure) error {
 	if err := co.m.Restore(bytes.NewReader(co.ck.machine)); err != nil {
 		return fmt.Errorf("dist: restore checkpoint: %w", err)
 	}
-	co.cycle, co.loop = co.ck.cycle, co.ck.loop
+	co.cycle, *co.loop = co.ck.cycle, co.ck.loop
 	co.lastCkpt = co.ck.cycle
 	co.pendingTrace.Reset()
 	return nil

@@ -9,7 +9,6 @@ package dist
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -542,19 +541,20 @@ func TestDistRecoveryLimit(t *testing.T) {
 }
 
 // TestBudgetExactAcrossTransports: one budget clamp (guard.Supervisor.
-// RunPhase) serves both transports, so the same scenario with the same
+// RunPhase) serves every transport, so the same scenario with the same
 // `budget N` is cut off at machine cycle N exactly — and in the identical
-// machine state — in process and distributed: for N below one quiet
-// window (the cycle-by-cycle tail from the first leg), N that leaves a
-// later leg less than a quiet window, N mid-phase, and N above the
-// scenario's total (no cutoff, equal results).
+// machine state — in process and distributed, unsliced and in slices of 7
+// and 512 cycles, and as an msimd session that checkpoints at every slice
+// and resumes from one after an injected panic: for N below one quiet
+// window, N that leaves a later leg less than a quiet window, N mid-phase,
+// and N above the scenario's total (no cutoff, equal results).
 func TestBudgetExactAcrossTransports(t *testing.T) {
 	path := filepath.Join("..", "..", "testdata", "workloads", "redblack.wl")
 	text, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withBudget := func(n int64) *core.Scenario {
+	withBudget := func(n int64) (*core.Scenario, string) {
 		src := strings.Replace(string(text), "\nmesh 4\n", fmt.Sprintf("\nmesh 4\nbudget %d\n", n), 1)
 		sc, err := core.ScenarioFromDSL(path, src)
 		if err != nil {
@@ -563,7 +563,7 @@ func TestBudgetExactAcrossTransports(t *testing.T) {
 		if sc.Plan.CycleBudget != n {
 			t.Fatalf("budget directive not applied: plan budget %d, want %d", sc.Plan.CycleBudget, n)
 		}
-		return sc
+		return sc, src
 	}
 	free, err := loadScenario(t, "redblack.wl").Run(core.Options{})
 	if err != nil {
@@ -575,50 +575,106 @@ func TestBudgetExactAcrossTransports(t *testing.T) {
 	firstLegEnd := free.Phases[0].Cycles + machine.QuietWindow
 
 	type budgetCase struct {
-		name   string
-		budget int64
-		cutoff bool
+		name           string
+		budget         int64
+		cutoff, sliced bool
 	}
-	cases := []budgetCase{{"above the total", free.TotalCycles + 1000, false}}
+	cases := []budgetCase{{"above the total", free.TotalCycles + 1000, false, true}}
 	// Each cutoff three cycles in a row, so two of the three end inside a
 	// lookahead window — whichever cycle the windows happen to start on.
+	// The first of the three also runs sliced.
 	for _, c := range []budgetCase{
-		{"below one quiet window", machine.QuietWindow - 12, true},
-		{"later leg gets less than a quiet window", firstLegEnd + 10, true},
-		{"mid-phase", free.TotalCycles / 2, true},
+		{"below one quiet window", machine.QuietWindow - 12, true, true},
+		{"later leg gets less than a quiet window", firstLegEnd + 10, true, true},
+		{"mid-phase", free.TotalCycles / 2, true, true},
 	} {
 		for d := int64(0); d < 3; d++ {
-			cases = append(cases, budgetCase{fmt.Sprintf("%s, +%d", c.name, d), c.budget + d, true})
+			cases = append(cases, budgetCase{fmt.Sprintf("%s, +%d", c.name, d), c.budget + d, true, d == 0})
 		}
 	}
-	for _, c := range cases {
-		sc := withBudget(c.budget)
-		inRes, inSim, inErr := sc.RunSim(core.Options{})
-		dRes, dSim, dErr := RunScenario(sc, core.Options{}, Config{Shards: 2, Launcher: LocalLauncher{}})
-		if !c.cutoff {
-			if inErr != nil || dErr != nil {
-				t.Errorf("%s (budget %d): in-process err %v, dist err %v; want neither", c.name, c.budget, inErr, dErr)
-			} else if inRes.TotalCycles != dRes.TotalCycles || inRes.Digest != dRes.Digest {
-				t.Errorf("%s: in-process %d cycles digest %s, dist %d cycles digest %s",
-					c.name, inRes.TotalCycles, inRes.Digest, dRes.TotalCycles, dRes.Digest)
+
+	// drive runs sc in slices of slice cycles (0: unsliced), in process or
+	// over two shards, and reads the verdict and the final machine digest.
+	drive := func(sc *core.Scenario, slice int64, distributed bool) (verdict, string) {
+		s, err := sc.NewSim(core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.M.Close()
+		var leg guard.LegRunner = s.M
+		if distributed {
+			co, err := New(s.M, Config{Shards: 2, Launcher: LocalLauncher{}})
+			if err != nil {
+				t.Fatal(err)
 			}
-			continue
+			defer co.Close()
+			leg = co
 		}
-		var inSE, dSE *guard.StallError
-		if !errors.As(inErr, &inSE) || !errors.As(dErr, &dSE) || inSE.Kind != guard.StallBudget || dSE.Kind != guard.StallBudget {
-			t.Errorf("%s (budget %d): in-process err %v, dist err %v; want StallBudget from both", c.name, c.budget, inErr, dErr)
-			continue
+		v := runVerdict(sc.NewRun(s).Drive(guard.NewOver(leg, s.M, sc.Supervision(core.Options{})), slice, nil))
+		d, err := s.M.Digest()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if inSE.Cycle != c.budget || dSE.Cycle != c.budget {
-			t.Errorf("%s: cut off at cycle %d in process, %d distributed; want exactly the budget %d",
-				c.name, inSE.Cycle, dSE.Cycle, c.budget)
+		return v, d
+	}
+	// One msimd server per slice length; every session panics once, at a
+	// cycle drawn below 700, and its retry resumes from the latest slice
+	// checkpoint before it.
+	slices := []int64{7, 512}
+	servers := make([]*serve.Server, len(slices))
+	for i, slice := range slices {
+		sv, err := serve.New(serve.Config{Spool: t.TempDir(), Workers: 1, CheckpointEvery: slice, Retries: 2,
+			Chaos: &serve.Chaos{Seed: 42, PanicEvery: 1, MaxCycle: 700}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		inDigest, err1 := inSim.M.Digest()
-		dDigest, err2 := dSim.M.Digest()
-		if err1 != nil || err2 != nil || inDigest != dDigest {
-			t.Errorf("%s: machine state at the cutoff differs: in-process %s (%v), dist %s (%v)",
-				c.name, inDigest, err1, dDigest, err2)
+		defer sv.Drain()
+		servers[i] = sv
+	}
+	resumed := 0
+	for _, c := range cases {
+		sc, src := withBudget(c.budget)
+		want, wantDigest := drive(sc, 0, false)
+		if c.cutoff && (want.class != guard.ClassBudget || want.cycle != c.budget) {
+			t.Errorf("%s: in process %+v; want the budget cut off at cycle %d", c.name, want, c.budget)
 		}
+		if !c.cutoff && (want.state != "done" || want.cycle != free.TotalCycles || want.digest != free.Digest) {
+			t.Errorf("%s: in process %+v; want the unbudgeted run's %d cycles, digest %s", c.name, want, free.TotalCycles, free.Digest)
+		}
+		for _, slice := range append([]int64{0}, slices...) {
+			for _, distributed := range []bool{false, true} {
+				if slice == 0 && !distributed || slice > 0 && !c.sliced {
+					continue // the reference, or a row that runs unsliced only
+				}
+				got, digest := drive(sc, slice, distributed)
+				if got != want || digest != wantDigest {
+					t.Errorf("%s, slice %d, distributed %v: %+v, state %s; unsliced in process %+v, state %s",
+						c.name, slice, distributed, got, digest, want, wantDigest)
+				}
+			}
+		}
+		for i, sv := range servers {
+			if !c.sliced {
+				break
+			}
+			session, err := sv.Submit("redblack.wl", src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-session.Done()
+			info := session.Info()
+			got := verdictOf(&core.ScenarioResult{TotalCycles: info.TotalCycles, Digest: info.Digest}, "", "")
+			if info.State != serve.StateDone {
+				got = verdictOf(nil, info.FailureClass, info.Failure)
+			}
+			if got != want {
+				t.Errorf("%s: msimd in %d-cycle slices %+v (retries %d), unsliced in process %+v", c.name, slices[i], got, info.Retries, want)
+			}
+			resumed += info.Retries
+		}
+	}
+	if resumed == 0 {
+		t.Error("no msimd session retried: the resume rows proved nothing")
 	}
 
 	t.Run("every front end", func(t *testing.T) { oneVerdict(t) })

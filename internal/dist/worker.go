@@ -227,7 +227,7 @@ func (w *worker) seed(snapshot []byte) error {
 	return nil
 }
 
-// beginRun is the shard half of machine.Run's entry: wake every owned
+// beginRun is the shard half of Machine.RunLoop's entry: wake every owned
 // chip so externally mutated state is re-observed, and report the
 // activity aggregates the coordinator's first loop-head check needs.
 func (w *worker) beginRun() activity {

@@ -21,8 +21,8 @@
 //     run observes the flag at its existing loop-head sync point and
 //     returns between cycles, so the engine hot path is untouched and
 //     supervised runs stay bit-identical to unsupervised ones. A cycle budget (Options.CycleBudget) is
-//     enforced deterministically by clamping each RunPhase's cycle
-//     bound — no wall-clock involved, so budget exhaustion reproduces
+//     enforced deterministically by clamping the cycle each RunPhase
+//     stops at — no wall-clock involved, so budget exhaustion reproduces
 //     exactly on any host and engine.
 //
 //   - Forensics. On a crash, deadline, or budget exhaustion the
@@ -43,6 +43,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime/debug"
 	"strings"
 	"time"
@@ -66,7 +67,7 @@ type Options struct {
 	// legs; 0 disables. A machine restored after New counts from New's
 	// cycle, so one budget spans a resumed run. Exhaustion yields a
 	// *StallError (StallBudget). Enforcement is deterministic: the
-	// budget clamps each leg's cycle bound, so the same scenario
+	// budget clamps the cycle each leg stops at, so the same scenario
 	// exhausts at the same cycle on every host and engine.
 	CycleBudget int64
 
@@ -266,20 +267,15 @@ func Forensics(err error) (diagnostic, dumpPath string) {
 	return "", ""
 }
 
-// A LegRunner executes machine.Run-shaped legs for a Supervisor: the
-// machine itself in process, the distributed coordinator (internal/dist)
-// across shard workers. RunPhase's budget clamp is written once over
-// these two calls, so every transport exhausts a budget at the identical
-// cycle.
+// A LegRunner runs a leg's completion loop for a Supervisor: the machine
+// itself in process, the distributed coordinator (internal/dist) across
+// shard workers. RunPhase's budget clamp is written once over this call,
+// so every transport exhausts a budget at the identical cycle.
 type LegRunner interface {
-	// Run has Machine.Run's contract: up to maxCycles cycles plus the
-	// completion-detection quiet window, the cycles executed (excluding
-	// that window), machine.ErrCycleLimit when only the bound expired.
-	Run(maxCycles int64) (int64, error)
-	// RunExact advances exactly n cycles — no completion detection, no
-	// fast-forward — and errs only when it could not (a stop request, a
-	// failed transport).
-	RunExact(n int64) (int64, error)
+	// RunLoop has machine.Machine.RunLoop's contract: step the leg under
+	// loop until it ends (true, with its verdict) or the machine reaches
+	// cycle until (false); a stop request or a failed transport errs.
+	RunLoop(loop *machine.QuietLoop, until int64) (bool, error)
 }
 
 // Supervisor wraps one machine for supervised runs. It is not itself
@@ -309,10 +305,11 @@ func NewOver(leg LegRunner, m *machine.Machine, opt Options) *Supervisor {
 // Run supervises a single machine.Run leg: Do around one RunPhase. This
 // is the drop-in supervised form of Machine.Run.
 func (s *Supervisor) Run(maxCycles int64) (int64, error) {
+	loop := machine.NewLeg(maxCycles)
 	var n int64
 	err := s.Do(func() error {
-		var e error
-		n, e = s.RunPhase(maxCycles)
+		_, e := s.RunPhase(&loop, math.MaxInt64)
+		n = loop.Ran(s.m.Cycle)
 		return e
 	})
 	return n, err
@@ -400,44 +397,24 @@ func (s *Supervisor) Do(fn func() error) error {
 	}
 }
 
-// RunPhase runs one leg, clamping maxCycles to the remaining cycle
-// budget. The budget is exact: a budget-bound leg stops at machine cycle
-// base+CycleBudget precisely (Run's bound is padded by the
-// completion-detection quiet window; the clamp subtracts it back out), so
-// exhaustion reproduces at the identical cycle on every host, engine and
-// transport. When the global budget — not the leg's own bound — is what
-// cut the run off, the error is a *StallError (StallBudget) that Do
-// enriches with diagnostics and the dump on the way out.
-func (s *Supervisor) RunPhase(maxCycles int64) (int64, error) {
-	if s.opt.CycleBudget <= 0 {
-		return s.leg.Run(maxCycles)
+// RunPhase runs loop, one leg's completion loop, until the leg ends or
+// the machine reaches until, and reports whether the leg ended. A cycle
+// budget clamps until to base+CycleBudget: a leg still going there stops
+// at that cycle precisely, on every host, engine and transport, with a
+// *StallError (StallBudget) that Do enriches with diagnostics and the
+// dump on the way out.
+func (s *Supervisor) RunPhase(loop *machine.QuietLoop, until int64) (bool, error) {
+	end := int64(math.MaxInt64)
+	if s.opt.CycleBudget > 0 {
+		end = s.base + s.opt.CycleBudget
 	}
-	rem := s.opt.CycleBudget - (s.m.Cycle - s.base)
-	budgetErr := func() *StallError {
-		return &StallError{Kind: StallBudget, Cycle: s.m.Cycle, Budget: s.opt.CycleBudget}
-	}
-	if rem <= 0 {
-		return 0, budgetErr()
-	}
-	if maxCycles+machine.QuietWindow <= rem {
-		// The leg's own bound binds; its timeout is the caller's business.
-		return s.leg.Run(maxCycles)
-	}
-	if bound := rem - machine.QuietWindow; bound > 0 {
-		n, err := s.leg.Run(bound)
-		if err != nil && errors.Is(err, machine.ErrCycleLimit) {
-			return n, budgetErr()
+	if s.m.Cycle < end {
+		ended, err := s.leg.RunLoop(loop, min(until, end))
+		if ended || err != nil || s.m.Cycle < end {
+			return ended, err
 		}
-		return n, err
 	}
-	// Less budget left than one quiet window: advance the exact remainder
-	// cycle by cycle (bit-identical to the engine loop, merely without the
-	// idle fast-forward, over at most QuietWindow-1 cycles).
-	n, err := s.leg.RunExact(rem)
-	if err != nil {
-		return n, err
-	}
-	return n, budgetErr()
+	return false, &StallError{Kind: StallBudget, Cycle: s.m.Cycle, Budget: s.opt.CycleBudget}
 }
 
 // classify converts the run goroutine's outcome into the supervisor's

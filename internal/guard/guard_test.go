@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -247,12 +248,16 @@ func TestBudgetSpansPhases(t *testing.T) {
 	m := newM(t, 1, 0)
 	load(t, m, 0, spinSrc)
 	s := guard.New(m, guard.Options{CycleBudget: 1000})
+	phase := func(maxCycles int64) error {
+		loop := machine.NewLeg(maxCycles)
+		_, err := s.RunPhase(&loop, math.MaxInt64)
+		return err
+	}
 	err := s.Do(func() error {
-		if _, err := s.RunPhase(600); err != nil && !errors.Is(err, machine.ErrCycleLimit) {
+		if err := phase(600); err != nil && !errors.Is(err, machine.ErrCycleLimit) {
 			return err
 		}
-		_, err := s.RunPhase(600) // only 400 of budget left
-		return err
+		return phase(600) // only 368 of budget left
 	})
 	var se *guard.StallError
 	if !errors.As(err, &se) || se.Kind != guard.StallBudget {

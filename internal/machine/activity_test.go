@@ -184,8 +184,8 @@ func activityRun(t *testing.T, sc *core.Scenario, o core.Options) (stopped int, 
 	run := sc.NewRun(s)
 	steps := 0
 	for !run.Done() {
-		i, _ := run.Pos()
-		st := sc.Plan.Steps[i]
+		pos := run.Position()
+		st := sc.Plan.Steps[pos.Next]
 		switch st.Kind {
 		case workload.PlanExpectReg, workload.PlanExpectMem, workload.PlanCheck:
 		case workload.PlanRun:
@@ -212,7 +212,8 @@ func activityRun(t *testing.T, sc *core.Scenario, o core.Options) (stopped int, 
 			}
 			continue
 		}
-		if err := run.Seek(i+1, 0, run.Phases(), run.Checks()); err != nil {
+		pos.Next++
+		if err := run.Seek(pos); err != nil {
 			t.Fatal(err)
 		}
 	}

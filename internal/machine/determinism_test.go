@@ -194,7 +194,8 @@ func chipStats(m *machine.Machine, n int) string {
 }
 
 // TestDeterminismMixedEngines drives one machine through every way of
-// advancing it — Run, RunUntil, RunExact, StepAll, public Step, flipping
+// advancing it — Run, RunUntil, a RunLoop stopped short of its leg's end,
+// StepAll, public Step, flipping
 // Naive every few Steps — with a Save+Restore and a Fork in between, inline
 // and on 2 and 3 workers, and holds it to a pure naive run at every boundary:
 // trace stream, Digest, and (read before Digest's own sync) every thread's
@@ -275,7 +276,7 @@ loop:
 	// The order matters: a public event-engine Step is the one entry point
 	// that does not WakeAll first, so the steps that directly follow StepAll
 	// and the naive stretches inside Flip see nothing but StepAll's own
-	// cache repair. Run, RunUntil and RunExact would mask a missing one.
+	// cache repair. Run, RunUntil and RunLoop would mask a missing one.
 	ops := []struct {
 		name string
 		do   func(m *machine.Machine) string
@@ -309,7 +310,12 @@ loop:
 			m.Naive = pure
 			return ""
 		}},
-		{"RunExact", func(m *machine.Machine) string { n, err := m.RunExact(23); return fmt.Sprint(n, err) }},
+		{"RunLoop", func(m *machine.Machine) string {
+			// A leg cut at an exact cycle: the fast-forward must stop there.
+			loop := machine.NewLeg(1 << 20)
+			ended, err := m.RunLoop(&loop, m.Cycle+23)
+			return fmt.Sprint(ended, err, loop.Ran(m.Cycle))
+		}},
 	}
 	for _, workers := range []int{0, 2, 3} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
@@ -369,8 +375,9 @@ func TestCrashStateMatchesNaive(t *testing.T) {
 	const node, at = 5, 333
 	naiveAt := func(cycle int64) *machine.Machine {
 		m, _ := buildMigrating(t, 0, true)
-		if _, err := m.RunExact(cycle); err != nil {
-			t.Fatal(err)
+		loop := machine.NewLeg(cycle)
+		if ended, err := m.RunLoop(&loop, cycle); ended || err != nil {
+			t.Fatalf("run to cycle %d: ended %v, %v", cycle, ended, err)
 		}
 		return m
 	}

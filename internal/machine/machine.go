@@ -23,6 +23,7 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -33,10 +34,11 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/noc"
+	"repro/internal/snap"
 	"repro/internal/trace"
 )
 
-// ErrStopped is wrapped into the error Run and RunUntil return when an
+// ErrStopped is wrapped into the error RunLoop and RunUntil return when an
 // external stop request (RequestStop, or a Close racing the run) aborts
 // the run before completion. The machine state is a consistent
 // between-cycles state — the run simply ended early — so it can be
@@ -507,7 +509,7 @@ func (m *Machine) noteStepped(i int) {
 }
 
 // recomputeActive rebuilds the run-loop activity counters from scratch —
-// the O(nodes) pass Run and RunUntil pay once at entry (and install pays
+// the O(nodes) pass RunLoop and RunUntil pay once at entry (and install pays
 // once) so that state mutated from outside the simulation is
 // observed; within a run noteStepped keeps them exact incrementally.
 func (m *Machine) recomputeActive() {
@@ -543,15 +545,13 @@ func (m *Machine) Quiescent() bool {
 // instruction issue anywhere with all queues drained.
 const quietWindow = 32
 
-// QuietWindow is quietWindow for external bound arithmetic: Run's cycle
-// bound is padded by this many detection cycles, so a caller that must
-// stop the machine at an exact cycle (internal/guard's cycle budgets)
-// subtracts it back out of the bound it passes.
+// QuietWindow is quietWindow for external bound arithmetic: a leg's cycle
+// bound is padded by this many detection cycles.
 const QuietWindow = quietWindow
 
 // Activity is what the run loop knows about the chips between two cycles:
 // running user H-Threads, non-quiescent chips, and instructions issued so
-// far. Run reads the machine's incrementally maintained totals (see
+// far. RunLoop reads the machine's incrementally maintained totals (see
 // noteStepped); the dist coordinator sums its shards' ShardActivity.
 type Activity struct {
 	Running, Busy int
@@ -563,30 +563,49 @@ func (a Activity) quiet(net *noc.Network) bool {
 	return a.Running == 0 && a.Busy == 0 && net.Quiescent()
 }
 
-// QuietLoop is Run's completion policy for one leg, as a value: the leg is
-// done once the machine has been quiet, with no instruction issued, for
-// quietWindow consecutive loop heads, and it gives up at the bound. Run
-// holds one on its stack; the dist coordinator holds one per leg and copies
-// it into its checkpoints, so both loops end a leg at the same cycle by
-// making the same calls rather than by mirroring each other's code.
+// QuietLoop is the completion policy of one leg — a run phase — as a
+// value: the leg is done once the machine has been quiet, with no
+// instruction issued, for quietWindow consecutive loop heads, and it
+// gives up at its bound. One loop spans the leg however many RunLoop
+// calls, on whichever transport, it takes: a caller that stops a leg
+// early keeps the loop (core.Position, the dist coordinator's
+// checkpoints), so the leg ends at the same cycle as one never stopped.
 type QuietLoop struct {
-	start, bound int64
-	idle         int64
-	prevIssued   uint64
+	span       int64 // the leg's cycle allowance, excluding the quiet window
+	start      int64 // the leg's first cycle, once begun
+	idle       int64 // consecutive quiet loop heads
+	prevIssued uint64
+	begun      bool
+	held       bool // the head at the current cycle is made (Hold)
 }
 
-// NewQuietLoop starts a leg of at most maxCycles (plus the detection
-// window) at cycle start, with a the activity at entry.
-func NewQuietLoop(start, maxCycles int64, a Activity) QuietLoop {
-	return QuietLoop{start: start, bound: start + maxCycles + quietWindow, prevIssued: a.Issued}
+// NewLeg returns the loop of a leg of at most maxCycles cycles (plus the
+// detection window). The first runner to run it begins it at its own
+// cycle and activity.
+func NewLeg(maxCycles int64) QuietLoop { return QuietLoop{span: maxCycles} }
+
+// Begin anchors a loop that has not begun at cycle, with a the activity
+// there; it does nothing to a begun loop.
+func (q *QuietLoop) Begin(cycle int64, a Activity) {
+	if !q.begun {
+		q.start, q.prevIssued, q.begun = cycle, a.Issued, true
+	}
 }
+
+// Begun reports whether a runner has begun the loop.
+func (q *QuietLoop) Begun() bool { return q.begun }
 
 // Bound is the cycle at which the leg gives up.
-func (q *QuietLoop) Bound() int64 { return q.bound }
+func (q *QuietLoop) Bound() int64 { return q.start + q.span + quietWindow }
 
 // Head is the loop-head check, made once before every stepped cycle. It
-// reports whether the leg is done; Ran then gives its length.
+// reports whether the leg is done; Ran then gives its length. After Hold
+// it only releases the hold: that cycle's check is already made.
 func (q *QuietLoop) Head(a Activity, net *noc.Network) bool {
+	if q.held {
+		q.held = false
+		return false
+	}
 	if a.quiet(net) && a.Issued == q.prevIssued {
 		q.idle++
 		return q.idle >= quietWindow
@@ -595,18 +614,27 @@ func (q *QuietLoop) Head(a Activity, net *noc.Network) bool {
 	return false
 }
 
+// Hold records that the runner stops after the current cycle's loop-head
+// check: the next runner's Head skips it instead of counting it twice.
+func (q *QuietLoop) Hold() { q.held = true }
+
 // Horizon is how far a transport may step from a loop head at cycle before
 // it must make the next completion decision itself: the cycles cycle …
 // Horizon()-1 stay below the bound, and Head, called at each of the loop
 // heads cycle+1 … Horizon()-1, cannot end the leg — the idle count after
 // the head at cycle would have to climb to quietWindow first.
 func (q *QuietLoop) Horizon(cycle int64) int64 {
-	return min(q.bound, cycle+quietWindow-q.idle)
+	return min(q.Bound(), cycle+quietWindow-q.idle)
 }
 
-// Ran is the cycles a leg that Head declared done at cycle executed,
-// excluding the quiet window.
-func (q *QuietLoop) Ran(cycle int64) int64 { return cycle - q.start - q.idle }
+// Ran is the cycles the leg has executed at cycle: excluding the quiet
+// window once Head has declared it done.
+func (q *QuietLoop) Ran(cycle int64) int64 {
+	if q.idle >= quietWindow {
+		return cycle - q.start - q.idle
+	}
+	return cycle - q.start
+}
 
 // Jump is the event engine's fast-forward after a stepped cycle: with no
 // component able to act before next, it returns the cycle to continue at,
@@ -618,7 +646,7 @@ func (q *QuietLoop) Ran(cycle int64) int64 { return cycle - q.start - q.idle }
 // short of the window, so that the next real Head returns exactly where
 // the naive loop would.
 func (q *QuietLoop) Jump(cycle, next int64, a Activity, net *noc.Network) int64 {
-	d := min(next, q.bound) - cycle
+	d := min(next, q.Bound()) - cycle
 	if d <= 0 {
 		return cycle
 	}
@@ -642,26 +670,54 @@ func (q *QuietLoop) Expired(a Activity) error {
 	if a.Running == 0 {
 		return nil
 	}
-	return fmt.Errorf("machine: %w within %d cycles", ErrCycleLimit, q.bound-q.start-quietWindow)
+	return fmt.Errorf("machine: %w within %d cycles", ErrCycleLimit, q.span)
 }
 
-// Run steps until all user threads are done and the machine has been
-// quiescent (no queued work and no instruction issued) for quietWindow
-// cycles, or maxCycles elapse. It returns the cycles executed (excluding
-// the quiet window) and an error on timeout or if any user thread faulted.
-//
-// Under the event-driven engine Run additionally fast-forwards: after each
-// step it takes the earliest NextEvent of any component and, when that lies
-// beyond the next cycle, jumps the clock there in one go (QuietLoop.Jump).
-// The skipped cycles are provably no-ops (no component may act, so the
-// loop-head bookkeeping is frozen too), and their only observable effects —
-// per-cycle stall statistics — are replayed exactly by the chips' deferred
-// SkipCycles catch-up, so cycle counts, state, and traces stay
-// bit-identical to the naive loop. The chips' next event comes from the
-// due-set's cached minima, which can only err early — at worst a spurious
-// (and observably identical) busy cycle — and the jump itself is one
-// assignment: the chips replay the window when they next act (see Step).
+// State walks the loop; a decoder rejects a position no runner could have
+// left between two calls.
+func (q *QuietLoop) State(c *snap.Codec) {
+	c.I64(&q.span)
+	c.I64(&q.start)
+	c.I64(&q.idle)
+	c.U64(&q.prevIssued)
+	c.Bool(&q.begun)
+	c.Bool(&q.held)
+	if c.Reading() && c.Err() == nil && (q.span < 0 || q.start < 0 || q.span > math.MaxInt64-quietWindow-q.start ||
+		q.idle < 0 || q.idle >= quietWindow || !q.begun && *q != QuietLoop{span: q.span}) {
+		c.Fail(fmt.Errorf("machine: implausible quiet loop %+v", *q))
+	}
+}
+
+// Run runs a leg of at most maxCycles cycles to its end (RunLoop with no
+// stop cycle) and returns the cycles it executed, excluding the quiet
+// window, with an error on timeout or if any user thread faulted.
 func (m *Machine) Run(maxCycles int64) (int64, error) {
+	loop := NewLeg(maxCycles)
+	_, err := m.RunLoop(&loop, math.MaxInt64)
+	return loop.Ran(m.Cycle), err
+}
+
+// RunLoop steps the machine under loop until the leg ends — Head declared
+// it done (err is FaultError's) or it reached its bound (err is Expired's
+// verdict, else FaultError's) — and reports true, or until the machine
+// reaches cycle until: then it makes that cycle's loop-head check, holds
+// the loop and reports false, and the next call with the loop goes on as
+// if this one had never returned. A stop request ends the call between
+// two cycles with ErrStopped.
+//
+// Under the event-driven engine RunLoop additionally fast-forwards: after
+// each step it takes the earliest NextEvent of any component and, when that
+// lies beyond the next cycle, jumps the clock there in one go
+// (QuietLoop.Jump), never past until. The skipped cycles are provably
+// no-ops (no component may act, so the loop-head bookkeeping is frozen
+// too), and their only observable effects — per-cycle stall statistics —
+// are replayed exactly by the chips' deferred SkipCycles catch-up, so cycle
+// counts, state, and traces stay bit-identical to the naive loop. The
+// chips' next event comes from the due-set's cached minima, which can only
+// err early — at worst a spurious (and observably identical) busy cycle —
+// and the jump itself is one assignment: the chips replay the window when
+// they next act (see Step).
+func (m *Machine) RunLoop(loop *QuietLoop, until int64) (bool, error) {
 	m.runMu.Lock()
 	defer m.runMu.Unlock()
 	// The chip phase defers idle chips' per-cycle bookkeeping; materialize
@@ -673,39 +729,42 @@ func (m *Machine) Run(maxCycles int64) (int64, error) {
 	defer m.syncDeferred()
 	m.WakeAll()
 	m.recomputeActive()
-	start := m.Cycle
-	loop := NewQuietLoop(start, maxCycles, m.act)
-	for m.Cycle < loop.Bound() {
+	loop.Begin(m.Cycle, m.act)
+	for bound := loop.Bound(); m.Cycle < bound; {
 		// Stop flag and progress gauge: the only supervision cost on the
 		// hot path, one atomic load and one atomic store per loop
 		// iteration. Stopping cannot change simulated state — the run
 		// merely ends between two cycles.
 		m.cycleGauge.Store(m.Cycle)
 		if m.stopReq.Load() {
-			return m.Cycle - start, fmt.Errorf("machine: run stopped at cycle %d: %w", m.Cycle, ErrStopped)
+			return false, fmt.Errorf("machine: run stopped at cycle %d: %w", m.Cycle, ErrStopped)
 		}
 		// The loop-head check reads the incrementally maintained activity
 		// totals (see noteStepped) — O(1) instead of the historical
 		// O(nodes) UserDone/Quiescent/totalIssued scans every busy cycle,
 		// and equal to them at every iteration by construction.
 		if loop.Head(m.act, m.Net) {
-			return loop.Ran(m.Cycle), m.FaultError()
+			return true, m.FaultError()
+		}
+		if m.Cycle >= until {
+			loop.Hold()
+			return false, nil
 		}
 		m.step(m.workers >= 2)
 		if !m.Naive {
-			next := min(m.Net.NextEvent(m.Cycle), m.ds.nextEvent(m.Cycle))
+			next := min(m.Net.NextEvent(m.Cycle), m.ds.nextEvent(m.Cycle), until)
 			m.Cycle = loop.Jump(m.Cycle, next, m.act, m.Net)
 		}
 	}
 	m.cycleGauge.Store(m.Cycle)
 	if err := loop.Expired(m.act); err != nil {
-		return m.Cycle - start, err
+		return true, err
 	}
-	return m.Cycle - start, m.FaultError()
+	return true, m.FaultError()
 }
 
 // WakeAll forces every chip to re-derive its next event on its coming
-// step. Run and RunUntil call it on entry so that any state mutated from
+// step. RunLoop and RunUntil call it on entry so that any state mutated from
 // outside the simulation between runs (program loads, register pokes) is
 // observed; within a run the engine maintains wake cycles itself.
 func (m *Machine) WakeAll() {
@@ -745,18 +804,6 @@ func (m *Machine) RunUntil(pred func() bool, maxCycles int64) (int64, error) {
 		m.step(false)
 	}
 	return m.Cycle - start, fmt.Errorf("machine: condition not met within %d cycles", maxCycles)
-}
-
-// RunExact advances exactly n cycles with no completion detection and no
-// fast-forward — what a supervisor needs to land on a precise cycle when
-// less than one quiet window of budget is left. It errs only when a stop
-// request cut it short (ErrStopped).
-func (m *Machine) RunExact(n int64) (int64, error) {
-	ran, err := m.RunUntil(func() bool { return false }, n)
-	if errors.Is(err, ErrStopped) {
-		return ran, err
-	}
-	return ran, nil
 }
 
 // FaultError collects user-thread fault diagnostics, nil if none.

@@ -144,6 +144,41 @@ func unorderedStreams(f *testing.F, base []byte) [][]byte {
 	return out
 }
 
+// emptiedLTLBOrder returns a 1-node snapshot whose node 0 LTLB keeps its
+// entries but lists none of them in its replacement order: a decoder
+// that accepted it would hand the chip an LTLB whose next eviction
+// indexes an empty FIFO. It must fail to restore.
+func emptiedLTLBOrder(f *testing.F, base []byte) []byte {
+	m, _, err := newFuzzTarget()
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer m.Close()
+	if err := m.Restore(bytes.NewReader(base)); err != nil {
+		f.Fatal(err)
+	}
+	var b bytes.Buffer
+	enc := snap.NewEncoder(&b)
+	m.Chips[0].Mem.LTLB.State(enc)
+	if err := enc.Flush(); err != nil {
+		f.Fatal(err)
+	}
+	old := b.Bytes()
+	at := bytes.Index(base, old)
+	n := int(binary.LittleEndian.Uint64(old)) // entries, and so order slots
+	if at < 0 || n == 0 {
+		f.Fatalf("LTLB section of %d entries not found in the baseline snapshot", n)
+	}
+	tail := len(old) - 2*8 // the hit and miss counters
+	section := binary.LittleEndian.AppendUint64(bytes.Clone(old[:tail-(n+1)*8]), 0)
+	section = append(section, old[tail:]...)
+	stream := append(append(bytes.Clone(base[:at]), section...), base[at+len(old):]...)
+	if err := m.Restore(bytes.NewReader(stream)); err == nil || !strings.Contains(err.Error(), "LTLB order") {
+		f.Fatalf("an LTLB with an empty order: restore error %v, want the order rejected", err)
+	}
+	return stream
+}
+
 // Per-worker-process fuzz state: the target machine is built lazily on
 // the first execution and reset to its baseline after every accepted
 // stream, so executions are independent. fuzzBefore caches the target's
@@ -171,6 +206,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	for _, crafted := range unorderedStreams(f, stencil) {
 		f.Add(crafted)
 	}
+	f.Add(emptiedLTLBOrder(f, stencil))
 	f.Add(scenarioSnapshot(f, "ringreduce.wl")) // mesh 4: dims-mismatch path
 	f.Add(wgenSnapshot(f, 0))                   // generated, mesh 1: user-mode state
 	f.Add(wgenSnapshot(f, 5))                   // generated, mesh 4 sweep: staging machine

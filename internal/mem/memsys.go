@@ -441,6 +441,12 @@ func (m *System) AttachDevice(base, words uint64, d Device) {
 	m.devBase, m.devWords, m.device = base, words, d
 }
 
+// Physical reports whether a privileged LDP/STP may address pa: a word of
+// SDRAM or of the attached device's window.
+func (m *System) Physical(pa uint64) bool {
+	return pa < m.SDRAM.Size() || m.device != nil && pa >= m.devBase && pa < m.devBase+m.devWords
+}
+
 // --- Zero-cost boot/test accessors (not part of the timed model) ---
 
 // MapPage creates a translation vpn -> ppn with every block in status s,

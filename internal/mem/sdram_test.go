@@ -358,3 +358,38 @@ func TestDecodeRejectsUnorderedIndices(t *testing.T) {
 		t.Errorf("cache stream: word at the second index is %d, want line 9", got)
 	}
 }
+
+// TestLTLBDecodeRequiresOrderPermutation: the LTLB's replacement order
+// must list every occupied slot exactly once. A full LTLB decoded with an
+// empty order used to be accepted, and its next miss panicked indexing
+// the empty FIFO.
+func TestLTLBDecodeRequiresOrderPermutation(t *testing.T) {
+	full := NewLTLB(4)
+	for vpn := uint64(1); vpn <= 4; vpn++ {
+		full.Insert(PTE{VPN: vpn, Valid: true})
+	}
+	for _, tc := range []struct {
+		name  string
+		order []int
+	}{
+		{"empty", nil},
+		{"short", []int{0, 1, 2}},
+		{"repeated", []int{0, 1, 1, 3}},
+	} {
+		bad := &LTLB{entries: full.entries, order: tc.order, capacity: 4}
+		r := snap.NewDecoder(bytes.NewReader(stateBytes(t, bad.State)))
+		NewLTLB(4).State(r)
+		if err := r.Err(); err == nil || !strings.Contains(err.Error(), "LTLB order") {
+			t.Errorf("%s order: error %v, want the order rejected", tc.name, err)
+		}
+	}
+	got := NewLTLB(4)
+	r := snap.NewDecoder(bytes.NewReader(stateBytes(t, full.State)))
+	got.State(r)
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if v := got.Insert(PTE{VPN: 5, Valid: true}); v.VPN != 1 {
+		t.Errorf("decoded LTLB evicted %+v, want vpn 1", v)
+	}
+}

@@ -248,11 +248,22 @@ func (t *LTLB) State(c *snap.Codec) {
 		snap.Elem(c, &t.entries, i).state(c)
 	}
 	no := c.Len(len(t.order), maxLTLB)
+	var seen []bool // decoding: the order must be a permutation of the slots
+	if c.Reading() && c.Err() == nil {
+		if no != n {
+			c.Fail(fmt.Errorf("mem: snapshot LTLB order lists %d slots of %d entries", no, n))
+		}
+		seen = make([]bool, n)
+	}
 	for i := 0; i < no && c.Err() == nil; i++ {
 		slot := snap.Elem(c, &t.order, i)
 		c.Int(slot)
-		if c.Reading() && c.Err() == nil && (*slot < 0 || *slot >= n) {
-			c.Fail(fmt.Errorf("mem: snapshot LTLB order slot %d outside %d entries", *slot, n))
+		if c.Reading() && c.Err() == nil {
+			if *slot < 0 || *slot >= n || seen[*slot] {
+				c.Fail(fmt.Errorf("mem: snapshot LTLB order slot %d repeated or outside %d entries", *slot, n))
+			} else {
+				seen[*slot] = true
+			}
 		}
 	}
 	if c.Reading() && c.Err() == nil && n > t.capacity {

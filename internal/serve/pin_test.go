@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -12,10 +13,10 @@ import (
 	"repro/internal/guard"
 )
 
-// TestCheckpointBytesPinned pins the msimdCk1 envelope of a suspended
-// session — two slices into its second phase, machine snapshot included —
-// byte for byte, as Drain would spool it.
-func TestCheckpointBytesPinned(t *testing.T) {
+// pinnedCheckpoint spools the checkpoint of a suspended session — two
+// 256-cycle slices into its second phase, machine snapshot included — as
+// Drain would leave it, into dir, and returns the file's path.
+func pinnedCheckpoint(tb testing.TB, dir string) string {
 	src := `workload "pin"
 mesh 2
 generate sp spinloop iters=300
@@ -26,52 +27,101 @@ run 100000
 `
 	sc, err := core.ScenarioFromDSL("pin.wl", src)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	sim, err := sc.NewSim(core.Options{})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	defer sim.M.Close()
 	run := sc.NewRun(sim)
 	sup := guard.New(sim.M, guard.Options{})
 	slices := 0
 	err = sup.Do(func() error {
-		for len(run.Phases()) == 0 || slices < 2 {
+		for len(run.Position().Phases) == 0 || slices < 2 {
 			ran, err := run.Advance(sup, 256)
 			if err != nil {
 				return err
 			}
-			if ran && len(run.Phases()) > 0 {
+			if ran && len(run.Position().Phases) > 0 {
 				slices++
 			}
 		}
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	var snapshot bytes.Buffer
 	if err := sim.M.Save(&snapshot); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	step, phaseRan := run.Pos()
-	path := ckptPath(t.TempDir(), "s000007")
+	path := ckptPath(dir, "s000007")
 	err = writeCheckpoint(path, &checkpoint{
 		ID: "s000007", Name: "pin.wl", Source: src,
 		WallNanos: int64(30 * time.Second), CycleBudget: 1 << 20, Retries: 1,
-		NextStep: step, PhaseRan: phaseRan, Checks: run.Checks(), Phases: run.Phases(),
-		Machine: snapshot.Bytes(),
+		Pos: run.Position(), Machine: snapshot.Bytes(),
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	b, err := os.ReadFile(path)
+	return path
+}
+
+// TestCheckpointBytesPinned pins the envelope of pinnedCheckpoint's
+// suspended session byte for byte.
+func TestCheckpointBytesPinned(t *testing.T) {
+	b, err := os.ReadFile(pinnedCheckpoint(t, t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "e0a2924d9b162189a0008271aa196f9a12072c0506a59a8616efac4adbd9f564"
+	const want = "0b45c6612f19199f619c4f86851a9c35f8c2e97e71db935e6484a5fb48404228"
 	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want {
-		t.Errorf("checkpoint sha256 %s, want %s (step %d, phase cycles %d, phases %v)", got, want, step, phaseRan, run.Phases())
+		t.Errorf("checkpoint sha256 %s, want %s", got, want)
 	}
+}
+
+// FuzzCheckpoint: a spooled checkpoint is read back by a restarted server
+// (adopt) and by every retry (runAttempt), so an arbitrary file must
+// either fail to read with an error or yield a checkpoint whose position
+// a run of its own scenario can Seek — returning an error, never
+// panicking. The corpus is seeded with TestCheckpointBytesPinned's file,
+// an admission checkpoint and damaged copies of the first.
+func FuzzCheckpoint(f *testing.F) {
+	pinned, err := os.ReadFile(pinnedCheckpoint(f, f.TempDir()))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(pinned)
+	admission := ckptPath(f.TempDir(), "s000001")
+	if err := writeCheckpoint(admission, &checkpoint{ID: "s000001", Name: "x.wl", Source: "workload \"x\"\nmesh 1\n"}); err != nil {
+		f.Fatal(err)
+	}
+	if b, err := os.ReadFile(admission); err == nil {
+		f.Add(b)
+	}
+	f.Add(pinned[:len(pinned)/2])
+	f.Add(pinned[:len(ckptMagic)+8])
+	f.Add([]byte(ckptMagic))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "s.ckpt")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := readCheckpoint(path)
+		if err != nil {
+			return
+		}
+		sc, err := core.ScenarioFromDSL(ck.Name, ck.Source)
+		if err != nil || sc.Plan.Dims[0]*sc.Plan.Dims[1]*sc.Plan.Dims[2] > 8 {
+			return // unparsable (adopt quarantines it), or too big to boot per execution
+		}
+		sim, err := sc.NewSim(core.Options{})
+		if err != nil {
+			return
+		}
+		defer sim.M.Close()
+		sc.NewRun(sim).Seek(ck.Pos)
+	})
 }

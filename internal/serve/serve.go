@@ -8,10 +8,9 @@ package serve
 //     own machine, its own supervisor, its own spool files. A contained
 //     crash poisons only its own machine, which is discarded — recovery
 //     always boots a fresh simulator and restores the latest checkpoint.
-//   - Recovery is replay from a run-slice boundary. Slice bounds are a
-//     pure function of (plan, CheckpointEvery, position), so a resumed
-//     session executes the identical machine.Run bound sequence an
-//     uninterrupted one would, and finishes bit-identical to it.
+//   - Recovery restores the latest slice checkpoint and Seeks the run to
+//     its spooled position, so a resumed session finishes bit-identical
+//     to an uninterrupted one — and to msim: slicing changes no result.
 //   - Budgets are mandatory and enforced by one guard.Supervisor per
 //     attempt, which drives the scenario (core.ScenarioRun.Drive): the
 //     wall deadline is per attempt (a retry gets a fresh clock; progress
@@ -229,10 +228,10 @@ func (sv *Server) adopt() ([]*Session, error) {
 			time.Duration(ck.WallNanos), ck.CycleBudget)
 		s.seq = sv.seqFromID(id)
 		s.retries = ck.Retries
-		s.phases = append(s.phases, ck.Phases...)
-		s.checks = ck.Checks
+		s.phases = append(s.phases, ck.Pos.Phases...)
+		s.checks = ck.Pos.Checks
 		adopted = append(adopted, s)
-		sv.cfg.logf("spool: adopted session %s (%s) at step %d", id, ck.Name, ck.NextStep)
+		sv.cfg.logf("spool: adopted session %s (%s) at step %d", id, ck.Name, ck.Pos.Next)
 	}
 	return adopted, nil
 }
@@ -498,9 +497,7 @@ func (sv *Server) cancel(s *Session) {
 
 // suspend parks a session for the drain: its latest boundary checkpoint
 // is already spooled, so the state transition is all that is needed. The
-// partial slice since that checkpoint is discarded — resuming replays it,
-// keeping the recovered execution's slice bounds identical to an
-// uninterrupted run's.
+// partial slice since that checkpoint is discarded; resuming replays it.
 func (sv *Server) suspend(s *Session) {
 	sv.finish(s, StateSuspended, nil)
 	sv.cfg.logf("session %s: suspended (drain); checkpoint retained", s.ID)
@@ -552,7 +549,7 @@ func (sv *Server) runAttempt(s *Session) (retry bool) {
 		// Seek checks only the position, and a failed Restore leaves the
 		// machine untouched, so a corrupt or incompatible checkpoint falls
 		// back to a fresh start on the same simulator.
-		resumed = run.Seek(ck.NextStep, ck.PhaseRan, ck.Phases, ck.Checks) == nil &&
+		resumed = run.Seek(ck.Pos) == nil &&
 			sim.M.Restore(bytes.NewReader(ck.Machine)) == nil
 		if resumed {
 			sv.mu.Lock()
@@ -672,16 +669,14 @@ func (sv *Server) spoolProgress(s *Session, run *core.ScenarioRun, sim *core.Sim
 	if err := sim.M.Save(buf); err != nil {
 		return err
 	}
-	step, phaseRan := run.Pos()
 	s.mu.Lock()
 	retries := s.retries
 	s.mu.Unlock()
 	return writeCheckpoint(ckptPath(sv.cfg.Spool, s.ID), &checkpoint{
 		ID: s.ID, Name: s.Name, Source: s.source,
 		WallNanos: int64(s.wall), CycleBudget: s.cycleBudget,
-		Retries:  retries,
-		NextStep: step, PhaseRan: phaseRan,
-		Checks: run.Checks(), Phases: run.Phases(),
+		Retries: retries,
+		Pos:     run.Position(),
 		Machine: buf.Bytes(),
 	})
 }

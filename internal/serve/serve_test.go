@@ -7,12 +7,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/guard"
+	"repro/internal/machine"
 )
 
 // spinScenario is a tiny deterministic scenario: a counting loop of
@@ -489,7 +491,7 @@ func TestBudgetExactAcrossResume(t *testing.T) {
 		run := sc.NewRun(sim)
 		sup := guard.New(sim.M, guard.Options{})
 		err = sup.Do(func() error {
-			for len(run.Phases()) == 0 {
+			for len(run.Position().Phases) == 0 {
 				if _, err := run.Advance(sup, 0); err != nil {
 					return err
 				}
@@ -504,13 +506,11 @@ func TestBudgetExactAcrossResume(t *testing.T) {
 			t.Fatal(err)
 		}
 		budget := sim.M.Cycle
-		step, phaseRan := run.Pos()
 		cfg := testConfig(t)
 		err = writeCheckpoint(ckptPath(cfg.Spool, "s000001"), &checkpoint{
 			ID: "s000001", Name: "twice.wl", Source: src,
 			WallNanos: int64(30 * time.Second), CycleBudget: budget,
-			NextStep: step, PhaseRan: phaseRan, Checks: run.Checks(), Phases: run.Phases(),
-			Machine: snapshot.Bytes(),
+			Pos: run.Position(), Machine: snapshot.Bytes(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -550,11 +550,13 @@ func TestScenarioFailurePermanent(t *testing.T) {
 func TestCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := ckptPath(dir, "s000042")
+	loop := machine.NewLeg(5000)
+	loop.Begin(777, machine.Activity{Issued: 99})
 	want := &checkpoint{
 		ID: "s000042", Name: "x.wl", Source: "workload \"x\"\nmesh 1\n",
 		WallNanos: int64(time.Minute), CycleBudget: 123456, Retries: 2,
-		NextStep: 3, PhaseRan: 777, Checks: 4,
-		Phases:  []core.PhaseResult{{Name: "a", Cycles: 10}, {Name: "b", Cycles: 20}},
+		Pos: core.Position{Next: 3, Loop: loop, Checks: 4,
+			Phases: []core.PhaseResult{{Name: "a", Cycles: 10}, {Name: "b", Cycles: 20}}},
 		Machine: []byte{1, 2, 3, 4, 5},
 	}
 	if err := writeCheckpoint(path, want); err != nil {
@@ -566,9 +568,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if got.ID != want.ID || got.Name != want.Name || got.Source != want.Source ||
 		got.WallNanos != want.WallNanos || got.CycleBudget != want.CycleBudget ||
-		got.Retries != want.Retries || got.NextStep != want.NextStep ||
-		got.PhaseRan != want.PhaseRan || got.Checks != want.Checks ||
-		len(got.Phases) != len(want.Phases) || !bytes.Equal(got.Machine, want.Machine) {
+		got.Retries != want.Retries || got.Pos.Next != want.Pos.Next ||
+		got.Pos.Loop != want.Pos.Loop || got.Pos.Checks != want.Pos.Checks ||
+		!slices.Equal(got.Pos.Phases, want.Pos.Phases) || !bytes.Equal(got.Machine, want.Machine) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
 	}
 

@@ -166,9 +166,10 @@ func (s *Session) detach() {
 
 // noteProgress publishes the run's completed phases and checks.
 func (s *Session) noteProgress(run *core.ScenarioRun) {
+	pos := run.Position()
 	s.update(func() {
-		s.phases = append(s.phases[:0], run.Phases()...)
-		s.checks = run.Checks()
+		s.phases = append(s.phases[:0], pos.Phases...)
+		s.checks = pos.Checks
 	})
 }
 

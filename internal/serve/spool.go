@@ -4,14 +4,12 @@ package serve
 // <spool>/<id>.ckpt, written atomically and durably (snap.WriteFileAtomic
 // fsyncs the file and its directory) so it survives power loss, not just
 // process death. A checkpoint is an envelope — identity, budgets, the
-// verbatim .wl source, the resume position from core.ScenarioRun.Pos,
-// results accumulated so far — plus, once the session has advanced, a
-// machine snapshot taken at the same quantum boundary. An admission
-// checkpoint (written before the session is queued) has no machine: it
-// recovers by running from the start, which is the same deterministic
-// execution. Crash dumps (<id>.crash) sit alongside for forensics; they
-// are never used for recovery — recovery always resumes from a slice
-// boundary so the replayed bound sequence matches an uninterrupted run.
+// verbatim .wl source, the core.ScenarioRun.Position — plus, once the
+// session has advanced, a machine snapshot taken at the same quantum
+// boundary. An admission checkpoint (written before the session is
+// queued) has no machine: it recovers by running from the start, which is
+// the same deterministic execution. Crash dumps (<id>.crash) sit alongside
+// for forensics; they are never used for recovery.
 
 import (
 	"bytes"
@@ -27,7 +25,7 @@ import (
 
 const (
 	ckptMagic   = "msimdCk1" // 8 bytes
-	ckptVersion = 1
+	ckptVersion = 2
 	ckptTrailer = 0x6d73696d64436b31 // "msimdCk1" as a word
 )
 
@@ -40,11 +38,7 @@ type checkpoint struct {
 	CycleBudget int64
 	Retries     int
 
-	// Resume position (core.ScenarioRun.Seek arguments).
-	NextStep int
-	PhaseRan int64
-	Checks   int
-	Phases   []core.PhaseResult
+	Pos core.Position // resume position (core.ScenarioRun.Seek)
 
 	// Machine snapshot at the matching quantum boundary; empty for an
 	// admission checkpoint (resume = run from the start).
@@ -56,8 +50,8 @@ func ckptPath(spool, id string) string  { return filepath.Join(spool, id+".ckpt"
 func crashPath(spool, id string) string { return filepath.Join(spool, id+".crash") }
 
 // state walks the envelope after its magic, from the version word to the
-// trailer, and describes a decoded version, phase count or trailer that
-// is not this build's.
+// trailer, and describes a decoded version, position or trailer that is
+// not this build's.
 func (ck *checkpoint) state(c *snap.Codec) error {
 	v := ckptVersion
 	c.Int(&v)
@@ -70,22 +64,7 @@ func (ck *checkpoint) state(c *snap.Codec) error {
 	c.I64(&ck.WallNanos)
 	c.I64(&ck.CycleBudget)
 	c.Int(&ck.Retries)
-	c.Int(&ck.NextStep)
-	c.I64(&ck.PhaseRan)
-	c.Int(&ck.Checks)
-	n := len(ck.Phases)
-	c.Int(&n)
-	if err := c.Err(); err != nil {
-		return err
-	}
-	if n < 0 || n > 1<<20 {
-		return fmt.Errorf("implausible phase count %d", n)
-	}
-	for i := 0; i < n; i++ {
-		p := snap.Elem(c, &ck.Phases, i)
-		c.String(&p.Name, 1<<16)
-		c.I64(&p.Cycles)
-	}
+	ck.Pos.State(c)
 	c.Bytes(&ck.Machine, 1<<32)
 	t := uint64(ckptTrailer)
 	c.U64(&t)

@@ -9,6 +9,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/guard"
+	"repro/internal/machine"
 	"repro/internal/trace"
 )
 
@@ -60,11 +62,14 @@ func seedErr(seed uint64, format string, args ...interface{}) error {
 
 // Verify generates seed's scenario and runs it under every in-process
 // engine, requiring bit-identical fingerprints (digests, stats, phase
-// cycles, trace timelines). Scenarios without a sweep additionally run
-// on the distributed engine for one seed in eight — dist is an order of
-// magnitude slower per scenario, and a subsample is enough to keep the
-// cross-process leg honest. Any failure names the seed and the
-// `msim -gen-seed` invocation that reproduces it.
+// cycles, trace timelines). Scenarios without a sweep also run twice
+// through core.ScenarioRun.Drive in slices of seed-derived lengths — one
+// below the quiet window, so that slice boundaries land inside the
+// phases' final quiet windows, one in 256…599, around the service's
+// default — and, for one seed in eight, on the distributed engine: dist
+// is an order of magnitude slower per scenario, and a subsample is enough
+// to keep the cross-process leg honest. Any failure names the seed and
+// the `msim -gen-seed` invocation that reproduces it.
 func Verify(seed uint64) error {
 	name, src := Source(seed)
 	sc, err := core.ScenarioFromDSL(name+".wl", src)
@@ -74,28 +79,45 @@ func Verify(seed uint64) error {
 		return seedErr(seed, "generated scenario does not compile (wgen bug): %v\n--- source ---\n%s", err, src)
 	}
 
+	// same holds a run to the first one's fingerprint.
 	var ref string
-	for i, m := range matrixModes {
-		res, s, err := sc.RunSim(m.opts)
+	same := func(what string, res *core.ScenarioResult, s *core.Sim, err error) error {
 		if err != nil {
-			return seedErr(seed, "%s engine: %v", m.name, err)
+			return seedErr(seed, "%s: %v", what, err)
 		}
 		fp := fingerprint(res, s.Recorder)
-		if i == 0 {
+		if ref == "" {
 			ref = fp
-			continue
+		} else if fp != ref {
+			return seedErr(seed, "%s diverged from %s:\n%s", what, matrixModes[0].name, diffLines(ref, fp))
 		}
-		if fp != ref {
-			return seedErr(seed, "%s engine diverged from %s:\n%s",
-				m.name, matrixModes[0].name, diffLines(ref, fp))
+		return nil
+	}
+	for _, m := range matrixModes {
+		res, s, err := sc.RunSim(m.opts)
+		if err := same(m.name+" engine", res, s, err); err != nil {
+			return err
+		}
+	}
+	if sc.Plan.Sweep != nil {
+		return nil // the dist hub cannot follow sweep forks, nor Drive a sweep
+	}
+	for _, slice := range [2]int64{1 + int64(seed%(machine.QuietWindow-1)), 256 + int64(seed*97%344)} {
+		s, err := sc.NewSim(core.Options{})
+		if err != nil {
+			return seedErr(seed, "%v", err)
+		}
+		res, err := sc.NewRun(s).Drive(guard.New(s.M, sc.Supervision(core.Options{})), slice, nil)
+		s.M.Close()
+		if err := same(fmt.Sprintf("run in %d-cycle slices", slice), res, s, err); err != nil {
+			return err
 		}
 	}
 
-	// Distributed subsample: the dist hub forces its own engine and
-	// cannot follow sweep forks, so only plain multi-node scenarios
-	// qualify. Compare through the same fingerprint — the dist digest
-	// is the same sha256 over the same snapshot stream.
-	if sc.Plan.Sweep == nil && sc.Plan.Dims[0]*sc.Plan.Dims[1]*sc.Plan.Dims[2] >= 2 && seed%8 == 0 {
+	// Distributed subsample: the dist hub forces its own engine, so only
+	// multi-node scenarios qualify. Compare through the same fingerprint —
+	// the dist digest is the same sha256 over the same snapshot stream.
+	if sc.Plan.Dims[0]*sc.Plan.Dims[1]*sc.Plan.Dims[2] >= 2 && seed%8 == 0 {
 		rr, s, err := dist.RunScenario(sc, core.Options{}, dist.Config{
 			Shards:   2,
 			Launcher: dist.LocalLauncher{},
@@ -103,10 +125,7 @@ func Verify(seed uint64) error {
 		if err != nil {
 			return seedErr(seed, "dist engine: %v", err)
 		}
-		if fp := fingerprint(rr.ScenarioResult, s.Recorder); fp != ref {
-			return seedErr(seed, "dist engine diverged from %s:\n%s",
-				matrixModes[0].name, diffLines(ref, fp))
-		}
+		return same("dist engine", rr.ScenarioResult, s, nil)
 	}
 	return nil
 }
