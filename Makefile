@@ -9,7 +9,8 @@
 # end-to-end msim -save/-restore round trip, a run of every example, an
 # end-to-end run of every checked-in workload scenario
 # (testdata/workloads/*.wl under msim), a fuzzing smoke over the snapshot
-# decoder, the DSL front end and msimd's checkpoint envelope, a one-shot benchmark smoke pass (every
+# decoder, the DSL front end, msimd's checkpoint envelope and assembled
+# programs, a one-shot benchmark smoke pass (every
 # benchmark runs once, so a panicking or regressed-to-failure benchmark
 # breaks CI without paying for measurement), and a benchdiff over the two
 # most recent BENCH_<n>.json records (any metric delta or disappearance
@@ -110,13 +111,16 @@ wl:
 # minimization is capped so the 10s budget is spent fuzzing rather than
 # shrinking ~100KB snapshot inputs), the DSL front end (arbitrary
 # source => positional error or a valid lowering, never a panic; the
-# checked-in corpus slants toward the sweep/grant parser paths) and the
+# checked-in corpus slants toward the sweep/grant parser paths), the
 # msimd checkpoint envelope (arbitrary spool file => read error, or a
-# position its scenario's run Seeks without panicking).
+# position its scenario's run Seeks without panicking) and the assembler
+# plus engine (arbitrary source => assembly error, or a supervised run
+# that ends in a classified failure other than a crash).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s -fuzzminimizetime 5x ./internal/machine
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/wdsl
 	$(GO) test -run '^$$' -fuzz FuzzCheckpoint -fuzztime 10s -fuzzminimizetime 5x ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzAssembleRun -fuzztime 10s ./internal/core
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

@@ -16,6 +16,11 @@
 //	-drill-panic node@cycle    inject a contained worker panic (crash)
 //	-drill-hang node@cycle     wedge a worker mid-step (stall-timeout)
 //
+// A kill fires at the first exchange whose window reaches its cycle; a
+// panic or hang drill fires at the node's first step at or after its
+// cycle (a faultinject probe in the worker), so a node idle at that cycle
+// takes the fault when it next acts.
+//
 // A drilled run must end with the same cycle counts, checks, and machine
 // digest as an undisturbed one — mshard prints the digest so two runs
 // can be compared directly. Exit codes are msim's (guard.ExitCode): 0
@@ -107,7 +112,7 @@ func main() {
 	fmt.Printf("digest: %s\n", res.Digest)
 	fmt.Printf("\nsupervision: %d checkpoint(s), %d recover(ies)\n", res.Checkpoints, res.Recoveries)
 	for _, f := range res.Failures {
-		detail, _, _ := strings.Cut(f.Detail, "\n")
+		detail, _, _ := strings.Cut(f.Err.Error(), "\n")
 		fmt.Printf("  shard %d %-13s at cycle %-8d %s\n", f.Shard, f.Class, f.Cycle, detail)
 	}
 	if *showTrace {

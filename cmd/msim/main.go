@@ -48,7 +48,8 @@
 //	0  success
 //	1  scenario fault (failed expectation, program fault, bad input file)
 //	2  usage error (bad flags or arguments)
-//	3  timeout or cycle-budget exhaustion (supervision watchdog fired)
+//	3  a cutoff: wall-clock timeout, hang, or a cycle bound (-cycles, a
+//	   run step's bound, a budget) reached with threads still running
 //	4  internal crash (contained panic; a bug in the simulator)
 package main
 
@@ -181,11 +182,8 @@ func main() {
 	ran, err := s.RunSupervised(*cycles, supervise)
 	if err != nil {
 		reportFailure(err)
-		if guard.IsHang(err) {
-			// A wedged run goroutine still owns the machine; don't touch it
-			// further (no register dump, no -save), just classify and leave.
-			os.Exit(3)
-		}
+		// Exit before touching the machine again (no register dump, no
+		// -save): after a hang a wedged run goroutine still owns it.
 		os.Exit(guard.ExitCode(err))
 	}
 
@@ -313,7 +311,7 @@ func saveSnapshot(s *core.Sim, path string) error {
 // reportFailure prints a run failure the way a user should see it: the
 // one-line classification, the supervisor's livelock/deadlock diagnostic
 // when there is one, and where the crash dump went — never a raw Go
-// stack trace (those stay in *guard.CrashError.Stack for bug reports).
+// stack trace (those stay in guard.Failure.Stack for bug reports).
 func reportFailure(err error) {
 	fmt.Fprintf(os.Stderr, "msim: %v\n", err)
 	diag, dump := guard.Forensics(err)

@@ -20,12 +20,12 @@ import (
 
 // ptrAddr offsets a guarded pointer without a permission check (privileged
 // threads), still enforcing segment bounds.
-func ptrAddr(w isa.Word, off int64) (uint64, bool, error) {
+func ptrAddr(w isa.Word, off int64) (uint64, error) {
 	p, err := gp.Pointer(w.Bits).Add(off)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
-	return p.Addr(), false, nil
+	return p.Addr(), nil
 }
 
 // ptrAddrChecked offsets and permission-checks a guarded pointer for a user
@@ -157,6 +157,10 @@ func (c *Chip) execute(now int64, vt, cl int, th *cluster.HThread, op *isa.Op) (
 		rec := c.readRecord(th, int(op.Src1.Index))
 		if op.Code == isa.MRETRY {
 			r := events.Decode(rec.w)
+			if !c.retryable(r) {
+				c.protFault(vt, cl, th, "retry record names no memory request")
+				return 0, false
+			}
 			c.submitMem(now, r.Request(), reqMeta{
 				isRetry: true,
 				regDesc: r.RegDesc,
@@ -194,6 +198,10 @@ func (c *Chip) execute(now int64, vt, cl int, th *cluster.HThread, op *isa.Op) (
 		desc := c.readSrc(vt, cl, th, op.Src1)
 		data := c.readSrc(vt, cl, th, op.Src2)
 		dvt, dcl, reg := isa.UnpackRegDesc(desc.Bits)
+		if !regInRange(dvt, dcl, reg) {
+			c.protFault(vt, cl, th, "register descriptor outside the register files")
+			return 0, false
+		}
 		c.schedule(now+c.Cfg.XferLat, dvt, dcl, reg, data)
 		c.trace(trace.Event{Kind: trace.RSTW, Arg: desc.Bits})
 		return 0, false

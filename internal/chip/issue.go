@@ -13,6 +13,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/events"
 	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
@@ -344,6 +345,39 @@ type recordWords struct {
 	VAddr uint64
 }
 
+// retryable reports whether an MRETRY record names a memory request the
+// memory system can take (a physical one inside SDRAM and the I/O window,
+// as effAddr demands of LDP/STP) and, for a load, a register the response
+// can be written to. A record a fault put in the event queue always does;
+// one a program assembled in its registers may not.
+func (c *Chip) retryable(r events.Record) bool {
+	if r.Kind > mem.ReqWritePhys || r.Pre > isa.SyncEmpty || r.Post > isa.SyncEmpty ||
+		(r.Kind == mem.ReqReadPhys || r.Kind == mem.ReqWritePhys) && !c.Mem.Physical(r.VAddr) {
+		return false
+	}
+	if r.Kind.IsWrite() {
+		return true
+	}
+	vt, cl, reg := isa.UnpackRegDesc(r.RegDesc)
+	return regInRange(vt, cl, reg) && (reg.Class == isa.RInt || reg.Class == isa.RFP)
+}
+
+// regInRange reports whether an unpacked register descriptor indexes this
+// chip's thread slots, clusters and register files (a class without a file
+// is a target that takes no write).
+func regInRange(vt, cl int, r isa.Reg) bool {
+	if vt >= isa.NumVThreads || cl >= isa.NumClusters {
+		return false
+	}
+	switch r.Class {
+	case isa.RInt, isa.RFP:
+		return int(r.Index) < isa.NumIntRegs
+	case isa.RGCC:
+		return int(r.Index) < isa.NumGCCRegs
+	}
+	return true
+}
+
 // effAddr computes and protection-checks a memory operation's effective
 // address. User threads must present a tagged guarded pointer with
 // sufficient permissions; privileged threads may use raw addresses
@@ -360,7 +394,8 @@ func (c *Chip) effAddr(th *cluster.HThread, op *isa.Op) (addr uint64, write bool
 	}
 	if th.Privileged {
 		if base.Ptr {
-			return ptrAddr(base, op.Imm)
+			a, err := ptrAddr(base, op.Imm)
+			return a, write, err
 		}
 		return base.Bits + uint64(op.Imm), write, nil
 	}

@@ -129,7 +129,7 @@ func (h *HThread) Load(p *isa.Program, privileged bool) {
 // Current returns the next instruction to issue, or nil if the thread is
 // not running or has run off the end of its program.
 func (h *HThread) Current() *isa.Inst {
-	if h.Status != ThreadRunning || h.Prog == nil || h.PC >= len(h.Prog.Insts) {
+	if h.Status != ThreadRunning || h.Prog == nil || h.PC < 0 || h.PC >= len(h.Prog.Insts) {
 		return nil
 	}
 	return &h.Prog.Insts[h.PC]

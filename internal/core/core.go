@@ -12,7 +12,7 @@
 //	fmt.Println(sim.Reg(0, 0, 0, 2)) // 42
 //
 // Beyond building and driving machines (LoadASM/LoadUserASM/LoadProgram,
-// Run/RunUntil, Poke/Peek, Stats), the facade exposes the checkpoint
+// Run, Poke/Peek, Stats), the facade exposes the checkpoint
 // subsystem — Sim.Save writes a versioned snapshot of the complete
 // simulation state, Sim.Restore replaces a compatible machine's state
 // all-or-nothing, and Sim.Fork clones a simulator for what-if runs from
@@ -191,7 +191,7 @@ func (s *Sim) Reg(node, vthread, cl, reg int) uint64 {
 func (s *Sim) Run(maxCycles int64) (int64, error) { return s.M.Run(maxCycles) }
 
 // RunSupervised is Run under a guard.Supervisor: panics are contained as
-// *guard.CrashError, opt's wall-clock and cycle watchdogs are enforced,
+// a crash *guard.Failure, opt's wall-clock and cycle watchdogs are enforced,
 // and on failure a diagnostic (and, when opt.DumpPath is set, a
 // restorable crash-dump snapshot) is attached. Simulated state is
 // bit-identical to an unsupervised Run. If the returned error satisfies
@@ -199,11 +199,6 @@ func (s *Sim) Run(maxCycles int64) (int64, error) { return s.M.Run(maxCycles) }
 // calling Close.
 func (s *Sim) RunSupervised(maxCycles int64, opt guard.Options) (int64, error) {
 	return guard.New(s.M, opt).Run(maxCycles)
-}
-
-// RunUntil steps until pred holds.
-func (s *Sim) RunUntil(pred func() bool, maxCycles int64) (int64, error) {
-	return s.M.RunUntil(pred, maxCycles)
 }
 
 // Poke/Peek access a node's memory through the boot path.

@@ -47,11 +47,14 @@ func TestSimStats(t *testing.T) {
 `); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RunUntil(func() bool {
-		w, err := s.Peek(1, 4100)
-		return err == nil && w == 7
-	}, 50000); err != nil {
-		t.Fatal(err)
+	for i := 0; ; i++ {
+		if w, err := s.Peek(1, 4100); err == nil && w == 7 {
+			break
+		}
+		if i == 50000 {
+			t.Fatal("remote store never landed within 50000 cycles")
+		}
+		s.M.Step()
 	}
 	st := s.Stats()
 	if st.Instructions == 0 || st.MsgsInjected == 0 || st.LTLBFaults == 0 {
@@ -347,5 +350,26 @@ func TestPhysicalAccessOutsideSDRAMFaults(t *testing.T) {
 			!strings.Contains(err.Error(), "physical address 0x1053b0 outside SDRAM") {
 			t.Errorf("%s: err %v (class %q); want a thread fault naming the address", op, err, c)
 		}
+	}
+}
+
+// TestPrivilegedStoreThroughPointer: a privileged store through a guarded
+// pointer stores. Its effective address used to come back marked as a
+// read, so the store was issued as a load into no register and the run
+// crashed.
+func TestPrivilegedStoreThroughPointer(t *testing.T) {
+	s, err := NewSim(Options{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.M.Close()
+	if err := s.LoadASM(0, 0, 0, "movi i1, #4096\nsetptr i2, i1, #0x53\nst [i2+1], i1\nhalt\n"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RunSupervised(3000, guard.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if w, err := s.Peek(1, 4097); err != nil || w != 4096 {
+		t.Errorf("word 4097 = %d (%v), want the stored 4096", w, err)
 	}
 }

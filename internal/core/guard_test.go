@@ -82,7 +82,7 @@ func TestSupervisedDeterminismEngines(t *testing.T) {
 }
 
 // TestScenarioDeadlineDirective: a .wl deadline cuts off a livelocked
-// scenario as a wall-clock StallError; the caller's Supervise.Timeout
+// scenario as a wall-clock stall-timeout; the caller's Supervise.Timeout
 // overrides the file's value.
 func TestScenarioDeadlineDirective(t *testing.T) {
 	src := "\ndeadline 60s\n" + spinScenario
@@ -95,9 +95,9 @@ func TestScenarioDeadlineDirective(t *testing.T) {
 	}
 	// Override with a short caller timeout so the test is fast.
 	_, err = sc.Run(Options{Supervise: guard.Options{Timeout: 50 * time.Millisecond}})
-	var se *guard.StallError
-	if !errors.As(err, &se) || se.Kind != guard.StallTimeout {
-		t.Fatalf("want StallTimeout, got %v", err)
+	var se *guard.Failure
+	if !errors.As(err, &se) || se.Class != guard.ClassStallTimeout {
+		t.Fatalf("want a stall-timeout, got %v", err)
 	}
 	if se.Diagnostic == "" {
 		t.Fatal("no diagnostic attached")
@@ -105,7 +105,7 @@ func TestScenarioDeadlineDirective(t *testing.T) {
 }
 
 // TestScenarioBudgetDirective: a .wl budget stops the scenario at a
-// deterministic cycle with a StallError of kind StallBudget.
+// deterministic cycle with a budget failure.
 func TestScenarioBudgetDirective(t *testing.T) {
 	src := "\nbudget 2000 + 1000\n" + spinScenario
 	stopAt := func() int64 {
@@ -117,9 +117,9 @@ func TestScenarioBudgetDirective(t *testing.T) {
 			t.Fatalf("budget lowered to %d, want 3000", sc.Plan.CycleBudget)
 		}
 		_, err = sc.Run(Options{})
-		var se *guard.StallError
-		if !errors.As(err, &se) || se.Kind != guard.StallBudget {
-			t.Fatalf("want StallBudget, got %v", err)
+		var se *guard.Failure
+		if !errors.As(err, &se) || se.Class != guard.ClassBudget {
+			t.Fatalf("want a budget failure, got %v", err)
 		}
 		return se.Cycle
 	}
@@ -137,9 +137,9 @@ func TestScenarioCrashDumpRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = sc.Run(Options{Supervise: guard.Options{CycleBudget: 2000, DumpPath: dump}})
-	var se *guard.StallError
-	if !errors.As(err, &se) || se.Kind != guard.StallBudget {
-		t.Fatalf("want StallBudget, got %v", err)
+	var se *guard.Failure
+	if !errors.As(err, &se) || se.Class != guard.ClassBudget {
+		t.Fatalf("want a budget failure, got %v", err)
 	}
 	if se.DumpPath != dump {
 		t.Fatalf("dump path %q, want %q", se.DumpPath, dump)

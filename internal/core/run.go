@@ -17,7 +17,6 @@ package core
 // so every slice length, and none, is the same execution.
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -108,10 +107,9 @@ func (r *ScenarioRun) Seek(p Position) error {
 // sup.RunPhase runs the phase's loop on whatever runs the supervisor's
 // legs (the machine, or the dist coordinator via guard.NewOver) and clamps
 // a slice to the cycle budget. Call Advance inside sup.Do (Drive does) for
-// panic containment and the watchdogs. Errors follow Scenario.Run:
-// supervision failures (any guard.Class but scenario, and
-// machine.ErrStopped) pass through unwrapped, everything else carries the
-// step's source position.
+// panic containment and the watchdogs. A run phase's error carries the
+// step's source position and wraps the cause, so every front end
+// classifies it alike.
 func (r *ScenarioRun) Advance(sup *guard.Supervisor, maxSlice int64) (ranPhase bool, err error) {
 	if r.Done() {
 		return false, nil
@@ -135,16 +133,9 @@ func (r *ScenarioRun) Advance(sup *guard.Supervisor, maxSlice int64) (ranPhase b
 	}
 	ended, err := sup.RunPhase(loop, until)
 	if err != nil {
-		// Supervision failures — watchdog cutoffs, stop requests, shard
-		// failures that outlived the recovery cap — must reach the
-		// supervisor unwrapped: the positional formatting would break
-		// errors.As/Is and guard.Classify, and rob Do of the chance to
-		// attach diagnostics and the dump. Only the scenario's own
-		// failures get the step's source position.
-		if guard.Classify(err) != guard.ClassScenario || errors.Is(err, machine.ErrStopped) {
-			return true, err
-		}
-		return true, fmt.Errorf("%s: %v", st.Pos, err)
+		// Wrapped, not flattened: guard.Classify, Do's forensics and
+		// errors.Is(err, machine.ErrStopped) read through the position.
+		return true, fmt.Errorf("%s: %w", st.Pos, err)
 	}
 	if !ended {
 		return true, nil // the phase continues at the next Advance

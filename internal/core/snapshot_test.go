@@ -89,8 +89,8 @@ func TestSimFork(t *testing.T) {
 	if err := s.LoadASM(0, 0, 0, snapTestProg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RunUntil(func() bool { return false }, 300); err == nil {
-		t.Fatal("RunUntil with a false predicate should time out")
+	for i := 0; i < 300; i++ {
+		s.M.Step()
 	}
 	f, err := s.Fork()
 	if err != nil {
@@ -162,7 +162,7 @@ func TestSimRestoreKeepsRecording(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b.M.SetFaultProbe(faultinject.PanicAt(1, at))
+			b.M.SetFaultProbe(faultinject.PanicFrom(1, at))
 			if err := put(b); err != nil {
 				t.Fatal(err)
 			}

@@ -8,6 +8,7 @@ package core
 import (
 	"crypto/sha256"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/chip"
@@ -217,6 +218,37 @@ loop:
 	return s
 }
 
+// ltlbKernel loads an endless loop on nodes 0 and 1 that loads one word
+// from each of the 8 pages of the node's home range against a 4-entry
+// LTLB and a 16-line cache (the words share a line, so every load misses
+// the virtually addressed cache and consults the LTLB): after the first
+// lap every load misses the LTLB, and the miss handler's insert evicts
+// the oldest entry.
+func ltlbKernel(t *testing.T) *Sim {
+	cfg := chip.DefaultConfig()
+	cfg.Mem.LTLBEntries = 4
+	cfg.Mem.Cache.Lines = 16
+	s, err := NewSim(Options{Nodes: 2, Chip: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < 2; n++ {
+		var b strings.Builder
+		for p := 1; p <= 8; p++ {
+			fmt.Fprintf(&b, "    movi i%d, #%d\n", p, s.HomeBase(n)+uint64(p-1)*512+8)
+		}
+		b.WriteString("loop:\n")
+		for p := 1; p <= 8; p++ {
+			fmt.Fprintf(&b, "    ld i9, [i%d]\n", p)
+		}
+		b.WriteString("    br loop\n")
+		if err := s.LoadASM(n, 0, 0, b.String()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
 // refuseKernel runs an endless SEND loop on nodes 0 and 1, each at the
 // other, with neither node's priority-0 message handler running: once the
 // queues fill, every message is refused, held and resent. Each refusal
@@ -248,19 +280,29 @@ loop:
 
 // TestTraceAllocatesNothing: stepping allocates nothing once buffers reach
 // steady state, with no trace sink and with a Recorder whose capacity was
-// reserved up front. Three kernels step 500-cycle slices: a load/store
+// reserved up front. Four kernels step 500-cycle slices: a load/store
 // loop, the same loop with a remote-store SEND per iteration (each request
-// comes back to its sender as its own acknowledgement), and a
-// return-to-sender loop whose messages are refused and resent.
+// comes back to its sender as its own acknowledgement), a
+// return-to-sender loop whose messages are refused and resent, and an
+// LTLB-thrashing load loop. A kernel's counter, when it has one, must
+// advance while measuring.
 func TestTraceAllocatesNothing(t *testing.T) {
+	returned := func(s *Sim) (n uint64) {
+		for _, c := range s.M.Chips {
+			n += c.MsgsReturned
+		}
+		return n
+	}
+	ltlbFaults := func(s *Sim) uint64 { return s.Stats().LTLBFaults }
 	for _, k := range []struct {
 		name    string
 		boot    func(t *testing.T) *Sim
-		refuses bool
+		counter func(s *Sim) uint64
 	}{
-		{"load/store", func(t *testing.T) *Sim { return allocKernel(t, false) }, false},
-		{"send", func(t *testing.T) *Sim { return allocKernel(t, true) }, false},
-		{"return-to-sender", refuseKernel, true},
+		{"load/store", func(t *testing.T) *Sim { return allocKernel(t, false) }, nil},
+		{"send", func(t *testing.T) *Sim { return allocKernel(t, true) }, nil},
+		{"return-to-sender", refuseKernel, returned},
+		{"ltlb-thrash", ltlbKernel, ltlbFaults},
 	} {
 		for _, sink := range []bool{false, true} {
 			s := k.boot(t)
@@ -274,15 +316,12 @@ func TestTraceAllocatesNothing(t *testing.T) {
 					s.M.Step()
 				}
 			}
-			returned := func() (n uint64) {
-				for _, c := range s.M.Chips {
-					n += c.MsgsReturned
-				}
-				return n
-			}
 			step() // chip buffers, queues, free lists and the handlers' pages reach steady state
 			step()
-			before := returned()
+			var before uint64
+			if k.counter != nil {
+				before = k.counter(s)
+			}
 			allocs := testing.AllocsPerRun(5, step)
 			events := 0
 			if sink {
@@ -291,8 +330,8 @@ func TestTraceAllocatesNothing(t *testing.T) {
 			if allocs != 0 || sink != (events > 1000) {
 				t.Errorf("%s kernel, sink=%v: %v allocations per 500-cycle slice (%d events), want 0", k.name, sink, allocs, events)
 			}
-			if k.refuses && returned() == before {
-				t.Errorf("%s kernel, sink=%v: no message was returned while measuring", k.name, sink)
+			if k.counter != nil && k.counter(s) == before {
+				t.Errorf("%s kernel, sink=%v: its counter did not move while measuring", k.name, sink)
 			}
 		}
 	}

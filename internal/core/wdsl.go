@@ -93,10 +93,10 @@ func (sc *Scenario) Run(o Options) (*ScenarioResult, error) {
 // already closed; its final state remains readable.
 //
 // Execution is supervised (internal/guard): a panic anywhere in the plan
-// or the engines surfaces as a *guard.CrashError, and the watchdogs —
+// or the engines surfaces as a crash *guard.Failure, and the watchdogs —
 // the caller's Options.Supervise, else the scenario file's
-// deadline/budget directives — cut off runaway runs as *guard.StallError,
-// with a diagnostic and (when Supervise.DumpPath is set) a restorable
+// deadline/budget directives — cut off runaway runs as a stall-timeout or
+// budget *guard.Failure, with a diagnostic and (when Supervise.DumpPath is set) a restorable
 // crash-dump snapshot attached. Supervision never changes simulated
 // results. In the one unrecoverable case — the error satisfies
 // guard.IsHang — the machine is abandoned un-Closed, because a wedged

@@ -80,14 +80,6 @@ type KillSpec struct {
 	Cycle int64
 }
 
-// FailureRecord is one observed shard failure, kept for reporting.
-type FailureRecord struct {
-	Shard  int
-	Class  guard.Class
-	Cycle  int64
-	Detail string
-}
-
 // Config parameterizes a Coordinator.
 type Config struct {
 	// Shards is the worker count; clamped to [1, nodes].
@@ -195,7 +187,7 @@ type Coordinator struct {
 	pendingTrace trace.Recorder
 
 	recoveries int
-	failures   []FailureRecord
+	failures   []ShardFailure
 	chaos      []ChaosSpec
 	kill       []KillSpec
 }
@@ -256,10 +248,10 @@ func New(m *machine.Machine, cfg Config) (*Coordinator, error) {
 
 // Shards reports the worker count; Failures and Recoveries report the
 // supervision history; Checkpoints counts coordinated checkpoints taken.
-func (co *Coordinator) Shards() int               { return len(co.shards) }
-func (co *Coordinator) Failures() []FailureRecord { return co.failures }
-func (co *Coordinator) Recoveries() int           { return co.recoveries }
-func (co *Coordinator) Checkpoints() int          { return co.ckCount }
+func (co *Coordinator) Shards() int              { return len(co.shards) }
+func (co *Coordinator) Failures() []ShardFailure { return co.failures }
+func (co *Coordinator) Recoveries() int          { return co.recoveries }
+func (co *Coordinator) Checkpoints() int         { return co.ckCount }
 
 // Close shuts the federation down: orderly cmdShutdown where possible,
 // then handle teardown, and hands the checkpoint buffer on to the next
@@ -494,7 +486,7 @@ func (co *Coordinator) seedAll(snapshot []byte) error {
 	co.exchange(cmdSeed, repOK, func(int) []byte { return snapshot }, nil)
 	for i, f := range co.fails {
 		for f != nil {
-			co.noteFailure(f)
+			co.failures = append(co.failures, *f)
 			if co.recoveries >= co.cfg.MaxRecoveries {
 				return fmt.Errorf("dist: recovery limit %d exhausted seeding: %w", co.cfg.MaxRecoveries, f)
 			}
@@ -809,12 +801,6 @@ func (co *Coordinator) syncHub() *ShardFailure {
 	return nil
 }
 
-func (co *Coordinator) noteFailure(f *ShardFailure) {
-	co.failures = append(co.failures, FailureRecord{
-		Shard: f.Shard, Class: f.Class, Cycle: f.Cycle, Detail: f.Err.Error(),
-	})
-}
-
 // recover rewinds the federation to the latest checkpoint after a shard
 // failure: every worker is respawned (survivors may hold half-exchanged
 // protocol state), the hub restores the checkpointed machine, the
@@ -822,7 +808,7 @@ func (co *Coordinator) noteFailure(f *ShardFailure) {
 // disarmed so the replay runs clean. The caller then re-attempts the leg
 // with resume=true, which reseeds the workers with the same checkpoint.
 func (co *Coordinator) recover(sf *ShardFailure) error {
-	co.noteFailure(sf)
+	co.failures = append(co.failures, *sf)
 	if co.recoveries >= co.cfg.MaxRecoveries {
 		return fmt.Errorf("dist: recovery limit %d exhausted: %w", co.cfg.MaxRecoveries, sf)
 	}

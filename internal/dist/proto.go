@@ -111,11 +111,11 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	return hdr[0], payload, nil
 }
 
-// ChaosSpec is a deterministic worker-side fault for drills and tests
-// (see internal/faultinject): when the owning shard is about to step
-// Node at Cycle, it panics (Kind "panic", contained and reported as a
-// crash) or wedges forever (Kind "hang", tripping the coordinator's
-// per-window deadline). Chaos never alters simulated state — a recovered
+// ChaosSpec is a deterministic worker-side fault for drills and tests,
+// armed as a faultinject probe: the first time the owning shard is about
+// to step Node at a cycle >= Cycle, it panics (Kind "panic", contained and
+// reported as a crash) or wedges forever (Kind "hang", tripping the
+// coordinator's per-window deadline). Chaos never alters simulated state — a recovered
 // run is bit-identical to an undisturbed one.
 type ChaosSpec struct {
 	Node  int

@@ -22,7 +22,7 @@ import (
 type RunResult struct {
 	*core.ScenarioResult
 	Shards      int
-	Failures    []FailureRecord
+	Failures    []ShardFailure
 	Recoveries  int
 	Checkpoints int
 }

@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/machine"
 	"repro/internal/noc"
 	"repro/internal/trace"
@@ -210,6 +211,7 @@ func (w *worker) seed(snapshot []byte) error {
 			return err
 		}
 		w.m = machine.New(cfg)
+		w.arm()
 	}
 	if err := w.m.Restore(bytes.NewReader(snapshot)); err != nil {
 		return err
@@ -242,20 +244,23 @@ func (w *worker) activity(now int64) activity {
 	return activity{Activity: act, Next: next, Fault: fault}
 }
 
-// chaos fires any armed fault that is due at cycle t — the worker-side
-// fault-injection probe, at the top of the chip phase. Chaos never
+// arm installs the init's chaos drills as the machine's fault probe: each
+// fires at its node's first step at or after its cycle. Chaos never
 // mutates simulated state: a panic is contained and reported, a hang
-// wedges the step while heartbeats keep flowing, and either way the
-// coordinator rewinds and replays the window without the (disarmed)
-// fault.
-func (w *worker) chaos(t int64) {
+// wedges the step for good while heartbeats keep flowing, and either way
+// the coordinator rewinds and replays the window without the (disarmed)
+// drill.
+func (w *worker) arm() {
+	var probes []faultinject.Probe
 	for _, c := range w.spec.Chaos {
-		if c.Cycle <= t {
-			if c.Kind == "hang" {
-				select {} // wedged forever; heartbeats keep flowing
-			}
-			panic(fmt.Sprintf("injected panic at node %d, cycle %d", c.Node, t))
+		if c.Kind == "hang" {
+			probes = append(probes, faultinject.HangFrom(c.Node, c.Cycle, nil))
+		} else {
+			probes = append(probes, faultinject.PanicFrom(c.Node, c.Cycle))
 		}
+	}
+	if len(probes) > 0 {
+		w.m.SetFaultProbe(faultinject.Chain(probes...))
 	}
 }
 
@@ -310,7 +315,6 @@ func (w *worker) stepCycle(t int64, out *cycleReply) {
 	}
 
 	// Chip phase over the owned range, in node-index order.
-	w.chaos(t)
 	w.stepped = w.m.StepRange(w.spec.Lo, w.spec.Hi, t, w.stepped[:0])
 
 	// Drain phase: the stepped chips' trace buffers and outboxes in

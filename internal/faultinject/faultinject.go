@@ -8,14 +8,17 @@
 //
 // Two fault families:
 //
-//   - Execution faults are machine fault probes (Machine.SetFaultProbe):
-//     pure functions of (node, cycle), so a fault fires at the identical
-//     simulation point under every engine — serial, event-driven, or any
-//     parallel shard layout — and a test can assert the exact crash site
-//     the guard reports. PanicAt raises an *InjectedPanic (which carries
-//     its own crash site); StallAt burns wall-clock time to trip timeout
-//     watchdogs without touching simulated state; BlockUntil wedges the
-//     stepping goroutine to exercise the hang/grace path.
+//   - Execution faults are machine fault probes (Machine.SetFaultProbe).
+//     Each fires at a node's first step at or after a cycle (an
+//     exact-cycle match would never fire while the event-driven engine
+//     skips an idle node), so a fault on a node busy at that cycle fires
+//     at the identical simulation point under every engine — serial,
+//     event-driven, any parallel shard layout, or a dist shard worker —
+//     and a test can assert the exact crash site the guard reports. PanicFrom
+//     raises an *InjectedPanic (which carries its own crash site);
+//     StallAt burns wall-clock time to trip timeout watchdogs without
+//     touching simulated state; HangFrom wedges the stepping goroutine to
+//     exercise the hang/grace path.
 //
 //   - Stream faults corrupt snapshot bytes: Truncate, FlipBit, and the
 //     seeded Corrupter, which derives every mutation from a splitmix64
@@ -28,7 +31,7 @@ import (
 	"time"
 )
 
-// InjectedPanic is the panic value PanicAt raises. It implements the
+// InjectedPanic is the panic value PanicFrom raises. It implements the
 // guard's crash-site interface, so a contained crash is attributed to the
 // injected (node, cycle) exactly.
 type InjectedPanic struct {
@@ -40,7 +43,7 @@ func (p *InjectedPanic) Error() string {
 	return fmt.Sprintf("injected panic at node %d, cycle %d", p.Node, p.Cycle)
 }
 
-// CrashSite reports where the fault was injected (guard.CrashError's
+// CrashSite reports where the fault was injected (guard.Failure's
 // Node/Cycle attribution).
 func (p *InjectedPanic) CrashSite() (node int, cycle int64) { return p.Node, p.Cycle }
 
@@ -49,13 +52,17 @@ func (p *InjectedPanic) CrashSite() (node int, cycle int64) { return p.Node, p.C
 // distinct nodes under the parallel engine.
 type Probe func(node int, cycle int64)
 
-// PanicAt returns a probe that panics with an *InjectedPanic the first
-// time chip node is about to step cycle. The probe fires before the step,
-// so the machine state at containment is the clean between-cycles state
-// for that chip — what makes crash-dump resume exact on serial engines.
-func PanicAt(node int, cycle int64) Probe {
+// PanicFrom returns a probe that panics with an *InjectedPanic, once, the
+// first time chip node is about to step a cycle >= from. The probe fires
+// before the step, so the machine state at containment is the clean
+// between-cycles state for that chip — what makes crash-dump resume exact
+// on serial engines. The unsynchronized once-flag is safe: a given node is
+// stepped by one goroutine at a time under every engine.
+func PanicFrom(node int, from int64) Probe {
+	fired := false
 	return func(n int, c int64) {
-		if n == node && c == cycle {
+		if n == node && c >= from && !fired {
+			fired = true
 			panic(&InjectedPanic{Node: n, Cycle: c})
 		}
 	}
@@ -74,14 +81,17 @@ func StallAt(node int, from int64, d time.Duration) Probe {
 	}
 }
 
-// BlockUntil returns a probe that blocks on release the first time chip
-// node is about to step cycle — a wedged worker that never reaches the
-// run loop's stop check, for exercising the guard's hang/grace path.
-// Close release to un-wedge it (tests must, or the goroutine leaks past
-// the test).
-func BlockUntil(node int, cycle int64, release <-chan struct{}) Probe {
+// HangFrom returns a probe that blocks on release, once, the first time
+// chip node is about to step a cycle >= from — a wedged worker that never
+// reaches the run loop's stop check, for exercising the guard's
+// hang/grace path and the dist coordinator's window deadline. Close
+// release to un-wedge it (tests must, or the goroutine leaks past the
+// test); a nil release wedges it for good.
+func HangFrom(node int, from int64, release <-chan struct{}) Probe {
+	fired := false
 	return func(n int, c int64) {
-		if n == node && c == cycle {
+		if n == node && c >= from && !fired {
+			fired = true
 			<-release
 		}
 	}

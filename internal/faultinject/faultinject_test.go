@@ -58,19 +58,19 @@ spin:
 	return m
 }
 
-// TestInjectedPanicAllEngines: PanicAt(chip, cycle) is contained as a
-// *guard.CrashError attributed to exactly that chip and cycle under every
-// engine — the harness's reason to exist.
+// TestInjectedPanicAllEngines: PanicFrom(chip, cycle) is contained as a
+// crash *guard.Failure attributed to exactly that chip and cycle under
+// every engine — the harness's reason to exist.
 func TestInjectedPanicAllEngines(t *testing.T) {
 	for _, e := range engines {
 		t.Run(e.name, func(t *testing.T) {
 			m := newM(t, 6, e.naive, e.workers)
-			m.SetFaultProbe(faultinject.PanicAt(3, 200))
+			m.SetFaultProbe(faultinject.PanicFrom(3, 200))
 			s := guard.New(m, guard.Options{})
 			_, err := s.Run(1 << 40)
-			var ce *guard.CrashError
-			if !errors.As(err, &ce) {
-				t.Fatalf("want *CrashError, got %v", err)
+			var ce *guard.Failure
+			if !errors.As(err, &ce) || ce.Class != guard.ClassCrash {
+				t.Fatalf("want a crash *Failure, got %v", err)
 			}
 			if ce.Node != 3 || ce.Cycle != 200 {
 				t.Fatalf("crash site node %d cycle %d, want node 3 cycle 200", ce.Node, ce.Cycle)
@@ -89,26 +89,25 @@ func TestInjectedPanicAllEngines(t *testing.T) {
 }
 
 // TestStallTripsWatchdog: StallAt makes the run slow without touching
-// simulated state; the wall-clock watchdog cuts it off as StallTimeout.
+// simulated state; the wall-clock watchdog cuts it off as stall-timeout.
 func TestStallTripsWatchdog(t *testing.T) {
 	m := newM(t, 1, false, 0)
 	m.SetFaultProbe(faultinject.StallAt(0, 0, 5*time.Millisecond))
 	s := guard.New(m, guard.Options{Timeout: 40 * time.Millisecond})
 	_, err := s.Run(1 << 40)
-	var se *guard.StallError
-	if !errors.As(err, &se) || se.Kind != guard.StallTimeout {
-		t.Fatalf("want StallTimeout, got %v", err)
+	if c := guard.Classify(err); c != guard.ClassStallTimeout {
+		t.Fatalf("want stall-timeout, got %v (%s)", err, c)
 	}
 }
 
 // TestBlockTripsHang: a probe that never returns wedges the stepping
-// goroutine mid-cycle; the guard gives up after the grace period with
-// StallHang and no dump.
+// goroutine mid-cycle; the guard gives up after the grace period with a
+// stall-hang and no dump.
 func TestBlockTripsHang(t *testing.T) {
 	m := newM(t, 1, false, 0)
 	release := make(chan struct{})
 	defer close(release)
-	m.SetFaultProbe(faultinject.BlockUntil(0, 50, release))
+	m.SetFaultProbe(faultinject.HangFrom(0, 50, release))
 	s := guard.New(m, guard.Options{Timeout: 10 * time.Millisecond, Grace: 40 * time.Millisecond})
 	_, err := s.Run(1 << 40)
 	if !guard.IsHang(err) {
@@ -126,11 +125,11 @@ func TestChain(t *testing.T) {
 				hits++
 			}
 		},
-		faultinject.PanicAt(1, 20),
+		faultinject.PanicFrom(1, 20),
 	))
 	s := guard.New(m, guard.Options{})
 	_, err := s.Run(1 << 40)
-	var ce *guard.CrashError
+	var ce *guard.Failure
 	if !errors.As(err, &ce) || ce.Node != 1 || ce.Cycle != 20 {
 		t.Fatalf("chained panic lost: %v", err)
 	}
@@ -242,9 +241,9 @@ func TestInjectedSiteSweep(t *testing.T) {
 			name := fmt.Sprintf("%s/n%dc%d", e.name, site.node, site.cycle)
 			t.Run(name, func(t *testing.T) {
 				m := newM(t, 6, e.naive, e.workers)
-				m.SetFaultProbe(faultinject.PanicAt(site.node, site.cycle))
+				m.SetFaultProbe(faultinject.PanicFrom(site.node, site.cycle))
 				_, err := guard.New(m, guard.Options{}).Run(1 << 40)
-				var ce *guard.CrashError
+				var ce *guard.Failure
 				if !errors.As(err, &ce) || ce.Node != site.node || ce.Cycle != site.cycle {
 					t.Fatalf("site %d/%d: got %v", site.node, site.cycle, err)
 				}

@@ -12,8 +12,7 @@ import (
 )
 
 // TestClassify is the supervision taxonomy in one table: every class, as
-// each layer raises it — guard's own typed errors (bare and as Do
-// produces them), the errors the session service passes through or
+// each layer raises it — guard's *Failure (bare and as Do produces it), the errors the session service passes through or
 // wraps, the coordinator's shard failures (bare and as the terminal
 // recovery-cap error wraps them) — and which of them a retry can get
 // past.
@@ -54,7 +53,7 @@ func TestClassify(t *testing.T) {
 		{"serve: failed expectation with its source position",
 			fmt.Errorf("s.wl:6:1: expect reg: node 0 vthread 0 cluster 0 i1 = 10, want 11"), guard.ClassScenario, false},
 		{"serve: phase outran its own bound",
-			fmt.Errorf("s.wl:5:1: %v", fmt.Errorf("machine: %w within 10 cycles", machine.ErrCycleLimit)), guard.ClassScenario, false},
+			fmt.Errorf("s.wl:5:1: %w", fmt.Errorf("machine: %w within 10 cycles", machine.ErrCycleLimit)), guard.ClassBudget, false},
 		{"serve: retries exhausted keeps the cause's class",
 			fmt.Errorf("%w (retries exhausted after 4 attempts)", crashed), guard.ClassCrash, true},
 		// dist
@@ -63,7 +62,7 @@ func TestClassify(t *testing.T) {
 		{"dist: worker connection died", shard(guard.ClassLost), guard.ClassLost, true},
 		{"dist: recovery cap tripped names its cause",
 			fmt.Errorf("dist: recovery limit 8 exhausted: %w", shard(guard.ClassLost)), guard.ClassLost, true},
-		{"dist: budget through the coordinator", &guard.StallError{Kind: guard.StallBudget, Cycle: 100, Budget: 100}, guard.ClassBudget, false},
+		{"dist: budget through the coordinator", &guard.Failure{Class: guard.ClassBudget, Cycle: 100, Budget: 100}, guard.ClassBudget, false},
 	}
 	for _, c := range cases {
 		if c.err == nil {
@@ -105,10 +104,10 @@ func TestExitCodeFollowsClass(t *testing.T) {
 	}{
 		{errors.New("expect failed"), 1},
 		{fmt.Errorf("machine: %w within 5 cycles", machine.ErrCycleLimit), 3},
-		{&guard.StallError{Kind: guard.StallTimeout}, 3},
-		{&guard.StallError{Kind: guard.StallHang}, 3},
-		{fmt.Errorf("phase p: %w", &guard.StallError{Kind: guard.StallBudget}), 3},
-		{&guard.CrashError{Value: "boom"}, 4},
+		{&guard.Failure{Class: guard.ClassStallTimeout}, 3},
+		{&guard.Failure{Class: guard.ClassStallHang}, 3},
+		{fmt.Errorf("phase p: %w", &guard.Failure{Class: guard.ClassBudget}), 3},
+		{&guard.Failure{Class: guard.ClassCrash, Value: "boom"}, 4},
 		{shard(guard.ClassLost), 4},
 		{shard(guard.ClassStallTimeout), 3},
 		{capped(guard.ClassCrash), 4},

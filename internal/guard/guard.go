@@ -12,9 +12,9 @@
 //   - Panic containment. Panics out of the supervised function — serial
 //     engine steps, scenario staging, and (via machine.WorkerPanic)
 //     parallel worker goroutines — are recovered and converted to a
-//     *CrashError carrying the panic value, the deep stack captured at
-//     the panic site, and the offending (node, cycle). A panic never
-//     crosses the Supervisor boundary.
+//     ClassCrash *Failure carrying the panic value, the deep stack
+//     captured at the panic site, and the offending (node, cycle). A
+//     panic never crosses the Supervisor boundary.
 //
 //   - Watchdogs. A wall-clock deadline (Options.Timeout) is enforced by
 //     a monitor goroutine that raises the machine's atomic stop flag; the
@@ -34,9 +34,9 @@
 //
 // If the run does not respond to the stop request within Options.Grace —
 // a worker wedged inside a cycle, not a livelocked simulation — Do gives
-// up waiting and returns a *StallError with Kind StallHang. The run
-// goroutine still owns the machine in that case, so no snapshot is
-// written and the machine must be abandoned (see IsHang).
+// up waiting and returns a ClassStallHang *Failure. The run goroutine
+// still owns the machine in that case, so no snapshot is written and the
+// machine must be abandoned (see IsHang).
 package guard
 
 import (
@@ -59,16 +59,16 @@ import (
 type Options struct {
 	// Timeout is the wall-clock budget for one Do call; 0 disables the
 	// wall-clock watchdog. Exceeding it stops the run at its next
-	// loop-head sync point and yields a *StallError (StallTimeout).
+	// loop-head sync point and yields a ClassStallTimeout *Failure.
 	Timeout time.Duration
 
 	// CycleBudget caps the machine cycles the supervised run may advance
 	// past the cycle the Supervisor was built at, across all its RunPhase
 	// legs; 0 disables. A machine restored after New counts from New's
 	// cycle, so one budget spans a resumed run. Exhaustion yields a
-	// *StallError (StallBudget). Enforcement is deterministic: the
-	// budget clamps the cycle each leg stops at, so the same scenario
-	// exhausts at the same cycle on every host and engine.
+	// ClassBudget *Failure. Enforcement is deterministic: the budget
+	// clamps the cycle each leg stops at, so the same scenario exhausts
+	// at the same cycle on every host and engine.
 	CycleBudget int64
 
 	// DumpPath, when non-empty, is where a crash-dump snapshot is
@@ -78,7 +78,7 @@ type Options struct {
 	DumpPath string
 
 	// Grace is how long after a stop request the monitor waits for the
-	// run to return before declaring it wedged (StallHang). Default
+	// run to return before declaring it wedged (ClassStallHang). Default
 	// 10s; a hung run's goroutine is abandoned, not killed.
 	Grace time.Duration
 }
@@ -87,85 +87,51 @@ type Options struct {
 // before it is declared wedged.
 const defaultGrace = 10 * time.Second
 
-// StallKind classifies a *StallError.
-type StallKind int
+// Failure is the one error type a Supervisor raises; Class says which
+// kind of failure it is (ClassCrash, ClassStallTimeout, ClassStallHang or
+// ClassBudget). The machine state is consistent — between cycles — for
+// every class but ClassStallHang, after which the run goroutine still owns
+// the machine (see IsHang).
+type Failure struct {
+	Class Class
+	Cycle int64 // machine cycle at detection (the gauge for hangs)
+	Node  int   // crash: the crashed chip, -1 when unattributed
 
-const (
-	// StallTimeout: the wall-clock deadline expired; the
-	// run observed the stop flag and returned cleanly.
-	StallTimeout StallKind = iota
-	// StallBudget: the cycle budget was exhausted (deterministic).
-	StallBudget
-	// StallHang: the run did not respond to the stop request within the
-	// grace period; its goroutine was abandoned mid-run.
-	StallHang
-)
+	Value any    // crash: the original panic value
+	Stack []byte // crash: the stack at the panic site
 
-func (k StallKind) String() string {
-	switch k {
-	case StallTimeout:
-		return "timeout"
-	case StallBudget:
-		return "cycle budget"
-	case StallHang:
-		return "hang"
-	}
-	return fmt.Sprintf("StallKind(%d)", int(k))
-}
-
-// StallError reports a watchdog firing: the supervised run exceeded its
-// wall-clock deadline, exhausted its cycle budget, or wedged. The
-// machine state is consistent (between cycles) except for StallHang.
-type StallError struct {
-	Kind    StallKind
-	Cycle   int64         // machine cycle at detection (gauge for hangs)
 	Elapsed time.Duration // wall time since Do entry
-	Budget  int64         // the cycle budget (StallBudget)
-	Timeout time.Duration // the wall deadline (StallTimeout/StallHang)
+	Budget  int64         // the limit that tripped: the cycle budget (ClassBudget)
+	Timeout time.Duration // or the wall deadline (ClassStallTimeout, ClassStallHang)
 
 	Diagnostic string // Diagnose output at detection ("" for hangs)
 	DumpPath   string // crash-dump location, "" if none was written
 }
 
-func (e *StallError) Error() string {
-	switch e.Kind {
-	case StallBudget:
-		return fmt.Sprintf("guard: cycle budget (%d) exhausted at cycle %d", e.Budget, e.Cycle)
-	case StallHang:
-		return fmt.Sprintf("guard: run wedged: no response to the stop request within the grace period (last observed cycle %d, %v elapsed)", e.Cycle, e.Elapsed.Round(time.Millisecond))
+// Error is deliberately stack-free: CLIs print it to users directly; the
+// Stack field is for logs and bug reports.
+func (f *Failure) Error() string {
+	switch f.Class {
+	case ClassCrash:
+		if f.Node >= 0 {
+			return fmt.Sprintf("guard: run crashed at node %d, cycle %d: %v", f.Node, f.Cycle, f.Value)
+		}
+		return fmt.Sprintf("guard: run crashed near cycle %d: %v", f.Cycle, f.Value)
+	case ClassBudget:
+		return fmt.Sprintf("guard: cycle budget (%d) exhausted at cycle %d", f.Budget, f.Cycle)
+	case ClassStallHang:
+		return fmt.Sprintf("guard: run wedged: no response to the stop request within the grace period (last observed cycle %d, %v elapsed)", f.Cycle, f.Elapsed.Round(time.Millisecond))
 	}
-	return fmt.Sprintf("guard: wall-clock deadline (%v) exceeded at cycle %d", e.Timeout, e.Cycle)
+	return fmt.Sprintf("guard: wall-clock deadline (%v) exceeded at cycle %d", f.Timeout, f.Cycle)
 }
 
 // Unwrap lets errors.Is(err, context.DeadlineExceeded) detect the
-// wall-clock kinds.
-func (e *StallError) Unwrap() error {
-	if e.Kind == StallBudget {
-		return nil
+// wall-clock classes.
+func (f *Failure) Unwrap() error {
+	if f.Class == ClassStallTimeout || f.Class == ClassStallHang {
+		return context.DeadlineExceeded
 	}
-	return context.DeadlineExceeded
-}
-
-// CrashError reports a contained panic: the panic value, the goroutine
-// stack captured at the panic site (worker-side for parallel-engine
-// crashes), and the offending chip and cycle when they are known.
-type CrashError struct {
-	Value any    // the original panic value
-	Stack []byte // stack at the panic site
-	Cycle int64
-	Node  int // -1 when the crash could not be attributed to a chip
-
-	Diagnostic string // Diagnose output after the crash
-	DumpPath   string // crash-dump location, "" if none was written
-}
-
-// Error is deliberately stack-free: CLIs print it to users directly; the
-// Stack field is for logs and bug reports.
-func (e *CrashError) Error() string {
-	if e.Node >= 0 {
-		return fmt.Sprintf("guard: run crashed at node %d, cycle %d: %v", e.Node, e.Cycle, e.Value)
-	}
-	return fmt.Sprintf("guard: run crashed near cycle %d: %v", e.Cycle, e.Value)
+	return nil
 }
 
 // crashSite is implemented by panic values that know which chip and
@@ -174,13 +140,13 @@ type crashSite interface {
 	CrashSite() (node int, cycle int64)
 }
 
-// IsHang reports whether err is a *StallError of Kind StallHang — the one
-// failure class after which the machine is still owned by an abandoned
-// run goroutine and must not be touched again (in particular, do not
-// Close it: Close would block on the wedged run).
+// IsHang reports whether err is a ClassStallHang *Failure — the one
+// failure after which the machine is still owned by an abandoned run
+// goroutine and must not be touched again (in particular, do not Close
+// it: Close would block on the wedged run).
 func IsHang(err error) bool {
-	var se *StallError
-	return errors.As(err, &se) && se.Kind == StallHang
+	var f *Failure
+	return errors.As(err, &f) && f.Class == ClassStallHang
 }
 
 // Class is the failure taxonomy every supervision layer shares — guard
@@ -191,12 +157,12 @@ func IsHang(err error) bool {
 type Class string
 
 const (
-	ClassCrash        Class = "crash"         // contained panic (*CrashError, a worker's reported panic)
+	ClassCrash        Class = "crash"         // contained panic (a *Failure, a worker's reported panic)
 	ClassStallTimeout Class = "stall-timeout" // a wall deadline expired; the run answered the stop
 	ClassStallHang    Class = "stall-hang"    // the stop went unanswered past the grace period
 	ClassLost         Class = "lost"          // a shard's connection died or went silent
-	ClassBudget       Class = "budget"        // cycle budget exhausted
-	ClassScenario     Class = "scenario"      // expect/check/staging error, thread fault, phase bound
+	ClassBudget       Class = "budget"        // a cycle bound ran out: the supervisor's budget or the run's own
+	ClassScenario     Class = "scenario"      // expect/check/staging error, thread fault
 )
 
 // Transient reports whether a retry from the latest checkpoint can get
@@ -206,29 +172,21 @@ func (c Class) Transient() bool {
 	return c == ClassCrash || c == ClassStallTimeout || c == ClassStallHang || c == ClassLost
 }
 
-// Classify maps a run error to its class: guard's own typed errors by
-// type and kind, errors that carry a class (dist.ShardFailure) by asking
-// them, everything else — failed expectations, program faults, a phase
-// that outran its own bound — as a scenario failure.
+// Classify maps a run error to its class: a *Failure's own, else the class
+// of an error that carries one (dist.ShardFailure), else ClassBudget for a
+// run that outran its own cycle bound (machine.ErrCycleLimit), else
+// ClassScenario — failed expectations, program faults, staging errors.
 func Classify(err error) Class {
-	var ce *CrashError
-	if errors.As(err, &ce) {
-		return ClassCrash
-	}
-	var se *StallError
-	if errors.As(err, &se) {
-		switch se.Kind {
-		case StallTimeout:
-			return ClassStallTimeout
-		case StallHang:
-			return ClassStallHang
-		case StallBudget:
-			return ClassBudget
-		}
+	var f *Failure
+	if errors.As(err, &f) {
+		return f.Class
 	}
 	var cl interface{ FailureClass() Class }
 	if errors.As(err, &cl) {
 		return cl.FailureClass()
+	}
+	if errors.Is(err, machine.ErrCycleLimit) {
+		return ClassBudget
 	}
 	return ClassScenario
 }
@@ -236,14 +194,10 @@ func Classify(err error) Class {
 // ExitCode is the process exit code a CLI reports for a failed run, a
 // function of the failure class alone so that msim, mshard and msimd's
 // failure_class cannot disagree about what kind of failure a run ended
-// in: 3 for a watchdog cutoff (wall clock, hang, cycle budget, or the
-// run's own cycle bound expiring), 4 for a contained internal panic or a
-// shard lost for good, 1 for everything else (failed expectations,
-// program faults).
+// in: 3 for a cutoff (wall clock, hang, or a cycle bound), 4 for a
+// contained internal panic or a shard lost for good, 1 for everything
+// else (failed expectations, program faults).
 func ExitCode(err error) int {
-	if errors.Is(err, machine.ErrCycleLimit) {
-		return 3
-	}
 	switch Classify(err) {
 	case ClassStallTimeout, ClassStallHang, ClassBudget:
 		return 3
@@ -256,13 +210,9 @@ func ExitCode(err error) int {
 // Forensics extracts what a supervisor attached to a failure: the
 // Diagnose report and the crash-dump path ("" when err carries none).
 func Forensics(err error) (diagnostic, dumpPath string) {
-	var ce *CrashError
-	if errors.As(err, &ce) {
-		return ce.Diagnostic, ce.DumpPath
-	}
-	var se *StallError
-	if errors.As(err, &se) {
-		return se.Diagnostic, se.DumpPath
+	var f *Failure
+	if errors.As(err, &f) {
+		return f.Diagnostic, f.DumpPath
 	}
 	return "", ""
 }
@@ -327,10 +277,10 @@ type outcome struct {
 // watchdog, and failure forensics. fn runs on a dedicated goroutine (the
 // machine is not goroutine-affine, and the monitor must be able to give
 // up on a wedged run); Do returns when fn does — or, after a stop
-// request went unanswered for the grace period, with a StallHang. Errors
-// fn returns pass through untouched unless they are watchdog classes,
-// which get their diagnostics and dump attached here, after the machine
-// has gone quiet.
+// request went unanswered for the grace period, with a ClassStallHang
+// *Failure. Errors fn returns pass through untouched unless they carry a
+// *Failure, which gets its diagnostics and dump attached here, after the
+// machine has gone quiet.
 func (s *Supervisor) Do(fn func() error) error {
 	if s.supervising {
 		return errors.New("guard: nested Do on one Supervisor")
@@ -387,8 +337,8 @@ func (s *Supervisor) Do(fn func() error) error {
 		case <-timeoutCh:
 			stop()
 		case <-graceCh:
-			return &StallError{
-				Kind:    StallHang,
+			return &Failure{
+				Class:   ClassStallHang,
 				Cycle:   s.m.CycleGauge(),
 				Elapsed: time.Since(start),
 				Timeout: s.opt.Timeout,
@@ -401,8 +351,8 @@ func (s *Supervisor) Do(fn func() error) error {
 // the machine reaches until, and reports whether the leg ended. A cycle
 // budget clamps until to base+CycleBudget: a leg still going there stops
 // at that cycle precisely, on every host, engine and transport, with a
-// *StallError (StallBudget) that Do enriches with diagnostics and the
-// dump on the way out.
+// ClassBudget *Failure that Do enriches with diagnostics and the dump on
+// the way out.
 func (s *Supervisor) RunPhase(loop *machine.QuietLoop, until int64) (bool, error) {
 	end := int64(math.MaxInt64)
 	if s.opt.CycleBudget > 0 {
@@ -414,50 +364,41 @@ func (s *Supervisor) RunPhase(loop *machine.QuietLoop, until int64) (bool, error
 			return ended, err
 		}
 	}
-	return false, &StallError{Kind: StallBudget, Cycle: s.m.Cycle, Budget: s.opt.CycleBudget}
+	return false, &Failure{Class: ClassBudget, Cycle: s.m.Cycle, Budget: s.opt.CycleBudget}
 }
 
-// classify converts the run goroutine's outcome into the supervisor's
-// typed errors, attaching diagnostics and the crash dump now that the
-// machine is quiet again.
+// classify converts the run goroutine's outcome into a *Failure when it
+// is one, attaching diagnostics and the crash dump now that the machine is
+// quiet again.
 func (s *Supervisor) classify(o outcome, timedOut bool, elapsed time.Duration) error {
 	m := s.m
 	defer m.ClearStop()
-	if o.panicVal != nil {
-		ce := &CrashError{Value: o.panicVal, Stack: o.stack, Cycle: m.Cycle, Node: -1}
+	var f *Failure
+	switch {
+	case o.panicVal != nil:
+		f = &Failure{Class: ClassCrash, Value: o.panicVal, Stack: o.stack, Cycle: m.Cycle, Node: -1}
 		if cs, ok := o.panicVal.(crashSite); ok {
-			ce.Node, ce.Cycle = cs.CrashSite()
+			f.Node, f.Cycle = cs.CrashSite()
 		}
 		if wp, ok := o.panicVal.(*machine.WorkerPanic); ok {
 			// Unwrap to the original panic value; prefer the worker-side
 			// stack, which reaches the true panic site.
-			ce.Value = wp.Value
+			f.Value = wp.Value
 			if len(wp.Stack) > 0 {
-				ce.Stack = wp.Stack
+				f.Stack = wp.Stack
 			}
 		}
-		ce.Diagnostic = Diagnose(m)
-		ce.DumpPath = s.writeDump(&ce.Diagnostic)
-		return ce
-	}
-	var se *StallError
-	if errors.As(o.err, &se) {
-		se.Elapsed = elapsed
-		se.Diagnostic = Diagnose(m)
-		se.DumpPath = s.writeDump(&se.Diagnostic)
+		o.err = f
+	case errors.As(o.err, &f):
+	case timedOut && errors.Is(o.err, machine.ErrStopped):
+		f = &Failure{Class: ClassStallTimeout, Cycle: m.Cycle, Timeout: s.opt.Timeout}
+		o.err = f
+	default:
 		return o.err
 	}
-	if timedOut && errors.Is(o.err, machine.ErrStopped) {
-		st := &StallError{
-			Kind:       StallTimeout,
-			Cycle:      m.Cycle,
-			Elapsed:    elapsed,
-			Timeout:    s.opt.Timeout,
-			Diagnostic: Diagnose(m),
-		}
-		st.DumpPath = s.writeDump(&st.Diagnostic)
-		return st
-	}
+	f.Elapsed = elapsed
+	f.Diagnostic = Diagnose(m)
+	f.DumpPath = s.writeDump(&f.Diagnostic)
 	return o.err
 }
 

@@ -110,7 +110,7 @@ func TestSupervisedBitIdentical(t *testing.T) {
 }
 
 // TestPanicContainedSerial: a probe panic under the serial engine becomes
-// a *CrashError with the panic value and site preserved; no panic escapes.
+// a crash *Failure with the panic value and site preserved; no panic escapes.
 func TestPanicContainedSerial(t *testing.T) {
 	m := newM(t, 1, 0)
 	load(t, m, 0, spinSrc)
@@ -121,9 +121,9 @@ func TestPanicContainedSerial(t *testing.T) {
 	})
 	s := guard.New(m, guard.Options{})
 	_, err := s.Run(1 << 40)
-	var ce *guard.CrashError
-	if !errors.As(err, &ce) {
-		t.Fatalf("want *CrashError, got %v", err)
+	var ce *guard.Failure
+	if !errors.As(err, &ce) || ce.Class != guard.ClassCrash {
+		t.Fatalf("want a crash *Failure, got %v", err)
 	}
 	if ce.Node != 0 || ce.Cycle != 100 {
 		t.Fatalf("crash site = node %d cycle %d, want node 0 cycle 100", ce.Node, ce.Cycle)
@@ -144,7 +144,7 @@ func TestPanicContainedSerial(t *testing.T) {
 
 // TestPanicContainedParallel: a worker-goroutine panic under the parallel
 // engine is recovered on the worker, re-raised after the gather barrier,
-// and surfaces as the same *CrashError shape — with the worker-side stack
+// and surfaces as the same crash *Failure shape — with the worker-side stack
 // and the original panic value unwrapped from machine.WorkerPanic.
 func TestPanicContainedParallel(t *testing.T) {
 	m := newM(t, 6, 3)
@@ -158,9 +158,9 @@ func TestPanicContainedParallel(t *testing.T) {
 	})
 	s := guard.New(m, guard.Options{})
 	_, err := s.Run(1 << 40)
-	var ce *guard.CrashError
-	if !errors.As(err, &ce) {
-		t.Fatalf("want *CrashError, got %v", err)
+	var ce *guard.Failure
+	if !errors.As(err, &ce) || ce.Class != guard.ClassCrash {
+		t.Fatalf("want a crash *Failure, got %v", err)
 	}
 	if ce.Node != 4 || ce.Cycle != 150 {
 		t.Fatalf("crash site = node %d cycle %d, want node 4 cycle 150", ce.Node, ce.Cycle)
@@ -179,18 +179,18 @@ func TestPanicContainedParallel(t *testing.T) {
 }
 
 // TestWatchdogTimeout: a livelocked run is stopped at a cycle boundary,
-// classified StallTimeout, and leaves a reusable, consistent machine.
+// classified stall-timeout, and leaves a reusable, consistent machine.
 func TestWatchdogTimeout(t *testing.T) {
 	m := newM(t, 1, 0)
 	load(t, m, 0, spinSrc)
 	s := guard.New(m, guard.Options{Timeout: 50 * time.Millisecond})
 	_, err := s.Run(1 << 40)
-	var se *guard.StallError
+	var se *guard.Failure
 	if !errors.As(err, &se) {
-		t.Fatalf("want *StallError, got %v", err)
+		t.Fatalf("want *Failure, got %v", err)
 	}
-	if se.Kind != guard.StallTimeout {
-		t.Fatalf("kind = %v, want timeout", se.Kind)
+	if se.Class != guard.ClassStallTimeout {
+		t.Fatalf("class = %v, want stall-timeout", se.Class)
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatal("timeout does not unwrap to context.DeadlineExceeded")
@@ -225,12 +225,12 @@ func TestCycleBudgetDeterministic(t *testing.T) {
 				load(t, m, n, spinSrc)
 			}
 			_, err := guard.New(m, guard.Options{CycleBudget: budget}).Run(1 << 40)
-			var se *guard.StallError
+			var se *guard.Failure
 			if !errors.As(err, &se) {
-				t.Fatalf("want *StallError, got %v", err)
+				t.Fatalf("want *Failure, got %v", err)
 			}
-			if se.Kind != guard.StallBudget || se.Budget != budget {
-				t.Fatalf("kind=%v budget=%d, want budget kind %d", se.Kind, se.Budget, budget)
+			if se.Class != guard.ClassBudget || se.Budget != budget {
+				t.Fatalf("class=%v budget=%d, want class budget, budget %d", se.Class, se.Budget, budget)
 			}
 			if errors.Is(err, context.DeadlineExceeded) {
 				t.Fatal("budget exhaustion must not look like a wall-clock deadline")
@@ -259,9 +259,9 @@ func TestBudgetSpansPhases(t *testing.T) {
 		}
 		return phase(600) // only 368 of budget left
 	})
-	var se *guard.StallError
-	if !errors.As(err, &se) || se.Kind != guard.StallBudget {
-		t.Fatalf("want StallBudget across phases, got %v", err)
+	var se *guard.Failure
+	if !errors.As(err, &se) || se.Class != guard.ClassBudget {
+		t.Fatalf("want a budget failure across phases, got %v", err)
 	}
 	if got := m.Cycle; got != 1000 {
 		t.Fatalf("stopped at cycle %d, want exactly the 1000-cycle budget", got)
@@ -282,7 +282,7 @@ func TestHangAbandon(t *testing.T) {
 	if !guard.IsHang(err) {
 		t.Fatalf("want hang, got %v", err)
 	}
-	var se *guard.StallError
+	var se *guard.Failure
 	errors.As(err, &se)
 	if se.DumpPath != "" {
 		t.Fatal("hang must not attempt a snapshot: the run still owns the machine")
@@ -311,9 +311,9 @@ func TestCrashDumpRestoreResume(t *testing.T) {
 	})
 	s := guard.New(m, guard.Options{DumpPath: dump})
 	_, err := s.Run(100000)
-	var ce *guard.CrashError
-	if !errors.As(err, &ce) {
-		t.Fatalf("want *CrashError, got %v", err)
+	var ce *guard.Failure
+	if !errors.As(err, &ce) || ce.Class != guard.ClassCrash {
+		t.Fatalf("want a crash *Failure, got %v", err)
 	}
 	if ce.DumpPath != dump {
 		t.Fatalf("dump path = %q, want %q", ce.DumpPath, dump)
@@ -355,9 +355,9 @@ func TestWatchdogStopSaveRestoreResume(t *testing.T) {
 			}
 			s := guard.New(m, guard.Options{Timeout: 50 * time.Millisecond})
 			_, err := s.Run(1 << 40)
-			var se *guard.StallError
-			if !errors.As(err, &se) || se.Kind != guard.StallTimeout {
-				t.Fatalf("want StallTimeout, got %v", err)
+			var se *guard.Failure
+			if !errors.As(err, &se) || se.Class != guard.ClassStallTimeout {
+				t.Fatalf("want a stall-timeout, got %v", err)
 			}
 
 			// Save the stopped machine and restore into a fresh one.
@@ -413,8 +413,8 @@ func TestDumpFailureDoesNotMask(t *testing.T) {
 	})
 	s := guard.New(m, guard.Options{DumpPath: filepath.Join(t.TempDir(), "no", "such", "dir", "d.msnap")})
 	_, err := s.Run(1 << 40)
-	var ce *guard.CrashError
-	if !errors.As(err, &ce) {
+	var ce *guard.Failure
+	if !errors.As(err, &ce) || ce.Class != guard.ClassCrash {
 		t.Fatalf("dump failure changed the error class: %v", err)
 	}
 	if ce.DumpPath != "" {

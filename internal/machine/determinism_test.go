@@ -194,9 +194,9 @@ func chipStats(m *machine.Machine, n int) string {
 }
 
 // TestDeterminismMixedEngines drives one machine through every way of
-// advancing it — Run, RunUntil, a RunLoop stopped short of its leg's end,
-// StepAll, public Step, flipping
-// Naive every few Steps — with a Save+Restore and a Fork in between, inline
+// advancing it — Run, a RunLoop stopped short of its leg's end, StepAll,
+// public Step, Steps until a predicate holds, flipping Naive every few
+// Steps — with a Save+Restore and a Fork in between, inline
 // and on 2 and 3 workers, and holds it to a pure naive run at every boundary:
 // trace stream, Digest, and (read before Digest's own sync) every thread's
 // StallCycles and every chip's SendsBlocked. Each boundary is a sync point
@@ -276,7 +276,7 @@ loop:
 	// The order matters: a public event-engine Step is the one entry point
 	// that does not WakeAll first, so the steps that directly follow StepAll
 	// and the naive stretches inside Flip see nothing but StepAll's own
-	// cache repair. Run, RunUntil and RunLoop would mask a missing one.
+	// cache repair. Run and RunLoop would mask a missing one.
 	ops := []struct {
 		name string
 		do   func(m *machine.Machine) string
@@ -294,11 +294,15 @@ loop:
 			}
 			return ""
 		}},
-		{"RunUntil", func(m *machine.Machine) string {
-			// The predicate reads a statistic of a mostly idle chip: it sees
-			// the naive per-cycle sequence only if every call is a sync point.
-			n, err := m.RunUntil(stalled(m, 40), 300)
-			return fmt.Sprint(n, err)
+		{"StepUntil", func(m *machine.Machine) string {
+			// The predicate reads a statistic of a mostly idle chip after
+			// every Step: it sees the naive per-cycle sequence only if every
+			// Step is a sync point.
+			done, n := stalled(m, 40), 0
+			for ; n < 300 && !done(); n++ {
+				m.Step()
+			}
+			return fmt.Sprint(n)
 		}},
 		{"Flip", func(m *machine.Machine) string {
 			// Naive flips every 5 cycles under the public Step.

@@ -3,8 +3,8 @@ package machine
 // The chip phase — which chips act this cycle, and how an idle chip
 // accounts for the cycles it sat out — exists once, here, for every
 // engine and transport (DESIGN.md, "The cycle engine"). stepRange runs it
-// over one contiguous node range: Step, RunLoop and RunUntil call it inline
-// over the whole mesh, the pool's workers call it on their range, and a
+// over one contiguous node range: Step and RunLoop call it inline over the
+// whole mesh when there is no pool, the pool's workers call it on their range, and a
 // dist worker calls it (through Machine.StepRange) on the range it owns.
 
 import "repro/internal/chip"

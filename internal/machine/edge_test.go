@@ -44,14 +44,6 @@ func TestRunTimeoutReportsError(t *testing.T) {
 	}
 }
 
-func TestRunUntilTimeout(t *testing.T) {
-	m, _ := newMachine(t, 1, rt.Options{})
-	_, err := m.RunUntil(func() bool { return false }, 100)
-	if err == nil {
-		t.Error("RunUntil with false predicate should time out")
-	}
-}
-
 func TestFaultErrorIdentifiesThread(t *testing.T) {
 	m, _ := newMachine(t, 1, rt.Options{})
 	loadUser(t, m, 0, 2, 3, "movi i1, #1\nmovi i2, #0\ndiv i3, i1, i2\nhalt")

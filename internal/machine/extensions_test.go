@@ -91,12 +91,10 @@ func TestBlockWriteBack(t *testing.T) {
     movi i1, #%d
 `, base, base) + r.FlushBlockSrc() + "\n    halt\n"
 	loadUser(t, m, 0, 0, 0, src)
-	if _, err := m.RunUntil(func() bool {
+	stepUntil(t, m, 500000, "flush never reached home", func() bool {
 		w, err := m.Peek(1, base)
 		return err == nil && w == 777
-	}, 500000); err != nil {
-		t.Fatalf("flush never reached home: %v", err)
-	}
+	})
 	// Give the flush's bsw time to settle, then check the demotion.
 	if _, err := m.Run(100000); err != nil {
 		t.Fatal(err)

@@ -3,7 +3,7 @@
 // cycle loop that advances every node and the network in lock step.
 //
 // The lifecycle is New(Config) -> load programs / map pages -> Run (or
-// Step/StepAll/RunUntil) -> Close. There are two cycle loops: the naive
+// Step/StepAll) -> Close. There are two cycle loops: the naive
 // per-cycle reference (Naive=true / StepAll), and the event-driven engine,
 // whose one chip phase steps only the chips that are due and fast-forwards
 // idle stretches. Config.Workers only chooses how many goroutines run that
@@ -38,7 +38,7 @@ import (
 	"repro/internal/trace"
 )
 
-// ErrStopped is wrapped into the error RunLoop and RunUntil return when an
+// ErrStopped is wrapped into the error RunLoop returns when an
 // external stop request (RequestStop, or a Close racing the run) aborts
 // the run before completion. The machine state is a consistent
 // between-cycles state — the run simply ended early — so it can be
@@ -66,8 +66,8 @@ type Config struct {
 	// cycle engine"). 0 or 1 runs the same phase inline on the caller; -1
 	// uses runtime.GOMAXPROCS(0); values above the node count are clamped.
 	// The result is bit-identical for every value (enforced by
-	// TestDeterminismThreeWay in core); the naive reference engine and
-	// RunUntil never use the workers.
+	// TestDeterminismThreeWay in core); the naive reference engine never
+	// uses the workers.
 	Workers int `snap:"derived,engine selection, never affects simulated results"`
 }
 
@@ -108,7 +108,7 @@ type Machine struct {
 	closed  bool      `snap:"derived,process-lifetime flag"`
 
 	// Supervision plumbing (DESIGN.md, "Supervised runs & fault
-	// injection"). runMu serializes Run/RunUntil against Close, so a
+	// injection"). runMu serializes RunLoop against Close, so a
 	// session teardown can close a machine whose run is still in flight:
 	// Close raises stopReq, the run observes it at its next loop head and
 	// returns ErrStopped, and Close then proceeds under the lock. stopReq
@@ -131,7 +131,7 @@ type Machine struct {
 	// push, and issue happens inside Chip.Step, and its outbox is drained
 	// before the counters are read), so noteStepped refreshes exactly the
 	// stepped chips — O(active) per cycle. recomputeActive rebuilds
-	// everything at Run/RunUntil entry and in install, covering external
+	// everything at RunLoop entry and in install, covering external
 	// mutations (program loads, pokes) between runs.
 	act         Activity `snap:"derived,rebuilt by install's recomputeActive"` // the machine totals
 	chipRunning []int    `snap:"derived,rebuilt by install's recomputeActive"`
@@ -283,7 +283,7 @@ func (m *Machine) install(lo int, chips []*chip.Chip, top *Machine) {
 // unreachable Machine releases the workers via a GC cleanup.
 // Close is idempotent — a second Close (including one racing the GC
 // cleanup after a finished Run) is a harmless no-op — and safe to call
-// concurrently with an in-flight Run or RunUntil: it raises the stop
+// concurrently with an in-flight Run or RunLoop: it raises the stop
 // request, waits for the run to observe it at its next loop head and
 // return ErrStopped, and only then tears the pool down (the shutdown
 // ordering a session server needs). A machine with Workers >= 2 must not
@@ -306,7 +306,7 @@ func (m *Machine) Close() {
 	}
 }
 
-// RequestStop asks an in-flight Run or RunUntil to return at its next
+// RequestStop asks an in-flight Run or RunLoop to return at its next
 // loop head with an error wrapping ErrStopped. It is safe from any
 // goroutine — this is the watchdog stop flag (see internal/guard): the
 // flag is polled only at the run-loop head, so it cannot change any
@@ -329,7 +329,7 @@ func (m *Machine) ClearStop() { m.stopReq.Store(false) }
 // goroutine while a run is in flight, which is what watchdog monitors
 // need to distinguish a livelocked-but-advancing simulation from a
 // wedged one. Between runs it lags Cycle (it is only updated inside
-// Run/RunUntil).
+// RunLoop).
 func (m *Machine) CycleGauge() int64 { return m.cycleGauge.Load() }
 
 // SetFaultProbe installs fn to be called immediately before every chip
@@ -383,24 +383,22 @@ func (m *Machine) StepAll() {
 // Config.Workers pool); a chip that is not due is not touched at all — its
 // per-cycle idle bookkeeping is deferred and replayed in one SkipCycles
 // batch when it next becomes due, or at the next sync point. Step is such a
-// sync point, like Run returning, every RunUntil predicate call, StepAll,
-// Save, Fork and Close, so every externally observed state is bit-identical
-// to StepAll's. The network walk runs only when a message can move.
+// sync point, like Run returning, StepAll, Save, Fork and Close, so every
+// externally observed state is bit-identical to StepAll's. The network walk runs only when a message can move.
 func (m *Machine) Step() {
-	m.step(m.workers >= 2)
+	m.step()
 	m.syncDeferred()
 }
 
-// step is Step without the sync point, with an explicit choice of where
-// the chip phase runs; RunUntil keeps it inline so tight per-cycle
-// predicate loops don't pay the barrier.
-func (m *Machine) step(pooled bool) {
+// step is Step without the sync point. The chip phase runs on the pool
+// when there is one (Config.Workers >= 2), else inline.
+func (m *Machine) step() {
 	if m.Naive {
 		m.StepAll()
 		return
 	}
 	now := m.Cycle
-	if pooled {
+	if m.workers >= 2 {
 		m.stepPooled(now)
 	} else {
 		m.ds.stepInline(now)
@@ -509,7 +507,7 @@ func (m *Machine) noteStepped(i int) {
 }
 
 // recomputeActive rebuilds the run-loop activity counters from scratch —
-// the O(nodes) pass RunLoop and RunUntil pay once at entry (and install pays
+// the O(nodes) pass RunLoop pays once at entry (and install pays
 // once) so that state mutated from outside the simulation is
 // observed; within a run noteStepped keeps them exact incrementally.
 func (m *Machine) recomputeActive() {
@@ -750,7 +748,7 @@ func (m *Machine) RunLoop(loop *QuietLoop, until int64) (bool, error) {
 			loop.Hold()
 			return false, nil
 		}
-		m.step(m.workers >= 2)
+		m.step()
 		if !m.Naive {
 			next := min(m.Net.NextEvent(m.Cycle), m.ds.nextEvent(m.Cycle), until)
 			m.Cycle = loop.Jump(m.Cycle, next, m.act, m.Net)
@@ -764,7 +762,7 @@ func (m *Machine) RunLoop(loop *QuietLoop, until int64) (bool, error) {
 }
 
 // WakeAll forces every chip to re-derive its next event on its coming
-// step. RunLoop and RunUntil call it on entry so that any state mutated from
+// step. RunLoop calls it on entry so that any state mutated from
 // outside the simulation between runs (program loads, register pokes) is
 // observed; within a run the engine maintains wake cycles itself.
 func (m *Machine) WakeAll() {
@@ -776,35 +774,6 @@ func (m *Machine) WakeAll() {
 // syncDeferred materializes the idle-chip bookkeeping the chip phase
 // deferred: every chip is caught up to the machine clock.
 func (m *Machine) syncDeferred() { m.ds.sync(m.Cycle) }
-
-// RunUntil steps until pred holds or maxCycles elapse. The event engine
-// advances cycle-by-cycle here (chips are still skipped when idle, but the
-// clock is not fast-forwarded) and catches every chip up before each pred
-// call, so an arbitrary predicate — even one reading Machine.Cycle or
-// per-chip statistics — observes exactly the per-cycle sequence the naive
-// loop produces. The chip phase always runs inline here, even with
-// Workers >= 2: with no fast-forward amortizing it, the per-cycle barrier
-// would dominate, and the result is identical anyway.
-func (m *Machine) RunUntil(pred func() bool, maxCycles int64) (int64, error) {
-	m.runMu.Lock()
-	defer m.runMu.Unlock()
-	defer m.syncDeferred()
-	m.WakeAll()
-	m.recomputeActive()
-	start := m.Cycle
-	for m.Cycle-start < maxCycles {
-		m.cycleGauge.Store(m.Cycle)
-		if m.stopReq.Load() {
-			return m.Cycle - start, fmt.Errorf("machine: run stopped at cycle %d: %w", m.Cycle, ErrStopped)
-		}
-		m.syncDeferred()
-		if pred() {
-			return m.Cycle - start, nil
-		}
-		m.step(false)
-	}
-	return m.Cycle - start, fmt.Errorf("machine: condition not met within %d cycles", maxCycles)
-}
 
 // FaultError collects user-thread fault diagnostics, nil if none.
 func (m *Machine) FaultError() error {

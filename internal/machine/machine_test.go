@@ -54,6 +54,17 @@ func run(t *testing.T, m *machine.Machine, max int64) int64 {
 	return n
 }
 
+// stepUntil Steps m until pred holds, failing with what after max cycles.
+func stepUntil(t *testing.T, m *machine.Machine, max int, what string, pred func() bool) {
+	t.Helper()
+	for i := 0; !pred(); i++ {
+		if i == max {
+			t.Fatalf("%s within %d cycles", what, max)
+		}
+		m.Step()
+	}
+}
+
 func reg(m *machine.Machine, node, vt, cl, idx int) uint64 {
 	return m.Chip(node).Thread(vt, cl).Ints.Get(idx).Bits
 }
@@ -171,12 +182,10 @@ func TestRemoteWriteNonCached(t *testing.T) {
     st [i1], i2
     halt
 `)
-	if _, err := m.RunUntil(func() bool {
+	stepUntil(t, m, 20000, "remote write never landed", func() bool {
 		w, err := m.Peek(1, 4200)
 		return err == nil && w == 4242
-	}, 20000); err != nil {
-		t.Fatalf("remote write never landed: %v", err)
-	}
+	})
 }
 
 func TestRemoteReadNonCached(t *testing.T) {
@@ -431,12 +440,10 @@ func TestUserLevelMessagePassing(t *testing.T) {
 		Bits: uint64(gp.MustMake(gp.PermRW, 9, 4500)),
 		Ptr:  true,
 	})
-	if _, err := m.RunUntil(func() bool {
+	stepUntil(t, m, 20000, "user-level remote store failed", func() bool {
 		w, err := m.Peek(1, 4500)
 		return err == nil && w == 777
-	}, 20000); err != nil {
-		t.Fatalf("user-level remote store failed: %v", err)
-	}
+	})
 }
 
 func TestThrottlingBlocksSends(t *testing.T) {

@@ -156,7 +156,7 @@ func (m *Machine) chipsState(c *snap.Codec, lo int, chips []*chip.Chip) {
 }
 
 // Save serializes the machine's complete simulation state to w. It must
-// be called between cycles (any point where Step/Run/RunUntil is not
+// be called between cycles (any point where Step/Run/RunLoop is not
 // executing — the same contract as Close). Not captured, by design: the
 // engine configuration, trace sink, and chip wake hooks —
 // environment, not state — and the event-engine wake caches, which

@@ -120,7 +120,7 @@ func snapFingerprint(t *testing.T, m *machine.Machine, ran int64) string {
 }
 
 // stepN advances the machine N cycles under its configured engine (Step
-// uses the parallel chip phase when one is configured, unlike RunUntil).
+// uses the parallel chip phase when one is configured).
 func stepN(m *machine.Machine, n int) {
 	m.WakeAll()
 	for i := 0; i < n; i++ {

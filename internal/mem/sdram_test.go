@@ -360,9 +360,9 @@ func TestDecodeRejectsUnorderedIndices(t *testing.T) {
 }
 
 // TestLTLBDecodeRequiresOrderPermutation: the LTLB's replacement order
-// must list every occupied slot exactly once. A full LTLB decoded with an
-// empty order used to be accepted, and its next miss panicked indexing
-// the empty FIFO.
+// must list every occupied slot exactly once, as the rotation from the
+// oldest slot that Insert leaves. A full LTLB decoded with an empty order
+// used to be accepted, and its next miss panicked indexing the empty FIFO.
 func TestLTLBDecodeRequiresOrderPermutation(t *testing.T) {
 	full := NewLTLB(4)
 	for vpn := uint64(1); vpn <= 4; vpn++ {
@@ -375,9 +375,22 @@ func TestLTLBDecodeRequiresOrderPermutation(t *testing.T) {
 		{"empty", nil},
 		{"short", []int{0, 1, 2}},
 		{"repeated", []int{0, 1, 1, 3}},
+		{"permuted, not rotated", []int{0, 2, 1, 3}},
 	} {
-		bad := &LTLB{entries: full.entries, order: tc.order, capacity: 4}
-		r := snap.NewDecoder(bytes.NewReader(stateBytes(t, bad.State)))
+		// The stream full.State would write, with tc.order for its own.
+		bad := stateBytes(t, func(c *snap.Codec) {
+			c.Len(len(full.entries), maxLTLB)
+			for i := range full.entries {
+				full.entries[i].state(c)
+			}
+			c.Len(len(tc.order), maxLTLB)
+			for i := range tc.order {
+				c.Int(&tc.order[i])
+			}
+			c.U64(&full.Hits)
+			c.U64(&full.Misses)
+		})
+		r := snap.NewDecoder(bytes.NewReader(bad))
 		NewLTLB(4).State(r)
 		if err := r.Err(); err == nil || !strings.Contains(err.Error(), "LTLB order") {
 			t.Errorf("%s order: error %v, want the order rejected", tc.name, err)

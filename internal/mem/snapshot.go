@@ -241,28 +241,32 @@ func (e *PTE) state(c *snap.Codec) {
 }
 
 // State walks the LTLB's entry slots (including invalidated ones — the
-// FIFO order indexes into them), replacement order, and statistics.
+// FIFO order indexes into them), replacement order, and statistics. The
+// order is written out slot by slot, oldest first, from head; a decoder
+// accepts only what Insert can leave: a rotation of every slot, starting
+// at 0 unless the LTLB is full.
 func (t *LTLB) State(c *snap.Codec) {
 	n := c.Len(len(t.entries), maxLTLB)
 	for i := 0; i < n && c.Err() == nil; i++ {
 		snap.Elem(c, &t.entries, i).state(c)
 	}
-	no := c.Len(len(t.order), maxLTLB)
-	var seen []bool // decoding: the order must be a permutation of the slots
+	no := c.Len(n, maxLTLB)
 	if c.Reading() && c.Err() == nil {
 		if no != n {
 			c.Fail(fmt.Errorf("mem: snapshot LTLB order lists %d slots of %d entries", no, n))
 		}
-		seen = make([]bool, n)
+		t.head = 0
 	}
 	for i := 0; i < no && c.Err() == nil; i++ {
-		slot := snap.Elem(c, &t.order, i)
-		c.Int(slot)
+		slot := (t.head + i) % n
+		want := slot
+		c.Int(&slot)
 		if c.Reading() && c.Err() == nil {
-			if *slot < 0 || *slot >= n || seen[*slot] {
-				c.Fail(fmt.Errorf("mem: snapshot LTLB order slot %d repeated or outside %d entries", *slot, n))
-			} else {
-				seen[*slot] = true
+			if i == 0 && slot > 0 && slot < n && n == t.capacity {
+				t.head, want = slot, slot
+			}
+			if slot != want {
+				c.Fail(fmt.Errorf("mem: snapshot LTLB order slot %d at position %d, want %d: not the rotation of %d slots from %d", slot, i, want, n, t.head))
 			}
 		}
 	}
@@ -273,12 +277,12 @@ func (t *LTLB) State(c *snap.Codec) {
 	c.U64(&t.Misses)
 }
 
-// Clone returns an independent LTLB with t's entries, order, and
+// Clone returns an independent LTLB with t's entries, head, and
 // statistics.
 func (t *LTLB) Clone() *LTLB {
 	return &LTLB{
 		entries:  slices.Clone(t.entries),
-		order:    slices.Clone(t.order),
+		head:     t.head,
 		capacity: t.capacity,
 		Hits:     t.Hits,
 		Misses:   t.Misses,

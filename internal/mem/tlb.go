@@ -137,9 +137,12 @@ func (t LPT) Insert(s *SDRAM, e PTE) {
 // FIFO replacement; a miss raises an asynchronous event handled by software
 // in the event V-Thread (Section 3.3).
 type LTLB struct {
-	entries  []PTE
-	order    []int // FIFO of occupied slots
-	capacity int   `snap:"derived,fixed at construction; decode bounds-checks against it"`
+	entries []PTE
+	// head is the oldest occupied slot. Slots fill in index order and a
+	// full LTLB replaces its oldest in place, so the FIFO is always the
+	// ring head, head+1, ... mod len(entries) (head stays 0 until full).
+	head     int
+	capacity int `snap:"derived,fixed at construction; decode bounds-checks against it"`
 
 	Hits, Misses uint64
 }
@@ -176,11 +179,10 @@ func (t *LTLB) Insert(e PTE) PTE {
 	}
 	if len(t.entries) < t.capacity {
 		t.entries = append(t.entries, e)
-		t.order = append(t.order, len(t.entries)-1)
 		return PTE{}
 	}
-	victim := t.order[0]
-	t.order = append(t.order[1:], victim)
+	victim := t.head
+	t.head = (victim + 1) % len(t.entries)
 	old := t.entries[victim]
 	t.entries[victim] = e
 	return old

@@ -79,26 +79,11 @@ func (c *Chaos) probe(seq uint64, nodes int) (faultinject.Probe, string) {
 	node := int(h % uint64(nodes))
 	cycle := 1 + int64(faultinject.SplitMix64(h)%uint64(c.MaxCycle))
 	if c.PanicEvery > 0 && seq%uint64(c.PanicEvery) == 0 {
-		return panicFrom(node, cycle), fmt.Sprintf("panic at node %d from cycle %d", node, cycle)
+		return faultinject.PanicFrom(node, cycle), fmt.Sprintf("panic at node %d from cycle %d", node, cycle)
 	}
 	if c.StallEvery > 0 && seq%uint64(c.StallEvery) == 0 {
 		return faultinject.StallAt(node, cycle, c.StallDelay),
 			fmt.Sprintf("stall %v at node %d from cycle %d", c.StallDelay, node, cycle)
 	}
 	return nil, ""
-}
-
-// panicFrom panics the first time node steps any cycle >= from. (Unlike
-// faultinject.PanicAt's exact-cycle match, this fires even if the
-// event-driven engine fast-forwards over the drawn cycle while the node
-// idles.) The unsynchronized once-flag is safe: a given node is stepped
-// by one goroutine at a time under every engine.
-func panicFrom(node int, from int64) faultinject.Probe {
-	fired := false
-	return func(n int, c int64) {
-		if n == node && c >= from && !fired {
-			fired = true
-			panic(&faultinject.InjectedPanic{Node: n, Cycle: c})
-		}
-	}
 }

@@ -147,7 +147,7 @@ func TestStallRecoveryBitIdentical(t *testing.T) {
 
 	cfg := testConfig(t)
 	cfg.DefaultWall = 300 * time.Millisecond
-	cfg.Grace = 5 * time.Second // stalled step returns within grace: clean StallTimeout
+	cfg.Grace = 5 * time.Second // stalled step returns within grace: clean stall-timeout
 	cfg.Chaos = &Chaos{Seed: 7, StallEvery: 1, StallDelay: time.Second, MaxCycle: 500}
 	chaotic := mustServer(t, cfg)
 	got := digestOf(t, chaotic, "spin.wl", src)
