@@ -8,9 +8,11 @@
 # fork-concurrency tests in full), the worker-pool speedup tripwire, an
 # end-to-end msim -save/-restore round trip, a run of every example, an
 # end-to-end run of every checked-in workload scenario
-# (testdata/workloads/*.wl under msim), a fuzzing smoke over the snapshot
-# decoder, the DSL front end, msimd's checkpoint envelope and assembled
-# programs, a one-shot benchmark smoke pass (every
+# (testdata/workloads/*.wl under msim, and the sweep-free ones again under
+# msim -shards 2, digests compared), a fuzzing smoke over the snapshot
+# decoder and the runs of the snapshots it accepts, the DSL front end,
+# msimd's checkpoint envelope, assembled programs, scenario runs and the
+# dist wire frames, a one-shot benchmark smoke pass (every
 # benchmark runs once, so a panicking or regressed-to-failure benchmark
 # breaks CI without paying for measurement), and a benchdiff over the two
 # most recent BENCH_<n>.json records (any metric delta or disappearance
@@ -99,28 +101,43 @@ examples:
 	rm -rf $$tmp; exit $$rc
 
 # Run every checked-in workload scenario end to end under msim: a parse
-# error, a failed expectation, or a phase divergence fails the gate.
+# error, a failed expectation, or a phase divergence fails the gate. Every
+# sweep-free scenario (the distributed engine cannot follow a sweep's
+# forks) also runs on two shard worker processes, which must print the
+# in-process run's digest line.
 wl:
-	@for f in testdata/workloads/*.wl; do \
+	@tmp=$$(mktemp -d); $(GO) build -o $$tmp/msim ./cmd/msim || exit 1; \
+	for f in testdata/workloads/*.wl; do \
 		echo "msim -workload $$f"; \
-		$(GO) run ./cmd/msim -workload $$f >/dev/null || exit 1; \
-	done; echo "wl: all scenarios OK"
+		out=$$($$tmp/msim -workload $$f) || { rm -rf $$tmp; exit 1; }; \
+		d=$$(printf '%s\n' "$$out" | grep '^digest: ') || { rm -rf $$tmp; exit 1; }; \
+		grep -q '^sweep ' $$f && continue; \
+		echo "msim -shards 2 -workload $$f"; \
+		out=$$($$tmp/msim -shards 2 -workload $$f) || { rm -rf $$tmp; exit 1; }; \
+		s=$$(printf '%s\n' "$$out" | grep '^digest: ') || { rm -rf $$tmp; exit 1; }; \
+		[ "$$s" = "$$d" ] || { echo "wl: $$f: sharded $$s, in process $$d"; rm -rf $$tmp; exit 1; }; \
+	done; rm -rf $$tmp; echo "wl: all scenarios OK, sharded digests equal"
 
 # Native fuzzing smoke over the snapshot decoder (corrupt stream =>
-# descriptive error, never a panic, never a half-mutated machine;
-# minimization is capped so the 10s budget is spent fuzzing rather than
-# shrinking ~100KB snapshot inputs), the DSL front end (arbitrary
-# source => positional error or a valid lowering, never a panic; the
-# checked-in corpus slants toward the sweep/grant parser paths), the
-# msimd checkpoint envelope (arbitrary spool file => read error, or a
-# position its scenario's run Seeks without panicking) and the assembler
-# plus engine (arbitrary source => assembly error, or a supervised run
-# that ends in a classified failure other than a crash).
+# descriptive error, never a panic, never a half-mutated machine, and an
+# accepted stream's state runs 1000 cycles without a crash; minimization
+# is capped so the 10s budget is spent fuzzing rather than shrinking
+# ~100KB snapshot inputs), the DSL front end (arbitrary source =>
+# positional error or a valid lowering, never a panic; the checked-in
+# corpus slants toward the sweep/grant parser paths), the msimd
+# checkpoint envelope (arbitrary spool file => read error, or a position
+# its scenario's run Seeks without panicking), the assembler plus engine
+# and the scenario compiler plus engine (arbitrary source => a compile
+# error, or a supervised run that ends in a classified failure other
+# than a crash), and the dist wire frames (arbitrary bytes => a decode
+# error or a value, never a panic or a length-sized allocation).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s -fuzzminimizetime 5x ./internal/machine
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/wdsl
 	$(GO) test -run '^$$' -fuzz FuzzCheckpoint -fuzztime 10s -fuzzminimizetime 5x ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzAssembleRun -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzScenarioRun -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzFrames -fuzztime 10s ./internal/dist
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

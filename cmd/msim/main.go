@@ -5,16 +5,19 @@
 //
 // Usage:
 //
-//	msim [flags] prog.masm          assemble and run one program
-//	msim -workload scenario.wl      compile and run a DSL scenario
-//	msim -gen-seed N                replay one generated-fuzzer seed
+//	msim [flags] prog.masm                  assemble and run one program
+//	msim [-shards N] -workload scenario.wl  run a DSL scenario
+//	msim -gen-seed N                        replay one generated-fuzzer seed
 //
 // Flags are grouped:
 //
 //	run control:  -nodes -node -vthread -cluster -cycles -trace
 //	engine:       -naive -workers -caching
 //	snapshot:     -save -restore
+//	supervision:  -timeout -crash-dump
 //	workload:     -workload
+//	distributed:  -shards -checkpoint-every -window-timeout -heartbeat
+//	              -silence-timeout -max-recoveries -drill-{kill,panic,hang}
 //	generator:    -gen-seed -gen-dump
 //
 // In single-program mode the program runs privileged (raw addressing) on
@@ -29,8 +32,14 @@
 // placement all come from the scenario file, so -nodes/-node/-vthread/
 // -cluster/-cycles and the snapshot flags do not combine with -workload;
 // the engine flags (-naive, -workers), -trace, and the supervision flags
-// (-timeout, -crash-dump) do. cmd/mshard runs a scenario on the
-// distributed engine.
+// (-timeout, -crash-dump) do. The report includes the final machine
+// digest, so two runs compare directly.
+//
+// -shards N runs the scenario on N supervised shard worker processes that
+// re-execute this binary (docs/mdist.md), bit-identical to an in-process
+// run. The workers step serially, so -naive and -workers do not combine
+// with it; the other distributed flags require it. A -drill-* that can
+// never fire is a usage error.
 //
 // -gen-seed N replays seed N of the scenario fuzzer (internal/wgen):
 // the seed's generated scenario runs under every engine of the
@@ -42,23 +51,31 @@
 // -timeout (or a scenario's deadline/budget directives) cuts off runaway
 // runs between cycles, and -crash-dump names a file that receives a
 // regular machine snapshot on any crash or cutoff — load it back with
-// -restore to replay the failure. The exit code classifies the outcome
-// (guard.ExitCode, shared with mshard):
+// -restore to replay the failure (a mid-cycle crash writes none and says
+// so). The exit code classifies the outcome (guard.ExitCode):
 //
 //	0  success
 //	1  scenario fault (failed expectation, program fault, bad input file)
 //	2  usage error (bad flags or arguments)
 //	3  a cutoff: wall-clock timeout, hang, or a cycle bound (-cycles, a
-//	   run step's bound, a budget) reached with threads still running
-//	4  internal crash (contained panic; a bug in the simulator)
+//	   run step's bound, a budget) reached with threads still running,
+//	   or a stalled shard past the recovery cap
+//	4  internal crash (contained panic; a bug in the simulator), or a
+//	   shard crashed or lost past the recovery cap
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strconv"
+	"strings"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/guard"
 	"repro/internal/machine"
 	"repro/internal/snap"
@@ -76,10 +93,17 @@ var flagGroups = []struct {
 	{"snapshot", []string{"save", "restore"}},
 	{"supervision", []string{"timeout", "crash-dump"}},
 	{"workload", []string{"workload"}},
+	{"distributed", distributedFlags},
 	{"generator", []string{"gen-seed", "gen-dump"}},
 }
 
+// distributedFlags configure a sharded run (-shards) and nothing else.
+var distributedFlags = []string{"shards", "checkpoint-every", "window-timeout", "heartbeat",
+	"silence-timeout", "max-recoveries", "drill-kill", "drill-panic", "drill-hang"}
+
 func main() {
+	dist.MaybeWorker() // a coordinator's shard worker never returns from here
+
 	// Run control.
 	nodes := flag.Int("nodes", 2, "number of nodes (x-axis mesh)")
 	node := flag.Int("node", 0, "node to load the program on")
@@ -96,9 +120,29 @@ func main() {
 	savePath := flag.String("save", "", "write a machine snapshot to this file after the run")
 	// Supervision.
 	timeout := flag.Duration("timeout", 0, "wall-clock watchdog; 0 disables (a scenario's deadline directive still applies)")
-	crashDump := flag.String("crash-dump", "", "write a machine snapshot here on crash, timeout, or budget exhaustion")
+	crashDump := flag.String("crash-dump", "", "write a machine snapshot here on a crash or a cutoff (timeout, cycle bound, budget)")
 	// Workload.
 	workloadPath := flag.String("workload", "", "run a declarative workload scenario (.wl file)")
+	// Distributed.
+	var cfg dist.Config
+	flag.IntVar(&cfg.Shards, "shards", 0, "run the -workload scenario on this many shard worker processes (clamped to 1..mesh size)")
+	flag.Int64Var(&cfg.CheckpointEvery, "checkpoint-every", 4096, "coordinated checkpoint cadence in cycles")
+	flag.DurationVar(&cfg.WindowTimeout, "window-timeout", 30*time.Second, "per-exchange (one window of cycles) wall deadline before a shard counts as stalled (stall-timeout)")
+	flag.DurationVar(&cfg.HeartbeatEvery, "heartbeat", 250*time.Millisecond, "worker heartbeat cadence")
+	flag.DurationVar(&cfg.SilenceTimeout, "silence-timeout", 3*time.Second, "heartbeat silence before a shard counts as lost")
+	flag.IntVar(&cfg.MaxRecoveries, "max-recoveries", 8, "checkpoint recoveries before giving up")
+	flag.Func("drill-kill", "kill worker shard@cycle, at the first exchange whose window reaches the cycle (repeatable)", func(v string) error {
+		n, cycle, err := parseDrill(v)
+		cfg.Kill = append(cfg.Kill, dist.KillSpec{Shard: n, Cycle: cycle})
+		return err
+	})
+	for _, kind := range []string{"panic", "hang"} {
+		flag.Func("drill-"+kind, "inject worker "+kind+" node@cycle (repeatable)", func(v string) error {
+			n, cycle, err := parseDrill(v)
+			cfg.Chaos = append(cfg.Chaos, dist.ChaosSpec{Node: n, Cycle: cycle, Kind: kind})
+			return err
+		})
+	}
 	// Generator.
 	genSeed := flag.Int64("gen-seed", -1, "run the wgen scenario for this seed through the engine determinism matrix (repro for a seed wgen's TestVerifySeeds reports)")
 	genDump := flag.Bool("gen-dump", false, "with -gen-seed, print the generated scenario source instead of running it")
@@ -126,11 +170,21 @@ func main() {
 		if flag.NArg() != 0 {
 			usageErr("-workload runs a scenario file; the positional program argument does not apply")
 		}
-		if name := workloadFlagConflict(flag.Visit); name != "" {
-			usageErr("-%s does not combine with -workload (the scenario file defines it)", name)
+		if name, why := workloadFlagConflict(flag.Visit); name != "" {
+			usageErr("-%s %s", name, why)
 		}
-		runWorkload(*workloadPath, engine, *showTrace)
+		if isSet(flag.Visit, "shards") {
+			exe, err := os.Executable()
+			if err != nil {
+				fatal(err)
+			}
+			cfg.Launcher = &dist.ProcLauncher{Exe: exe}
+		}
+		runWorkload(*workloadPath, engine, cfg, *showTrace)
 		return
+	}
+	if name := firstSet(flag.Visit, func(n string) bool { return slices.Contains(distributedFlags, n) }); name != "" {
+		usageErr("-%s runs a -workload scenario distributed; it does not apply to a program", name)
 	}
 
 	if flag.NArg() != 1 {
@@ -195,13 +249,8 @@ func main() {
 			fmt.Printf("  i%-2d = %-20d %#x\n", i, int64(v), v)
 		}
 	}
-	printStats(s)
-
-	for i := 0; i < *nodes; i++ {
-		if out := s.M.Chip(i).Console.String(); out != "" {
-			fmt.Printf("\nconsole (node %d):\n%s", i, out)
-		}
-	}
+	printStats(s.Stats())
+	printConsoles(s)
 
 	if *showTrace {
 		fmt.Println("\ntrace:")
@@ -215,16 +264,27 @@ func main() {
 	}
 }
 
-// runWorkload compiles and runs a .wl scenario, printing the per-phase
-// cycle counts, the verified expectations, and machine statistics.
-func runWorkload(path string, engine core.Options, showTrace bool) {
+// runWorkload compiles and runs a .wl scenario, in process or, given a
+// cfg.Launcher, distributed, and prints one report for both: phases,
+// checks, statistics, digest, a sharded run's supervision, consoles.
+func runWorkload(path string, engine core.Options, cfg dist.Config, showTrace bool) {
 	sc, err := core.ScenarioFromFile(path)
 	if err != nil {
 		// Compile errors are positional wdsl errors ("file:line:col: msg");
 		// print them verbatim, they already point at the offending token.
 		fatal(err)
 	}
-	res, s, err := sc.RunSim(engine)
+	var res *core.ScenarioResult
+	var sharded *dist.RunResult
+	var s *core.Sim
+	if cfg.Launcher == nil {
+		res, s, err = sc.RunSim(engine)
+	} else if sharded, s, err = dist.RunScenario(sc, engine, cfg); sharded != nil {
+		res = sharded.ScenarioResult
+	}
+	if errors.Is(err, dist.ErrDeadDrill) {
+		usageErr("%v", err)
+	}
 	if err != nil {
 		reportFailure(err)
 		os.Exit(guard.ExitCode(err))
@@ -234,19 +294,25 @@ func runWorkload(path string, engine core.Options, showTrace bool) {
 	if sc.Plan.Caching {
 		fmt.Print(", caching on")
 	}
-	fmt.Println()
-	fmt.Println()
+	if sharded != nil {
+		fmt.Printf(", %d shard worker(s)", sharded.Shards)
+	}
+	fmt.Print("\n\n")
 	for _, ph := range res.Phases {
 		fmt.Printf("  phase %-12s %10d cycles\n", ph.Name, ph.Cycles)
 	}
 	fmt.Printf("  %-18s %10d cycles\n", "total", res.TotalCycles)
 	fmt.Printf("\n%d expectation(s) verified\n", res.Checks)
-	printStats(s)
-	for i := 0; i < s.M.NumNodes(); i++ {
-		if out := s.M.Chip(i).Console.String(); out != "" {
-			fmt.Printf("\nconsole (node %d):\n%s", i, out)
+	printStats(res.Stats)
+	fmt.Printf("digest: %s\n", res.Digest)
+	if sharded != nil {
+		fmt.Printf("\nsupervision: %d checkpoint(s), %d recover(ies)\n", sharded.Checkpoints, sharded.Recoveries)
+		for _, f := range sharded.Failures {
+			detail, _, _ := strings.Cut(f.Err.Error(), "\n")
+			fmt.Printf("  shard %d %-13s at cycle %-8d %s\n", f.Shard, f.Class, f.Cycle, detail)
 		}
 	}
+	printConsoles(s)
 	if showTrace {
 		fmt.Println("\ntrace:")
 		fmt.Print(s.Recorder.Timeline(s.Recorder.Events))
@@ -272,17 +338,26 @@ func runGenSeed(seed uint64, dump bool) {
 }
 
 // printStats renders the machine statistics line shared by both modes.
-func printStats(s *core.Sim) {
-	st := s.Stats()
+func printStats(st core.Stats) {
 	fmt.Printf("\nstats: %d instructions, %d ops, %d messages, %d LTLB faults, %d status faults, %d sync faults\n",
 		st.Instructions, st.Operations, st.MsgsInjected, st.LTLBFaults, st.StatusFaults, st.SyncFaults)
+}
+
+// printConsoles prints every node's console device output.
+func printConsoles(s *core.Sim) {
+	for i := 0; i < s.M.NumNodes(); i++ {
+		if out := s.M.Chip(i).Console.String(); out != "" {
+			fmt.Printf("\nconsole (node %d):\n%s", i, out)
+		}
+	}
 }
 
 // usage prints the grouped flag reference.
 func usage() {
 	w := flag.CommandLine.Output()
 	fmt.Fprintf(w, "usage: msim [flags] prog.masm\n")
-	fmt.Fprintf(w, "       msim [engine flags] [-trace] -workload scenario.wl\n")
+	fmt.Fprintf(w, "       msim [engine flags] [supervision flags] [-trace] -workload scenario.wl\n")
+	fmt.Fprintf(w, "       msim -shards N [distributed flags] [supervision flags] [-trace] -workload scenario.wl\n")
 	fmt.Fprintf(w, "       msim -gen-seed N [-gen-dump]\n")
 	for _, g := range flagGroups {
 		fmt.Fprintf(w, "\n%s:\n", g.name)
@@ -295,7 +370,7 @@ func usage() {
 			if f.DefValue != "" && f.DefValue != "false" {
 				def = fmt.Sprintf(" (default %s)", f.DefValue)
 			}
-			fmt.Fprintf(w, "  -%-10s %s%s\n", f.Name, f.Usage, def)
+			fmt.Fprintf(w, "  -%-16s %s%s\n", f.Name, f.Usage, def)
 		}
 	}
 	fmt.Fprintf(w, "\nSee docs/wdsl.md for the workload scenario language.\n")
@@ -325,23 +400,28 @@ func reportFailure(err error) {
 
 // workloadFlagConflict scans the explicitly-set flags (via a
 // flag.Visit-shaped walker, so tests can drive it with their own
-// FlagSet) and returns the name of the first one -workload does not
-// combine with, or "" when the set is compatible. The scenario file owns
-// the mesh, placement, caching mode, cycle budgets, and machine state,
-// so any of those set on the command line would be silently overridden —
-// reject them rather than drop the user's request on the floor.
-func workloadFlagConflict(visit func(func(*flag.Flag))) string {
-	incompatible := map[string]bool{
+// FlagSet) and returns the first one a scenario run does not combine
+// with and why, or "". The scenario file owns the mesh, placement,
+// caching, cycle budgets and machine state, -shards owns the engine, and
+// the distributed flags need -shards: reject, never silently ignore.
+func workloadFlagConflict(visit func(func(*flag.Flag))) (name, why string) {
+	scenarioOwned := map[string]bool{
 		"nodes": true, "node": true, "vthread": true, "cluster": true,
 		"cycles": true, "caching": true, "save": true, "restore": true,
 	}
-	conflict := ""
+	sharded := isSet(visit, "shards")
 	visit(func(f *flag.Flag) {
-		if conflict == "" && incompatible[f.Name] {
-			conflict = f.Name
+		switch {
+		case name != "":
+		case scenarioOwned[f.Name]:
+			name, why = f.Name, "does not combine with -workload (the scenario file defines it)"
+		case sharded && (f.Name == "naive" || f.Name == "workers"):
+			name, why = f.Name, "does not combine with -shards (the shard workers step their chips serially)"
+		case !sharded && slices.Contains(distributedFlags, f.Name):
+			name, why = f.Name, "requires -shards"
 		}
 	})
-	return conflict
+	return name, why
 }
 
 // genFlagConflict returns the first explicitly-set flag that -gen-seed
@@ -349,14 +429,22 @@ func workloadFlagConflict(visit func(func(*flag.Flag))) string {
 // placement, and the verification matrix owns the engines and
 // supervision, so only -gen-dump rides along.
 func genFlagConflict(visit func(func(*flag.Flag))) string {
-	compatible := map[string]bool{"gen-seed": true, "gen-dump": true}
-	conflict := ""
+	return firstSet(visit, func(name string) bool { return name != "gen-seed" && name != "gen-dump" })
+}
+
+// firstSet returns the first explicitly-set flag whose name matches, or "".
+func firstSet(visit func(func(*flag.Flag)), match func(name string) bool) string {
+	found := ""
 	visit(func(f *flag.Flag) {
-		if conflict == "" && !compatible[f.Name] {
-			conflict = f.Name
+		if found == "" && match(f.Name) {
+			found = f.Name
 		}
 	})
-	return conflict
+	return found
+}
+
+func isSet(visit func(func(*flag.Flag)), name string) bool {
+	return firstSet(visit, func(n string) bool { return n == name }) != ""
 }
 
 // usageErr reports a flag validation error on one line and exits 2, the
@@ -365,6 +453,18 @@ func usageErr(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "msim: "+format+"\n", args...)
 	fmt.Fprintln(os.Stderr, "run 'msim -h' for the full flag reference")
 	os.Exit(2)
+}
+
+// parseDrill parses a drill flag's "<n>@<cycle>": a shard (-drill-kill)
+// or a node (-drill-panic, -drill-hang) and a cycle.
+func parseDrill(v string) (int, int64, error) {
+	a, c, _ := strings.Cut(v, "@")
+	n, err := strconv.Atoi(a)
+	cycle, cerr := strconv.ParseInt(c, 10, 64)
+	if err != nil || cerr != nil {
+		return 0, 0, fmt.Errorf("want <n>@<cycle>, got %q", v)
+	}
+	return n, cycle, nil
 }
 
 func fatal(err error) {

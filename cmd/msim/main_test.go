@@ -2,9 +2,11 @@ package main
 
 // Flag-validation tests: the -workload exclusivity matrix as a unit test
 // over workloadFlagConflict, and the msim binary end-to-end asserting
-// the documented exit codes (2 for usage errors, 0 for a valid run).
+// the documented exit codes (2 for usage errors, 0 for a valid run), in
+// process and over shard worker processes (-shards).
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -12,6 +14,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/machine"
 )
 
 func TestWorkloadFlagConflict(t *testing.T) {
@@ -33,6 +38,10 @@ func TestWorkloadFlagConflict(t *testing.T) {
 		fs.Duration("timeout", 0, "")
 		fs.String("crash-dump", "", "")
 		fs.String("workload", "", "")
+		fs.Int("shards", 0, "")
+		fs.Int64("checkpoint-every", 4096, "")
+		fs.String("drill-kill", "", "")
+		fs.String("drill-hang", "", "")
 		if err := fs.Parse(args); err != nil {
 			t.Fatal(err)
 		}
@@ -51,9 +60,17 @@ func TestWorkloadFlagConflict(t *testing.T) {
 		{[]string{"-workload", "s.wl", "-vthread", "1", "-cluster", "2"}, "cluster"}, // Visit walks lexically
 		// The engine and supervision flags stay compatible.
 		{[]string{"-workload", "s.wl", "-naive", "-workers", "2", "-trace", "-timeout", "1s", "-crash-dump", "d"}, ""},
+		// -shards owns the engine; the distributed flags need -shards.
+		{[]string{"-workload", "s.wl", "-shards", "2", "-trace", "-timeout", "1s", "-crash-dump", "d",
+			"-checkpoint-every", "64", "-drill-kill", "0@9", "-drill-hang", "1@9"}, ""},
+		{[]string{"-workload", "s.wl", "-shards", "2", "-naive"}, "naive"},
+		{[]string{"-workload", "s.wl", "-shards", "2", "-workers", "2"}, "workers"},
+		{[]string{"-workload", "s.wl", "-shards", "2", "-nodes", "4"}, "nodes"},
+		{[]string{"-workload", "s.wl", "-checkpoint-every", "64"}, "checkpoint-every"},
+		{[]string{"-workload", "s.wl", "-drill-kill", "0@9"}, "drill-kill"},
 	} {
 		fs := newSet(tc.args...)
-		if got := workloadFlagConflict(fs.Visit); got != tc.want {
+		if got, _ := workloadFlagConflict(fs.Visit); got != tc.want {
 			t.Errorf("workloadFlagConflict(%v) = %q, want %q", tc.args, got, tc.want)
 		}
 	}
@@ -77,17 +94,8 @@ func runProgram(t *testing.T, bin, src string) (int, string) {
 	if err := os.WriteFile(prog, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(bin, "-nodes", "2", prog)
-	var stderr strings.Builder
-	cmd.Stderr = &stderr
-	err := cmd.Run()
-	if ee, ok := err.(*exec.ExitError); ok {
-		return ee.ExitCode(), stderr.String()
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return 0, stderr.String()
+	code, _, stderr := runExit(t, bin, "-nodes", "2", prog)
+	return code, stderr
 }
 
 // TestBadSendBodyExitsOne: a program whose SEND body runs outside the
@@ -143,21 +151,26 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"-vthread", "9", "prog.masm"}, "-vthread 9 outside"},
 		{[]string{"-node", "5", "prog.masm"}, "-node 5 outside"},
 		{[]string{"-nodes", "40000", "../../testdata/fib.masm"}, "-nodes 40000 outside"},
+		{[]string{"-shards", "2", "../../testdata/fib.masm"}, "-shards runs a -workload scenario distributed"},
+		{[]string{"-drill-kill", "0@9", "../../testdata/fib.masm"}, "-drill-kill runs a -workload scenario distributed"},
+		{[]string{"-workload", wl, "-shards", "2", "-naive"}, "-naive does not combine with -shards"},
+		{[]string{"-workload", wl, "-shards", "2", "-workers", "2"}, "-workers does not combine with -shards"},
+		{[]string{"-workload", wl, "-max-recoveries", "3"}, "-max-recoveries requires -shards"},
+		{[]string{"-workload", wl, "-drill-panic", "0@9"}, "-drill-panic requires -shards"},
+		{[]string{"-gen-seed", "3", "-shards", "2"}, "-shards does not combine with -gen-seed"},
+		// A drill that can never fire names itself: spin.wl has one node.
+		{[]string{"-workload", wl, "-shards", "2", "-drill-panic", "5@100"}, "panic drill 5@100 can never fire"},
 	} {
-		cmd := exec.Command(bin, tc.args...)
-		var stderr strings.Builder
-		cmd.Stderr = &stderr
-		err := cmd.Run()
-		ee, ok := err.(*exec.ExitError)
-		if !ok || ee.ExitCode() != 2 {
-			t.Errorf("msim %v: err %v, want exit 2 (stderr: %s)", tc.args, err, stderr.String())
+		code, _, stderr := runExit(t, bin, tc.args...)
+		if code != 2 {
+			t.Errorf("msim %v: exit %d, want 2 (stderr: %s)", tc.args, code, stderr)
 			continue
 		}
-		if !strings.Contains(stderr.String(), tc.wantErr) {
-			t.Errorf("msim %v stderr = %q, want substring %q", tc.args, stderr.String(), tc.wantErr)
+		if !strings.Contains(stderr, tc.wantErr) {
+			t.Errorf("msim %v stderr = %q, want substring %q", tc.args, stderr, tc.wantErr)
 		}
-		if !strings.Contains(stderr.String(), "msim -h") {
-			t.Errorf("msim %v stderr lacks the usage hint: %q", tc.args, stderr.String())
+		if !strings.Contains(stderr, "msim -h") {
+			t.Errorf("msim %v stderr lacks the usage hint: %q", tc.args, stderr)
 		}
 	}
 
@@ -168,5 +181,107 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 	}
 	if !strings.Contains(string(out), fmt.Sprintf("workload: %s", "spin")) {
 		t.Errorf("workload run output: %s", out)
+	}
+}
+
+// runExit runs bin with args, returning its exit code, standard output
+// and standard error.
+func runExit(t *testing.T, bin string, args ...string) (int, string, string) {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); ok {
+		return ee.ExitCode(), stdout.String(), stderr.String()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 0, stdout.String(), stderr.String()
+}
+
+// TestShardedRunDigestAndDeadline: over two shard worker processes a
+// scenario ends on the digest an in-process run reports, and on the
+// digest line msim prints for that in-process run; a scenario's
+// wall-clock deadline is a watchdog cutoff (exit 3) there as in process.
+func TestShardedRunDigestAndDeadline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns processes")
+	}
+	bin := buildMsim(t)
+	path := filepath.Join("..", "..", "testdata", "workloads", "meshsmooth4.wl")
+	sc, err := core.ScenarioFromFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := sc.Run(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := "digest: " + ref.Digest + "\n"
+	for _, args := range [][]string{{"-workload", path}, {"-shards", "2", "-workload", path}} {
+		if code, out, stderr := runExit(t, bin, args...); code != 0 || !strings.Contains(out, line) {
+			t.Errorf("msim %v: exit %d, want 0 and the in-process %q\n%s%s", args, code, line, out, stderr)
+		}
+	}
+
+	text, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := filepath.Join(t.TempDir(), "deadline.wl")
+	if err := os.WriteFile(late, []byte(strings.Replace(string(text), "\nmesh 4\n", "\nmesh 4\ndeadline 1ms\n", 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Sharded only: launching the workers alone outlasts 1ms, where the
+	// in-process run can finish inside it.
+	if code, _, stderr := runExit(t, bin, "-shards", "2", "-workload", late); code != 3 || !strings.Contains(stderr, "deadline") {
+		t.Errorf("msim -shards 2 on a 1ms deadline: exit %d, stderr %q; want exit 3 and a deadline cutoff", code, stderr)
+	}
+}
+
+// TestShardedCrashDump: a sharded run gets msim's failure path — a run
+// step too short for its program exits 3 with the cutoff diagnostic and
+// writes the -crash-dump snapshot, byte-identical to the one the
+// in-process engine writes for the same cutoff.
+func TestShardedCrashDump(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns processes")
+	}
+	bin := buildMsim(t)
+	text, err := os.ReadFile(filepath.Join("..", "..", "testdata", "workloads", "loopsync2.wl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := strings.Replace(string(text), "\nrun ITERS*200+10000\n", "\nrun 50\n", 1)
+	if src == string(text) {
+		t.Fatal("loopsync2.wl no longer has the run step this test shortens")
+	}
+	dir := t.TempDir()
+	wl := filepath.Join(dir, "short.wl")
+	if err := os.WriteFile(wl, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var dumps [][]byte
+	for _, engine := range [][]string{{"-shards", "2"}, nil} {
+		dump := filepath.Join(dir, fmt.Sprintf("dump%d.msnap", len(dumps)))
+		args := append(engine, "-crash-dump", dump, "-workload", wl)
+		code, _, stderr := runExit(t, bin, args...)
+		if code != 3 || !strings.Contains(stderr, "no completion within 50 cycles") ||
+			!strings.Contains(stderr, "machine state at cutoff") || !strings.Contains(stderr, "crash dump written to "+dump) {
+			t.Fatalf("msim %v: exit %d, stderr %q; want exit 3, the cutoff diagnostic and the dump", args, code, stderr)
+		}
+		b, err := os.ReadFile(dump)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := machine.ReadSnapshotConfig(bytes.NewReader(b)); err != nil {
+			t.Fatalf("msim %v: the crash dump is not a snapshot: %v", args, err)
+		}
+		dumps = append(dumps, b)
+	}
+	if !bytes.Equal(dumps[0], dumps[1]) {
+		t.Error("the sharded run's crash dump differs from the in-process run's")
 	}
 }

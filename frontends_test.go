@@ -1,7 +1,7 @@
 package repro_test
 
 // A run's own cycle bound, met on every front end: the failure class is
-// the one vocabulary msim's and mshard's exit codes and msimd's
+// the one vocabulary msim's exit codes (in process or sharded) and msimd's
 // failure_class are all read from, so the same "no completion within N
 // cycles" must be the same verdict wherever it happens.
 
@@ -17,14 +17,14 @@ import (
 )
 
 // TestPhaseBoundSameOnEveryFrontEnd runs a bound too short for its program
-// through msim -cycles, msim -workload, mshard and an msimd session: the
-// CLIs exit 3 and the session fails with class budget.
+// through msim -cycles, msim -workload, msim -shards 2 -workload and an
+// msimd session: the CLIs exit 3 and the session fails with class budget.
 func TestPhaseBoundSameOnEveryFrontEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and spawns the CLIs")
 	}
 	bin := t.TempDir()
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/msim", "./cmd/mshard").CombinedOutput(); err != nil {
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/msim").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	text, err := os.ReadFile(filepath.Join("testdata", "workloads", "loopsync2.wl"))
@@ -43,7 +43,7 @@ func TestPhaseBoundSameOnEveryFrontEnd(t *testing.T) {
 	for _, args := range [][]string{
 		{"msim", "-cycles", "50", filepath.Join("testdata", "fib.masm")},
 		{"msim", "-workload", wl},
-		{"mshard", wl},
+		{"msim", "-shards", "2", "-workload", wl},
 	} {
 		cmd := exec.Command(filepath.Join(bin, args[0]), args[1:]...)
 		var stderr strings.Builder

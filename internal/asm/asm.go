@@ -225,6 +225,9 @@ func (a *assembler) parseOp(n int, s string) (*isa.Op, error) {
 	if err := a.operands(n, op, args); err != nil {
 		return nil, err
 	}
+	if !op.DstWritable() {
+		return nil, &Error{n, fmt.Sprintf("%s cannot write %s", op.Code, op.Dst)}
+	}
 	return op, nil
 }
 

@@ -212,6 +212,21 @@ func TestRecordOutsideRegisterFile(t *testing.T) {
 	}
 }
 
+// TestUnwritableDestination: no operation writes a special register and a
+// load lands only in a register file, so either destination is a
+// positioned assembly error — the engine used to crash on both.
+func TestUnwritableDestination(t *testing.T) {
+	for _, src := range []string{"add cyc, i1, i1", "mov net, i2", "ld gcc1, [i1]", "ldsy.fe node, [i1]", "ldp @2.evq, [i1]"} {
+		_, err := Assemble("t", "nop\n"+src)
+		if err == nil || !strings.Contains(err.Error(), "line 2: ") || !strings.Contains(err.Error(), "cannot write") {
+			t.Errorf("Assemble(%q) = %v, want a line 2 destination error", src, err)
+		}
+	}
+	for _, src := range []string{"ld f3, [i1]", "ldp @2.i4, [i1]", "eq gcc1, i1, i2", "mov i1, cyc"} {
+		mustOne(t, src)
+	}
+}
+
 func TestStoreOperandOrder(t *testing.T) {
 	in := mustOne(t, "st [i5-3], i6")
 	op := in.MOp

@@ -173,7 +173,10 @@ func (c *Chip) execute(now int64, vt, cl int, th *cluster.HThread, op *isa.Op) (
 		for i := range ws {
 			ws[i] = rec.w[i].Bits
 		}
-		c.Mem.TLBInstall(ws)
+		if !c.Mem.TLBInstall(ws) {
+			c.protFault(vt, cl, th, "tlbw maps a page outside SDRAM")
+			return 0, false
+		}
 		c.trace(trace.Event{Kind: trace.TLBW, Arg: ws[0] >> 1})
 		return 0, false
 

@@ -366,16 +366,7 @@ func (c *Chip) retryable(r events.Record) bool {
 // chip's thread slots, clusters and register files (a class without a file
 // is a target that takes no write).
 func regInRange(vt, cl int, r isa.Reg) bool {
-	if vt >= isa.NumVThreads || cl >= isa.NumClusters {
-		return false
-	}
-	switch r.Class {
-	case isa.RInt, isa.RFP:
-		return int(r.Index) < isa.NumIntRegs
-	case isa.RGCC:
-		return int(r.Index) < isa.NumGCCRegs
-	}
-	return true
+	return vt < isa.NumVThreads && cl < isa.NumClusters && r.Valid()
 }
 
 // effAddr computes and protection-checks a memory operation's effective

@@ -39,20 +39,8 @@ func regState(c *snap.Codec, g *isa.Reg) {
 	snap.Integer(c, &g.Class)
 	snap.Integer(c, &g.Index)
 	snap.Integer(c, &g.Cluster)
-	if c.Reading() && c.Err() == nil {
-		bad := g.Class > isa.RSpec ||
-			(g.Cluster != isa.ClusterSelf && (g.Cluster < 0 || g.Cluster >= isa.NumClusters))
-		switch g.Class {
-		case isa.RInt:
-			bad = bad || int(g.Index) >= isa.NumIntRegs
-		case isa.RFP:
-			bad = bad || int(g.Index) >= isa.NumFPRegs
-		case isa.RGCC:
-			bad = bad || int(g.Index) >= isa.NumGCCRegs
-		}
-		if bad {
-			c.Fail(fmt.Errorf("chip: bad snapshot register %d/%d/%d", g.Class, g.Index, g.Cluster))
-		}
+	if c.Reading() && c.Err() == nil && !g.Valid() {
+		c.Fail(fmt.Errorf("chip: bad snapshot register %d/%d/%d", g.Class, g.Index, g.Cluster))
 	}
 }
 
@@ -153,9 +141,7 @@ func (ch *Chip) State(c *snap.Codec) {
 			// a register-file class or empty.
 			if q.meta.isRetry {
 				vt, cl, reg := isa.UnpackRegDesc(q.meta.regDesc)
-				if vt >= isa.NumVThreads || cl >= isa.NumClusters ||
-					(reg.Class != isa.RNone && reg.Class != isa.RInt && reg.Class != isa.RFP) ||
-					int(reg.Index) >= isa.NumIntRegs {
+				if !regInRange(vt, cl, reg) || reg.Class != isa.RNone && reg.Class != isa.RInt && reg.Class != isa.RFP {
 					c.Fail(fmt.Errorf("chip: snapshot retry descriptor %#x names no register", q.meta.regDesc))
 				}
 			} else if cls := q.meta.dst.Class; cls != isa.RNone && cls != isa.RInt && cls != isa.RFP {

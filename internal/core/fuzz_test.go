@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/guard"
+	"repro/internal/workload"
 )
 
 // FuzzAssembleRun: arbitrary MAP assembly either fails to assemble or
@@ -83,4 +84,49 @@ func FuzzAssembleRun(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzScenarioRun: an arbitrary scenario source either fails to compile
+// or, on a mesh of at most 8 nodes (every sweep point's included), runs
+// under a 20000-cycle budget to success or a classified failure — never a
+// contained panic (ClassCrash) and never one that escapes. Seeded from
+// the checked-in scenarios in testdata/workloads/.
+func FuzzScenarioRun(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "workloads", "*.wl"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no scenarios to seed from (%v)", err)
+	}
+	for _, p := range paths {
+		src, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		sc, err := ScenarioFromDSL("fuzz.wl", src)
+		if err != nil || fuzzMeshNodes(sc.Plan) > 8 {
+			return
+		}
+		_, err = sc.Run(Options{Supervise: guard.Options{CycleBudget: 20000}})
+		if guard.Classify(err) == guard.ClassCrash {
+			var f *guard.Failure
+			if errors.As(err, &f) {
+				t.Fatalf("%v\n%s", err, f.Stack)
+			}
+			t.Fatal(err)
+		}
+	})
+}
+
+// fuzzMeshNodes is the largest mesh a plan boots: its own or a swept
+// point's.
+func fuzzMeshNodes(p *workload.Plan) int {
+	n := p.Dims[0] * p.Dims[1] * p.Dims[2]
+	if p.Sweep != nil {
+		for _, pt := range p.Sweep.Points {
+			n = max(n, pt.Dims[0]*pt.Dims[1]*pt.Dims[2])
+		}
+	}
+	return n
 }

@@ -102,10 +102,10 @@ type Config struct {
 	// MaxRecoveries caps checkpoint recoveries per coordinator
 	// (default 8); the cap trips a terminal error instead of flapping.
 	MaxRecoveries int
-	// Chaos arms deterministic worker-side faults (tests and drills).
+	// Chaos arms worker-side faults and Kill worker kills (tests and
+	// drills); New rejects one that can never fire (ErrDeadDrill).
 	Chaos []ChaosSpec
-	// Kill arms coordinator-side worker kills (tests and drills).
-	Kill []KillSpec
+	Kill  []KillSpec
 	// Trace receives the merged chip trace stream, in the serial
 	// engines' order. Nil drops it.
 	Trace *trace.Recorder
@@ -208,6 +208,9 @@ func New(m *machine.Machine, cfg Config) (*Coordinator, error) {
 	if cfg.Shards > nodes {
 		cfg.Shards = nodes
 	}
+	if err := cfg.checkDrills(nodes); err != nil {
+		return nil, err
+	}
 	co := &Coordinator{
 		cfg:     cfg,
 		m:       m,
@@ -244,6 +247,24 @@ func New(m *machine.Machine, cfg Config) (*Coordinator, error) {
 		}
 	}
 	return co, nil
+}
+
+// ErrDeadDrill marks a drill that can never fire (a node outside the mesh,
+// a shard outside the clamped federation, an unknown kind).
+var ErrDeadDrill = errors.New("can never fire")
+
+func (cfg *Config) checkDrills(nodes int) error {
+	for _, c := range cfg.Chaos {
+		if c.Node < 0 || c.Node >= nodes || c.Kind != "panic" && c.Kind != "hang" {
+			return fmt.Errorf("dist: %s drill %d@%d %w: the mesh has %d nodes, the kinds are panic and hang", c.Kind, c.Node, c.Cycle, ErrDeadDrill, nodes)
+		}
+	}
+	for _, k := range cfg.Kill {
+		if k.Shard < 0 || k.Shard >= cfg.Shards {
+			return fmt.Errorf("dist: kill drill %d@%d %w: the run has %d shard(s)", k.Shard, k.Cycle, ErrDeadDrill, cfg.Shards)
+		}
+	}
+	return nil
 }
 
 // Shards reports the worker count; Failures and Recoveries report the
@@ -304,17 +325,12 @@ func (co *Coordinator) spawn(i int) error {
 	if err != nil || v != protoVersion {
 		return fmt.Errorf("dist: shard %d speaks protocol %d, coordinator %d", i, v, protoVersion)
 	}
-	// Only the chaos armed for this shard's nodes ships in the init.
-	var chaos []ChaosSpec
-	for _, c := range co.chaos {
-		if c.Node >= sc.lo && c.Node < sc.hi {
-			chaos = append(chaos, c)
-		}
-	}
+	// Every worker arms every drill: a drill is a probe on its node, and
+	// only the node's owner steps it.
 	spec := initSpec{
 		Shard: i, Lo: sc.lo, Hi: sc.hi,
 		HeartbeatMillis: co.cfg.HeartbeatEvery.Milliseconds(),
-		Chaos:           chaos,
+		Chaos:           co.chaos,
 	}
 	if _, err := co.callExpect(sc, cmdInit, encodeInit(&spec), repOK); err != nil {
 		return fmt.Errorf("dist: shard %d init: %v", i, err)
@@ -595,7 +611,7 @@ func (co *Coordinator) stepWindow(end int64) *ShardFailure {
 	co.reach = end - 1
 	for i := 0; i < len(co.kill); {
 		k := co.kill[i]
-		if k.Cycle < end && k.Shard >= 0 && k.Shard < len(co.shards) {
+		if k.Cycle < end {
 			co.shards[k.Shard].h.Kill()
 			co.kill = append(co.kill[:i], co.kill[i+1:]...)
 			continue

@@ -9,6 +9,7 @@ package dist
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -538,6 +539,66 @@ func TestDistRecoveryLimit(t *testing.T) {
 	if c := guard.Classify(err); c != guard.ClassCrash {
 		t.Errorf("recovery-limit error classifies as %q, want the cause's class %q", c, guard.ClassCrash)
 	}
+}
+
+// countingLauncher is LocalLauncher, counting the workers it starts.
+type countingLauncher struct {
+	LocalLauncher
+	started int
+}
+
+func (l *countingLauncher) Start(shard int) (Handle, error) {
+	l.started++
+	return l.LocalLauncher.Start(shard)
+}
+
+// TestNewRejectsDeadDrills: a drill that can never fire — a node outside
+// the mesh, a shard outside the clamped federation (8 shards of a 4-node
+// mesh are 4), a kind the worker does not arm — is a Config error New
+// returns before launching any worker, naming the drill, instead of a run
+// that ignores it.
+func TestNewRejectsDeadDrills(t *testing.T) {
+	sc := loadScenario(t, "meshsmooth4.wl")
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Shards: 2, Chaos: []ChaosSpec{{Node: 99, Cycle: 100, Kind: "panic"}}}, "panic drill 99@100"},
+		{Config{Shards: 2, Chaos: []ChaosSpec{{Node: -1, Cycle: 100, Kind: "hang"}}}, "hang drill -1@100"},
+		{Config{Shards: 2, Chaos: []ChaosSpec{{Node: 1, Cycle: 100, Kind: "stall"}}}, "stall drill 1@100"},
+		{Config{Shards: 2, Kill: []KillSpec{{Shard: 7, Cycle: 100}}}, "kill drill 7@100"},
+		{Config{Shards: 8, Kill: []KillSpec{{Shard: 5, Cycle: 100}}}, "kill drill 5@100"},
+	} {
+		s, err := sc.NewSim(core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := &countingLauncher{}
+		tc.cfg.Launcher = l
+		co, err := New(s.M, tc.cfg)
+		if err == nil {
+			co.Close()
+		}
+		s.M.Close()
+		if !errors.Is(err, ErrDeadDrill) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("New(%+v) = %v; want an ErrDeadDrill naming %q", tc.cfg, err, tc.want)
+		}
+		if l.started != 0 {
+			t.Errorf("New(%+v) launched %d worker(s) before rejecting the drill", tc.cfg, l.started)
+		}
+	}
+	// The live edges still run: the last node, the last clamped shard.
+	s, err := sc.NewSim(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.M.Close()
+	co, err := New(s.M, Config{Shards: 8, Launcher: LocalLauncher{},
+		Chaos: []ChaosSpec{{Node: 3, Cycle: 100, Kind: "hang"}}, Kill: []KillSpec{{Shard: 3, Cycle: 100}}})
+	if err != nil {
+		t.Fatalf("New with in-range drills: %v", err)
+	}
+	co.Close()
 }
 
 // TestBudgetExactAcrossTransports: one budget clamp (guard.Supervisor.

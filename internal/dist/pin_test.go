@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"testing"
@@ -10,10 +11,14 @@ import (
 	"repro/internal/noc"
 )
 
-// TestFrameBytesPinned pins the wire bytes of one frame of every
-// snap-encoded kind, so a change to the codec or to any walk that leaves
-// the round trips green but moves a byte is caught.
-func TestFrameBytesPinned(t *testing.T) {
+// pinnedFrame is one frame of every snap-encoded kind with the sha256 of
+// its bytes.
+type pinnedFrame struct {
+	name, sha string
+	frame     []byte
+}
+
+func pinnedFrames() []pinnedFrame {
 	net := testNet()
 	orig := &noc.Message{
 		Pri: 0, Src: noc.Coord{X: 1, Y: 1}, Dst: noc.Coord{Y: 1},
@@ -25,10 +30,7 @@ func TestFrameBytesPinned(t *testing.T) {
 		Seq: 12, HWAck: true, InjectedAt: 46, DeliveredAt: 52, Hops: 2, Orig: orig,
 	}
 	act := activity{Activity: machine.Activity{Running: 2, Busy: 3, Issued: 1 << 40}, Next: 91, Fault: "c1 v2: protection"}
-	for _, c := range []struct {
-		name, sha string
-		frame     []byte
-	}{
+	return []pinnedFrame{
 		{"init", "bb9e481994f15abfd8c8515be9d47f58a99640c180ae4174f01c722287be4cc8", encodeInit(&initSpec{Shard: 1, Lo: 2, Hi: 4, HeartbeatMillis: 250,
 			Chaos: []ChaosSpec{{Node: 3, Cycle: 500, Kind: "panic"}, {Node: 2, Cycle: 9, Kind: "hang"}}})},
 		{"step", "aa2e3da0725e0fce06f58f749b0f9a9ebaaee612205f0cc2385f843a3a2463ad", encodeStep(net, &stepCmd{Cycle: 90, Width: 3, Deliveries: []delivery{
@@ -38,9 +40,47 @@ func TestFrameBytesPinned(t *testing.T) {
 			{Act: activity{Next: machine.NoEvent}},
 		}})},
 		{"activity", "1da77f5fda4e737378ac00129facb162b3666edc8f864319e9b79fe0a8f47c18", encodeActivityFrame(&act)},
-	} {
+	}
+}
+
+// TestFrameBytesPinned pins the wire bytes of one frame of every
+// snap-encoded kind, so a change to the codec or to any walk that leaves
+// the round trips green but moves a byte is caught.
+func TestFrameBytesPinned(t *testing.T) {
+	for _, c := range pinnedFrames() {
 		if got := fmt.Sprintf("%x", sha256.Sum256(c.frame)); got != c.sha {
 			t.Errorf("%s frame sha256 %s, want %s", c.name, got, c.sha)
 		}
 	}
+}
+
+// FuzzFrames: arbitrary bytes on the wire — read as a frame, and decoded
+// as every payload kind a coordinator or worker decodes — end in an error
+// or a value, never a panic, and never in an allocation sized by a
+// corrupt length rather than by the bytes present. Seeded with the pinned
+// frames, bare and framed, and a frame header claiming the largest
+// payload.
+func FuzzFrames(f *testing.F) {
+	for _, c := range pinnedFrames() {
+		f.Add(c.frame)
+		var b bytes.Buffer
+		writeFrame(&b, repStep, c.frame)
+		f.Add(b.Bytes())
+	}
+	f.Add(encodeI64(-7))
+	f.Add(encodeString("shard 1: contained panic"))
+	f.Add([]byte{repFrame, 0xff, 0xff, 0xff, 0x3f, 1, 2, 3})
+	net := testNet()
+	var rep stepReply
+	f.Fuzz(func(t *testing.T, data []byte) {
+		readFrame(bytes.NewReader(data))
+		decodeStep(net, data)
+		decodeStepReply(net, data, &rep)
+		var s initSpec
+		unframe(data, s.state)
+		var a activity
+		unframe(data, a.state)
+		decodeI64(data)
+		decodeString(data)
+	})
 }

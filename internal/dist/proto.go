@@ -72,7 +72,8 @@ const (
 )
 
 // maxFrame bounds a frame payload; anything larger is a corrupt stream.
-const maxFrame = 1 << 30
+// readFrame allocates at most frameChunk bytes before any arrive.
+const maxFrame, frameChunk = 1 << 30, 1 << 22
 
 // maxWindow bounds a step window's width on the wire (the coordinator's
 // is noc.Network.Lookahead(), 3 under the default timing).
@@ -100,15 +101,22 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[1:])
+	n := int(binary.LittleEndian.Uint32(hdr[1:]))
 	if n > maxFrame {
 		return 0, nil, fmt.Errorf("dist: frame of %d bytes exceeds the %d-byte cap", n, maxFrame)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
+	// Past frameChunk the payload doubles as its bytes arrive, so a
+	// corrupt length costs what the stream holds, not what it claims.
+	payload := make([]byte, min(n, frameChunk))
+	for read := 0; ; {
+		if _, err := io.ReadFull(r, payload[read:]); err != nil {
+			return 0, nil, err
+		}
+		if read = len(payload); read == n {
+			return hdr[0], payload, nil
+		}
+		payload = append(payload, make([]byte, min(n-read, read))...)
 	}
-	return hdr[0], payload, nil
 }
 
 // ChaosSpec is a deterministic worker-side fault for drills and tests,

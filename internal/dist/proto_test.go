@@ -268,3 +268,22 @@ func TestDecodeCorruptPayloads(t *testing.T) {
 		t.Fatal("stepReply with a section count beyond maxWindow decoded")
 	}
 }
+
+// TestFrameLargerThanChunk: a payload past the first read chunk arrives
+// whole, and a header claiming more than the stream holds is an
+// unexpected EOF once the bytes run out.
+func TestFrameLargerThanChunk(t *testing.T) {
+	payload := bytes.Repeat([]byte("0123456789abcdef"), frameChunk/16*3+5)
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, repFrame, payload); err != nil {
+		t.Fatal(err)
+	}
+	whole := buf.Bytes()
+	kind, got, err := readFrame(bytes.NewReader(whole))
+	if err != nil || kind != repFrame || !bytes.Equal(got, payload) {
+		t.Fatalf("round trip of %d bytes: kind %#x, %d bytes back, err %v", len(payload), kind, len(got), err)
+	}
+	if _, _, err := readFrame(bytes.NewReader(whole[:len(whole)-1])); err != io.ErrUnexpectedEOF {
+		t.Fatalf("truncated frame: err %v, want io.ErrUnexpectedEOF", err)
+	}
+}

@@ -34,17 +34,14 @@ type RunResult struct {
 // the identical cycle as in process; a deadline stops the federation at
 // its next window head. The returned Sim's machine is closed but readable,
 // as after Scenario.RunSim, except after a hang (guard.IsHang), when the
-// wedged run still owns it and the federation.
+// wedged run still owns it and the federation. The hub's chips never step:
+// o's engine fields (NaiveEngine, Workers) should be zero.
 func RunScenario(sc *core.Scenario, o core.Options, cfg Config) (*RunResult, *core.Sim, error) {
 	if sc.Plan.Sweep != nil {
 		// Sweep points fork the hub machine mid-run; sharded workers
 		// can't follow a fork. Run sweeps in-process (Scenario.Run).
 		return nil, nil, errors.New("dist: sweep scenarios are not supported on the distributed engine")
 	}
-	// The hub's chips never step; force the serial in-process engine so
-	// no worker pool spins up under a machine used only as a state store.
-	o.NaiveEngine = false
-	o.Workers = 0
 	s, err := sc.NewSim(o)
 	if err != nil {
 		return nil, nil, err

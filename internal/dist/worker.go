@@ -36,10 +36,10 @@ import (
 // WorkerAddrEnv names the environment variable that turns a process
 // into a shard worker: when set, the process dials the coordinator at
 // that loopback address and serves the shard protocol instead of
-// running its normal command line. cmd/mshard and the dist
-// tests' TestMain all call MaybeWorker first thing, so the coordinator
-// can respawn shards by re-executing its own binary.
-const WorkerAddrEnv = "MSHARD_WORKER_ADDR"
+// running its normal command line. cmd/msim and the dist tests'
+// TestMain both call MaybeWorker first thing, so the coordinator can
+// respawn shards by re-executing its own binary.
+const WorkerAddrEnv = "MSIM_WORKER_ADDR"
 
 // MaybeWorker turns the process into a shard worker if WorkerAddrEnv is
 // set, never returning in that case. Call it before flag parsing in any
@@ -51,13 +51,13 @@ func MaybeWorker() {
 	}
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mshard worker: dial coordinator: %v\n", err)
+		fmt.Fprintf(os.Stderr, "msim worker: dial coordinator: %v\n", err)
 		os.Exit(3)
 	}
 	err = ServeConn(conn)
 	conn.Close()
 	if err != nil && !errors.Is(err, io.EOF) {
-		fmt.Fprintf(os.Stderr, "mshard worker: %v\n", err)
+		fmt.Fprintf(os.Stderr, "msim worker: %v\n", err)
 		os.Exit(1)
 	}
 	os.Exit(0)

@@ -41,6 +41,27 @@ func entriesState(c *snap.Codec, es *[]Entry) int {
 	return n
 }
 
+// CheckMesh reports a decoded GDT entry whose node region leaves a mesh
+// of dims: translating through it would hand the network a destination
+// it has no node for.
+func (t *Table) CheckMesh(dims NodeID) error { return offMesh(t.entries, dims) }
+
+// CheckMesh reports a decoded resident entry whose node region leaves a
+// mesh of dims.
+func (g *GTLB) CheckMesh(dims NodeID) error { return offMesh(g.resident, dims) }
+
+func offMesh(es []Entry, dims NodeID) error {
+	for _, e := range es {
+		start := [3]int{e.Start.X, e.Start.Y, e.Start.Z}
+		for d, size := range [3]int{dims.X, dims.Y, dims.Z} {
+			if start[d] < 0 || start[d] > size-1<<e.ExtentLog[d] {
+				return fmt.Errorf("gtlb: entry for page %d places nodes outside the %v mesh", e.VirtPage, dims)
+			}
+		}
+	}
+	return nil
+}
+
 // State walks the GDT's entries in installation order. A decoder fills a
 // new &Table{}.
 func (t *Table) State(c *snap.Codec) { entriesState(c, &t.entries) }

@@ -76,8 +76,8 @@ func TestClassify(t *testing.T) {
 		}
 	}
 
-	// The class strings are wire format: msimd's failure_class, mshard's
-	// failure table.
+	// The class strings are wire format: msimd's failure_class, msim
+	// -shards' failure table.
 	for c, want := range map[guard.Class]string{
 		guard.ClassCrash: "crash", guard.ClassStallTimeout: "stall-timeout", guard.ClassStallHang: "stall-hang",
 		guard.ClassLost: "lost", guard.ClassBudget: "budget", guard.ClassScenario: "scenario",
@@ -91,8 +91,8 @@ func TestClassify(t *testing.T) {
 // TestExitCodeFollowsClass: the CLIs' exit code is a function of the
 // failure class msimd reports (guard.Classify), wrapped or not, so the
 // three cannot disagree about what kind of failure a run ended in. msim
-// and mshard both exit through guard.ExitCode; the dist rows are what
-// mshard sees when a shard failure outlives the recovery cap.
+// exits through guard.ExitCode; the dist rows are what msim -shards sees
+// when a shard failure outlives the recovery cap.
 func TestExitCodeFollowsClass(t *testing.T) {
 	shard := func(c guard.Class) error { return &dist.ShardFailure{Class: c, Err: errors.New("x")} }
 	capped := func(c guard.Class) error {

@@ -25,12 +25,12 @@
 //     stops at — no wall-clock involved, so budget exhaustion reproduces
 //     exactly on any host and engine.
 //
-//   - Forensics. On a crash, deadline, or budget exhaustion the
-//     Supervisor renders a livelock/deadlock diagnostic (Diagnose: per
-//     chip NextEvent, queue and outbox depths, running-user and busy
-//     counters) and, when Options.DumpPath is set, writes a crash-dump
-//     snapshot via machine.Save so the failure can be reloaded with
-//     `msim -restore` and replayed under any engine.
+//   - Forensics. On a crash, deadline, or cycle bound (budget or the
+//     run's own) the Supervisor renders a livelock/deadlock diagnostic
+//     (Diagnose: per chip NextEvent, queue and outbox depths, running-user
+//     and busy counters) and, with Options.DumpPath, writes a crash-dump
+//     snapshot via machine.Save that `msim -restore` replays — unless a
+//     crash left some nodes a cycle ahead of the others.
 //
 // If the run does not respond to the stop request within Options.Grace —
 // a worker wedged inside a cycle, not a livelocked simulation — Do gives
@@ -74,7 +74,8 @@ type Options struct {
 	// DumpPath, when non-empty, is where a crash-dump snapshot is
 	// written (atomically; see snap.WriteFileAtomic) on crash, timeout,
 	// or budget exhaustion. The dump is a regular machine snapshot:
-	// `msim -restore` loads it.
+	// `msim -restore` loads it. A crash inside a cycle that other nodes
+	// had already stepped writes none (it would not restore).
 	DumpPath string
 
 	// Grace is how long after a stop request the monitor waits for the
@@ -106,6 +107,8 @@ type Failure struct {
 
 	Diagnostic string // Diagnose output at detection ("" for hangs)
 	DumpPath   string // crash-dump location, "" if none was written
+
+	Err error // budget: the run's own bound (machine.ErrCycleLimit) that tripped, nil for the supervisor's
 }
 
 // Error is deliberately stack-free: CLIs print it to users directly; the
@@ -118,6 +121,9 @@ func (f *Failure) Error() string {
 		}
 		return fmt.Sprintf("guard: run crashed near cycle %d: %v", f.Cycle, f.Value)
 	case ClassBudget:
+		if f.Err != nil {
+			return f.Err.Error()
+		}
 		return fmt.Sprintf("guard: cycle budget (%d) exhausted at cycle %d", f.Budget, f.Cycle)
 	case ClassStallHang:
 		return fmt.Sprintf("guard: run wedged: no response to the stop request within the grace period (last observed cycle %d, %v elapsed)", f.Cycle, f.Elapsed.Round(time.Millisecond))
@@ -125,13 +131,13 @@ func (f *Failure) Error() string {
 	return fmt.Sprintf("guard: wall-clock deadline (%v) exceeded at cycle %d", f.Timeout, f.Cycle)
 }
 
-// Unwrap lets errors.Is(err, context.DeadlineExceeded) detect the
-// wall-clock classes.
+// Unwrap lets errors.Is find context.DeadlineExceeded in the wall-clock
+// classes and machine.ErrCycleLimit in a run's own bound.
 func (f *Failure) Unwrap() error {
 	if f.Class == ClassStallTimeout || f.Class == ClassStallHang {
 		return context.DeadlineExceeded
 	}
-	return nil
+	return f.Err
 }
 
 // crashSite is implemented by panic values that know which chip and
@@ -192,7 +198,7 @@ func Classify(err error) Class {
 }
 
 // ExitCode is the process exit code a CLI reports for a failed run, a
-// function of the failure class alone so that msim, mshard and msimd's
+// function of the failure class alone so that msim and msimd's
 // failure_class cannot disagree about what kind of failure a run ended
 // in: 3 for a cutoff (wall clock, hang, or a cycle bound), 4 for a
 // contained internal panic or a shard lost for good, 1 for everything
@@ -393,6 +399,9 @@ func (s *Supervisor) classify(o outcome, timedOut bool, elapsed time.Duration) e
 	case timedOut && errors.Is(o.err, machine.ErrStopped):
 		f = &Failure{Class: ClassStallTimeout, Cycle: m.Cycle, Timeout: s.opt.Timeout}
 		o.err = f
+	case errors.Is(o.err, machine.ErrCycleLimit): // the run's own bound
+		f = &Failure{Class: ClassBudget, Cycle: m.Cycle, Err: o.err}
+		o.err = f
 	default:
 		return o.err
 	}
@@ -405,10 +414,18 @@ func (s *Supervisor) classify(o outcome, timedOut bool, elapsed time.Duration) e
 // writeDump writes the crash-dump snapshot if a path is configured,
 // returning the path written ("" otherwise). A dump failure must never
 // mask the primary failure, so it is appended to the diagnostic instead
-// of being returned.
+// of being returned. A crash inside a cycle that other nodes had already
+// stepped leaves the machine between two cycles, a state no restore
+// accepts: it gets no dump, and the diagnostic says why.
 func (s *Supervisor) writeDump(diag *string) string {
 	if s.opt.DumpPath == "" {
 		return ""
+	}
+	for i, c := range s.m.Chips {
+		if c.Cycle > s.m.Cycle {
+			*diag += fmt.Sprintf("\n(no crash dump: node %d had already stepped cycle %d, so the machine is between two cycles and cannot be restored)", i, s.m.Cycle)
+			return ""
+		}
 	}
 	if err := snap.WriteFileAtomic(s.opt.DumpPath, s.m.Save); err != nil {
 		*diag += fmt.Sprintf("\n(crash dump failed: %v)", err)

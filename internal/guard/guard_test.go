@@ -339,6 +339,46 @@ func TestCrashDumpRestoreResume(t *testing.T) {
 	}
 }
 
+// TestMidCycleCrashWritesNoDump: a panic on node 1 after node 0 has
+// stepped the same cycle leaves the machine between two cycles. Its dump
+// would not restore, so none is written and the diagnostic says why; a
+// dump written on node 0's panic, before any node stepped, restores.
+func TestMidCycleCrashWritesNoDump(t *testing.T) {
+	for _, node := range []int{0, 1} {
+		dump := filepath.Join(t.TempDir(), "crash.msnap")
+		m := newM(t, 2, 0)
+		load(t, m, 0, countSrc(200))
+		load(t, m, 1, countSrc(200))
+		m.SetFaultProbe(func(n int, cycle int64) {
+			if n == node && cycle == 50 {
+				panic(injected{node: n, cycle: cycle})
+			}
+		})
+		_, err := guard.New(m, guard.Options{DumpPath: dump}).Run(100000)
+		var ce *guard.Failure
+		if !errors.As(err, &ce) || ce.Class != guard.ClassCrash {
+			t.Fatalf("node %d: want a crash *Failure, got %v", node, err)
+		}
+		_, statErr := os.Stat(dump)
+		if node == 1 {
+			if ce.DumpPath != "" || statErr == nil || !strings.Contains(ce.Diagnostic, "no crash dump: node 0 had already stepped cycle 50") {
+				t.Fatalf("mid-cycle crash: dump path %q, file error %v, diagnostic %q; want no dump and the reason", ce.DumpPath, statErr, ce.Diagnostic)
+			}
+			continue
+		}
+		f, err := os.Open(dump)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := newM(t, 2, 0)
+		err = r.Restore(f)
+		f.Close()
+		if err != nil || r.Cycle != 50 {
+			t.Fatalf("node 0 crash dump: restore error %v at cycle %d; want it restored at 50", err, r.Cycle)
+		}
+	}
+}
+
 // TestWatchdogStopSaveRestoreResume: a machine stopped mid-run by the
 // wall-clock watchdog is at a clean cycle boundary — machine.Save right
 // after the supervised Run returns must produce a snapshot from which a
@@ -437,5 +477,34 @@ func TestErrorsPassThrough(t *testing.T) {
 	}
 	if err := s.Do(func() error { return nil }); err != nil {
 		t.Fatalf("got %v, want nil", err)
+	}
+}
+
+// TestOwnBoundGetsForensics: a run that outruns its own cycle bound
+// (machine.ErrCycleLimit) is a cutoff like the budget's: a ClassBudget
+// *Failure with the diagnostic and the crash dump attached, whose text
+// and chain are still the bound's.
+func TestOwnBoundGetsForensics(t *testing.T) {
+	m := newM(t, 1, 0)
+	load(t, m, 0, spinSrc)
+	dump := filepath.Join(t.TempDir(), "bound.msnap")
+	_, err := guard.New(m, guard.Options{DumpPath: dump}).Run(50)
+	var f *guard.Failure
+	if !errors.As(err, &f) || f.Class != guard.ClassBudget || !errors.Is(err, machine.ErrCycleLimit) {
+		t.Fatalf("got %v, want a budget *Failure wrapping machine.ErrCycleLimit", err)
+	}
+	if !strings.Contains(err.Error(), "no completion within 50 cycles") {
+		t.Errorf("error text %q lost the bound's", err)
+	}
+	if f.Diagnostic == "" || f.DumpPath != dump {
+		t.Fatalf("diagnostic %q, dump %q; want both attached", f.Diagnostic, f.DumpPath)
+	}
+	fh, err := os.Open(dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fh.Close()
+	if _, err := machine.ReadSnapshotConfig(fh); err != nil {
+		t.Fatalf("dump is not a snapshot: %v", err)
 	}
 }

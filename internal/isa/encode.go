@@ -100,6 +100,14 @@ func DecodeOp(ws []uint64) (*Op, int, error) {
 	if op.Code >= opcodeCount {
 		return nil, 0, fmt.Errorf("isa: bad opcode %d", op.Code)
 	}
+	for _, r := range [...]Reg{op.Dst, op.Src1, op.Src2} {
+		if !r.Valid() {
+			return nil, 0, fmt.Errorf("isa: bad register %d/%d/%d", r.Class, r.Index, r.Cluster)
+		}
+	}
+	if !op.DstWritable() {
+		return nil, 0, fmt.Errorf("isa: %s cannot write %s", op.Code, op.Dst)
+	}
 	if w>>43&1 != 0 {
 		if len(ws) < 2 {
 			return nil, 0, fmt.Errorf("isa: truncated extended immediate")

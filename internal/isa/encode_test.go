@@ -100,6 +100,9 @@ func TestEncodeOpRoundTripRandom(t *testing.T) {
 			Post:   SyncCond(rng.Intn(3)),
 			Pri:    uint8(rng.Intn(2)),
 		}
+		for !op.DstWritable() { // the decoder refuses the rest
+			op.Dst = randomReg(rng)
+		}
 		got, _, err := DecodeOp(EncodeOp(op))
 		if err != nil {
 			t.Fatalf("op %d: %v", i, err)
@@ -162,6 +165,21 @@ func TestDecodeErrors(t *testing.T) {
 	// Bad opcode.
 	if _, _, err := DecodeOp([]uint64{0x7F}); err == nil {
 		t.Error("bad opcode accepted")
+	}
+	// A register the machine does not have: a cluster past the four, a
+	// GCC index past the eight, a class past RSpec. Execution would index
+	// outside the register files with each.
+	for _, r := range []Reg{Remote(4, Int(5)), GCC(9), {Class: RSpec + 2, Cluster: ClusterSelf}} {
+		if _, _, err := DecodeOp(EncodeOp(&Op{Code: MOV, Dst: r, Src1: Int(2)})); err == nil {
+			t.Errorf("register %d/%d/%d accepted", r.Class, r.Index, r.Cluster)
+		}
+	}
+	// A destination execution cannot write: a special register, a load
+	// into no register file.
+	for _, op := range []*Op{{Code: ADD, Dst: Spec(SpecCyc), Src1: Int(1)}, {Code: LD, Dst: GCC(1), Src1: Int(1)}, {Code: LDSY, Src1: Int(1)}} {
+		if _, _, err := DecodeOp(EncodeOp(op)); err == nil {
+			t.Errorf("%s into %s accepted", op.Code, op.Dst)
+		}
 	}
 	// Trailing garbage after a program.
 	p := &Program{Insts: []Inst{{IOp: &Op{Code: HALT}}}, Labels: map[string]int{}}

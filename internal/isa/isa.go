@@ -68,6 +68,17 @@ type Reg struct {
 // IsZero reports whether the Reg is the zero value (no register).
 func (r Reg) IsZero() bool { return r.Class == RNone }
 
+// classRegs is each class's register count; RNone and RSpec take any index.
+var classRegs = [...]int{RNone: 256, RInt: NumIntRegs, RFP: NumFPRegs, RGCC: NumGCCRegs, RSpec: 256}
+
+// Valid reports whether r names a register the machine has: a known
+// class, an index inside its file, a cluster that exists. Program and
+// snapshot decoders accept nothing else.
+func (r Reg) Valid() bool {
+	return int(r.Class) < len(classRegs) && int(r.Index) < classRegs[r.Class] &&
+		(r.Cluster == ClusterSelf || r.Cluster >= 0 && r.Cluster < NumClusters)
+}
+
 // Int returns a local integer register reference.
 func Int(i int) Reg { return Reg{Class: RInt, Index: uint8(i), Cluster: ClusterSelf} }
 
@@ -300,6 +311,16 @@ type Op struct {
 // registers from Dst — lies inside the register file.
 func (o *Op) SendBodyInFile() bool {
 	return o.Imm >= 0 && int64(o.Dst.Index)+o.Imm <= NumIntRegs
+}
+
+// DstWritable reports whether execution can write o's destination: no op
+// writes a special register, and a load lands in a register file.
+func (o *Op) DstWritable() bool {
+	switch o.Code {
+	case LD, LDSY, LDP:
+		return o.Dst.Class == RInt || o.Dst.Class == RFP
+	}
+	return o.Dst.Class != RSpec
 }
 
 // RecordInFile reports whether a TLBW/MRETRY record — the 4 consecutive

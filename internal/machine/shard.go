@@ -45,7 +45,7 @@ func (m *Machine) shard(c *snap.Codec, cycle *int64, lo int, chips []*chip.Chip)
 	if c.Err() == nil && (flo != lo || fhi != hi) {
 		return fmt.Errorf("machine: adopt shard: frame covers [%d,%d), want [%d,%d)", flo, fhi, lo, hi)
 	}
-	m.chipsState(c, lo, chips)
+	m.chipsState(c, lo, chips, *cycle)
 	trailer := uint64(shardFrameTrailer)
 	c.U64(&trailer)
 	if c.Err() == nil && trailer != shardFrameTrailer {

@@ -133,7 +133,10 @@ func (m *Machine) snapshot(c *snap.Codec) error {
 		c.U64(&m.nextPPN[i])
 	}
 	m.GDT.State(c)
-	m.chipsState(c, 0, m.Chips)
+	if c.Reading() && c.Err() == nil {
+		c.Fail(m.GDT.CheckMesh(gtlb.NodeID(m.Cfg.Dims)))
+	}
+	m.chipsState(c, 0, m.Chips, m.Cycle)
 	m.Net.State(c)
 	trailer := uint64(snapshotTrailer)
 	c.U64(&trailer)
@@ -143,14 +146,19 @@ func (m *Machine) snapshot(c *snap.Codec) error {
 	return c.Err()
 }
 
-// chipsState walks chips, the machine's nodes from lo on. Decoding, it
-// builds each one bound to m's network and GDT.
-func (m *Machine) chipsState(c *snap.Codec, lo int, chips []*chip.Chip) {
+// chipsState walks chips, the machine's nodes from lo on, at machine cycle
+// cycle. Decoding, it builds each one bound to m's network and GDT.
+func (m *Machine) chipsState(c *snap.Codec, lo int, chips []*chip.Chip, cycle int64) {
 	for i := range chips {
-		if c.Reading() {
-			chips[i] = chip.Decode(c, m.Cfg.Chip, m.Net.CoordOf(lo+i), lo+i, m.Net, m.GDT)
-		} else {
+		if !c.Reading() {
 			chips[i].State(c)
+			continue
+		}
+		chips[i] = chip.Decode(c, m.Cfg.Chip, m.Net.CoordOf(lo+i), lo+i, m.Net, m.GDT)
+		if c.Err() == nil && (cycle < 0 || chips[i].Cycle != cycle) {
+			c.Fail(fmt.Errorf("machine: chip %d at cycle %d in a stream of machine cycle %d", lo+i, chips[i].Cycle, cycle))
+		} else if c.Err() == nil {
+			c.Fail(chips[i].GTLB.CheckMesh(gtlb.NodeID(m.Cfg.Dims)))
 		}
 	}
 }

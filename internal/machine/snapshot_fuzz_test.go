@@ -5,20 +5,28 @@ package machine_test
 // internal/guard that depends on it): feeding Restore an arbitrary byte
 // stream must either succeed or return a descriptive error — never
 // panic, never allocate unboundedly, and never leave the machine
-// half-mutated. The corpus is seeded with real snapshots taken from the
-// checked-in workload scenarios (plus deterministic faultinject
-// corruptions of them), so the fuzzer starts deep inside the decode
-// paths instead of bouncing off the magic-word check.
+// half-mutated — and the state of a stream it accepts must run. The
+// corpus is seeded with real snapshots taken from the checked-in
+// workload scenarios (plus deterministic faultinject corruptions of
+// them), so the fuzzer starts deep inside the decode paths instead of
+// bouncing off the magic-word check.
 
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/gtlb"
+	"repro/internal/guard"
+	"repro/internal/isa"
 	"repro/internal/machine"
+	"repro/internal/mem"
 	"repro/internal/snap"
 	"repro/internal/wgen"
 )
@@ -179,6 +187,106 @@ func emptiedLTLBOrder(f *testing.F, base []byte) []byte {
 	return stream
 }
 
+// unrunnableStreams returns snapshots of the fuzz target's configuration
+// holding state no engine can step, each with a thread spinning on node 0:
+// node 0's clock ahead of the machine's, a program that writes a register
+// in a fifth cluster, a GDT entry or a node 0 GTLB entry placing a page
+// on a node outside the mesh, and a node 0 LTLB entry mapping a page
+// outside SDRAM. A decoder that accepted them handed the run leg a
+// machine that crashed on its first step (or on the first SEND or access
+// through the bad entry); each must fail to restore.
+func unrunnableStreams(tb testing.TB) [][]byte {
+	tb.Helper()
+	spin := "    movi i2, #3\nloop:\n    mov @1.i5, i2\n    br loop\n"
+	offMesh := gtlb.Entry{VirtPage: 1 << 20, GroupPages: 1, Start: gtlb.NodeID{X: 5}, PagesPerNode: 1}
+	var out [][]byte
+	for _, spoil := range []func(s *core.Sim, p *isa.Program){
+		func(s *core.Sim, p *isa.Program) { s.M.Chips[0].Cycle += 44 },
+		func(s *core.Sim, p *isa.Program) { p.Insts[1].IOp.Dst.Cluster = isa.NumClusters },
+		func(s *core.Sim, p *isa.Program) {
+			if err := s.M.GDT.Add(offMesh); err != nil {
+				tb.Fatal(err)
+			}
+		},
+		func(s *core.Sim, p *isa.Program) {
+			// Resident in node 0's GTLB only: the machine's GDT stays clean.
+			gdt := &gtlb.Table{}
+			if err := gdt.Add(offMesh); err != nil {
+				tb.Fatal(err)
+			}
+			s.M.Chips[0].GTLB = gtlb.New(gdt, 1)
+			if _, err := s.M.Chips[0].GTLB.Translate(offMesh.VirtPage * gtlb.GTLBPageWords); err != nil {
+				tb.Fatal(err)
+			}
+		},
+		func(s *core.Sim, p *isa.Program) {
+			sdram := s.M.Chips[0].Mem.SDRAM.Size() / mem.PageWords
+			s.M.Chips[0].Mem.LTLB.Insert(mem.PTE{VPN: 1 << 20, PPN: sdram, Valid: true})
+		},
+	} {
+		s, err := core.NewSim(core.Options{Nodes: fuzzNodes})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		p, err := asm.Assemble("spin", spin)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		spoil(s, p)
+		s.LoadProgram(0, 0, 0, p, true)
+		var b bytes.Buffer
+		if err := s.M.Save(&b); err != nil {
+			tb.Fatal(err)
+		}
+		s.M.Close()
+		out = append(out, b.Bytes())
+	}
+	return out
+}
+
+// TestRestoreRejectsUnrunnableState: a chip clock off the machine's, a
+// program naming a register the machine lacks, a GDT or GTLB entry
+// mapping pages to a node off the mesh and an LTLB entry mapping a page
+// outside SDRAM are restore errors, not a crash on the restored machine.
+func TestRestoreRejectsUnrunnableState(t *testing.T) {
+	m, _, err := newFuzzTarget()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for i, stream := range unrunnableStreams(t) {
+		if err := m.Restore(bytes.NewReader(stream)); err == nil {
+			t.Errorf("stream %d restored; want it rejected", i)
+		} else if !strings.Contains(err.Error(), "restore") {
+			t.Errorf("stream %d: undescriptive restore error %q", i, err)
+		}
+	}
+}
+
+// runAccepted is FuzzSnapshotDecode's run leg: decoded state must run.
+// An accepted stream, restored into a machine of its own configuration,
+// runs 1000 cycles under supervision to completion, a cutoff or a
+// classified failure, never a contained panic (ClassCrash).
+func runAccepted(t *testing.T, data []byte) {
+	cfg, err := machine.ReadSnapshotConfig(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("accepted stream has no readable configuration: %v", err)
+	}
+	m := machine.New(cfg)
+	defer m.Close()
+	if err := m.Restore(bytes.NewReader(data)); err != nil {
+		t.Fatalf("accepted stream does not restore into its own configuration: %v", err)
+	}
+	_, err = guard.New(m, guard.Options{Timeout: 10 * time.Second}).Run(1000)
+	if guard.Classify(err) == guard.ClassCrash {
+		var f *guard.Failure
+		if errors.As(err, &f) {
+			t.Fatalf("restored state crashed: %v\n%s", err, f.Stack)
+		}
+		t.Fatalf("restored state crashed: %v", err)
+	}
+}
+
 // Per-worker-process fuzz state: the target machine is built lazily on
 // the first execution and reset to its baseline after every accepted
 // stream, so executions are independent. fuzzBefore caches the target's
@@ -207,6 +315,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Add(crafted)
 	}
 	f.Add(emptiedLTLBOrder(f, stencil))
+	for _, crashed := range unrunnableStreams(f) {
+		f.Add(crashed)
+	}
 	f.Add(scenarioSnapshot(f, "ringreduce.wl")) // mesh 4: dims-mismatch path
 	f.Add(wgenSnapshot(f, 0))                   // generated, mesh 1: user-mode state
 	f.Add(wgenSnapshot(f, 5))                   // generated, mesh 4 sweep: staging machine
@@ -265,6 +376,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if err := m.Restore(bytes.NewReader(again.Bytes())); err != nil {
 			t.Fatalf("accepted stream does not round-trip: %v", err)
 		}
+		runAccepted(t, data)
 		if err := m.Restore(bytes.NewReader(fuzzBaseline)); err != nil {
 			t.Fatalf("baseline reset: %v", err)
 		}

@@ -387,15 +387,22 @@ func (m *System) markDirty(pte *PTE, blk int) {
 // --- Privileged operations used by the runtime's handlers ---
 
 // TLBInstall decodes the 4-word entry and inserts it into the LTLB (the
-// TLBW operation). The evicted entry's status bits are written back to the
-// LPT so software updates are not lost.
-func (m *System) TLBInstall(words [PTEWords]uint64) {
+// TLBW operation), unless it maps a page outside SDRAM (false). The evicted
+// entry's status bits are written back to the LPT.
+func (m *System) TLBInstall(words [PTEWords]uint64) bool {
 	e := DecodePTE(words)
+	if !m.inSDRAM(e) {
+		return false
+	}
 	victim := m.LTLB.Insert(e)
 	if victim.Valid {
 		m.cfg.LPT.Insert(m.SDRAM, victim)
 	}
+	return true
 }
+
+// inSDRAM reports whether e maps nothing or a page SDRAM holds.
+func (m *System) inSDRAM(e PTE) bool { return !e.Valid || e.PPN < m.SDRAM.Size()/PageWords }
 
 // TLBInvalidate drops the LTLB entry for vpn, writing its status back.
 func (m *System) TLBInvalidate(vpn uint64) {

@@ -333,6 +333,11 @@ func (m *System) State(c *snap.Codec) {
 	m.SDRAM.State(c)
 	m.Cache.State(c)
 	m.LTLB.State(c)
+	for _, e := range m.LTLB.entries {
+		if c.Reading() && c.Err() == nil && !m.inSDRAM(e) {
+			c.Fail(fmt.Errorf("mem: snapshot LTLB maps page %d outside SDRAM", e.VPN))
+		}
+	}
 }
 
 // PendingResponses exposes the in-flight responses for cross-component
