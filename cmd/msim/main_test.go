@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/machine"
 )
 
 func TestWorkloadFlagConflict(t *testing.T) {
@@ -263,6 +262,16 @@ func TestShardedCrashDump(t *testing.T) {
 	if err := os.WriteFile(wl, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	sc, err := core.ScenarioFromFile(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sc.NewSim(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := s.M
+	defer restored.Close()
 	var dumps [][]byte
 	for _, engine := range [][]string{{"-shards", "2"}, nil} {
 		dump := filepath.Join(dir, fmt.Sprintf("dump%d.msnap", len(dumps)))
@@ -276,8 +285,8 @@ func TestShardedCrashDump(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := machine.ReadSnapshotConfig(bytes.NewReader(b)); err != nil {
-			t.Fatalf("msim %v: the crash dump is not a snapshot: %v", args, err)
+		if err := restored.Restore(bytes.NewReader(b)); err != nil {
+			t.Fatalf("msim %v: the crash dump is not a snapshot of the scenario's machine: %v", args, err)
 		}
 		dumps = append(dumps, b)
 	}

@@ -13,7 +13,7 @@ import (
 // TestSnapshotBytesPinned pins the Save stream, byte for byte, of the
 // machines every checkpoint user starts from — the staged Table 1
 // machines, forks of generated scenarios taken mid-phase — and one
-// EncodeShard frame, so a change to the codec or to any component's
+// EncodeShard frame (the dist seed and pull), so a change to the codec or to any component's
 // state walk that still round-trips but moves a byte is caught.
 func TestSnapshotBytesPinned(t *testing.T) {
 	sum := func(write func(h hash.Hash) error) string {
@@ -61,13 +61,13 @@ func TestSnapshotBytesPinned(t *testing.T) {
 	}{
 		{0,
 			"803f3c6199186c9ee4879216b7679c4856fb9f43f074b6462b6797c1cef40d21",
-			"eeb1c014386dacc8460c4c8f20347444adb2342b4b6b021d88ac33e54d199928"},
+			"36f91257a09770fac82f91f72841a88c37c3d5e8090fb43b256f2f546fa1f5dc"},
 		{5,
 			"0b031281d4aba17ac45066d144789eefb6654a20e201eabe516ae3a006dad840",
-			"6dbd1405b1b3173b2f1195f7a3d9e4d2623074f4ae71cd94b53f4aea117eb102"},
+			"57c4696438cb852f6943c7e7670a6ba526b0a6a5a0c20086e5df9f5eef0029cf"},
 		{8,
 			"cc0f837041770250f07cc6729e8d9f28b0956eaf8e1fe6af1bc0ed2c1788cf9c",
-			"ec7a628592a6c66ecfab30defc77b47ce79391e773c2b0d66313f453cbd39ef2"},
+			"0136e381cddfce1095086886cc9d7d0dc0d94eb41d12b7e9d2f1961fcace0c7f"},
 	} {
 		name, src := wgen.Source(c.seed)
 		sc, err := core.ScenarioFromDSL(name+".wl", src)

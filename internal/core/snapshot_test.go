@@ -152,7 +152,10 @@ func TestSimRestoreKeepsRecording(t *testing.T) {
 	install := map[string]func(*Sim) error{
 		"Restore": func(b *Sim) error { return b.Restore(&full) },
 		"AdoptShard": func(b *Sim) error {
-			_, err := b.M.AdoptShard(&frame, 0, 2)
+			f, err := b.M.DecodeShard(frame.Bytes(), 0, 2)
+			if err == nil {
+				b.M.AdoptShard(f)
+			}
 			return err
 		},
 	}

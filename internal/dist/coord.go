@@ -34,8 +34,11 @@ package dist
 // federation to the latest coordinated checkpoint — taken at run-loop
 // heads, where the machine is exactly between cycles — respawns the
 // workers, and replays; the replay is bit-identical to an undisturbed
-// run because checkpoints capture the full hub state and the loop
-// position (cycle, idle counter, at-step flag).
+// run because a checkpoint is the full hub state and the loop position
+// (cycle, idle counter, at-step flag). The hub's chips change only when a
+// pull installs every shard's range at once, which happens only at a
+// checkpoint or a leg's end, so a checkpoint holds just a clone of the
+// hub network beside them.
 
 import (
 	"bytes"
@@ -46,6 +49,7 @@ import (
 
 	"repro/internal/guard"
 	"repro/internal/machine"
+	"repro/internal/noc"
 	"repro/internal/trace"
 )
 
@@ -129,21 +133,26 @@ func (cfg *Config) setDefaults() {
 	}
 }
 
-// checkpoint is a coordinated rewind point (none while machine is nil):
-// the hub state plus the run-loop position; one taken at a loop head holds
-// its loop (QuietLoop.Hold), so a resume skips that head's check once.
+// checkpoint is a coordinated rewind point (none while net is nil): a
+// clone of the hub network — the hub's chips are the checkpoint's until
+// the next pull installs new ones — plus the run-loop position; one taken
+// at a loop head holds its loop (QuietLoop.Hold), so a resume skips that
+// head's check once.
 type checkpoint struct {
-	machine []byte
-	cycle   int64
-	loop    machine.QuietLoop
+	net   *noc.Network
+	cycle int64
+	loop  machine.QuietLoop
 }
 
-// shardConn is the coordinator's view of one worker.
+// shardConn is the coordinator's view of one worker, with the buffers
+// its frames are read into and its step commands encoded into.
 type shardConn struct {
 	h         Handle
 	shard     int
 	lo, hi    int
 	lastFrame time.Time
+	rbuf      []byte
+	stepBuf   bytes.Buffer
 }
 
 // Coordinator drives a sharded federation as a guard.LegRunner: RunLoop
@@ -168,20 +177,22 @@ type Coordinator struct {
 	shipped [][2]int
 
 	// Window buffers, reused every exchange: each shard's command and
-	// reply, each shard's failure in the latest exchange, the deliveries
-	// the window's preview shipped (in the order the replay must confirm
-	// them) with the confirmation cursor, the preview's per-queue
-	// watermark, and the last cycle the latest step exchange reached.
+	// reply, each shard's failure in the latest exchange and its decoded
+	// pull, the deliveries the window's preview shipped (in the order the
+	// replay must confirm them) with the confirmation cursor, the
+	// preview's per-queue watermark, and the last cycle the latest step
+	// exchange reached.
 	cmds      []stepCmd
 	reps      []stepReply
 	fails     []*ShardFailure
+	pulled    []*machine.ShardFrame
 	previewed []delivery
 	confirmed int
 	mark      [][2]int
 	reach     int64
 
 	ck           checkpoint
-	ckBuf        *bytes.Buffer // ck.machine's storage, from snapBufs until Close
+	seedBuf      *bytes.Buffer // the seed being sent, from snapBufs until Close
 	lastCkpt     int64
 	ckCount      int
 	pendingTrace trace.Recorder
@@ -221,6 +232,7 @@ func New(m *machine.Machine, cfg Config) (*Coordinator, error) {
 		cmds:    make([]stepCmd, cfg.Shards),
 		reps:    make([]stepReply, cfg.Shards),
 		fails:   make([]*ShardFailure, cfg.Shards),
+		pulled:  make([]*machine.ShardFrame, cfg.Shards),
 		mark:    make([][2]int, nodes),
 		chaos:   append([]ChaosSpec(nil), cfg.Chaos...),
 		kill:    append([]KillSpec(nil), cfg.Kill...),
@@ -275,13 +287,12 @@ func (co *Coordinator) Recoveries() int          { return co.recoveries }
 func (co *Coordinator) Checkpoints() int         { return co.ckCount }
 
 // Close shuts the federation down: orderly cmdShutdown where possible,
-// then handle teardown, and hands the checkpoint buffer on to the next
+// then handle teardown, and hands the seed buffer on to the next
 // coordinator. Safe on a partially constructed coordinator.
 func (co *Coordinator) Close() {
-	if co.ckBuf != nil {
-		co.ck = checkpoint{}
-		snapBufs.Put(co.ckBuf)
-		co.ckBuf = nil
+	if co.seedBuf != nil {
+		snapBufs.Put(co.seedBuf)
+		co.seedBuf = nil
 	}
 	for _, sc := range co.shards {
 		if sc == nil || sc.h == nil {
@@ -290,7 +301,7 @@ func (co *Coordinator) Close() {
 		if writeFrameDeadline(sc.h, cmdShutdown, nil, time.Second) == nil {
 			sc.h.SetReadDeadline(time.Now().Add(time.Second))
 			for {
-				kind, _, err := readFrame(sc.h)
+				kind, _, err := readFrame(sc.h, &sc.rbuf)
 				if err != nil || kind == repOK {
 					break
 				}
@@ -357,7 +368,7 @@ func (co *Coordinator) read(sc *shardConn) (byte, []byte, *ShardFailure) {
 			deadline = sil
 		}
 		sc.h.SetReadDeadline(deadline)
-		kind, payload, err := readFrame(sc.h)
+		kind, payload, err := readFrame(sc.h, &sc.rbuf)
 		if err != nil {
 			if errors.Is(err, os.ErrDeadlineExceeded) {
 				if time.Now().Before(windowEnd) || time.Since(sc.lastFrame) > co.cfg.SilenceTimeout {
@@ -436,8 +447,8 @@ func (co *Coordinator) exchange(kind, want byte, payload func(i int) []byte, rep
 }
 
 // RunLoop has Machine.RunLoop's contract across the federation, and is
-// its one recover-and-resume loop: an attempt seeds the workers with the
-// hub's state, runs the leg, and reassembles the hub; a *ShardFailure in
+// its one recover-and-resume loop: an attempt seeds each worker with its
+// range of the hub, runs the leg, and reassembles the hub; a *ShardFailure in
 // it rewinds to the latest checkpoint (recover) and re-attempts, until
 // the call returns or the recovery cap trips.
 func (co *Coordinator) RunLoop(loop *machine.QuietLoop, until int64) (bool, error) {
@@ -470,14 +481,11 @@ func (co *Coordinator) stopped() error {
 // wrapped — which is what lets RunLoop tell a recoverable failure from a
 // terminal error that merely wraps its cause.
 func (co *Coordinator) attempt(until int64, resume bool) (bool, error) {
-	// One hub Save per leg: the entry checkpoint is the seed snapshot, and a
-	// resume seeds with the checkpoint recover just restored the hub from.
+	// A resume seeds from the hub recover just rewound to the checkpoint.
 	if !resume {
-		if err := co.takeCheckpoint(false); err != nil {
-			return false, err
-		}
+		co.takeCheckpoint()
 	}
-	if err := co.seedAll(co.ck.machine); err != nil {
+	if err := co.seedAll(); err != nil {
 		return false, err
 	}
 	ended, err := co.runLeg(until)
@@ -493,13 +501,13 @@ func (co *Coordinator) attempt(until int64, resume bool) (bool, error) {
 	return ended, err
 }
 
-// seedAll ships snapshot, the hub's current state, to every worker and
-// resets the arrival mirror (a seeded worker's mailbox is empty). A shard
-// that fails its seed is respawned and retried in place — the hub was not
-// touched, so there is nothing to rewind; exhaustion is terminal (it wraps
-// the last failure, so guard.Classify still names the cause).
-func (co *Coordinator) seedAll(snapshot []byte) error {
-	co.exchange(cmdSeed, repOK, func(int) []byte { return snapshot }, nil)
+// seedAll ships every worker its range of the hub and resets the arrival
+// mirror (a seeded worker's mailbox is empty). A shard that fails its seed
+// is respawned and retried in place — the hub was not touched, so there
+// is nothing to rewind; exhaustion is terminal (it wraps the last failure,
+// so guard.Classify still names the cause).
+func (co *Coordinator) seedAll() error {
+	co.exchange(cmdSeed, repOK, co.seed, nil)
 	for i, f := range co.fails {
 		for f != nil {
 			co.failures = append(co.failures, *f)
@@ -510,11 +518,24 @@ func (co *Coordinator) seedAll(snapshot []byte) error {
 			if err := co.spawn(i); err != nil {
 				return err
 			}
-			_, f = co.callExpect(co.shards[i], cmdSeed, snapshot, repOK)
+			_, f = co.callExpect(co.shards[i], cmdSeed, co.seed(i), repOK)
 		}
 	}
 	clear(co.shipped)
 	return nil
+}
+
+// seed encodes shard i's seed, the shard frame of its range, into the
+// seed buffer: valid until the next seed. (A bytes.Buffer sink never
+// fails, and the range is the machine's.)
+func (co *Coordinator) seed(i int) []byte {
+	if co.seedBuf == nil {
+		co.seedBuf = snapBufs.Get().(*bytes.Buffer)
+	}
+	co.seedBuf.Reset()
+	sc := co.shards[i]
+	co.m.EncodeShard(co.seedBuf, sc.lo, sc.hi)
+	return co.seedBuf.Bytes()
 }
 
 // beginRun is the run-loop entry across the federation: every worker
@@ -570,9 +591,11 @@ func (co *Coordinator) runLeg(until int64) (bool, error) {
 			return false, nil
 		}
 		if co.cfg.CheckpointEvery > 0 && co.cycle-co.lastCkpt >= co.cfg.CheckpointEvery {
-			if err := co.takeCheckpoint(true); err != nil {
-				return false, err
+			if f := co.syncHub(); f != nil {
+				return false, f
 			}
+			co.takeCheckpoint()
+			co.ck.loop.Hold() // its head's check is made
 		}
 		end := min(loop.Horizon(co.cycle), until)
 		if co.cfg.CheckpointEvery > 0 {
@@ -637,7 +660,7 @@ func (co *Coordinator) stepWindow(end int64) *ShardFailure {
 	co.preview(t, end)
 
 	f := co.exchange(cmdStep, repStep,
-		func(i int) []byte { return encodeStep(co.m.Net, &co.cmds[i]) },
+		func(i int) []byte { return encodeStep(&co.shards[i].stepBuf, co.m.Net, &co.cmds[i]) },
 		func(i int, p []byte) error {
 			if err := decodeStepReply(co.m.Net, p, &co.reps[i]); err != nil {
 				return err
@@ -757,34 +780,15 @@ func (co *Coordinator) unpreviewed(s int64, n int) *ShardFailure {
 		fmt.Errorf("protocol: hub Step(%d) delivered to node %d other than the window's preview shipped", s, n))
 }
 
-// takeCheckpoint records a coordinated rewind point. atStep checkpoints
-// sit at a run-loop head, so the workers' chip state must be pulled back
-// into the hub first; the entry checkpoint needs no pull because no
-// worker has run yet — its bytes go on to seed them.
-func (co *Coordinator) takeCheckpoint(atStep bool) error {
-	if atStep {
-		if f := co.syncHub(); f != nil {
-			return f
-		}
-	}
-	// The new checkpoint overwrites the old one's bytes: a failed Save is
-	// terminal, so there is nothing left to rewind to either way.
-	if co.ckBuf == nil {
-		co.ckBuf = snapBufs.Get().(*bytes.Buffer)
-	}
-	co.ckBuf.Reset()
-	if err := co.m.Save(co.ckBuf); err != nil {
-		co.ck = checkpoint{}
-		return fmt.Errorf("dist: checkpoint: %w", err)
-	}
-	co.ck = checkpoint{machine: co.ckBuf.Bytes(), cycle: co.cycle, loop: *co.loop}
-	if atStep {
-		co.ck.loop.Hold() // its head's check is made
-	}
+// takeCheckpoint records a coordinated rewind point at the current clock:
+// a clone of the hub network and the loop position. The hub's chips must
+// be the federation's — at a leg's entry, before any worker runs, or
+// right after a pull.
+func (co *Coordinator) takeCheckpoint() {
+	co.ck = checkpoint{net: co.m.Net.Clone(), cycle: co.cycle, loop: *co.loop}
 	co.lastCkpt = co.cycle
 	co.ckCount++
 	co.commitTrace()
-	return nil
 }
 
 // commitTrace flushes the buffered window of trace events to the sink.
@@ -798,38 +802,44 @@ func (co *Coordinator) commitTrace() {
 }
 
 // syncHub reassembles the full machine in the hub: every worker catches
-// up to the coordinator clock the pull carries and ships its chip range,
-// which the hub installs (Machine.AdoptShard).
+// up to the coordinator clock the pull carries and ships its chip range.
+// The hub installs the ranges (Machine.AdoptShard) only once every one has
+// decoded, so a failed pull leaves the hub as it was.
 func (co *Coordinator) syncHub() *ShardFailure {
 	clock := encodeI64(co.cycle)
+	defer clear(co.pulled)
 	f := co.exchange(cmdPull, repFrame, func(int) []byte { return clock }, func(i int, p []byte) error {
 		sc := co.shards[i]
-		cyc, err := co.m.AdoptShard(bytes.NewReader(p), sc.lo, sc.hi)
-		if err == nil && cyc != co.cycle {
-			err = fmt.Errorf("frame at cycle %d, coordinator at %d", cyc, co.cycle)
+		fr, err := co.m.DecodeShard(p, sc.lo, sc.hi)
+		if err == nil && fr.Cycle != co.cycle {
+			err = fmt.Errorf("frame at cycle %d, coordinator at %d", fr.Cycle, co.cycle)
 		}
+		co.pulled[i] = fr
 		return err
 	})
 	if f != nil {
 		return f
 	}
-	co.m.Cycle = co.cycle
+	for _, fr := range co.pulled {
+		co.m.AdoptShard(fr)
+	}
 	return nil
 }
 
 // recover rewinds the federation to the latest checkpoint after a shard
 // failure: every worker is respawned (survivors may hold half-exchanged
-// protocol state), the hub restores the checkpointed machine, the
-// buffered trace window is discarded, and fired fault drills are
-// disarmed so the replay runs clean. The caller then re-attempts the leg
-// with resume=true, which reseeds the workers with the same checkpoint.
+// protocol state), the hub takes back a clone of the checkpoint's network
+// and its clock (its chips are still the checkpoint's), the buffered trace
+// window is discarded, and fired fault drills are disarmed so the replay
+// runs clean. The caller then re-attempts the leg with resume=true, which
+// reseeds the workers from the rewound hub.
 func (co *Coordinator) recover(sf *ShardFailure) error {
 	co.failures = append(co.failures, *sf)
 	if co.recoveries >= co.cfg.MaxRecoveries {
 		return fmt.Errorf("dist: recovery limit %d exhausted: %w", co.cfg.MaxRecoveries, sf)
 	}
 	co.recoveries++
-	if co.ck.machine == nil {
+	if co.ck.net == nil {
 		return fmt.Errorf("dist: no checkpoint to recover from: %w", sf)
 	}
 	// Drills up to the last cycle the failed exchange reached may have
@@ -855,9 +865,7 @@ func (co *Coordinator) recover(sf *ShardFailure) error {
 			return err
 		}
 	}
-	if err := co.m.Restore(bytes.NewReader(co.ck.machine)); err != nil {
-		return fmt.Errorf("dist: restore checkpoint: %w", err)
-	}
+	co.m.Rewind(co.ck.net.Clone(), co.ck.cycle)
 	co.cycle, *co.loop = co.ck.cycle, co.ck.loop
 	co.lastCkpt = co.ck.cycle
 	co.pendingTrace.Reset()

@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -258,13 +259,15 @@ func TestDistDeterminismMatrix(t *testing.T) {
 
 // frameCounter counts the command frames a coordinator writes, by kind,
 // parsing the [kind][len u32 LE][payload] stream from outside the
-// protocol code, and logs shard 0's seeds, step windows and pull clocks
-// (the leading words of their payloads). Only the coordinator's goroutine
-// writes to a handle.
+// protocol code, logs shard 0's seeds, step windows and pull clocks
+// (the leading words of their payloads), and keeps every shard's seed
+// payloads in send order. Only the coordinator's goroutine writes to a
+// handle.
 type frameCounter struct {
 	launcher LocalLauncher
 	sent     map[byte]int
 	log      []sentFrame
+	seeds    [][]byte
 }
 
 // sentFrame is one logged command: a step window [at, at+width), a pull
@@ -318,6 +321,9 @@ func (h *countingHandle) Write(p []byte) (int, error) {
 func (h *countingHandle) frameDone() {
 	kind := h.hdr[0]
 	h.hdr = h.hdr[:0]
+	if kind == cmdSeed {
+		h.fc.seeds = append(h.fc.seeds, bytes.Clone(h.pay))
+	}
 	if !h.logged || (kind != cmdSeed && kind != cmdStep && kind != cmdPull) {
 		return
 	}
@@ -404,7 +410,7 @@ type earlyHandle struct {
 
 func (h *earlyHandle) Read(p []byte) (int, error) {
 	if len(h.rest) == 0 {
-		kind, payload, err := readFrame(h.Handle)
+		kind, payload, err := readFrame(h.Handle, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -416,7 +422,7 @@ func (h *earlyHandle) Read(p []byte) (int, error) {
 			for k := range rep.Cycles {
 				rep.Cycles[k].Act.Next = 0 // due now, whatever now is
 			}
-			payload = encodeStepReply(h.net, &rep)
+			payload = encodeStepReply(nil, h.net, &rep)
 		}
 		var buf bytes.Buffer
 		writeFrame(&buf, kind, payload)
@@ -513,6 +519,104 @@ func TestDistRecoverFromLost(t *testing.T) {
 	}
 	if lost == 0 {
 		t.Errorf("no lost-class failure recorded: %+v", got.Failures)
+	}
+}
+
+// pullCutLauncher is LocalLauncher, except that shard 1's first worker
+// dies half-way through its reply to its first pull: the coordinator reads
+// the reply's header, then the connection is severed.
+type pullCutLauncher struct{ armed bool }
+
+func (l *pullCutLauncher) Start(shard int) (Handle, error) {
+	h, err := LocalLauncher{}.Start(shard)
+	if err != nil || shard != 1 || l.armed {
+		return h, err
+	}
+	l.armed = true
+	return &pullCutHandle{Handle: h}, nil
+}
+
+type pullCutHandle struct {
+	Handle
+	pulled bool // the first pull has gone out
+	read   int  // reply bytes read since
+}
+
+// Write spots the pull by its header: writeFrame writes a frame's 5-byte
+// header in a call of its own.
+func (h *pullCutHandle) Write(p []byte) (int, error) {
+	if len(p) == 5 && p[0] == cmdPull {
+		h.pulled = true
+	}
+	return h.Handle.Write(p)
+}
+
+func (h *pullCutHandle) Read(p []byte) (int, error) {
+	if !h.pulled {
+		return h.Handle.Read(p)
+	}
+	if h.read >= 5 {
+		h.Kill()
+		return 0, io.ErrClosedPipe
+	}
+	n, err := h.Handle.Read(p[:min(len(p), 5-h.read)])
+	h.read += n
+	return n, err
+}
+
+// TestDistPullDiesHalfway: a pull whose second shard dies mid-reply,
+// after the first shard's range has arrived and decoded, leaves the hub
+// at its checkpoint — no shard installed — so the recovered run equals an
+// undisturbed one.
+func TestDistPullDiesHalfway(t *testing.T) {
+	sc := loadScenario(t, "meshsmooth4.wl")
+	ref := refRun(t, sc, core.Options{})
+	got, events := distRun(t, sc, Config{Shards: 2, Launcher: &pullCutLauncher{}})
+	compareOutcome(t, ref, got, events)
+	if got.Recoveries != 1 || len(got.Failures) != 1 || got.Failures[0].Shard != 1 || got.Failures[0].Class != guard.ClassLost {
+		t.Errorf("%d recoveries, failures %+v; want one recovery from shard 1 lost", got.Recoveries, got.Failures)
+	}
+}
+
+// TestDistSeedsOneMachinePerLeg: each worker is seeded with its own range
+// only, so a leg's seeds to 3 shards of an 8-node mesh total about one
+// frame of the whole machine (a full snapshot per worker is 3x that).
+func TestDistSeedsOneMachinePerLeg(t *testing.T) {
+	sc, err := core.ScenarioFromDSL("bench.wl", benchSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := &frameCounter{sent: map[byte]int{}}
+	got, _ := distRun(t, sc, Config{Shards: 3, Launcher: fc})
+	if got.Recoveries != 0 || len(fc.seeds) != 3*len(got.Phases) {
+		t.Fatalf("%d seeds over %d legs, %d recoveries; want 3 per leg and none", len(fc.seeds), len(got.Phases), got.Recoveries)
+	}
+	ranges := [][2]int{{0, 3}, {3, 6}, {6, 8}}
+	for leg := 0; leg < len(fc.seeds); leg += 3 {
+		cfg, err := machine.ReadShardConfig(fc.seeds[leg])
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := machine.New(cfg)
+		sent := 0
+		for i, rg := range ranges {
+			p := fc.seeds[leg+i]
+			sent += len(p)
+			f, err := m.DecodeShard(p, rg[0], rg[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.AdoptShard(f)
+		}
+		var whole bytes.Buffer
+		if err := m.EncodeShard(&whole, 0, 8); err != nil {
+			t.Fatal(err)
+		}
+		m.Close()
+		t.Logf("leg %d: %d seed bytes, one 8-node frame %d", leg/3, sent, whole.Len())
+		if float64(sent) > 1.05*float64(whole.Len()) {
+			t.Errorf("leg %d: seeds total %d bytes, over 1.05x the %d of one frame of the machine", leg/3, sent, whole.Len())
+		}
 	}
 }
 

@@ -33,14 +33,32 @@ func pinnedFrames() []pinnedFrame {
 	return []pinnedFrame{
 		{"init", "bb9e481994f15abfd8c8515be9d47f58a99640c180ae4174f01c722287be4cc8", encodeInit(&initSpec{Shard: 1, Lo: 2, Hi: 4, HeartbeatMillis: 250,
 			Chaos: []ChaosSpec{{Node: 3, Cycle: 500, Kind: "panic"}, {Node: 2, Cycle: 9, Kind: "hang"}}})},
-		{"step", "aa2e3da0725e0fce06f58f749b0f9a9ebaaee612205f0cc2385f843a3a2463ad", encodeStep(net, &stepCmd{Cycle: 90, Width: 3, Deliveries: []delivery{
+		{"step", "aa2e3da0725e0fce06f58f749b0f9a9ebaaee612205f0cc2385f843a3a2463ad", encodeStep(nil, net, &stepCmd{Cycle: 90, Width: 3, Deliveries: []delivery{
 			{At: 90, Node: 2, Pri: 0, Msg: orig}, {At: 92, Node: 3, Pri: 1, Msg: nack}}})},
-		{"step-reply", "0c8568c3b4b5f9cd360945686a7153a449bc31f1d4de8f83e3ed404b19223e11", encodeStepReply(net, &stepReply{Cycles: []cycleReply{
+		{"step-reply", "0c8568c3b4b5f9cd360945686a7153a449bc31f1d4de8f83e3ed404b19223e11", encodeStepReply(nil, net, &stepReply{Cycles: []cycleReply{
 			{Msgs: []*noc.Message{orig, nack}, Consumed: []consumption{{Node: 2, Pri: 1, N: 3}}, Trace: everyKind(), Act: act},
 			{Act: activity{Next: machine.NoEvent}},
 		}})},
 		{"activity", "1da77f5fda4e737378ac00129facb162b3666edc8f864319e9b79fe0a8f47c18", encodeActivityFrame(&act)},
+		{"seed", "a336b223b2173c053d99c833a7abdb06c777e15cb914798aec08ea32a3b0d123", seedFrame()},
 	}
+}
+
+// seedFrame is a seed: the shard frame of node 1 of a fresh 2-node
+// machine with one GDT entry.
+func seedFrame() []byte {
+	cfg := machine.DefaultConfig()
+	cfg.Dims = noc.Coord{X: 2, Y: 1, Z: 1}
+	m := machine.New(cfg)
+	defer m.Close()
+	if err := m.MapNodeRange(0x4000, 2, 1); err != nil {
+		panic(err)
+	}
+	var b bytes.Buffer
+	if err := m.EncodeShard(&b, 1, 2); err != nil {
+		panic(err)
+	}
+	return b.Bytes()
 }
 
 // TestFrameBytesPinned pins the wire bytes of one frame of every
@@ -55,7 +73,8 @@ func TestFrameBytesPinned(t *testing.T) {
 }
 
 // FuzzFrames: arbitrary bytes on the wire — read as a frame, and decoded
-// as every payload kind a coordinator or worker decodes — end in an error
+// as every payload kind a coordinator or worker decodes, seeds included —
+// end in an error
 // or a value, never a panic, and never in an allocation sized by a
 // corrupt length rather than by the bytes present. Seeded with the pinned
 // frames, bare and framed, and a frame header claiming the largest
@@ -72,8 +91,17 @@ func FuzzFrames(f *testing.F) {
 	f.Add([]byte{repFrame, 0xff, 0xff, 0xff, 0x3f, 1, 2, 3})
 	net := testNet()
 	var rep stepReply
+	// The seed decoder runs on a worker seeded once already, so an input's
+	// configuration is read and checked but builds no machine: New's cost
+	// is the configuration's, not the bytes'.
+	seeded := &worker{spec: initSpec{Lo: 1, Hi: 2}}
+	if err := seeded.seed(seedFrame()); err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		readFrame(bytes.NewReader(data))
+		machine.ReadShardConfig(data)
+		seeded.seed(data)
+		readFrame(bytes.NewReader(data), nil)
 		decodeStep(net, data)
 		decodeStepReply(net, data, &rep)
 		var s initSpec

@@ -49,14 +49,14 @@ import (
 
 // protoVersion gates the handshake: a coordinator and worker from
 // different builds refuse to pair instead of corrupting each other.
-// Version 3 steps windows of cycles per exchange.
-const protoVersion = 3
+// Version 4 seeds each worker with its own node range only.
+const protoVersion = 4
 
 // Frame kinds. Commands flow coordinator -> worker, replies worker ->
 // coordinator; repHeartbeat may arrive between any command and its reply.
 const (
 	cmdInit     = byte(0x01) // initSpec: shard identity, range, chaos
-	cmdSeed     = byte(0x02) // full machine snapshot (machine.Save bytes)
+	cmdSeed     = byte(0x02) // shard frame of the worker's range (machine.EncodeShard)
 	cmdBeginRun = byte(0x03) // run-phase entry: wake chips, report activity
 	cmdStep     = byte(0x04) // stepCmd: advance owned chips through a window
 	cmdPull     = byte(0x06) // coordinator clock: catch up to it, reply with a shard frame (machine.EncodeShard)
@@ -95,8 +95,11 @@ func writeFrame(w io.Writer, kind byte, payload []byte) error {
 	return nil
 }
 
-// readFrame reads one frame written by writeFrame.
-func readFrame(r io.Reader) (byte, []byte, error) {
+// readFrame reads one frame written by writeFrame. A payload of at most
+// frameChunk bytes is read into *buf, grown to fit and kept for the next
+// call, so it is valid only until the connection's next read; a nil buf
+// allocates every payload.
+func readFrame(r io.Reader, buf *[]byte) (byte, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
@@ -107,7 +110,15 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	}
 	// Past frameChunk the payload doubles as its bytes arrive, so a
 	// corrupt length costs what the stream holds, not what it claims.
-	payload := make([]byte, min(n, frameChunk))
+	var payload []byte
+	if buf != nil && n <= frameChunk {
+		if cap(*buf) < n {
+			*buf = make([]byte, n)
+		}
+		payload = (*buf)[:n]
+	} else {
+		payload = make([]byte, min(n, frameChunk))
+	}
 	for read := 0; ; {
 		if _, err := io.ReadFull(r, payload[read:]); err != nil {
 			return 0, nil, err
@@ -139,17 +150,24 @@ type initSpec struct {
 	Chaos           []ChaosSpec
 }
 
-// snapBufs recycles the buffers machine-sized frames are encoded into —
-// a coordinator's checkpoint, a worker's pull — across the coordinators
-// and workers of successive runs, so each Save does not grow a fresh
-// buffer by doubling and the garbage does not pace the collector.
+// snapBufs recycles the buffers shard frames are encoded into — a
+// coordinator's seeds, a worker's pull — across the coordinators and
+// workers of successive runs, so each frame does not grow a fresh buffer
+// by doubling and the garbage does not pace the collector.
 var snapBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// frame returns the bytes walk writes. (A bytes.Buffer sink never fails,
+// frame returns the bytes walk writes.
+func frame(walk func(c *snap.Codec)) []byte { return frameTo(nil, walk) }
+
+// frameTo returns the bytes walk writes, in buf's storage, valid until
+// buf's next use; a nil buf allocates. (A bytes.Buffer sink never fails,
 // so the flush has no error to report.)
-func frame(walk func(c *snap.Codec)) []byte {
-	var buf bytes.Buffer
-	c := snap.NewEncoder(&buf)
+func frameTo(buf *bytes.Buffer, walk func(c *snap.Codec)) []byte {
+	if buf == nil {
+		buf = new(bytes.Buffer)
+	}
+	buf.Reset()
+	c := snap.NewEncoder(buf)
 	walk(c)
 	c.Flush()
 	return buf.Bytes()
@@ -245,8 +263,8 @@ func (s *stepCmd) state(c *snap.Codec, net *noc.Network) {
 	}
 }
 
-func encodeStep(net *noc.Network, s *stepCmd) []byte {
-	return frame(func(c *snap.Codec) { s.state(c, net) })
+func encodeStep(buf *bytes.Buffer, net *noc.Network, s *stepCmd) []byte {
+	return frameTo(buf, func(c *snap.Codec) { s.state(c, net) })
 }
 
 func decodeStep(net *noc.Network, p []byte) (*stepCmd, error) {
@@ -322,8 +340,8 @@ func (rep *stepReply) state(c *snap.Codec, net *noc.Network) {
 	}
 }
 
-func encodeStepReply(net *noc.Network, rep *stepReply) []byte {
-	return frame(func(c *snap.Codec) { rep.state(c, net) })
+func encodeStepReply(buf *bytes.Buffer, net *noc.Network, rep *stepReply) []byte {
+	return frameTo(buf, func(c *snap.Codec) { rep.state(c, net) })
 }
 
 // decodeStepReply decodes p into rep, reusing its sections' buffers.

@@ -33,7 +33,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := writeFrame(&buf, cmdStep, payload); err != nil {
 		t.Fatal(err)
 	}
-	kind, got, err := readFrame(&buf)
+	kind, got, err := readFrame(&buf, nil)
 	if err != nil || kind != cmdStep || !bytes.Equal(got, payload) {
 		t.Fatalf("round trip: kind %#x payload %q err %v", kind, got, err)
 	}
@@ -42,13 +42,13 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameCorrupt(t *testing.T) {
 	// Oversized length must be rejected before allocating.
 	huge := []byte{cmdStep, 0xff, 0xff, 0xff, 0xff}
-	if _, _, err := readFrame(bytes.NewReader(huge)); err == nil || !strings.Contains(err.Error(), "cap") {
+	if _, _, err := readFrame(bytes.NewReader(huge), nil); err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("oversized frame: %v", err)
 	}
 	// Truncated payload must fail with an I/O error, not hang or succeed.
 	var buf bytes.Buffer
 	writeFrame(&buf, cmdSeed, make([]byte, 64))
-	if _, _, err := readFrame(bytes.NewReader(buf.Bytes()[:10])); err != io.ErrUnexpectedEOF {
+	if _, _, err := readFrame(bytes.NewReader(buf.Bytes()[:10]), nil); err != io.ErrUnexpectedEOF {
 		t.Fatalf("truncated frame: %v", err)
 	}
 }
@@ -80,7 +80,7 @@ func TestStepRoundTrip(t *testing.T) {
 		{At: 77, Node: 3, Pri: 0, Msg: msg},
 		{At: 79, Node: 1, Pri: 1, Msg: msg},
 	}}
-	out, err := decodeStep(net, encodeStep(net, &cmd))
+	out, err := decodeStep(net, encodeStep(nil, net, &cmd))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestStepRoundTrip(t *testing.T) {
 	for k := range rout.Cycles {
 		rout.Cycles[k] = cycleReply{Msgs: []*noc.Message{msg, msg}, Consumed: []consumption{{1, 1, 1}, {2, 2, 2}}}
 	}
-	if err := decodeStepReply(net, encodeStepReply(net, &rep), &rout); err != nil {
+	if err := decodeStepReply(net, encodeStepReply(nil, net, &rep), &rout); err != nil {
 		t.Fatal(err)
 	}
 	if len(rout.Cycles) != len(rep.Cycles) {
@@ -161,7 +161,7 @@ func everyKind() trace.Recorder {
 }
 
 // TestHandshakeVersionMismatch pairs the coordinator with a worker that
-// speaks the previous protocol (one cycle per step exchange): New must
+// speaks the previous protocol (full-machine seeds): New must
 // refuse it with the handshake error — an ordinary error, not a shard
 // failure the supervision loop would try to recover from.
 func TestHandshakeVersionMismatch(t *testing.T) {
@@ -170,15 +170,15 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 	m := machine.New(cfg)
 	defer m.Close()
 	_, err := New(m, Config{Shards: 1, Launcher: oldWorkerLauncher{}})
-	if err == nil || !strings.Contains(err.Error(), "shard 0 speaks protocol 2, coordinator 3") {
-		t.Fatalf("New with a version-2 worker: %v", err)
+	if err == nil || !strings.Contains(err.Error(), "shard 0 speaks protocol 3, coordinator 4") {
+		t.Fatalf("New with a version-3 worker: %v", err)
 	}
 	if _, recoverable := err.(*ShardFailure); recoverable || guard.Classify(err) != guard.ClassScenario {
 		t.Errorf("handshake refusal classified %v (%T), want a plain scenario error", guard.Classify(err), err)
 	}
 }
 
-// oldWorkerLauncher starts workers that greet with protocol version 2 and
+// oldWorkerLauncher starts workers that greet with protocol version 3 and
 // then only acknowledge the shutdown.
 type oldWorkerLauncher struct{}
 
@@ -186,11 +186,11 @@ func (oldWorkerLauncher) Start(int) (Handle, error) {
 	cc, wc := net.Pipe()
 	go func() {
 		defer wc.Close()
-		if writeFrame(wc, repHello, encodeI64(2)) != nil {
+		if writeFrame(wc, repHello, encodeI64(3)) != nil {
 			return
 		}
 		for {
-			kind, _, err := readFrame(wc)
+			kind, _, err := readFrame(wc, nil)
 			if err != nil {
 				return
 			}
@@ -242,11 +242,11 @@ func TestDecodeCorruptPayloads(t *testing.T) {
 		{"width beyond maxWindow", stepCmd{Cycle: 10, Width: maxWindow + 1}},
 		{"window end overflowing", stepCmd{Cycle: 1<<63 - 2, Width: 3, Deliveries: at(1<<63 - 2)}},
 	} {
-		if _, err := decodeStep(net, encodeStep(net, &c.cmd)); err == nil {
+		if _, err := decodeStep(net, encodeStep(nil, net, &c.cmd)); err == nil {
 			t.Errorf("%s: stepCmd %+v decoded", c.name, c.cmd)
 		}
 	}
-	if _, err := decodeStep(net, encodeStep(net, &stepCmd{Cycle: 10, Width: 3, Deliveries: at(10, 10, 12)})); err != nil {
+	if _, err := decodeStep(net, encodeStep(nil, net, &stepCmd{Cycle: 10, Width: 3, Deliveries: at(10, 10, 12)})); err != nil {
 		t.Errorf("in-window, non-decreasing tags: %v", err)
 	}
 
@@ -256,7 +256,7 @@ func TestDecodeCorruptPayloads(t *testing.T) {
 		{Msgs: []*noc.Message{msg}, Trace: everyKind()},
 		{Consumed: []consumption{{Node: 1, Pri: 0, N: 1}}, Act: activity{Fault: "x"}},
 	}}
-	p := encodeStepReply(net, &full)
+	p := encodeStepReply(nil, net, &full)
 	for cut := 0; cut < len(p); cut++ {
 		if err := decodeStepReply(net, p[:cut], &rep); err == nil {
 			t.Fatalf("stepReply truncated to %d of %d bytes decoded", cut, len(p))
@@ -279,11 +279,11 @@ func TestFrameLargerThanChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	whole := buf.Bytes()
-	kind, got, err := readFrame(bytes.NewReader(whole))
+	kind, got, err := readFrame(bytes.NewReader(whole), nil)
 	if err != nil || kind != repFrame || !bytes.Equal(got, payload) {
 		t.Fatalf("round trip of %d bytes: kind %#x, %d bytes back, err %v", len(payload), kind, len(got), err)
 	}
-	if _, _, err := readFrame(bytes.NewReader(whole[:len(whole)-1])); err != io.ErrUnexpectedEOF {
+	if _, _, err := readFrame(bytes.NewReader(whole[:len(whole)-1]), nil); err != io.ErrUnexpectedEOF {
 		t.Fatalf("truncated frame: err %v, want io.ErrUnexpectedEOF", err)
 	}
 }

@@ -9,22 +9,23 @@ import (
 	"repro/internal/machine"
 )
 
-// TestSeedRejectsUnbuildableHeader: a worker seeded with a snapshot whose
-// header sizes a cache New cannot build returns a descriptive error — no
-// contained panic, no out-of-memory that would kill the worker process.
+// TestSeedRejectsUnbuildableHeader: a worker seeded with a shard frame
+// whose header sizes a cache New cannot build returns a descriptive error
+// — no contained panic, no out-of-memory that would kill the worker
+// process — and builds no machine.
 func TestSeedRejectsUnbuildableHeader(t *testing.T) {
-	save := func(cfg machine.Config) []byte {
+	seed := func(cfg machine.Config) []byte {
 		m := machine.New(cfg)
 		defer m.Close()
 		var b bytes.Buffer
-		if err := m.Save(&b); err != nil {
+		if err := m.EncodeShard(&b, 0, m.NumNodes()); err != nil {
 			t.Fatal(err)
 		}
 		return b.Bytes()
 	}
 	half := machine.DefaultConfig()
 	half.Chip.Mem.Cache.Lines /= 2
-	stream, other := save(machine.DefaultConfig()), save(half)
+	stream, other := seed(machine.DefaultConfig()), seed(half)
 	off := 0
 	for stream[off] == other[off] {
 		off++
@@ -33,7 +34,7 @@ func TestSeedRejectsUnbuildableHeader(t *testing.T) {
 	for _, lines := range []uint64{0, ^uint64(0), 1 << 40} {
 		bad := bytes.Clone(stream)
 		binary.LittleEndian.PutUint64(bad[off:], lines)
-		w := &worker{}
+		w := &worker{spec: initSpec{Lo: 0, Hi: 2}}
 		err := w.seed(bad)
 		if err == nil || !strings.Contains(err.Error(), "cache lines") {
 			t.Errorf("cache lines %#x: seed returned %v, want an error naming the cache lines", lines, err)

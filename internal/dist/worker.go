@@ -1,17 +1,18 @@
 package dist
 
 // The shard worker: one process (or in-process goroutine, for tests)
-// owning a contiguous node range [lo, hi) of the mesh. It holds a full
-// machine seeded from the coordinator's snapshot, but steps only its
-// owned chips; the local network is never stepped — it serves purely as
-// the chips' mailbox, fed by coordinator deliveries (noc.Deliver) and
-// drained by the chips' own network input path. A step command covers a
-// window of cycles: before each cycle's chip phase the worker delivers
-// exactly the messages tagged with that cycle (never earlier — a chip
-// must not see a message before the in-process engines would show it),
-// and everything the chips produce in the cycle — outbox messages, trace
-// events, consumptions, activity aggregates — goes into that cycle's
-// section of the reply. The chip phase is the machine's own
+// owning a contiguous node range [lo, hi) of the mesh. It holds a machine
+// of the coordinator's configuration whose owned chips, GDT and clock
+// each seed installs, and steps only those chips (the others are never
+// seeded and never step); the local network is never stepped — it serves
+// purely as the chips' mailbox, fed by coordinator deliveries
+// (noc.Deliver) and drained by the chips' own network input path. A step
+// command covers a window of cycles: before each cycle's chip phase the
+// worker delivers exactly the messages tagged with that cycle (never
+// earlier — a chip must not see a message before the in-process engines
+// would show it), and everything the chips produce in the cycle — outbox
+// messages, trace events, consumptions, activity aggregates — goes into
+// that cycle's section of the reply. The chip phase is the machine's own
 // (Machine.StepRange over the owned range); only the drain differs: the
 // stepped chips' outboxes are taken in node-index order instead of being
 // injected locally.
@@ -71,11 +72,14 @@ type worker struct {
 	spec initSpec
 	m    *machine.Machine
 
-	// Window buffers, reused: the owned chips' trace sink (records of the
-	// current chip phase), the reply being built, the chips the current
-	// chip phase stepped, and the mailbox counts before it.
+	// Window buffers, reused: the command frame read, the owned chips'
+	// trace sink (records of the current chip phase), the reply being
+	// built and its encoding, the chips the current chip phase stepped,
+	// and the mailbox counts before it.
+	rbuf    []byte
 	trace   trace.Recorder
 	rep     stepReply
+	repBuf  bytes.Buffer
 	stepped []int
 	before  []pending
 	pullBuf *bytes.Buffer // pull's frame, from snapBufs until ServeConn returns
@@ -102,7 +106,7 @@ func ServeConn(conn net.Conn) error {
 		return err
 	}
 	for {
-		kind, payload, err := readFrame(conn)
+		kind, payload, err := readFrame(conn, &w.rbuf)
 		if err != nil {
 			return err
 		}
@@ -163,7 +167,7 @@ func (w *worker) handle(kind byte, payload []byte) (rk byte, rp []byte, err erro
 		if err != nil {
 			return 0, nil, err
 		}
-		return repStep, encodeStepReply(w.m.Net, w.step(cmd)), nil
+		return repStep, encodeStepReply(&w.repBuf, w.m.Net, w.step(cmd)), nil
 	case cmdPull:
 		to, err := decodeI64(payload)
 		if err != nil {
@@ -200,27 +204,26 @@ func (w *worker) heartbeat(every time.Duration) {
 	}
 }
 
-// seed (re)builds the worker's machine from a full snapshot. The local
-// network is then emptied: the authoritative copy of all traffic lives
-// in the coordinator, and keeping the snapshot's copies here would
-// double-deliver on resume.
-func (w *worker) seed(snapshot []byte) error {
+// seed installs the shard frame of the worker's range: its chips, the GDT
+// and the clock. The first seed builds the machine from the frame's
+// configuration. The local network is emptied: the authoritative copy of
+// all traffic lives in the coordinator, and a mailbox left over from the
+// previous leg would double-deliver.
+func (w *worker) seed(p []byte) error {
 	if w.m == nil {
-		cfg, err := machine.ReadSnapshotConfig(bytes.NewReader(snapshot))
+		cfg, err := machine.ReadShardConfig(p)
 		if err != nil {
 			return err
 		}
 		w.m = machine.New(cfg)
 		w.arm()
 	}
-	if err := w.m.Restore(bytes.NewReader(snapshot)); err != nil {
-		return err
+	f, err := w.m.DecodeShard(p, w.spec.Lo, w.spec.Hi)
+	if err != nil {
+		return fmt.Errorf("shard %d: seed: %w", w.spec.Shard, err)
 	}
+	w.m.AdoptShard(f)
 	w.m.Net.ClearTraffic()
-	if w.spec.Hi > w.m.NumNodes() || w.spec.Lo < 0 || w.spec.Lo >= w.spec.Hi {
-		return fmt.Errorf("shard %d: range [%d,%d) outside the %d-node mesh",
-			w.spec.Shard, w.spec.Lo, w.spec.Hi, w.m.NumNodes())
-	}
 	// Trace sink on owned chips only: each cycle's records ship with the
 	// step reply. Unowned chips never step here, so they need no sink.
 	for i := w.spec.Lo; i < w.spec.Hi; i++ {

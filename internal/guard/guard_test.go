@@ -504,7 +504,9 @@ func TestOwnBoundGetsForensics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fh.Close()
-	if _, err := machine.ReadSnapshotConfig(fh); err != nil {
-		t.Fatalf("dump is not a snapshot: %v", err)
+	restored := machine.New(m.Cfg)
+	defer restored.Close()
+	if err := restored.Restore(fh); err != nil {
+		t.Fatalf("dump is not a snapshot of the machine: %v", err)
 	}
 }

@@ -93,9 +93,11 @@ func crossBoundary(t *testing.T, m *machine.Machine, k int, where string) {
 		if err := m.EncodeShard(&buf, lo, hi); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.AdoptShard(&buf, lo, hi); err != nil {
+		f, err := m.DecodeShard(buf.Bytes(), lo, hi)
+		if err != nil {
 			t.Fatal(err)
 		}
+		m.AdoptShard(f)
 		checkActivity(t, m, where+" after AdoptShard")
 	}
 }

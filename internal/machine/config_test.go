@@ -1,10 +1,11 @@
 package machine_test
 
-// Configuration bounds: a snapshot header is the one place a machine's
-// configuration arrives from outside the process (the dist worker's seed
-// builds a machine from it), so every field that sizes an allocation in
-// New, or that the model divides by, must be refused there with an error
-// naming it — never reach New as a panic or a fatal out-of-memory.
+// Configuration bounds: a shard frame's header is the one place a
+// machine's configuration arrives from outside the process (the dist
+// worker's first seed builds a machine from it), so every field that
+// sizes an allocation in New, or that the model divides by, must be
+// refused there with an error naming it — never reach New as a panic or a
+// fatal out-of-memory.
 
 import (
 	"bytes"
@@ -17,25 +18,26 @@ import (
 	"repro/internal/noc"
 )
 
-func saveFresh(t *testing.T, cfg machine.Config) []byte {
+// frameFresh is the shard frame of node 0 of a fresh machine.
+func frameFresh(t *testing.T, cfg machine.Config) []byte {
 	t.Helper()
 	m := machine.New(cfg)
 	defer m.Close()
 	var b bytes.Buffer
-	if err := m.Save(&b); err != nil {
+	if err := m.EncodeShard(&b, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	return b.Bytes()
 }
 
 // headerWord returns the offset of the 8-byte header word edit changes:
-// the first word where the Save streams of a fresh default machine and of
+// the first word where the shard frames of a fresh default machine and of
 // one configured by edit differ.
 func headerWord(t *testing.T, edit func(*machine.Config)) int {
 	t.Helper()
 	alt := machine.DefaultConfig()
 	edit(&alt)
-	a, b := saveFresh(t, machine.DefaultConfig()), saveFresh(t, alt)
+	a, b := frameFresh(t, machine.DefaultConfig()), frameFresh(t, alt)
 	for i := range min(len(a), len(b)) {
 		if a[i] != b[i] {
 			return i &^ 7
@@ -72,26 +74,27 @@ var boundedFields = []struct {
 	{"send credits", func(c *machine.Config) { c.Chip.SendCredits /= 2 }, true},
 }
 
-// TestReadSnapshotConfigBounds: in a saved 2-node machine's header, each
-// bounded word set to 0, −1 or 2^40 is an error from ReadSnapshotConfig
-// naming the field (0 only where it is not a meaningful value, and then
-// the header builds and restores), and so are a mesh within the per-axis
-// range but over the node bound and an SDRAM too small for the LPT.
-func TestReadSnapshotConfigBounds(t *testing.T) {
-	stream := saveFresh(t, machine.DefaultConfig())
+// TestReadShardConfigBounds: in a shard frame's header, each bounded
+// word set to 0, −1 or 2^40 is an error from ReadShardConfig naming the
+// field (0 only where it is not a meaningful value, and then the header
+// builds a machine that adopts the frame), and so are a mesh within the
+// per-axis range but over the node bound and an SDRAM too small for the
+// LPT.
+func TestReadShardConfigBounds(t *testing.T) {
+	stream := frameFresh(t, machine.DefaultConfig())
 	for _, f := range boundedFields {
 		off := headerWord(t, f.edit)
 		for _, v := range []uint64{0, ^uint64(0), 1 << 40} {
 			patched := patchWord(stream, off, v)
-			cfg, err := machine.ReadSnapshotConfig(bytes.NewReader(patched))
+			cfg, err := machine.ReadShardConfig(patched)
 			if v == 0 && f.zeroOK {
 				if err != nil {
 					t.Errorf("%s = 0: %v, want a buildable machine", f.name, err)
 					continue
 				}
 				m := machine.New(cfg)
-				if err := m.Restore(bytes.NewReader(patched)); err != nil {
-					t.Errorf("%s = 0: restore: %v", f.name, err)
+				if _, err := m.DecodeShard(patched, 0, 1); err != nil {
+					t.Errorf("%s = 0: decode: %v", f.name, err)
 				}
 				m.Close()
 				continue
@@ -104,12 +107,12 @@ func TestReadSnapshotConfigBounds(t *testing.T) {
 
 	x, y := headerWord(t, func(c *machine.Config) { c.Dims.X = 3 }), headerWord(t, func(c *machine.Config) { c.Dims.Y = 2 })
 	wide := patchWord(patchWord(stream, x, machine.MaxAxis), y, 2)
-	if _, err := machine.ReadSnapshotConfig(bytes.NewReader(wide)); err == nil || !strings.Contains(err.Error(), "in all") {
+	if _, err := machine.ReadShardConfig(wide); err == nil || !strings.Contains(err.Error(), "in all") {
 		t.Errorf("a %dx2 mesh: error %v, want the node bound", machine.MaxAxis, err)
 	}
 	words := headerWord(t, func(c *machine.Config) { c.Chip.Mem.SDRAM.Words *= 2 })
 	small := patchWord(stream, words, 1<<12)
-	if _, err := machine.ReadSnapshotConfig(bytes.NewReader(small)); err == nil || !strings.Contains(err.Error(), "LPT") {
+	if _, err := machine.ReadShardConfig(small); err == nil || !strings.Contains(err.Error(), "LPT") {
 		t.Errorf("4 KW of SDRAM: error %v, want the LPT not fitting", err)
 	}
 }

@@ -190,7 +190,7 @@ const MaxAxis = trace.MaxCoord + 1
 
 // Bounds on the configuration fields that size what New allocates or that
 // the memory model divides by. New panics on a configuration outside them
-// and ReadSnapshotConfig refuses one, so a corrupt snapshot header is an
+// and ReadShardConfig refuses one, so a corrupt shard frame header is an
 // error, not a panic or a fatal out-of-memory in the process reading it.
 const (
 	maxNodes      = MaxAxis // nodes per mesh: the longest mesh msim builds

@@ -2,9 +2,9 @@ package machine_test
 
 // Shard-frame round trip: the distributed engine ships per-range chip
 // state between processes as partial-machine frames (EncodeShard /
-// AdoptShard). Adopting the frames of a further-advanced machine into a
-// stale peer must reproduce the donor's chip state bit for bit (proved by
-// re-encoding) and leave a machine that runs on like the donor — under
+// DecodeShard / AdoptShard). Adopting the frames of a further-advanced
+// machine into a stale peer must reproduce the donor's chip state bit for
+// bit (proved by re-encoding) and leave a machine that runs on like the donor — under
 // every engine, with the peer's pool already started — and corrupt or
 // mismatched frames must fail descriptively without touching the target.
 
@@ -60,15 +60,18 @@ func TestShardFrameRoundTrip(t *testing.T) {
 	adopt := func(t *testing.T, peer *machine.Machine) {
 		t.Helper()
 		for k, rg := range ranges {
-			cycle, err := peer.AdoptShard(bytes.NewReader(frames[k]), rg[0], rg[1])
+			f, err := peer.DecodeShard(frames[k], rg[0], rg[1])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cycle != frameCycle {
-				t.Fatalf("frame cycle %d, donor at %d", cycle, frameCycle)
+			if f.Cycle != frameCycle {
+				t.Fatalf("frame cycle %d, donor at %d", f.Cycle, frameCycle)
 			}
+			peer.AdoptShard(f)
 		}
-		peer.Cycle = frameCycle
+		if peer.Cycle != frameCycle {
+			t.Fatalf("adopting left the clock at %d, frames at %d", peer.Cycle, frameCycle)
+		}
 		for k, rg := range ranges {
 			var got bytes.Buffer
 			if err := peer.EncodeShard(&got, rg[0], rg[1]); err != nil {
@@ -145,7 +148,7 @@ func TestShardFrameErrors(t *testing.T) {
 		{"missing trailer", frame.Bytes()[:frame.Len()-8], 1, 3, ""},
 	}
 	for _, tc := range cases {
-		_, err := m.AdoptShard(bytes.NewReader(tc.data), tc.lo, tc.hi)
+		_, err := m.DecodeShard(tc.data, tc.lo, tc.hi)
 		if err == nil {
 			t.Fatalf("%s: adopt succeeded", tc.name)
 		}
@@ -158,29 +161,48 @@ func TestShardFrameErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(before.Bytes(), after.Bytes()) {
-		t.Fatal("failed AdoptShard mutated the machine")
+		t.Fatal("failed DecodeShard mutated the machine")
 	}
 }
 
-func TestReadSnapshotConfig(t *testing.T) {
+// TestReadShardConfig: the configuration a shard frame carries is the
+// encoding machine's, and a machine built from it adopts the frame — a
+// dist worker's first seed.
+func TestReadShardConfig(t *testing.T) {
 	m := buildSnapWorkload(t, snapMode{name: "event"})
 	defer m.Close()
-	var snap bytes.Buffer
-	if err := m.Save(&snap); err != nil {
+	stepN(m, 100)
+	var frame bytes.Buffer
+	if err := m.EncodeShard(&frame, 1, 3); err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := machine.ReadSnapshotConfig(bytes.NewReader(snap.Bytes()))
+	cfg, err := machine.ReadShardConfig(frame.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Dims != m.Cfg.Dims || cfg.Chip != m.Cfg.Chip {
-		t.Fatal("ReadSnapshotConfig does not match the saved machine")
+		t.Fatal("ReadShardConfig does not match the encoding machine")
 	}
-	// A machine built from that config restores the snapshot.
 	fresh := machine.New(cfg)
 	defer fresh.Close()
-	if err := fresh.Restore(bytes.NewReader(snap.Bytes())); err != nil {
+	f, err := fresh.DecodeShard(frame.Bytes(), 1, 3)
+	if err != nil {
 		t.Fatal(err)
+	}
+	fresh.AdoptShard(f)
+	var again bytes.Buffer
+	if err := fresh.EncodeShard(&again, 1, 3); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(frame.Bytes(), again.Bytes()) {
+		t.Fatal("a fresh machine's adopted frame re-encodes differently")
+	}
+	other := m.Cfg
+	other.Chip.IntLat++
+	wrong := machine.New(other)
+	defer wrong.Close()
+	if _, err := wrong.DecodeShard(frame.Bytes(), 1, 3); err == nil || !strings.Contains(err.Error(), "different configuration") {
+		t.Errorf("a frame of another configuration: error %v, want it refused", err)
 	}
 }
 

@@ -103,6 +103,18 @@ func header(c *snap.Codec, magic uint64, stream, version string) error {
 	return nil
 }
 
+// sameConfig walks m's configuration; decoding, a stream (a snapshot or
+// a shard frame) of another configuration is refused.
+func (m *Machine) sameConfig(c *snap.Codec, stream, verb string) error {
+	cfg := m.Cfg
+	configState(c, &cfg)
+	if c.Err() == nil && (cfg.Dims != m.Cfg.Dims || cfg.Chip != m.Cfg.Chip) {
+		return fmt.Errorf("%s of a %v mesh with a different configuration cannot %s into this %v machine",
+			stream, cfg.Dims, verb, m.Cfg.Dims)
+	}
+	return nil
+}
+
 // snapshot walks a Save stream: header and configuration, clock, page
 // allocators, GDT, every chip, network, trailer. Encoding, m is the
 // machine being saved. Decoding, m is a shell with the target's
@@ -113,11 +125,8 @@ func (m *Machine) snapshot(c *snap.Codec) error {
 	if err := header(c, snapshotMagic, "snapshot stream", "snapshot"); err != nil {
 		return err
 	}
-	cfg := m.Cfg
-	configState(c, &cfg)
-	if c.Err() == nil && (cfg.Dims != m.Cfg.Dims || cfg.Chip != m.Cfg.Chip) {
-		return fmt.Errorf("snapshot of a %v mesh with a different configuration cannot restore into this %v machine",
-			cfg.Dims, m.Cfg.Dims)
+	if err := m.sameConfig(c, "snapshot", "restore"); err != nil {
+		return err
 	}
 	c.I64(&m.Cycle)
 	n := c.Len(len(m.nextPPN), len(m.Chips))

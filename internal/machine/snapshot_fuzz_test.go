@@ -264,20 +264,16 @@ func TestRestoreRejectsUnrunnableState(t *testing.T) {
 }
 
 // runAccepted is FuzzSnapshotDecode's run leg: decoded state must run.
-// An accepted stream, restored into a machine of its own configuration,
-// runs 1000 cycles under supervision to completion, a cutoff or a
-// classified failure, never a contained panic (ClassCrash).
-func runAccepted(t *testing.T, data []byte) {
-	cfg, err := machine.ReadSnapshotConfig(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("accepted stream has no readable configuration: %v", err)
-	}
+// A stream accepted by a machine of configuration cfg, restored into a
+// fresh machine of it, runs 1000 cycles under supervision to completion,
+// a cutoff or a classified failure, never a contained panic (ClassCrash).
+func runAccepted(t *testing.T, cfg machine.Config, data []byte) {
 	m := machine.New(cfg)
 	defer m.Close()
 	if err := m.Restore(bytes.NewReader(data)); err != nil {
 		t.Fatalf("accepted stream does not restore into its own configuration: %v", err)
 	}
-	_, err = guard.New(m, guard.Options{Timeout: 10 * time.Second}).Run(1000)
+	_, err := guard.New(m, guard.Options{Timeout: 10 * time.Second}).Run(1000)
 	if guard.Classify(err) == guard.ClassCrash {
 		var f *guard.Failure
 		if errors.As(err, &f) {
@@ -376,7 +372,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if err := m.Restore(bytes.NewReader(again.Bytes())); err != nil {
 			t.Fatalf("accepted stream does not round-trip: %v", err)
 		}
-		runAccepted(t, data)
+		runAccepted(t, m.Cfg, data)
 		if err := m.Restore(bytes.NewReader(fuzzBaseline)); err != nil {
 			t.Fatalf("baseline reset: %v", err)
 		}
