@@ -68,9 +68,9 @@ race:
 	$(GO) test -race -count=1 -run 'TestForkConcurrent|TestSharedProgramsConcurrentLoad' ./internal/machine ./internal/mem ./internal/core
 
 # Worker-pool speedup tripwire, in its own invocation so the wall-clock
-# measurement never contends with other package test binaries. It skips on
-# hosts with fewer than 4 cores, and says so: the one line printed is the
-# test's own log line — the measured speedup, or "skipped: <why>".
+# measurement never contends with other package test binaries. The lines
+# printed are the test's own: the measured speedup, then, on hosts with
+# fewer than 4 cores, "skipped: <why>" in place of the 2x assertion.
 speedup:
 	@out=$$(PARALLEL_SPEEDUP=1 $(GO) test -v -run TestParallelSpeedup -count=1 . 2>&1); rc=$$?; \
 	echo "$$out" | grep -E 'parallel_bench_test.go:|^--- FAIL|^FAIL' | sed 's/^ */speedup: /'; exit $$rc

@@ -15,7 +15,7 @@
 //
 // Suppressions are per-line and must carry a reason:
 //
-//	//mlint:allow gocheck worker pool goroutines park at the barrier
+//	//mlint:allow gocheck worker pool goroutines block on their start channel
 package main
 
 import (

@@ -35,6 +35,9 @@
 // (-timeout, -crash-dump) do. The report includes the final machine
 // digest, so two runs compare directly.
 //
+// -naive and -workers do not combine (the naive loop has no workers), and
+// -workers takes -1 (every core), 0 or a count: anything else exits 2.
+//
 // -shards N runs the scenario on N supervised shard worker processes that
 // re-execute this binary (docs/mdist.md), bit-identical to an in-process
 // run. The workers step serially, so -naive and -workers do not combine
@@ -163,6 +166,9 @@ func main() {
 	if *genDump {
 		usageErr("-gen-dump requires -gen-seed")
 	}
+	if *workers < -1 {
+		usageErr("-workers %d is not a worker count (valid: -1 for every core, 0 or more)", *workers)
+	}
 
 	supervise := guard.Options{Timeout: *timeout, DumpPath: *crashDump}
 	engine := core.Options{NaiveEngine: *naive, Workers: *workers, Supervise: supervise}
@@ -185,6 +191,9 @@ func main() {
 	}
 	if name := firstSet(flag.Visit, func(n string) bool { return slices.Contains(distributedFlags, n) }); name != "" {
 		usageErr("-%s runs a -workload scenario distributed; it does not apply to a program", name)
+	}
+	if *naive && isSet(flag.Visit, "workers") {
+		usageErr("-workers %s", naiveWorkers)
 	}
 
 	if flag.NArg() != 1 {
@@ -402,14 +411,15 @@ func reportFailure(err error) {
 // flag.Visit-shaped walker, so tests can drive it with their own
 // FlagSet) and returns the first one a scenario run does not combine
 // with and why, or "". The scenario file owns the mesh, placement,
-// caching, cycle budgets and machine state, -shards owns the engine, and
-// the distributed flags need -shards: reject, never silently ignore.
+// caching, cycle budgets and machine state, -shards owns the engine, -naive
+// has no workers, and the distributed flags need -shards: reject, never
+// silently ignore.
 func workloadFlagConflict(visit func(func(*flag.Flag))) (name, why string) {
 	scenarioOwned := map[string]bool{
 		"nodes": true, "node": true, "vthread": true, "cluster": true,
 		"cycles": true, "caching": true, "save": true, "restore": true,
 	}
-	sharded := isSet(visit, "shards")
+	sharded, naive := isSet(visit, "shards"), isSet(visit, "naive")
 	visit(func(f *flag.Flag) {
 		switch {
 		case name != "":
@@ -417,12 +427,17 @@ func workloadFlagConflict(visit func(func(*flag.Flag))) (name, why string) {
 			name, why = f.Name, "does not combine with -workload (the scenario file defines it)"
 		case sharded && (f.Name == "naive" || f.Name == "workers"):
 			name, why = f.Name, "does not combine with -shards (the shard workers step their chips serially)"
+		case naive && f.Name == "workers":
+			name, why = f.Name, naiveWorkers
 		case !sharded && slices.Contains(distributedFlags, f.Name):
 			name, why = f.Name, "requires -shards"
 		}
 	})
 	return name, why
 }
+
+// naiveWorkers is why -workers does not combine with -naive.
+const naiveWorkers = "does not combine with -naive (the reference loop steps every chip serially)"
 
 // genFlagConflict returns the first explicitly-set flag that -gen-seed
 // does not combine with. The generated scenario owns the mesh and

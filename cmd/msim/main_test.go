@@ -57,8 +57,12 @@ func TestWorkloadFlagConflict(t *testing.T) {
 		{[]string{"-workload", "s.wl", "-cycles", "99"}, "cycles"},
 		{[]string{"-workload", "s.wl", "-caching"}, "caching"},
 		{[]string{"-workload", "s.wl", "-vthread", "1", "-cluster", "2"}, "cluster"}, // Visit walks lexically
-		// The engine and supervision flags stay compatible.
-		{[]string{"-workload", "s.wl", "-naive", "-workers", "2", "-trace", "-timeout", "1s", "-crash-dump", "d"}, ""},
+		// The engine and supervision flags stay compatible, but -naive has
+		// no workers.
+		{[]string{"-workload", "s.wl", "-naive", "-trace", "-timeout", "1s", "-crash-dump", "d"}, ""},
+		{[]string{"-workload", "s.wl", "-workers", "2", "-trace", "-timeout", "1s", "-crash-dump", "d"}, ""},
+		{[]string{"-workload", "s.wl", "-naive", "-workers", "2", "-trace", "-timeout", "1s", "-crash-dump", "d"}, "workers"},
+		{[]string{"-workload", "s.wl", "-naive", "-workers", "0"}, "workers"},
 		// -shards owns the engine; the distributed flags need -shards.
 		{[]string{"-workload", "s.wl", "-shards", "2", "-trace", "-timeout", "1s", "-crash-dump", "d",
 			"-checkpoint-every", "64", "-drill-kill", "0@9", "-drill-hang", "1@9"}, ""},
@@ -154,6 +158,10 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"-drill-kill", "0@9", "../../testdata/fib.masm"}, "-drill-kill runs a -workload scenario distributed"},
 		{[]string{"-workload", wl, "-shards", "2", "-naive"}, "-naive does not combine with -shards"},
 		{[]string{"-workload", wl, "-shards", "2", "-workers", "2"}, "-workers does not combine with -shards"},
+		{[]string{"-naive", "-workers", "4", "../../testdata/fib.masm"}, "-workers does not combine with -naive"},
+		{[]string{"-workload", wl, "-naive", "-workers", "4"}, "-workers does not combine with -naive"},
+		{[]string{"-workers", "-7", "../../testdata/fib.masm"}, "-workers -7 is not a worker count"},
+		{[]string{"-workload", wl, "-workers", "-7"}, "-workers -7 is not a worker count"},
 		{[]string{"-workload", wl, "-max-recoveries", "3"}, "-max-recoveries requires -shards"},
 		{[]string{"-workload", wl, "-drill-panic", "0@9"}, "-drill-panic requires -shards"},
 		{[]string{"-gen-seed", "3", "-shards", "2"}, "-shards does not combine with -gen-seed"},

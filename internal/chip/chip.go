@@ -296,7 +296,7 @@ func (c *Chip) Touch() {
 // chip's entry in its due-set; the hook must therefore never report a
 // cycle later than the chip's true wake. All call sites run on the machine
 // goroutine between chip phases, so fn needs no synchronization beyond the
-// engine's own barriers. nil uninstalls.
+// engine's own fork-join. nil uninstalls.
 func (c *Chip) SetWakeHook(fn func(at int64)) { c.onWake = fn }
 
 // RegisterDIP marks a dispatch instruction pointer as legal for user SENDs.

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -142,39 +143,54 @@ func TestPanicContainedSerial(t *testing.T) {
 	}
 }
 
-// TestPanicContainedParallel: a worker-goroutine panic under the parallel
-// engine is recovered on the worker, re-raised after the gather barrier,
-// and surfaces as the same crash *Failure shape — with the worker-side stack
-// and the original panic value unwrapped from machine.WorkerPanic.
+// TestPanicContainedParallel: a chip-step panic under the parallel engine
+// is recovered where it happened — on a worker goroutine, or on the machine
+// goroutine, which steps range 0 itself — re-raised after the join, and
+// surfaces as the same crash *Failure shape, with that goroutine's stack
+// and the original panic value unwrapped from machine.WorkerPanic. Six
+// nodes on three workers cut into ranges {0,1}, {2,3}, {4,5}; when two
+// ranges panic in the same cycle the lowest node wins.
 func TestPanicContainedParallel(t *testing.T) {
-	m := newM(t, 6, 3)
-	for i := 0; i < 6; i++ {
-		load(t, m, i, spinSrc)
-	}
-	m.SetFaultProbe(func(node int, cycle int64) {
-		if node == 4 && cycle == 150 {
-			panic(injected{node: node, cycle: cycle})
-		}
-	})
-	s := guard.New(m, guard.Options{})
-	_, err := s.Run(1 << 40)
-	var ce *guard.Failure
-	if !errors.As(err, &ce) || ce.Class != guard.ClassCrash {
-		t.Fatalf("want a crash *Failure, got %v", err)
-	}
-	if ce.Node != 4 || ce.Cycle != 150 {
-		t.Fatalf("crash site = node %d cycle %d, want node 4 cycle 150", ce.Node, ce.Cycle)
-	}
-	if _, ok := ce.Value.(injected); !ok {
-		t.Fatalf("panic value not unwrapped from WorkerPanic: %#v", ce.Value)
-	}
-	if !bytes.Contains(ce.Stack, []byte("runShard")) {
-		t.Fatal("stack is not the worker-side stack")
-	}
-	// The pool is poisoned: further runs re-raise as contained errors, not
-	// process-killing panics.
-	if _, err := s.Run(10); err == nil {
-		t.Fatal("second run on a crashed pool succeeded")
+	for _, tc := range []struct {
+		name     string
+		panics   []int // nodes whose probe panics at cycle 150
+		wantNode int
+	}{
+		{"worker range", []int{4}, 4},
+		{"machine range", []int{0}, 0},
+		{"two ranges", []int{5, 3}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newM(t, 6, 3)
+			for i := 0; i < 6; i++ {
+				load(t, m, i, spinSrc)
+			}
+			m.SetFaultProbe(func(node int, cycle int64) {
+				if cycle == 150 && slices.Contains(tc.panics, node) {
+					panic(injected{node: node, cycle: cycle})
+				}
+			})
+			s := guard.New(m, guard.Options{})
+			_, err := s.Run(1 << 40)
+			var ce *guard.Failure
+			if !errors.As(err, &ce) || ce.Class != guard.ClassCrash {
+				t.Fatalf("want a crash *Failure, got %v", err)
+			}
+			if ce.Node != tc.wantNode || ce.Cycle != 150 {
+				t.Fatalf("crash site = node %d cycle %d, want node %d cycle 150", ce.Node, ce.Cycle, tc.wantNode)
+			}
+			if v, ok := ce.Value.(injected); !ok || v.node != tc.wantNode {
+				t.Fatalf("panic value not unwrapped from WorkerPanic: %#v", ce.Value)
+			}
+			if !bytes.Contains(ce.Stack, []byte("runShard")) {
+				t.Fatal("stack is not the stepping goroutine's stack")
+			}
+			// The pool is poisoned: further runs re-raise as contained
+			// errors, not process-killing panics.
+			if _, err := s.Run(10); err == nil {
+				t.Fatal("second run on a crashed pool succeeded")
+			}
+		})
 	}
 }
 

@@ -2,7 +2,7 @@ package lint
 
 // gocheck: a bare `go` statement escapes the supervision layer
 // (DESIGN.md, "Supervised runs & fault injection"): a panic in it
-// bypasses the worker pool's recover-and-rethrow at the barrier, a hang
+// bypasses the worker pool's recover-and-rethrow at the join, a hang
 // in it is invisible to the watchdogs, and its scheduling can leak
 // nondeterminism into anything it shares state with. Goroutines belong
 // to the machine worker pool, guard's monitors, and dist/serve

@@ -7,7 +7,7 @@ package lint
 //
 // or, on its own line, covering the line below:
 //
-//	//mlint:allow gocheck worker pool goroutines park at the barrier
+//	//mlint:allow gocheck worker pool goroutines block on their start channel
 //	go p.worker(w)
 //
 // The reason is mandatory — an allow without one is itself a

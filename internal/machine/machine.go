@@ -61,13 +61,13 @@ type Config struct {
 	Chip chip.Config
 
 	// Workers is the number of goroutines the event engine's chip phase runs
-	// on: the mesh is cut into that many contiguous ranges, each stepped by
-	// a persistent worker with a barrier per busy cycle (see DESIGN.md, "The
-	// cycle engine"). 0 or 1 runs the same phase inline on the caller; -1
-	// uses runtime.GOMAXPROCS(0); values above the node count are clamped.
-	// The result is bit-identical for every value (enforced by
-	// TestDeterminismThreeWay in core); the naive reference engine never
-	// uses the workers.
+	// on: the mesh is cut into that many contiguous ranges, a fork-join per
+	// busy cycle steps the first on the calling goroutine and each other on
+	// a persistent worker (see DESIGN.md, "The cycle engine"). 0 or 1 runs
+	// the same phase inline on the caller; -1 uses runtime.GOMAXPROCS(0);
+	// values above the node count are clamped. The result is bit-identical
+	// for every value (enforced by TestDeterminismThreeWay in core); the
+	// naive reference engine never uses the workers.
 	Workers int `snap:"derived,engine selection, never affects simulated results"`
 }
 
@@ -279,8 +279,8 @@ func (m *Machine) install(lo int, chips []*chip.Chip, top *Machine) {
 }
 
 // Close materializes the deferred idle-chip bookkeeping (see Step) and
-// stops the worker goroutines, if any were started. It is optional: an
-// unreachable Machine releases the workers via a GC cleanup.
+// stops the Workers-1 pool goroutines, if they were started. It is
+// optional: an unreachable Machine releases them via a GC cleanup.
 // Close is idempotent — a second Close (including one racing the GC
 // cleanup after a finished Run) is a harmless no-op — and safe to call
 // concurrently with an in-flight Run or RunLoop: it raises the stop
@@ -332,15 +332,15 @@ func (m *Machine) ClearStop() { m.stopReq.Store(false) }
 // RunLoop).
 func (m *Machine) CycleGauge() int64 { return m.cycleGauge.Load() }
 
-// SetFaultProbe installs fn to be called immediately before every chip
-// step, with the chip's node index and the current cycle — the
-// fault-injection hook (see internal/faultinject). With Workers >= 2 the
-// probe runs on worker goroutines, concurrently for distinct nodes, so fn
-// must be safe for that; a panic out of fn is contained exactly like a
-// panic out of the chip step itself. Install probes only between runs
-// (the same contract as program loads); nil removes the probe. Probes are
-// for tests and fault drills — the nil check they cost per stepped chip
-// is the entire production overhead.
+// SetFaultProbe installs fn to be called immediately before every chip step,
+// with the chip's node index and the current cycle — the fault-injection
+// hook (see internal/faultinject). With Workers >= 2 fn runs on the pool's
+// goroutines and the caller's (the first range), concurrently for distinct
+// nodes, so it must be safe for that; a panic out of fn is contained exactly
+// like a panic out of the chip step. Install probes only between runs (the
+// same contract as program loads); nil removes the probe. Probes are for
+// tests and fault drills — the nil check they cost per stepped chip is the
+// entire production overhead.
 func (m *Machine) SetFaultProbe(fn func(node int, cycle int64)) { m.ds.probe = fn }
 
 // NumNodes returns the node count.

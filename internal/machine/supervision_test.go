@@ -4,16 +4,18 @@ package machine_test
 // flag (RequestStop/ClearStop), the cross-goroutine cycle gauge, and the
 // concurrent-Close contract — Close racing an in-flight Run must stop
 // the run cleanly, never deadlock, never panic, and stay idempotent
-// (the msimd session-teardown ordering). See internal/guard for the
-// supervisor built on these.
+// (the msimd session-teardown ordering) — and the worker pool's goroutine
+// lifecycle. See internal/guard for the supervisor built on these.
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/machine"
+	"repro/internal/noc"
 	"repro/internal/rt"
 )
 
@@ -150,5 +152,54 @@ func TestCloseThenRun(t *testing.T) {
 	}
 	if got := reg(m, 0, 0, 0, 1); got != 42 {
 		t.Fatalf("i1 = %d, want 42", got)
+	}
+}
+
+// TestPoolLifecycle: a Workers: k machine starts k-1 pool goroutines at
+// its first pooled step (the machine goroutine steps the first range
+// itself), Close releases them, and so does the GC cleanup of a machine
+// that becomes unreachable unclosed.
+func TestPoolLifecycle(t *testing.T) {
+	const k = 4
+	pooled := func() *machine.Machine {
+		cfg := machine.DefaultConfig()
+		cfg.Dims = noc.Coord{X: 8, Y: 1, Z: 1}
+		cfg.Workers = k
+		m := machine.New(cfg)
+		m.Step()
+		return m
+	}
+	// settle polls runtime.NumGoroutine, collecting garbage between reads,
+	// until it reads want (or, with want < 0, the same twice), for at most
+	// five seconds, and returns the last reading.
+	settle := func(want int) int {
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+			runtime.GC()
+			time.Sleep(10 * time.Millisecond)
+			prev := n
+			if n = runtime.NumGoroutine(); n == want || want < 0 && n == prev {
+				break
+			}
+		}
+		return n
+	}
+	base := settle(-1)
+
+	m := pooled()
+	if got := runtime.NumGoroutine() - base; got != k-1 {
+		t.Fatalf("Workers: %d runs %d pool goroutines after its first step, want %d", k, got, k-1)
+	}
+	m.Close()
+	if got := settle(base); got != base {
+		t.Fatalf("Close left %d goroutines, want the baseline %d", got, base)
+	}
+
+	pooled() // dropped unclosed
+	if got := runtime.NumGoroutine() - base; got != k-1 {
+		t.Fatalf("unclosed Workers: %d machine runs %d pool goroutines, want %d", k, got, k-1)
+	}
+	if got := settle(base); got != base {
+		t.Fatalf("an unreachable unclosed machine left %d goroutines after GC, want the baseline %d", got, base)
 	}
 }

@@ -88,24 +88,15 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 // host to itself, so the test runs solely under `make speedup`
 // (PARALLEL_SPEEDUP=1, its own go test invocation after the main suite) —
 // inside a plain `go test ./...` it would contend with concurrently
-// running package binaries and flake. It also skips on small hosts and
-// under the race detector's instrumentation; `make speedup` prints the
-// reason on one line.
+// running package binaries and flake. It skips under the race detector's
+// instrumentation; on small hosts it measures and logs the ratio, then
+// skips the 2x assertion. `make speedup` prints the log lines.
 func TestParallelSpeedup(t *testing.T) {
 	if os.Getenv("PARALLEL_SPEEDUP") == "" {
 		t.Skip("wall-clock measurement needs an idle host: run via make speedup (PARALLEL_SPEEDUP=1)")
 	}
 	if raceEnabled {
 		t.Skip("skipped: wall-clock measurement is meaningless under the race detector")
-	}
-	if p := runtime.GOMAXPROCS(0); p < 4 {
-		t.Skipf("skipped: need GOMAXPROCS >= 4 for the 2x bar, have %d", p)
-	}
-	if c := runtime.NumCPU(); c < 4 {
-		// GOMAXPROCS can be raised by hand, but time-slicing 4 workers on
-		// fewer physical cores makes the pooled phase *slower*; the bar
-		// only means something on real parallel hardware.
-		t.Skipf("skipped: need >= 4 physical CPUs for the 2x bar, have %d", c)
 	}
 	const cycles = 1000
 	dims := noc.Coord{X: 8, Y: 8, Z: 2}
@@ -128,6 +119,15 @@ func TestParallelSpeedup(t *testing.T) {
 	parallel := measure(-1)
 	speedup := float64(serial) / float64(parallel)
 	t.Logf("busy 8x8x2: serial %v, parallel %v, speedup %.2fx", serial, parallel, speedup)
+	if p := runtime.GOMAXPROCS(0); p < 4 {
+		t.Skipf("skipped: need GOMAXPROCS >= 4 for the 2x bar, have %d", p)
+	}
+	if c := runtime.NumCPU(); c < 4 {
+		// GOMAXPROCS can be raised by hand, but time-slicing 4 workers on
+		// fewer physical cores makes the pooled phase *slower*; the bar
+		// only means something on real parallel hardware.
+		t.Skipf("skipped: need >= 4 physical CPUs for the 2x bar, have %d", c)
+	}
 	if speedup < 2 {
 		t.Errorf("worker pool speedup %.2fx < 2x on a %d-core host", speedup, runtime.GOMAXPROCS(0))
 	}
