@@ -32,12 +32,12 @@ func TestSnapshotBytesPinned(t *testing.T) {
 	}
 
 	table1 := []string{
-		"a8c356b159de21adda8ee220bc11f9c8bf81f8c56efa1d390ef44f693518888e",
-		"0517966d0d7d69d6486d22e3f09dfac7d2716e1dced2a06dde61d71899a6d9f3",
-		"61af172050cd0226971d58bf3e22a536853c5b8d3de9c7ba7e3cc3ad70ff9bb7",
-		"7321f121ca1bd8a337015b3b3f2def7c663a68425d52208204c0f3dd3f9680bd",
-		"14fdfd5b82532d55d5f5ff76107a2653485c3dc8d3cf967b753a06a6ff152b66",
-		"e7c70b5ce2fec70d7f57daca7371e23144f67abe8060f0e43cbb553ff6b3ffa0",
+		"896482f6f112038d39bb3a1232841f1bbf80110ab380898cbe60514fdf953749",
+		"7bbeccfee48e4f914110f637c761704cefc014369f079adb0bd2e39813279a31",
+		"8a67b7602064febc567c8efea63ba4967645db1e2654d43c62045e05f5402906",
+		"c53572866e8dcd0102b976100a1f54e638708f6f485fc37ce3b1d4e53fb91060",
+		"d957c6965ffe5215be75e00f68c08f54ac7a092c30f00c6d0758dcccf550100a",
+		"ac62721da66c109cd5e9be98358a596ab73a9b420ed31fbf37be17a9e7d4a0ab",
 	}
 	for class := core.AccessClass(0); class < core.NumAccessClasses; class++ {
 		s, err := core.NewSim(core.Options{Nodes: 2})
@@ -60,14 +60,14 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		save, shard string
 	}{
 		{0,
-			"803f3c6199186c9ee4879216b7679c4856fb9f43f074b6462b6797c1cef40d21",
-			"36f91257a09770fac82f91f72841a88c37c3d5e8090fb43b256f2f546fa1f5dc"},
+			"f38593c18b8277b2529032a4169ce01c429ca61270f4d7fb90867a299260cc19",
+			"532dbd053a7a57f96855f51b5f49c951138e41353d7de3884d8ea39ea790b63c"},
 		{5,
-			"0b031281d4aba17ac45066d144789eefb6654a20e201eabe516ae3a006dad840",
-			"57c4696438cb852f6943c7e7670a6ba526b0a6a5a0c20086e5df9f5eef0029cf"},
+			"33add4145e4a4bb1543700958a8cc88a7bab1a1b03368c9120279f480b27e482",
+			"215299fb4570c17adb5a7137850790f97b5fb73adb952ff65c89456acde54946"},
 		{8,
-			"cc0f837041770250f07cc6729e8d9f28b0956eaf8e1fe6af1bc0ed2c1788cf9c",
-			"0136e381cddfce1095086886cc9d7d0dc0d94eb41d12b7e9d2f1961fcace0c7f"},
+			"75fe0dcab07c6e15cf80705e7b49d1e0ee8bff318ef4b0134ecd4c974c23bc92",
+			"b84c2906fe97bced1401e1d932b880c839f0b72cc53b826dc347b65ffa33d1ba"},
 	} {
 		name, src := wgen.Source(c.seed)
 		sc, err := core.ScenarioFromDSL(name+".wl", src)

@@ -40,7 +40,7 @@ func pinnedFrames() []pinnedFrame {
 			{Act: activity{Next: machine.NoEvent}},
 		}})},
 		{"activity", "1da77f5fda4e737378ac00129facb162b3666edc8f864319e9b79fe0a8f47c18", encodeActivityFrame(&act)},
-		{"seed", "a336b223b2173c053d99c833a7abdb06c777e15cb914798aec08ea32a3b0d123", seedFrame()},
+		{"seed", "c113bde7dfd6d8ed9b68325bb447171eb5e3592979f04a1710a60b5dfa1046d3", seedFrame()},
 	}
 }
 

@@ -49,8 +49,9 @@ import (
 
 // protoVersion gates the handshake: a coordinator and worker from
 // different builds refuse to pair instead of corrupting each other.
-// Version 4 seeds each worker with its own node range only.
-const protoVersion = 4
+// Version 4 seeds each worker with its own node range only; version 5
+// frames carry only the SDRAM pages that hold data.
+const protoVersion = 5
 
 // Frame kinds. Commands flow coordinator -> worker, replies worker ->
 // coordinator; repHeartbeat may arrive between any command and its reply.

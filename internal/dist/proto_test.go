@@ -161,7 +161,7 @@ func everyKind() trace.Recorder {
 }
 
 // TestHandshakeVersionMismatch pairs the coordinator with a worker that
-// speaks the previous protocol (full-machine seeds): New must
+// speaks the previous protocol (frames with whole SDRAM chunks): New must
 // refuse it with the handshake error — an ordinary error, not a shard
 // failure the supervision loop would try to recover from.
 func TestHandshakeVersionMismatch(t *testing.T) {
@@ -170,15 +170,15 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 	m := machine.New(cfg)
 	defer m.Close()
 	_, err := New(m, Config{Shards: 1, Launcher: oldWorkerLauncher{}})
-	if err == nil || !strings.Contains(err.Error(), "shard 0 speaks protocol 3, coordinator 4") {
-		t.Fatalf("New with a version-3 worker: %v", err)
+	if err == nil || !strings.Contains(err.Error(), "shard 0 speaks protocol 4, coordinator 5") {
+		t.Fatalf("New with a version-4 worker: %v", err)
 	}
 	if _, recoverable := err.(*ShardFailure); recoverable || guard.Classify(err) != guard.ClassScenario {
 		t.Errorf("handshake refusal classified %v (%T), want a plain scenario error", guard.Classify(err), err)
 	}
 }
 
-// oldWorkerLauncher starts workers that greet with protocol version 3 and
+// oldWorkerLauncher starts workers that greet with protocol version 4 and
 // then only acknowledge the shutdown.
 type oldWorkerLauncher struct{}
 
@@ -186,7 +186,7 @@ func (oldWorkerLauncher) Start(int) (Handle, error) {
 	cc, wc := net.Pipe()
 	go func() {
 		defer wc.Close()
-		if writeFrame(wc, repHello, encodeI64(3)) != nil {
+		if writeFrame(wc, repHello, encodeI64(4)) != nil {
 			return
 		}
 		for {

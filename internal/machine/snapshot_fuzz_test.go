@@ -15,6 +15,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math/bits"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -100,52 +102,120 @@ func wgenSnapshot(f *testing.F, seed uint64) []byte {
 	return buf.Bytes()
 }
 
+// Byte layout the crafted streams below edit: the row state and
+// statistics an SDRAM walks before its chunk count, and one page a chunk
+// record lists (its words, pointer-tag words and sync words).
+const (
+	sdramHeader = 8 + 1 + 8 + 8
+	pageRecord  = (mem.PageWords + 2*mem.PageWords/64) * 8
+)
+
+// restoredTarget returns a fuzz target holding base's state.
+func restoredTarget(f *testing.F, base []byte) *machine.Machine {
+	m, _, err := newFuzzTarget()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := m.Restore(bytes.NewReader(base)); err != nil {
+		f.Fatal(err)
+	}
+	return m
+}
+
+// sectionOf returns the bytes walk writes and their offset in base.
+func sectionOf(f *testing.F, base []byte, walk func(*snap.Codec)) (int, []byte) {
+	var b bytes.Buffer
+	enc := snap.NewEncoder(&b)
+	walk(enc)
+	if err := enc.Flush(); err != nil {
+		f.Fatal(err)
+	}
+	at := bytes.Index(base, b.Bytes())
+	if at < 0 {
+		f.Fatal("section not found in the baseline snapshot")
+	}
+	return at, b.Bytes()
+}
+
 // unorderedStreams returns a 1-node snapshot with node 0's first SDRAM
 // chunk record, then its first cache line record, repeated: streams whose
 // second index repeats the first. Each must fail to restore — the decoder
 // would otherwise let the later record silently replace the earlier one.
 func unorderedStreams(f *testing.F, base []byte) [][]byte {
-	m, _, err := newFuzzTarget()
-	if err != nil {
-		f.Fatal(err)
-	}
+	m := restoredTarget(f, base)
 	defer m.Close()
-	if err := m.Restore(bytes.NewReader(base)); err != nil {
-		f.Fatal(err)
-	}
 	const (
-		sdramHeader = 8 + 1 + 8 + 8          // row state and statistics
-		chunkRecord = 8 + (8192+2*8192/64)*8 // index, words, pointer tags, sync bits
-		cacheHeader = 3 * 8                  // statistics
-		lineRecord  = 8 + 3*8 + 2 + 8*8 + 8  // index, tag, block, base, flags, words, tags
+		cacheHeader = 3 * 8                 // statistics
+		lineRecord  = 8 + 3*8 + 2 + 8*8 + 8 // index, tag, block, base, flags, words, tags
 	)
+	// A chunk record is its index, its page mask and each listed page.
+	chunkRecord := func(rec []byte) int {
+		return 2*8 + bits.OnesCount64(binary.LittleEndian.Uint64(rec[8:]))*pageRecord
+	}
 	mm := m.Chips[0].Mem
 	var out [][]byte
 	for _, sec := range []struct {
-		walk         func(*snap.Codec)
-		header, size int
+		walk   func(*snap.Codec)
+		header int
+		size   func(rec []byte) int
 	}{
 		{mm.SDRAM.State, sdramHeader, chunkRecord},
-		{mm.Cache.State, cacheHeader, lineRecord},
+		{mm.Cache.State, cacheHeader, func([]byte) int { return lineRecord }},
 	} {
-		var b bytes.Buffer
-		enc := snap.NewEncoder(&b)
-		sec.walk(enc)
-		if err := enc.Flush(); err != nil {
-			f.Fatal(err)
-		}
-		old := b.Bytes()
-		at := bytes.Index(base, old)
+		at, old := sectionOf(f, base, sec.walk)
 		n := binary.LittleEndian.Uint64(old[sec.header:])
-		if at < 0 || n == 0 {
-			f.Fatalf("section of %d records not found in the baseline snapshot", n)
+		if n == 0 {
+			f.Fatal("section of no records in the baseline snapshot")
 		}
 		body := old[sec.header+8:]
 		dup := binary.LittleEndian.AppendUint64(bytes.Clone(old[:sec.header]), n+1)
-		dup = append(append(dup, body[:sec.size]...), body...)
+		dup = append(append(dup, body[:sec.size(body)]...), body...)
 		stream := append(append(bytes.Clone(base[:at]), dup...), base[at+len(old):]...)
 		if err := m.Restore(bytes.NewReader(stream)); err == nil || !strings.Contains(err.Error(), "indices must increase") {
 			f.Fatalf("a repeated record index: restore error %v, want increasing indices demanded", err)
+		}
+		out = append(out, stream)
+	}
+	return out
+}
+
+// maskStreams returns a 1-node snapshot with node 0's first SDRAM chunk
+// record's page mask rewritten four ways: zero; naming page 16 of a
+// 16-page chunk; listing one more page, inserted as all zeros; and
+// listing every page, with the stream cut after the pages the record
+// held. Each must fail to restore: Save never writes the first three, and
+// the last claims pages the stream does not hold.
+func maskStreams(f *testing.F, base []byte) [][]byte {
+	m := restoredTarget(f, base)
+	defer m.Close()
+	at, old := sectionOf(f, base, m.Chips[0].Mem.SDRAM.State)
+	maskAt := sdramHeader + 2*8 // past the chunk count and the first index
+	mask := binary.LittleEndian.Uint64(old[maskAt:])
+	free := bits.TrailingZeros64(^mask) // the first page the record omits
+	if binary.LittleEndian.Uint64(old[sdramHeader:]) == 0 || free >= 16 {
+		f.Fatalf("node 0's first chunk record (mask %#x) leaves no page to add", mask)
+	}
+	pages := old[maskAt+8:]
+	held := bits.OnesCount64(mask) * pageRecord
+	before := bits.OnesCount64(mask&(1<<free-1)) * pageRecord // listed pages ahead of page free
+	section := func(mask uint64, body ...[]byte) []byte {
+		return slices.Concat(append([][]byte{old[:maskAt], binary.LittleEndian.AppendUint64(nil, mask)}, body...)...)
+	}
+	tail := base[at+len(old):]
+	var out [][]byte
+	for _, c := range []struct {
+		name, want string
+		stream     []byte
+	}{
+		{"a zero mask", "lists no page", section(0, pages, tail)},
+		{"mask bit 16", "names a page beyond", section(mask|1<<16, pages, tail)},
+		{"an all-zero listed page", "listed but holds no data",
+			section(mask|1<<free, pages[:before], make([]byte, pageRecord), pages[before:], tail)},
+		{"more pages than the stream holds", "restore", section(0xffff, pages[:held])},
+	} {
+		stream := append(bytes.Clone(base[:at]), c.stream...)
+		if err := m.Restore(bytes.NewReader(stream)); err == nil || !strings.Contains(err.Error(), c.want) {
+			f.Fatalf("%s: restore error %v, want one containing %q", c.name, err, c.want)
 		}
 		out = append(out, stream)
 	}
@@ -157,25 +227,12 @@ func unorderedStreams(f *testing.F, base []byte) [][]byte {
 // that accepted it would hand the chip an LTLB whose next eviction
 // indexes an empty FIFO. It must fail to restore.
 func emptiedLTLBOrder(f *testing.F, base []byte) []byte {
-	m, _, err := newFuzzTarget()
-	if err != nil {
-		f.Fatal(err)
-	}
+	m := restoredTarget(f, base)
 	defer m.Close()
-	if err := m.Restore(bytes.NewReader(base)); err != nil {
-		f.Fatal(err)
-	}
-	var b bytes.Buffer
-	enc := snap.NewEncoder(&b)
-	m.Chips[0].Mem.LTLB.State(enc)
-	if err := enc.Flush(); err != nil {
-		f.Fatal(err)
-	}
-	old := b.Bytes()
-	at := bytes.Index(base, old)
+	at, old := sectionOf(f, base, m.Chips[0].Mem.LTLB.State)
 	n := int(binary.LittleEndian.Uint64(old)) // entries, and so order slots
-	if at < 0 || n == 0 {
-		f.Fatalf("LTLB section of %d entries not found in the baseline snapshot", n)
+	if n == 0 {
+		f.Fatal("LTLB section of no entries in the baseline snapshot")
 	}
 	tail := len(old) - 2*8 // the hit and miss counters
 	section := binary.LittleEndian.AppendUint64(bytes.Clone(old[:tail-(n+1)*8]), 0)
@@ -307,7 +364,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(scenarioSnapshot(f, "loopsync2.wl")) // mesh 1: full decode path
 	stencil := scenarioSnapshot(f, "stencil7x2.wl")
 	f.Add(stencil) // mesh 1: full decode path
-	for _, crafted := range unorderedStreams(f, stencil) {
+	for _, crafted := range slices.Concat(unorderedStreams(f, stencil), maskStreams(f, stencil)) {
 		f.Add(crafted)
 	}
 	f.Add(emptiedLTLBOrder(f, stencil))

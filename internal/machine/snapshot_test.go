@@ -20,6 +20,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/noc"
 	"repro/internal/rt"
+	"repro/internal/snap"
 	"repro/internal/snap/snaptest"
 	"repro/internal/trace"
 )
@@ -241,6 +242,86 @@ func TestSnapshotFork(t *testing.T) {
 	}
 	if fpA, fpF := snapFingerprint(t, a, ranA), snapFingerprint(t, f, ranF); fpA != fpF {
 		t.Errorf("fork diverged from parent:\n%s\nvs\n%s", fpF, fpA)
+	}
+}
+
+// oneNode returns a 1-node machine of the default configuration.
+func oneNode(t *testing.T) *machine.Machine {
+	t.Helper()
+	cfg := machine.DefaultConfig()
+	cfg.Dims = noc.Coord{X: 1, Y: 1, Z: 1}
+	m := machine.New(cfg)
+	t.Cleanup(m.Close)
+	return m
+}
+
+// TestSnapshotIsFunctionOfContents: a snapshot depends on what memory
+// holds, not on which SDRAM pages were ever allocated. A machine that
+// wrote a page and then zeroed it, one whose zeroed page is a Clone's
+// copy-on-write copy, and one that never touched either page have equal
+// Save bytes and Digests.
+func TestSnapshotIsFunctionOfContents(t *testing.T) {
+	const written, copied = 5*8192 + 3*512 + 17, 9*8192 + 11*512 + 200
+	untouched := oneNode(t)
+	zeroed := oneNode(t)
+	sd := zeroed.Chips[0].Mem.SDRAM
+	sd.Write(written, 0xfeed, true)
+	sd.SetSyncBit(written, true)
+	sd.Write(written, 0, false)
+	sd.SetSyncBit(written, false)
+	base := oneNode(t)
+	base.Chips[0].Mem.SDRAM.Write(copied, 0xbeef, false)
+	cow, err := base.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cow.Close()
+	cow.Chips[0].Mem.SDRAM.Write(copied, 0, false)
+
+	var want bytes.Buffer
+	if err := untouched.Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	wantDigest, err := untouched.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]*machine.Machine{"zeroed": zeroed, "copy-on-write": cow} {
+		var got bytes.Buffer
+		if err := m.Save(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: Save is %d bytes unlike the untouched machine's %d", name, got.Len(), want.Len())
+		}
+		if d, err := m.Digest(); err != nil || d != wantDigest {
+			t.Errorf("%s: Digest %s (%v), want the untouched machine's %s", name, d, err, wantDigest)
+		}
+	}
+}
+
+// TestSnapshotSDRAMSize: a chunk travels as its index, its page mask and
+// only the pages that hold data, so one word in each of two pages of an
+// untouched chunk adds one index, one mask and two pages to a 1-node
+// machine's SDRAM section, not the chunk's sixteen pages.
+func TestSnapshotSDRAMSize(t *testing.T) {
+	section := func(m *machine.Machine) int {
+		var b bytes.Buffer
+		c := snap.NewEncoder(&b)
+		m.Chips[0].Mem.SDRAM.State(c)
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return b.Len()
+	}
+	m := oneNode(t)
+	before := section(m)
+	sd := m.Chips[0].Mem.SDRAM
+	sd.Write(3*8192+2*512+1, 1, false)
+	sd.Write(3*8192+7*512+500, 2, false)
+	const page = (512 + 2*8) * 8 // words, pointer-tag words, sync words
+	if got, want := section(m)-before, 8+8+2*page; got != want {
+		t.Errorf("two written pages of one chunk add %d bytes to the SDRAM section, want %d (one index, one mask, two pages)", got, want)
 	}
 }
 

@@ -49,9 +49,8 @@ func DefaultSDRAMConfig() SDRAMConfig {
 // that build many fresh machines.
 //
 // Pages are grouped in 8 KW chunks, the snapshot stream's unit: a chunk
-// is a table of page pointers, and a chunk whose table exists travels in
-// the stream whole (absent pages as zeros) even when no page of it holds
-// data, so the stream never depends on which pages were allocated.
+// is a table of page pointers, and the stream lists only the pages that
+// hold data (SDRAM.State).
 const (
 	chunkWords = 1 << 13 // 8 KW = 64 KBytes of data per chunk
 	chunkPages = chunkWords / PageWords
@@ -64,7 +63,8 @@ type sdramPage struct {
 	sync  [pageBits]uint64
 }
 
-// zeroPage stands in for every absent page when a chunk is encoded.
+// zeroPage is what an absent page reads as: a page equal to it holds no
+// data and stays out of the stream.
 var zeroPage sdramPage
 
 type sdramChunk struct {
@@ -180,12 +180,10 @@ func (s *SDRAM) Read(pa uint64) (uint64, bool) {
 }
 
 // Write stores a word and its pointer tag at physical address pa. A zero
-// untagged word written to an absent page allocates nothing: the chunk
-// then exists (and travels in the stream), its pages stay absent.
+// untagged word written to an absent page allocates nothing.
 func (s *SDRAM) Write(pa uint64, w uint64, ptr bool) {
 	s.check(pa)
 	if w == 0 && !ptr && s.page(pa) == nil {
-		s.chunkFor(pa / chunkWords)
 		return
 	}
 	pg := s.pageFor(pa)
@@ -227,7 +225,6 @@ func (s *SDRAM) WriteBlock(pa uint64, words *[BlockWords]uint64, ptrs *[BlockWor
 		}
 	}
 	if bits == 0 && *words == ([BlockWords]uint64{}) && s.page(pa) == nil {
-		s.chunkFor(pa / chunkWords)
 		return
 	}
 	pg := s.pageFor(pa)

@@ -3,16 +3,16 @@ package mem
 // Paged-SDRAM exactness (DESIGN.md, "Checkpoint/restore"): SDRAM keeps its
 // words in 512-word pages allocated at the first non-zero write, grouped
 // in 8 KW chunk tables, and must be observably the chunk-allocated memory
-// it replaced — the same reads, the same chunk list and the same State
-// bytes — while a Clone copies a table and a page only where a side
-// writes, and a decoder refuses chunk or cache-line indices that do not
-// increase.
+// it replaced — the same reads and the same State bytes — while a Clone
+// copies a table and a page only where a side writes, and a decoder
+// refuses chunk or cache-line indices that do not increase.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,8 +20,9 @@ import (
 )
 
 // refSDRAM is the chunk-allocated SDRAM this package had before pages,
-// kept verbatim but for the type names (and without page-mode timing,
-// which the change did not touch) as the reference model.
+// kept verbatim but for the type names and its State (and without
+// page-mode timing, which the change did not touch) as the reference
+// model.
 type refSDRAM struct {
 	cfg    SDRAMConfig `snap:"derived,fixed at construction; decode validates against it"`
 	chunks []*refChunk
@@ -85,29 +86,56 @@ func (s *refSDRAM) SetSyncBit(pa uint64, full bool) {
 	}
 }
 
-// State is the old chunk walk, minus the row state and statistics an
-// SDRAM walks first (sdramBody strips them from the paged side).
+// State is the chunk walk written from flat chunk memory, minus the row
+// state and statistics an SDRAM walks first (sdramBody strips them from
+// the paged side): every chunk with a page holding a non-zero word, tag
+// or sync bit, as its index, its mask of such pages, and those pages.
 func (s *refSDRAM) State(c *snap.Codec) {
+	masks := make([]uint64, len(s.chunks))
 	n := 0
-	for _, ch := range s.chunks {
-		if ch != nil {
+	for i, ch := range s.chunks {
+		for j := 0; ch != nil && j < chunkPages; j++ {
+			if slices.ContainsFunc(slices.Concat(ch.page(j)...), func(w uint64) bool { return w != 0 }) {
+				masks[i] |= 1 << j
+			}
+		}
+		if masks[i] != 0 {
 			n++
 		}
 	}
 	c.Len(n, len(s.chunks))
 	for i, ch := range s.chunks {
-		if ch != nil {
-			c.Int(&i)
-			c.RawU64s(ch.words[:])
-			c.RawU64s(ch.ptr[:])
-			c.RawU64s(ch.sync[:])
+		if masks[i] == 0 {
+			continue
+		}
+		c.Int(&i)
+		c.U64(&masks[i])
+		for j := 0; j < chunkPages; j++ {
+			if masks[i]&(1<<j) != 0 {
+				for _, ws := range ch.page(j) {
+					c.RawU64s(ws)
+				}
+			}
 		}
 	}
 }
 
+// page returns page j's words, pointer-tag words and sync words.
+func (ch *refChunk) page(j int) [][]uint64 {
+	return [][]uint64{
+		ch.words[j*PageWords : (j+1)*PageWords],
+		ch.ptr[j*pageBits : (j+1)*pageBits],
+		ch.sync[j*pageBits : (j+1)*pageBits],
+	}
+}
+
 // sdramHeader is the byte length of the row state and statistics an
-// SDRAM walks before its chunk count.
-const sdramHeader = 8 + 1 + 8 + 8
+// SDRAM walks before its chunk count; pageRecord is a listed page's
+// words, pointer-tag words and sync words.
+const (
+	sdramHeader = 8 + 1 + 8 + 8
+	pageRecord  = (PageWords + 2*pageBits) * 8
+)
 
 // sdramBody is s's State bytes from the chunk count on.
 func sdramBody(t *testing.T, s *SDRAM) []byte {
@@ -115,7 +143,7 @@ func sdramBody(t *testing.T, s *SDRAM) []byte {
 }
 
 // Chunks the property test writes: chunk zeroChunk only ever sees zero
-// words and cleared sync bits, so it exists without a page.
+// words and cleared sync bits, so the paged SDRAM never allocates it.
 var (
 	propChunks = []uint64{0, 3, 127}
 	zeroChunk  = uint64(9)
@@ -136,13 +164,14 @@ func propWord(rng *rand.Rand) uint64 {
 	return rng.Uint64()
 }
 
-// sameSDRAM fails unless s reads like ref at every address of every chunk
-// either has, holds the same chunk list, and walks to the same bytes.
+// sameSDRAM fails unless s has a chunk table only where ref has a chunk,
+// reads like ref at every address of every chunk ref has, and walks to
+// the same bytes.
 func sameSDRAM(t *testing.T, when string, s *SDRAM, ref *refSDRAM) {
 	t.Helper()
 	for i := range ref.chunks {
-		if (s.chunks[i] != nil) != (ref.chunks[i] != nil) {
-			t.Fatalf("%s: chunk %d exists %v, reference %v", when, i, s.chunks[i] != nil, ref.chunks[i] != nil)
+		if s.chunks[i] != nil && ref.chunks[i] == nil {
+			t.Fatalf("%s: chunk %d exists, the reference never wrote it", when, i)
 		}
 		if ref.chunks[i] == nil {
 			continue
@@ -163,9 +192,10 @@ func sameSDRAM(t *testing.T, when string, s *SDRAM, ref *refSDRAM) {
 
 // TestSDRAMPagesMatchChunks: random words (a third of them zero), pointer
 // tags, block transfers and sync sets and clears leave the paged SDRAM
-// reading, listing chunks and encoding exactly as the chunk-allocated
-// reference; Save → decode → Save is byte-identical, and a decoder
-// allocates only pages that hold a non-zero word or bit.
+// reading and encoding exactly as the chunk-allocated reference, with no
+// table for a chunk only ever written zero; Save → decode → Save is
+// byte-identical, and a decoder allocates only pages that hold a
+// non-zero word or bit.
 func TestSDRAMPagesMatchChunks(t *testing.T) {
 	cfg := DefaultSDRAMConfig()
 	for seed := int64(1); seed <= 4; seed++ {
@@ -219,8 +249,9 @@ func TestSDRAMPagesMatchChunks(t *testing.T) {
 				}
 			}
 			sameSDRAM(t, "at the end", s, ref)
-			if ch := s.chunks[zeroChunk]; ch == nil || ch.pages != [chunkPages]*sdramPage{} {
-				t.Fatalf("the zero-written chunk is %v, want a table with no pages", ch)
+			if ref.chunks[zeroChunk] == nil || s.chunks[zeroChunk] != nil {
+				t.Fatalf("the zero-written chunk: reference %v, paged table %v; want a reference chunk and no table",
+					ref.chunks[zeroChunk] != nil, s.chunks[zeroChunk])
 			}
 
 			want := stateBytes(t, s.State)
@@ -239,7 +270,7 @@ func TestSDRAMPagesMatchChunks(t *testing.T) {
 					continue
 				}
 				for j, pg := range ch.pages {
-					nonzero := *orZero(s.chunks[i].pages[j]) != zeroPage
+					nonzero := s.chunks[i].mask()&(1<<j) != 0
 					if held := pg != nil; held != nonzero {
 						t.Errorf("decoded chunk %d page %d: allocated %v, holds a non-zero word or bit %v",
 							i, j, held, nonzero)
@@ -325,7 +356,7 @@ func TestDecodeRejectsUnorderedIndices(t *testing.T) {
 	s.Write(2*chunkWords+5, 111, false)
 	s.Write(4*chunkWords+5, 222, false)
 	sb := stateBytes(t, s.State)
-	second := sdramHeader + 8 + 8 + (chunkWords+2*chunkWords/64)*8
+	second := sdramHeader + 8 + 8 + 8 + pageRecord // count, index, mask, one page
 
 	ca := NewCache(DefaultCacheConfig())
 	ca.Fill(s, 5*BlockWords, 5*BlockWords, true)

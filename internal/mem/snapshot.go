@@ -25,12 +25,15 @@ const (
 	maxLTLB     = 1 << 16
 )
 
-// State walks the SDRAM's row-mode state, statistics, and the chunks
-// that exist, each preceded by its index; indices strictly increase
-// (chunks never touched are omitted — they read as zero either way). A
-// chunk travels as its 16 pages' words, then their pointer-tag words,
-// then their sync words, absent pages as zeros; a decoder reads it a page
-// at a time and allocates only the pages that hold a non-zero word or bit.
+// State walks the SDRAM's row-mode state, statistics, and every chunk
+// holding data, each as its index (indices strictly increase), a mask of
+// its pages that hold a non-zero word, pointer tag or sync bit, and those
+// pages in order, each as its words, pointer-tag words and sync words.
+// Pages and chunks holding nothing are left out, so the stream is a
+// function of memory contents alone, not of which pages or tables were
+// ever allocated. A decoder refuses a mask that is zero or names a page
+// past the chunk, and a listed page holding nothing, so Save(Restore(x))
+// is x byte for byte.
 func (s *SDRAM) State(c *snap.Codec) {
 	c.U64(&s.openRow)
 	c.Bool(&s.hasOpen)
@@ -39,7 +42,7 @@ func (s *SDRAM) State(c *snap.Codec) {
 	n := 0
 	if !c.Reading() {
 		for _, ch := range s.chunks {
-			if ch != nil {
+			if ch.mask() != 0 {
 				n++
 			}
 		}
@@ -47,89 +50,65 @@ func (s *SDRAM) State(c *snap.Codec) {
 	idx := -1
 	for range c.Len(n, len(s.chunks)) {
 		prev := idx
+		var mask uint64
 		if !c.Reading() {
-			for idx++; s.chunks[idx] == nil; idx++ {
+			for mask == 0 {
+				idx++
+				mask = s.chunks[idx].mask()
 			}
 		}
 		c.Int(&idx)
-		if !c.Reading() {
-			s.chunks[idx].encode(c)
-			continue
+		c.U64(&mask)
+		if c.Reading() {
+			switch {
+			case c.Err() != nil:
+				return
+			case idx >= len(s.chunks):
+				c.Fail(fmt.Errorf("mem: snapshot chunk index %d outside %d-chunk SDRAM", idx, len(s.chunks)))
+				return
+			case idx <= prev:
+				c.Fail(fmt.Errorf("mem: snapshot chunk index %d follows chunk %d: indices must increase", idx, prev))
+				return
+			case mask == 0:
+				c.Fail(fmt.Errorf("mem: snapshot chunk %d lists no page", idx))
+				return
+			case mask >= 1<<chunkPages:
+				c.Fail(fmt.Errorf("mem: snapshot chunk %d page mask %#x names a page beyond its %d", idx, mask, chunkPages))
+				return
+			}
+			s.chunks[idx] = new(sdramChunk)
 		}
-		switch {
-		case c.Err() != nil:
-			return
-		case idx >= len(s.chunks):
-			c.Fail(fmt.Errorf("mem: snapshot chunk index %d outside %d-chunk SDRAM", idx, len(s.chunks)))
-			return
-		case idx <= prev:
-			c.Fail(fmt.Errorf("mem: snapshot chunk index %d follows chunk %d: indices must increase", idx, prev))
-			return
-		}
-		s.chunks[idx] = decodeChunk(c)
-	}
-}
-
-// encode writes a chunk's index-less body (see SDRAM.State).
-func (ch *sdramChunk) encode(c *snap.Codec) {
-	for _, pg := range ch.pages {
-		c.RawU64s(orZero(pg).words[:])
-	}
-	for _, pg := range ch.pages {
-		c.RawU64s(orZero(pg).ptr[:])
-	}
-	for _, pg := range ch.pages {
-		c.RawU64s(orZero(pg).sync[:])
-	}
-}
-
-func orZero(pg *sdramPage) *sdramPage {
-	if pg == nil {
-		return &zeroPage
-	}
-	return pg
-}
-
-// decodeChunk reads a chunk body through the codec's staging buffer,
-// allocating a page only for non-zero words or bits.
-func decodeChunk(c *snap.Codec) *sdramChunk {
-	ch := new(sdramChunk)
-	page := func(j int) *sdramPage {
-		if ch.pages[j] == nil {
-			ch.pages[j] = new(sdramPage)
-		}
-		return ch.pages[j]
-	}
-	buf := c.Stage(PageWords)
-	for j := range ch.pages {
-		c.RawU64s(buf)
-		if !allZero(buf) {
-			copy(page(j).words[:], buf)
-		}
-	}
-	// Then every page's pointer-tag words, then every page's sync words.
-	for _, field := range []func(*sdramPage) []uint64{
-		func(pg *sdramPage) []uint64 { return pg.ptr[:] },
-		func(pg *sdramPage) []uint64 { return pg.sync[:] },
-	} {
-		bits := c.Stage(chunkPages * pageBits)
-		c.RawU64s(bits)
+		ch := s.chunks[idx]
 		for j := range ch.pages {
-			if b := bits[j*pageBits : (j+1)*pageBits]; !allZero(b) {
-				copy(field(page(j)), b)
+			if mask&(1<<j) == 0 {
+				continue
+			}
+			if c.Reading() {
+				ch.pages[j] = new(sdramPage)
+			}
+			pg := ch.pages[j]
+			c.RawU64s(pg.words[:])
+			c.RawU64s(pg.ptr[:])
+			c.RawU64s(pg.sync[:])
+			if c.Reading() && c.Err() == nil && *pg == zeroPage {
+				c.Fail(fmt.Errorf("mem: snapshot chunk %d page %d is listed but holds no data", idx, j))
 			}
 		}
 	}
-	return ch
 }
 
-func allZero(ws []uint64) bool {
-	for _, w := range ws {
-		if w != 0 {
-			return false
+// mask returns the set of ch's pages holding a non-zero word, pointer tag
+// or sync bit; zero for a nil table.
+func (ch *sdramChunk) mask() uint64 {
+	var m uint64
+	if ch != nil {
+		for j, pg := range ch.pages {
+			if pg != nil && *pg != zeroPage {
+				m |= 1 << j
+			}
 		}
 	}
-	return true
+	return m
 }
 
 // Clone returns an independent SDRAM with s's contents. The chunk tables

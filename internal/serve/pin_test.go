@@ -3,9 +3,11 @@ package serve
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -75,9 +77,59 @@ func TestCheckpointBytesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "0b45c6612f19199f619c4f86851a9c35f8c2e97e71db935e6484a5fb48404228"
+	const want = "54f370884c883e335474ebb1d9afb0c8f4895ceddfded548b15d17709405396e"
 	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want {
 		t.Errorf("checkpoint sha256 %s, want %s", got, want)
+	}
+}
+
+// TestVersion1CheckpointRestartsFromScratch: a spooled checkpoint whose
+// machine stream carries snapshot version 1 (the format that wrote whole
+// SDRAM chunks) is refused by Restore, so the adopted session falls back
+// to a fresh start: it finishes with the from-scratch digest and counts
+// no restore.
+func TestVersion1CheckpointRestartsFromScratch(t *testing.T) {
+	cfg := testConfig(t)
+	path := pinnedCheckpoint(t, cfg.Spool)
+	ck, err := readCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(ck.Machine[8:], 1) // the word after the magic
+	if err := writeCheckpoint(path, ck); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := core.ScenarioFromDSL(ck.Name, ck.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := sc.NewSim(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.M.Close()
+	if err := sim.M.Restore(bytes.NewReader(ck.Machine)); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("restoring the version-1 stream: %v, want the version refused", err)
+	}
+
+	want := digestOf(t, mustServer(t, testConfig(t)), ck.Name, ck.Source)
+	sv := mustServer(t, cfg)
+	if n := sv.Stats().Adopted; n != 1 {
+		t.Fatalf("adopted %d sessions, want 1", n)
+	}
+	s, ok := sv.Get(ck.ID)
+	if !ok {
+		t.Fatalf("session %s not adopted", ck.ID)
+	}
+	got := waitDone(t, s)
+	if got.State != StateDone {
+		t.Fatalf("adopted session: %s (%s: %s)", got.State, got.FailureClass, got.Failure)
+	}
+	if got.Digest != want.Digest {
+		t.Errorf("digest %s, want the from-scratch run's %s", got.Digest, want.Digest)
+	}
+	if n := sv.Stats().Restores; n != 0 {
+		t.Errorf("stats restores %d, want 0 (a version-1 stream must not restore)", n)
 	}
 }
 
