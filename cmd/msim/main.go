@@ -16,8 +16,8 @@
 //	snapshot:     -save -restore
 //	supervision:  -timeout -crash-dump
 //	workload:     -workload
-//	distributed:  -shards -checkpoint-every -window-timeout -heartbeat
-//	              -silence-timeout -max-recoveries -drill-{kill,panic,hang}
+//	distributed:  -shards -checkpoint-every -window-timeout -max-recoveries
+//	              -drill-{kill,panic,hang}
 //	generator:    -gen-seed -gen-dump
 //
 // In single-program mode the program runs privileged (raw addressing) on
@@ -41,8 +41,12 @@
 // -shards N runs the scenario on N supervised shard worker processes that
 // re-execute this binary (docs/mdist.md), bit-identical to an in-process
 // run. The workers step serially, so -naive and -workers do not combine
-// with it; the other distributed flags require it. A -drill-* that can
-// never fire is a usage error.
+// with it; the other distributed flags require it. Their numbers are
+// literal: -max-recoveries 0 recovers nothing, -checkpoint-every 0
+// checkpoints at phase entry only, and a -window-timeout (a shard's only
+// liveness bound) must be positive. A negative -max-recoveries, a
+// -window-timeout of 0 or less and a -drill-* that can never fire are
+// usage errors.
 //
 // -gen-seed N replays seed N of the scenario fuzzer (internal/wgen):
 // the seed's generated scenario runs under every engine of the
@@ -101,8 +105,8 @@ var flagGroups = []struct {
 }
 
 // distributedFlags configure a sharded run (-shards) and nothing else.
-var distributedFlags = []string{"shards", "checkpoint-every", "window-timeout", "heartbeat",
-	"silence-timeout", "max-recoveries", "drill-kill", "drill-panic", "drill-hang"}
+var distributedFlags = []string{"shards", "checkpoint-every", "window-timeout", "max-recoveries",
+	"drill-kill", "drill-panic", "drill-hang"}
 
 func main() {
 	dist.MaybeWorker() // a coordinator's shard worker never returns from here
@@ -129,11 +133,9 @@ func main() {
 	// Distributed.
 	var cfg dist.Config
 	flag.IntVar(&cfg.Shards, "shards", 0, "run the -workload scenario on this many shard worker processes (clamped to 1..mesh size)")
-	flag.Int64Var(&cfg.CheckpointEvery, "checkpoint-every", 4096, "coordinated checkpoint cadence in cycles")
-	flag.DurationVar(&cfg.WindowTimeout, "window-timeout", 30*time.Second, "per-exchange (one window of cycles) wall deadline before a shard counts as stalled (stall-timeout)")
-	flag.DurationVar(&cfg.HeartbeatEvery, "heartbeat", 250*time.Millisecond, "worker heartbeat cadence")
-	flag.DurationVar(&cfg.SilenceTimeout, "silence-timeout", 3*time.Second, "heartbeat silence before a shard counts as lost")
-	flag.IntVar(&cfg.MaxRecoveries, "max-recoveries", 8, "checkpoint recoveries before giving up")
+	flag.Int64Var(&cfg.CheckpointEvery, "checkpoint-every", 4096, "coordinated checkpoint cadence in cycles (0: at phase entry only)")
+	flag.DurationVar(&cfg.WindowTimeout, "window-timeout", 30*time.Second, "per-exchange (one window of cycles) wall deadline, the only liveness bound: a shard that has not answered within it counts as stalled (stall-timeout)")
+	flag.IntVar(&cfg.MaxRecoveries, "max-recoveries", 8, "checkpoint recoveries before giving up (0: none)")
 	flag.Func("drill-kill", "kill worker shard@cycle, at the first exchange whose window reaches the cycle (repeatable)", func(v string) error {
 		n, cycle, err := parseDrill(v)
 		cfg.Kill = append(cfg.Kill, dist.KillSpec{Shard: n, Cycle: cycle})
@@ -180,6 +182,20 @@ func main() {
 			usageErr("-%s %s", name, why)
 		}
 		if isSet(flag.Visit, "shards") {
+			if cfg.MaxRecoveries < 0 {
+				usageErr("-max-recoveries %d is not a count (0 recovers nothing)", cfg.MaxRecoveries)
+			}
+			if cfg.WindowTimeout <= 0 {
+				usageErr("-window-timeout %v is not a deadline (it is a shard's only liveness bound)", cfg.WindowTimeout)
+			}
+			// dist.Config reads a zero as its default; a 0 given here
+			// means none: no recovery, no mid-phase checkpoint.
+			if cfg.MaxRecoveries == 0 {
+				cfg.MaxRecoveries = -1
+			}
+			if cfg.CheckpointEvery == 0 {
+				cfg.CheckpointEvery = -1
+			}
 			exe, err := os.Executable()
 			if err != nil {
 				fatal(err)

@@ -163,6 +163,9 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"-workers", "-7", "../../testdata/fib.masm"}, "-workers -7 is not a worker count"},
 		{[]string{"-workload", wl, "-workers", "-7"}, "-workers -7 is not a worker count"},
 		{[]string{"-workload", wl, "-max-recoveries", "3"}, "-max-recoveries requires -shards"},
+		{[]string{"-workload", wl, "-shards", "2", "-max-recoveries", "-1"}, "-max-recoveries -1 is not a count"},
+		{[]string{"-workload", wl, "-shards", "2", "-window-timeout", "0"}, "-window-timeout 0s is not a deadline"},
+		{[]string{"-workload", wl, "-shards", "2", "-window-timeout", "-1s"}, "-window-timeout -1s is not a deadline"},
 		{[]string{"-workload", wl, "-drill-panic", "0@9"}, "-drill-panic requires -shards"},
 		{[]string{"-gen-seed", "3", "-shards", "2"}, "-shards does not combine with -gen-seed"},
 		// A drill that can never fire names itself: spin.wl has one node.
@@ -245,6 +248,21 @@ func TestShardedRunDigestAndDeadline(t *testing.T) {
 	// in-process run can finish inside it.
 	if code, _, stderr := runExit(t, bin, "-shards", "2", "-workload", late); code != 3 || !strings.Contains(stderr, "deadline") {
 		t.Errorf("msim -shards 2 on a 1ms deadline: exit %d, stderr %q; want exit 3 and a deadline cutoff", code, stderr)
+	}
+}
+
+// TestShardedZeroRecoveries: -max-recoveries 0 means none, not the
+// library's default cap, so the first shard failure ends the run with its
+// class's exit code (a lost shard: 4).
+func TestShardedZeroRecoveries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns processes")
+	}
+	bin := buildMsim(t)
+	path := filepath.Join("..", "..", "testdata", "workloads", "redblack.wl")
+	code, _, stderr := runExit(t, bin, "-shards", "2", "-max-recoveries", "0", "-drill-kill", "1@500", "-workload", path)
+	if code != 4 || !strings.Contains(stderr, "recovery limit 0 exhausted") || !strings.Contains(stderr, "shard 1 lost") {
+		t.Errorf("msim -shards 2 -max-recoveries 0 -drill-kill 1@500: exit %d, stderr %q; want exit 4 and shard 1 lost past a cap of 0", code, stderr)
 	}
 }
 

@@ -26,14 +26,14 @@ package dist
 // replayed Step checked against the preview (DESIGN.md, "The distributed
 // engine").
 //
-// Supervision: every exchange the coordinator enforces a wall deadline and
-// a heartbeat-silence bound on each shard, classifying failures in
-// guard's taxonomy — crash (the worker reported a contained panic),
-// stall-timeout (alive but wedged), lost (connection dead, process
-// killed). Recovery rewinds the whole
-// federation to the latest coordinated checkpoint — taken at run-loop
-// heads, where the machine is exactly between cycles — respawns the
-// workers, and replays; the replay is bit-identical to an undisturbed
+// Supervision: a worker answers each command with exactly one reply, so
+// the coordinator bounds every read by one wall deadline and classifies
+// failures in guard's taxonomy — crash (the worker reported a contained
+// panic), stall-timeout (no reply within the window deadline: wedged or
+// frozen), lost (connection dead, process killed). Recovery rewinds the
+// whole federation to the latest coordinated checkpoint — taken at
+// run-loop heads, where the machine is exactly between cycles — respawns
+// the workers, and replays; the replay is bit-identical to an undisturbed
 // run because a checkpoint is the full hub state and the loop position
 // (cycle, idle counter, at-step flag). The hub's chips change only when a
 // pull installs every shard's range at once, which happens only at a
@@ -56,9 +56,8 @@ import (
 // ShardFailure is a supervised shard fault: the coordinator's retry loop
 // catches it, recovers from the latest checkpoint, and replays. Class is
 // one of guard.ClassCrash (the worker reported a contained panic, or
-// answered out of protocol), guard.ClassStallTimeout (alive — heartbeating
-// — but past the window deadline) or guard.ClassLost (the connection died
-// or went silent).
+// answered out of protocol), guard.ClassStallTimeout (no reply within the
+// window deadline) or guard.ClassLost (the connection died).
 type ShardFailure struct {
 	Shard int
 	Class guard.Class
@@ -95,16 +94,13 @@ type Config struct {
 	// (default 4096; <0 disables mid-phase checkpoints).
 	CheckpointEvery int64
 	// WindowTimeout is the wall deadline for one shard exchange — a
-	// whole step window, not one cycle (default 30s). A shard that
-	// heartbeats but cannot answer within it is classified as stalled.
+	// whole step window, not one cycle (default 30s), and the only
+	// liveness bound: a shard that has not answered within it is
+	// classified as stalled.
 	WindowTimeout time.Duration
-	// HeartbeatEvery is the worker beacon cadence (default 250ms).
-	HeartbeatEvery time.Duration
-	// SilenceTimeout bounds the gap between any two frames from a shard
-	// (default 3s); silence beyond it is a lost shard.
-	SilenceTimeout time.Duration
 	// MaxRecoveries caps checkpoint recoveries per coordinator
-	// (default 8); the cap trips a terminal error instead of flapping.
+	// (default 8; <0 allows none); the cap trips a terminal error
+	// instead of flapping.
 	MaxRecoveries int
 	// Chaos arms worker-side faults and Kill worker kills (tests and
 	// drills); New rejects one that can never fire (ErrDeadDrill).
@@ -121,12 +117,6 @@ func (cfg *Config) setDefaults() {
 	}
 	if cfg.WindowTimeout <= 0 {
 		cfg.WindowTimeout = 30 * time.Second
-	}
-	if cfg.HeartbeatEvery <= 0 {
-		cfg.HeartbeatEvery = 250 * time.Millisecond
-	}
-	if cfg.SilenceTimeout <= 0 {
-		cfg.SilenceTimeout = 3 * time.Second
 	}
 	if cfg.MaxRecoveries == 0 {
 		cfg.MaxRecoveries = 8
@@ -147,12 +137,11 @@ type checkpoint struct {
 // shardConn is the coordinator's view of one worker, with the buffers
 // its frames are read into and its step commands encoded into.
 type shardConn struct {
-	h         Handle
-	shard     int
-	lo, hi    int
-	lastFrame time.Time
-	rbuf      []byte
-	stepBuf   bytes.Buffer
+	h       Handle
+	shard   int
+	lo, hi  int
+	rbuf    []byte
+	stepBuf bytes.Buffer
 }
 
 // Coordinator drives a sharded federation as a guard.LegRunner: RunLoop
@@ -286,28 +275,18 @@ func (co *Coordinator) Failures() []ShardFailure { return co.failures }
 func (co *Coordinator) Recoveries() int          { return co.recoveries }
 func (co *Coordinator) Checkpoints() int         { return co.ckCount }
 
-// Close shuts the federation down: orderly cmdShutdown where possible,
-// then handle teardown, and hands the seed buffer on to the next
-// coordinator. Safe on a partially constructed coordinator.
+// Close shuts the federation down by hanging up on every worker (a
+// worker's ServeConn returns on EOF), and hands the seed buffer on to the
+// next coordinator. Safe on a partially constructed coordinator.
 func (co *Coordinator) Close() {
 	if co.seedBuf != nil {
 		snapBufs.Put(co.seedBuf)
 		co.seedBuf = nil
 	}
 	for _, sc := range co.shards {
-		if sc == nil || sc.h == nil {
-			continue
+		if sc != nil && sc.h != nil {
+			sc.h.Close()
 		}
-		if writeFrameDeadline(sc.h, cmdShutdown, nil, time.Second) == nil {
-			sc.h.SetReadDeadline(time.Now().Add(time.Second))
-			for {
-				kind, _, err := readFrame(sc.h, &sc.rbuf)
-				if err != nil || kind == repOK {
-					break
-				}
-			}
-		}
-		sc.h.Close()
 	}
 }
 
@@ -324,7 +303,6 @@ func (co *Coordinator) spawn(i int) error {
 		return fmt.Errorf("dist: start shard %d: %w", i, err)
 	}
 	sc.h = h
-	sc.lastFrame = time.Now()
 	kind, payload, ferr := co.read(sc)
 	if ferr != nil {
 		return fmt.Errorf("dist: shard %d hello: %v", i, ferr)
@@ -338,59 +316,45 @@ func (co *Coordinator) spawn(i int) error {
 	}
 	// Every worker arms every drill: a drill is a probe on its node, and
 	// only the node's owner steps it.
-	spec := initSpec{
-		Shard: i, Lo: sc.lo, Hi: sc.hi,
-		HeartbeatMillis: co.cfg.HeartbeatEvery.Milliseconds(),
-		Chaos:           co.chaos,
-	}
+	spec := initSpec{Shard: i, Lo: sc.lo, Hi: sc.hi, Chaos: co.chaos}
 	if _, err := co.callExpect(sc, cmdInit, encodeInit(&spec), repOK); err != nil {
 		return fmt.Errorf("dist: shard %d init: %v", i, err)
 	}
 	return nil
 }
 
-// write sends one command to a shard under the window deadline.
+// write sends one command to a shard under the window deadline (a wedged
+// worker eventually fills the socket buffer; without a deadline the
+// coordinator would wedge with it).
 func (co *Coordinator) write(sc *shardConn, kind byte, payload []byte) *ShardFailure {
-	if err := writeFrameDeadline(sc.h, kind, payload, co.cfg.WindowTimeout); err != nil {
+	err := sc.h.SetWriteDeadline(time.Now().Add(co.cfg.WindowTimeout))
+	if err == nil {
+		err = writeFrame(sc.h, kind, payload)
+	}
+	if err != nil {
 		return co.fail(sc, guard.ClassLost, fmt.Errorf("write: %w", err))
 	}
 	return nil
 }
 
-// read waits for a shard's next non-heartbeat frame under the window
-// deadline and the heartbeat-silence bound, classifying every way the
-// wait can end badly.
+// read waits for a shard's reply under the window deadline, its one
+// bound: a missed deadline is a stall, any other read error a lost
+// connection, a repErr frame a crash.
 func (co *Coordinator) read(sc *shardConn) (byte, []byte, *ShardFailure) {
-	windowEnd := time.Now().Add(co.cfg.WindowTimeout)
-	for {
-		deadline := windowEnd
-		if sil := sc.lastFrame.Add(co.cfg.SilenceTimeout); sil.Before(deadline) {
-			deadline = sil
-		}
-		sc.h.SetReadDeadline(deadline)
-		kind, payload, err := readFrame(sc.h, &sc.rbuf)
-		if err != nil {
-			if errors.Is(err, os.ErrDeadlineExceeded) {
-				if time.Now().Before(windowEnd) || time.Since(sc.lastFrame) > co.cfg.SilenceTimeout {
-					return 0, nil, co.fail(sc, guard.ClassLost,
-						fmt.Errorf("no frame for %v (heartbeat silence)", time.Since(sc.lastFrame).Round(time.Millisecond)))
-				}
-				return 0, nil, co.fail(sc, guard.ClassStallTimeout,
-					fmt.Errorf("alive but no reply within the %v window", co.cfg.WindowTimeout))
-			}
-			return 0, nil, co.fail(sc, guard.ClassLost, err)
-		}
-		sc.lastFrame = time.Now()
-		switch kind {
-		case repHeartbeat:
-			continue
-		case repErr:
-			msg, _ := decodeString(payload)
-			return 0, nil, co.fail(sc, guard.ClassCrash, errors.New(msg))
-		default:
-			return kind, payload, nil
-		}
+	if err := sc.h.SetReadDeadline(time.Now().Add(co.cfg.WindowTimeout)); err != nil {
+		return 0, nil, co.fail(sc, guard.ClassLost, err)
 	}
+	kind, payload, err := readFrame(sc.h, &sc.rbuf)
+	switch {
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		return 0, nil, co.fail(sc, guard.ClassStallTimeout, fmt.Errorf("no reply within the %v window", co.cfg.WindowTimeout))
+	case err != nil:
+		return 0, nil, co.fail(sc, guard.ClassLost, err)
+	case kind == repErr:
+		msg, _ := decodeString(payload)
+		return 0, nil, co.fail(sc, guard.ClassCrash, errors.New(msg))
+	}
+	return kind, payload, nil
 }
 
 func (co *Coordinator) fail(sc *shardConn, class guard.Class, err error) *ShardFailure {
@@ -504,17 +468,14 @@ func (co *Coordinator) attempt(until int64, resume bool) (bool, error) {
 // seedAll ships every worker its range of the hub and resets the arrival
 // mirror (a seeded worker's mailbox is empty). A shard that fails its seed
 // is respawned and retried in place — the hub was not touched, so there
-// is nothing to rewind; exhaustion is terminal (it wraps the last failure,
-// so guard.Classify still names the cause).
+// is nothing to rewind; exhaustion is terminal.
 func (co *Coordinator) seedAll() error {
 	co.exchange(cmdSeed, repOK, co.seed, nil)
 	for i, f := range co.fails {
 		for f != nil {
-			co.failures = append(co.failures, *f)
-			if co.recoveries >= co.cfg.MaxRecoveries {
-				return fmt.Errorf("dist: recovery limit %d exhausted seeding: %w", co.cfg.MaxRecoveries, f)
+			if err := co.spend(f); err != nil {
+				return err
 			}
-			co.recoveries++
 			if err := co.spawn(i); err != nil {
 				return err
 			}
@@ -826,6 +787,18 @@ func (co *Coordinator) syncHub() *ShardFailure {
 	return nil
 }
 
+// spend records shard failure f and spends one recovery on it, or, with
+// none left under the cap, returns the terminal error (wrapping f, so
+// guard.Classify still names the cause).
+func (co *Coordinator) spend(f *ShardFailure) error {
+	co.failures = append(co.failures, *f)
+	if co.recoveries >= co.cfg.MaxRecoveries {
+		return fmt.Errorf("dist: recovery limit %d exhausted: %w", max(co.cfg.MaxRecoveries, 0), f)
+	}
+	co.recoveries++
+	return nil
+}
+
 // recover rewinds the federation to the latest checkpoint after a shard
 // failure: every worker is respawned (survivors may hold half-exchanged
 // protocol state), the hub takes back a clone of the checkpoint's network
@@ -834,11 +807,9 @@ func (co *Coordinator) syncHub() *ShardFailure {
 // runs clean. The caller then re-attempts the leg with resume=true, which
 // reseeds the workers from the rewound hub.
 func (co *Coordinator) recover(sf *ShardFailure) error {
-	co.failures = append(co.failures, *sf)
-	if co.recoveries >= co.cfg.MaxRecoveries {
-		return fmt.Errorf("dist: recovery limit %d exhausted: %w", co.cfg.MaxRecoveries, sf)
+	if err := co.spend(sf); err != nil {
+		return err
 	}
-	co.recoveries++
 	if co.ck.net == nil {
 		return fmt.Errorf("dist: no checkpoint to recover from: %w", sf)
 	}

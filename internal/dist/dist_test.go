@@ -14,6 +14,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -473,9 +474,9 @@ func TestDistRecoverFromCrash(t *testing.T) {
 	}
 }
 
-// TestDistRecoverFromStall wedges a worker mid-step while its heartbeats
-// keep flowing: the window deadline must classify it as a stall (not
-// lost), and recovery must still produce bit-identical results.
+// TestDistRecoverFromStall wedges a worker mid-step, its connection still
+// open: the window deadline must classify it as a stall (not lost), and
+// recovery must still produce bit-identical results.
 func TestDistRecoverFromStall(t *testing.T) {
 	sc := loadScenario(t, "meshsmooth4.wl")
 	ref := refRun(t, sc, core.Options{})
@@ -483,8 +484,6 @@ func TestDistRecoverFromStall(t *testing.T) {
 		Shards:          2,
 		CheckpointEvery: 200,
 		WindowTimeout:   400 * time.Millisecond,
-		HeartbeatEvery:  50 * time.Millisecond,
-		SilenceTimeout:  2 * time.Second,
 		Chaos:           []ChaosSpec{{Node: 2, Cycle: 900, Kind: "hang"}},
 	})
 	compareOutcome(t, ref, got, events)
@@ -499,7 +498,7 @@ func TestDistRecoverFromStall(t *testing.T) {
 	}
 }
 
-// TestDistRecoverFromLostLocal severs a worker's pipe mid-run (the
+// TestDistRecoverFromLost severs a worker's pipe mid-run (the
 // local stand-in for a SIGKILLed process): lost-connection class, then
 // bit-identical recovery.
 func TestDistRecoverFromLost(t *testing.T) {
@@ -703,6 +702,45 @@ func TestNewRejectsDeadDrills(t *testing.T) {
 		t.Fatalf("New with in-range drills: %v", err)
 	}
 	co.Close()
+}
+
+// TestWorkerLifecycle: a worker is one goroutine — it writes nothing but
+// the reply to the command it read, so it needs no lock — and Close ends
+// every worker by hanging up.
+func TestWorkerLifecycle(t *testing.T) {
+	cfg := machine.DefaultConfig()
+	cfg.Dims = noc.Coord{X: 4, Y: 1, Z: 1}
+	m := machine.New(cfg)
+	defer m.Close()
+	base := settledGoroutines()
+	co, err := New(m, Config{Shards: 3, Launcher: LocalLauncher{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := settledGoroutines()
+	co.Close()
+	if got != base+3 {
+		t.Errorf("%d goroutines with 3 workers up, want %d: one per worker", got, base+3)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 5s after Close, want %d: a worker outlived the hang-up", runtime.NumGoroutine(), base)
+		}
+	}
+}
+
+// settledGoroutines is the goroutine count once it has held still for
+// 20ms, so neither the workers of earlier tests that are still exiting
+// nor a timer callback of theirs counts.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for still := 0; still < 20; still++ {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		}
+	}
+	return n
 }
 
 // TestBudgetExactAcrossTransports: one budget clamp (guard.Supervisor.

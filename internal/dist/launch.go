@@ -71,7 +71,7 @@ func (h *procHandle) Close() error {
 	// The worker exits once its connection drops; reap it so no zombie
 	// outlives the coordinator. A worker that lingers anyway is killed.
 	done := make(chan struct{})
-	go func() { h.wait(); close(done) }()
+	go func() { h.wait(); close(done) }() //mlint:allow gocheck reaps an exited worker process; it touches no simulated state and ends with the process
 	//mlint:allow detrange reaping a dead worker process races wall time by design; no simulated state here
 	select {
 	case <-done:
@@ -122,6 +122,7 @@ func (h *localHandle) Kill() error {
 
 func (l LocalLauncher) Start(shard int) (Handle, error) {
 	cc, wc := net.Pipe()
+	//mlint:allow gocheck an in-process shard worker: ServeConn contains its panics and reports them as crashes, and it ends when the coordinator hangs up
 	go func() {
 		ServeConn(wc)
 		wc.Close()

@@ -31,7 +31,7 @@ func pinnedFrames() []pinnedFrame {
 	}
 	act := activity{Activity: machine.Activity{Running: 2, Busy: 3, Issued: 1 << 40}, Next: 91, Fault: "c1 v2: protection"}
 	return []pinnedFrame{
-		{"init", "bb9e481994f15abfd8c8515be9d47f58a99640c180ae4174f01c722287be4cc8", encodeInit(&initSpec{Shard: 1, Lo: 2, Hi: 4, HeartbeatMillis: 250,
+		{"init", "4d7ff00c9c01397be77601dbd7a96c11c704bf4557d427b1e50ace59e04231a5", encodeInit(&initSpec{Shard: 1, Lo: 2, Hi: 4,
 			Chaos: []ChaosSpec{{Node: 3, Cycle: 500, Kind: "panic"}, {Node: 2, Cycle: 9, Kind: "hang"}}})},
 		{"step", "aa2e3da0725e0fce06f58f749b0f9a9ebaaee612205f0cc2385f843a3a2463ad", encodeStep(nil, net, &stepCmd{Cycle: 90, Width: 3, Deliveries: []delivery{
 			{At: 90, Node: 2, Pri: 0, Msg: orig}, {At: 92, Node: 3, Pri: 1, Msg: nack}}})},

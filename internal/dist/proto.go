@@ -20,11 +20,12 @@
 // result) match an in-process run exactly.
 //
 // The headline is supervision (the robustness story of internal/serve
-// applied across process boundaries): the coordinator heartbeats each
-// shard, enforces a per-window wall deadline, classifies failures as
-// crash / stall / lost connection, and recovers a dead shard by
-// respawning it and rewinding the whole federation to the latest
-// coordinated window-boundary checkpoint, from which execution resumes
+// applied across process boundaries): the protocol is one request, one
+// reply, so the coordinator bounds each reply by one wall deadline,
+// classifies failures as crash (a reported panic) / stall (a missed
+// deadline) / lost connection, and recovers a dead shard by respawning
+// it and rewinding the whole federation to the latest coordinated
+// window-boundary checkpoint, from which execution resumes
 // bit-identically.
 //
 // This file is the wire protocol: length-prefixed frames over any
@@ -37,9 +38,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"net"
 	"sync"
-	"time"
 
 	"repro/internal/machine"
 	"repro/internal/noc"
@@ -49,27 +48,26 @@ import (
 
 // protoVersion gates the handshake: a coordinator and worker from
 // different builds refuse to pair instead of corrupting each other.
-// Version 4 seeds each worker with its own node range only; version 5
-// frames carry only the SDRAM pages that hold data.
-const protoVersion = 5
+// Version 5 frames carry only the SDRAM pages that hold data; version 6
+// is one reply per command, with nothing unsolicited.
+const protoVersion = 6
 
 // Frame kinds. Commands flow coordinator -> worker, replies worker ->
-// coordinator; repHeartbeat may arrive between any command and its reply.
+// coordinator, exactly one reply per command (a worker's hello is the
+// reply to its connection). The coordinator ends a worker by hanging up.
 const (
 	cmdInit     = byte(0x01) // initSpec: shard identity, range, chaos
 	cmdSeed     = byte(0x02) // shard frame of the worker's range (machine.EncodeShard)
 	cmdBeginRun = byte(0x03) // run-phase entry: wake chips, report activity
 	cmdStep     = byte(0x04) // stepCmd: advance owned chips through a window
 	cmdPull     = byte(0x06) // coordinator clock: catch up to it, reply with a shard frame (machine.EncodeShard)
-	cmdShutdown = byte(0x07) // orderly exit
 
-	repHello     = byte(0x41) // worker's first frame: protocol version
-	repOK        = byte(0x42) // empty acknowledgement
-	repActivity  = byte(0x43) // activity aggregates
-	repStep      = byte(0x44) // stepReply
-	repFrame     = byte(0x45) // shard frame bytes
-	repErr       = byte(0x46) // contained worker failure (classified crash)
-	repHeartbeat = byte(0x47) // liveness beacon from the worker
+	repHello    = byte(0x41) // worker's first frame: protocol version
+	repOK       = byte(0x42) // empty acknowledgement
+	repActivity = byte(0x43) // activity aggregates
+	repStep     = byte(0x44) // stepReply
+	repFrame    = byte(0x45) // shard frame bytes
+	repErr      = byte(0x46) // contained worker failure (classified crash)
 )
 
 // maxFrame bounds a frame payload; anything larger is a corrupt stream.
@@ -144,11 +142,10 @@ type ChaosSpec struct {
 }
 
 // initSpec configures a worker: its shard index, owned node range
-// [Lo, Hi), heartbeat cadence, and any armed chaos.
+// [Lo, Hi), and any armed chaos.
 type initSpec struct {
-	Shard, Lo, Hi   int
-	HeartbeatMillis int64
-	Chaos           []ChaosSpec
+	Shard, Lo, Hi int
+	Chaos         []ChaosSpec
 }
 
 // snapBufs recycles the buffers shard frames are encoded into — a
@@ -188,7 +185,6 @@ func (s *initSpec) state(c *snap.Codec) {
 	c.Int(&s.Shard)
 	c.Int(&s.Lo)
 	c.Int(&s.Hi)
-	c.I64(&s.HeartbeatMillis)
 	n := c.Len(len(s.Chaos), 1<<16)
 	for i := 0; i < n && c.Err() == nil; i++ {
 		ch := snap.Elem(c, &s.Chaos, i)
@@ -362,22 +358,4 @@ func encodeString(s string) []byte { return frame(func(c *snap.Codec) { c.String
 func decodeString(p []byte) (s string, err error) {
 	err = unframe(p, func(c *snap.Codec) { c.String(&s, 1<<20) })
 	return s, err
-}
-
-// netConn is the transport a shard connection needs: framed I/O plus
-// deadlines for the per-window watchdog. Both loopback TCP sockets and
-// net.Pipe halves satisfy it.
-type netConn = net.Conn
-
-// writeDeadline is how long a frame write may block before the shard is
-// declared unresponsive (a wedged worker eventually fills the socket
-// buffer; without a deadline the coordinator would wedge with it).
-func writeFrameDeadline(c netConn, kind byte, payload []byte, d time.Duration) error {
-	if d > 0 {
-		if err := c.SetWriteDeadline(time.Now().Add(d)); err != nil {
-			return err
-		}
-		defer c.SetWriteDeadline(time.Time{})
-	}
-	return writeFrame(c, kind, payload)
 }

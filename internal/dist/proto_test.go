@@ -55,15 +55,14 @@ func TestFrameCorrupt(t *testing.T) {
 
 func TestInitSpecRoundTrip(t *testing.T) {
 	in := initSpec{
-		Shard: 2, Lo: 4, Hi: 8, HeartbeatMillis: 125,
+		Shard: 2, Lo: 4, Hi: 8,
 		Chaos: []ChaosSpec{{Node: 5, Cycle: 999, Kind: "hang"}, {Node: 6, Cycle: 1, Kind: "panic"}},
 	}
 	var out initSpec
 	if err := unframe(encodeInit(&in), out.state); err != nil {
 		t.Fatal(err)
 	}
-	if out.Shard != in.Shard || out.Lo != in.Lo || out.Hi != in.Hi ||
-		out.HeartbeatMillis != in.HeartbeatMillis || len(out.Chaos) != 2 ||
+	if out.Shard != in.Shard || out.Lo != in.Lo || out.Hi != in.Hi || len(out.Chaos) != 2 ||
 		out.Chaos[0] != in.Chaos[0] || out.Chaos[1] != in.Chaos[1] {
 		t.Fatalf("round trip: %+v != %+v", out, in)
 	}
@@ -161,7 +160,7 @@ func everyKind() trace.Recorder {
 }
 
 // TestHandshakeVersionMismatch pairs the coordinator with a worker that
-// speaks the previous protocol (frames with whole SDRAM chunks): New must
+// speaks the previous protocol (a liveness beacon, a shutdown command): New must
 // refuse it with the handshake error — an ordinary error, not a shard
 // failure the supervision loop would try to recover from.
 func TestHandshakeVersionMismatch(t *testing.T) {
@@ -170,32 +169,27 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 	m := machine.New(cfg)
 	defer m.Close()
 	_, err := New(m, Config{Shards: 1, Launcher: oldWorkerLauncher{}})
-	if err == nil || !strings.Contains(err.Error(), "shard 0 speaks protocol 4, coordinator 5") {
-		t.Fatalf("New with a version-4 worker: %v", err)
+	if err == nil || !strings.Contains(err.Error(), "shard 0 speaks protocol 5, coordinator 6") {
+		t.Fatalf("New with a version-5 worker: %v", err)
 	}
 	if _, recoverable := err.(*ShardFailure); recoverable || guard.Classify(err) != guard.ClassScenario {
 		t.Errorf("handshake refusal classified %v (%T), want a plain scenario error", guard.Classify(err), err)
 	}
 }
 
-// oldWorkerLauncher starts workers that greet with protocol version 4 and
-// then only acknowledge the shutdown.
+// oldWorkerLauncher starts workers that greet with protocol version 5 and
+// then only read until the coordinator hangs up.
 type oldWorkerLauncher struct{}
 
 func (oldWorkerLauncher) Start(int) (Handle, error) {
 	cc, wc := net.Pipe()
 	go func() {
 		defer wc.Close()
-		if writeFrame(wc, repHello, encodeI64(4)) != nil {
+		if writeFrame(wc, repHello, encodeI64(5)) != nil {
 			return
 		}
 		for {
-			kind, _, err := readFrame(wc, nil)
-			if err != nil {
-				return
-			}
-			if kind == cmdShutdown {
-				writeFrame(wc, repOK, nil)
+			if _, _, err := readFrame(wc, nil); err != nil {
 				return
 			}
 		}

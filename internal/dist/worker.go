@@ -25,8 +25,6 @@ import (
 	"net"
 	"os"
 	"runtime/debug"
-	"sync"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/machine"
@@ -64,11 +62,10 @@ func MaybeWorker() {
 	os.Exit(0)
 }
 
-// worker is one shard's serving state.
+// worker is one shard's serving state. One goroutine serves it, one
+// command at a time: it writes nothing but the reply to the command it
+// read, so it holds no lock.
 type worker struct {
-	conn netConn
-	wmu  sync.Mutex // serializes frame writes (replies vs heartbeats)
-
 	spec initSpec
 	m    *machine.Machine
 
@@ -83,26 +80,22 @@ type worker struct {
 	stepped []int
 	before  []pending
 	pullBuf *bytes.Buffer // pull's frame, from snapBufs until ServeConn returns
-
-	hbStop chan struct{}
-	hbOnce sync.Once
 }
 
-// ServeConn serves the shard worker protocol on conn until the
-// coordinator shuts the shard down (nil) or the connection dies (the
-// transport error). A panic inside a command — a chip bug or injected
-// chaos — is contained: the worker reports it as a repErr frame (the
-// coordinator classifies it as a crash) and returns it, because the
+// ServeConn serves the shard worker protocol on conn, one reply per
+// command, until the connection ends: io.EOF when the coordinator hangs
+// up, else the transport error. A panic inside a command — a chip bug or
+// injected chaos — is contained: the worker reports it as a repErr frame
+// (the coordinator classifies it as a crash) and returns it, because the
 // machine state is mid-cycle and must not serve further commands.
 func ServeConn(conn net.Conn) error {
-	w := &worker{conn: conn}
-	defer w.stopHeartbeat()
+	w := &worker{}
 	defer func() {
 		if w.pullBuf != nil {
 			snapBufs.Put(w.pullBuf)
 		}
 	}()
-	if err := w.send(repHello, encodeI64(protoVersion)); err != nil {
+	if err := writeFrame(conn, repHello, encodeI64(protoVersion)); err != nil {
 		return err
 	}
 	for {
@@ -113,28 +106,12 @@ func ServeConn(conn net.Conn) error {
 		rk, rp, err := w.handle(kind, payload)
 		if err != nil {
 			// Contained failure: report, then refuse to limp onward.
-			w.send(repErr, encodeString(err.Error()))
+			writeFrame(conn, repErr, encodeString(err.Error()))
 			return err
 		}
-		if kind == cmdShutdown {
-			w.send(repOK, nil)
-			return nil
-		}
-		if err := w.send(rk, rp); err != nil {
+		if err := writeFrame(conn, rk, rp); err != nil {
 			return err
 		}
-	}
-}
-
-func (w *worker) send(kind byte, payload []byte) error {
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	return writeFrame(w.conn, kind, payload)
-}
-
-func (w *worker) stopHeartbeat() {
-	if w.hbStop != nil {
-		w.hbOnce.Do(func() { close(w.hbStop) })
 	}
 }
 
@@ -152,10 +129,6 @@ func (w *worker) handle(kind byte, payload []byte) (rk byte, rp []byte, err erro
 			return 0, nil, err
 		}
 		w.spec = s
-		if w.hbStop == nil && s.HeartbeatMillis > 0 {
-			w.hbStop = make(chan struct{})
-			go w.heartbeat(time.Duration(s.HeartbeatMillis) * time.Millisecond)
-		}
 		return repOK, nil, nil
 	case cmdSeed:
 		return repOK, nil, w.seed(payload)
@@ -177,30 +150,8 @@ func (w *worker) handle(kind byte, payload []byte) (rk byte, rp []byte, err erro
 			return 0, nil, err
 		}
 		return repFrame, w.pull(), nil
-	case cmdShutdown:
-		return repOK, nil, nil
 	default:
 		return 0, nil, fmt.Errorf("shard %d: unknown command %#x", w.spec.Shard, kind)
-	}
-}
-
-// heartbeat beacons liveness until the worker stops. A wedged command
-// (chaos "hang", a livelocked chip bug) does not stop the beacons, which
-// is exactly the point: the coordinator distinguishes a shard that is
-// alive-but-stuck (stall) from one that went silent (lost).
-func (w *worker) heartbeat(every time.Duration) {
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		//mlint:allow detrange heartbeat liveness is supervision-side; shard stepping stays on the command loop
-		select {
-		case <-w.hbStop:
-			return
-		case <-t.C:
-			if err := w.send(repHeartbeat, nil); err != nil {
-				return
-			}
-		}
 	}
 }
 
@@ -250,7 +201,7 @@ func (w *worker) activity(now int64) activity {
 // arm installs the init's chaos drills as the machine's fault probe: each
 // fires at its node's first step at or after its cycle. Chaos never
 // mutates simulated state: a panic is contained and reported, a hang
-// wedges the step for good while heartbeats keep flowing, and either way
+// wedges the step for good (the window deadline trips), and either way
 // the coordinator rewinds and replays the window without the (disarmed)
 // drill.
 func (w *worker) arm() {

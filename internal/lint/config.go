@@ -35,7 +35,7 @@ var simCritical = []string{
 
 // wallClockAllowed is the allowlist of package paths where wall time
 // and OS-driven timing are legitimate: supervision owns deadlines,
-// watchdogs, heartbeats and backoff; the command front ends measure
+// watchdogs and backoff; the command front ends measure
 // wall time for reporting; the analyzer suite itself is tooling.
 // Everything else under internal/ is checked — simulated time is the
 // machine clock, never the host's.
@@ -50,12 +50,11 @@ var wallClockAllowed = []string{
 
 // goAllowed is the allowlist of package paths where spawning goroutines
 // is legitimate wholesale: guard monitors, serve's worker pool and
-// HTTP plumbing, dist's launch/heartbeat/supervision. The machine
-// worker pool and core's experiment fan-out are NOT allowlisted — those
-// two sites carry individual //mlint:allow annotations, so any new
+// HTTP plumbing. The machine worker pool, core's experiment fan-out and
+// dist's in-process worker and process reaper are NOT allowlisted —
+// those sites carry individual //mlint:allow annotations, so any new
 // goroutine near them still has to justify itself.
 var goAllowed = []string{
-	"repro/internal/dist",
 	"repro/internal/guard",
 	"repro/internal/lint",
 	"repro/internal/serve",
