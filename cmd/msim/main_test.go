@@ -12,6 +12,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -263,6 +265,52 @@ func TestShardedZeroRecoveries(t *testing.T) {
 	code, _, stderr := runExit(t, bin, "-shards", "2", "-max-recoveries", "0", "-drill-kill", "1@500", "-workload", path)
 	if code != 4 || !strings.Contains(stderr, "recovery limit 0 exhausted") || !strings.Contains(stderr, "shard 1 lost") {
 		t.Errorf("msim -shards 2 -max-recoveries 0 -drill-kill 1@500: exit %d, stderr %q; want exit 4 and shard 1 lost past a cap of 0", code, stderr)
+	}
+}
+
+// TestShardedCheckpointCadence: -checkpoint-every is a literal cadence
+// end to end. A two-node scenario whose one phase runs past 8 192 cycles
+// takes its phase-entry checkpoint only at -checkpoint-every 0, one more
+// per 1 000 cycles at 1000 and one more per 4 096 at the default; every
+// run prints the in-process run's digest line.
+func TestShardedCheckpointCadence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns processes")
+	}
+	bin := buildMsim(t)
+	wl := filepath.Join(t.TempDir(), "long.wl")
+	src := "workload \"long spin\"\nmesh 2\ngenerate sp spinloop iters=3000\nload sp on all\nrun 100000\n"
+	if err := os.WriteFile(wl, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out, stderr := runExit(t, bin, "-workload", wl)
+	digest := regexp.MustCompile(`(?m)^digest: \S+$`).FindString(out)
+	phase := regexp.MustCompile(`(?m)^\s+phase phase0\s+(\d+) cycles$`).FindStringSubmatch(out)
+	if code != 0 || digest == "" || phase == nil {
+		t.Fatalf("msim -workload: exit %d, no digest or phase line\n%s%s", code, out, stderr)
+	}
+	cycles, err := strconv.ParseInt(phase[1], 10, 64)
+	if err != nil || cycles <= 8192 {
+		t.Fatalf("the phase runs %s cycles, want more than 8192 (two default cadences)", phase[1])
+	}
+	for _, c := range []struct {
+		args  []string
+		every int64 // 0: the phase-entry checkpoint only
+	}{
+		{[]string{"-checkpoint-every", "0"}, 0},
+		{[]string{"-checkpoint-every", "1000"}, 1000},
+		{nil, 4096},
+	} {
+		args := append(append([]string{"-shards", "2"}, c.args...), "-workload", wl)
+		want := int64(1)
+		if c.every > 0 {
+			want += (cycles - 1) / c.every
+		}
+		code, out, stderr := runExit(t, bin, args...)
+		line := fmt.Sprintf("supervision: %d checkpoint(s), 0 recover(ies)", want)
+		if code != 0 || !strings.Contains(out, line) || !strings.Contains(out, digest+"\n") {
+			t.Errorf("msim %v: exit %d; want 0, %q and the in-process %q\n%s%s", args, code, line, digest, out, stderr)
+		}
 	}
 }
 

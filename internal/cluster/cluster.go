@@ -28,12 +28,6 @@ type RegFile struct {
 	full uint32
 }
 
-// NewRegFile creates a file of n ≤ 32 registers, all full and zero.
-// Threads start with a defined, readable register state.
-func NewRegFile(n int) *RegFile {
-	return &RegFile{vals: make([]isa.Word, n), full: lowBits(n)}
-}
-
 // lowBits is the mask of registers 0..n-1.
 func lowBits(n int) uint32 { return uint32(1)<<n - 1 }
 
@@ -107,14 +101,6 @@ type HThread struct {
 	StallCycles uint64
 }
 
-// NewHThread creates an empty H-Thread context with fresh register files.
-func NewHThread() *HThread {
-	return &HThread{
-		Ints: NewRegFile(isa.NumIntRegs),
-		FPs:  NewRegFile(isa.NumFPRegs),
-	}
-}
-
 // Load installs a program and makes the thread runnable. The cluster's
 // Live mask is the caller's to update (chip.LoadProgram does).
 func (h *HThread) Load(p *isa.Program, privileged bool) {
@@ -162,12 +148,6 @@ func (h *HThread) File(c isa.RegClass) *RegFile {
 type GCCFile struct {
 	vals []isa.Word
 	full uint32
-}
-
-// NewGCCFile creates the replica with all registers empty: a gcc must be
-// produced (broadcast) before it can be consumed.
-func NewGCCFile() *GCCFile {
-	return &GCCFile{vals: make([]isa.Word, isa.NumGCCRegs)}
 }
 
 // Full reports the local scoreboard bit.
@@ -222,11 +202,50 @@ type Cluster struct {
 // UserSlots masks Live down to the user V-Thread slots.
 const UserSlots uint8 = 1<<isa.NumUserSlots - 1
 
-// New creates cluster id with empty thread slots.
+// New creates cluster id with empty thread slots. Their registers start
+// full and zero, so threads start with a defined, readable register
+// state; the GCC replica starts empty, so a gcc must be produced
+// (broadcast) before it can be consumed.
 func New(id int) *Cluster {
-	c := &Cluster{ID: id, GCC: NewGCCFile(), LastIssued: -1}
-	for i := range c.Threads {
-		c.Threads[i] = NewHThread()
+	c := &Cluster{ID: id, LastIssued: -1}
+	c.carve()
+	for _, th := range c.Threads {
+		th.Ints.full, th.FPs.full = lowBits(isa.NumIntRegs), lowBits(isa.NumFPRegs)
 	}
 	return c
+}
+
+// Register words per thread context, and in a whole cluster.
+const (
+	threadWords  = isa.NumIntRegs + isa.NumFPRegs
+	clusterWords = isa.NumVThreads*threadWords + isa.NumGCCRegs
+)
+
+// banks is the storage of a cluster's register files: two per thread
+// slot, then the GCC replica.
+type banks struct {
+	files [2 * isa.NumVThreads]RegFile
+	gcc   GCCFile
+}
+
+// carve gives c fresh thread slots, register files and a GCC replica
+// from three allocations: the six contexts, the banks, and one block of
+// every register word (which holds no pointers, so the collector never
+// scans it). The contexts are an array of their own, so the slots of
+// all clusters spread over the cache sets (stalled slots' counters are
+// what an idle chip's SkipCycles touches). Everything starts zero: every
+// register value, every scoreboard bit, every slot empty.
+func (c *Cluster) carve() {
+	threads := new([isa.NumVThreads]HThread)
+	b := new(banks)
+	words := make([]isa.Word, clusterWords)
+	for i := range threads {
+		th := &threads[i]
+		th.Ints, th.FPs = &b.files[2*i], &b.files[2*i+1]
+		w := words[i*threadWords : (i+1)*threadWords : (i+1)*threadWords]
+		th.Ints.vals, th.FPs.vals = w[:isa.NumIntRegs:isa.NumIntRegs], w[isa.NumIntRegs:]
+		c.Threads[i] = th
+	}
+	b.gcc.vals = words[isa.NumVThreads*threadWords:]
+	c.GCC = &b.gcc
 }

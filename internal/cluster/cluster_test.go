@@ -8,7 +8,7 @@ import (
 )
 
 func TestRegFileScoreboard(t *testing.T) {
-	rf := NewRegFile(16)
+	rf := New(0).Threads[0].Ints
 	// Registers start full and zero so threads have defined state.
 	for i := 0; i < 16; i++ {
 		if !rf.Full(i) || rf.Get(i).Bits != 0 {
@@ -29,7 +29,7 @@ func TestRegFileScoreboard(t *testing.T) {
 }
 
 func TestHThreadLifecycle(t *testing.T) {
-	h := NewHThread()
+	h := New(0).Threads[0]
 	if h.Status != ThreadEmpty || h.Current() != nil {
 		t.Fatal("fresh thread should be empty with no instruction")
 	}
@@ -56,7 +56,7 @@ func TestHThreadLifecycle(t *testing.T) {
 }
 
 func TestHThreadFiles(t *testing.T) {
-	h := NewHThread()
+	h := New(0).Threads[0]
 	if h.File(isa.RInt) != h.Ints || h.File(isa.RFP) != h.FPs {
 		t.Error("File dispatch wrong")
 	}
@@ -69,7 +69,7 @@ func TestHThreadFiles(t *testing.T) {
 }
 
 func TestGCCFileStartsEmpty(t *testing.T) {
-	g := NewGCCFile()
+	g := New(0).GCC
 	for i := 0; i < isa.NumGCCRegs; i++ {
 		if g.Full(i) {
 			t.Fatalf("gcc%d should start empty: it must be produced before consumption", i)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -19,14 +20,14 @@ func flipWord(vals []isa.Word, i int) func() {
 // register file and a GCC replica and asserts the state walk both sees
 // the change and round-trips it.
 func TestRegisterFilesFieldRoundTrip(t *testing.T) {
-	rf := NewRegFile(isa.NumIntRegs)
+	rf := New(0).Threads[0].Ints
 	rf.MarkEmpty(3)
 	snaptest.Fields(t, rf, snaptest.Codec[RegFile]{
 		State:  (*RegFile).State,
 		New:    func() *RegFile { return new(RegFile) },
 		Mutate: map[string]func(*RegFile) func(){"vals": func(rf *RegFile) func() { return flipWord(rf.vals, 5) }},
 	})
-	g := NewGCCFile()
+	g := New(0).GCC
 	g.Set(2, isa.W(7))
 	snaptest.Fields(t, g, snaptest.Codec[GCCFile]{
 		State:  (*GCCFile).State,
@@ -35,42 +36,70 @@ func TestRegisterFilesFieldRoundTrip(t *testing.T) {
 	})
 }
 
-// bankStream is a register bank's stream as Codec.Bools lays out the
-// scoreboard: n zero values, the count n, then the bits as one word.
-func bankStream(t *testing.T, n int, bits uint64) []byte {
+// bankStream is a register bank's stream: the count n, the scoreboard
+// and non-zero masks in one word, the pointer-tag mask, then the listed
+// registers' bits.
+func bankStream(t *testing.T, n int, full, nz, ptr uint32, listed ...uint64) []byte {
 	return snaptest.Encode(t, func(c *snap.Codec) {
-		vals := make([]isa.Word, n)
-		isa.Words(c, &vals, n)
 		c.Len(n, n)
-		c.U64(&bits)
+		masks, tags := uint64(full)|uint64(nz)<<32, uint64(ptr)
+		c.U64(&masks)
+		c.U64(&tags)
+		c.RawU64s(listed)
 	})
 }
 
-// TestRegisterBankDecodeBounds: a bank claiming more registers than a
-// scoreboard mask holds is a decode error, not a panic or a mask with a
-// register shifted out of it; bits at the bank's size and above are
-// dropped, so such a stream decodes to the state its low bits name and
-// re-encodes canonically.
+// TestRegisterBankDecodeBounds: a bank lists only its non-zero registers,
+// and a decoder refuses every stream Save would not write — more
+// registers than a mask holds, a mask bit at or above the count, a
+// pointer tag on an unlisted register, a listed register that is zero —
+// with an error, not a panic or a silently dropped bit. A valid sparse
+// bank decodes to the registers it names and re-encodes byte for byte.
 func TestRegisterBankDecodeBounds(t *testing.T) {
-	d := snap.NewDecoder(bytes.NewReader(bankStream(t, 33, 1<<32|1)))
-	new(RegFile).State(d)
-	if d.Err() == nil {
-		t.Error("a 33-register bank decoded without error")
+	n := isa.NumIntRegs
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+		want   string
+	}{
+		{"33 registers", bankStream(t, 33, 1, 0, 0), "exceeds bound"},
+		{"a scoreboard bit at the count", bankStream(t, n, 1<<n|1, 0, 0), "mask bit past"},
+		{"a non-zero bit at the count", bankStream(t, n, 1, 1<<n, 0, 7), "mask bit past"},
+		{"a pointer tag at the count", bankStream(t, n, 1, 0, 1<<n), "mask bit past"},
+		{"a pointer tag on a zero register", bankStream(t, n, 1, 1<<2, 1<<3, 7), "tags a zero register"},
+		{"a listed zero register", bankStream(t, n, 1, 1<<2|1<<5, 0, 7, 0), "lists register 5"},
+	} {
+		d := snap.NewDecoder(bytes.NewReader(tc.stream))
+		new(RegFile).State(d)
+		if err := d.Err(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: decode error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 
-	rf := new(RegFile)
-	d = snap.NewDecoder(bytes.NewReader(bankStream(t, isa.NumIntRegs, 1<<40|0xFFFF<<16|0b101)))
+	good := bankStream(t, n, 0b101, 1<<1|1<<9, 1<<9, 42, 0)
+	rf := New(0).Threads[0].Ints
+	d := snap.NewDecoder(bytes.NewReader(good))
 	rf.State(d)
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < isa.NumIntRegs; i++ {
-		if rf.Full(i) != (i == 0 || i == 2) {
-			t.Errorf("register %d full = %v, want only registers 0 and 2 full", i, rf.Full(i))
+	for i := 0; i < n; i++ {
+		want := isa.Word{}
+		switch i {
+		case 1:
+			want = isa.W(42)
+		case 9:
+			want = isa.Word{Ptr: true}
+		}
+		if rf.Full(i) != (i == 0 || i == 2) || rf.Get(i) != want {
+			t.Errorf("register %d: full %v, %+v; want full only at 0 and 2, %+v", i, rf.Full(i), rf.Get(i), want)
 		}
 	}
-	if got := snaptest.Encode(t, rf.State); !bytes.Equal(got, bankStream(t, isa.NumIntRegs, 0b101)) {
-		t.Error("the decoded bank re-encodes with bits above its size")
+	if got := snaptest.Encode(t, rf.State); !bytes.Equal(got, good) {
+		t.Error("the decoded bank re-encodes differently")
+	}
+	if zero := New(0).Threads[0].Ints; len(snaptest.Encode(t, zero.State)) != 3*8 {
+		t.Error("a bank of zero registers costs more than its count and two mask words")
 	}
 }
 
@@ -79,12 +108,12 @@ func TestRegisterBankDecodeBounds(t *testing.T) {
 func TestThreadAndClusterFieldRoundTrip(t *testing.T) {
 	prog := &isa.Program{Name: "p", Insts: []isa.Inst{{Line: 1}, {Line: 2}, {Line: 3}}}
 	other := &isa.Program{Name: "q", Insts: []isa.Inst{{Line: 4}, {Line: 5}}}
-	h := NewHThread()
+	h := New(0).Threads[0]
 	h.Load(prog, true)
 	h.PC, h.FaultMsg, h.Issued, h.OpsIssued, h.StallCycles = 1, "none", 4, 9, 2
 	snaptest.Fields(t, h, snaptest.Codec[HThread]{
 		State: (*HThread).State,
-		New:   func() *HThread { return new(HThread) },
+		New:   func() *HThread { return New(0).Threads[0] },
 		Mutate: map[string]func(*HThread) func(){
 			"Prog": func(h *HThread) func() {
 				h.Prog = other

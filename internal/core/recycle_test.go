@@ -129,10 +129,11 @@ func stormMailboxes(s *core.Sim) (string, error) {
 // stormDigests is the sha256 of the original storm's Save digests at every
 // fork point and at the end, first captured when every SEND,
 // acknowledgement and resend allocated a fresh message (re-pinned when
-// snapshot version 2 moved only the SDRAM encoding). It pins what the
+// snapshot version 2 moved only the SDRAM encoding, and when version 3
+// moved only the thread contexts' encoding). It pins what the
 // messages of the stream carry — their hop counts and cycles included —
 // at every point.
-const stormDigests = "2507cd641abad178407e6bcc181e3831cc9e9d2b4113d70ea8f7ea26c0bebc91"
+const stormDigests = "0516839baf470314828d29bc05c4c96ce1596ada05fe164afb4c6a9d672856fc"
 
 func TestRecycledMessagesNeverAlias(t *testing.T) {
 	for _, eng := range forkEngines[:3] { // naive, event, parallel2

@@ -32,12 +32,12 @@ func TestSnapshotBytesPinned(t *testing.T) {
 	}
 
 	table1 := []string{
-		"896482f6f112038d39bb3a1232841f1bbf80110ab380898cbe60514fdf953749",
-		"7bbeccfee48e4f914110f637c761704cefc014369f079adb0bd2e39813279a31",
-		"8a67b7602064febc567c8efea63ba4967645db1e2654d43c62045e05f5402906",
-		"c53572866e8dcd0102b976100a1f54e638708f6f485fc37ce3b1d4e53fb91060",
-		"d957c6965ffe5215be75e00f68c08f54ac7a092c30f00c6d0758dcccf550100a",
-		"ac62721da66c109cd5e9be98358a596ab73a9b420ed31fbf37be17a9e7d4a0ab",
+		"6bde725c6062dacfd0738f840de3e07e74a8925ca6895c3e0225e9d16ce1db1c",
+		"20aa246a6065042fd8bc85d77e8a6d31ca0b0bc7f8e895e0d311bd30a43ac5a9",
+		"4193a72512231f10aa34cce5cbe077df94cc8dcc71239a37ce6ea81227e1a9dd",
+		"4ec98ede623b9a304e5a5243369dee272d414c873b82dd128480ddc573c906a6",
+		"8fbabf37311dfc060b81631701f14d5c47598d57c4f5218a07007b9cf2ae67cb",
+		"20308e7fc3f179e6cd6349d803338c71dd2e867f40888d3ee884daa9be271978",
 	}
 	for class := core.AccessClass(0); class < core.NumAccessClasses; class++ {
 		s, err := core.NewSim(core.Options{Nodes: 2})
@@ -60,14 +60,14 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		save, shard string
 	}{
 		{0,
-			"f38593c18b8277b2529032a4169ce01c429ca61270f4d7fb90867a299260cc19",
-			"532dbd053a7a57f96855f51b5f49c951138e41353d7de3884d8ea39ea790b63c"},
+			"c6befebabba982b368e09789ac3ca92f6ab33d624aabeb8247a401b560923b99",
+			"f791e7602e57602dd2462032dc94b98027733612209908a8f16b2bf23e1cb6c8"},
 		{5,
-			"33add4145e4a4bb1543700958a8cc88a7bab1a1b03368c9120279f480b27e482",
-			"215299fb4570c17adb5a7137850790f97b5fb73adb952ff65c89456acde54946"},
+			"7982a15e37e7cc7ee0ca66103ed3515129a5859840f37ace1d9a0a8c4bad3a6d",
+			"0126744927a4bece522b79dbdf5fdf00e300782fbe59f4657c9bb14dba1db93f"},
 		{8,
-			"75fe0dcab07c6e15cf80705e7b49d1e0ee8bff318ef4b0134ecd4c974c23bc92",
-			"b84c2906fe97bced1401e1d932b880c839f0b72cc53b826dc347b65ffa33d1ba"},
+			"d4f99fbfcacaec9bf83b519a94b94beb46100e0d8372efea8eefe0eec55d3eba",
+			"96cd6de7848d5a1aebf7547895763bd31a909ff3e5d7d771344ca57e3c6b2666"},
 	} {
 		name, src := wgen.Source(c.seed)
 		sc, err := core.ScenarioFromDSL(name+".wl", src)

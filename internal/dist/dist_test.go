@@ -580,6 +580,9 @@ func TestDistPullDiesHalfway(t *testing.T) {
 // TestDistSeedsOneMachinePerLeg: each worker is seeded with its own range
 // only, so a leg's seeds to 3 shards of an 8-node mesh total about one
 // frame of the whole machine (a full snapshot per worker is 3x that).
+// Each frame is a stream of its own, so it also carries its own program
+// table: the bound is one frame of the machine plus the table entries the
+// three ranges' frames repeat.
 func TestDistSeedsOneMachinePerLeg(t *testing.T) {
 	sc, err := core.ScenarioFromDSL("bench.wl", benchSource)
 	if err != nil {
@@ -611,12 +614,39 @@ func TestDistSeedsOneMachinePerLeg(t *testing.T) {
 		if err := m.EncodeShard(&whole, 0, 8); err != nil {
 			t.Fatal(err)
 		}
+		repeated := -programTable(m, 0, 8)
+		for _, rg := range ranges {
+			repeated += programTable(m, rg[0], rg[1])
+		}
 		m.Close()
-		t.Logf("leg %d: %d seed bytes, one 8-node frame %d", leg/3, sent, whole.Len())
-		if float64(sent) > 1.05*float64(whole.Len()) {
-			t.Errorf("leg %d: seeds total %d bytes, over 1.05x the %d of one frame of the machine", leg/3, sent, whole.Len())
+		t.Logf("leg %d: %d seed bytes, one 8-node frame %d, repeated program table entries %d", leg/3, sent, whole.Len(), repeated)
+		if bound := 1.05 * float64(whole.Len()+repeated); float64(sent) > bound {
+			t.Errorf("leg %d: seeds total %d bytes, over 1.05x the %d of one frame of the machine plus %d of repeated program table entries", leg/3, sent, whole.Len(), repeated)
 		}
 	}
+}
+
+// programTable returns the bytes the program table of a stream holding
+// nodes [lo, hi) takes beyond its program references: for each distinct
+// program, its name and its words, each with its length.
+func programTable(m *machine.Machine, lo, hi int) int {
+	seen := map[string]bool{}
+	n := 0
+	for _, ch := range m.Chips[lo:hi] {
+		for _, cl := range ch.Clusters {
+			for _, th := range cl.Threads {
+				if th.Prog == nil {
+					continue
+				}
+				words := isa.EncodeProgram(th.Prog)
+				if key := fmt.Sprint(th.Prog.Name, words); !seen[key] {
+					seen[key] = true
+					n += 8 + len(th.Prog.Name) + 8 + 8*len(words)
+				}
+			}
+		}
+	}
+	return n
 }
 
 // TestDistRecoveryLimit proves the coordinator gives up instead of

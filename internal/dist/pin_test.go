@@ -40,7 +40,7 @@ func pinnedFrames() []pinnedFrame {
 			{Act: activity{Next: machine.NoEvent}},
 		}})},
 		{"activity", "1da77f5fda4e737378ac00129facb162b3666edc8f864319e9b79fe0a8f47c18", encodeActivityFrame(&act)},
-		{"seed", "c113bde7dfd6d8ed9b68325bb447171eb5e3592979f04a1710a60b5dfa1046d3", seedFrame()},
+		{"seed", "16d340db1ab75593d6265ad7a558526b36b646bc040512988a471dbd58719248", seedFrame()},
 	}
 }
 

@@ -49,8 +49,9 @@ import (
 // protoVersion gates the handshake: a coordinator and worker from
 // different builds refuse to pair instead of corrupting each other.
 // Version 5 frames carry only the SDRAM pages that hold data; version 6
-// is one reply per command, with nothing unsolicited.
-const protoVersion = 6
+// is one reply per command, with nothing unsolicited; version 7 frames
+// carry the snapshot version 3 thread contexts.
+const protoVersion = 7
 
 // Frame kinds. Commands flow coordinator -> worker, replies worker ->
 // coordinator, exactly one reply per command (a worker's hello is the

@@ -160,7 +160,7 @@ func everyKind() trace.Recorder {
 }
 
 // TestHandshakeVersionMismatch pairs the coordinator with a worker that
-// speaks the previous protocol (a liveness beacon, a shutdown command): New must
+// speaks the previous protocol (frames of snapshot version 2): New must
 // refuse it with the handshake error — an ordinary error, not a shard
 // failure the supervision loop would try to recover from.
 func TestHandshakeVersionMismatch(t *testing.T) {
@@ -169,15 +169,15 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 	m := machine.New(cfg)
 	defer m.Close()
 	_, err := New(m, Config{Shards: 1, Launcher: oldWorkerLauncher{}})
-	if err == nil || !strings.Contains(err.Error(), "shard 0 speaks protocol 5, coordinator 6") {
-		t.Fatalf("New with a version-5 worker: %v", err)
+	if err == nil || !strings.Contains(err.Error(), "shard 0 speaks protocol 6, coordinator 7") {
+		t.Fatalf("New with a version-6 worker: %v", err)
 	}
 	if _, recoverable := err.(*ShardFailure); recoverable || guard.Classify(err) != guard.ClassScenario {
 		t.Errorf("handshake refusal classified %v (%T), want a plain scenario error", guard.Classify(err), err)
 	}
 }
 
-// oldWorkerLauncher starts workers that greet with protocol version 5 and
+// oldWorkerLauncher starts workers that greet with protocol version 6 and
 // then only read until the coordinator hangs up.
 type oldWorkerLauncher struct{}
 
@@ -185,7 +185,7 @@ func (oldWorkerLauncher) Start(int) (Handle, error) {
 	cc, wc := net.Pipe()
 	go func() {
 		defer wc.Close()
-		if writeFrame(wc, repHello, encodeI64(5)) != nil {
+		if writeFrame(wc, repHello, encodeI64(6)) != nil {
 			return
 		}
 		for {

@@ -523,6 +523,18 @@ type Program struct {
 	// prepared guards the Needs summaries: machines on several goroutines
 	// may load one program at once (the runtime's handlers are shared).
 	prepared sync.Once `snap:"derived,summaries recomputed by Prepare"`
+
+	// encoded caches EncodeProgram's words for every snapshot that carries
+	// the program; encodedOnce fills it once, as prepared does the Needs.
+	encoded     []uint64  `snap:"derived,a cache of EncodeProgram"`
+	encodedOnce sync.Once `snap:"derived,guards encoded"`
+}
+
+// Encoded returns EncodeProgram(p), computed on the first call. The
+// caller must not modify the words, nor p afterwards.
+func (p *Program) Encoded() []uint64 {
+	p.encodedOnce.Do(func() { p.encoded = EncodeProgram(p) })
+	return p.encoded
 }
 
 // Prepare fills every instruction's Needs summaries, once per program,

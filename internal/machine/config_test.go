@@ -120,8 +120,18 @@ func TestReadShardConfigBounds(t *testing.T) {
 // TestNewAllocationPin: booting a mesh costs what its nodes have touched
 // — the network, the chips, one SDRAM page each for the page allocator's
 // counter — not every node's full cache line array or a 64-KByte SDRAM
-// chunk per node.
+// chunk per node; and a 4x4x2 mesh boots in a few dozen allocations per
+// node (each cluster's thread contexts and register words are carved
+// from three allocations).
 func TestNewAllocationPin(t *testing.T) {
+	small := machine.DefaultConfig()
+	small.Dims = noc.Coord{X: 4, Y: 4, Z: 2}
+	const allocBound = 1600
+	if n := testing.AllocsPerRun(4, func() { machine.New(small).Close() }); n > allocBound {
+		t.Errorf("machine.New of a %v mesh makes %.0f allocations, want <= %d", small.Dims, n, allocBound)
+	} else {
+		t.Logf("machine.New of a %v mesh: %.0f allocations", small.Dims, n)
+	}
 	for _, tc := range []struct {
 		dims  noc.Coord
 		bound uint64

@@ -37,8 +37,9 @@ import (
 
 // SnapshotVersion is the current snapshot format version. Restore rejects
 // any other version; the format has no cross-version migration. Version 2
-// writes only the SDRAM pages that hold data.
-const SnapshotVersion = 2
+// writes only the SDRAM pages that hold data; version 3 writes each
+// program once per stream and only the non-zero registers of a bank.
+const SnapshotVersion = 3
 
 // Magic words bracketing a snapshot stream ("MSIMSNAP" / "MSIMEND\n" as
 // little-endian words): the header identifies the format before anything

@@ -222,6 +222,87 @@ func maskStreams(f *testing.F, base []byte) [][]byte {
 	return out
 }
 
+// threadStreams returns 1-node snapshots whose thread contexts are
+// rewritten five ways Save never writes them: a program reference past
+// the stream's program table; a new table entry repeating an earlier
+// one; a register bank listing a zero register, tagging a register it
+// does not list as a pointer, and naming register 16 of a 16-register
+// bank. Each must fail to restore. Node 0's slot (v0, c0), the stream's
+// first thread, runs a program (table entry 0); the empty slot after it,
+// (v1, c0), carries markers: its stall count, which its program
+// reference follows, and integer register 3, its only non-zero register,
+// which its bank's masks and pointer-tag word precede.
+func threadStreams(tb testing.TB) [][]byte {
+	tb.Helper()
+	const stallMark, regMark = 0x5eed_57a1_1c0c_0001, 0x5eed_4e61_57e4_0003
+	s, err := core.NewSim(core.Options{Nodes: fuzzNodes})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer s.M.Close()
+	p, err := asm.Assemble("spin", "loop:\n    add i2, i2, #1\n    br loop\n")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s.LoadProgram(0, 0, 0, p, true)
+	empty := s.M.Chips[0].Clusters[0].Threads[1]
+	empty.StallCycles = stallMark
+	empty.Ints.Set(3, isa.W(regMark))
+	var b bytes.Buffer
+	if err := s.M.Save(&b); err != nil {
+		tb.Fatal(err)
+	}
+	base := b.Bytes()
+	at := func(mark uint64) int {
+		m := binary.LittleEndian.AppendUint64(nil, mark)
+		if bytes.Count(base, m) != 1 {
+			tb.Fatalf("marker %#x is not unique in the snapshot", mark)
+		}
+		return bytes.Index(base, m)
+	}
+	ref, reg := at(stallMark)+8, at(regMark)
+	word := func(off int, v uint64) []byte {
+		out := bytes.Clone(base)
+		binary.LittleEndian.PutUint64(out[off:], v)
+		return out
+	}
+	// The repeated entry: reference 2 (the next entry, index 1), then the
+	// name and words of entry 0.
+	var entry bytes.Buffer
+	enc := snap.NewEncoder(&entry)
+	name, words := p.Name, isa.EncodeProgram(p)
+	enc.String(&name, len(name))
+	enc.U64s(&words, len(words))
+	if err := enc.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	repeat := slices.Concat(base[:ref], binary.LittleEndian.AppendUint64(nil, 2), entry.Bytes(), base[ref+8:])
+	masks := binary.LittleEndian.Uint64(base[reg-16:])
+	var out [][]byte
+	for _, c := range []struct {
+		name, want string
+		stream     []byte
+	}{
+		{"a program index past the table", "past a table", word(ref, 1<<40)},
+		{"a repeated table entry", "repeats entry 0", repeat},
+		{"a listed zero register", "lists register 3, which is zero", word(reg, 0)},
+		{"a pointer tag outside the non-zero mask", "tags a zero register", word(reg-8, 1<<5)},
+		{"a mask bit at the bank's count", "mask bit past", word(reg-16, masks|1<<(32+isa.NumIntRegs))},
+	} {
+		m, _, err := newFuzzTarget()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		err = m.Restore(bytes.NewReader(c.stream))
+		m.Close()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			tb.Fatalf("%s: restore error %v, want one containing %q", c.name, err, c.want)
+		}
+		out = append(out, c.stream)
+	}
+	return out
+}
+
 // emptiedLTLBOrder returns a 1-node snapshot whose node 0 LTLB keeps its
 // entries but lists none of them in its replacement order: a decoder
 // that accepted it would hand the chip an LTLB whose next eviction
@@ -364,7 +445,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(scenarioSnapshot(f, "loopsync2.wl")) // mesh 1: full decode path
 	stencil := scenarioSnapshot(f, "stencil7x2.wl")
 	f.Add(stencil) // mesh 1: full decode path
-	for _, crafted := range slices.Concat(unorderedStreams(f, stencil), maskStreams(f, stencil)) {
+	for _, crafted := range slices.Concat(unorderedStreams(f, stencil), maskStreams(f, stencil), threadStreams(f)) {
 		f.Add(crafted)
 	}
 	f.Add(emptiedLTLBOrder(f, stencil))

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/noc"
@@ -322,6 +323,48 @@ func TestSnapshotSDRAMSize(t *testing.T) {
 	const page = (512 + 2*8) * 8 // words, pointer-tag words, sync words
 	if got, want := section(m)-before, 8+8+2*page; got != want {
 		t.Errorf("two written pages of one chunk add %d bytes to the SDRAM section, want %d (one index, one mask, two pages)", got, want)
+	}
+}
+
+// TestSnapshotThreadSize: a thread context costs what it holds. An empty
+// slot writes its control words, a program reference and two banks of
+// masks — no register values. Thirty-two nodes running one handler carry
+// its words once, in the stream's program table, and the stream depends
+// on the program's contents, not on how many objects hold them.
+func TestSnapshotThreadSize(t *testing.T) {
+	const emptySlot = 8 + 1 + 8 + 8 + 3*8 + 8 + 2*3*8 // status, privilege, PC, fault, stats, program, banks
+	m := oneNode(t)
+	enc := snaptest.Encode(t, m.Chips[0].Clusters[1].Threads[2].State)
+	if len(enc) != emptySlot {
+		t.Errorf("an empty slot writes %d bytes, want %d", len(enc), emptySlot)
+	}
+
+	const src = "movi i1, #6\nmul i2, i1, #7\nhalt"
+	save := func(progs func(node int) *isa.Program) []byte {
+		cfg := machine.DefaultConfig()
+		cfg.Dims = noc.Coord{X: 4, Y: 4, Z: 2}
+		m := machine.New(cfg)
+		defer m.Close()
+		for i, ch := range m.Chips {
+			ch.LoadProgram(0, i%isa.NumClusters, progs(i), false)
+		}
+		var b bytes.Buffer
+		if err := m.Save(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	shared := asm.MustAssemble("handler", src)
+	one := save(func(int) *isa.Program { return shared })
+	var words []byte
+	for _, w := range isa.EncodeProgram(shared) {
+		words = binary.LittleEndian.AppendUint64(words, w)
+	}
+	if n := bytes.Count(one, words); n != 1 {
+		t.Errorf("32 nodes running one program carry its words %d times, want once", n)
+	}
+	if copies := save(func(int) *isa.Program { return asm.MustAssemble("handler", src) }); !bytes.Equal(copies, one) {
+		t.Errorf("32 equal copies of a program save %d bytes unlike one shared program's %d", len(copies), len(one))
 	}
 }
 

@@ -77,7 +77,7 @@ func TestCheckpointBytesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "54f370884c883e335474ebb1d9afb0c8f4895ceddfded548b15d17709405396e"
+	const want = "0c5f7d1475dc865e695b627a5efb576850d25bf3dea7f9b7f171484f606b3728"
 	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want {
 		t.Errorf("checkpoint sha256 %s, want %s", got, want)
 	}
@@ -88,14 +88,21 @@ func TestCheckpointBytesPinned(t *testing.T) {
 // SDRAM chunks) is refused by Restore, so the adopted session falls back
 // to a fresh start: it finishes with the from-scratch digest and counts
 // no restore.
-func TestVersion1CheckpointRestartsFromScratch(t *testing.T) {
+func TestVersion1CheckpointRestartsFromScratch(t *testing.T) { oldCheckpointRestarts(t, 1) }
+
+// TestVersion2CheckpointRestartsFromScratch: the same for snapshot
+// version 2 (the format that wrote every register of every thread
+// context and each thread's program in full).
+func TestVersion2CheckpointRestartsFromScratch(t *testing.T) { oldCheckpointRestarts(t, 2) }
+
+func oldCheckpointRestarts(t *testing.T, version uint64) {
 	cfg := testConfig(t)
 	path := pinnedCheckpoint(t, cfg.Spool)
 	ck, err := readCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint64(ck.Machine[8:], 1) // the word after the magic
+	binary.LittleEndian.PutUint64(ck.Machine[8:], version) // the word after the magic
 	if err := writeCheckpoint(path, ck); err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +115,8 @@ func TestVersion1CheckpointRestartsFromScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sim.M.Close()
-	if err := sim.M.Restore(bytes.NewReader(ck.Machine)); err == nil || !strings.Contains(err.Error(), "version 1") {
-		t.Fatalf("restoring the version-1 stream: %v, want the version refused", err)
+	if err := sim.M.Restore(bytes.NewReader(ck.Machine)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", version)) {
+		t.Fatalf("restoring the version-%d stream: %v, want the version refused", version, err)
 	}
 
 	want := digestOf(t, mustServer(t, testConfig(t)), ck.Name, ck.Source)
@@ -129,7 +136,7 @@ func TestVersion1CheckpointRestartsFromScratch(t *testing.T) {
 		t.Errorf("digest %s, want the from-scratch run's %s", got.Digest, want.Digest)
 	}
 	if n := sv.Stats().Restores; n != 0 {
-		t.Errorf("stats restores %d, want 0 (a version-1 stream must not restore)", n)
+		t.Errorf("stats restores %d, want 0 (a version-%d stream must not restore)", n, version)
 	}
 }
 

@@ -107,7 +107,7 @@ type Codec struct {
 	reading bool
 	err     error
 	stage   []uint64 // reused staging buffer (Stage)
-	memo    any      // per-stream scratch map (Memo)
+	memo    any      // per-stream scratch value (Memo)
 
 	w   io.Writer // encoding: the sink
 	buf []byte    // encoding: bytes not yet handed to w
@@ -173,13 +173,13 @@ func (c *Codec) Stage(n int) []uint64 {
 }
 
 // Memo returns per-stream scratch space for walks that share work across
-// one stream — e.g. encoding or decoding each distinct embedded program
-// once however many thread contexts run it. A stream holds one map:
-// asking for a different key or value type replaces it.
-func Memo[K comparable, V any](c *Codec) map[K]V {
-	m, ok := c.memo.(map[K]V)
+// one stream — e.g. the program table that writes each distinct embedded
+// program once however many thread contexts run it. A stream holds one
+// value, zero on first use: asking for a different type replaces it.
+func Memo[T any](c *Codec) *T {
+	m, ok := c.memo.(*T)
 	if !ok {
-		m = make(map[K]V)
+		m = new(T)
 		c.memo = m
 	}
 	return m

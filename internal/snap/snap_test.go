@@ -204,17 +204,17 @@ func TestLargeSliceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMemoAndElem: a stream's memo holds one map, replaced when a walk
+// TestMemoAndElem: a stream's memo holds one value, replaced when a walk
 // asks for another type; Elem grows a decoded list one element at a time
 // and leaves an encoded one alone.
 func TestMemoAndElem(t *testing.T) {
 	c := NewEncoder(io.Discard)
-	Memo[string, int](c)["a"] = 1
-	if Memo[string, int](c)["a"] != 1 {
-		t.Error("memo lost its entry")
+	*Memo[int](c) = 1
+	if *Memo[int](c) != 1 {
+		t.Error("memo lost its value")
 	}
-	if len(Memo[int, int](c)) != 0 || len(Memo[string, int](c)) != 0 {
-		t.Error("a memo of another type did not replace the map")
+	if *Memo[string](c) != "" || *Memo[int](c) != 0 {
+		t.Error("a memo of another type did not replace the value")
 	}
 
 	list := []int{4, 5}
