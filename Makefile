@@ -9,10 +9,10 @@
 # end-to-end msim -save/-restore round trip, a run of every example, an
 # end-to-end run of every checked-in workload scenario
 # (testdata/workloads/*.wl under msim, and the sweep-free ones again under
-# msim -shards 2, digests compared), a fuzzing smoke over the snapshot
-# decoder and the runs of the snapshots it accepts, the DSL front end,
-# msimd's checkpoint envelope, assembled programs, scenario runs and the
-# dist wire frames, a one-shot benchmark smoke pass (every
+# msim -shards 2 and -shards 3, digests compared), a fuzzing smoke over
+# the snapshot decoder and the runs of the snapshots it accepts, the DSL
+# front end, msimd's checkpoint envelope, assembled programs, scenario
+# runs and the dist wire frames, a one-shot benchmark smoke pass (every
 # benchmark runs once, so a panicking or regressed-to-failure benchmark
 # breaks CI without paying for measurement), and a benchdiff over the two
 # most recent BENCH_<n>.json records (any metric delta or disappearance
@@ -103,8 +103,8 @@ examples:
 # Run every checked-in workload scenario end to end under msim: a parse
 # error, a failed expectation, or a phase divergence fails the gate. Every
 # sweep-free scenario (the distributed engine cannot follow a sweep's
-# forks) also runs on two shard worker processes, which must print the
-# in-process run's digest line.
+# forks) also runs on two and on three shard worker processes (three give
+# uneven node ranges), which must print the in-process run's digest line.
 wl:
 	@tmp=$$(mktemp -d); $(GO) build -o $$tmp/msim ./cmd/msim || exit 1; \
 	for f in testdata/workloads/*.wl; do \
@@ -112,10 +112,12 @@ wl:
 		out=$$($$tmp/msim -workload $$f) || { rm -rf $$tmp; exit 1; }; \
 		d=$$(printf '%s\n' "$$out" | grep '^digest: ') || { rm -rf $$tmp; exit 1; }; \
 		grep -q '^sweep ' $$f && continue; \
-		echo "msim -shards 2 -workload $$f"; \
-		out=$$($$tmp/msim -shards 2 -workload $$f) || { rm -rf $$tmp; exit 1; }; \
-		s=$$(printf '%s\n' "$$out" | grep '^digest: ') || { rm -rf $$tmp; exit 1; }; \
-		[ "$$s" = "$$d" ] || { echo "wl: $$f: sharded $$s, in process $$d"; rm -rf $$tmp; exit 1; }; \
+		for n in 2 3; do \
+			echo "msim -shards $$n -workload $$f"; \
+			out=$$($$tmp/msim -shards $$n -workload $$f) || { rm -rf $$tmp; exit 1; }; \
+			s=$$(printf '%s\n' "$$out" | grep '^digest: ') || { rm -rf $$tmp; exit 1; }; \
+			[ "$$s" = "$$d" ] || { echo "wl: $$f: $$n shards $$s, in process $$d"; rm -rf $$tmp; exit 1; }; \
+		done; \
 	done; rm -rf $$tmp; echo "wl: all scenarios OK, sharded digests equal"
 
 # Native fuzzing smoke over the snapshot decoder (corrupt stream =>

@@ -62,8 +62,9 @@ type Options struct {
 	// Workers selects the parallel chip engine: busy cycles shard the chip
 	// phase across this many goroutines (machine.Config.Workers). 0 and 1
 	// are serial, -1 uses GOMAXPROCS. Bit-identical to the serial engines
-	// on any mesh (TestDeterminismThreeWay); it pays off once the mesh is
-	// large and busy — use it for ≥ 16-node scenarios.
+	// on any mesh (TestDeterminismThreeWay), but slower than them: with
+	// GOMAXPROCS=2, BenchmarkParallelSpeedup measured 0.49x / 0.77x /
+	// 0.79x of serial speed on 8 / 32 / 128 nodes.
 	Workers int
 	// Supervise bounds supervised scenario execution (Scenario.Run/RunSim):
 	// its wall-clock Timeout, its CycleBudget across all run phases, and

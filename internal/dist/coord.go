@@ -17,14 +17,13 @@ package dist
 // One exchange steps a window of W = noc.Network.Lookahead() cycles (3
 // by default), clipped so it never contains a loop head that could end
 // the leg or take a checkpoint, nor crosses the leg's bound or the cycle
-// the caller stops at. Nothing injected inside a window reaches a chip
-// before the window ends, so every delivery the window's chips can see is
-// made by hub Steps the coordinator can preview at its start, on a clone
-// of the hub network; the workers get those deliveries tagged with their
-// visibility cycle, and their per-cycle replies are replayed here cycle by
-// cycle — inject, retire, trace, Net.Step, QuietLoop.Head — with each
-// replayed Step checked against the preview (DESIGN.md, "The distributed
-// engine").
+// the caller stops at. Nothing injected inside a window moves before its
+// last cycle, so the coordinator steps the hub network through every
+// cycle but the last before the exchange, shipping each delivery tagged
+// with its visibility cycle; the workers' per-cycle replies are then
+// replayed here cycle by cycle — inject, retire, trace, QuietLoop.Head —
+// and the hub network steps the window's last cycle (DESIGN.md, "The
+// distributed engine").
 //
 // Supervision: a worker answers each command with exactly one reply, so
 // the coordinator bounds every read by one wall deadline and classifies
@@ -167,18 +166,12 @@ type Coordinator struct {
 
 	// Window buffers, reused every exchange: each shard's command and
 	// reply, each shard's failure in the latest exchange and its decoded
-	// pull, the deliveries the window's preview shipped (in the order the
-	// replay must confirm them) with the confirmation cursor, the
-	// preview's per-queue watermark, and the last cycle the latest step
-	// exchange reached.
-	cmds      []stepCmd
-	reps      []stepReply
-	fails     []*ShardFailure
-	pulled    []*machine.ShardFrame
-	previewed []delivery
-	confirmed int
-	mark      [][2]int
-	reach     int64
+	// pull, and the last cycle the latest step exchange reached.
+	cmds   []stepCmd
+	reps   []stepReply
+	fails  []*ShardFailure
+	pulled []*machine.ShardFrame
+	reach  int64
 
 	ck           checkpoint
 	seedBuf      *bytes.Buffer // the seed being sent, from snapBufs until Close
@@ -222,7 +215,6 @@ func New(m *machine.Machine, cfg Config) (*Coordinator, error) {
 		reps:    make([]stepReply, cfg.Shards),
 		fails:   make([]*ShardFailure, cfg.Shards),
 		pulled:  make([]*machine.ShardFrame, cfg.Shards),
-		mark:    make([][2]int, nodes),
 		chaos:   append([]ChaosSpec(nil), cfg.Chaos...),
 		kill:    append([]KillSpec(nil), cfg.Kill...),
 	}
@@ -580,15 +572,19 @@ func (co *Coordinator) runLeg(until int64) (bool, error) {
 	return true, co.faultErr()
 }
 
-// stepWindow advances the federation through the cycles from co.cycle to
-// end, at most Lookahead() of them, in one exchange: fire the kill drills
-// the window reaches, ship every delivery the window's chips will see,
-// step every shard through the window, then replay the window cycle by
-// cycle — inject outboxes in global node order, retire confirmed
-// consumptions, buffer traces, step the hub network, confirm its
-// deliveries against the preview — making the loop's Head call at every
-// loop head inside the window. The caller clips end so that none of those
-// calls can end the leg.
+// stepWindow advances the federation through the cycles t = co.cycle …
+// end-1, at most Lookahead() of them, in one exchange: fire the kill
+// drills the window reaches, step the hub network through t … end-2 and
+// ship every delivery the window's chips will see, step every shard
+// through the window, replay it cycle by cycle — inject outboxes in
+// global node order, retire confirmed consumptions, buffer traces, make
+// the loop's Head call at every loop head inside the window — and step
+// the hub network through end-1. The caller clips end so that none of
+// those calls can end the leg. The order is exact: nothing injected at or
+// after t moves before end-1, newer traffic never moves an older
+// delivery, Step reads no arrival queue, and a Step only moves flights
+// into queues, so every Head sees the Quiescent a cycle-by-cycle replay
+// would show it.
 func (co *Coordinator) stepWindow(end int64) *ShardFailure {
 	t := co.cycle
 	end = min(end, t+co.m.Net.Lookahead())
@@ -603,22 +599,16 @@ func (co *Coordinator) stepWindow(end int64) *ShardFailure {
 		i++
 	}
 
-	// Ship what the hub holds beyond each owner's shipped watermark,
-	// visible from t, then what the hub will deliver inside the window.
 	for i := range co.cmds {
 		co.cmds[i] = stepCmd{Cycle: t, Width: int(end - t), Deliveries: co.cmds[i].Deliveries[:0]}
 	}
-	for _, n := range co.m.Net.ArrivalNodes() {
-		cmd := &co.cmds[co.owner[n]]
-		for pri := 0; pri < 2; pri++ {
-			q := co.m.Net.ArrivalsAt(n, pri)
-			for _, msg := range q[co.shipped[n][pri]:] {
-				cmd.Deliveries = append(cmd.Deliveries, delivery{At: t, Node: n, Pri: pri, Msg: msg})
-			}
-			co.shipped[n][pri] = len(q)
+	co.ship(t)
+	for s := t; s < end-1; s++ {
+		if co.m.Net.NeedsStep(s) {
+			co.m.Net.Step(s)
+			co.ship(s + 1)
 		}
 	}
-	co.preview(t, end)
 
 	f := co.exchange(cmdStep, repStep,
 		func(i int) []byte { return encodeStep(&co.shards[i].stepBuf, co.m.Net, &co.cmds[i]) },
@@ -637,7 +627,9 @@ func (co *Coordinator) stepWindow(end int64) *ShardFailure {
 
 	// Replay in shard order — which is global node order, so the hub
 	// assigns the same message sequence numbers as an in-process drain
-	// phase.
+	// phase. A cycle's section may retire, from an owned node's queue,
+	// only messages shipped to it and visible at that cycle: delivered by
+	// a Step before it.
 	for s := t; s < end; s++ {
 		for i, sc := range co.shards {
 			out := &co.reps[i].Cycles[s-t]
@@ -646,7 +638,8 @@ func (co *Coordinator) stepWindow(end int64) *ShardFailure {
 			}
 			for _, c := range out.Consumed {
 				if c.Node < sc.lo || c.Node >= sc.hi || c.Pri < 0 || c.Pri > 1 ||
-					c.N <= 0 || c.N > co.shipped[c.Node][c.Pri] {
+					c.N <= 0 || c.N > co.shipped[c.Node][c.Pri] ||
+					co.m.Net.ArrivalsAt(c.Node, c.Pri)[c.N-1].DeliveredAt >= s {
 					return co.fail(sc, guard.ClassCrash,
 						fmt.Errorf("bogus consumption: node %d pri %d n %d at cycle %d", c.Node, c.Pri, c.N, s))
 				}
@@ -656,89 +649,31 @@ func (co *Coordinator) stepWindow(end int64) *ShardFailure {
 			co.pendingTrace.Drain(&out.Trace)
 			co.acts[i] = out.Act
 		}
-		stepped := co.m.Net.NeedsStep(s)
-		if stepped {
-			co.m.Net.Step(s)
-		}
 		if s+1 < end {
-			if f := co.confirm(s, stepped); f != nil {
-				return f
-			}
 			co.loop.Head(co.totals(), co.m.Net) // false: end is inside the loop's Horizon
 		}
+	}
+	if co.m.Net.NeedsStep(end - 1) {
+		co.m.Net.Step(end - 1)
 	}
 	co.cycle = end
 	return nil
 }
 
-// preview appends to the shards' commands every delivery hub Steps t …
-// end-2 will make — the last Step whose deliveries a chip in the window
-// can see — tagged with the cycle after its Step, and records them for
-// confirm. It steps a clone of the hub network: the messages the window
-// will inject cannot move before t+Lookahead()-1 > end-2, and the older
-// flights' timing does not depend on them.
-func (co *Coordinator) preview(t, end int64) {
-	co.previewed, co.confirmed = co.previewed[:0], 0
-	last := end - 2
-	if last < t || !co.m.Net.NeedsStep(last) {
-		return // no flight can move, so none is delivered, before end-1
-	}
-	p := co.m.Net.Clone()
-	copy(co.mark, co.shipped) // the clone's queues hold what the hub's hold: all shipped
-	for s := t; s <= last; s++ {
-		if !p.NeedsStep(s) {
-			continue
-		}
-		p.Step(s)
-		for _, n := range p.DeliveredNodes() {
-			cmd := &co.cmds[co.owner[n]]
-			for pri := 0; pri < 2; pri++ {
-				q := p.ArrivalsAt(n, pri)
-				for _, msg := range q[co.mark[n][pri]:] {
-					d := delivery{At: s + 1, Node: n, Pri: pri, Msg: msg}
-					cmd.Deliveries = append(cmd.Deliveries, d)
-					co.previewed = append(co.previewed, d)
-				}
-				co.mark[n][pri] = len(q)
+// ship appends to the owners' commands every message the hub holds beyond
+// its owner's shipped watermark, tagged visible from cycle at, and moves
+// the watermarks over them.
+func (co *Coordinator) ship(at int64) {
+	for _, n := range co.m.Net.ArrivalNodes() {
+		cmd := &co.cmds[co.owner[n]]
+		for pri := 0; pri < 2; pri++ {
+			q := co.m.Net.ArrivalsAt(n, pri)
+			for _, msg := range q[co.shipped[n][pri]:] {
+				cmd.Deliveries = append(cmd.Deliveries, delivery{At: at, Node: n, Pri: pri, Msg: msg})
 			}
+			co.shipped[n][pri] = len(q)
 		}
 	}
-}
-
-// confirm checks, after the replay of cycle s, that hub Step(s) made
-// exactly the deliveries the preview shipped for cycle s+1 — same node,
-// priority, message and order — and moves the shipped watermarks over
-// them. A mismatch means the window rule was violated: a protocol error.
-func (co *Coordinator) confirm(s int64, stepped bool) *ShardFailure {
-	if stepped {
-		for _, n := range co.m.Net.DeliveredNodes() {
-			for pri := 0; pri < 2; pri++ {
-				q := co.m.Net.ArrivalsAt(n, pri)
-				for _, msg := range q[co.shipped[n][pri]:] {
-					if co.confirmed == len(co.previewed) {
-						return co.unpreviewed(s, n)
-					}
-					d := co.previewed[co.confirmed]
-					if d.At != s+1 || d.Node != n || d.Pri != pri || d.Msg.Seq != msg.Seq {
-						return co.unpreviewed(s, n)
-					}
-					co.confirmed++
-				}
-				co.shipped[n][pri] = len(q)
-			}
-		}
-	}
-	if co.confirmed < len(co.previewed) && co.previewed[co.confirmed].At == s+1 {
-		return co.unpreviewed(s, co.previewed[co.confirmed].Node)
-	}
-	return nil
-}
-
-// unpreviewed is confirm's failure: hub Step(s) and the preview disagree
-// at node n.
-func (co *Coordinator) unpreviewed(s int64, n int) *ShardFailure {
-	return co.fail(co.shards[co.owner[n]], guard.ClassCrash,
-		fmt.Errorf("protocol: hub Step(%d) delivered to node %d other than the window's preview shipped", s, n))
 }
 
 // takeCheckpoint records a coordinated rewind point at the current clock:

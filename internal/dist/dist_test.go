@@ -12,9 +12,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -399,17 +401,24 @@ func (l earlyLauncher) Start(shard int) (Handle, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &earlyHandle{Handle: h, net: noc.New(l.dims, noc.DefaultConfig())}, nil
+	return &stepRewriter{Handle: h, net: noc.New(l.dims, noc.DefaultConfig()), edit: func(rep *stepReply) bool {
+		for k := range rep.Cycles {
+			rep.Cycles[k].Act.Next = 0 // due now, whatever now is
+		}
+		return true
+	}}, nil
 }
 
-// earlyHandle rewrites step replies on their way to the coordinator.
-type earlyHandle struct {
+// stepRewriter hands each step reply to edit on its way to the
+// coordinator, and sends it on re-encoded if edit reports a change.
+type stepRewriter struct {
 	Handle
 	net  *noc.Network // message codec only
-	rest []byte       // rewritten bytes not yet read
+	edit func(rep *stepReply) bool
+	rest []byte // rewritten bytes not yet read
 }
 
-func (h *earlyHandle) Read(p []byte) (int, error) {
+func (h *stepRewriter) Read(p []byte) (int, error) {
 	if len(h.rest) == 0 {
 		kind, payload, err := readFrame(h.Handle, nil)
 		if err != nil {
@@ -420,10 +429,9 @@ func (h *earlyHandle) Read(p []byte) (int, error) {
 			if err := decodeStepReply(h.net, payload, &rep); err != nil {
 				return 0, err
 			}
-			for k := range rep.Cycles {
-				rep.Cycles[k].Act.Next = 0 // due now, whatever now is
+			if h.edit(&rep) {
+				payload = encodeStepReply(nil, h.net, &rep)
 			}
-			payload = encodeStepReply(nil, h.net, &rep)
 		}
 		var buf bytes.Buffer
 		writeFrame(&buf, kind, payload)
@@ -439,6 +447,122 @@ func TestDistEarlyWakesStayExact(t *testing.T) {
 		ref := refRun(t, sc, core.Options{})
 		got, events := distRun(t, sc, Config{Shards: 2, Launcher: earlyLauncher{noc.Coord{X: 4, Y: 1, Z: 1}}})
 		compareOutcome(t, ref, got, events)
+	}
+}
+
+// badReplyLauncher is LocalLauncher, except that one step reply, the
+// first it can break, gains a consumption the coordinator must refuse:
+// with row "too-many", one more message than a mailbox holds; with row
+// "early", messages up to one delivered by the Step of the very cycle
+// the reply section covers, which no chip could see yet. It rewrites one
+// reply in the run (respawned workers answer untouched) and records the
+// refusal the coordinator owes it.
+type badReplyLauncher struct {
+	dims noc.Coord
+	row  string
+	want *ShardFailure // nil until a reply is rewritten
+}
+
+func (l *badReplyLauncher) Start(shard int) (Handle, error) {
+	h, err := LocalLauncher{}.Start(shard)
+	if err != nil {
+		return nil, err
+	}
+	b := &badReplyHandle{l: l, shard: shard}
+	b.stepRewriter = stepRewriter{Handle: h, net: noc.New(l.dims, noc.DefaultConfig()), edit: b.rewrite}
+	return b, nil
+}
+
+// badReplyHandle follows its worker's mailbox from outside the protocol
+// code: the visibility cycle of every message shipped to it, per (node,
+// pri), oldest first, less what its replies report consumed.
+type badReplyHandle struct {
+	stepRewriter
+	l     *badReplyLauncher
+	shard int
+	wbuf  []byte          // command bytes not yet parsed
+	cmd   *stepCmd        // the latest step command
+	mail  map[int][]int64 // by node*noc.NumPriorities+pri
+}
+
+func (h *badReplyHandle) Write(p []byte) (int, error) {
+	n, err := h.Handle.Write(p)
+	h.wbuf = append(h.wbuf, p[:n]...)
+	for len(h.wbuf) >= 5 {
+		size := 5 + int(binary.LittleEndian.Uint32(h.wbuf[1:]))
+		if len(h.wbuf) < size {
+			break
+		}
+		switch h.wbuf[0] {
+		case cmdSeed:
+			h.mail = map[int][]int64{} // a seeded mailbox is empty
+		case cmdStep:
+			h.cmd, _ = decodeStep(h.net, h.wbuf[5:size])
+			for _, d := range h.cmd.Deliveries {
+				q := d.Node*noc.NumPriorities + d.Pri
+				h.mail[q] = append(h.mail[q], d.At)
+			}
+		}
+		h.wbuf = h.wbuf[size:]
+	}
+	return n, err
+}
+
+// rewrite walks the reply's sections, retiring their consumptions from
+// the mailbox, and appends the row's bad consumption to the first section
+// where a mailbox queue allows one, once per run.
+func (h *badReplyHandle) rewrite(rep *stepReply) bool {
+	for k := 0; k < len(rep.Cycles) && h.l.want == nil; k++ {
+		out, s := &rep.Cycles[k], h.cmd.Cycle+int64(k)
+		for _, c := range out.Consumed {
+			q := c.Node*noc.NumPriorities + c.Pri
+			h.mail[q] = h.mail[q][c.N:]
+		}
+		for _, q := range slices.Sorted(maps.Keys(h.mail)) {
+			at := h.mail[q]
+			n := len(at) + 1
+			if h.l.row == "early" {
+				n = slices.Index(at, s+1) + 1
+			}
+			if n == 0 || len(at) == 0 {
+				continue
+			}
+			bad := consumption{Node: q / noc.NumPriorities, Pri: q % noc.NumPriorities, N: n}
+			out.Consumed = append(out.Consumed, bad)
+			h.l.want = &ShardFailure{Shard: h.shard, Class: guard.ClassCrash,
+				Err: fmt.Errorf("bogus consumption: node %d pri %d n %d at cycle %d", bad.Node, bad.Pri, bad.N, s)}
+			return true
+		}
+	}
+	return false
+}
+
+// TestDistRefusesBadConsumptions pins the coordinator's check of a
+// worker's reply, which is outside input: a section for cycle s may
+// retire, from a node the shard owns, only messages shipped to it and
+// delivered before s. A reply breaking either half is refused as a crash
+// at exactly that consumption — the hub never acts on it — and the run
+// recovers to the in-process result.
+func TestDistRefusesBadConsumptions(t *testing.T) {
+	sc := loadScenario(t, "meshsmooth4.wl")
+	ref := refRun(t, sc, core.Options{})
+	for _, row := range []string{"too-many", "early"} {
+		t.Run(row, func(t *testing.T) {
+			l := &badReplyLauncher{dims: noc.Coord{X: 4, Y: 1, Z: 1}, row: row}
+			got, events := distRun(t, sc, Config{Shards: 2, CheckpointEvery: 200, Launcher: l})
+			compareOutcome(t, ref, got, events)
+			if l.want == nil {
+				t.Fatal("no step reply was rewritten")
+			}
+			if len(got.Failures) == 0 {
+				t.Fatalf("the rewritten reply was accepted; want %v", l.want)
+			}
+			f := got.Failures[0]
+			if f.Shard != l.want.Shard || f.Class != l.want.Class || f.Err.Error() != l.want.Err.Error() {
+				t.Fatalf("first failure: shard %d %s: %v; want shard %d %s: %v",
+					f.Shard, f.Class, f.Err, l.want.Shard, l.want.Class, l.want.Err)
+			}
+		})
 	}
 }
 

@@ -134,8 +134,8 @@ type Network struct {
 
 	// deliveredTo lists the nodes that received at least one delivery
 	// during the most recent Step, deduplicated via deliveredMark (per-node
-	// cycle of the last recorded delivery). The machine uses it to wake
-	// exactly the affected chips instead of scanning every node per cycle.
+	// cycle of the last recorded delivery), for DeliveredNodes. The
+	// engines wake chips from the arrival set (ArrivalNodes) instead.
 	deliveredTo   []int   `snap:"derived,per-Step delivery set, rebuilt each Step"`
 	deliveredMark []int64 `snap:"derived,per-Step delivery set, rebuilt each Step"`
 

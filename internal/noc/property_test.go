@@ -2,12 +2,13 @@ package noc
 
 // Property tests: every injected message is delivered exactly once, intact,
 // to its addressed destination, regardless of traffic pattern; and
-// dimension-order routes use exactly the Manhattan distance. The two facts
-// the dist engine's lookahead window rests on (DESIGN.md, "The distributed
+// dimension-order routes use exactly the Manhattan distance. The facts the
+// dist engine's lookahead window rests on (DESIGN.md, "The distributed
 // engine") are here too.
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -100,23 +101,35 @@ func randomTraffic(rng *rand.Rand, n *Network, from, to int64, perCycle int, bas
 	return sched
 }
 
-// drive injects sched and steps n every cycle until it is empty, calling
-// delivered after every Step with the messages that Step delivered.
-func drive(t *testing.T, n *Network, sched map[int64][]*Message, delivered func(now int64, m *Message)) {
+// cloneTraffic copies a schedule's messages, so one schedule can drive
+// several networks (Inject stamps the messages it launches).
+func cloneTraffic(sched map[int64][]*Message) map[int64][]*Message {
+	c := map[int64][]*Message{}
+	for cyc, ms := range sched {
+		for _, m := range ms {
+			c[cyc] = append(c[cyc], m.Clone())
+		}
+	}
+	return c
+}
+
+// drive injects sched and steps n until it is empty, calling delivered
+// after every Step with the messages that Step delivered. It steps in
+// windows of w cycles the way the dist hub does: Steps t … t+w-2 first,
+// then each cycle's injections and consumptions in cycle order, then
+// Step(t+w-1); with w = 1 that is the engines' order, inject then Step,
+// every cycle. consume (nil: none) is asked at every cycle, for every
+// queue, how many of the messages a chip could see then — delivered by a
+// Step before the cycle — to drop.
+func drive(t *testing.T, n *Network, sched map[int64][]*Message, w int64,
+	consume func(now int64, node, pri, visible int) int, delivered func(now int64, m *Message)) {
 	t.Helper()
 	left := 0
 	for _, ms := range sched {
 		left += len(ms)
 	}
 	seen := make([][NumPriorities]int, n.NumNodes())
-	for now := int64(0); left > 0 || n.InFlight() > 0; now++ {
-		if now > 100000 {
-			t.Fatalf("network did not drain: %d in flight", n.InFlight())
-		}
-		for _, m := range sched[now] {
-			n.Inject(now, m)
-			left--
-		}
+	step := func(now int64) {
 		n.Step(now)
 		for _, node := range n.DeliveredNodes() {
 			for pri := 0; pri < NumPriorities; pri++ {
@@ -127,6 +140,35 @@ func drive(t *testing.T, n *Network, sched map[int64][]*Message, delivered func(
 				seen[node][pri] = len(q)
 			}
 		}
+	}
+	for start := int64(0); left > 0 || n.InFlight() > 0; start += w {
+		if start > 100000 {
+			t.Fatalf("network did not drain: %d in flight", n.InFlight())
+		}
+		end := start + w
+		for now := start; now < end-1; now++ {
+			step(now)
+		}
+		for now := start; now < end; now++ {
+			for _, m := range sched[now] {
+				n.Inject(now, m)
+				left--
+			}
+			for node := 0; consume != nil && node < n.NumNodes(); node++ {
+				for pri := 0; pri < NumPriorities; pri++ {
+					q := n.ArrivalsAt(node, pri)
+					visible := 0
+					for visible < len(q) && q[visible].DeliveredAt < now {
+						visible++
+					}
+					if k := consume(now, node, pri, visible); k > 0 {
+						n.DropArrivals(node, pri, k)
+						seen[node][pri] -= k
+					}
+				}
+			}
+		}
+		step(end - 1)
 	}
 }
 
@@ -151,7 +193,7 @@ func TestDeliveryNeverBeforeLookahead(t *testing.T) {
 			pri      int
 		}
 		last := map[route]uint64{}
-		drive(t, n, sched, func(now int64, m *Message) {
+		drive(t, n, sched, 1, nil, func(now int64, m *Message) {
 			if m.DeliveredAt != now {
 				t.Fatalf("seed %d: message %d delivered by Step(%d) records DeliveredAt %d", seed, m.DIP, now, m.DeliveredAt)
 			}
@@ -194,7 +236,7 @@ func TestNewerTrafficNeverDelaysOlder(t *testing.T) {
 			n := New(dims, DefaultConfig())
 			got := map[uint64]arrival{}
 			order := make([][NumPriorities][]uint64, n.NumNodes())
-			drive(t, n, sched, func(now int64, m *Message) {
+			drive(t, n, sched, 1, nil, func(now int64, m *Message) {
 				if m.DIP < 1<<20 {
 					got[m.DIP] = arrival{m.DeliveredAt, m.Hops}
 					node := n.Index(m.Dst)
@@ -203,17 +245,8 @@ func TestNewerTrafficNeverDelaysOlder(t *testing.T) {
 			})
 			return got, order
 		}
-		clone := func(s map[int64][]*Message) map[int64][]*Message {
-			c := map[int64][]*Message{}
-			for cyc, ms := range s {
-				for _, m := range ms {
-					c[cyc] = append(c[cyc], m.Clone())
-				}
-			}
-			return c
-		}
-		alone, aloneOrder := run(clone(older))
-		both := clone(older)
+		alone, aloneOrder := run(cloneTraffic(older))
+		both := cloneTraffic(older)
 		for cyc, ms := range newer {
 			both[cyc] = append(both[cyc], ms...) // after the older ones injected that cycle
 		}
@@ -231,6 +264,64 @@ func TestNewerTrafficNeverDelaysOlder(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestHubWindowOrderMatchesCycleOrder pins the order the dist hub steps
+// a window of W ≤ Lookahead() cycles in: Steps t … end-2 first, then each
+// cycle's injections and consumptions in cycle order, then Step(end-1).
+// Over random meshes, timings, traffic and consumption, every message
+// arrives at the same cycle, over the same hops, with the same Seq and in
+// the same per-queue order as when each cycle's injections precede its
+// Step, and the counters agree. At W = Lookahead()+1 a window's own
+// injections could move before they are made, and some seed shows it.
+func TestHubWindowOrderMatchesCycleOrder(t *testing.T) {
+	type arrival struct {
+		at   int64
+		hops int
+		seq  uint64
+	}
+	type outcome struct {
+		arrivals                  map[uint64]arrival
+		order                     [][NumPriorities][]uint64
+		injected, delivered, hops uint64
+	}
+	consume := func(now int64, node, pri, visible int) int {
+		return min(visible, int(now+int64(3*node+pri))%3)
+	}
+	widerDiffers := false
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := Config{InjectLat: rng.Int63n(5), HopLat: 1 + rng.Int63n(2), DeliverLat: rng.Int63n(3)}
+		if seed == 1 {
+			cfg = DefaultConfig()
+		}
+		dims := Coord{1 + rng.Intn(4), 1 + rng.Intn(3), 1 + rng.Intn(2)}
+		sched := randomTraffic(rng, New(dims, cfg), 0, 60, 6, 0)
+		run := func(w int64) outcome {
+			n := New(dims, cfg)
+			o := outcome{arrivals: map[uint64]arrival{}, order: make([][NumPriorities][]uint64, n.NumNodes())}
+			drive(t, n, cloneTraffic(sched), w, consume, func(now int64, m *Message) {
+				o.arrivals[m.DIP] = arrival{m.DeliveredAt, m.Hops, m.Seq}
+				node := n.Index(m.Dst)
+				o.order[node][m.Pri] = append(o.order[node][m.Pri], m.DIP)
+			})
+			o.injected, o.delivered, o.hops = n.Injected, n.Delivered, n.TotalHops
+			return o
+		}
+		want := run(1)
+		lookahead := New(dims, cfg).Lookahead()
+		for w := int64(2); w <= lookahead; w++ {
+			if got := run(w); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d (%+v): windows of %d cycles differ from cycle-by-cycle stepping", seed, cfg, w)
+			}
+		}
+		if !reflect.DeepEqual(run(lookahead+1), want) {
+			widerDiffers = true
+		}
+	}
+	if !widerDiffers {
+		t.Fatal("windows of Lookahead()+1 cycles matched cycle-by-cycle stepping on every seed: the property is vacuous")
 	}
 }
 
