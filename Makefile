@@ -132,7 +132,9 @@ wl:
 # and the scenario compiler plus engine (arbitrary source => a compile
 # error, or a supervised run that ends in a classified failure other
 # than a crash), and the dist wire frames (arbitrary bytes => a decode
-# error or a value, never a panic or a length-sized allocation).
+# error or a value, never a panic or a length-sized allocation). The
+# snapshot decoder and the dist frames read byte slices, so the input's
+# length bounds every count they decode.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s -fuzzminimizetime 5x ./internal/machine
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/wdsl

@@ -69,7 +69,7 @@ func TestRegisterBankDecodeBounds(t *testing.T) {
 		{"a pointer tag on a zero register", bankStream(t, n, 1, 1<<2, 1<<3, 7), "tags a zero register"},
 		{"a listed zero register", bankStream(t, n, 1, 1<<2|1<<5, 0, 7, 0), "lists register 5"},
 	} {
-		d := snap.NewDecoder(bytes.NewReader(tc.stream))
+		d := snap.NewDecoder(tc.stream)
 		new(RegFile).State(d)
 		if err := d.Err(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: decode error %v, want one containing %q", tc.name, err, tc.want)
@@ -78,7 +78,7 @@ func TestRegisterBankDecodeBounds(t *testing.T) {
 
 	good := bankStream(t, n, 0b101, 1<<1|1<<9, 1<<9, 42, 0)
 	rf := New(0).Threads[0].Ints
-	d := snap.NewDecoder(bytes.NewReader(good))
+	d := snap.NewDecoder(good)
 	rf.State(d)
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestLiveIsDerived(t *testing.T) {
 		t.Error("Live or Parked changed the encoded stream; they must stay derived")
 	}
 	dec := &Cluster{ID: 1}
-	d := snap.NewDecoder(bytes.NewReader(base))
+	d := snap.NewDecoder(base)
 	dec.State(d)
 	if err := d.Err(); err != nil {
 		t.Fatal(err)

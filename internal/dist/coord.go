@@ -174,7 +174,7 @@ type Coordinator struct {
 	reach  int64
 
 	ck           checkpoint
-	seedBuf      *bytes.Buffer // the seed being sent, from snapBufs until Close
+	seedBuf      bytes.Buffer // the seed being sent
 	lastCkpt     int64
 	ckCount      int
 	pendingTrace trace.Recorder
@@ -268,13 +268,9 @@ func (co *Coordinator) Recoveries() int          { return co.recoveries }
 func (co *Coordinator) Checkpoints() int         { return co.ckCount }
 
 // Close shuts the federation down by hanging up on every worker (a
-// worker's ServeConn returns on EOF), and hands the seed buffer on to the
-// next coordinator. Safe on a partially constructed coordinator.
+// worker's ServeConn returns on EOF). Safe on a partially constructed
+// coordinator.
 func (co *Coordinator) Close() {
-	if co.seedBuf != nil {
-		snapBufs.Put(co.seedBuf)
-		co.seedBuf = nil
-	}
 	for _, sc := range co.shards {
 		if sc != nil && sc.h != nil {
 			sc.h.Close()
@@ -482,12 +478,9 @@ func (co *Coordinator) seedAll() error {
 // seed buffer: valid until the next seed. (A bytes.Buffer sink never
 // fails, and the range is the machine's.)
 func (co *Coordinator) seed(i int) []byte {
-	if co.seedBuf == nil {
-		co.seedBuf = snapBufs.Get().(*bytes.Buffer)
-	}
 	co.seedBuf.Reset()
 	sc := co.shards[i]
-	co.m.EncodeShard(co.seedBuf, sc.lo, sc.hi)
+	co.m.EncodeShard(&co.seedBuf, sc.lo, sc.hi)
 	return co.seedBuf.Bytes()
 }
 

@@ -38,7 +38,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/machine"
 	"repro/internal/noc"
@@ -149,12 +148,6 @@ type initSpec struct {
 	Chaos         []ChaosSpec
 }
 
-// snapBufs recycles the buffers shard frames are encoded into — a
-// coordinator's seeds, a worker's pull — across the coordinators and
-// workers of successive runs, so each frame does not grow a fresh buffer
-// by doubling and the garbage does not pace the collector.
-var snapBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
 // frame returns the bytes walk writes.
 func frame(walk func(c *snap.Codec)) []byte { return frameTo(nil, walk) }
 
@@ -172,12 +165,11 @@ func frameTo(buf *bytes.Buffer, walk func(c *snap.Codec)) []byte {
 	return buf.Bytes()
 }
 
-// unframe runs walk over payload bytes with the codec's length limit
-// armed, so corrupt counts fail descriptively instead of attempting huge
-// allocations, and returns the codec's error.
+// unframe runs walk over payload bytes and returns the codec's error. A
+// decoder reads a byte slice whose length bounds every count, so a
+// corrupt count fails descriptively instead of sizing a huge allocation.
 func unframe(p []byte, walk func(c *snap.Codec)) error {
-	c := snap.NewDecoder(bytes.NewReader(p))
-	c.Limit(int64(len(p)))
+	c := snap.NewDecoder(p)
 	walk(c)
 	return c.Err()
 }

@@ -79,7 +79,7 @@ type worker struct {
 	repBuf  bytes.Buffer
 	stepped []int
 	before  []pending
-	pullBuf *bytes.Buffer // pull's frame, from snapBufs until ServeConn returns
+	pullBuf bytes.Buffer // pull's frame
 }
 
 // ServeConn serves the shard worker protocol on conn, one reply per
@@ -90,11 +90,6 @@ type worker struct {
 // machine state is mid-cycle and must not serve further commands.
 func ServeConn(conn net.Conn) error {
 	w := &worker{}
-	defer func() {
-		if w.pullBuf != nil {
-			snapBufs.Put(w.pullBuf)
-		}
-	}()
 	if err := writeFrame(conn, repHello, encodeI64(protoVersion)); err != nil {
 		return err
 	}
@@ -305,11 +300,8 @@ func (w *worker) stepCycle(t int64, out *cycleReply) {
 // coordinated checkpoints and end-of-phase reassembly. The frame is valid
 // until the next pull: ServeConn sends it before reading another command.
 func (w *worker) pull() []byte {
-	if w.pullBuf == nil {
-		w.pullBuf = snapBufs.Get().(*bytes.Buffer)
-	}
 	w.pullBuf.Reset()
-	if err := w.m.EncodeShard(w.pullBuf, w.spec.Lo, w.spec.Hi); err != nil {
+	if err := w.m.EncodeShard(&w.pullBuf, w.spec.Lo, w.spec.Hi); err != nil {
 		panic(err)
 	}
 	return w.pullBuf.Bytes()

@@ -13,7 +13,6 @@ package machine
 // engines share one completion story.
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
@@ -74,13 +73,6 @@ func (m *Machine) shard(c *snap.Codec, f *ShardFrame) error {
 	return c.Err()
 }
 
-// frameDecoder decodes frame bytes, whose length bounds every count.
-func frameDecoder(p []byte) *snap.Codec {
-	c := snap.NewDecoder(bytes.NewReader(p))
-	c.Limit(int64(len(p)))
-	return c
-}
-
 // shardRange refuses a node range outside the machine.
 func (m *Machine) shardRange(lo, hi int) error {
 	if lo < 0 || hi > len(m.Chips) || lo >= hi {
@@ -111,7 +103,7 @@ func (m *Machine) DecodeShard(p []byte, lo, hi int) (*ShardFrame, error) {
 		return nil, err
 	}
 	f := &ShardFrame{lo: lo, chips: make([]*chip.Chip, hi-lo)}
-	if err := m.shard(frameDecoder(p), f); err != nil {
+	if err := m.shard(snap.NewDecoder(p), f); err != nil {
 		return nil, fmt.Errorf("machine: adopt shard [%d,%d): %w", lo, hi, err)
 	}
 	return f, nil
@@ -141,7 +133,7 @@ func (m *Machine) Rewind(net *noc.Network, cycle int64) {
 // DecodeShard and AdoptShard) from the frame alone — the dist worker's
 // first seed. A configuration New cannot build is an error.
 func ReadShardConfig(p []byte) (Config, error) {
-	c := frameDecoder(p)
+	c := snap.NewDecoder(p)
 	if err := header(c, shardFrameMagic, "shard frame", "frame"); err != nil {
 		return Config{}, fmt.Errorf("machine: %w", err)
 	}

@@ -22,7 +22,7 @@ package machine
 // error and there is nothing it could have changed.
 
 import (
-	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -212,8 +212,14 @@ func (m *Machine) Digest() (string, error) {
 // new objects: reach them through the machine after a restore, not
 // through pointers taken before it.
 func (m *Machine) Restore(rd io.Reader) error {
+	// io.Copy reads a *bytes.Reader with one WriteTo: one allocation the
+	// size of the stream, where io.ReadAll's doubling makes several.
+	var in bytes.Buffer
+	if _, err := io.Copy(&in, rd); err != nil {
+		return fmt.Errorf("machine: restore: %w", err)
+	}
 	top := &Machine{Cfg: m.Cfg, Chips: make([]*chip.Chip, len(m.Chips))}
-	if err := top.snapshot(snap.NewDecoder(bufio.NewReader(rd))); err != nil {
+	if err := top.snapshot(snap.NewDecoder(in.Bytes())); err != nil {
 		return fmt.Errorf("machine: restore: %w", err)
 	}
 	// Bookkeeping the chip phase deferred on the old chips goes with them:

@@ -390,7 +390,7 @@ func cacheDecodeLeg(t *testing.T) {
 		t.Fatal("encoding differs from the flat reference's")
 	}
 	dec := NewCache(CacheConfig{Lines: lines})
-	r := snap.NewDecoder(bytes.NewReader(want))
+	r := snap.NewDecoder(want)
 	dec.State(r)
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
@@ -404,7 +404,7 @@ func cacheDecodeLeg(t *testing.T) {
 		}
 	}
 	for _, short := range []int{lines - 1, 7*pageLines + 33} {
-		r := snap.NewDecoder(bytes.NewReader(want))
+		r := snap.NewDecoder(want)
 		NewCache(CacheConfig{Lines: short}).State(r)
 		if err := r.Err(); err == nil || !strings.Contains(err.Error(), "outside") {
 			t.Errorf("decoding into %d lines: error %v, want a line index outside the cache", short, err)

@@ -256,7 +256,7 @@ func TestSDRAMPagesMatchChunks(t *testing.T) {
 
 			want := stateBytes(t, s.State)
 			dec := NewSDRAM(cfg)
-			r := snap.NewDecoder(bytes.NewReader(want))
+			r := snap.NewDecoder(want)
 			dec.State(r)
 			if err := r.Err(); err != nil {
 				t.Fatal(err)
@@ -375,7 +375,7 @@ func TestDecodeRejectsUnorderedIndices(t *testing.T) {
 		{"cache repeated", patchU64(cb, secondLine, 5), NewCache(DefaultCacheConfig()).State},
 		{"cache decreasing", patchU64(cb, secondLine, 3), NewCache(DefaultCacheConfig()).State},
 	} {
-		r := snap.NewDecoder(bytes.NewReader(tc.stream))
+		r := snap.NewDecoder(tc.stream)
 		tc.walk(r)
 		if err := r.Err(); err == nil || !strings.Contains(err.Error(), "indices must increase") {
 			t.Errorf("%s: error %v, want increasing indices demanded", tc.name, err)
@@ -421,14 +421,14 @@ func TestLTLBDecodeRequiresOrderPermutation(t *testing.T) {
 			c.U64(&full.Hits)
 			c.U64(&full.Misses)
 		})
-		r := snap.NewDecoder(bytes.NewReader(bad))
+		r := snap.NewDecoder(bad)
 		NewLTLB(4).State(r)
 		if err := r.Err(); err == nil || !strings.Contains(err.Error(), "LTLB order") {
 			t.Errorf("%s order: error %v, want the order rejected", tc.name, err)
 		}
 	}
 	got := NewLTLB(4)
-	r := snap.NewDecoder(bytes.NewReader(stateBytes(t, full.State)))
+	r := snap.NewDecoder(stateBytes(t, full.State))
 	got.State(r)
 	if err := r.Err(); err != nil {
 		t.Fatal(err)

@@ -12,7 +12,6 @@ package serve
 // for forensics; they are never used for recovery.
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -95,8 +94,7 @@ func readCheckpoint(path string) (*checkpoint, error) {
 	if len(b) < len(ckptMagic) || string(b[:len(ckptMagic)]) != ckptMagic {
 		return nil, fmt.Errorf("%s: not an msimd checkpoint", path)
 	}
-	c := snap.NewDecoder(bytes.NewReader(b[len(ckptMagic):]))
-	c.Limit(int64(len(b) - len(ckptMagic)))
+	c := snap.NewDecoder(b[len(ckptMagic):])
 	ck := &checkpoint{}
 	if err := ck.state(c); err != nil {
 		return nil, fmt.Errorf("%s: %v", path, err)

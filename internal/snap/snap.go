@@ -1,7 +1,7 @@
 // Package snap is the binary codec under the checkpoint/restore subsystem
 // (see DESIGN.md, "Checkpoint/restore"): one little-endian Codec that
-// either encodes onto an io.Writer or decodes from an io.Reader, with
-// sticky error handling. Each component describes its snapshot once, as a
+// either encodes onto an io.Writer or decodes a byte slice, with sticky
+// error handling. Each component describes its snapshot once, as a
 // state walk that hands every field to the codec by address — c.U64(&x)
 // writes x when encoding and overwrites it when decoding — so the encode
 // and decode field lists are one list and cannot drift apart.
@@ -9,12 +9,13 @@
 // The codec is deliberately primitive — unsigned and signed 64-bit words,
 // booleans, length-prefixed byte strings and word slices — because the
 // snapshot format is defined entirely by the call sequence of the walks.
-// Robustness against corrupt or truncated input lives here: every length
-// read is bounded by the caller (Len), every primitive read fails cleanly
-// at EOF, and the first error sticks, so a walk can run its entire field
-// list and check Err once. An encoder buffers: a walk runs its field list
-// and checks Flush once, and the sink sees tens of kilobytes per Write,
-// not eight bytes.
+// Robustness against corrupt or truncated input lives here: a decoder
+// reads a byte slice whose length bounds every count, every length read
+// is also bounded by the caller (Len), every primitive read fails cleanly
+// at the end of the input, and the first error sticks, so a walk can run
+// its entire field list and check Err once. An encoder buffers: a walk
+// runs its field list and checks Flush once, and the sink sees tens of
+// kilobytes per Write, not eight bytes.
 package snap
 
 import (
@@ -84,22 +85,11 @@ func syncDir(dir string) error {
 // kilobytes instead of once per primitive.
 const flushAt = 64 << 10
 
-// maxPrealloc caps how many bytes any decode may allocate ahead of the
-// data actually arriving from the stream (1 MiB). Larger sections grow in
-// chunks as reads succeed, so a corrupt length field costs at most one
-// chunk before the truncation is detected — it can never drive a
-// multi-gigabyte allocation attempt. Streams whose total size is known
-// (Limit) reject oversized lengths before allocating anything.
-const (
-	maxPrealloc = 1 << 20
-	chunkWords  = maxPrealloc / 8
-)
-
 // Codec is one end of a snapshot stream. An encoder (NewEncoder) writes
 // every value a walk hands it into a buffer it owns and passes the buffer
 // to the sink in large pieces; Flush delivers the tail, so a stream is
 // complete only after Flush. A decoder (NewDecoder) overwrites every value
-// it is handed with the next one from the stream. Codec is a struct, not
+// it is handed with the next one from its input. Codec is a struct, not
 // an interface: a field costs one branch on the direction, not a dynamic
 // call. The first error sticks; after it an encoder's bytes are dropped
 // and a decoder reads zero values.
@@ -112,17 +102,16 @@ type Codec struct {
 	w   io.Writer // encoding: the sink
 	buf []byte    // encoding: bytes not yet handed to w
 
-	r       io.Reader // decoding: the source
-	remain  int64     // decoding: bytes left in the stream when known, -1 otherwise
-	word    [8]byte
-	scratch []byte // decoding: reused bulk-transfer buffer (RawU64s)
+	in []byte // decoding: the unread rest of the input
 }
 
 // NewEncoder returns a codec that writes to w.
 func NewEncoder(w io.Writer) *Codec { return &Codec{w: w} }
 
-// NewDecoder returns a codec that reads from r.
-func NewDecoder(r io.Reader) *Codec { return &Codec{reading: true, r: r, remain: -1} }
+// NewDecoder returns a codec that reads p, a byte slice whose length
+// bounds every count: a length field claiming more than the rest of p
+// fails before anything is sized from it. Decoded values never alias p.
+func NewDecoder(p []byte) *Codec { return &Codec{reading: true, in: p} }
 
 // Reading reports whether c decodes. Walks test it only where the two
 // directions differ: building a part a decoder fills, validating what a
@@ -141,13 +130,6 @@ func (c *Codec) Fail(err error) {
 		c.err = err
 	}
 }
-
-// Limit declares that at most n more bytes remain in a decoder's stream.
-// Callers decoding from an in-memory buffer or a file of known size
-// should set it: any length field that claims more data than the stream
-// can possibly hold then fails descriptively before a single byte of it
-// is allocated or read.
-func (c *Codec) Limit(n int64) { c.remain = n }
 
 // Flush hands every buffered byte to an encoder's sink and returns the
 // first error of the stream (an encoder's one reliable error report:
@@ -246,15 +228,16 @@ func (c *Codec) Bool(v *bool) {
 		return
 	}
 	*v = false
-	if !c.read(c.word[:1]) {
+	p := c.next(1, 1)
+	if p == nil {
 		return
 	}
-	switch c.word[0] {
+	switch p[0] {
 	case 0:
 	case 1:
 		*v = true
 	default:
-		c.Fail(fmt.Errorf("snap: bad boolean byte %#x", c.word[0]))
+		c.Fail(fmt.Errorf("snap: bad boolean byte %#x", p[0]))
 	}
 }
 
@@ -280,14 +263,14 @@ func (c *Codec) Len(n, max int) int {
 
 // Bytes walks a length-prefixed byte slice bounded by max. An encoder
 // sends a payload of flushAt bytes or more to the sink directly instead
-// of through its buffer; a decoder grows the allocation in maxPrealloc
-// chunks as the stream delivers, so a corrupt length inside the bound
-// fails at the truncation point instead of attempting one huge up-front
-// allocation.
+// of through its buffer; a decoder copies the payload out of its input.
 func (c *Codec) Bytes(p *[]byte, max int) {
 	n := c.Len(len(*p), max)
 	if c.reading {
-		*p = c.payload(n)
+		*p = nil
+		if in := c.next(n, 1); len(in) > 0 {
+			*p = slices.Clone(in)
+		}
 		return
 	}
 	if n < flushAt {
@@ -304,15 +287,14 @@ func (c *Codec) Bytes(p *[]byte, max int) {
 func (c *Codec) String(s *string, max int) {
 	n := c.Len(len(*s), max)
 	if c.reading {
-		*s = string(c.payload(n))
+		*s = string(c.next(n, 1))
 		return
 	}
 	c.room()
 	c.buf = append(c.buf, *s...)
 }
 
-// U64s walks a length-prefixed word slice bounded by max entries; a
-// decoder grows the allocation chunk-wise like Bytes.
+// U64s walks a length-prefixed word slice bounded by max entries.
 func (c *Codec) U64s(vs *[]uint64, max int) {
 	n := c.Len(len(*vs), max)
 	if !c.reading {
@@ -320,26 +302,15 @@ func (c *Codec) U64s(vs *[]uint64, max int) {
 		return
 	}
 	*vs = nil
-	if c.err != nil || n == 0 || !c.claim(int64(n)*8) {
-		return
-	}
-	out := make([]uint64, min(n, chunkWords))
-	c.RawU64s(out)
-	for len(out) < n && c.err == nil {
-		off := len(out)
-		out = append(out, make([]uint64, min(n-off, chunkWords))...)
-		c.RawU64s(out[off:])
-	}
-	if c.err == nil {
-		*vs = out
+	if in := c.next(n, 8); len(in) > 0 {
+		*vs = make([]uint64, n)
+		words(*vs, in)
 	}
 }
 
 // Bools walks a length-prefixed boolean slice bounded by max entries,
 // packed as a bitmask, so a register file's scoreboard or a pointer-tag
-// column costs words, not bytes-per-bit round trips. A decoder streams the
-// words through the staging buffer one chunk at a time, so the pre-read
-// allocation stays capped.
+// column costs words, not bytes-per-bit round trips.
 func (c *Codec) Bools(bs *[]bool, max int) {
 	n := c.Len(len(*bs), max)
 	nw := (n + 63) / 64
@@ -354,25 +325,13 @@ func (c *Codec) Bools(bs *[]bool, max int) {
 		return
 	}
 	*bs = nil
-	if c.err != nil || !c.claim(int64(nw)*8) {
-		return
-	}
-	var out []bool
-	for w := 0; w < nw; w += chunkWords {
-		words := c.Stage(min(nw-w, chunkWords))
-		c.RawU64s(words)
-		if c.err != nil {
-			return
-		}
-		lim := min(n-w*64, len(words)*64)
-		if out == nil {
-			out = make([]bool, 0, min(n, maxPrealloc))
-		}
-		for i := 0; i < lim; i++ {
-			out = append(out, words[i/64]&(1<<(i%64)) != 0)
+	// Little-endian words: bit i of the mask is bit i%8 of byte i/8.
+	if in := c.next(nw, 8); len(in) > 0 {
+		*bs = make([]bool, n)
+		for i := range *bs {
+			(*bs)[i] = in[i/8]&(1<<(i%8)) != 0
 		}
 	}
-	*bs = out
 }
 
 // RawU64s walks exactly len(vs) words with no length prefix (fixed-size
@@ -381,7 +340,7 @@ func (c *Codec) Bools(bs *[]bool, max int) {
 // so bulk sections (SDRAM pages, register blocks) are staged nowhere else,
 // the buffer never outgrows flushAt however the words are split into
 // calls, and nothing is allocated once it has grown; a decoder fills vs
-// through a reused buffer that never grows past one chunk.
+// straight from its input.
 func (c *Codec) RawU64s(vs []uint64) {
 	if !c.reading {
 		for len(vs) > 0 {
@@ -404,19 +363,15 @@ func (c *Codec) RawU64s(vs []uint64) {
 		}
 		return
 	}
-	for len(vs) > 0 && c.err == nil {
-		n := min(len(vs), chunkWords)
-		if cap(c.scratch) < n*8 {
-			c.scratch = make([]byte, n*8)
-		}
-		buf := c.scratch[:n*8]
-		if !c.read(buf) {
-			return
-		}
-		for i := range vs[:n] {
-			vs[i] = binary.LittleEndian.Uint64(buf[i*8:])
-		}
-		vs = vs[n:]
+	if in := c.next(len(vs), 8); in != nil {
+		words(vs, in)
+	}
+}
+
+// words decodes len(vs) little-endian words from in.
+func words(vs []uint64, in []byte) {
+	for i := range vs {
+		vs[i] = binary.LittleEndian.Uint64(in[i*8:])
 	}
 }
 
@@ -434,62 +389,32 @@ func (c *Codec) put(v uint64) {
 }
 
 func (c *Codec) get() uint64 {
-	if !c.read(c.word[:]) {
-		return 0
+	if p := c.next(1, 8); p != nil {
+		return binary.LittleEndian.Uint64(p)
 	}
-	return binary.LittleEndian.Uint64(c.word[:])
+	return 0
 }
 
-// payload reads an n-byte payload whose length was just walked, growing
-// the allocation chunk-wise (see Bytes).
-func (c *Codec) payload(n int) []byte {
-	if c.err != nil || n == 0 || !c.claim(int64(n)) {
+// next consumes n items of size bytes from the input and returns them, nil
+// once the codec has failed. The count is checked against the rest of the
+// input before it is multiplied, so a corrupt count can neither overflow
+// the check nor size an allocation.
+func (c *Codec) next(n, size int) []byte {
+	if c.err == nil && n > len(c.in)/size {
+		c.err = &truncated{need: n * size, remaining: len(c.in)}
+	}
+	if c.err != nil {
 		return nil
 	}
-	p := make([]byte, min(n, maxPrealloc))
-	if !c.read(p) {
-		return nil
-	}
-	for len(p) < n {
-		off := len(p)
-		p = append(p, make([]byte, min(n-off, maxPrealloc))...)
-		if !c.read(p[off:]) {
-			return nil
-		}
-	}
+	p := c.in[:n*size]
+	c.in = c.in[n*size:]
 	return p
 }
 
-// claim validates that n more bytes of payload are plausible before any
-// allocation is sized from a decoded length field.
-func (c *Codec) claim(n int64) bool {
-	if c.err != nil {
-		return false
-	}
-	if c.remain >= 0 && n > c.remain {
-		c.Fail(fmt.Errorf("snap: length %d exceeds the %d bytes remaining in the stream", n, c.remain))
-		return false
-	}
-	return true
-}
+// truncated is the error of a read past the end of the input. It formats
+// lazily, so failing costs one small allocation whatever the counts.
+type truncated struct{ need, remaining int }
 
-func (c *Codec) read(p []byte) bool {
-	if c.err != nil {
-		return false
-	}
-	if c.remain >= 0 && int64(len(p)) > c.remain {
-		c.err = fmt.Errorf("snap: truncated input (need %d bytes, %d remain)", len(p), c.remain)
-		return false
-	}
-	if _, err := io.ReadFull(c.r, p); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			err = fmt.Errorf("snap: truncated input")
-		}
-		c.err = err
-		return false
-	}
-	if c.remain >= 0 {
-		c.remain -= int64(len(p))
-	}
-	return true
+func (e *truncated) Error() string {
+	return fmt.Sprintf("snap: truncated input (need %d bytes, %d remaining)", e.need, e.remaining)
 }

@@ -65,7 +65,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Errorf("int8 -3 encoded as %#x", got)
 	}
 	var got record
-	c := NewDecoder(bytes.NewReader(stream))
+	c := NewDecoder(stream)
 	got.state(c)
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestTruncation(t *testing.T) {
 	}
 	full := encode(t, walk)
 	for cut := 0; cut < len(full); cut++ {
-		c := NewDecoder(bytes.NewReader(full[:cut]))
+		c := NewDecoder(full[:cut])
 		walk(c)
 		if err := c.Err(); err == nil {
 			t.Fatalf("truncation at %d of %d went undetected", cut, len(full))
@@ -102,7 +102,7 @@ func TestBoundsAndStickiness(t *testing.T) {
 		u := uint64(123)
 		c.U64(&u)
 	})
-	c := NewDecoder(bytes.NewReader(stream))
+	c := NewDecoder(stream)
 	if n := c.Len(0, 1000); n != 0 || c.Err() == nil {
 		t.Fatalf("oversized count accepted: n=%d err=%v", n, c.Err())
 	}
@@ -114,7 +114,7 @@ func TestBoundsAndStickiness(t *testing.T) {
 	}
 
 	// Bad boolean byte.
-	c2 := NewDecoder(bytes.NewReader([]byte{7}))
+	c2 := NewDecoder([]byte{7})
 	var b bool
 	c2.Bool(&b)
 	if c2.Err() == nil || !strings.Contains(c2.Err().Error(), "boolean") {
@@ -122,48 +122,73 @@ func TestBoundsAndStickiness(t *testing.T) {
 	}
 }
 
-// TestOversizedLengthCapped pins the capped-allocation contract: a
-// corrupt length field that passes the caller's structural bound must
-// fail descriptively after at most one chunk of reading — it must never
-// size an allocation from the corrupt count up front.
+// TestOversizedLengthCapped pins the bounded-allocation contract: a
+// corrupt length field that passes the caller's structural bound fails
+// descriptively against the rest of the input before anything is sized
+// from it.
 func TestOversizedLengthCapped(t *testing.T) {
-	// A stream claiming a ~1 GiB payload that isn't there. With a known
-	// remaining length the claim is rejected before any read.
+	// A stream claiming a ~1 GiB payload that isn't there.
 	stream := encode(t, func(c *Codec) {
 		c.Len(1<<30, 0)
 		u := uint64(0x1234)
 		c.U64(&u)
 	})
-
-	c := NewDecoder(bytes.NewReader(stream))
-	c.Limit(int64(len(stream)))
-	var got []byte
-	if c.Bytes(&got, 1<<31); got != nil || c.Err() == nil {
-		t.Fatalf("limited decoder: oversized Bytes accepted: %v, err %v", len(got), c.Err())
+	// The first decoder fails on its first word, before any count is read:
+	// the codec and its error are all it allocates, and each oversized
+	// decode must allocate no more.
+	decoders := []struct {
+		name   string
+		decode func(*Codec)
+	}{
+		{"U64", func(c *Codec) { var u uint64; c.U64(&u) }},
+		{"Bytes", func(c *Codec) { var p []byte; c.Bytes(&p, 1<<31) }},
+		{"U64s", func(c *Codec) { var vs []uint64; c.U64s(&vs, 1<<31) }},
+		{"Bools", func(c *Codec) { var bs []bool; c.Bools(&bs, 1<<31) }},
 	}
-	if !strings.Contains(c.Err().Error(), "remaining") {
-		t.Errorf("limited decoder error not descriptive: %v", c.Err())
-	}
-
-	// Without a known size, the chunked growth path detects truncation
-	// after at most maxPrealloc bytes.
-	for _, decode := range map[string]func(*Codec){
-		"Bytes": func(c *Codec) { var p []byte; c.Bytes(&p, 1<<31) },
-		"U64s":  func(c *Codec) { var vs []uint64; c.U64s(&vs, 1<<31) },
-		"Bools": func(c *Codec) { var bs []bool; c.Bools(&bs, 1<<31) },
-	} {
-		c := NewDecoder(bytes.NewReader(stream))
-		decode(c)
-		if c.Err() == nil || !strings.Contains(c.Err().Error(), "truncated") {
-			t.Errorf("unlimited decoder: oversized length: err %v", c.Err())
+	baseline := testing.AllocsPerRun(10, func() { decoders[0].decode(NewDecoder(nil)) })
+	for _, d := range decoders[1:] {
+		c := NewDecoder(stream)
+		d.decode(c)
+		if c.Err() == nil || !strings.Contains(c.Err().Error(), "remaining") {
+			t.Errorf("%s: oversized length: err %v", d.name, c.Err())
+		}
+		if allocs := testing.AllocsPerRun(10, func() { d.decode(NewDecoder(stream)) }); allocs > baseline {
+			t.Errorf("%s: oversized length made %v allocations, a failed word read %v", d.name, allocs, baseline)
 		}
 	}
 }
 
-// TestLargeSliceRoundTrip exercises the multi-chunk paths (payloads
-// larger than maxPrealloc) end to end.
+// TestDecodedValuesNeverAlias: every decoded slice and string is a copy,
+// so overwriting the input (as dist does when it reuses a connection's
+// read buffer for the next frame) leaves what was decoded unchanged.
+func TestDecodedValuesNeverAlias(t *testing.T) {
+	want := record{s: "hello", b: []byte{1, 2, 3}, us: []uint64{9, 8, 7}}
+	bs := []bool{true, false, true}
+	walk := func(r *record, bs *[]bool) func(*Codec) {
+		return func(c *Codec) {
+			r.state(c)
+			c.Bools(bs, 16)
+		}
+	}
+	stream := encode(t, walk(&want, &bs))
+	var got record
+	var gotBs []bool
+	c := NewDecoder(stream)
+	walk(&got, &gotBs)(c)
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range stream {
+		stream[i] = 0xff
+	}
+	if got.s != want.s || !bytes.Equal(got.b, want.b) || !slices.Equal(got.us, want.us) || !slices.Equal(gotBs, bs) {
+		t.Errorf("overwriting the input changed decoded values: %+v %v", got, gotBs)
+	}
+}
+
+// TestLargeSliceRoundTrip round-trips slices larger than a megabyte.
 func TestLargeSliceRoundTrip(t *testing.T) {
-	const words = maxPrealloc/8 + 1000 // spills into a second chunk
+	const words = 1<<17 + 1000
 	vs := make([]uint64, words)
 	for i := range vs {
 		vs[i] = uint64(i) * 0x9e3779b97f4a7c15
@@ -172,7 +197,7 @@ func TestLargeSliceRoundTrip(t *testing.T) {
 	for i := range bs {
 		bs[i] = i%3 == 0
 	}
-	p := make([]byte, maxPrealloc+4096)
+	p := make([]byte, 1<<20+4096)
 	for i := range p {
 		p[i] = byte(i)
 	}
@@ -182,8 +207,7 @@ func TestLargeSliceRoundTrip(t *testing.T) {
 		c.Bools(&bs, 0)
 		c.Bytes(&p, 0)
 	})
-	c := NewDecoder(bytes.NewReader(stream))
-	c.Limit(int64(len(stream)))
+	c := NewDecoder(stream)
 	var gotVs []uint64
 	var gotBs []bool
 	var gotP []byte
@@ -194,13 +218,13 @@ func TestLargeSliceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !slices.Equal(gotVs, vs) {
-		t.Fatal("U64s multi-chunk round trip mismatch")
+		t.Fatal("U64s round trip mismatch")
 	}
 	if !slices.Equal(gotBs, bs) {
-		t.Fatal("Bools multi-chunk round trip mismatch")
+		t.Fatal("Bools round trip mismatch")
 	}
 	if !bytes.Equal(gotP, p) {
-		t.Fatal("Bytes multi-chunk round trip mismatch")
+		t.Fatal("Bytes round trip mismatch")
 	}
 }
 
@@ -221,7 +245,7 @@ func TestMemoAndElem(t *testing.T) {
 	if p := Elem(c, &list, 1); p != &list[1] || len(list) != 2 {
 		t.Error("encoding Elem did not return the element in place")
 	}
-	d := NewDecoder(bytes.NewReader(nil))
+	d := NewDecoder(nil)
 	var got []int
 	for i := range 3 {
 		*Elem(d, &got, i) = i + 1

@@ -58,7 +58,7 @@ func (c Codec[T]) encode(t *testing.T, v *T) []byte {
 // decoder rejects".
 func (c Codec[T]) decode(data []byte) (*T, error) {
 	v := c.New()
-	sc := snap.NewDecoder(bytes.NewReader(data))
+	sc := snap.NewDecoder(data)
 	c.State(v, sc)
 	return v, sc.Err()
 }

@@ -125,7 +125,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	encoded := buf.Bytes()
 
 	got := &Recorder{Events: []Event{{Kind: TLBW}}, Text: []string{"stale"}}
-	rd := snap.NewDecoder(bytes.NewReader(encoded))
+	rd := snap.NewDecoder(encoded)
 	got.State(rd, 1<<10, 1<<10)
 	if err := rd.Err(); err != nil {
 		t.Fatal(err)
@@ -142,14 +142,14 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	} {
 		p := slices.Clone(encoded)
 		mutate(p)
-		rd := snap.NewDecoder(bytes.NewReader(p))
+		rd := snap.NewDecoder(p)
 		(&Recorder{}).State(rd, 1<<10, 1<<10)
 		if rd.Err() == nil {
 			t.Errorf("%s: corrupt stream decoded cleanly", name)
 		}
 	}
 	for name, caps := range map[string][2]int{"event cap": {3, 1 << 10}, "text cap": {1 << 10, 4}} {
-		rd := snap.NewDecoder(bytes.NewReader(encoded))
+		rd := snap.NewDecoder(encoded)
 		(&Recorder{}).State(rd, caps[0], caps[1])
 		if rd.Err() == nil {
 			t.Errorf("%s: over-long stream decoded cleanly", name)
