@@ -5,8 +5,8 @@
 # tier-1 gate (build, vet, mlint, the full test suite) plus a shuffled
 # short pass (order-dependent tests are bugs), a race pass (short mode
 # everywhere; the supervision layers, the dist coordinator and the
-# fork-concurrency tests in full), the worker-pool speedup tripwire, an
-# end-to-end msim -save/-restore round trip, a run of every example, an
+# fork-concurrency tests in full), an end-to-end msim -save/-restore
+# round trip, a run of every example, an
 # end-to-end run of every checked-in workload scenario
 # (testdata/workloads/*.wl under msim, and the sweep-free ones again under
 # msim -shards 2 and -shards 3, digests compared), a fuzzing smoke over
@@ -20,9 +20,9 @@
 
 GO ?= go
 
-.PHONY: ci build vet lint test shuffle race speedup checkpoint examples wl fuzz-smoke bench-smoke bench benchdiff pairs
+.PHONY: ci build vet lint test shuffle race checkpoint examples wl fuzz-smoke bench-smoke bench benchdiff pairs
 
-ci: build vet lint test shuffle race speedup checkpoint examples wl fuzz-smoke bench-smoke benchdiff
+ci: build vet lint test shuffle race checkpoint examples wl fuzz-smoke bench-smoke benchdiff
 
 build:
 	$(GO) build ./...
@@ -46,8 +46,8 @@ test:
 
 # Shuffled short pass: test order dependence is a determinism bug of the
 # test suite itself. The package-level mutable state left for it to police
-# is small: core's unexported defaultNaiveEngine/defaultWorkers hooks
-# (written only by engine_test.go's underMode, restored by defer), the
+# is small: core's unexported defaultNaiveEngine hook (written only by
+# engine_test.go's underMode, restored by defer), the
 # test binaries' own fixtures, and whatever a test leaks into a shared
 # temp dir or the process environment. -shuffle prints its seed, so an
 # order-dependent failure is reproducible.
@@ -66,14 +66,6 @@ race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=1 ./internal/serve ./internal/guard ./internal/dist
 	$(GO) test -race -count=1 -run 'TestForkConcurrent|TestSharedProgramsConcurrentLoad' ./internal/machine ./internal/mem ./internal/core
-
-# Worker-pool speedup tripwire, in its own invocation so the wall-clock
-# measurement never contends with other package test binaries. The lines
-# printed are the test's own: the measured speedup, then, on hosts with
-# fewer than 4 cores, "skipped: <why>" in place of the 2x assertion.
-speedup:
-	@out=$$(PARALLEL_SPEEDUP=1 $(GO) test -v -run TestParallelSpeedup -count=1 . 2>&1); rc=$$?; \
-	echo "$$out" | grep -E 'parallel_bench_test.go:|^--- FAIL|^FAIL' | sed 's/^ */speedup: /'; exit $$rc
 
 # End-to-end msim -save / -restore round trip. The library side of the
 # checkpoint contract (the engine-pair round-trip matrix, the corrupt-stream

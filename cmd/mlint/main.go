@@ -15,7 +15,7 @@
 //
 // Suppressions are per-line and must carry a reason:
 //
-//	//mlint:allow gocheck worker pool goroutines block on their start channel
+//	//mlint:allow gocheck experiment fan-out: each goroutine owns a whole machine
 package main
 
 import (

@@ -12,7 +12,7 @@
 // Flags are grouped:
 //
 //	run control:  -nodes -node -vthread -cluster -cycles -trace
-//	engine:       -naive -workers -caching
+//	engine:       -naive -caching
 //	snapshot:     -save -restore
 //	supervision:  -timeout -crash-dump
 //	workload:     -workload
@@ -31,17 +31,14 @@
 // In workload mode the mesh shape, caching mode, cycle budgets, and
 // placement all come from the scenario file, so -nodes/-node/-vthread/
 // -cluster/-cycles and the snapshot flags do not combine with -workload;
-// the engine flags (-naive, -workers), -trace, and the supervision flags
-// (-timeout, -crash-dump) do. The report includes the final machine
-// digest, so two runs compare directly.
-//
-// -naive and -workers do not combine (the naive loop has no workers), and
-// -workers takes -1 (every core), 0 or a count: anything else exits 2.
+// the engine flag -naive, -trace, and the supervision flags (-timeout,
+// -crash-dump) do. The report includes the final machine digest, so two
+// runs compare directly.
 //
 // -shards N runs the scenario on N supervised shard worker processes that
 // re-execute this binary (docs/mdist.md), bit-identical to an in-process
-// run. The workers step serially, so -naive and -workers do not combine
-// with it; the other distributed flags require it. Their numbers are
+// run. The workers run the event engine, so -naive does not combine with
+// it; the other distributed flags require it. Their numbers are
 // literal: -max-recoveries 0 recovers nothing, -checkpoint-every 0
 // checkpoints at phase entry only, and a -window-timeout (a shard's only
 // liveness bound) must be positive. A negative -max-recoveries, a
@@ -96,7 +93,7 @@ var flagGroups = []struct {
 	flags []string
 }{
 	{"run control", []string{"nodes", "node", "vthread", "cluster", "cycles", "trace"}},
-	{"engine", []string{"naive", "workers", "caching"}},
+	{"engine", []string{"naive", "caching"}},
 	{"snapshot", []string{"save", "restore"}},
 	{"supervision", []string{"timeout", "crash-dump"}},
 	{"workload", []string{"workload"}},
@@ -120,7 +117,6 @@ func main() {
 	showTrace := flag.Bool("trace", false, "print the event trace")
 	// Engine.
 	naive := flag.Bool("naive", false, "use the reference per-cycle loop instead of the event engine")
-	workers := flag.Int("workers", 0, "parallel chip engine worker count (0 serial, -1 all cores)")
 	caching := flag.Bool("caching", false, "cache remote data in local DRAM")
 	// Snapshot.
 	restorePath := flag.String("restore", "", "restore machine state from this snapshot before running")
@@ -168,12 +164,9 @@ func main() {
 	if *genDump {
 		usageErr("-gen-dump requires -gen-seed")
 	}
-	if *workers < -1 {
-		usageErr("-workers %d is not a worker count (valid: -1 for every core, 0 or more)", *workers)
-	}
 
 	supervise := guard.Options{Timeout: *timeout, DumpPath: *crashDump}
-	engine := core.Options{NaiveEngine: *naive, Workers: *workers, Supervise: supervise}
+	engine := core.Options{NaiveEngine: *naive, Supervise: supervise}
 	if *workloadPath != "" {
 		if flag.NArg() != 0 {
 			usageErr("-workload runs a scenario file; the positional program argument does not apply")
@@ -207,9 +200,6 @@ func main() {
 	}
 	if name := firstSet(flag.Visit, func(n string) bool { return slices.Contains(distributedFlags, n) }); name != "" {
 		usageErr("-%s runs a -workload scenario distributed; it does not apply to a program", name)
-	}
-	if *naive && isSet(flag.Visit, "workers") {
-		usageErr("-workers %s", naiveWorkers)
 	}
 
 	if flag.NArg() != 1 {
@@ -427,33 +417,27 @@ func reportFailure(err error) {
 // flag.Visit-shaped walker, so tests can drive it with their own
 // FlagSet) and returns the first one a scenario run does not combine
 // with and why, or "". The scenario file owns the mesh, placement,
-// caching, cycle budgets and machine state, -shards owns the engine, -naive
-// has no workers, and the distributed flags need -shards: reject, never
-// silently ignore.
+// caching, cycle budgets and machine state, -shards owns the engine, and
+// the distributed flags need -shards: reject, never silently ignore.
 func workloadFlagConflict(visit func(func(*flag.Flag))) (name, why string) {
 	scenarioOwned := map[string]bool{
 		"nodes": true, "node": true, "vthread": true, "cluster": true,
 		"cycles": true, "caching": true, "save": true, "restore": true,
 	}
-	sharded, naive := isSet(visit, "shards"), isSet(visit, "naive")
+	sharded := isSet(visit, "shards")
 	visit(func(f *flag.Flag) {
 		switch {
 		case name != "":
 		case scenarioOwned[f.Name]:
 			name, why = f.Name, "does not combine with -workload (the scenario file defines it)"
-		case sharded && (f.Name == "naive" || f.Name == "workers"):
-			name, why = f.Name, "does not combine with -shards (the shard workers step their chips serially)"
-		case naive && f.Name == "workers":
-			name, why = f.Name, naiveWorkers
+		case sharded && f.Name == "naive":
+			name, why = f.Name, "does not combine with -shards (the shard workers run the event engine)"
 		case !sharded && slices.Contains(distributedFlags, f.Name):
 			name, why = f.Name, "requires -shards"
 		}
 	})
 	return name, why
 }
-
-// naiveWorkers is why -workers does not combine with -naive.
-const naiveWorkers = "does not combine with -naive (the reference loop steps every chip serially)"
 
 // genFlagConflict returns the first explicitly-set flag that -gen-seed
 // does not combine with. The generated scenario owns the mesh and

@@ -1,6 +1,6 @@
 // Wdsl: the declarative workload DSL from Go. Compiles an embedded .wl
 // scenario — a two-node ping-pong over synchronizing memory — and runs
-// it under both the serial event engine and the parallel chip engine,
+// it under both the event engine and the naive reference loop,
 // demonstrating that a scenario is a simulated result: the cycle counts
 // are bit-identical whichever engine executes it. See docs/wdsl.md for
 // the language reference and testdata/workloads/ for larger scenarios.
@@ -78,8 +78,8 @@ func main() {
 		name string
 		opts core.Options
 	}{
-		{"event engine (serial)", core.Options{}},
-		{"parallel engine (2 shards)", core.Options{Workers: 2}},
+		{"event engine", core.Options{}},
+		{"naive reference loop", core.Options{NaiveEngine: true}},
 	}
 	var ref *core.ScenarioResult
 	for _, e := range engines {

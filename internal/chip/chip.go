@@ -161,13 +161,13 @@ type Chip struct {
 	// order after every chip has stepped, which reproduces the historical
 	// inject-during-step order exactly (a chip cannot observe another
 	// chip's same-cycle injections) while keeping Chip.Step free of shared
-	// state — the property that lets worker goroutines run the chip phase.
+	// state — the property that lets a dist worker step its own range and
+	// hand the outboxes to the coordinator.
 	outbox []*noc.Message
 
 	// freeMsgs holds consumed messages for reuse by this chip's SENDs and
-	// acknowledgements (see net.go). Only this chip's Step touches it, so
-	// chips stepping concurrently share nothing; a decoded or cloned chip
-	// starts with none.
+	// acknowledgements (see net.go). Only this chip's Step touches it; a
+	// decoded or cloned chip starts with none.
 	freeMsgs []*noc.Message `snap:"derived,recycled messages, invisible to the simulation"`
 
 	// validDIPs restricts the dispatch instruction pointers user threads
@@ -185,9 +185,8 @@ type Chip struct {
 	// Trace, if non-nil, is the sink for simulation events (timeline
 	// reconstruction, Figure 9). Step only appends typed records to
 	// traceBuf; the owner moves them to the sink with FlushTrace, per chip
-	// in node-index order after the chip phase, so chips stepping
-	// concurrently never touch the shared sink and every engine observes
-	// the same stream.
+	// in node-index order after the chip phase, so every engine and
+	// transport observes the same stream.
 	Trace    *trace.Recorder `snap:"derived,engine hook, reinstalled by the owner"`
 	traceBuf trace.Recorder  `snap:"derived,drained every cycle, empty at snapshot points"`
 
@@ -295,8 +294,8 @@ func (c *Chip) Touch() {
 // wake cycle (WakeAt, Touch, LoadProgram). The machine uses it to lower the
 // chip's entry in its due-set; the hook must therefore never report a
 // cycle later than the chip's true wake. All call sites run on the machine
-// goroutine between chip phases, so fn needs no synchronization beyond the
-// engine's own fork-join. nil uninstalls.
+// goroutine between chip phases, so fn needs no synchronization. nil
+// uninstalls.
 func (c *Chip) SetWakeHook(fn func(at int64)) { c.onWake = fn }
 
 // RegisterDIP marks a dispatch instruction pointer as legal for user SENDs.

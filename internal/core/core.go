@@ -59,12 +59,13 @@ type Options struct {
 	// are bit-identical (see TestDeterminismEngines); the naive loop is
 	// the debug baseline the engine is validated against.
 	NaiveEngine bool
-	// Workers selects the parallel chip engine: busy cycles shard the chip
-	// phase across this many goroutines (machine.Config.Workers). 0 and 1
-	// are serial, -1 uses GOMAXPROCS. Bit-identical to the serial engines
-	// on any mesh (TestDeterminismThreeWay), but slower than them: with
-	// GOMAXPROCS=2, BenchmarkParallelSpeedup measured 0.49x / 0.77x /
-	// 0.79x of serial speed on 8 / 32 / 128 nodes.
+	// Workers is read by nothing: every machine steps its chips on the
+	// calling goroutine.
+	//
+	// Deprecated: the worker pool it sized is gone. It stays only because
+	// the host-time benchmark still sets it; the next change to that
+	// benchmark deletes it, together with its machine.par_* rows and its
+	// noc.Network.DeliveredNodes readers.
 	Workers int
 	// Supervise bounds supervised scenario execution (Scenario.Run/RunSim):
 	// its wall-clock Timeout, its CycleBudget across all run phases, and
@@ -75,15 +76,12 @@ type Options struct {
 	Supervise guard.Options
 }
 
-// defaultNaiveEngine and defaultWorkers are test hooks: the determinism
-// regression (engine_test.go, underMode) sets them so that every Sim built
-// afterwards — including the ones experiment harnesses construct
-// internally — runs under the engine being compared. Nothing outside this
-// package's tests writes them.
-var (
-	defaultNaiveEngine bool // force the naive reference loop
-	defaultWorkers     int  // worker count applied when Options.Workers is zero
-)
+// defaultNaiveEngine is a test hook: the determinism regression
+// (engine_test.go, underMode) sets it so that every Sim built afterwards —
+// including the ones experiment harnesses construct internally — runs
+// under the engine being compared. Nothing outside this package's tests
+// writes it.
+var defaultNaiveEngine bool
 
 // Sim is a booted M-Machine with its runtime installed.
 type Sim struct {
@@ -107,10 +105,6 @@ func NewSim(o Options) (*Sim, error) {
 		cfg.Dims = o.Dims
 	case o.Nodes > 0:
 		cfg.Dims = noc.Coord{X: o.Nodes, Y: 1, Z: 1}
-	}
-	cfg.Workers = o.Workers
-	if cfg.Workers == 0 {
-		cfg.Workers = defaultWorkers
 	}
 	m := machine.New(cfg)
 	m.Naive = o.NaiveEngine || defaultNaiveEngine

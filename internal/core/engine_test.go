@@ -3,13 +3,12 @@ package core
 // Determinism regression for the cycle engines: every experiment must
 // produce bit-identical results — cycle counts, register state,
 // statistics, and trace event streams — whether the machine runs the
-// naive per-cycle loop (Machine.StepAll), the fast-forwarding event
-// engine, or the goroutine-sharded parallel engine, under any shard
-// count. See DESIGN.md, "The NextEvent contract" and "The parallel
-// engine".
+// naive per-cycle loop (Machine.StepAll) or the fast-forwarding event
+// engine. See DESIGN.md, "The NextEvent contract" and "The cycle engine".
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -18,30 +17,24 @@ import (
 	"repro/internal/workload"
 )
 
-// engineMode names one (engine, shard count) configuration.
+// engineMode names one engine.
 type engineMode struct {
-	name    string
-	naive   bool
-	workers int
+	name  string
+	naive bool
 }
 
-// engineModes is the cross-engine matrix: the naive reference, the serial
-// event engine, and the parallel engine at several shard counts (clamped
-// to the node count on small machines, so "parallel8" on a 2-node mesh
-// still exercises the 2-shard pool).
+// engineModes is the cross-engine matrix: the naive reference and the
+// event engine.
 var engineModes = []engineMode{
-	{"naive", true, 0},
-	{"event", false, 0},
-	{"parallel2", false, 2},
-	{"parallel3", false, 3},
-	{"parallel8", false, 8},
+	{"naive", true},
+	{"event", false},
 }
 
 // underMode runs f with the package-default engine forced to the mode,
-// restoring the defaults afterwards.
+// restoring the default afterwards.
 func underMode(m engineMode, f func() (string, error)) (string, error) {
-	defaultNaiveEngine, defaultWorkers = m.naive, m.workers
-	defer func() { defaultNaiveEngine, defaultWorkers = false, 0 }()
+	defaultNaiveEngine = m.naive
+	defer func() { defaultNaiveEngine = false }()
 	return f()
 }
 
@@ -281,9 +274,10 @@ loop:
 	}
 }
 
-// TestDeterminismThreeWay is the cross-engine matrix: naive vs event vs
-// parallel (several shard counts) over multiple mesh sizes and workloads,
-// comparing complete state fingerprints including the trace stream.
+// TestDeterminismThreeWay is the cross-engine matrix over multiple mesh
+// sizes and workloads: naive vs event, comparing complete state
+// fingerprints including the trace stream. (Its third engine was the
+// deleted worker pool.)
 func TestDeterminismThreeWay(t *testing.T) {
 	meshes := []noc.Coord{
 		{X: 2, Y: 1, Z: 1},
@@ -317,13 +311,13 @@ func TestDeterminismTraceAndState(t *testing.T) {
 	allEngines(t, "trace+state", workload)
 }
 
-// TestDeterminismLockstep steps naive, event-engine, and parallel-engine
-// machines in strict lockstep (via Machine.Step, no fast-forward jumps)
+// TestDeterminismLockstep steps naive and event-engine machines in strict
+// lockstep (via Machine.Step, no fast-forward jumps)
 // and asserts identical per-cycle trace streams — the cycle-for-cycle form
 // of the equivalence the fast-forward path then builds on.
 func TestDeterminismLockstep(t *testing.T) {
-	build := func(naive bool, workers int) (*Sim, error) {
-		s, err := NewSim(Options{Nodes: 2, NaiveEngine: naive, Workers: workers})
+	build := func(naive bool) (*Sim, error) {
+		s, err := NewSim(Options{Nodes: 2, NaiveEngine: naive})
 		if err != nil {
 			return nil, err
 		}
@@ -337,39 +331,64 @@ func TestDeterminismLockstep(t *testing.T) {
 `)
 		return s, err
 	}
-	a, err := build(true, 0)
+	a, err := build(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := build(false, 0)
+	b, err := build(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := build(false, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.M.Close()
 	tr := func(s *Sim) string { return s.Recorder.Timeline(s.Recorder.Events) }
 	for i := 0; i < 2000; i++ {
 		a.M.Step()
 		b.M.Step()
-		c.M.Step()
-		if a.M.Cycle != b.M.Cycle || a.M.Cycle != c.M.Cycle {
-			t.Fatalf("cycle skew at step %d: %d vs %d vs %d", i, a.M.Cycle, b.M.Cycle, c.M.Cycle)
+		if a.M.Cycle != b.M.Cycle {
+			t.Fatalf("cycle skew at step %d: %d vs %d", i, a.M.Cycle, b.M.Cycle)
 		}
 	}
 	if tr(a) != tr(b) {
 		t.Fatalf("trace streams diverged:\n--- naive ---\n%s\n--- event ---\n%s", tr(a), tr(b))
 	}
-	if tr(a) != tr(c) {
-		t.Fatalf("trace streams diverged:\n--- naive ---\n%s\n--- parallel ---\n%s", tr(a), tr(c))
-	}
 	if got, want := b.Reg(0, 0, 0, 4), a.Reg(0, 0, 0, 4); got != want {
 		t.Fatalf("final i4: event %d vs naive %d", got, want)
 	}
-	if got, want := c.Reg(0, 0, 0, 4), a.Reg(0, 0, 0, 4); got != want {
-		t.Fatalf("final i4: parallel %d vs naive %d", got, want)
+}
+
+// TestEngineStartsNoGoroutines: every machine steps its chips on the
+// calling goroutine. A 4x4x2 mesh built with the deprecated Workers option
+// runs 200 cycles with every chip busy and starts no goroutine. (The count
+// may fall while it runs: a goroutine an earlier test left may exit.)
+func TestEngineStartsNoGoroutines(t *testing.T) {
+	s, err := NewSim(Options{Dims: noc.Coord{X: 4, Y: 4, Z: 2}, Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.M.Close()
+	for n := 0; n < s.M.NumNodes(); n++ {
+		if err := s.LoadASM(n, 0, 0, `
+    movi i1, #0
+    movi i2, #1000
+spin:
+    add i1, i1, #1
+    lt i3, i1, i2
+    brt i3, spin
+    halt
+`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := runtime.NumGoroutine()
+	for s.M.Cycle < 200 {
+		s.M.Step()
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("stepping started %d goroutines, want 0", got-before)
+	}
+	for n := 0; n < s.M.NumNodes(); n++ {
+		if c := s.M.Chip(n); c.InstsIssued < 100 {
+			t.Fatalf("node %d issued %d instructions in 200 cycles: the mesh was not busy", n, c.InstsIssued)
+		}
 	}
 }
 

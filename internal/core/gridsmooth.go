@@ -10,7 +10,7 @@ package core
 // node's chunk while the flat shared address space keeps the program
 // unchanged except for its loop bounds. The program generators live in
 // internal/workload (MeshSmooth), shared with the large-mesh scaling
-// experiment (`mbench -exp meshscale`) and the parallel-engine benchmarks.
+// experiment (`mbench -exp meshscale`).
 
 import (
 	"fmt"
@@ -110,7 +110,7 @@ func FormatGridSmooth(rows []GridScaleRow) string {
 	return b.String()
 }
 
-// --- E14 (extension): large-mesh scaling under the parallel engine ---
+// --- E14 (extension): large-mesh scaling ---
 
 // MeshScaleRow reports one large-mesh configuration.
 type MeshScaleRow struct {
@@ -121,15 +121,12 @@ type MeshScaleRow struct {
 }
 
 // MeshScaleExperiment runs the smoothing pass over a fixed 2048-element
-// grid on progressively larger 3-D meshes — up to the 4x4x2 and 8x8x2
-// configurations the worker pool targets — with the chip phase on the
-// pool (Workers: -1; on a single-core host it runs inline with identical
-// results). Larger meshes also mean a smaller busy fraction per cycle
-// (the fixed grid spreads thinner), which is the mix the engine's due-set
-// is for (see DESIGN.md, "The due-set"). Simulated cycle counts are
-// host-independent; the point of the sweep is that larger meshes finish
-// the same grid in fewer simulated cycles while the pool keeps host
-// wall-clock per configuration roughly flat.
+// grid on progressively larger 3-D meshes, up to 4x4x2 and 8x8x2. Larger
+// meshes also mean a smaller busy fraction per cycle (the fixed grid
+// spreads thinner), which is the mix the engine's due-set is for (see
+// DESIGN.md, "The due-set"). Simulated cycle counts are host-independent;
+// the point of the sweep is that larger meshes finish the same grid in
+// fewer simulated cycles.
 func MeshScaleExperiment() ([]MeshScaleRow, error) {
 	const total = 2048
 	dims := []noc.Coord{
@@ -146,7 +143,7 @@ func MeshScaleExperiment() ([]MeshScaleRow, error) {
 		if err != nil {
 			return err
 		}
-		s, _, cycles, err := runMeshSmooth(Options{Dims: d, Workers: -1}, g)
+		s, _, cycles, err := runMeshSmooth(Options{Dims: d}, g)
 		if err != nil {
 			return fmt.Errorf("mesh smooth on %v: %w", d, err)
 		}
@@ -167,7 +164,7 @@ func MeshScaleExperiment() ([]MeshScaleRow, error) {
 // FormatMeshScale renders the large-mesh scaling table.
 func FormatMeshScale(rows []MeshScaleRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "2048-element grid smoothing on 3-D meshes (parallel chip engine)\n")
+	fmt.Fprintf(&b, "2048-element grid smoothing on 3-D meshes\n")
 	fmt.Fprintf(&b, "%-8s %6s %10s %9s\n", "mesh", "nodes", "cycles", "speedup")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%dx%dx%d   %6d %10d %8.2fx\n",

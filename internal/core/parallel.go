@@ -2,10 +2,9 @@ package core
 
 // The concurrent experiment harness. Every Table 1 cell, Figure 9
 // timeline, stencil configuration, and scaling row stages its own fresh
-// machine, so independent machines fan out across the host's cores. This
-// is orthogonal to the parallel chip engine (machine.Config.Workers):
-// that shards one large machine's cycle, this runs many small machines at
-// once. Determinism is unaffected — each simulated machine is fully
+// machine, so independent machines fan out across the host's cores; each
+// machine steps its chips on the goroutine running it. Determinism is
+// unaffected — each simulated machine is fully
 // self-contained (per-chip state, its own network, a read-only shared
 // runtime assembly), results land in caller-indexed slots, and simulated
 // cycle counts never depend on host scheduling.

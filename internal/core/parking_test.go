@@ -375,7 +375,7 @@ func TestParkingMatchesFullScan(t *testing.T) {
 		for _, eng := range parkEngines {
 			t.Run(k.name+"/"+eng.name, func(t *testing.T) {
 				opts := k.opts
-				opts.NaiveEngine, opts.Workers = eng.opts.NaiveEngine, eng.opts.Workers
+				opts.NaiveEngine = eng.opts.NaiveEngine
 				tw := newParkTwin(t, func() (*core.Sim, error) { return core.NewSim(opts) })
 				tw.all(k.load)
 				for tw.a.M.Cycle < k.cycles {

@@ -73,8 +73,8 @@ func scenarioFingerprint(t *testing.T, file string) (string, error) {
 // TestDSLMatchesHandWritten pins the DSL re-expressions of three
 // experiment legs to the experiment harness itself — runStencil,
 // runLoopSync and runMeshSmooth, the set-ups E3, E4 and E13/E14 run:
-// identical cycle counts and machine statistics under the naive, event,
-// and parallel engines. This extends the determinism matrix to DSL legs —
+// identical cycle counts and machine statistics under the naive and event
+// engines. This extends the determinism matrix to DSL legs —
 // the DSL must be a notation, not a different workload — and an edit to an
 // experiment's set-up breaks the pin.
 func TestDSLMatchesHandWritten(t *testing.T) {

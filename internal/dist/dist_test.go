@@ -234,9 +234,8 @@ func TestDistDeterminismMatrix(t *testing.T) {
 	for _, sc := range scenarios {
 		t.Run(filepath.Base(sc.Name), func(t *testing.T) {
 			engines := map[string]core.Options{
-				"naive":    {NaiveEngine: true},
-				"event":    {},
-				"parallel": {Workers: 4},
+				"naive": {NaiveEngine: true},
+				"event": {},
 			}
 			refs := map[string]refOutcome{}
 			for eng, o := range engines {

@@ -35,7 +35,7 @@ type RunResult struct {
 // its next window head. The returned Sim's machine is closed but readable,
 // as after Scenario.RunSim, except after a hang (guard.IsHang), when the
 // wedged run still owns it and the federation. The hub's chips never step:
-// o's engine fields (NaiveEngine, Workers) should be zero.
+// o.NaiveEngine should be false.
 func RunScenario(sc *core.Scenario, o core.Options, cfg Config) (*RunResult, *core.Sim, error) {
 	if sc.Plan.Sweep != nil {
 		// Sweep points fork the hub machine mid-run; sharded workers

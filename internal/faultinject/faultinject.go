@@ -12,8 +12,8 @@
 //     Each fires at a node's first step at or after a cycle (an
 //     exact-cycle match would never fire while the event-driven engine
 //     skips an idle node), so a fault on a node busy at that cycle fires
-//     at the identical simulation point under every engine — serial,
-//     event-driven, any parallel shard layout, or a dist shard worker —
+//     at the identical simulation point under every engine — naive,
+//     event-driven, or a dist shard worker —
 //     and a test can assert the exact crash site the guard reports. PanicFrom
 //     raises an *InjectedPanic (which carries its own crash site);
 //     StallAt burns wall-clock time to trip timeout watchdogs without
@@ -48,16 +48,15 @@ func (p *InjectedPanic) Error() string {
 func (p *InjectedPanic) CrashSite() (node int, cycle int64) { return p.Node, p.Cycle }
 
 // Probe is a machine fault probe (the Machine.SetFaultProbe signature):
-// called immediately before a chip steps, possibly concurrently for
-// distinct nodes under the parallel engine.
+// called on the stepping goroutine immediately before a chip steps.
 type Probe func(node int, cycle int64)
 
 // PanicFrom returns a probe that panics with an *InjectedPanic, once, the
 // first time chip node is about to step a cycle >= from. The probe fires
 // before the step, so the machine state at containment is the clean
 // between-cycles state for that chip — what makes crash-dump resume exact
-// on serial engines. The unsynchronized once-flag is safe: a given node is
-// stepped by one goroutine at a time under every engine.
+// on every engine. The unsynchronized once-flag is safe: a machine steps
+// its chips on one goroutine.
 func PanicFrom(node int, from int64) Probe {
 	fired := false
 	return func(n int, c int64) {

@@ -18,21 +18,21 @@ import (
 
 // engines is the containment matrix: every fault below must produce the
 // identical typed failure at the identical simulation point under each.
+// The parallel3 row ran the deleted worker pool; it keeps its name and
+// repeats the event row.
 var engines = []struct {
-	name    string
-	naive   bool
-	workers int
+	name  string
+	naive bool
 }{
-	{"naive", true, 0},
-	{"event", false, 0},
-	{"parallel3", false, 3},
+	{"naive", true},
+	{"event", false},
+	{"parallel3", false},
 }
 
-func newM(t *testing.T, nodes int, naive bool, workers int) *machine.Machine {
+func newM(t *testing.T, nodes int, naive bool) *machine.Machine {
 	t.Helper()
 	cfg := machine.DefaultConfig()
 	cfg.Dims = noc.Coord{X: nodes, Y: 1, Z: 1}
-	cfg.Workers = workers
 	m := machine.New(cfg)
 	m.Naive = naive
 	t.Cleanup(m.Close)
@@ -64,7 +64,7 @@ spin:
 func TestInjectedPanicAllEngines(t *testing.T) {
 	for _, e := range engines {
 		t.Run(e.name, func(t *testing.T) {
-			m := newM(t, 6, e.naive, e.workers)
+			m := newM(t, 6, e.naive)
 			m.SetFaultProbe(faultinject.PanicFrom(3, 200))
 			s := guard.New(m, guard.Options{})
 			_, err := s.Run(1 << 40)
@@ -91,7 +91,7 @@ func TestInjectedPanicAllEngines(t *testing.T) {
 // TestStallTripsWatchdog: StallAt makes the run slow without touching
 // simulated state; the wall-clock watchdog cuts it off as stall-timeout.
 func TestStallTripsWatchdog(t *testing.T) {
-	m := newM(t, 1, false, 0)
+	m := newM(t, 1, false)
 	m.SetFaultProbe(faultinject.StallAt(0, 0, 5*time.Millisecond))
 	s := guard.New(m, guard.Options{Timeout: 40 * time.Millisecond})
 	_, err := s.Run(1 << 40)
@@ -104,7 +104,7 @@ func TestStallTripsWatchdog(t *testing.T) {
 // goroutine mid-cycle; the guard gives up after the grace period with a
 // stall-hang and no dump.
 func TestBlockTripsHang(t *testing.T) {
-	m := newM(t, 1, false, 0)
+	m := newM(t, 1, false)
 	release := make(chan struct{})
 	defer close(release)
 	m.SetFaultProbe(faultinject.HangFrom(0, 50, release))
@@ -117,7 +117,7 @@ func TestBlockTripsHang(t *testing.T) {
 
 // TestChain: chained probes all fire.
 func TestChain(t *testing.T) {
-	m := newM(t, 2, false, 0)
+	m := newM(t, 2, false)
 	hits := 0
 	m.SetFaultProbe(faultinject.Chain(
 		func(n int, c int64) {
@@ -184,7 +184,7 @@ func TestStreamFaultsDeterministic(t *testing.T) {
 // restore target must still resume and complete afterwards). This is the
 // library-level twin of FuzzSnapshotDecode.
 func TestCorruptSnapshotNeverPanics(t *testing.T) {
-	src := newM(t, 2, false, 0)
+	src := newM(t, 2, false)
 	if _, err := src.Run(300); err != nil && !errors.Is(err, machine.ErrCycleLimit) {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestCorruptSnapshotNeverPanics(t *testing.T) {
 	}
 	base := buf.Bytes()
 
-	dst := newM(t, 2, false, 0)
+	dst := newM(t, 2, false)
 	var pristine bytes.Buffer
 	if err := dst.Save(&pristine); err != nil {
 		t.Fatal(err)
@@ -240,7 +240,7 @@ func TestInjectedSiteSweep(t *testing.T) {
 		}{{0, 1}, {5, 777}, {2, 64}} {
 			name := fmt.Sprintf("%s/n%dc%d", e.name, site.node, site.cycle)
 			t.Run(name, func(t *testing.T) {
-				m := newM(t, 6, e.naive, e.workers)
+				m := newM(t, 6, e.naive)
 				m.SetFaultProbe(faultinject.PanicFrom(site.node, site.cycle))
 				_, err := guard.New(m, guard.Options{}).Run(1 << 40)
 				var ce *guard.Failure

@@ -17,7 +17,7 @@ import (
 // recovery-cap error wraps them) — and which of them a retry can get
 // past.
 func TestClassify(t *testing.T) {
-	m := newM(t, 1, 0)
+	m := newM(t, 1)
 	load(t, m, 0, spinSrc)
 	crashed := guard.New(m, guard.Options{}).Do(func() error { panic("boom") })
 	budgeted := func() error {
@@ -30,7 +30,7 @@ func TestClassify(t *testing.T) {
 	})
 	release := make(chan struct{})
 	defer close(release)
-	hung := guard.New(newM(t, 1, 0), guard.Options{Timeout: time.Millisecond, Grace: time.Millisecond}).Do(func() error {
+	hung := guard.New(newM(t, 1), guard.Options{Timeout: time.Millisecond, Grace: time.Millisecond}).Do(func() error {
 		<-release
 		return nil
 	})

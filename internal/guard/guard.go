@@ -9,9 +9,8 @@
 //
 // A Supervisor provides, in one Do call:
 //
-//   - Panic containment. Panics out of the supervised function — serial
-//     engine steps, scenario staging, and (via machine.WorkerPanic)
-//     parallel worker goroutines — are recovered and converted to a
+//   - Panic containment. Panics out of the supervised function — engine
+//     steps and scenario staging — are recovered and converted to a
 //     ClassCrash *Failure carrying the panic value, the deep stack
 //     captured at the panic site, and the offending (node, cycle). A
 //     panic never crosses the Supervisor boundary.
@@ -141,7 +140,7 @@ func (f *Failure) Unwrap() error {
 }
 
 // crashSite is implemented by panic values that know which chip and
-// cycle they struck (machine.WorkerPanic, faultinject.InjectedPanic).
+// cycle they struck (faultinject.InjectedPanic).
 type crashSite interface {
 	CrashSite() (node int, cycle int64)
 }
@@ -302,9 +301,8 @@ func (s *Supervisor) Do(fn func() error) error {
 		defer func() {
 			if v := recover(); v != nil {
 				// The stack here still includes the panicking frames —
-				// recover runs before the unwind completes — so serial
-				// engine crashes get full depth; parallel crashes carry
-				// their own worker-side stack in the WorkerPanic.
+				// recover runs before the unwind completes — so engine
+				// crashes get full depth.
 				done <- outcome{panicVal: v, stack: debug.Stack()}
 			}
 		}()
@@ -385,14 +383,6 @@ func (s *Supervisor) classify(o outcome, timedOut bool, elapsed time.Duration) e
 		f = &Failure{Class: ClassCrash, Value: o.panicVal, Stack: o.stack, Cycle: m.Cycle, Node: -1}
 		if cs, ok := o.panicVal.(crashSite); ok {
 			f.Node, f.Cycle = cs.CrashSite()
-		}
-		if wp, ok := o.panicVal.(*machine.WorkerPanic); ok {
-			// Unwrap to the original panic value; prefer the worker-side
-			// stack, which reaches the true panic site.
-			f.Value = wp.Value
-			if len(wp.Stack) > 0 {
-				f.Stack = wp.Stack
-			}
 		}
 		o.err = f
 	case errors.As(o.err, &f):

@@ -8,7 +8,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -21,12 +20,11 @@ import (
 )
 
 // newM builds an n-node x-axis machine with the runtime installed, node i
-// homing virtual words [i*4096, (i+1)*4096), under the requested engine.
-func newM(t *testing.T, nodes, workers int) *machine.Machine {
+// homing virtual words [i*4096, (i+1)*4096).
+func newM(t *testing.T, nodes int) *machine.Machine {
 	t.Helper()
 	cfg := machine.DefaultConfig()
 	cfg.Dims = noc.Coord{X: nodes, Y: 1, Z: 1}
-	cfg.Workers = workers
 	m := machine.New(cfg)
 	t.Cleanup(m.Close)
 	if _, err := rt.Install(m, rt.Options{}); err != nil {
@@ -87,7 +85,7 @@ func (p injected) String() string          { return fmt.Sprintf("injected fault 
 // TestSupervisedBitIdentical: supervision with watchdogs armed must not
 // perturb the simulation — same cycles, same results as a bare Run.
 func TestSupervisedBitIdentical(t *testing.T) {
-	bare := newM(t, 2, 0)
+	bare := newM(t, 2)
 	load(t, bare, 0, countSrc(300))
 	load(t, bare, 1, countSrc(150))
 	wantCycles, err := bare.Run(100000)
@@ -96,7 +94,7 @@ func TestSupervisedBitIdentical(t *testing.T) {
 	}
 	want0, want1 := finalCount(bare, 0), finalCount(bare, 1)
 
-	m := newM(t, 2, 0)
+	m := newM(t, 2)
 	load(t, m, 0, countSrc(300))
 	load(t, m, 1, countSrc(150))
 	s := guard.New(m, guard.Options{Timeout: 30 * time.Second, CycleBudget: 1 << 40})
@@ -113,7 +111,7 @@ func TestSupervisedBitIdentical(t *testing.T) {
 // TestPanicContainedSerial: a probe panic under the serial engine becomes
 // a crash *Failure with the panic value and site preserved; no panic escapes.
 func TestPanicContainedSerial(t *testing.T) {
-	m := newM(t, 1, 0)
+	m := newM(t, 1)
 	load(t, m, 0, spinSrc)
 	m.SetFaultProbe(func(node int, cycle int64) {
 		if cycle == 100 {
@@ -143,61 +141,33 @@ func TestPanicContainedSerial(t *testing.T) {
 	}
 }
 
-// TestPanicContainedParallel: a chip-step panic under the parallel engine
-// is recovered where it happened — on a worker goroutine, or on the machine
-// goroutine, which steps range 0 itself — re-raised after the join, and
-// surfaces as the same crash *Failure shape, with that goroutine's stack
-// and the original panic value unwrapped from machine.WorkerPanic. Six
-// nodes on three workers cut into ranges {0,1}, {2,3}, {4,5}; when two
-// ranges panic in the same cycle the lowest node wins.
-func TestPanicContainedParallel(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		panics   []int // nodes whose probe panics at cycle 150
-		wantNode int
-	}{
-		{"worker range", []int{4}, 4},
-		{"machine range", []int{0}, 0},
-		{"two ranges", []int{5, 3}, 3},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			m := newM(t, 6, 3)
-			for i := 0; i < 6; i++ {
-				load(t, m, i, spinSrc)
-			}
-			m.SetFaultProbe(func(node int, cycle int64) {
-				if cycle == 150 && slices.Contains(tc.panics, node) {
-					panic(injected{node: node, cycle: cycle})
-				}
-			})
-			s := guard.New(m, guard.Options{})
-			_, err := s.Run(1 << 40)
-			var ce *guard.Failure
-			if !errors.As(err, &ce) || ce.Class != guard.ClassCrash {
-				t.Fatalf("want a crash *Failure, got %v", err)
-			}
-			if ce.Node != tc.wantNode || ce.Cycle != 150 {
-				t.Fatalf("crash site = node %d cycle %d, want node %d cycle 150", ce.Node, ce.Cycle, tc.wantNode)
-			}
-			if v, ok := ce.Value.(injected); !ok || v.node != tc.wantNode {
-				t.Fatalf("panic value not unwrapped from WorkerPanic: %#v", ce.Value)
-			}
-			if !bytes.Contains(ce.Stack, []byte("runShard")) {
-				t.Fatal("stack is not the stepping goroutine's stack")
-			}
-			// The pool is poisoned: further runs re-raise as contained
-			// errors, not process-killing panics.
-			if _, err := s.Run(10); err == nil {
-				t.Fatal("second run on a crashed pool succeeded")
-			}
-		})
+// TestPanicSiteIsLowestNode: when two chips' probes panic in the same
+// cycle on a six-node mesh, the chip phase stops at the lower node, which
+// steps first, and the crash names it.
+func TestPanicSiteIsLowestNode(t *testing.T) {
+	m := newM(t, 6)
+	for i := 0; i < 6; i++ {
+		load(t, m, i, spinSrc)
+	}
+	m.SetFaultProbe(func(node int, cycle int64) {
+		if cycle == 150 && (node == 5 || node == 3) {
+			panic(injected{node: node, cycle: cycle})
+		}
+	})
+	_, err := guard.New(m, guard.Options{}).Run(1 << 40)
+	var ce *guard.Failure
+	if !errors.As(err, &ce) || ce.Class != guard.ClassCrash {
+		t.Fatalf("want a crash *Failure, got %v", err)
+	}
+	if v, ok := ce.Value.(injected); !ok || v.node != 3 || ce.Node != 3 || ce.Cycle != 150 {
+		t.Fatalf("crash site = node %d cycle %d (value %#v), want node 3 cycle 150", ce.Node, ce.Cycle, ce.Value)
 	}
 }
 
 // TestWatchdogTimeout: a livelocked run is stopped at a cycle boundary,
 // classified stall-timeout, and leaves a reusable, consistent machine.
 func TestWatchdogTimeout(t *testing.T) {
-	m := newM(t, 1, 0)
+	m := newM(t, 1)
 	load(t, m, 0, spinSrc)
 	s := guard.New(m, guard.Options{Timeout: 50 * time.Millisecond})
 	_, err := s.Run(1 << 40)
@@ -224,18 +194,18 @@ func TestWatchdogTimeout(t *testing.T) {
 }
 
 // TestCycleBudgetDeterministic: budget exhaustion is a property of the
-// simulation, not the host or the engine — the naive loop, the event
-// engine and the worker pool all stop a runaway mesh at exactly the
-// budgeted cycle.
+// simulation, not the host or the engine — the naive loop and the event
+// engine both stop a runaway mesh at exactly the budgeted cycle. The
+// parallel3 row ran the deleted worker pool; it keeps its name and repeats
+// the event row.
 func TestCycleBudgetDeterministic(t *testing.T) {
 	const budget = 3000
 	for _, e := range []struct {
-		name    string
-		naive   bool
-		workers int
-	}{{"naive", true, 0}, {"event", false, 0}, {"parallel3", false, 3}} {
+		name  string
+		naive bool
+	}{{"naive", true}, {"event", false}, {"parallel3", false}} {
 		t.Run(e.name, func(t *testing.T) {
-			m := newM(t, 6, e.workers)
+			m := newM(t, 6)
 			m.Naive = e.naive
 			for n := 0; n < 6; n++ {
 				load(t, m, n, spinSrc)
@@ -261,7 +231,7 @@ func TestCycleBudgetDeterministic(t *testing.T) {
 // TestBudgetSpansPhases: the budget is per Do, not per RunPhase — legs
 // share it.
 func TestBudgetSpansPhases(t *testing.T) {
-	m := newM(t, 1, 0)
+	m := newM(t, 1)
 	load(t, m, 0, spinSrc)
 	s := guard.New(m, guard.Options{CycleBudget: 1000})
 	phase := func(maxCycles int64) error {
@@ -287,7 +257,7 @@ func TestBudgetSpansPhases(t *testing.T) {
 // TestHangAbandon: a run that never reaches a sync point is declared
 // wedged after the grace period; the machine must then be abandoned.
 func TestHangAbandon(t *testing.T) {
-	m := newM(t, 1, 0)
+	m := newM(t, 1)
 	release := make(chan struct{})
 	s := guard.New(m, guard.Options{Timeout: 10 * time.Millisecond, Grace: 30 * time.Millisecond})
 	err := s.Do(func() error {
@@ -309,7 +279,7 @@ func TestHangAbandon(t *testing.T) {
 // is a loadable snapshot, and (serial engine, probe firing before the
 // step) resuming it completes with exactly the uncrashed result.
 func TestCrashDumpRestoreResume(t *testing.T) {
-	bare := newM(t, 1, 0)
+	bare := newM(t, 1)
 	load(t, bare, 0, countSrc(200))
 	if _, err := bare.Run(100000); err != nil {
 		t.Fatal(err)
@@ -318,7 +288,7 @@ func TestCrashDumpRestoreResume(t *testing.T) {
 	want := finalCount(bare, 0)
 
 	dump := filepath.Join(t.TempDir(), "crash.msnap")
-	m := newM(t, 1, 0)
+	m := newM(t, 1)
 	load(t, m, 0, countSrc(200))
 	m.SetFaultProbe(func(node int, cycle int64) {
 		if cycle == 50 {
@@ -340,7 +310,7 @@ func TestCrashDumpRestoreResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	r := newM(t, 1, 0)
+	r := newM(t, 1)
 	if err := r.Restore(f); err != nil {
 		t.Fatalf("crash dump does not restore: %v", err)
 	}
@@ -362,7 +332,7 @@ func TestCrashDumpRestoreResume(t *testing.T) {
 func TestMidCycleCrashWritesNoDump(t *testing.T) {
 	for _, node := range []int{0, 1} {
 		dump := filepath.Join(t.TempDir(), "crash.msnap")
-		m := newM(t, 2, 0)
+		m := newM(t, 2)
 		load(t, m, 0, countSrc(200))
 		load(t, m, 1, countSrc(200))
 		m.SetFaultProbe(func(n int, cycle int64) {
@@ -386,7 +356,7 @@ func TestMidCycleCrashWritesNoDump(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := newM(t, 2, 0)
+		r := newM(t, 2)
 		err = r.Restore(f)
 		f.Close()
 		if err != nil || r.Cycle != 50 {
@@ -400,12 +370,13 @@ func TestMidCycleCrashWritesNoDump(t *testing.T) {
 // after the supervised Run returns must produce a snapshot from which a
 // fresh machine resumes bit-identically to the stopped original. This is
 // the foundation the serve checkpoint/retry path is built on, so it is
-// pinned here for both engines: the stop lands at an unpredictable cycle
-// (it races the wall clock), yet the saved state must be exact.
+// pinned here: the stop lands at an unpredictable cycle (it races the
+// wall clock), yet the saved state must be exact. The workers=3 row ran
+// the deleted worker pool; it keeps its name and repeats workers=0.
 func TestWatchdogStopSaveRestoreResume(t *testing.T) {
-	for _, workers := range []int{0, 3} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			m := newM(t, 3, workers)
+	for _, name := range []string{"workers=0", "workers=3"} {
+		t.Run(name, func(t *testing.T) {
+			m := newM(t, 3)
 			for i := 0; i < 3; i++ {
 				load(t, m, i, spinSrc)
 			}
@@ -422,7 +393,7 @@ func TestWatchdogStopSaveRestoreResume(t *testing.T) {
 				t.Fatalf("Save after watchdog stop: %v", err)
 			}
 			stopCycle := m.Cycle
-			r := newM(t, 3, workers)
+			r := newM(t, 3)
 			if err := r.Restore(bytes.NewReader(snap.Bytes())); err != nil {
 				t.Fatalf("Restore of watchdog-stop snapshot: %v", err)
 			}
@@ -460,7 +431,7 @@ func TestWatchdogStopSaveRestoreResume(t *testing.T) {
 // TestDumpFailureDoesNotMask: an unwritable dump path degrades to a note
 // in the diagnostic; the primary error class is unchanged.
 func TestDumpFailureDoesNotMask(t *testing.T) {
-	m := newM(t, 1, 0)
+	m := newM(t, 1)
 	load(t, m, 0, spinSrc)
 	m.SetFaultProbe(func(node int, cycle int64) {
 		if cycle == 10 {
@@ -485,7 +456,7 @@ func TestDumpFailureDoesNotMask(t *testing.T) {
 // returned verbatim — supervision adds nothing to the success/plain-error
 // paths.
 func TestErrorsPassThrough(t *testing.T) {
-	m := newM(t, 1, 0)
+	m := newM(t, 1)
 	s := guard.New(m, guard.Options{Timeout: time.Second})
 	sentinel := errors.New("scenario failed")
 	if err := s.Do(func() error { return sentinel }); err != sentinel {
@@ -501,7 +472,7 @@ func TestErrorsPassThrough(t *testing.T) {
 // *Failure with the diagnostic and the crash dump attached, whose text
 // and chain are still the bound's.
 func TestOwnBoundGetsForensics(t *testing.T) {
-	m := newM(t, 1, 0)
+	m := newM(t, 1)
 	load(t, m, 0, spinSrc)
 	dump := filepath.Join(t.TempDir(), "bound.msnap")
 	_, err := guard.New(m, guard.Options{DumpPath: dump}).Run(50)

@@ -7,8 +7,8 @@ package lint
 //
 // or, on its own line, covering the line below:
 //
-//	//mlint:allow gocheck worker pool goroutines block on their start channel
-//	go p.worker(w)
+//	//mlint:allow gocheck experiment fan-out: each goroutine owns a whole machine
+//	go run(i)
 //
 // The reason is mandatory — an allow without one is itself a
 // diagnostic — and `mlint -suppressions` lists every directive (and

@@ -5,8 +5,8 @@ package lint
 // "Supervised runs & fault injection" draws the boundary: wall time
 // belongs to guard/serve/dist supervision only). A single time.Now in
 // a stepping function makes runs unreproducible; the global math/rand
-// state is both nondeterministic across processes and racy under the
-// parallel engine.
+// state is both nondeterministic across processes and shared by every
+// machine in the process.
 
 import (
 	"go/ast"

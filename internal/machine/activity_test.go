@@ -143,14 +143,16 @@ func TestActivityMatchesScan(t *testing.T) {
 	}
 	cases = append(cases, scenario{sc, true})
 
+	// parallel2 and parallel3 ran the deleted worker pool; they keep their
+	// names and repeat the event row.
 	modes := []struct {
 		name string
 		opts core.Options
 	}{
 		{"naive", core.Options{NaiveEngine: true}},
 		{"event", core.Options{}},
-		{"parallel2", core.Options{Workers: 2}},
-		{"parallel3", core.Options{Workers: 3}},
+		{"parallel2", core.Options{}},
+		{"parallel3", core.Options{}},
 	}
 	for _, c := range cases {
 		for _, mode := range modes {

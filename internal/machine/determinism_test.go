@@ -72,19 +72,17 @@ func TestDeterminism(t *testing.T) {
 // migratingNodes is the mesh size of the migrating workload.
 const migratingNodes = 8
 
-// buildMigrating boots an n-node machine under the given engine
-// configuration and loads a workload whose busy region migrates across the
+// buildMigrating boots an n-node machine under the given engine and loads a workload whose busy region migrates across the
 // mesh: node i first serializes through i*4 dependent remote loads from
 // its successor's home range (mostly stall cycles), then runs a hot
 // arithmetic burst, so activity sweeps from node 0 towards node n-1 over
-// time — the pattern that defeats static contiguous shards. The machine's
-// trace stream is collected in the returned recorder.
-func buildMigrating(t *testing.T, workers int, naive bool) (*machine.Machine, *trace.Recorder) {
+// time, so the set of due chips keeps changing. The machine's trace stream
+// is collected in the returned recorder.
+func buildMigrating(t *testing.T, naive bool) (*machine.Machine, *trace.Recorder) {
 	t.Helper()
 	const nodes = migratingNodes
 	cfg := machine.DefaultConfig()
 	cfg.Dims = noc.Coord{X: nodes, Y: 1, Z: 1}
-	cfg.Workers = workers
 	m := machine.New(cfg)
 	m.Naive = naive
 	t.Cleanup(m.Close)
@@ -139,10 +137,10 @@ func traceText(r *trace.Recorder) string {
 // fingerprint of the complete observable state (cycle count, the full
 // trace stream, per-chip issue and stall statistics — the numbers the
 // deferred SkipCycles batching must replay exactly).
-func runMigrating(t *testing.T, workers int, naive bool) string {
+func runMigrating(t *testing.T, naive bool) string {
 	t.Helper()
 	const nodes = migratingNodes
-	m, rec := buildMigrating(t, workers, naive)
+	m, rec := buildMigrating(t, naive)
 	cycles, err := m.Run(2_000_000)
 	if err != nil {
 		t.Fatal(err)
@@ -161,19 +159,15 @@ func runMigrating(t *testing.T, workers int, naive bool) string {
 	return b.String()
 }
 
-// TestDeterminismMigrating holds the event engine — inline and on every
-// worker count — to the naive reference's bit-identical standard while the
-// busy region migrates across the mesh and the static shards: each must
-// reproduce the naive trace stream, statistics (including the stall
-// counters the deferred SkipCycles batching replays), and cycle count
-// exactly.
+// TestDeterminismMigrating holds the event engine to the naive reference's
+// bit-identical standard while the busy region migrates across the mesh:
+// it must reproduce the naive trace stream, statistics (including the
+// stall counters the deferred SkipCycles batching replays), and cycle
+// count exactly.
 func TestDeterminismMigrating(t *testing.T) {
-	ref := runMigrating(t, 0, true) // naive reference: every chip steps every cycle
-	for _, workers := range []int{0, 2, 3, 4, 8} {
-		if got := runMigrating(t, workers, false); got != ref {
-			t.Errorf("workers%d diverged from the naive engine:\n--- naive ---\n%.2000s\n--- workers%d ---\n%.2000s",
-				workers, ref, workers, got)
-		}
+	ref := runMigrating(t, true) // naive reference: every chip steps every cycle
+	if got := runMigrating(t, false); got != ref {
+		t.Errorf("the event engine diverged from the naive engine:\n--- naive ---\n%.2000s\n--- event ---\n%.2000s", ref, got)
 	}
 }
 
@@ -196,8 +190,8 @@ func chipStats(m *machine.Machine, n int) string {
 // TestDeterminismMixedEngines drives one machine through every way of
 // advancing it — Run, a RunLoop stopped short of its leg's end, StepAll,
 // public Step, Steps until a predicate holds, flipping Naive every few
-// Steps — with a Save+Restore and a Fork in between, inline
-// and on 2 and 3 workers, and holds it to a pure naive run at every boundary:
+// Steps — with a Save+Restore and a Fork in between, and holds it to a
+// pure naive run at every boundary:
 // trace stream, Digest, and (read before Digest's own sync) every thread's
 // StallCycles and every chip's SendsBlocked. Each boundary is a sync point
 // of the chip phase's deferred idle accounting. It also pins StepAll's cache
@@ -206,10 +200,9 @@ func chipStats(m *machine.Machine, n int) string {
 // due-set), or the next event-engine step leaves a runnable chip asleep.
 func TestDeterminismMixedEngines(t *testing.T) {
 	const nodes = 4
-	build := func(workers int) (*machine.Machine, *trace.Recorder) {
+	build := func() (*machine.Machine, *trace.Recorder) {
 		cfg := machine.DefaultConfig()
 		cfg.Dims = noc.Coord{X: nodes, Y: 1, Z: 1}
-		cfg.Workers = workers
 		m := machine.New(cfg)
 		if _, err := rt.Install(m, rt.Options{}); err != nil {
 			t.Fatal(err)
@@ -321,11 +314,13 @@ loop:
 			return fmt.Sprint(ended, err, loop.Ran(m.Cycle))
 		}},
 	}
-	for _, workers := range []int{0, 2, 3} {
-		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-			ref, refTrace := build(0)
+	// workers2 and workers3 ran the deleted worker pool; they keep their
+	// names and repeat workers0.
+	for _, name := range []string{"workers0", "workers2", "workers3"} {
+		t.Run(name, func(t *testing.T) {
+			ref, refTrace := build()
 			ref.Naive = true
-			mix, mixTrace := build(workers)
+			mix, mixTrace := build()
 			defer func() { mix.Close() }()
 			for round := 0; ref.Cycle < 6000; round++ {
 				op := ops[round%len(ops)]
@@ -378,7 +373,7 @@ loop:
 func TestCrashStateMatchesNaive(t *testing.T) {
 	const node, at = 5, 333
 	naiveAt := func(cycle int64) *machine.Machine {
-		m, _ := buildMigrating(t, 0, true)
+		m, _ := buildMigrating(t, true)
 		loop := machine.NewLeg(cycle)
 		if ended, err := m.RunLoop(&loop, cycle); ended || err != nil {
 			t.Fatalf("run to cycle %d: ended %v, %v", cycle, ended, err)
@@ -386,64 +381,30 @@ func TestCrashStateMatchesNaive(t *testing.T) {
 		return m
 	}
 	before, after := naiveAt(at), naiveAt(at+1)
-	for _, workers := range []int{0, 2, 3} {
-		m, _ := buildMigrating(t, workers, false)
-		m.SetFaultProbe(func(n int, cycle int64) {
-			if n == node && cycle >= at {
-				panic("injected")
+	m, _ := buildMigrating(t, false)
+	m.SetFaultProbe(func(n int, cycle int64) {
+		if n == node && cycle >= at {
+			panic("injected")
+		}
+	})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Run returned without the injected panic")
 			}
-		})
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("workers%d: Run returned without the injected panic", workers)
-				}
-			}()
-			m.Run(2_000_000)
 		}()
-		if m.Cycle != at || m.Chip(node).Cycle != at {
-			t.Fatalf("workers%d: crash left machine at cycle %d, chip %d at %d, want %d",
-				workers, m.Cycle, node, m.Chip(node).Cycle, at)
-		}
-		for n := 0; n < migratingNodes; n++ {
-			ref := before
-			if m.Chip(n).Cycle == at+1 {
-				ref = after
-			}
-			if got, want := chipStats(m, n), chipStats(ref, n); got != want {
-				t.Errorf("workers%d: after the crash %swant the naive %s", workers, got, want)
-			}
-		}
+		m.Run(2_000_000)
+	}()
+	if m.Cycle != at || m.Chip(node).Cycle != at {
+		t.Fatalf("crash left machine at cycle %d, chip %d at %d, want %d", m.Cycle, node, m.Chip(node).Cycle, at)
 	}
-}
-
-// TestStepAfterClosePanics: stepping the parallel engine after Close used
-// to deadlock silently on the stopped worker pool; it must panic with a
-// clear message instead — whether or not the pool had ever started (a
-// Close before the first parallel step must not let the lazy pool path
-// resurrect worker goroutines on a closed machine).
-func TestStepAfterClosePanics(t *testing.T) {
-	for _, stepsBeforeClose := range []int{4, 0} {
-		t.Run(fmt.Sprintf("steps%d", stepsBeforeClose), func(t *testing.T) {
-			cfg := machine.DefaultConfig()
-			cfg.Dims = noc.Coord{X: 4, Y: 1, Z: 1}
-			cfg.Workers = 2
-			m := machine.New(cfg)
-			loadUser(t, m, 0, 0, 0, "movi i1, #1\nhalt")
-			for i := 0; i < stepsBeforeClose; i++ {
-				m.Step()
-			}
-			m.Close()
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatal("Step after Close did not panic")
-				}
-				if msg := fmt.Sprint(r); !strings.Contains(msg, "after Close") {
-					t.Fatalf("unexpected panic message: %v", msg)
-				}
-			}()
-			m.Step()
-		})
+	for n := 0; n < migratingNodes; n++ {
+		ref := before
+		if m.Chip(n).Cycle == at+1 {
+			ref = after
+		}
+		if got, want := chipStats(m, n), chipStats(ref, n); got != want {
+			t.Errorf("after the crash %swant the naive %s", got, want)
+		}
 	}
 }

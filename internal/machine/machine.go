@@ -6,9 +6,8 @@
 // Step/StepAll) -> Close. There are two cycle loops: the naive
 // per-cycle reference (Naive=true / StepAll), and the event-driven engine,
 // whose one chip phase steps only the chips that are due and fast-forwards
-// idle stretches. Config.Workers only chooses how many goroutines run that
-// chip phase. Every combination is bit-identical in every observable way;
-// see DESIGN.md ("The cycle engine").
+// idle stretches. Both run on the calling goroutine and are bit-identical
+// in every observable way; see DESIGN.md ("The cycle engine").
 //
 // Machines checkpoint: Save serializes the complete simulation state to
 // a versioned stream, Restore replaces a compatible machine's state
@@ -24,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -59,16 +57,6 @@ const NoEvent = chip.NoEvent
 type Config struct {
 	Dims noc.Coord // mesh dimensions
 	Chip chip.Config
-
-	// Workers is the number of goroutines the event engine's chip phase runs
-	// on: the mesh is cut into that many contiguous ranges, a fork-join per
-	// busy cycle steps the first on the calling goroutine and each other on
-	// a persistent worker (see DESIGN.md, "The cycle engine"). 0 or 1 runs
-	// the same phase inline on the caller; -1 uses runtime.GOMAXPROCS(0);
-	// values above the node count are clamped. The result is bit-identical
-	// for every value (enforced by TestDeterminismThreeWay in core); the
-	// naive reference engine never uses the workers.
-	Workers int `snap:"derived,engine selection, never affects simulated results"`
 }
 
 // DefaultConfig returns a 2x1x1 machine (the two-node setup of the paper's
@@ -99,13 +87,7 @@ type Machine struct {
 	nextPPN []uint64
 
 	// ds is the chip scheduler every engine steps through (dueset.go).
-	// workers is the normalized Config.Workers (>= 2 means the chip phase
-	// runs on the pool); pool is the lazily started goroutine pool, and
-	// closed records Close so a later Step cannot resurrect it.
-	ds      *dueSet   `snap:"derived,wake caches, re-derived by install's WakeAll"`
-	workers int       `snap:"derived,normalized engine config"`
-	pool    *chipPool `snap:"derived,goroutine pool, rebuilt lazily"`
-	closed  bool      `snap:"derived,process-lifetime flag"`
+	ds dueSet `snap:"derived,wake caches, re-derived by install's WakeAll"`
 
 	// Supervision plumbing (DESIGN.md, "Supervised runs & fault
 	// injection"). runMu serializes RunLoop against Close, so a
@@ -160,10 +142,9 @@ func AllocBasePPN(c mem.Config) uint64 {
 	return (AllocCounterAddr(c) + 64 + mem.PageWords) / mem.PageWords
 }
 
-// newShell builds a machine with its per-node bookkeeping allocated and
-// the worker count normalized — everything that is environment — and no
-// simulated state yet (install puts that in): the part of construction
-// New and Fork share.
+// newShell builds a machine with its per-node bookkeeping allocated —
+// everything that is environment — and no simulated state yet (install
+// puts that in): the part of construction New and Fork share.
 func newShell(cfg Config) *Machine {
 	nodes := cfg.Dims.X * cfg.Dims.Y * cfg.Dims.Z
 	m := &Machine{
@@ -173,14 +154,7 @@ func newShell(cfg Config) *Machine {
 		chipBusy:    make([]bool, nodes),
 		chipIssued:  make([]uint64, nodes),
 	}
-	m.workers = cfg.Workers
-	if m.workers < 0 {
-		m.workers = runtime.GOMAXPROCS(0)
-	}
-	if m.workers > len(m.Chips) {
-		m.workers = len(m.Chips)
-	}
-	m.ds = newDueSet(m.Chips, m.workers)
+	m.ds = newDueSet(m.Chips)
 	return m
 }
 
@@ -257,12 +231,12 @@ func New(cfg Config) *Machine {
 // AdoptShard decoded ones; the caller has finished building and
 // validating them, so nothing here can fail and the machine is never
 // seen half replaced. What is environment rather than state stays or is
-// carried over: engine selection, the started pool and the fault probe
-// live in the shell and the due-set, each new chip takes over its
-// predecessor's trace sink and gets the wake hook from attach, and every
-// installed chip is pointed at the machine's network (a full restore
-// decodes chips before the network that replaces it). WakeAll and
-// recomputeActive then re-derive the engine caches from the new state.
+// carried over: engine selection and the fault probe live in the shell
+// and the due-set, each new chip takes over its predecessor's trace sink
+// and gets the wake hook from attach, and every installed chip is pointed
+// at the machine's network (a full restore decodes chips before the
+// network that replaces it). WakeAll and recomputeActive then re-derive
+// the engine caches from the new state.
 func (m *Machine) install(lo int, chips []*chip.Chip, top *Machine) {
 	if top != nil {
 		m.Net, m.GDT, m.Cycle, m.nextPPN = top.Net, top.GDT, top.Cycle, top.nextPPN
@@ -278,32 +252,19 @@ func (m *Machine) install(lo int, chips []*chip.Chip, top *Machine) {
 	m.recomputeActive()
 }
 
-// Close materializes the deferred idle-chip bookkeeping (see Step) and
-// stops the Workers-1 pool goroutines, if they were started. It is
-// optional: an unreachable Machine releases them via a GC cleanup.
-// Close is idempotent — a second Close (including one racing the GC
-// cleanup after a finished Run) is a harmless no-op — and safe to call
-// concurrently with an in-flight Run or RunLoop: it raises the stop
-// request, waits for the run to observe it at its next loop head and
-// return ErrStopped, and only then tears the pool down (the shutdown
-// ordering a session server needs). A machine with Workers >= 2 must not
-// be stepped after Close — its chip phase panics if it is.
+// Close materializes the deferred idle-chip bookkeeping (see Step). It is
+// optional and idempotent, and safe to call concurrently with an in-flight
+// Run or RunLoop: it raises the stop request, waits for the run to observe
+// it at its next loop head and return ErrStopped, and only then syncs the
+// chips (the shutdown ordering a session server needs).
 func (m *Machine) Close() {
 	m.stopReq.Store(true)
 	m.runMu.Lock()
 	defer m.runMu.Unlock()
 	// The request has served its purpose once the lock is held; do not
-	// poison a caller who (historically legal on serial machines) runs
-	// again after Close.
+	// poison a caller who runs again after Close.
 	m.stopReq.Store(false)
-	if m.closed {
-		return
-	}
-	m.closed = true
 	m.syncDeferred()
-	if m.pool != nil {
-		m.pool.stop()
-	}
 }
 
 // RequestStop asks an in-flight Run or RunLoop to return at its next
@@ -334,13 +295,11 @@ func (m *Machine) CycleGauge() int64 { return m.cycleGauge.Load() }
 
 // SetFaultProbe installs fn to be called immediately before every chip step,
 // with the chip's node index and the current cycle — the fault-injection
-// hook (see internal/faultinject). With Workers >= 2 fn runs on the pool's
-// goroutines and the caller's (the first range), concurrently for distinct
-// nodes, so it must be safe for that; a panic out of fn is contained exactly
-// like a panic out of the chip step. Install probes only between runs (the
-// same contract as program loads); nil removes the probe. Probes are for
-// tests and fault drills — the nil check they cost per stepped chip is the
-// entire production overhead.
+// hook (see internal/faultinject). fn runs on the stepping goroutine; a
+// panic out of fn is contained exactly like a panic out of the chip step.
+// Install probes only between runs (the same contract as program loads);
+// nil removes the probe. Probes are for tests and fault drills — the nil
+// check they cost per stepped chip is the entire production overhead.
 func (m *Machine) SetFaultProbe(fn func(node int, cycle int64)) { m.ds.probe = fn }
 
 // NumNodes returns the node count.
@@ -379,32 +338,27 @@ func (m *Machine) StepAll() {
 }
 
 // Step advances the whole machine one cycle. The event-driven engine steps
-// only the chips whose NextEvent is due (dueSet.stepRange, inline or on the
-// Config.Workers pool); a chip that is not due is not touched at all — its
-// per-cycle idle bookkeeping is deferred and replayed in one SkipCycles
-// batch when it next becomes due, or at the next sync point. Step is such a
-// sync point, like Run returning, StepAll, Save, Fork and Close, so every
-// externally observed state is bit-identical to StepAll's. The network walk runs only when a message can move.
+// only the chips whose NextEvent is due (dueSet.stepRange); a chip that is
+// not due is not touched at all — its per-cycle idle bookkeeping is
+// deferred and replayed in one SkipCycles batch when it next becomes due,
+// or at the next sync point. Step is such a sync point, like Run
+// returning, StepAll, Save, Fork and Close, so every externally observed
+// state is bit-identical to StepAll's. The network walk runs only when a
+// message can move.
 func (m *Machine) Step() {
 	m.step()
 	m.syncDeferred()
 }
 
-// step is Step without the sync point. The chip phase runs on the pool
-// when there is one (Config.Workers >= 2), else inline.
+// step is Step without the sync point.
 func (m *Machine) step() {
 	if m.Naive {
 		m.StepAll()
 		return
 	}
 	now := m.Cycle
-	if m.workers >= 2 {
-		m.stepPooled(now)
-	} else {
-		m.ds.stepInline(now)
-	}
-	for k := range m.ds.ranges {
-		r := &m.ds.ranges[k]
+	if r := &m.ds.all; r.next <= now {
+		m.ds.stepRange(r, now)
 		for _, i := range r.stepped {
 			m.drain(i, now)
 		}
@@ -447,7 +401,8 @@ func (m *Machine) wakeArrivals(now int64) {
 // A chip cannot observe another chip's same-cycle injections, so draining
 // after the chip phase is bit-identical to the historical
 // inject-during-step order — and it is the only point where per-chip work
-// touches shared mutable state, which is what lets workers run the phase.
+// touches shared mutable state, which is what lets a dist worker run the
+// phase on its own range and hand the outboxes over instead.
 func (m *Machine) drain(i int, now int64) {
 	c := m.Chips[i]
 	c.FlushTrace()

@@ -5,7 +5,7 @@ package machine_test
 // DecodeShard / AdoptShard). Adopting the frames of a further-advanced
 // machine into a stale peer must reproduce the donor's chip state bit for
 // bit (proved by re-encoding) and leave a machine that runs on like the donor — under
-// every engine, with the peer's pool already started — and corrupt or
+// every engine, with the peer caught mid-phase — and corrupt or
 // mismatched frames must fail descriptively without touching the target.
 
 import (
@@ -83,9 +83,8 @@ func TestShardFrameRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Every peer is caught mid-phase (a started pool for the parallel
-	// modes, stale due-set entries and deferred bookkeeping for all) with
-	// its trace sink already installed.
+	// Every peer is caught mid-phase (stale due-set entries and deferred
+	// bookkeeping) with its trace sink already installed.
 	for _, mode := range snapModes[1:] {
 		t.Run(mode.name, func(t *testing.T) {
 			peer := buildSnapWorkload(t, mode)

@@ -52,7 +52,7 @@ const (
 
 // configState walks the parts of the configuration that define snapshot
 // compatibility: the mesh shape and the chip's timing and capacity
-// parameters. Engine selection (Workers, Naive) is deliberately excluded
+// parameters. Engine selection (Machine.Naive) is deliberately excluded
 // — it is not simulated state, and a snapshot taken under one engine
 // restores under any other.
 func configState(c *snap.Codec, cfg *Config) {
@@ -206,8 +206,8 @@ func (m *Machine) Digest() (string, error) {
 // Restore replaces the machine's simulation state with a snapshot written
 // by Save. The target must have the same mesh shape and chip
 // configuration as the saved machine (the snapshot carries both and
-// Restore verifies them); the engine configuration, trace sink, fault
-// probe and worker pool of the target are preserved. On any error the
+// Restore verifies them); the engine selection, trace sink and fault
+// probe of the target are preserved. On any error the
 // machine is left untouched. On success m.Chips[i], m.Net and m.GDT are
 // new objects: reach them through the machine after a restore, not
 // through pointers taken before it.

@@ -3,9 +3,9 @@ package machine_test
 // Checkpoint/restore regression: run → snapshot → continue and
 // restore-into-fresh-machine → continue must be bit-identical — cycle
 // counts, register and memory state, statistics, and the trace streams of
-// the continuation — across every engine (naive, serial event, parallel
-// at several shard counts), including cross-engine restores (snapshot
-// under one engine, continue under another). Corrupt, truncated, and
+// the continuation — across both engines (naive, event), including
+// cross-engine restores (snapshot under one engine, continue under
+// another). Corrupt, truncated, and
 // wrong-version snapshots must fail with a descriptive error and leave
 // the machine untouched.
 
@@ -28,16 +28,18 @@ import (
 
 // snapMode is one engine configuration of the snapshot matrix.
 type snapMode struct {
-	name    string
-	naive   bool
-	workers int
+	name  string
+	naive bool
 }
 
+// The parallel2 and parallel3 rows ran the chip-phase worker pool at two
+// and three workers. The pool is gone; they keep their names and repeat
+// the event row until the matrix is re-cut (ROADMAP item 9).
 var snapModes = []snapMode{
-	{"naive", true, 0},
-	{"event", false, 0},
-	{"parallel2", false, 2},
-	{"parallel3", false, 3},
+	{"naive", true},
+	{"event", false},
+	{"parallel2", false},
+	{"parallel3", false},
 }
 
 // buildSnapWorkload boots a 4-node machine under the given engine with a
@@ -49,7 +51,6 @@ func buildSnapWorkload(t *testing.T, mode snapMode) *machine.Machine {
 	const nodes = 4
 	cfg := machine.DefaultConfig()
 	cfg.Dims = noc.Coord{X: nodes, Y: 1, Z: 1}
-	cfg.Workers = mode.workers
 	m := machine.New(cfg)
 	m.Naive = mode.naive
 	if _, err := rt.Install(m, rt.Options{Caching: true}); err != nil {
@@ -121,8 +122,7 @@ func snapFingerprint(t *testing.T, m *machine.Machine, ran int64) string {
 	return b.String()
 }
 
-// stepN advances the machine N cycles under its configured engine (Step
-// uses the parallel chip phase when one is configured).
+// stepN advances the machine N cycles under its configured engine.
 func stepN(m *machine.Machine, n int) {
 	m.WakeAll()
 	for i := 0; i < n; i++ {
@@ -135,11 +135,9 @@ func stepN(m *machine.Machine, n int) {
 // under B), the continuations must be bit-identical including their trace
 // streams, and re-saving a restored machine must reproduce the snapshot
 // byte for byte. Each restore runs twice: into a fresh machine, and into
-// one caught mid-phase one cycle past the snapshot — its due-set, its
-// chips' deferred bookkeeping and, for the parallel modes, its started
-// pool (whose last dispatch was the very cycle the restore goes back to)
-// all belong to the state being replaced, and its trace sink was
-// installed before the restore.
+// one caught mid-phase one cycle past the snapshot — its due-set and its
+// chips' deferred bookkeeping belong to the state being replaced, and its
+// trace sink was installed before the restore.
 func TestSnapshotRoundTripMatrix(t *testing.T) {
 	const snapAt = 2500
 	var refFP string
@@ -456,15 +454,13 @@ func TestSnapshotErrors(t *testing.T) {
 	}
 }
 
-// TestDoubleClose: Close is idempotent — a second Close (with and without
-// a started worker pool, and after a finished Run) is a harmless no-op,
-// while stepping after Close still panics (TestStepAfterClosePanics).
+// TestDoubleClose: Close is idempotent — a second Close (before and after
+// steps, and after a finished Run) is a harmless no-op.
 func TestDoubleClose(t *testing.T) {
 	for _, steps := range []int{0, 4} {
 		t.Run(fmt.Sprintf("steps%d", steps), func(t *testing.T) {
 			cfg := machine.DefaultConfig()
 			cfg.Dims = noc.Coord{X: 4, Y: 1, Z: 1}
-			cfg.Workers = 2
 			m := machine.New(cfg)
 			loadUser(t, m, 0, 0, 0, "movi i1, #1\nhalt")
 			for i := 0; i < steps; i++ {
@@ -477,7 +473,6 @@ func TestDoubleClose(t *testing.T) {
 	t.Run("afterRun", func(t *testing.T) {
 		cfg := machine.DefaultConfig()
 		cfg.Dims = noc.Coord{X: 4, Y: 1, Z: 1}
-		cfg.Workers = 2
 		m := machine.New(cfg)
 		loadUser(t, m, 0, 0, 0, "movi i1, #1\nhalt")
 		if _, err := m.Run(100000); err != nil {

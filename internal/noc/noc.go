@@ -15,7 +15,6 @@ package noc
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/isa"
 )
@@ -119,16 +118,12 @@ type Network struct {
 	// node's network input interface consumes them, indexed by node id.
 	arrivals [][NumPriorities]msgQueue
 	// arrivalCount totals undelivered-to-chip messages across all nodes.
-	// It is atomic because Pop runs concurrently under the parallel chip
-	// engine (each chip pops only its own node's queues, so the queues
-	// themselves are unshared; this counter is the one cross-node write).
-	arrivalCount atomic.Int64 `snap:"derived,recomputed from decoded arrivals"`
+	arrivalCount int64 `snap:"derived,recomputed from decoded arrivals"`
 	// arrived lists the nodes with delivered-but-unconsumed messages, each
 	// once (arrivedMark is its membership bitmap): the set every engine
 	// wakes, and the dist coordinator ships from, each cycle. A delivery
 	// adds its node (arrive); drained nodes are dropped by ArrivalNodes,
-	// not by Pop — chips pop concurrently under the pooled chip phase, and
-	// each may touch only its own node's queues.
+	// not by Pop, so a Pop touches only its own node's queues.
 	arrived     []int  `snap:"derived,rebuilt from decoded arrivals"`
 	arrivedMark []bool `snap:"derived,rebuilt from decoded arrivals"`
 
@@ -299,7 +294,7 @@ func (n *Network) Step(now int64) {
 // delivered messages await consumption by a node. NoEvent means the network
 // is empty and will not act until the next Inject.
 func (n *Network) NextEvent(now int64) int64 {
-	if n.arrivalCount.Load() > 0 {
+	if n.arrivalCount > 0 {
 		return now
 	}
 	if n.nextWake < now {
@@ -355,7 +350,7 @@ func move(c Coord, dim int, neg bool) Coord {
 // into the arrival set.
 func (n *Network) arrive(node, pri int, m *Message) {
 	n.arrivals[node][pri].push(m)
-	n.arrivalCount.Add(1)
+	n.arrivalCount++
 	if !n.arrivedMark[node] {
 		n.arrivedMark[node] = true
 		n.arrived = append(n.arrived, node)
@@ -387,7 +382,7 @@ func (n *Network) Pop(c Coord, pri int) *Message {
 	if q.len() == 0 {
 		return nil
 	}
-	n.arrivalCount.Add(-1)
+	n.arrivalCount--
 	return q.pop()
 }
 
@@ -420,7 +415,7 @@ func (n *Network) DropArrivals(i, pri, k int) {
 	for j := 0; j < k; j++ {
 		q.pop()
 	}
-	n.arrivalCount.Add(int64(-k))
+	n.arrivalCount -= int64(k)
 }
 
 // Deliver places m directly into node i's arrival queue at priority pri,
@@ -448,7 +443,7 @@ func (n *Network) ClearTraffic() {
 			n.arrivals[i][pri] = msgQueue{}
 		}
 	}
-	n.arrivalCount.Store(0)
+	n.arrivalCount = 0
 	n.arrived = n.arrived[:0]
 	clear(n.arrivedMark)
 	n.deliveredTo = nil
@@ -471,7 +466,7 @@ func (n *Network) InFlight() int { return len(n.flight[0]) + len(n.flight[1]) }
 
 // Quiescent reports whether no messages are in flight or waiting anywhere.
 func (n *Network) Quiescent() bool {
-	return n.InFlight() == 0 && n.arrivalCount.Load() == 0
+	return n.InFlight() == 0 && n.arrivalCount == 0
 }
 
 // Distance returns the Manhattan hop count between two nodes.

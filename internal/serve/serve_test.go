@@ -172,8 +172,11 @@ func TestHangRecovery(t *testing.T) {
 	control := mustServer(t, testConfig(t))
 	want := digestOf(t, control, "spin.wl", src)
 
+	// DefaultWall + Grace < StallDelay: the first attempt is still wedged in
+	// the stalled step when the grace expires, so it is a hang. The wall
+	// leaves the chaos-free retry's 600-cycle spin room under -race.
 	cfg := testConfig(t)
-	cfg.DefaultWall = 100 * time.Millisecond
+	cfg.DefaultWall = 400 * time.Millisecond
 	cfg.Grace = 50 * time.Millisecond // expires while the probe still sleeps
 	cfg.Chaos = &Chaos{Seed: 11, StallEvery: 1, StallDelay: 700 * time.Millisecond, MaxCycle: 500}
 	chaotic := mustServer(t, cfg)

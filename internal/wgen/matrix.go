@@ -24,12 +24,10 @@ type mode struct {
 }
 
 // matrixModes spans the in-process engines: the reference per-cycle
-// loop, the event engine, and the parallel engine at two worker counts.
+// loop and the event engine.
 var matrixModes = [...]mode{
 	{"naive", core.Options{NaiveEngine: true}},
 	{"event", core.Options{}},
-	{"parallel2", core.Options{Workers: 2}},
-	{"parallel3", core.Options{Workers: 3}},
 }
 
 // fingerprint renders everything the determinism contract covers: phase

@@ -2,7 +2,7 @@ package workload
 
 // Machine-scale mesh workloads: generators for programs that keep every
 // node of an arbitrarily large mesh busy, used by the scaling experiments
-// (`mbench -exp gridsmooth|meshscale`) and the parallel-engine benchmarks.
+// (`mbench -exp gridsmooth|meshscale`) and the determinism tests.
 // Two families:
 //
 //   - MeshSmooth: a block-distributed 1-D smoothing pass (the grid-smooth
