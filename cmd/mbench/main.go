@@ -7,11 +7,10 @@
 // and the scaling extensions (network sweep, grid smoothing, large-mesh
 // scaling).
 //
-// Independent experiments fan out across runtime.GOMAXPROCS worker
-// goroutines (most experiments additionally run their own machines
-// concurrently); output is always printed in table order. mbench does
-// not time anything: every number it prints or records is a simulated
-// result, and host-time measurement is benchmark/'s job alone.
+// The experiments run one after another, in table order, on the calling
+// goroutine. mbench does not time anything: every number it prints or
+// records is a simulated result, and host-time measurement is
+// benchmark/'s job alone.
 //
 // Checked-in declarative workload scenarios (testdata/workloads/*.wl,
 // see docs/wdsl.md) are picked up as additional experiments named
@@ -301,21 +300,14 @@ func main() {
 		}
 	}
 
-	// Fan the experiments out across the host's cores; core.ForEachMachine
-	// collects by index, so output order never depends on scheduling.
 	results := make([]Result, len(selected))
-	err = core.ForEachMachine(len(selected), func(i int) error {
-		e := selected[i]
-		out, ms, runErr := e.run()
-		if runErr != nil {
-			return fmt.Errorf("%s: %w", e.name, runErr)
+	for i, e := range selected {
+		out, ms, err := e.run()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "mbench: %s: %v\n", e.name, err)
+			os.Exit(1)
 		}
 		results[i] = Result{Name: e.name, Title: e.title, Metrics: ms, out: out}
-		return nil
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mbench: %v\n", err)
-		os.Exit(1)
 	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)

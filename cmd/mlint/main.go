@@ -15,7 +15,7 @@
 //
 // Suppressions are per-line and must carry a reason:
 //
-//	//mlint:allow gocheck experiment fan-out: each goroutine owns a whole machine
+//	//mlint:allow gocheck an in-process shard worker: ServeConn contains its panics
 package main
 
 import (

@@ -235,13 +235,11 @@ func main() {
 	}
 	defer s.M.Close()
 	if *restorePath != "" {
-		f, rerr := os.Open(*restorePath)
+		b, rerr := os.ReadFile(*restorePath)
 		if rerr != nil {
 			fatal(rerr)
 		}
-		rerr = s.Restore(f)
-		f.Close()
-		if rerr != nil {
+		if rerr = s.M.Restore(b); rerr != nil {
 			fatal(rerr)
 		}
 	}

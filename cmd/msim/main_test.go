@@ -348,7 +348,7 @@ func TestShardedCrashDump(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := restored.Restore(bytes.NewReader(b)); err != nil {
+		if err := restored.Restore(b); err != nil {
 			t.Fatalf("msim %v: the crash dump is not a snapshot of the scenario's machine: %v", args, err)
 		}
 		dumps = append(dumps, b)

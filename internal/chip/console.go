@@ -7,24 +7,18 @@ package chip
 //	offset 0: write the low byte as a character
 //	offset 1: write a word, rendered in decimal followed by a newline
 //	offset 0 read: number of bytes emitted so far
-import (
-	"strconv"
-	"sync"
-)
+import "strconv"
 
 // ConsoleWords is the device window size in words.
 const ConsoleWords = 64
 
 // Console buffers output text from simulated programs.
 type Console struct {
-	mu  sync.Mutex `snap:"derived,guards buf, not state"`
 	buf []byte
 }
 
 // DevWrite implements mem.Device.
 func (c *Console) DevWrite(off uint64, w uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	switch off {
 	case 0:
 		c.buf = append(c.buf, byte(w))
@@ -36,8 +30,6 @@ func (c *Console) DevWrite(off uint64, w uint64) {
 
 // DevRead implements mem.Device.
 func (c *Console) DevRead(off uint64) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if off == 0 {
 		return uint64(len(c.buf))
 	}
@@ -46,8 +38,6 @@ func (c *Console) DevRead(off uint64) uint64 {
 
 // String returns the accumulated output.
 func (c *Console) String() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return string(c.buf)
 }
 

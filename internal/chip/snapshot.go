@@ -210,9 +210,7 @@ func (ch *Chip) State(c *snap.Codec) {
 		}
 	}
 
-	ch.Console.mu.Lock()
 	c.Bytes(&ch.Console.buf, maxConsole)
-	ch.Console.mu.Unlock()
 
 	ch.GTLB.State(c)
 	ch.Mem.State(c)
@@ -295,9 +293,7 @@ func (c *Chip) Clone(net *noc.Network, gdt *gtlb.Table) *Chip {
 	for b, sharers := range c.directory {
 		f.directory[b] = slices.Clone(sharers)
 	}
-	c.Console.mu.Lock()
 	f.Console.buf = slices.Clone(c.Console.buf)
-	c.Console.mu.Unlock()
 	f.Mem.AttachDevice(f.ConsoleBase(), ConsoleWords, f.Console)
 	return f
 }

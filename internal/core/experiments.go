@@ -39,8 +39,7 @@ func StencilExperiment() ([]StencilResult, error) {
 		points, hthreads int
 	}{{7, 1}, {7, 2}, {27, 1}, {27, 4}}
 	out := make([]StencilResult, len(cfgs))
-	err := ForEachMachine(len(cfgs), func(i int) error {
-		cfg := cfgs[i]
+	for i, cfg := range cfgs {
 		var st *workload.Stencil
 		var err error
 		if cfg.points == 7 {
@@ -49,19 +48,15 @@ func StencilExperiment() ([]StencilResult, error) {
 			st, err = workload.Stencil27(cfg.hthreads)
 		}
 		if err != nil {
-			return err
+			return nil, err
 		}
 		s, res, err := runStencil(st, cfg.points)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		s.M.Close()
 		res.PaperDepth = paper[fmt.Sprintf("%d:%d", cfg.points, cfg.hthreads)]
 		out[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }
@@ -138,37 +133,32 @@ type LoopSyncResult struct {
 }
 
 // LoopSyncExperiment measures the Figure 6 protocol for 2 and 4 H-Threads.
-// The two configurations (and their unsynchronized baselines) run on
-// independent machines, concurrently.
+// Each configuration and its unsynchronized baseline run on fresh
+// machines.
 func LoopSyncExperiment(iters int) ([]LoopSyncResult, error) {
 	hts := []int{2, 4}
 	out := make([]LoopSyncResult, len(hts))
-	err := ForEachMachine(len(hts), func(i int) error {
-		ht := hts[i]
+	for i, ht := range hts {
 		s, cycles, err := runLoopSync(ht, iters)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		s.M.Close()
 
 		base, err := NewSim(Options{Nodes: 1})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		base.LoadProgram(0, 0, 0, workload.SpinLoop(iters), true)
 		bc, err := base.Run(int64(iters)*100 + 10000)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		out[i] = LoopSyncResult{
 			HThreads: ht, Iters: iters, Cycles: cycles, BaselineCycles: bc,
 			PerIter:         float64(cycles) / float64(iters),
 			BaselinePerIter: float64(bc) / float64(iters),
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }
@@ -226,15 +216,14 @@ type VThreadResult struct {
 
 // VThreadExperiment runs the load-heavy kernel on 1..4 user V-Threads of
 // the same cluster and reports aggregate throughput: interleaving masks the
-// exposed load latency (Section 3.2). The four machine sizes run
-// concurrently.
+// exposed load latency (Section 3.2).
 func VThreadExperiment(iters int) ([]VThreadResult, error) {
 	out := make([]VThreadResult, isa.NumUserSlots)
-	err := ForEachMachine(isa.NumUserSlots, func(i int) error {
+	for i := range out {
 		k := i + 1
 		s, err := NewSim(Options{Nodes: 1})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		s.MapLocal(0, 0, 2, true)
 		for vt := 0; vt < k; vt++ {
@@ -244,17 +233,13 @@ func VThreadExperiment(iters int) ([]VThreadResult, error) {
 		}
 		cycles, err := s.Run(int64(iters)*100*int64(k) + 10000)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		total := iters * k
 		out[i] = VThreadResult{
 			VThreads: k, Cycles: cycles, TotalLoads: total,
 			LoadsPerKCycle: 1000 * float64(total) / float64(cycles),
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }
@@ -426,20 +411,15 @@ func GuardedPtrExperiment(iters int) (*GuardedPtrResult, error) {
 		}
 		return s.Run(int64(iters)*50 + 10000)
 	}
-	var cyc [2]int64
-	names := [2]string{"guarded", "raw"}
-	err := ForEachMachine(2, func(i int) error {
-		c, err := run(i == 0)
-		if err != nil {
-			return fmt.Errorf("%s: %w", names[i], err)
-		}
-		cyc[i] = c
-		return nil
-	})
+	guarded, err := run(true)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("guarded: %w", err)
 	}
-	return &GuardedPtrResult{Iters: iters, GuardedCycles: cyc[0], RawCycles: cyc[1]}, nil
+	raw, err := run(false)
+	if err != nil {
+		return nil, fmt.Errorf("raw: %w", err)
+	}
+	return &GuardedPtrResult{Iters: iters, GuardedCycles: guarded, RawCycles: raw}, nil
 }
 
 // Format renders E9.
@@ -526,11 +506,10 @@ type BlockCacheResult struct {
 // motivation).
 func BlockCacheExperiment() (*BlockCacheResult, error) {
 	res := &BlockCacheResult{Words: 64}
-	err := ForEachMachine(2, func(i int) error {
-		caching := i == 0
+	for _, caching := range []bool{true, false} {
 		s, err := NewSim(Options{Nodes: 2, Caching: caching})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		base := s.HomeBase(1)
 		// Stage data at the home node.
@@ -547,10 +526,10 @@ sloop:
     halt
 `, base)
 		if err := s.LoadASM(1, 0, 0, stage); err != nil {
-			return err
+			return nil, err
 		}
 		if _, err := s.Run(500000); err != nil {
-			return err
+			return nil, err
 		}
 		sweep := fmt.Sprintf(`
     movi i1, #%d
@@ -578,14 +557,14 @@ loop2:
     halt
 `, base, base)
 		if err := s.LoadASM(0, 0, 0, sweep); err != nil {
-			return err
+			return nil, err
 		}
 		if _, err := s.Run(2000000); err != nil {
-			return err
+			return nil, err
 		}
 		// Correctness: sum of 0..63 twice.
 		if got := s.Reg(0, 0, 0, 5); got != 2*(63*64/2) {
-			return fmt.Errorf("blockcache sweep sum = %d, want %d", got, 2*63*64/2)
+			return nil, fmt.Errorf("blockcache sweep sum = %d, want %d", got, 2*63*64/2)
 		}
 		p1 := int64(s.Reg(0, 0, 0, 15)) - int64(s.Reg(0, 0, 0, 14))
 		p2 := int64(s.Reg(0, 0, 0, 13)) - int64(s.Reg(0, 0, 0, 15))
@@ -594,10 +573,6 @@ loop2:
 		} else {
 			res.UncachedPass1, res.UncachedPass2 = p1, p2
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return res, nil
 }

@@ -32,25 +32,21 @@ type GridScaleRow struct {
 // GridSmoothExperiment runs the distributed smoothing pass on 1-, 2- and
 // 4-node machines and checks the result against a host-computed reference.
 func GridSmoothExperiment() ([]GridScaleRow, error) {
-	// The three machine sizes are independent machines: measure them
-	// concurrently, then derive the speedup column from the 1-node base.
+	// Measure the three machine sizes, then derive the speedup column
+	// from the 1-node base.
 	sizes := []int{1, 2, 4}
 	rows := make([]GridScaleRow, len(sizes))
-	err := ForEachMachine(len(sizes), func(i int) error {
-		g, err := workload.NewMeshSmooth(sizes[i], gridTotal)
+	for i, nodes := range sizes {
+		g, err := workload.NewMeshSmooth(nodes, gridTotal)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		s, _, cycles, err := runMeshSmooth(Options{Nodes: sizes[i]}, g)
+		s, _, cycles, err := runMeshSmooth(Options{Nodes: nodes}, g)
 		if err != nil {
-			return fmt.Errorf("grid smooth on %d nodes: %w", sizes[i], err)
+			return nil, fmt.Errorf("grid smooth on %d nodes: %w", nodes, err)
 		}
 		s.M.Close()
-		rows[i] = GridScaleRow{Nodes: sizes[i], Cycles: cycles}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		rows[i] = GridScaleRow{Nodes: nodes, Cycles: cycles}
 	}
 	base := rows[0].Cycles
 	for i := range rows {
@@ -136,23 +132,18 @@ func MeshScaleExperiment() ([]MeshScaleRow, error) {
 		{X: 8, Y: 8, Z: 2},
 	}
 	rows := make([]MeshScaleRow, len(dims))
-	err := ForEachMachine(len(dims), func(i int) error {
-		d := dims[i]
+	for i, d := range dims {
 		nodes := d.X * d.Y * d.Z
 		g, err := workload.NewMeshSmooth(nodes, total)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		s, _, cycles, err := runMeshSmooth(Options{Dims: d}, g)
 		if err != nil {
-			return fmt.Errorf("mesh smooth on %v: %w", d, err)
+			return nil, fmt.Errorf("mesh smooth on %v: %w", d, err)
 		}
 		s.M.Close()
 		rows[i] = MeshScaleRow{Dims: d, Nodes: nodes, Cycles: cycles}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	base := rows[0].Cycles
 	for i := range rows {

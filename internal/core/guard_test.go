@@ -9,7 +9,6 @@ package core
 // behind a snapshot a fresh machine can restore.
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -153,7 +152,7 @@ func TestScenarioCrashDumpRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.M.Close()
-	if err := s.M.Restore(bytes.NewReader(data)); err != nil {
+	if err := s.M.Restore(data); err != nil {
 		t.Fatalf("crash dump does not restore: %v", err)
 	}
 	if s.M.Cycle != 2000 {

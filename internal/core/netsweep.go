@@ -18,16 +18,15 @@ type NetSweepRow struct {
 }
 
 // NetworkSweepExperiment measures remote read latency from node 0 to homes
-// at increasing distances on an 8x1x1 mesh; the distance points run on
-// independent machines, concurrently.
+// at increasing distances on an 8x1x1 mesh, one fresh machine per
+// distance point.
 func NetworkSweepExperiment() ([]NetSweepRow, error) {
 	dists := []int{1, 3, 5, 7}
 	out := make([]NetSweepRow, len(dists))
-	err := ForEachMachine(len(dists), func(i int) error {
-		d := dists[i]
+	for i, d := range dists {
 		s, err := NewSim(Options{Nodes: 8})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		addr := s.HomeBase(d) + 16
 		// Stage the value and warm the home node's cache and LTLB.
@@ -40,20 +39,16 @@ func NetworkSweepExperiment() ([]NetSweepRow, error) {
     halt
 `, addr)
 		if err := s.LoadASM(d, 0, 0, stage); err != nil {
-			return err
+			return nil, err
 		}
 		if _, err := s.Run(200000); err != nil {
-			return err
+			return nil, err
 		}
 		lat, err := timeRead(s, addr)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		out[i] = NetSweepRow{Hops: d, ReadCycles: lat}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }

@@ -136,7 +136,7 @@ func stormMailboxes(s *core.Sim) (string, error) {
 const stormDigests = "0516839baf470314828d29bc05c4c96ce1596ada05fe164afb4c6a9d672856fc"
 
 func TestRecycledMessagesNeverAlias(t *testing.T) {
-	for _, eng := range forkEngines[:3] { // naive, event, parallel2
+	for _, eng := range forkEngines[:2] { // naive, event
 		t.Run(eng.name, func(t *testing.T) {
 			s, err := bootStorm(eng.opts)
 			if err != nil {

@@ -108,7 +108,7 @@ func TestScenarioRunSlicedResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.M.Close()
-	if err := s2.M.Restore(bytes.NewReader(last.machine)); err != nil {
+	if err := s2.M.Restore(last.machine); err != nil {
 		t.Fatal(err)
 	}
 	run2 := sc.NewRun(s2)

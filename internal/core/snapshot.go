@@ -8,6 +8,8 @@ package core
 // so snapshots warm-start *staged* machines, not boots.)
 
 import (
+	"bytes"
+	"fmt"
 	"io"
 
 	"repro/internal/trace"
@@ -22,7 +24,15 @@ func (s *Sim) Save(w io.Writer) error { return s.M.Save(w) }
 // Restore replaces the machine's simulation state with a snapshot
 // written by Save (see machine.Restore). The simulator's recorder and
 // trace hooks keep recording across the restore.
-func (s *Sim) Restore(r io.Reader) error { return s.M.Restore(r) }
+func (s *Sim) Restore(r io.Reader) error {
+	// io.Copy reads a *bytes.Reader with one WriteTo: one allocation the
+	// size of the stream, where io.ReadAll's doubling makes several.
+	var in bytes.Buffer
+	if _, err := io.Copy(&in, r); err != nil {
+		return fmt.Errorf("machine: restore: %w", err)
+	}
+	return s.M.Restore(in.Bytes())
+}
 
 // Fork clones the simulator (see machine.Fork: a structural copy that
 // shares SDRAM pages copy-on-write): the clone shares the immutable

@@ -70,30 +70,20 @@ var paperTable1 = [numAccessClasses][2]int64{
 	RemoteLTLBMiss:  {202, 138},
 }
 
-// Table1 measures every cell and returns the rows in paper order. The six
-// classes each stage a fresh two-node machine and run concurrently
-// (ForEachMachine); within a class, the write cell warm-starts from a
-// fork of the staged machine (see measureClass), so staging runs once per
-// class instead of once per cell. The rows are assembled in paper order
-// regardless.
+// Table1 measures every cell and returns the rows in paper order. Each
+// class stages a fresh two-node machine; within a class, the write cell
+// warm-starts from a fork of the staged machine (see measureClass), so
+// staging runs once per class instead of once per cell.
 func Table1() ([]Table1Row, error) {
 	rows := make([]Table1Row, numAccessClasses)
-	err := ForEachMachine(int(numAccessClasses), func(i int) error {
-		c := AccessClass(i)
-		rd, wr, err := measureClass(c)
+	for c := range rows {
+		class := AccessClass(c)
+		rd, wr, err := measureClass(class)
 		if err != nil {
-			return fmt.Errorf("table1 %s: %w", c, err)
+			return nil, fmt.Errorf("table1 %s: %w", class, err)
 		}
-		rows[c].Read, rows[c].Write = rd, wr
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for c := AccessClass(0); c < numAccessClasses; c++ {
-		rows[c].Class = c
-		rows[c].PaperRead = paperTable1[c][0]
-		rows[c].PaperWrite = paperTable1[c][1]
+		rows[c] = Table1Row{Class: class, Read: rd, Write: wr,
+			PaperRead: paperTable1[c][0], PaperWrite: paperTable1[c][1]}
 	}
 	return rows, nil
 }

@@ -208,7 +208,7 @@ func TestCorruptSnapshotNeverPanics(t *testing.T) {
 					t.Fatalf("restore of corrupt stream %d panicked: %v", i, v)
 				}
 			}()
-			if err := dst.Restore(bytes.NewReader(damaged)); err != nil {
+			if err := dst.Restore(damaged); err != nil {
 				// Failed restores must leave dst untouched.
 				var now bytes.Buffer
 				if err := dst.Save(&now); err != nil {

@@ -305,13 +305,12 @@ func TestCrashDumpRestoreResume(t *testing.T) {
 		t.Fatalf("dump path = %q, want %q", ce.DumpPath, dump)
 	}
 
-	f, err := os.Open(dump)
+	b, err := os.ReadFile(dump)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 	r := newM(t, 1)
-	if err := r.Restore(f); err != nil {
+	if err := r.Restore(b); err != nil {
 		t.Fatalf("crash dump does not restore: %v", err)
 	}
 	if r.Cycle != 50 {
@@ -352,13 +351,12 @@ func TestMidCycleCrashWritesNoDump(t *testing.T) {
 			}
 			continue
 		}
-		f, err := os.Open(dump)
+		b, err := os.ReadFile(dump)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r := newM(t, 2)
-		err = r.Restore(f)
-		f.Close()
+		err = r.Restore(b)
 		if err != nil || r.Cycle != 50 {
 			t.Fatalf("node 0 crash dump: restore error %v at cycle %d; want it restored at 50", err, r.Cycle)
 		}
@@ -394,7 +392,7 @@ func TestWatchdogStopSaveRestoreResume(t *testing.T) {
 			}
 			stopCycle := m.Cycle
 			r := newM(t, 3)
-			if err := r.Restore(bytes.NewReader(snap.Bytes())); err != nil {
+			if err := r.Restore(snap.Bytes()); err != nil {
 				t.Fatalf("Restore of watchdog-stop snapshot: %v", err)
 			}
 			if r.Cycle != stopCycle {
@@ -486,14 +484,13 @@ func TestOwnBoundGetsForensics(t *testing.T) {
 	if f.Diagnostic == "" || f.DumpPath != dump {
 		t.Fatalf("diagnostic %q, dump %q; want both attached", f.Diagnostic, f.DumpPath)
 	}
-	fh, err := os.Open(dump)
+	b, err := os.ReadFile(dump)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fh.Close()
 	restored := machine.New(m.Cfg)
 	defer restored.Close()
-	if err := restored.Restore(fh); err != nil {
+	if err := restored.Restore(b); err != nil {
 		t.Fatalf("dump is not a snapshot of the machine: %v", err)
 	}
 }

@@ -50,10 +50,10 @@ var wallClockAllowed = []string{
 
 // goAllowed is the allowlist of package paths where spawning goroutines
 // is legitimate wholesale: guard monitors, serve's session workers and
-// HTTP plumbing. The machine starts none. core's experiment fan-out and
-// dist's in-process worker and process reaper are NOT allowlisted —
-// those sites carry individual //mlint:allow annotations, so any new
-// goroutine near them still has to justify itself.
+// HTTP plumbing. The machine and core start none. dist's in-process
+// worker and process reaper are NOT allowlisted — those sites carry
+// individual //mlint:allow annotations, so any new goroutine near them
+// still has to justify itself.
 var goAllowed = []string{
 	"repro/internal/guard",
 	"repro/internal/lint",

@@ -4,8 +4,8 @@ package lint
 // (DESIGN.md, "Supervised runs & fault injection"): a panic in it
 // bypasses the supervisor's recover, a hang in it is invisible to the
 // watchdogs, and its scheduling can leak nondeterminism into anything it
-// shares state with. Goroutines belong to guard's monitors, dist/serve
-// supervision and the experiment fan-out; each such site is either in the allowlisted supervision
+// shares state with. Goroutines belong to guard's monitors and dist/serve
+// supervision; each such site is either in the allowlisted supervision
 // packages or carries an individual //mlint:allow gocheck annotation.
 
 import "go/ast"

@@ -7,8 +7,8 @@ package lint
 //
 // or, on its own line, covering the line below:
 //
-//	//mlint:allow gocheck experiment fan-out: each goroutine owns a whole machine
-//	go run(i)
+//	//mlint:allow gocheck an in-process shard worker: ServeConn contains its panics
+//	go ServeConn(wc)
 //
 // The reason is mandatory — an allow without one is itself a
 // diagnostic — and `mlint -suppressions` lists every directive (and

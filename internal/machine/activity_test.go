@@ -73,7 +73,7 @@ func crossBoundary(t *testing.T, m *machine.Machine, k int, where string) {
 		if err := m.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Restore(&buf); err != nil {
+		if err := m.Restore(buf.Bytes()); err != nil {
 			t.Fatal(err)
 		}
 		checkActivity(t, m, where+" after Restore")

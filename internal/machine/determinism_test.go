@@ -331,7 +331,7 @@ loop:
 					if err := mix.Save(&snap); err != nil {
 						t.Fatal(err)
 					}
-					if err := mix.Restore(&snap); err != nil {
+					if err := mix.Restore(snap.Bytes()); err != nil {
 						t.Fatal(err)
 					}
 				case 16: // mid-run: a fork carries on, the original is closed

@@ -100,7 +100,7 @@ func TestForkRestoreUnaliases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := child.Restore(&buf); err != nil {
+	if err := child.Restore(buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := child.Digest(); got != wantDigest {

@@ -94,7 +94,7 @@ func TestShardFrameRoundTrip(t *testing.T) {
 			peer.SetTrace(traceP)
 
 			// A peer of the same snapshot lineage, now stale.
-			if err := peer.Restore(bytes.NewReader(s0.Bytes())); err != nil {
+			if err := peer.Restore(s0.Bytes()); err != nil {
 				t.Fatal(err)
 			}
 			adopt(t, peer)
@@ -102,7 +102,7 @@ func TestShardFrameRoundTrip(t *testing.T) {
 			// Running on needs the frames' network too: restore the donor's
 			// full state, wreck the chips' registers, and let the frames put
 			// them back.
-			if err := peer.Restore(bytes.NewReader(s1.Bytes())); err != nil {
+			if err := peer.Restore(s1.Bytes()); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < peer.NumNodes(); i++ {

@@ -22,7 +22,6 @@ package machine
 // error and there is nothing it could have changed.
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -210,16 +209,11 @@ func (m *Machine) Digest() (string, error) {
 // probe of the target are preserved. On any error the
 // machine is left untouched. On success m.Chips[i], m.Net and m.GDT are
 // new objects: reach them through the machine after a restore, not
-// through pointers taken before it.
-func (m *Machine) Restore(rd io.Reader) error {
-	// io.Copy reads a *bytes.Reader with one WriteTo: one allocation the
-	// size of the stream, where io.ReadAll's doubling makes several.
-	var in bytes.Buffer
-	if _, err := io.Copy(&in, rd); err != nil {
-		return fmt.Errorf("machine: restore: %w", err)
-	}
+// through pointers taken before it. The decoder copies what it keeps out
+// of p, so the caller may reuse p afterwards.
+func (m *Machine) Restore(p []byte) error {
 	top := &Machine{Cfg: m.Cfg, Chips: make([]*chip.Chip, len(m.Chips))}
-	if err := top.snapshot(snap.NewDecoder(in.Bytes())); err != nil {
+	if err := top.snapshot(snap.NewDecoder(p)); err != nil {
 		return fmt.Errorf("machine: restore: %w", err)
 	}
 	// Bookkeeping the chip phase deferred on the old chips goes with them:

@@ -116,7 +116,7 @@ func restoredTarget(f *testing.F, base []byte) *machine.Machine {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := m.Restore(bytes.NewReader(base)); err != nil {
+	if err := m.Restore(base); err != nil {
 		f.Fatal(err)
 	}
 	return m
@@ -171,7 +171,7 @@ func unorderedStreams(f *testing.F, base []byte) [][]byte {
 		dup := binary.LittleEndian.AppendUint64(bytes.Clone(old[:sec.header]), n+1)
 		dup = append(append(dup, body[:sec.size(body)]...), body...)
 		stream := append(append(bytes.Clone(base[:at]), dup...), base[at+len(old):]...)
-		if err := m.Restore(bytes.NewReader(stream)); err == nil || !strings.Contains(err.Error(), "indices must increase") {
+		if err := m.Restore(stream); err == nil || !strings.Contains(err.Error(), "indices must increase") {
 			f.Fatalf("a repeated record index: restore error %v, want increasing indices demanded", err)
 		}
 		out = append(out, stream)
@@ -214,7 +214,7 @@ func maskStreams(f *testing.F, base []byte) [][]byte {
 		{"more pages than the stream holds", "restore", section(0xffff, pages[:held])},
 	} {
 		stream := append(bytes.Clone(base[:at]), c.stream...)
-		if err := m.Restore(bytes.NewReader(stream)); err == nil || !strings.Contains(err.Error(), c.want) {
+		if err := m.Restore(stream); err == nil || !strings.Contains(err.Error(), c.want) {
 			f.Fatalf("%s: restore error %v, want one containing %q", c.name, err, c.want)
 		}
 		out = append(out, stream)
@@ -293,7 +293,7 @@ func threadStreams(tb testing.TB) [][]byte {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		err = m.Restore(bytes.NewReader(c.stream))
+		err = m.Restore(c.stream)
 		m.Close()
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			tb.Fatalf("%s: restore error %v, want one containing %q", c.name, err, c.want)
@@ -319,7 +319,7 @@ func emptiedLTLBOrder(f *testing.F, base []byte) []byte {
 	section := binary.LittleEndian.AppendUint64(bytes.Clone(old[:tail-(n+1)*8]), 0)
 	section = append(section, old[tail:]...)
 	stream := append(append(bytes.Clone(base[:at]), section...), base[at+len(old):]...)
-	if err := m.Restore(bytes.NewReader(stream)); err == nil || !strings.Contains(err.Error(), "LTLB order") {
+	if err := m.Restore(stream); err == nil || !strings.Contains(err.Error(), "LTLB order") {
 		f.Fatalf("an LTLB with an empty order: restore error %v, want the order rejected", err)
 	}
 	return stream
@@ -393,7 +393,7 @@ func TestRestoreRejectsUnrunnableState(t *testing.T) {
 	}
 	defer m.Close()
 	for i, stream := range unrunnableStreams(t) {
-		if err := m.Restore(bytes.NewReader(stream)); err == nil {
+		if err := m.Restore(stream); err == nil {
 			t.Errorf("stream %d restored; want it rejected", i)
 		} else if !strings.Contains(err.Error(), "restore") {
 			t.Errorf("stream %d: undescriptive restore error %q", i, err)
@@ -408,7 +408,7 @@ func TestRestoreRejectsUnrunnableState(t *testing.T) {
 func runAccepted(t *testing.T, cfg machine.Config, data []byte) {
 	m := machine.New(cfg)
 	defer m.Close()
-	if err := m.Restore(bytes.NewReader(data)); err != nil {
+	if err := m.Restore(data); err != nil {
 		t.Fatalf("accepted stream does not restore into its own configuration: %v", err)
 	}
 	_, err := guard.New(m, guard.Options{Timeout: 10 * time.Second}).Run(1000)
@@ -484,7 +484,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		m := fuzzTarget
 
-		if err := m.Restore(bytes.NewReader(data)); err != nil {
+		if err := m.Restore(data); err != nil {
 			// Rejected: the error must say something, and the machine must
 			// be bit-identical to its pre-restore state (proved by
 			// re-serializing it).
@@ -507,11 +507,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if err := m.Save(&again); err != nil {
 			t.Fatalf("save after accepted restore: %v", err)
 		}
-		if err := m.Restore(bytes.NewReader(again.Bytes())); err != nil {
+		if err := m.Restore(again.Bytes()); err != nil {
 			t.Fatalf("accepted stream does not round-trip: %v", err)
 		}
 		runAccepted(t, m.Cfg, data)
-		if err := m.Restore(bytes.NewReader(fuzzBaseline)); err != nil {
+		if err := m.Restore(fuzzBaseline); err != nil {
 			t.Fatalf("baseline reset: %v", err)
 		}
 		fuzzBefore = fuzzBaseline

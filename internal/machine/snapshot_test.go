@@ -191,7 +191,7 @@ func runRestore(t *testing.T, restore snapMode, midPhase bool, snapAt int, snaps
 			stepN(b, snapAt+1)
 			b.SetTrace(traceB)
 		}
-		if err := b.Restore(bytes.NewReader(snapshot)); err != nil {
+		if err := b.Restore(snapshot); err != nil {
 			t.Fatal(err)
 		}
 		// A restored machine must re-serialize to the identical
@@ -397,7 +397,7 @@ func TestSnapshotErrors(t *testing.T) {
 	}
 	check := func(name string, data []byte, wantSub string) {
 		t.Helper()
-		err := m.Restore(bytes.NewReader(data))
+		err := m.Restore(data)
 		if err == nil {
 			t.Fatalf("%s: Restore succeeded on bad input", name)
 		}
@@ -426,7 +426,7 @@ func TestSnapshotErrors(t *testing.T) {
 
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)/3] ^= 0xFF
-	err := m.Restore(bytes.NewReader(flipped))
+	err := m.Restore(flipped)
 	if err == nil {
 		// A single flipped byte in bulk data (e.g. an SDRAM word) can still
 		// decode structurally; what matters is that structural corruption

@@ -115,7 +115,7 @@ func oldCheckpointRestarts(t *testing.T, version uint64) {
 		t.Fatal(err)
 	}
 	defer sim.M.Close()
-	if err := sim.M.Restore(bytes.NewReader(ck.Machine)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", version)) {
+	if err := sim.M.Restore(ck.Machine); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", version)) {
 		t.Fatalf("restoring the version-%d stream: %v, want the version refused", version, err)
 	}
 

@@ -550,7 +550,7 @@ func (sv *Server) runAttempt(s *Session) (retry bool) {
 		// machine untouched, so a corrupt or incompatible checkpoint falls
 		// back to a fresh start on the same simulator.
 		resumed = run.Seek(ck.Pos) == nil &&
-			sim.M.Restore(bytes.NewReader(ck.Machine)) == nil
+			sim.M.Restore(ck.Machine) == nil
 		if resumed {
 			sv.mu.Lock()
 			sv.stats.Restores++
@@ -627,7 +627,7 @@ func (sv *Server) interrupted(s *Session) bool {
 // attemptFailed handles an attempt's error: permanent classes fail the
 // session; transient ones are recorded and retried (true) until the
 // retry cap. The machine of a failed attempt is always discarded (a
-// crashed parallel pool is poisoned; a hung machine is abandoned
+// crashed machine may be half-stepped; a hung machine is abandoned
 // un-Closed per the guard contract) — the next attempt restores the
 // spooled checkpoint into a fresh simulator.
 func (sv *Server) attemptFailed(s *Session, err error, closeSim *bool) (retry bool) {

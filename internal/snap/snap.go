@@ -308,32 +308,6 @@ func (c *Codec) U64s(vs *[]uint64, max int) {
 	}
 }
 
-// Bools walks a length-prefixed boolean slice bounded by max entries,
-// packed as a bitmask, so a register file's scoreboard or a pointer-tag
-// column costs words, not bytes-per-bit round trips.
-func (c *Codec) Bools(bs *[]bool, max int) {
-	n := c.Len(len(*bs), max)
-	nw := (n + 63) / 64
-	if !c.reading {
-		words := c.Stage(nw)
-		for i, b := range *bs {
-			if b {
-				words[i/64] |= 1 << (i % 64)
-			}
-		}
-		c.RawU64s(words)
-		return
-	}
-	*bs = nil
-	// Little-endian words: bit i of the mask is bit i%8 of byte i/8.
-	if in := c.next(nw, 8); len(in) > 0 {
-		*bs = make([]bool, n)
-		for i := range *bs {
-			(*bs)[i] = in[i/8]&(1<<(i%8)) != 0
-		}
-	}
-}
-
 // RawU64s walks exactly len(vs) words with no length prefix (fixed-size
 // arrays whose length the format implies). An encoder writes them
 // straight into its buffer, filling it to flushAt bytes between flushes,

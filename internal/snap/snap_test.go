@@ -143,7 +143,6 @@ func TestOversizedLengthCapped(t *testing.T) {
 		{"U64", func(c *Codec) { var u uint64; c.U64(&u) }},
 		{"Bytes", func(c *Codec) { var p []byte; c.Bytes(&p, 1<<31) }},
 		{"U64s", func(c *Codec) { var vs []uint64; c.U64s(&vs, 1<<31) }},
-		{"Bools", func(c *Codec) { var bs []bool; c.Bools(&bs, 1<<31) }},
 	}
 	baseline := testing.AllocsPerRun(10, func() { decoders[0].decode(NewDecoder(nil)) })
 	for _, d := range decoders[1:] {
@@ -163,26 +162,18 @@ func TestOversizedLengthCapped(t *testing.T) {
 // read buffer for the next frame) leaves what was decoded unchanged.
 func TestDecodedValuesNeverAlias(t *testing.T) {
 	want := record{s: "hello", b: []byte{1, 2, 3}, us: []uint64{9, 8, 7}}
-	bs := []bool{true, false, true}
-	walk := func(r *record, bs *[]bool) func(*Codec) {
-		return func(c *Codec) {
-			r.state(c)
-			c.Bools(bs, 16)
-		}
-	}
-	stream := encode(t, walk(&want, &bs))
+	stream := encode(t, want.state)
 	var got record
-	var gotBs []bool
 	c := NewDecoder(stream)
-	walk(&got, &gotBs)(c)
+	got.state(c)
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
 	for i := range stream {
 		stream[i] = 0xff
 	}
-	if got.s != want.s || !bytes.Equal(got.b, want.b) || !slices.Equal(got.us, want.us) || !slices.Equal(gotBs, bs) {
-		t.Errorf("overwriting the input changed decoded values: %+v %v", got, gotBs)
+	if got.s != want.s || !bytes.Equal(got.b, want.b) || !slices.Equal(got.us, want.us) {
+		t.Errorf("overwriting the input changed decoded values: %+v", got)
 	}
 }
 
@@ -193,10 +184,6 @@ func TestLargeSliceRoundTrip(t *testing.T) {
 	for i := range vs {
 		vs[i] = uint64(i) * 0x9e3779b97f4a7c15
 	}
-	bs := make([]bool, 3*64*1024)
-	for i := range bs {
-		bs[i] = i%3 == 0
-	}
 	p := make([]byte, 1<<20+4096)
 	for i := range p {
 		p[i] = byte(i)
@@ -204,24 +191,18 @@ func TestLargeSliceRoundTrip(t *testing.T) {
 
 	stream := encode(t, func(c *Codec) {
 		c.U64s(&vs, 0)
-		c.Bools(&bs, 0)
 		c.Bytes(&p, 0)
 	})
 	c := NewDecoder(stream)
 	var gotVs []uint64
-	var gotBs []bool
 	var gotP []byte
 	c.U64s(&gotVs, words)
-	c.Bools(&gotBs, len(bs))
 	c.Bytes(&gotP, len(p))
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(gotVs, vs) {
 		t.Fatal("U64s round trip mismatch")
-	}
-	if !slices.Equal(gotBs, bs) {
-		t.Fatal("Bools round trip mismatch")
 	}
 	if !bytes.Equal(gotP, p) {
 		t.Fatal("Bytes round trip mismatch")
