@@ -12,17 +12,17 @@
 # msim -shards 2 and -shards 3, digests compared), a fuzzing smoke over
 # the snapshot decoder and the runs of the snapshots it accepts, the DSL
 # front end, msimd's checkpoint envelope, assembled programs, scenario
-# runs and the dist wire frames, a one-shot benchmark smoke pass (every
-# benchmark runs once, so a panicking or regressed-to-failure benchmark
-# breaks CI without paying for measurement), and a benchdiff over the two
-# most recent BENCH_<n>.json records (any metric delta or disappearance
-# between records is a determinism break, which fails).
+# runs and the dist wire frames, and a one-shot benchmark smoke pass
+# (every benchmark runs once, so a panicking or regressed-to-failure
+# benchmark breaks CI without paying for measurement). The paper-results
+# record, testdata/mbench.json, is checked by the test leg
+# (cmd/mbench's TestRecordMatches reruns the table against it).
 
 GO ?= go
 
-.PHONY: ci build vet lint test shuffle race checkpoint examples wl fuzz-smoke bench-smoke bench benchdiff pairs
+.PHONY: ci build vet lint test shuffle race checkpoint examples wl fuzz-smoke bench-smoke bench pairs
 
-ci: build vet lint test shuffle race checkpoint examples wl fuzz-smoke bench-smoke benchdiff
+ci: build vet lint test shuffle race checkpoint examples wl fuzz-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -137,22 +137,6 @@ fuzz-smoke:
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
-# Compare the two newest checked-in bench records (numeric sort on the
-# record index); skips quietly when fewer than two exist. The records hold
-# simulated metrics only, so a delta between them is a genuine determinism
-# break (host noise cannot produce one) and fails the gate. A PR that
-# deliberately changes simulated behavior must regenerate the older record
-# or own the red diff.
-benchdiff:
-	@set -- $$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n); \
-	if [ $$# -lt 2 ]; then \
-		echo "benchdiff: fewer than two BENCH_*.json records, nothing to compare"; \
-	else \
-		shift $$(($$# - 2)); \
-		echo "$(GO) run ./cmd/benchdiff $$1 $$2"; \
-		$(GO) run ./cmd/benchdiff $$1 $$2; \
-	fi
 
 # Full measurement run (slow): allocation stats included.
 bench:

@@ -15,15 +15,20 @@
 // Checked-in declarative workload scenarios (testdata/workloads/*.wl,
 // see docs/wdsl.md) are picked up as additional experiments named
 // wl-<file>; their per-phase simulated cycle counts are metrics like any
-// other, so the scenarios join the BENCH_<n>.json determinism
-// trajectory. -wl overrides the glob ("" disables the pickup).
+// other. -wl overrides the glob ("" disables the pickup).
+//
+// testdata/mbench.json pins every metric of the default run (-json with
+// no -exp and the default -wl): TestRecordMatches reruns the table and
+// fails on any drift, so a change that moves a simulated result fails
+// `go test`. A deliberate change of simulated behaviour re-pins the
+// record with `go run ./cmd/mbench -json > testdata/mbench.json`.
 //
 // Usage:
 //
 //	mbench                # run everything
 //	mbench -exp table1    # one experiment by name
 //	mbench -json          # machine-readable per-experiment metrics
-//	                      # (cycles etc.): the BENCH_<n>.json drift record
+//	                      # (cycles etc.): the testdata/mbench.json record
 package main
 
 import (
@@ -33,6 +38,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -71,8 +77,8 @@ type report struct {
 func cyc(name string, v int64) Metric { return Metric{Name: name, Value: float64(v), Unit: "cycles"} }
 
 // defaultWLGlob is the -wl default: every checked-in workload scenario.
-// Named so the drift-guard test (main_test.go) can pin the pickup set
-// against the directory contents.
+// Named so the tests (main_test.go) can pin the pickup set against the
+// directory contents and rerun the default table.
 const defaultWLGlob = "testdata/workloads/*.wl"
 
 var experiments = []experiment{
@@ -224,19 +230,20 @@ var experiments = []experiment{
 	}},
 }
 
-// scenarioExperiments turns every .wl file matching glob into an
-// experiment: one metric per phase plus the total cycle count, all
-// simulated results and therefore part of the determinism trajectory.
-func scenarioExperiments(glob string) ([]experiment, error) {
+// table returns every experiment mbench knows: the paper's, in order,
+// then one per .wl file matching glob, whose metrics are one per phase
+// plus the total cycle count — all simulated results and therefore
+// pinned by the record.
+func table(glob string) ([]experiment, error) {
+	out := slices.Clone(experiments)
 	if glob == "" {
-		return nil, nil
+		return out, nil
 	}
 	files, err := filepath.Glob(glob)
 	if err != nil {
 		return nil, err
 	}
 	sort.Strings(files)
-	var out []experiment
 	for _, path := range files {
 		path := path
 		base := strings.TrimSuffix(filepath.Base(path), ".wl")
@@ -269,23 +276,35 @@ func scenarioExperiments(glob string) ([]experiment, error) {
 	return out, nil
 }
 
+// run runs es one after another and returns their results in order.
+func run(es []experiment) ([]Result, error) {
+	results := make([]Result, len(es))
+	for i, e := range es {
+		out, ms, err := e.run()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", e.name, err)
+		}
+		results[i] = Result{Name: e.name, Title: e.title, Metrics: ms, out: out}
+	}
+	return results, nil
+}
+
 func main() {
 	exp := flag.String("exp", "", "run a single experiment by name")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON (the metrics of every experiment)")
 	wlGlob := flag.String("wl", defaultWLGlob, "glob of workload scenarios to run as experiments (\"\" disables)")
 	flag.Parse()
 
-	scenarios, err := scenarioExperiments(*wlGlob)
+	all, err := table(*wlGlob)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mbench: %v\n", err)
 		os.Exit(1)
 	}
-	experiments := append(experiments, scenarios...)
 
-	selected := experiments
+	selected := all
 	if *exp != "" {
 		selected = nil
-		for _, e := range experiments {
+		for _, e := range all {
 			if e.name == *exp {
 				selected = []experiment{e}
 				break
@@ -293,21 +312,17 @@ func main() {
 		}
 		if selected == nil {
 			fmt.Fprintf(os.Stderr, "mbench: unknown experiment %q; valid names:\n", *exp)
-			for _, e := range experiments {
+			for _, e := range all {
 				fmt.Fprintf(os.Stderr, "  %-12s %s\n", e.name, e.title)
 			}
 			os.Exit(2)
 		}
 	}
 
-	results := make([]Result, len(selected))
-	for i, e := range selected {
-		out, ms, err := e.run()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mbench: %s: %v\n", e.name, err)
-			os.Exit(1)
-		}
-		results[i] = Result{Name: e.name, Title: e.title, Metrics: ms, out: out}
+	results, err := run(selected)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mbench: %v\n", err)
+		os.Exit(1)
 	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)

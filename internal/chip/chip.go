@@ -183,12 +183,10 @@ type Chip struct {
 	Console *Console
 
 	// Trace, if non-nil, is the sink for simulation events (timeline
-	// reconstruction, Figure 9). Step only appends typed records to
-	// traceBuf; the owner moves them to the sink with FlushTrace, per chip
-	// in node-index order after the chip phase, so every engine and
-	// transport observes the same stream.
-	Trace    *trace.Recorder `snap:"derived,engine hook, reinstalled by the owner"`
-	traceBuf trace.Recorder  `snap:"derived,drained every cycle, empty at snapshot points"`
+	// reconstruction, Figure 9). Step appends typed records to it
+	// directly; every engine and transport steps its chips one at a time
+	// in node-index order, so all observe the same stream.
+	Trace *trace.Recorder `snap:"derived,engine hook, reinstalled by the owner"`
 
 	Cycle int64
 
@@ -318,23 +316,23 @@ func (c *Chip) MsgQueue(p int) *events.Queue { return c.msgq[p] }
 // ExcQueue exposes the synchronous exception queue.
 func (c *Chip) ExcQueue() *events.Queue { return c.excq }
 
-// trace stamps e with the current cycle and this node and buffers it.
+// trace stamps e with the current cycle and this node and appends it to
+// the sink. It runs for every record, so it is kept small enough to inline
+// (nil check included).
 func (c *Chip) trace(e trace.Event) {
-	if c.Trace == nil {
-		return
+	if c.Trace != nil {
+		e.Cycle, e.Node = c.Cycle, int32(c.Index)
+		c.Trace.Add(e)
 	}
-	e.Cycle, e.Node = c.Cycle, int32(c.Index)
-	c.traceBuf.Events = append(c.traceBuf.Events, e)
 }
 
-// FlushTrace moves the buffered trace records to the Trace sink in
-// emission order. The machine calls it per chip, in node-index order, after
-// the chip phase of each cycle.
-func (c *Chip) FlushTrace() {
-	if len(c.traceBuf.Events) != 0 {
-		c.Trace.Drain(&c.traceBuf)
-	}
-}
+// FlushTrace does nothing: Step appends its trace records to the sink
+// directly.
+//
+// Deprecated: the per-chip trace buffer it drained is gone. It stays only
+// because the host-time benchmark's driver still calls it; the next
+// change to that benchmark deletes it.
+func (c *Chip) FlushTrace() {}
 
 // send buffers a message for injection into the network. The machine
 // injects it (FlushNet) after the chip phase of the current cycle.

@@ -325,7 +325,7 @@ func (c *Chip) protFault(vt, cl int, th *cluster.HThread, msg string) {
 		isa.W(uint64(th.PC)),
 	})
 	if c.Trace != nil {
-		c.trace(trace.Event{Kind: trace.ProtFault, Arg: c.traceBuf.AddText(msg)})
+		c.trace(trace.Event{Kind: trace.ProtFault, Arg: c.Trace.AddText(msg)})
 	}
 }
 

@@ -11,9 +11,8 @@ package chip
 // across the snapshot boundary: the event-engine wake cache and the idle
 // replay state (the machine re-touches every chip on restore, and an
 // early wake is always observably identical — see "The NextEvent
-// contract"), the per-cycle C-Switch budget (reset at every Step), the
-// message scratch buffer, and the trace buffer (always drained between
-// cycles, which is the only point a snapshot can be taken).
+// contract"), the per-cycle C-Switch budget (reset at every Step), and the
+// message scratch buffer.
 
 import (
 	"fmt"

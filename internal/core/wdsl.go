@@ -6,8 +6,8 @@ package core
 // poke staging state, load programs, run phases under their cycle
 // budgets, then verify the expectations the file declares. Scenario
 // cycle counts are simulated results, so they are deterministic across
-// engines and hosts and feed the BENCH_<n>.json trajectory (cmd/mbench
-// picks up testdata/workloads/*.wl).
+// engines and hosts and are pinned by mbench's record (cmd/mbench picks
+// up testdata/workloads/*.wl; testdata/mbench.json).
 
 import (
 	"fmt"

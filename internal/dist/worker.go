@@ -266,14 +266,12 @@ func (w *worker) stepCycle(t int64, out *cycleReply) {
 	// Chip phase over the owned range, in node-index order.
 	w.stepped = w.m.StepRange(w.spec.Lo, w.spec.Hi, t, w.stepped[:0])
 
-	// Drain phase: the stepped chips' trace buffers and outboxes in
-	// node-index order (a chip that did not step produced nothing). The
-	// coordinator injects the messages into the authoritative network in
-	// the same order, assigning the same sequence numbers as an in-process
-	// drain.
+	// Drain phase: the stepped chips' outboxes in node-index order (a chip
+	// that did not step produced nothing). The coordinator injects the
+	// messages into the authoritative network in the same order, assigning
+	// the same sequence numbers as an in-process drain.
 	out.Msgs, out.Consumed = out.Msgs[:0], out.Consumed[:0]
 	for _, i := range w.stepped {
-		w.m.Chips[i].FlushTrace()
 		out.Msgs = w.m.Chips[i].TakeOutbox(out.Msgs)
 	}
 	out.Trace.Reset()

@@ -68,7 +68,7 @@ func (ds *dueSet) attach(i int, c *chip.Chip) {
 // cycle has come replays the idle cycles it sat out, steps if it is in
 // fact due, and is read back for its next event. Chips that are not due
 // are not touched. On return r.stepped holds the chips that advanced to
-// now+1, whose outbox and trace buffers hold the cycle's output.
+// now+1, whose outboxes hold the cycle's messages.
 func (ds *dueSet) stepRange(r *chipRange, now int64) {
 	due, chips := ds.due[r.lo:r.hi], ds.chips[r.lo:r.hi]
 	stepped, next := r.stepped[:0], NoEvent

@@ -395,18 +395,14 @@ func (m *Machine) wakeArrivals(now int64) {
 	}
 }
 
-// drain moves chip i's buffered cycle output into the shared structures —
-// trace records to the sink, outbox messages into the network — and
+// drain moves chip i's buffered outbox messages into the network and
 // refreshes its activity counters. Callers visit chips in node-index order.
 // A chip cannot observe another chip's same-cycle injections, so draining
 // after the chip phase is bit-identical to the historical
-// inject-during-step order — and it is the only point where per-chip work
-// touches shared mutable state, which is what lets a dist worker run the
+// inject-during-step order — and it is what lets a dist worker run the
 // phase on its own range and hand the outboxes over instead.
 func (m *Machine) drain(i int, now int64) {
-	c := m.Chips[i]
-	c.FlushTrace()
-	c.FlushNet(now)
+	m.Chips[i].FlushNet(now)
 	m.noteStepped(i)
 }
 

@@ -127,12 +127,12 @@ type Network struct {
 	arrived     []int  `snap:"derived,rebuilt from decoded arrivals"`
 	arrivedMark []bool `snap:"derived,rebuilt from decoded arrivals"`
 
-	// deliveredTo lists the nodes that received at least one delivery
-	// during the most recent Step, deduplicated via deliveredMark (per-node
-	// cycle of the last recorded delivery), for DeliveredNodes. The
-	// engines wake chips from the arrival set (ArrivalNodes) instead.
-	deliveredTo   []int   `snap:"derived,per-Step delivery set, rebuilt each Step"`
-	deliveredMark []int64 `snap:"derived,per-Step delivery set, rebuilt each Step"`
+	// stepped is the cycle of the most recent Step (-1 before the first),
+	// which DeliveredNodes reads the arrival queues against; delivered is
+	// its reusable result. The engines wake chips from the arrival set
+	// (ArrivalNodes) instead.
+	stepped   int64 `snap:"derived,last Step's cycle, for DeliveredNodes only"`
+	delivered []int `snap:"derived,DeliveredNodes' result buffer"`
 
 	// nextWake caches the earliest readyAt among in-flight messages,
 	// recomputed by Step and lowered by Inject (the NextEvent source).
@@ -149,20 +149,16 @@ func New(dims Coord, cfg Config) *Network {
 		panic(fmt.Sprintf("noc: bad mesh dimensions %v", dims))
 	}
 	nodes := dims.X * dims.Y * dims.Z
-	n := &Network{
-		cfg:           cfg,
-		dims:          dims,
-		linkBusy:      make([]int64, nodes*3*2*NumPriorities),
-		arrivals:      make([][NumPriorities]msgQueue, nodes),
-		arrived:       make([]int, 0, nodes),
-		arrivedMark:   make([]bool, nodes),
-		nextWake:      NoEvent,
-		deliveredMark: make([]int64, nodes),
+	return &Network{
+		cfg:         cfg,
+		dims:        dims,
+		linkBusy:    make([]int64, nodes*3*2*NumPriorities),
+		arrivals:    make([][NumPriorities]msgQueue, nodes),
+		arrived:     make([]int, 0, nodes),
+		arrivedMark: make([]bool, nodes),
+		nextWake:    NoEvent,
+		stepped:     -1, // cycles are never negative
 	}
-	for i := range n.deliveredMark {
-		n.deliveredMark[i] = -1 // cycles are never negative
-	}
-	return n
 }
 
 // linkIndex flattens (node, dimension, direction, priority) into the
@@ -233,7 +229,7 @@ func (n *Network) Inject(now int64, m *Message) {
 // are compacted in place and no allocation happens on the steady-state path.
 func (n *Network) Step(now int64) {
 	wake := NoEvent
-	n.deliveredTo = n.deliveredTo[:0]
+	n.stepped = now
 	for pri := NumPriorities - 1; pri >= 0; pri-- {
 		flights := n.flight[pri]
 		remaining := flights[:0]
@@ -249,10 +245,6 @@ func (n *Network) Step(now int64) {
 				// Delivery into the node's hardware message queue.
 				node := n.Index(f.at)
 				n.arrive(node, pri, f.msg)
-				if n.deliveredMark[node] != now {
-					n.deliveredMark[node] = now
-					n.deliveredTo = append(n.deliveredTo, node)
-				}
 				f.msg.DeliveredAt = now
 				n.Delivered++
 				continue
@@ -446,14 +438,28 @@ func (n *Network) ClearTraffic() {
 	n.arrivalCount = 0
 	n.arrived = n.arrived[:0]
 	clear(n.arrivedMark)
-	n.deliveredTo = nil
 	n.nextWake = NoEvent
 }
 
 // DeliveredNodes returns the nodes that received at least one delivery
-// during the most recent Step, without duplicates, in delivery order. The
-// slice is valid until the next Step; callers must not retain it.
-func (n *Network) DeliveredNodes() []int { return n.deliveredTo }
+// during the most recent Step, each once, in arrival-set order: the nodes
+// whose newest queued arrival was delivered at that Step's cycle. Call it
+// before anything pops the Step's deliveries. It walks ArrivalNodes, so
+// it invalidates that slice; its own is valid until the next call, and
+// callers must not retain it.
+func (n *Network) DeliveredNodes() []int {
+	out := n.delivered[:0]
+	for _, i := range n.ArrivalNodes() {
+		for pri := range n.arrivals[i] {
+			if q := &n.arrivals[i][pri]; q.len() > 0 && q.buf[len(q.buf)-1].DeliveredAt == n.stepped {
+				out = append(out, i)
+				break
+			}
+		}
+	}
+	n.delivered = out
+	return out
+}
 
 // HasArrivals reports whether node i has delivered-but-unconsumed messages
 // at either priority.

@@ -120,7 +120,8 @@ func cloneTraffic(sched map[int64][]*Message) map[int64][]*Message {
 // Step(t+w-1); with w = 1 that is the engines' order, inject then Step,
 // every cycle. consume (nil: none) is asked at every cycle, for every
 // queue, how many of the messages a chip could see then — delivered by a
-// Step before the cycle — to drop.
+// Step before the cycle — to drop. Every Step's deliveries must be
+// named by DeliveredNodes, each node once.
 func drive(t *testing.T, n *Network, sched map[int64][]*Message, w int64,
 	consume func(now int64, node, pri, visible int) int, delivered func(now int64, m *Message)) {
 	t.Helper()
@@ -130,15 +131,25 @@ func drive(t *testing.T, n *Network, sched map[int64][]*Message, w int64,
 	}
 	seen := make([][NumPriorities]int, n.NumNodes())
 	step := func(now int64) {
+		unnamed := n.Delivered
 		n.Step(now)
 		for _, node := range n.DeliveredNodes() {
+			fresh := 0
 			for pri := 0; pri < NumPriorities; pri++ {
 				q := n.ArrivalsAt(node, pri)
 				for _, m := range q[seen[node][pri]:] {
 					delivered(now, m)
+					fresh++
 				}
 				seen[node][pri] = len(q)
 			}
+			if fresh == 0 {
+				t.Fatalf("DeliveredNodes after Step(%d) names node %d, which got nothing new (or names it twice)", now, node)
+			}
+			unnamed += uint64(fresh)
+		}
+		if unnamed != n.Delivered {
+			t.Fatalf("Step(%d) made %d deliveries to nodes DeliveredNodes does not name", now, n.Delivered-unnamed)
 		}
 	}
 	for start := int64(0); left > 0 || n.InFlight() > 0; start += w {

@@ -7,10 +7,9 @@ package noc
 // Deliberately NOT serialized, because none of it is observable across a
 // cycle boundary: linkBusy grants (a grant for cycle t+1 written during
 // cycle t can never equal a later cycle's test value, so stale entries —
-// and their absence — are invisible), the deliveredTo/deliveredMark
-// dedup of the most recent Step (consumed by the machine in the same
-// cycle), and the nextWake cache (recomputed here from the decoded
-// flights).
+// and their absence — are invisible), the cycle of the most recent Step
+// (read by DeliveredNodes in the same cycle), and the nextWake cache
+// (recomputed here from the decoded flights).
 
 import (
 	"fmt"
@@ -141,8 +140,8 @@ func (m *Message) Clone() *Message {
 
 // Clone returns an independent network with n's cross-cycle state: the
 // in-flight and delivered-but-unconsumed messages, the injection
-// sequence and the statistics. Link grants and the last-Step delivery
-// dedup start fresh, as after a restore — see the package note above
+// sequence and the statistics. Link grants and the last Step's cycle
+// start fresh, as after a restore — see the package note above
 // for why that is unobservable.
 func (n *Network) Clone() *Network {
 	f := New(n.dims, n.cfg)

@@ -3,10 +3,10 @@
 //
 // A record is one pointer-free 32-byte value — a kind and fixed integer
 // arguments — from the chip that emits it to the reader that prints it:
-// chips append records to a per-chip buffer, the machine drains the buffers
-// in node-index order into a Recorder, and the distributed engine ships
-// them as four words each. The name and detail strings of a timeline line
-// are produced only when a reader asks for them.
+// chips, stepped one at a time in node-index order, append records to the
+// installed Recorder, and the distributed engine ships them as four words
+// each. The name and detail strings of a timeline line are produced only
+// when a reader asks for them.
 package trace
 
 import (
@@ -156,6 +156,16 @@ func (r *Recorder) Reset() {
 func (r *Recorder) AddText(s string) uint64 {
 	r.Text = append(r.Text, s)
 	return uint64(len(r.Text) - 1)
+}
+
+// Add appends e. The log at least doubles when it must grow (append
+// alone grows a long slice by a quarter), so a run that records n events
+// copies O(n) of them in all.
+func (r *Recorder) Add(e Event) {
+	if len(r.Events) == cap(r.Events) {
+		r.Events = slices.Grow(r.Events, len(r.Events)+1)
+	}
+	r.Events = append(r.Events, e)
 }
 
 // Drain moves src's records to the end of r, in order, and empties src.

@@ -88,6 +88,29 @@ func TestEveryKindFormatsAsBefore(t *testing.T) {
 	}
 }
 
+// TestAddDoublesTheLog pins Add's growth: every reallocation at least
+// doubles the log, so n records cost O(n) copying in all. Plain append
+// grows a long slice by a quarter and fails this.
+func TestAddDoublesTheLog(t *testing.T) {
+	var r Recorder
+	const n = 1 << 16
+	for i := range n {
+		had := cap(r.Events)
+		r.Add(Event{Cycle: int64(i)})
+		if c := cap(r.Events); c != had && c < 2*had {
+			t.Fatalf("record %d: the log grew from %d to %d, less than double", i, had, c)
+		}
+	}
+	for i, e := range r.Events {
+		if e.Cycle != int64(i) {
+			t.Fatalf("record %d holds cycle %d", i, e.Cycle)
+		}
+	}
+	if len(r.Events) != n {
+		t.Fatalf("%d records, want %d", len(r.Events), n)
+	}
+}
+
 func TestDrainMovesRecordsAndRehomesText(t *testing.T) {
 	sink := &Recorder{}
 	for round := 0; round < 3; round++ {
