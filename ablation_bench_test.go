@@ -178,34 +178,33 @@ func BenchmarkAblationCSwitchPorts(b *testing.B) {
 	}
 }
 
-// BenchmarkNetworkSweep reports remote read latency against mesh distance
-// (E12).
-func BenchmarkNetworkSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := core.NetworkSweepExperiment()
-		if err != nil {
-			b.Fatal(err)
+// benchExperiment runs one experiment of core's table b.N times and
+// reports the first run's metrics under their table names.
+func benchExperiment(b *testing.B, name string) {
+	for _, e := range core.Experiments() {
+		if e.Name != name {
+			continue
 		}
-		if i == 0 {
-			for _, r := range rows {
-				b.ReportMetric(float64(r.ReadCycles), fmt.Sprintf("read_cycles_%dhops", r.Hops))
+		for i := 0; i < b.N; i++ {
+			_, ms, err := e.Run()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if i == 0 {
+				for _, m := range ms {
+					b.ReportMetric(m.Value, m.Name)
+				}
 			}
 		}
+		return
 	}
+	b.Fatalf("no experiment %q", name)
 }
 
+// BenchmarkNetworkSweep reports remote read latency against mesh distance
+// (E12): read_hops<N> cycles.
+func BenchmarkNetworkSweep(b *testing.B) { benchExperiment(b, "netsweep") }
+
 // BenchmarkGridSmoothScaling reports the distributed smoothing pass's
-// cycles at each machine size (E13).
-func BenchmarkGridSmoothScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := core.GridSmoothExperiment()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				b.ReportMetric(float64(r.Cycles), fmt.Sprintf("cycles_%dnodes", r.Nodes))
-			}
-		}
-	}
-}
+// cycles at each machine size (E13): smooth_nodes<N>.
+func BenchmarkGridSmoothScaling(b *testing.B) { benchExperiment(b, "gridsmooth") }

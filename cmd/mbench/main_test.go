@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // recordPath is the pinned -json output of the default run, relative to
@@ -97,13 +99,13 @@ func points(rs []Result) ([]string, map[string]string) {
 // metric, one dropped and one new experiment.
 func TestBreaksNamesEveryDifference(t *testing.T) {
 	rec := []Result{
-		{Name: "a", Metrics: []Metric{cyc("x", 1), cyc("y", 2), cyc("gone", 3), {Name: "u", Value: 4, Unit: "insts"}}},
-		{Name: "b", Metrics: []Metric{cyc("z", 5)}},
-		{Name: "same", Metrics: []Metric{cyc("w", 6)}},
+		{Name: "a", Metrics: []core.Metric{cyc("x", 1), cyc("y", 2), cyc("gone", 3), {Name: "u", Value: 4, Unit: "insts"}}},
+		{Name: "b", Metrics: []core.Metric{cyc("z", 5)}},
+		{Name: "same", Metrics: []core.Metric{cyc("w", 6)}},
 	}
 	live := []Result{
-		{Name: "a", Metrics: []Metric{cyc("x", 1), {Name: "y", Value: 2.5, Unit: "cycles"}, {Name: "u", Value: 4}, cyc("added", 7)}},
-		{Name: "same", Metrics: []Metric{cyc("w", 6)}},
+		{Name: "a", Metrics: []core.Metric{cyc("x", 1), {Name: "y", Value: 2.5, Unit: "cycles"}, {Name: "u", Value: 4}, cyc("added", 7)}},
+		{Name: "same", Metrics: []core.Metric{cyc("w", 6)}},
 		{Name: "c"},
 	}
 	want := []string{
@@ -157,16 +159,17 @@ func TestScenarioPickup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	paper := len(core.Experiments())
 	picked := make(map[string]bool, len(exps))
-	for _, e := range exps[len(experiments):] {
-		picked[e.name] = true
+	for _, e := range exps[paper:] {
+		picked[e.Name] = true
 	}
 	for _, f := range files {
 		if want := "wl-" + strings.TrimSuffix(f, ".wl"); !picked[want] {
 			t.Errorf("scenario %s is not picked up as experiment %s by the default -wl glob", f, want)
 		}
 	}
-	if n := len(exps) - len(experiments); n != len(files) {
+	if n := len(exps) - paper; n != len(files) {
 		t.Errorf("pickup count %d != scenario file count %d", n, len(files))
 	}
 

@@ -1,8 +1,9 @@
 // Package core is the public facade of the M-Machine reproduction: it wires
 // the MAP chips, mesh network, global translation, and software runtime
-// into a ready-to-use simulator, and provides the experiment harness that
-// regenerates every quantitative result in the paper (see the functions in
-// table1.go, figure9.go, and experiments.go).
+// into a ready-to-use simulator, and provides the experiment table that
+// regenerates every quantitative result in the paper: Experiments lists
+// E1–E14, each printing its table and emitting its metrics in one run
+// (experiments.go; cmd/mbench prints and records them).
 //
 // Quick start:
 //

@@ -63,33 +63,17 @@ func TestDeterminismEngines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment suite in -short mode")
 	}
-	t.Run("Table1", func(t *testing.T) {
-		allEngines(t, "table1", func() (string, error) {
-			rows, err := Table1()
-			return fmt.Sprintf("%+v", rows), err
+	for _, c := range []struct{ sub, exp string }{
+		{"Table1", "table1"}, {"Figure9", "fig9"}, {"GridSmooth", "gridsmooth"}, {"NetSweep", "netsweep"},
+	} {
+		e := experimentNamed(t, c.exp)
+		t.Run(c.sub, func(t *testing.T) {
+			allEngines(t, c.exp, func() (string, error) {
+				out, ms, err := e.Run()
+				return fmt.Sprintf("%s%+v", out, ms), err
+			})
 		})
-	})
-	t.Run("Figure9", func(t *testing.T) {
-		allEngines(t, "figure9", func() (string, error) {
-			r, w, err := Figure9()
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("%+v %+v", *r, *w), nil
-		})
-	})
-	t.Run("GridSmooth", func(t *testing.T) {
-		allEngines(t, "gridsmooth", func() (string, error) {
-			rows, err := GridSmoothExperiment()
-			return fmt.Sprintf("%+v", rows), err
-		})
-	})
-	t.Run("NetSweep", func(t *testing.T) {
-		allEngines(t, "netsweep", func() (string, error) {
-			rows, err := NetworkSweepExperiment()
-			return fmt.Sprintf("%+v", rows), err
-		})
-	})
+	}
 }
 
 // meshWorkload is one scenario of the cross-engine mesh matrix: load

@@ -14,32 +14,44 @@ import (
 	"repro/internal/trace"
 )
 
-// Phase is one labelled point on a remote access timeline.
-type Phase struct {
-	Cycle int64 // relative to the access issue
-	Node  int
-	Label string
+// phase is one labelled point on a remote access timeline.
+type phase struct {
+	cycle int64 // relative to the access issue
+	node  int
+	label string
 }
 
-// Figure9Result is a reconstructed remote access timeline.
-type Figure9Result struct {
-	Kind   string // "read" or "write"
-	Phases []Phase
-	Total  int64
+// timeline is a reconstructed remote access timeline.
+type timeline struct {
+	kind   string // "read" or "write"
+	phases []phase
+	total  int64
 }
 
-// Figure9 reproduces both timelines.
-func Figure9() (read, write *Figure9Result, err error) {
-	if read, err = figure9One(false); err != nil {
-		return nil, nil, err
+// expFigure9 prints both timelines, read then write, the way the paper's
+// figure draws them (E2).
+func expFigure9(s *sheet) error {
+	for _, isWrite := range []bool{false, true} {
+		tl, err := figure9(isWrite)
+		if err != nil {
+			return err
+		}
+		if isWrite {
+			s.printf("\n")
+		}
+		s.printf("REMOTE %s TIMELINE (total %d cycles)\n", strings.ToUpper(tl.kind), tl.total)
+		s.printf("%8s  %-6s  %s\n", "cycle", "node", "phase")
+		for _, p := range tl.phases {
+			s.printf("%8d  NODE %d  %s\n", p.cycle, p.node, p.label)
+		}
+		s.cycles("remote_"+tl.kind, tl.total)
 	}
-	if write, err = figure9One(true); err != nil {
-		return nil, nil, err
-	}
-	return read, write, nil
+	return nil
 }
 
-func figure9One(isWrite bool) (*Figure9Result, error) {
+// figure9 reruns Table 1's Remote Cache Hit access with tracing and
+// reconstructs its timeline.
+func figure9(isWrite bool) (*timeline, error) {
 	s, err := NewSim(Options{Nodes: 2})
 	if err != nil {
 		return nil, err
@@ -63,7 +75,7 @@ func figure9One(isWrite bool) (*Figure9Result, error) {
 		}
 	}
 
-	res := &Figure9Result{Kind: kind}
+	res := &timeline{kind: kind}
 	issue, ok := s.Recorder.First(start, "mem-issue")
 	if !ok {
 		return nil, fmt.Errorf("figure9: no mem-issue event")
@@ -71,7 +83,7 @@ func figure9One(isWrite bool) (*Figure9Result, error) {
 	base := issue.Cycle
 	add := func(e trace.Event, label string, ok bool) {
 		if ok {
-			res.Phases = append(res.Phases, Phase{e.Cycle - base, int(e.Node), label})
+			res.phases = append(res.phases, phase{e.Cycle - base, int(e.Node), label})
 		}
 	}
 	opName := map[bool]string{false: "LOAD", true: "STORE"}[isWrite]
@@ -94,7 +106,7 @@ func figure9One(isWrite bool) (*Figure9Result, error) {
 		if !ok {
 			return nil, fmt.Errorf("figure9: store never completed at home")
 		}
-		res.Total = exec.Cycle - base
+		res.total = exec.Cycle - base
 	} else {
 		reply, rok := s.Recorder.FirstMatch(base, func(e trace.Event) bool {
 			return e.Node == 1 && e.Name() == "send"
@@ -111,18 +123,7 @@ func figure9One(isWrite bool) (*Figure9Result, error) {
 		if !rok3 {
 			return nil, fmt.Errorf("figure9: no register writeback observed")
 		}
-		res.Total = wb.Cycle - base
+		res.total = wb.Cycle - base
 	}
 	return res, nil
-}
-
-// Format renders the timeline like the paper's figure.
-func (r *Figure9Result) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "REMOTE %s TIMELINE (total %d cycles)\n", strings.ToUpper(r.Kind), r.Total)
-	fmt.Fprintf(&b, "%8s  %-6s  %s\n", "cycle", "node", "phase")
-	for _, p := range r.Phases {
-		fmt.Fprintf(&b, "%8d  NODE %d  %s\n", p.Cycle, p.Node, p.Label)
-	}
-	return b.String()
 }

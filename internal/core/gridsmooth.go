@@ -14,45 +14,66 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/noc"
 	"repro/internal/workload"
 )
 
-const gridTotal = 512 // grid elements of the small-machine experiment
-
-// GridScaleRow reports one machine size.
-type GridScaleRow struct {
-	Nodes   int
-	Cycles  int64
-	Speedup float64
+// expGridSmooth runs the distributed smoothing pass over a 512-element
+// grid on 1-, 2- and 4-node machines (E13).
+func expGridSmooth(s *sheet) error {
+	dims := []noc.Coord{{X: 1, Y: 1, Z: 1}, {X: 2, Y: 1, Z: 1}, {X: 4, Y: 1, Z: 1}}
+	cycles, err := smoothCycles(512, dims)
+	if err != nil {
+		return err
+	}
+	s.printf("512-element grid smoothing, block-distributed\n")
+	s.printf("%-6s %10s %9s\n", "nodes", "cycles", "speedup")
+	for i, d := range dims {
+		s.printf("%-6d %10d %8.2fx\n", d.X, cycles[i], float64(cycles[0])/float64(cycles[i]))
+		s.cycles(fmt.Sprintf("smooth_nodes%d", d.X), cycles[i])
+	}
+	return nil
 }
 
-// GridSmoothExperiment runs the distributed smoothing pass on 1-, 2- and
-// 4-node machines and checks the result against a host-computed reference.
-func GridSmoothExperiment() ([]GridScaleRow, error) {
-	// Measure the three machine sizes, then derive the speedup column
-	// from the 1-node base.
-	sizes := []int{1, 2, 4}
-	rows := make([]GridScaleRow, len(sizes))
-	for i, nodes := range sizes {
-		g, err := workload.NewMeshSmooth(nodes, gridTotal)
+// expMeshScale runs the smoothing pass over a fixed 2048-element grid on
+// progressively larger 3-D meshes, up to 4x4x2 and 8x8x2 (E14). Larger
+// meshes also mean a smaller busy fraction per cycle (the fixed grid
+// spreads thinner), which is the mix the engine's due-set is for (see
+// DESIGN.md, "The due-set"). The point of the sweep is that larger meshes
+// finish the same grid in fewer simulated cycles.
+func expMeshScale(s *sheet) error {
+	dims := []noc.Coord{{X: 2, Y: 1, Z: 1}, {X: 4, Y: 2, Z: 1}, {X: 4, Y: 4, Z: 2}, {X: 8, Y: 8, Z: 2}}
+	cycles, err := smoothCycles(2048, dims)
+	if err != nil {
+		return err
+	}
+	s.printf("2048-element grid smoothing on 3-D meshes\n")
+	s.printf("%-8s %6s %10s %9s\n", "mesh", "nodes", "cycles", "speedup")
+	for i, d := range dims {
+		s.printf("%dx%dx%d   %6d %10d %8.2fx\n",
+			d.X, d.Y, d.Z, d.X*d.Y*d.Z, cycles[i], float64(cycles[0])/float64(cycles[i]))
+		s.cycles(fmt.Sprintf("smooth_mesh%dx%dx%d", d.X, d.Y, d.Z), cycles[i])
+	}
+	return nil
+}
+
+// smoothCycles runs the smoothing pass over a total-element grid on each
+// mesh shape, one fresh machine each, and returns each pass's cycles.
+func smoothCycles(total int, dims []noc.Coord) ([]int64, error) {
+	out := make([]int64, len(dims))
+	for i, d := range dims {
+		g, err := workload.NewMeshSmooth(d.X*d.Y*d.Z, total)
 		if err != nil {
 			return nil, err
 		}
-		s, _, cycles, err := runMeshSmooth(Options{Nodes: nodes}, g)
+		_, _, cycles, err := runMeshSmooth(Options{Dims: d}, g)
 		if err != nil {
-			return nil, fmt.Errorf("grid smooth on %d nodes: %w", nodes, err)
+			return nil, fmt.Errorf("mesh smooth on %v: %w", d, err)
 		}
-		s.M.Close()
-		rows[i] = GridScaleRow{Nodes: nodes, Cycles: cycles}
+		out[i] = cycles
 	}
-	base := rows[0].Cycles
-	for i := range rows {
-		rows[i].Speedup = float64(base) / float64(rows[i].Cycles)
-	}
-	return rows, nil
+	return out, nil
 }
 
 // runMeshSmooth boots a machine with the given options, stages the grid,
@@ -93,73 +114,4 @@ func runMeshSmooth(o Options, g *workload.MeshSmooth) (s *Sim, stage, smooth int
 		}
 	}
 	return s, stage, smooth, nil
-}
-
-// FormatGridSmooth renders the scaling table.
-func FormatGridSmooth(rows []GridScaleRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "512-element grid smoothing, block-distributed\n")
-	fmt.Fprintf(&b, "%-6s %10s %9s\n", "nodes", "cycles", "speedup")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-6d %10d %8.2fx\n", r.Nodes, r.Cycles, r.Speedup)
-	}
-	return b.String()
-}
-
-// --- E14 (extension): large-mesh scaling ---
-
-// MeshScaleRow reports one large-mesh configuration.
-type MeshScaleRow struct {
-	Dims    noc.Coord
-	Nodes   int
-	Cycles  int64
-	Speedup float64 // vs the smallest configuration's cycles
-}
-
-// MeshScaleExperiment runs the smoothing pass over a fixed 2048-element
-// grid on progressively larger 3-D meshes, up to 4x4x2 and 8x8x2. Larger
-// meshes also mean a smaller busy fraction per cycle (the fixed grid
-// spreads thinner), which is the mix the engine's due-set is for (see
-// DESIGN.md, "The due-set"). Simulated cycle counts are host-independent;
-// the point of the sweep is that larger meshes finish the same grid in
-// fewer simulated cycles.
-func MeshScaleExperiment() ([]MeshScaleRow, error) {
-	const total = 2048
-	dims := []noc.Coord{
-		{X: 2, Y: 1, Z: 1},
-		{X: 4, Y: 2, Z: 1},
-		{X: 4, Y: 4, Z: 2},
-		{X: 8, Y: 8, Z: 2},
-	}
-	rows := make([]MeshScaleRow, len(dims))
-	for i, d := range dims {
-		nodes := d.X * d.Y * d.Z
-		g, err := workload.NewMeshSmooth(nodes, total)
-		if err != nil {
-			return nil, err
-		}
-		s, _, cycles, err := runMeshSmooth(Options{Dims: d}, g)
-		if err != nil {
-			return nil, fmt.Errorf("mesh smooth on %v: %w", d, err)
-		}
-		s.M.Close()
-		rows[i] = MeshScaleRow{Dims: d, Nodes: nodes, Cycles: cycles}
-	}
-	base := rows[0].Cycles
-	for i := range rows {
-		rows[i].Speedup = float64(base) / float64(rows[i].Cycles)
-	}
-	return rows, nil
-}
-
-// FormatMeshScale renders the large-mesh scaling table.
-func FormatMeshScale(rows []MeshScaleRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "2048-element grid smoothing on 3-D meshes\n")
-	fmt.Fprintf(&b, "%-8s %6s %10s %9s\n", "mesh", "nodes", "cycles", "speedup")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%dx%dx%d   %6d %10d %8.2fx\n",
-			r.Dims.X, r.Dims.Y, r.Dims.Z, r.Nodes, r.Cycles, r.Speedup)
-	}
-	return b.String()
 }

@@ -6,29 +6,21 @@ package core
 // runtime support arbitrary distance, and dimension-order routing adds
 // HopLat per hop in each direction, so latency must grow linearly.
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
-// NetSweepRow is one distance point.
-type NetSweepRow struct {
-	Hops       int
-	ReadCycles int64
-}
-
-// NetworkSweepExperiment measures remote read latency from node 0 to homes
-// at increasing distances on an 8x1x1 mesh, one fresh machine per
-// distance point.
-func NetworkSweepExperiment() ([]NetSweepRow, error) {
+// expNetSweep measures remote read latency from node 0 to homes at
+// increasing distances on an 8x1x1 mesh, one fresh machine per distance
+// point, and the marginal cost of a hop (E12).
+func expNetSweep(s *sheet) error {
 	dists := []int{1, 3, 5, 7}
-	out := make([]NetSweepRow, len(dists))
+	lats := make([]int64, len(dists))
+	s.printf("%-6s %20s\n", "hops", "remote read (cycles)")
 	for i, d := range dists {
-		s, err := NewSim(Options{Nodes: 8})
+		sim, err := NewSim(Options{Nodes: 8})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		addr := s.HomeBase(d) + 16
+		addr := sim.HomeBase(d) + 16
 		// Stage the value and warm the home node's cache and LTLB.
 		stage := fmt.Sprintf(`
     movi i1, #%d
@@ -38,32 +30,20 @@ func NetworkSweepExperiment() ([]NetSweepRow, error) {
     add i4, i3, #0
     halt
 `, addr)
-		if err := s.LoadASM(d, 0, 0, stage); err != nil {
-			return nil, err
+		if err := sim.LoadASM(d, 0, 0, stage); err != nil {
+			return err
 		}
-		if _, err := s.Run(200000); err != nil {
-			return nil, err
+		if _, err := sim.Run(200000); err != nil {
+			return err
 		}
-		lat, err := timeRead(s, addr)
-		if err != nil {
-			return nil, err
+		if lats[i], err = timeRead(sim, addr); err != nil {
+			return err
 		}
-		out[i] = NetSweepRow{Hops: d, ReadCycles: lat}
+		s.printf("%-6d %20d\n", d, lats[i])
+		s.cycles(fmt.Sprintf("read_hops%d", d), lats[i])
 	}
-	return out, nil
-}
-
-// FormatNetSweep renders the sweep.
-func FormatNetSweep(rows []NetSweepRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-6s %20s\n", "hops", "remote read (cycles)")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-6d %20d\n", r.Hops, r.ReadCycles)
-	}
-	if len(rows) >= 2 {
-		first, last := rows[0], rows[len(rows)-1]
-		perHop := float64(last.ReadCycles-first.ReadCycles) / float64(2*(last.Hops-first.Hops))
-		fmt.Fprintf(&b, "marginal cost: %.2f cycles per hop per direction\n", perHop)
-	}
-	return b.String()
+	last := len(dists) - 1
+	perHop := float64(lats[last]-lats[0]) / float64(2*(dists[last]-dists[0]))
+	s.printf("marginal cost: %.2f cycles per hop per direction\n", perHop)
+	return nil
 }

@@ -368,7 +368,7 @@ loop:
 	}
 }
 
-var parkEngines = forkEngines[:3] // naive, event, parallel2
+var parkEngines = forkEngines[:2] // naive, event
 
 func TestParkingMatchesFullScan(t *testing.T) {
 	for _, k := range parkKernels() {

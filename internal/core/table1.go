@@ -51,6 +51,11 @@ func (a AccessClass) String() string {
 	return "?"
 }
 
+// metric is the class's metric name stem: "local_cache_hit" and so on.
+func (a AccessClass) metric() string {
+	return strings.ReplaceAll(strings.ToLower(a.String()), " ", "_")
+}
+
 // Table1Row holds measured and paper-reported latencies for one access
 // class.
 type Table1Row struct {
@@ -58,16 +63,6 @@ type Table1Row struct {
 	Read, Write int64
 	PaperRead   int64
 	PaperWrite  int64
-}
-
-// paperTable1 is Table 1 of the paper, for side-by-side reporting.
-var paperTable1 = [numAccessClasses][2]int64{
-	LocalCacheHit:   {3, 2},
-	LocalCacheMiss:  {13, 19},
-	LocalLTLBMiss:   {61, 67},
-	RemoteCacheHit:  {138, 74},
-	RemoteCacheMiss: {154, 90},
-	RemoteLTLBMiss:  {202, 138},
 }
 
 // Table1 measures every cell and returns the rows in paper order. Each
@@ -83,7 +78,8 @@ func Table1() ([]Table1Row, error) {
 			return nil, fmt.Errorf("table1 %s: %w", class, err)
 		}
 		rows[c] = Table1Row{Class: class, Read: rd, Write: wr,
-			PaperRead: paperTable1[c][0], PaperWrite: paperTable1[c][1]}
+			PaperRead:  paper["table1"][class.metric()+"_read"],
+			PaperWrite: paper["table1"][class.metric()+"_write"]}
 	}
 	return rows, nil
 }
@@ -252,14 +248,18 @@ func firstComplete(r *trace.Recorder, from int64, node int32, addr uint64, store
 	})
 }
 
-// FormatTable1 renders rows as the paper's table with a measured column.
-func FormatTable1(rows []Table1Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-18s  %14s  %14s\n", "", "read (cycles)", "write (cycles)")
-	fmt.Fprintf(&b, "%-18s  %6s %7s  %6s %7s\n", "Access Type", "paper", "ours", "paper", "ours")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-18s  %6d %7d  %6d %7d\n",
-			r.Class, r.PaperRead, r.Read, r.PaperWrite, r.Write)
+// expTable1 prints Table 1 with the paper's cells beside ours (E1).
+func expTable1(s *sheet) error {
+	rows, err := Table1()
+	if err != nil {
+		return err
 	}
-	return b.String()
+	s.printf("%-18s  %14s  %14s\n", "", "read (cycles)", "write (cycles)")
+	s.printf("%-18s  %6s %7s  %6s %7s\n", "Access Type", "paper", "ours", "paper", "ours")
+	for _, r := range rows {
+		s.printf("%-18s  %6d %7d  %6d %7d\n", r.Class, r.PaperRead, r.Read, r.PaperWrite, r.Write)
+		s.cycles(r.Class.metric()+"_read", r.Read)
+		s.cycles(r.Class.metric()+"_write", r.Write)
+	}
+	return nil
 }

@@ -40,7 +40,7 @@ func pinFigure9(t *testing.T, isWrite bool) *Sim {
 }
 
 func pinThrottle(t *testing.T) *Sim {
-	cfg := DefaultChipConfig()
+	cfg := chip.DefaultConfig()
 	cfg.SendCredits = 2
 	cfg.MsgQueueCap = 9
 	s, err := NewSim(Options{Nodes: 3, Chip: &cfg})

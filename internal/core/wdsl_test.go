@@ -88,15 +88,11 @@ func TestDSLMatchesHandWritten(t *testing.T) {
 			if err != nil {
 				return "", err
 			}
-			s, r, err := runStencil(st, 7)
+			s, cycles, err := runStencil(st, 7)
 			if err != nil {
 				return "", err
 			}
-			if r.Value != r.Want {
-				s.M.Close()
-				return "", fmt.Errorf("stencil computed %v, want %v", r.Value, r.Want)
-			}
-			return harnessFingerprint(s, fmt.Sprintf("phase0=%d ", r.Cycles)), nil
+			return harnessFingerprint(s, fmt.Sprintf("phase0=%d ", cycles)), nil
 		}},
 		{"LoopSync2", "loopsync2.wl", func() (string, error) {
 			s, cycles, err := runLoopSync(2, 100)
